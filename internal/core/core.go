@@ -650,9 +650,10 @@ func (r *runner) rrrStage() error {
 		}
 		// Rewarm the cost field at the iteration boundary — the last
 		// single-threaded point before workers uncommit/reroute/commit in
-		// disjoint windows. Mid-iteration mutations invalidate per edge;
-		// stale reads fall back to the direct formula, so results are
-		// independent of cache state and of the worker count.
+		// disjoint windows. Mid-iteration mutations write the new edge cost
+		// through, so per-edge reads are always current and the warm only
+		// re-sums prefix runs; results are independent of cache state and
+		// of the worker count.
 		r.g.WarmCostCache()
 		sched.SortNets(violating, scheme)
 

@@ -177,7 +177,7 @@ func (r *runner) shardPatternStage() error {
 
 	// commitItem merges an item's per-tree results into one route and
 	// commits it through the leaf view (demand is shared with the parent;
-	// the view's cache invalidates itself on the mutation).
+	// the mutation is written through to the view's cache).
 	commitItem := func(view *grid.Graph, a *leafAcct, it *patItem, results []pattern.Result) {
 		nr := &route.NetRoute{NetID: it.net.ID}
 		for _, res := range results {

@@ -1,12 +1,12 @@
 package grid
 
-// Epoch-invalidated cost-field cache. GPU global routers get their
-// throughput by turning per-edge cost evaluation into array loads over
-// precomputed cost maps (GAP-LA builds per-layer maps with prefix sums for
-// its layer-assignment DP); this file brings the same structure to the two
-// hot paths the profile names: WireCost/ViaEdgeCost (a logistic — an exp —
-// per maze relaxation) and SegCost/ViaStackCost (an O(length) walk per
-// pattern candidate).
+// Write-through cost-field cache. GPU global routers get their throughput
+// by turning per-edge cost evaluation into array loads over precomputed cost
+// maps (GAP-LA builds per-layer maps with prefix sums for its
+// layer-assignment DP); this file brings the same structure to the two hot
+// paths the profile names: WireCost/ViaEdgeCost (a logistic — an exp — per
+// maze relaxation) and SegCost/ViaStackCost (an O(length) walk per pattern
+// candidate).
 //
 // Layout. Per layer l the cache holds one float64 per wire edge (the value
 // WireCost would compute) and, per routing line (a row of a horizontal
@@ -15,23 +15,25 @@ package grid
 // G-cell column: one value per boundary plus a per-cell prefix over the
 // L-1 boundaries, collapsing ViaStackCost.
 //
-// Invalidation protocol. Demand and history mutations invalidate at G-cell
-// granularity: the mutated edge's stale flag is set (plain write — edge
-// mutation is already owner-exclusive under the disjoint-window discipline,
-// exactly like the demand array itself) and the edge's line/cell dirty flag
-// is set (atomic — lines cross window boundaries, so concurrent rip-up
-// workers in disjoint windows may share one). Readers never write the
-// cache: a stale edge or dirty line falls back to the direct formula, which
-// is always correct, so cache state can only change speed, never results.
-// All materialization happens in WarmCostCache, which callers invoke only
-// at single-threaded coordinator points (between pattern batches, at the
-// top of a rip-up iteration).
+// Write-through protocol. A demand or history mutation recomputes the
+// mutated edge's cached value on the spot (plain write — edge mutation is
+// already owner-exclusive under the disjoint-window discipline, and the
+// value is written by whoever writes the demand beside it) and sets the
+// edge's line/cell dirty flag (atomic — lines cross window boundaries, so
+// concurrent rip-up workers in disjoint windows may share one). Edge values
+// are therefore never stale. Readers never write the cache: a dirty line
+// only means its prefix sums lag, and a segment query over it walks the
+// per-edge values instead. Prefix sums are re-summed in WarmCostCache, which
+// callers invoke only at single-threaded coordinator points (between
+// pattern batches, at the top of a rip-up iteration); the first warm
+// builds the whole field.
 //
 // Determinism. A cached edge value is bit-identical to the direct formula
-// (it is produced by the same code). The prefix-sum segment read may differ
-// from the left-fold walk by float rounding; every consumer of SegCost
-// compares with tolerances, and the maze router uses only per-edge costs,
-// so routed geometry is bit-identical for any warm/cold state.
+// (it is produced by the same code from the same demand, capacity and
+// history). The prefix-sum segment read may differ from the left-fold walk
+// by float rounding; every consumer of SegCost compares with tolerances, and
+// the maze router uses only per-edge costs, so routed geometry is
+// bit-identical for any warm/cold state.
 
 import (
 	"math"
@@ -60,18 +62,17 @@ type costCache struct {
 	// Wire side. For the full window, indexed like wireDem: [l-1][edge].
 	// For a partial window, [l-1] holds the window's own row-major edge
 	// block (see ccWireSpan/ccWireLocal).
-	wireVal   [][]float64
-	wireStale [][]bool
-	// wirePfx[l-1] holds lineCount(l) runs of lineLen(l)+1 exclusive
-	// prefix sums (full window only); wireDirty[l-1] has one flag per
-	// window line.
+	wireVal [][]float64
+	// Full window only: wirePfx[l-1] holds lineCount(l) runs of
+	// lineLen(l)+1 exclusive prefix sums, wireDirty[l-1] one flag per line
+	// whose prefix run lags its values.
 	wirePfx   [][]float64
 	wireDirty [][]atomic.Uint32
 
-	// Via side: [b][cell] values, one L-entry prefix run per cell
-	// (viaPfx[cell*L+k] sums boundaries 0..k-1), one flag per cell.
+	// Via side: [b][cell] values and, full window only, one L-entry prefix
+	// run per cell (viaPfx[cell*L+k] sums boundaries 0..k-1) with one
+	// dirty flag per cell.
 	viaVal   [][]float64
-	viaStale [][]bool
 	viaPfx   []float64
 	viaDirty []atomic.Uint32
 
@@ -84,8 +85,8 @@ type costCache struct {
 }
 
 // SetObserver attaches (or, with nil, detaches) the flight recorder to the
-// cost cache: fast-path hit/miss counters, per-edge invalidation counts and
-// the number of lines/cells rebuilt by WarmCostCache.
+// cost cache: fast-path hit/miss counters, per-edge write-through counts and
+// the number of lines/cells (re)summed by WarmCostCache.
 func (g *Graph) SetObserver(o *obs.Observer) {
 	g.cc.hits = o.M().Counter(obs.MCostHits)
 	g.cc.misses = o.M().Counter(obs.MCostMisses)
@@ -132,22 +133,20 @@ func (g *Graph) ccWireSpan(l int) (lineLen, lines int) {
 	return geom.Min(win.Hi.Y, g.H-2) - win.Lo.Y + 1, win.Hi.X - win.Lo.X + 1
 }
 
-// ccWireLocal maps wire edge (x, y) of layer l to its window-local slot and
-// line; ok is false when the edge lies outside the cache window. For the
-// full window the local slot equals the global wireIndex.
-func (g *Graph) ccWireLocal(l, x, y int) (idx, line int, ok bool) {
+// ccWireLocal maps wire edge (x, y) of layer l to its window-local slot; ok
+// is false when the edge lies outside the cache window. For the full window
+// the local slot equals the global wireIndex.
+func (g *Graph) ccWireLocal(l, x, y int) (idx int, ok bool) {
 	win := g.cc.win
 	lineLen, lines := g.ccWireSpan(l)
-	var off int
-	if g.Dir(l) == Horizontal {
-		off, line = x-win.Lo.X, y-win.Lo.Y
-	} else {
-		off, line = y-win.Lo.Y, x-win.Lo.X
+	off, line := x-win.Lo.X, y-win.Lo.Y
+	if g.Dir(l) == Vertical {
+		off, line = line, off
 	}
 	if off < 0 || off >= lineLen || line < 0 || line >= lines {
-		return 0, 0, false
+		return 0, false
 	}
-	return line*lineLen + off, line, true
+	return line*lineLen + off, true
 }
 
 // ccViaLocal maps G-cell (x, y) to its window-local via slot; ok is false
@@ -162,7 +161,8 @@ func (g *Graph) ccViaLocal(x, y int) (int, bool) {
 }
 
 // wireCostAt is the direct cost formula for wire edge i of layer l — the
-// single source of truth both the fallback path and the warmer evaluate.
+// single source of truth the uncached path, the first build and every
+// write-through evaluate.
 func (g *Graph) wireCostAt(l, i int) float64 {
 	cap, dem := g.wireCap[l-1][i], g.wireDem[l-1][i]
 	c := g.Params.UnitWire + g.logistic(dem, cap)
@@ -182,176 +182,146 @@ func (g *Graph) viaCostAt(l, i int) float64 {
 	return g.Params.UnitVia + g.logistic(dem, cap)
 }
 
-// noteWireMutation invalidates the cached cost of one wire edge: the
-// caller owns the edge (demand writes already require that), the line flag
-// is shared across windows and therefore atomic. i is the global edge
-// index; a windowed cache inverts it to window-local coordinates and
+// noteWireMutation writes the mutated wire edge's new cost through to the
+// cache: the caller owns the edge (demand writes already require that), the
+// line flag is shared across windows and therefore atomic. i is the global
+// edge index; a windowed cache inverts it to window-local coordinates and
 // ignores mutations it never covered.
 func (g *Graph) noteWireMutation(l, i int) {
 	cc := &g.cc
 	if !cc.built {
 		return
 	}
+	li := i
 	if cc.full {
-		cc.wireStale[l-1][i] = true
 		cc.wireDirty[l-1][i/g.lineLen(l)].Store(1)
-		cc.invals.Add(1)
-		return
-	}
-	var x, y int
-	if g.Dir(l) == Horizontal {
-		y, x = i/(g.W-1), i%(g.W-1)
 	} else {
-		x, y = i/(g.H-1), i%(g.H-1)
+		var ok bool
+		x, y := g.wireXY(l, i)
+		if li, ok = g.ccWireLocal(l, x, y); !ok {
+			return
+		}
 	}
-	li, line, ok := g.ccWireLocal(l, x, y)
-	if !ok {
-		return
-	}
-	cc.wireStale[l-1][li] = true
-	cc.wireDirty[l-1][line].Store(1)
+	cc.wireVal[l-1][li] = g.wireCostAt(l, i)
 	cc.invals.Add(1)
 }
 
-// noteViaMutation invalidates one via edge and its cell's prefix run.
-// cell is the global y*W+x index; windowed caches translate it like
-// noteWireMutation does.
+// noteViaMutation writes one via edge's new cost through and flags its
+// cell's prefix run. cell is the global y*W+x index; windowed caches
+// translate it like noteWireMutation does.
 func (g *Graph) noteViaMutation(l, cell int) {
 	cc := &g.cc
 	if !cc.built {
 		return
 	}
 	ci := cell
-	if !cc.full {
+	if cc.full {
+		cc.viaDirty[cell].Store(1)
+	} else {
 		var ok bool
 		if ci, ok = g.ccViaLocal(cell%g.W, cell/g.W); !ok {
 			return
 		}
 	}
-	cc.viaStale[l-1][ci] = true
-	cc.viaDirty[ci].Store(1)
+	cc.viaVal[l-1][ci] = g.viaCostAt(l, cell)
 	cc.invals.Add(1)
 }
 
-// WarmCostCache (re)materializes every dirty line and cell of the cost
-// field — the whole field on first call. It must only be called at
-// single-threaded coordinator points: it is the one place cache values are
-// written, which is what lets concurrent readers skip all synchronization
-// on the value arrays.
+// WarmCostCache brings the cost field up to date. The first call evaluates
+// every edge of the cache window; from then on edge values are kept fresh
+// by write-through, so a warm only re-sums the prefix runs of dirty lines
+// and cells — nothing at all for a windowed cache, which has no prefix
+// sums and no dirty flags. It must only be called at single-threaded coordinator points: it is
+// the one place prefix sums are written, which is what lets concurrent
+// readers skip all synchronization on them.
 func (g *Graph) WarmCostCache() {
 	cc := &g.cc
-	if !cc.built {
-		cc.wireVal = make([][]float64, g.L)
-		cc.wireStale = make([][]bool, g.L)
-		if cc.full {
-			cc.wirePfx = make([][]float64, g.L)
-		}
-		cc.wireDirty = make([][]atomic.Uint32, g.L)
-		for l := 1; l <= g.L; l++ {
-			ll, lines := g.ccWireSpan(l)
-			if ll < 0 {
-				ll = 0
-			}
-			cc.wireVal[l-1] = make([]float64, lines*ll)
-			cc.wireStale[l-1] = make([]bool, lines*ll)
-			if cc.full {
-				cc.wirePfx[l-1] = make([]float64, lines*(ll+1))
-			}
-			cc.wireDirty[l-1] = make([]atomic.Uint32, lines)
-			for li := range cc.wireDirty[l-1] {
-				cc.wireDirty[l-1][li].Store(1)
-			}
-		}
-		cells := cc.win.Area()
-		cc.viaVal = make([][]float64, g.L-1)
-		cc.viaStale = make([][]bool, g.L-1)
-		for b := 0; b < g.L-1; b++ {
-			cc.viaVal[b] = make([]float64, cells)
-			cc.viaStale[b] = make([]bool, cells)
-		}
-		if cc.full {
-			cc.viaPfx = make([]float64, cells*g.L)
-		}
-		cc.viaDirty = make([]atomic.Uint32, cells)
-		for i := range cc.viaDirty {
-			cc.viaDirty[i].Store(1)
-		}
-		cc.built = true
-	}
-
 	warmed := 0
+	if !cc.built {
+		warmed = g.buildCostCache()
+	}
 	for l := 1; l <= g.L; l++ {
-		ll, lines := g.ccWireSpan(l)
-		if ll <= 0 {
-			continue
-		}
-		val, stale := cc.wireVal[l-1], cc.wireStale[l-1]
-		dirty := cc.wireDirty[l-1]
-		horiz := g.Dir(l) == Horizontal
-		for li := 0; li < lines; li++ {
+		ll := g.lineLen(l)
+		val, pfx, dirty := cc.wireVal[l-1], cc.wirePfx[l-1], cc.wireDirty[l-1]
+		for li := range dirty {
 			if dirty[li].Load() == 0 {
 				continue
 			}
-			base := li * ll
-			if cc.full {
-				pfx := cc.wirePfx[l-1]
-				pbase := li * (ll + 1)
-				sum := 0.0
-				pfx[pbase] = 0
-				for k := 0; k < ll; k++ {
-					c := g.wireCostAt(l, base+k)
-					val[base+k] = c
-					stale[base+k] = false
-					sum += c
-					pfx[pbase+k+1] = sum
-				}
-			} else {
-				for k := 0; k < ll; k++ {
-					var x, y int
-					if horiz {
-						x, y = cc.win.Lo.X+k, cc.win.Lo.Y+li
-					} else {
-						x, y = cc.win.Lo.X+li, cc.win.Lo.Y+k
-					}
-					c := g.wireCostAt(l, g.wireIndex(l, x, y))
-					val[base+k] = c
-					stale[base+k] = false
-				}
+			sum := 0.0
+			run := pfx[li*(ll+1) : (li+1)*(ll+1)]
+			for k, c := range val[li*ll : (li+1)*ll] {
+				sum += c
+				run[k+1] = sum
 			}
 			dirty[li].Store(0)
 			warmed++
 		}
 	}
-	cw := cc.win.Width()
-	for ci := 0; ci < cc.win.Area(); ci++ {
+	for ci := range cc.viaDirty {
 		if cc.viaDirty[ci].Load() == 0 {
 			continue
 		}
-		gcell := ci
-		if !cc.full {
-			gcell = (cc.win.Lo.Y+ci/cw)*g.W + cc.win.Lo.X + ci%cw
-		}
-		if cc.full {
-			base := ci * g.L
-			sum := 0.0
-			cc.viaPfx[base] = 0
-			for b := 0; b < g.L-1; b++ {
-				c := g.viaCostAt(b+1, gcell)
-				cc.viaVal[b][ci] = c
-				cc.viaStale[b][ci] = false
-				sum += c
-				cc.viaPfx[base+b+1] = sum
-			}
-		} else {
-			for b := 0; b < g.L-1; b++ {
-				cc.viaVal[b][ci] = g.viaCostAt(b+1, gcell)
-				cc.viaStale[b][ci] = false
-			}
+		sum := 0.0
+		for b := 0; b < g.L-1; b++ {
+			sum += cc.viaVal[b][ci]
+			cc.viaPfx[ci*g.L+b+1] = sum
 		}
 		cc.viaDirty[ci].Store(0)
 		warmed++
 	}
 	cc.warms.Add(int64(warmed))
+}
+
+// buildCostCache allocates the field and evaluates every edge of the cache
+// window. A full window comes out with every line and cell flagged dirty,
+// for WarmCostCache to sum and count; a partial window has no prefix runs or
+// flags, is complete as built, and its line and cell count is returned.
+func (g *Graph) buildCostCache() (complete int) {
+	cc := &g.cc
+	cc.wireVal = make([][]float64, g.L)
+	cc.wirePfx = make([][]float64, g.L)
+	cc.wireDirty = make([][]atomic.Uint32, g.L)
+	for l := 1; l <= g.L; l++ {
+		ll, lines := g.ccWireSpan(l)
+		ll = geom.Max(ll, 0)
+		val := make([]float64, lines*ll)
+		for li := 0; li < lines; li++ {
+			for k := 0; k < ll; k++ {
+				x, y := cc.win.Lo.X+k, cc.win.Lo.Y+li
+				if g.Dir(l) == Vertical {
+					x, y = cc.win.Lo.X+li, cc.win.Lo.Y+k
+				}
+				val[li*ll+k] = g.wireCostAt(l, g.wireIndex(l, x, y))
+			}
+		}
+		cc.wireVal[l-1] = val
+		if cc.full {
+			cc.wirePfx[l-1] = make([]float64, lines*(ll+1))
+			cc.wireDirty[l-1] = make([]atomic.Uint32, lines)
+			for li := range cc.wireDirty[l-1] {
+				cc.wireDirty[l-1][li].Store(1)
+			}
+		}
+		complete += lines
+	}
+	cells, cw := cc.win.Area(), cc.win.Width()
+	cc.viaVal = make([][]float64, g.L-1)
+	for b := range cc.viaVal {
+		cc.viaVal[b] = make([]float64, cells)
+		for ci := range cc.viaVal[b] {
+			cc.viaVal[b][ci] = g.viaCostAt(b+1, (cc.win.Lo.Y+ci/cw)*g.W+cc.win.Lo.X+ci%cw)
+		}
+	}
+	cc.built = true
+	if !cc.full {
+		return complete + cells
+	}
+	cc.viaPfx = make([]float64, cells*g.L)
+	cc.viaDirty = make([]atomic.Uint32, cells)
+	for i := range cc.viaDirty {
+		cc.viaDirty[i].Store(1)
+	}
+	return 0
 }
 
 // InvalidateCostCache drops the materialized field entirely; the next

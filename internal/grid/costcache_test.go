@@ -30,8 +30,8 @@ func congest(g *Graph, seed int64, n int) {
 }
 
 // assertCacheMatchesDirect checks every cached wire and via edge against the
-// direct formula. Cached values must be bit-identical: the warmer runs the
-// same code as the fallback.
+// direct formula. Cached values must be bit-identical: the build and every
+// write-through run the same code as the uncached path.
 func assertCacheMatchesDirect(t *testing.T, g *Graph) {
 	t.Helper()
 	if !g.CostCacheBuilt() {
@@ -39,9 +39,6 @@ func assertCacheMatchesDirect(t *testing.T, g *Graph) {
 	}
 	for l := 1; l <= g.L; l++ {
 		for i := 0; i < g.numWireEdges(l); i++ {
-			if g.cc.wireStale[l-1][i] {
-				t.Fatalf("layer %d edge %d still stale after warm", l, i)
-			}
 			if got, want := g.cc.wireVal[l-1][i], g.wireCostAt(l, i); got != want {
 				t.Fatalf("layer %d edge %d cached %v != direct %v", l, i, got, want)
 			}
@@ -88,7 +85,8 @@ func TestCostCacheExactAfterWarm(t *testing.T) {
 }
 
 // TestCostCacheInvalidation: demand and history mutations after a warm must
-// be visible immediately (stale fallback) and re-cached by the next warm.
+// be visible immediately (written through) and the prefix sums caught up by
+// the next warm.
 func TestCostCacheInvalidation(t *testing.T) {
 	g := NewFromDesign(testDesign(5))
 	congest(g, 2, 200)
@@ -102,7 +100,7 @@ func TestCostCacheInvalidation(t *testing.T) {
 		t.Fatal("WireCost unchanged after demand mutation — stale cache served")
 	}
 	if want := g.wireCostAt(1, g.wireIndex(1, 3, 4)); after != want {
-		t.Fatalf("stale fallback %v != direct %v", after, want)
+		t.Fatalf("written-through value %v != direct %v", after, want)
 	}
 	// SegCost over the dirty line must fall back to the per-edge walk.
 	var walk float64
@@ -119,7 +117,7 @@ func TestCostCacheInvalidation(t *testing.T) {
 		t.Fatal("ViaStackCost unchanged after via demand mutation")
 	}
 
-	// History bumps on overflowed edges invalidate like demand writes.
+	// History bumps on overflowed edges write through like demand writes.
 	g.EnableHistory()
 	g.AddSegDemand(1, geom.Point{X: 0, Y: 0}, geom.Point{X: 1, Y: 0}, 5) // cap 1 on layer 1
 	g.WarmCostCache()
@@ -221,11 +219,11 @@ func TestSegCostsAllLayers(t *testing.T) {
 	}
 }
 
-// TestCostCacheConcurrentWindows exercises the invalidation protocol under
+// TestCostCacheConcurrentWindows exercises the write-through protocol under
 // the disjoint-window discipline: workers mutate demand and read costs only
-// inside their own column band, so the plain stale flags never conflict,
-// while H-layer rows span every band and force the shared line dirty flags
-// through their atomic path (the -race step watches this).
+// inside their own column band, so the plain edge-value writes never
+// conflict, while H-layer rows span every band and force the shared line
+// dirty flags through their atomic path (the -race step watches this).
 func TestCostCacheConcurrentWindows(t *testing.T) {
 	g := NewFromDesign(design.MustGenerate("18test5m", 0.003))
 	congest(g, 6, 200)
@@ -260,7 +258,7 @@ func TestCostCacheConcurrentWindows(t *testing.T) {
 }
 
 // TestCostCacheCounters: the flight-recorder handles observe hits, misses,
-// invalidations and warmed lines; detaching resets to the nil-safe zero cost.
+// write-throughs (the invalidations counter) and warmed lines; detaching resets to the nil-safe zero cost.
 func TestCostCacheCounters(t *testing.T) {
 	g := NewFromDesign(testDesign(5))
 	o := &obs.Observer{Metrics: obs.NewRegistry()}
@@ -272,8 +270,12 @@ func TestCostCacheCounters(t *testing.T) {
 		t.Fatal("unbuilt WireCost did not count a miss")
 	}
 	g.WarmCostCache()
-	if m.Counter(obs.MCostWarms).Value() == 0 {
-		t.Fatal("warm counted no lines")
+	lines := g.W * g.H // one prefix run per cell, plus one per routing line
+	for l := 1; l <= g.L; l++ {
+		lines += g.lineCount(l)
+	}
+	if got := m.Counter(obs.MCostWarms).Value(); got != int64(lines) {
+		t.Fatalf("first warm counted %d lines and cells, want %d", got, lines)
 	}
 	g.WireCost(1, 1, 1)
 	if m.Counter(obs.MCostHits).Value() == 0 {
@@ -281,6 +283,101 @@ func TestCostCacheCounters(t *testing.T) {
 	}
 	g.AddSegDemand(1, geom.Point{X: 1, Y: 1}, geom.Point{X: 2, Y: 1}, 1)
 	if m.Counter(obs.MCostInvalidations).Value() == 0 {
-		t.Fatal("mutation did not count an invalidation")
+		t.Fatal("mutation did not count a write-through")
+	}
+}
+
+// mutateRandomly applies n random demand and history mutations through g,
+// with no warm in between. Demand only grows, so no step underflows.
+func mutateRandomly(g *Graph, rng *rand.Rand, n int) {
+	for i := 0; i < n; i++ {
+		switch l := 1 + rng.Intn(g.L); rng.Intn(8) {
+		case 0:
+			g.BumpOverflowHistory(0.5 + rng.Float64())
+		case 1, 2:
+			g.AddViaStackDemand(rng.Intn(g.W), rng.Intn(g.H), 1+rng.Intn(g.L), 1+rng.Intn(g.L), 1+rng.Intn(6))
+		default:
+			a := geom.Point{X: rng.Intn(g.W), Y: rng.Intn(g.H)}
+			b := geom.Point{X: rng.Intn(g.W), Y: a.Y}
+			if g.Dir(l) == Vertical {
+				b = geom.Point{X: a.X, Y: rng.Intn(g.H)}
+			}
+			g.AddSegDemand(l, a, b, 1+rng.Intn(4))
+		}
+	}
+}
+
+// TestCostCacheWriteThrough: after any sequence of demand and history
+// mutations with no warm in between, a built cache — full or windowed —
+// answers every per-edge query bit-identically to the direct formula, and
+// after a warm the segment and stack queries equal those of a cache built
+// from scratch at the same state.
+func TestCostCacheWriteThrough(t *testing.T) {
+	for _, windowed := range []bool{false, true} {
+		base := NewFromDesign(testDesign(6))
+		base.EnableHistory()
+		g := base
+		if windowed {
+			g = base.WindowView(geom.Rect{Lo: geom.Point{X: 2, Y: 1}, Hi: geom.Point{X: base.W - 3, Y: base.H - 2}})
+			if g.cc.full {
+				t.Fatal("partial window marked full")
+			}
+		}
+		rng := rand.New(rand.NewSource(21))
+		mutateRandomly(g, rng, 50)
+		g.WarmCostCache()
+		for round := 0; round < 20; round++ {
+			mutateRandomly(g, rng, 30)
+			m := obs.NewRegistry()
+			g.SetObserver(&obs.Observer{Metrics: m})
+			inWindow := 0
+			for l := 1; l <= g.L; l++ {
+				for y := 0; y < g.H; y++ {
+					for x := 0; x < g.W; x++ {
+						if g.HasWireEdge(l, x, y) {
+							if got, want := g.WireCost(l, x, y), g.wireCostAt(l, g.wireIndex(l, x, y)); got != want {
+								t.Fatalf("windowed=%v round %d: WireCost(%d,%d,%d) = %v, direct %v", windowed, round, l, x, y, got, want)
+							}
+							if _, ok := g.ccWireLocal(l, x, y); ok {
+								inWindow++
+							}
+						}
+						if l < g.L {
+							if got, want := g.ViaEdgeCost(x, y, l), g.viaCostAt(l, y*g.W+x); got != want {
+								t.Fatalf("windowed=%v round %d: ViaEdgeCost(%d,%d,%d) = %v, direct %v", windowed, round, x, y, l, got, want)
+							}
+							if _, ok := g.ccViaLocal(x, y); ok {
+								inWindow++
+							}
+						}
+					}
+				}
+			}
+			// Every in-window read above was an array load, not a formula
+			// evaluation behind a miss.
+			if hits := m.Counter(obs.MCostHits).Value(); hits != int64(inWindow) {
+				t.Fatalf("windowed=%v round %d: %d hits for %d in-window edges", windowed, round, hits, inWindow)
+			}
+			g.SetObserver(nil)
+
+			g.WarmCostCache()
+			fresh := base.WindowView(g.CostCacheWindow())
+			fresh.WarmCostCache()
+			for trial := 0; trial < 200; trial++ {
+				l := 1 + rng.Intn(g.L)
+				a := geom.Point{X: rng.Intn(g.W), Y: rng.Intn(g.H)}
+				b := geom.Point{X: rng.Intn(g.W), Y: a.Y}
+				if g.Dir(l) == Vertical {
+					b = geom.Point{X: a.X, Y: rng.Intn(g.H)}
+				}
+				if got, want := g.SegCost(l, a, b), fresh.SegCost(l, a, b); got != want {
+					t.Fatalf("windowed=%v round %d: SegCost(%d,%v,%v) = %v, fresh build %v", windowed, round, l, a, b, got, want)
+				}
+				l2 := 1 + rng.Intn(g.L)
+				if got, want := g.ViaStackCost(a.X, a.Y, l, l2), fresh.ViaStackCost(a.X, a.Y, l, l2); got != want {
+					t.Fatalf("windowed=%v round %d: ViaStackCost(%v,%d,%d) = %v, fresh build %v", windowed, round, a, l, l2, got, want)
+				}
+			}
+		}
 	}
 }

@@ -83,8 +83,13 @@ type Graph struct {
 	// until EnableHistory.
 	history [][]float32
 
-	// cc is the epoch-invalidated cost-field cache (see costcache.go);
-	// inert until the first WarmCostCache.
+	// edgeOff[k] is the first EdgeID of block k — one block per wire layer
+	// 1..L, then one per via boundary 1..L-1 — and edgeOff[2L-1] the total
+	// edge count.
+	edgeOff []int
+
+	// cc is the write-through cost-field cache (see costcache.go); inert
+	// until the first WarmCostCache.
 	cc costCache
 }
 
@@ -107,6 +112,17 @@ func NewFromDesignParams(d *design.Design, p CostParams) *Graph {
 	}
 	g.wireCap = make([][]int32, g.L)
 	g.wireDem = make([][]int32, g.L)
+	g.edgeOff = make([]int, 2*g.L)
+	for k := 1; k < 2*g.L; k++ {
+		n := g.W * g.H
+		if k <= g.L {
+			n = g.numWireEdges(k)
+		}
+		g.edgeOff[k] = g.edgeOff[k-1] + n
+	}
+	if g.edgeOff[2*g.L-1] > math.MaxUint32 {
+		panic(fmt.Sprintf("grid: %dx%dx%d has more edges than an EdgeID can name", g.W, g.H, g.L))
+	}
 	for l := 1; l <= g.L; l++ {
 		n := g.numWireEdges(l)
 		g.wireCap[l-1] = make([]int32, n)
@@ -134,15 +150,15 @@ func NewFromDesignParams(d *design.Design, p CostParams) *Graph {
 // array with g — mutations through either are visible to both — but holding
 // its own cost cache bounded to win. A shard routes through its view: the
 // view's cache stays leaf-sized (the sharded pipeline's peak-memory win)
-// and mutations through the view invalidate the view's cache, never the
-// parent's. The parent's cache must therefore be cold (or invalidated)
+// and mutations through the view write through to the view's cache, never
+// the parent's. The parent's cache must therefore be cold (or invalidated)
 // while views are live; the core pipeline never warms it between view
 // phases. Views are coordinator-created and must not outlive the phase
 // whose mutations they observed.
 func (g *Graph) WindowView(win geom.Rect) *Graph {
 	v := &Graph{
 		W: g.W, H: g.H, L: g.L, Params: g.Params,
-		dirs:    g.dirs,
+		dirs: g.dirs, edgeOff: g.edgeOff,
 		wireCap: g.wireCap, wireDem: g.wireDem,
 		viaCap: g.viaCap, viaDem: g.viaDem,
 		history: g.history,
@@ -196,6 +212,14 @@ func (g *Graph) wireIndex(l, x, y int) int {
 	return x*(g.H-1) + y
 }
 
+// wireXY inverts wireIndex.
+func (g *Graph) wireXY(l, i int) (x, y int) {
+	if g.Dir(l) == Horizontal {
+		return i % (g.W - 1), i / (g.W - 1)
+	}
+	return i / (g.H - 1), i % (g.H - 1)
+}
+
 // WireCap returns the capacity of the wire edge at (x,y) on layer l.
 func (g *Graph) WireCap(l, x, y int) int { return int(g.wireCap[l-1][g.wireIndex(l, x, y)]) }
 
@@ -222,17 +246,17 @@ func (g *Graph) logistic(dem, cap int32) float64 {
 
 // WireCost is the cost c_w of using one wire edge at (x,y) on layer l,
 // evaluated at the edge's current demand (i.e., the cost of adding one more
-// track through it). With a warm cost cache this is an array load; a stale
-// or unbuilt cache falls back to the direct formula.
+// track through it). With a built cost cache this is an array load — the
+// field is written through at mutation time, so it is never stale; an
+// unbuilt cache or an edge outside the cache window evaluates the formula.
 func (g *Graph) WireCost(l, x, y int) float64 {
 	i := g.wireIndex(l, x, y)
 	if cc := &g.cc; cc.built {
 		if cc.full {
-			if !cc.wireStale[l-1][i] {
-				cc.hits.Add(1)
-				return cc.wireVal[l-1][i]
-			}
-		} else if li, _, ok := g.ccWireLocal(l, x, y); ok && !cc.wireStale[l-1][li] {
+			cc.hits.Add(1)
+			return cc.wireVal[l-1][i]
+		}
+		if li, ok := g.ccWireLocal(l, x, y); ok {
 			cc.hits.Add(1)
 			return cc.wireVal[l-1][li]
 		}
@@ -245,9 +269,8 @@ func (g *Graph) WireCost(l, x, y int) float64 {
 // must run along the layer's preferred direction; a == b costs zero. With a
 // warm cost cache and a clean line this is two prefix-sum reads (the
 // prefix-sum total can differ from the edge-walk total by float rounding;
-// consumers compare segment costs with tolerances); a dirty line falls back
-// to walking the edges, which itself reads per-edge cache entries where
-// they are fresh.
+// consumers compare segment costs with tolerances); a line mutated since the
+// last warm falls back to walking the edges' cached values.
 func (g *Graph) SegCost(l int, a, b geom.Point) float64 {
 	if a == b {
 		return 0
@@ -289,11 +312,10 @@ func (g *Graph) ViaEdgeCost(x, y, l int) float64 {
 	i := y*g.W + x
 	if cc := &g.cc; cc.built {
 		if cc.full {
-			if !cc.viaStale[l-1][i] {
-				cc.hits.Add(1)
-				return cc.viaVal[l-1][i]
-			}
-		} else if ci, ok := g.ccViaLocal(x, y); ok && !cc.viaStale[l-1][ci] {
+			cc.hits.Add(1)
+			return cc.viaVal[l-1][i]
+		}
+		if ci, ok := g.ccViaLocal(x, y); ok {
 			cc.hits.Add(1)
 			return cc.viaVal[l-1][ci]
 		}
@@ -324,38 +346,37 @@ func (g *Graph) ViaStackCost(x, y, l1, l2 int) float64 {
 	return total
 }
 
+// segSpan returns the first wire-edge slot and the edge count of the
+// straight run a-b on layer l (the slots of one run are consecutive); a run
+// across the layer's preferred direction panics.
+func (g *Graph) segSpan(l int, a, b geom.Point) (first, n int) {
+	if g.Dir(l) == Horizontal {
+		if a.Y != b.Y {
+			panic(fmt.Sprintf("grid: horizontal segment %v-%v on layer %d misaligned", a, b, l))
+		}
+		return g.wireIndex(l, geom.Min(a.X, b.X), a.Y), geom.Abs(a.X - b.X)
+	}
+	if a.X != b.X {
+		panic(fmt.Sprintf("grid: vertical segment %v-%v on layer %d misaligned", a, b, l))
+	}
+	return g.wireIndex(l, a.X, geom.Min(a.Y, b.Y)), geom.Abs(a.Y - b.Y)
+}
+
 // AddSegDemand adds delta tracks of demand to every wire edge of the
 // straight segment a-b on layer l. delta may be negative (rip-up); demand
 // never goes below zero — underflow indicates a commit/rip-up mismatch and
 // panics.
 func (g *Graph) AddSegDemand(l int, a, b geom.Point, delta int) {
-	if a == b {
-		return
-	}
-	d := int32(delta)
-	if g.Dir(l) == Horizontal {
-		if a.Y != b.Y {
-			panic(fmt.Sprintf("grid: horizontal segment %v-%v on layer %d misaligned", a, b, l))
-		}
-		lo, hi := geom.Min(a.X, b.X), geom.Max(a.X, b.X)
-		for x := lo; x < hi; x++ {
-			g.addWireDemand(l, x, a.Y, d)
-		}
-	} else {
-		if a.X != b.X {
-			panic(fmt.Sprintf("grid: vertical segment %v-%v on layer %d misaligned", a, b, l))
-		}
-		lo, hi := geom.Min(a.Y, b.Y), geom.Max(a.Y, b.Y)
-		for y := lo; y < hi; y++ {
-			g.addWireDemand(l, a.X, y, d)
-		}
+	first, n := g.segSpan(l, a, b)
+	for i := first; i < first+n; i++ {
+		g.addWireDemand(l, i, int32(delta))
 	}
 }
 
-func (g *Graph) addWireDemand(l, x, y int, delta int32) {
-	i := g.wireIndex(l, x, y)
+func (g *Graph) addWireDemand(l, i int, delta int32) {
 	g.wireDem[l-1][i] += delta
 	if g.wireDem[l-1][i] < 0 {
+		x, y := g.wireXY(l, i)
 		panic(fmt.Sprintf("grid: wire demand underflow at layer %d (%d,%d)", l, x, y))
 	}
 	g.noteWireMutation(l, i)
@@ -364,15 +385,100 @@ func (g *Graph) addWireDemand(l, x, y int, delta int32) {
 // AddViaStackDemand adds delta to every via edge of the stack at (x,y)
 // between layers l1 and l2.
 func (g *Graph) AddViaStackDemand(x, y, l1, l2, delta int) {
-	lo, hi := geom.Min(l1, l2), geom.Max(l1, l2)
-	for l := lo; l < hi; l++ {
-		i := y*g.W + x
-		g.viaDem[l-1][i] += int32(delta)
-		if g.viaDem[l-1][i] < 0 {
-			panic(fmt.Sprintf("grid: via demand underflow at (%d,%d) layer %d", x, y, l))
-		}
-		g.noteViaMutation(l, i)
+	for l := geom.Min(l1, l2); l < geom.Max(l1, l2); l++ {
+		g.addViaDemand(l, y*g.W+x, int32(delta))
 	}
+}
+
+func (g *Graph) addViaDemand(l, i int, delta int32) {
+	g.viaDem[l-1][i] += delta
+	if g.viaDem[l-1][i] < 0 {
+		panic(fmt.Sprintf("grid: via demand underflow at (%d,%d) layer %d", i%g.W, i/g.W, l))
+	}
+	g.noteViaMutation(l, i)
+}
+
+// EdgeID names one wire or via edge of the grid in four bytes: the wire
+// edges of layers 1..L in wireIndex order, then the via edges of boundaries
+// 1..L-1 in cell order. IDs are a pure function of (W, H, L), so a list
+// built on one grid addresses the same edges on any grid of the same design.
+type EdgeID uint32
+
+// AppendSegEdges appends the IDs of the wire edges of segment a-b on layer l.
+func (g *Graph) AppendSegEdges(dst []EdgeID, l int, a, b geom.Point) []EdgeID {
+	first, n := g.segSpan(l, a, b)
+	for e := g.edgeOff[l-1] + first; e < g.edgeOff[l-1]+first+n; e++ {
+		dst = append(dst, EdgeID(e))
+	}
+	return dst
+}
+
+// AppendViaEdges appends the IDs of the via edges of the stack at (x,y)
+// between layers l1 and l2.
+func (g *Graph) AppendViaEdges(dst []EdgeID, x, y, l1, l2 int) []EdgeID {
+	for l := geom.Min(l1, l2); l < geom.Max(l1, l2); l++ {
+		dst = append(dst, EdgeID(g.edgeOff[g.L+l-1]+y*g.W+x))
+	}
+	return dst
+}
+
+// FirstViaEdge is the smallest via-edge ID: every EdgeID below it names a
+// wire edge.
+func (g *Graph) FirstViaEdge() EdgeID { return EdgeID(g.edgeOff[g.L]) }
+
+// edgeSlot resolves e to its block (wire layers 0..L-1, then via boundaries)
+// and its slot in that block's arrays, scanning up from block k: a caller
+// walking an ascending list passes the previous result, so the whole list
+// costs one pass over the offsets.
+func (g *Graph) edgeSlot(e EdgeID, k int) (blk, i int) {
+	for int(e) >= g.edgeOff[k+1] {
+		k++
+	}
+	return k, int(e) - g.edgeOff[k]
+}
+
+// AddEdgeDemand adds delta to the demand of every edge of an ascending ID
+// list — the commit (+1) and rip-up (-1) of a sealed route.
+func (g *Graph) AddEdgeDemand(edges []EdgeID, delta int) {
+	k, i := 0, 0
+	for _, e := range edges {
+		if k, i = g.edgeSlot(e, k); k < g.L {
+			g.addWireDemand(k+1, i, int32(delta))
+		} else {
+			g.addViaDemand(k-g.L+1, i, int32(delta))
+		}
+	}
+}
+
+// AnyEdgeOverflow reports whether any edge of an ascending ID list is over
+// capacity.
+func (g *Graph) AnyEdgeOverflow(edges []EdgeID) bool {
+	k, i := 0, 0
+	for _, e := range edges {
+		if k, i = g.edgeSlot(e, k); k < g.L {
+			if g.wireDem[k][i] > g.wireCap[k][i] {
+				return true
+			}
+		} else if g.viaDem[k-g.L][i] > g.viaCap[k-g.L] {
+			return true
+		}
+	}
+	return false
+}
+
+// EdgeEnds returns the two grid nodes edge e joins.
+func (g *Graph) EdgeEnds(e EdgeID) (a, b geom.Point3) {
+	k, i := g.edgeSlot(e, 0)
+	if k >= g.L {
+		a = geom.Point3{X: i % g.W, Y: i / g.W, Layer: k - g.L + 1}
+		return a, geom.Point3{X: a.X, Y: a.Y, Layer: a.Layer + 1}
+	}
+	x, y := g.wireXY(k+1, i)
+	a = geom.Point3{X: x, Y: y, Layer: k + 1}
+	if g.dirs[k] == Horizontal {
+		return a, geom.Point3{X: x + 1, Y: y, Layer: k + 1}
+	}
+	return a, geom.Point3{X: x, Y: y + 1, Layer: k + 1}
 }
 
 // Overflow sums max(0, demand-capacity) over wire and via edges — the

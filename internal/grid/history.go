@@ -27,9 +27,9 @@ func (g *Graph) HistoryEnabled() bool { return g.history != nil }
 
 // BumpOverflowHistory adds delta x overflow to every currently overflowed
 // wire edge's history — called once per rip-up iteration (a coordinator
-// point). Each bumped edge's cost-cache entry is invalidated like a demand
-// mutation; enabling history needs no invalidation because an all-zero
-// history store leaves WireCost unchanged.
+// point). Each bumped edge's cost-cache entry is rewritten like a demand
+// mutation's; enabling history needs no rewrite because an all-zero history
+// store leaves WireCost unchanged.
 func (g *Graph) BumpOverflowHistory(delta float64) {
 	if g.history == nil {
 		return

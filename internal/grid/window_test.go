@@ -62,9 +62,9 @@ func TestWindowViewSegCostExact(t *testing.T) {
 	}
 }
 
-// TestWindowViewInvalidation: a demand mutation through the view refreshes
-// the view's cache on the next warm; a mutation through the parent (whose
-// cache is cold) is also seen by the view because they share demand arrays.
+// TestWindowViewInvalidation: a demand mutation through the view is written
+// through to the view's cache; a mutation through the parent (whose cache is
+// cold) reaches the shared demand arrays but not the view's cached values.
 func TestWindowViewInvalidation(t *testing.T) {
 	g := NewFromDesign(design.MustGenerate("18test5m", 0.003))
 	win := geom.Rect{Lo: geom.Point{X: 2, Y: 2}, Hi: geom.Point{X: 20, Y: 20}}
@@ -82,11 +82,11 @@ func TestWindowViewInvalidation(t *testing.T) {
 		t.Fatal("demand mutation did not change the cached cost")
 	}
 
-	// Parent-side mutation: the view's cached entry goes stale via the
-	// shared demand arrays only if the mutation flows through the view.
-	// Mutating through the parent leaves the view's flags untouched, so
-	// the protocol requires a fresh view (or warm) after coordinator
-	// mutations — simulate that and check correctness.
+	// Parent-side mutation: the view's cached entry is rewritten only if
+	// the mutation flows through the view. Mutating through the parent
+	// leaves the view's values untouched, so the protocol requires a fresh
+	// view after coordinator mutations — simulate that and check
+	// correctness.
 	g.AddSegDemand(1, a, b, 2)
 	v2 := g.WindowView(win)
 	v2.WarmCostCache()

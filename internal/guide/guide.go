@@ -7,15 +7,15 @@ package guide
 
 import (
 	"bufio"
+	"cmp"
 	"fmt"
 	"io"
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
 
 	"fastgr/internal/core"
 	"fastgr/internal/geom"
-	"fastgr/internal/grid"
 	"fastgr/internal/route"
 )
 
@@ -50,63 +50,57 @@ func FromResult(res *core.Result) []Guide {
 		if r == nil {
 			continue
 		}
-		guides = append(guides, Guide{Net: n.Name, Boxes: boxesOf(res.Grid, r)})
+		guides = append(guides, Guide{Net: n.Name, Boxes: boxesOf(r)})
 	}
 	return guides
 }
 
-type cellKey struct{ l, x, y int }
+// Touched cells are packed (layer, y, x) into one integer, 20 bits a
+// coordinate, so that ascending key order is the row-major order the run
+// merge walks and x+1 is the next cell of the same row.
+const cellBits = 20
+
+func cellKey(l, x, y int) uint64 {
+	return uint64(l)<<(2*cellBits) | uint64(y)<<cellBits | uint64(x)
+}
 
 // boxesOf collects the net's touched cells per layer and merges them.
-func boxesOf(g *grid.Graph, r *route.NetRoute) []Box {
-	cells := map[cellKey]bool{}
-	mark := func(l, x, y int) { cells[cellKey{l, x, y}] = true }
+func boxesOf(r *route.NetRoute) []Box {
+	var keys []uint64
 	for _, p := range r.Paths {
 		for _, s := range p.Segs {
 			if s.A.Y == s.B.Y {
 				lo, hi := geom.Min(s.A.X, s.B.X), geom.Max(s.A.X, s.B.X)
 				for x := lo; x <= hi; x++ {
-					mark(s.Layer, x, s.A.Y)
+					keys = append(keys, cellKey(s.Layer, x, s.A.Y))
 				}
 			} else {
 				lo, hi := geom.Min(s.A.Y, s.B.Y), geom.Max(s.A.Y, s.B.Y)
 				for y := lo; y <= hi; y++ {
-					mark(s.Layer, s.A.X, y)
+					keys = append(keys, cellKey(s.Layer, s.A.X, y))
 				}
 			}
 		}
 		for _, v := range p.Vias {
 			for l := v.L1; l <= v.L2; l++ {
-				mark(l, v.X, v.Y)
+				keys = append(keys, cellKey(l, v.X, v.Y))
 			}
 		}
 	}
 	// Merge per (layer,row) into maximal runs, deterministically.
-	keys := make([]cellKey, 0, len(cells))
-	for k := range cells {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool {
-		a, b := keys[i], keys[j]
-		if a.l != b.l {
-			return a.l < b.l
-		}
-		if a.y != b.y {
-			return a.y < b.y
-		}
-		return a.x < b.x
-	})
+	slices.Sort(keys)
+	keys = slices.Compact(keys)
+	const mask = 1<<cellBits - 1
 	var boxes []Box
 	for i := 0; i < len(keys); {
 		j := i
-		for j+1 < len(keys) && keys[j+1].l == keys[j].l &&
-			keys[j+1].y == keys[j].y && keys[j+1].x == keys[j].x+1 {
+		for j+1 < len(keys) && keys[j+1] == keys[j]+1 {
 			j++
 		}
+		y := int(keys[i] >> cellBits & mask)
 		boxes = append(boxes, Box{
-			Layer: keys[i].l,
-			Rect: geom.NewRect(geom.Point{X: keys[i].x, Y: keys[i].y},
-				geom.Point{X: keys[j].x, Y: keys[j].y}),
+			Layer: int(keys[i] >> (2 * cellBits)),
+			Rect:  geom.Rect{Lo: geom.Point{X: int(keys[i] & mask), Y: y}, Hi: geom.Point{X: int(keys[j] & mask), Y: y}},
 		})
 		i = j + 1
 	}
@@ -116,18 +110,12 @@ func boxesOf(g *grid.Graph, r *route.NetRoute) []Box {
 // mergeVertical stacks identical-width runs on the same layer in adjacent
 // rows into taller boxes.
 func mergeVertical(boxes []Box) []Box {
-	sort.Slice(boxes, func(i, j int) bool {
-		a, b := boxes[i], boxes[j]
-		if a.Layer != b.Layer {
-			return a.Layer < b.Layer
-		}
-		if a.Rect.Lo.X != b.Rect.Lo.X {
-			return a.Rect.Lo.X < b.Rect.Lo.X
-		}
-		if a.Rect.Hi.X != b.Rect.Hi.X {
-			return a.Rect.Hi.X < b.Rect.Hi.X
-		}
-		return a.Rect.Lo.Y < b.Rect.Lo.Y
+	slices.SortFunc(boxes, func(a, b Box) int {
+		return cmp.Or(
+			cmp.Compare(a.Layer, b.Layer),
+			cmp.Compare(a.Rect.Lo.X, b.Rect.Lo.X),
+			cmp.Compare(a.Rect.Hi.X, b.Rect.Hi.X),
+			cmp.Compare(a.Rect.Lo.Y, b.Rect.Lo.Y))
 	})
 	var out []Box
 	for _, b := range boxes {

@@ -71,8 +71,8 @@ type Policy struct {
 //     equation; an uncounted recover elsewhere could silently mask a
 //     determinism violation.
 //   - internal/grid is deliberately exempt from nothing: the cost-field
-//     cache mixes owner-exclusive plain state (edge values, stale flags)
-//     with shared atomic dirty flags, and the atomic-consistency check is
+//     cache mixes owner-exclusive plain state (edge values, written
+//     through by whoever mutates the edge) with shared atomic dirty flags, and the atomic-consistency check is
 //     what keeps those two tiers from bleeding into each other — a dirty
 //     flag published with sync/atomic must never be re-read plainly (the
 //     epochmix fixture pins this failure mode).

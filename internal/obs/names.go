@@ -87,9 +87,9 @@ var promTable = map[string]PromMapping{
 		Help:   "Cost-field queries, split by cache outcome.",
 		Labels: []PromLabel{{"result", "miss"}}},
 	MCostInvalidations: {Family: "fastgr_grid_cost_invalidations",
-		Help: "Per-edge cost-cache invalidations from demand or history mutation."},
+		Help: "Cached edge costs rewritten in place (write-through) by a demand or history mutation."},
 	MCostWarms: {Family: "fastgr_grid_cost_warmed_lines",
-		Help: "Lines and cells rebuilt by WarmCostCache."},
+		Help: "Lines and cells built or re-summed by WarmCostCache."},
 	MFaultInjected: {Family: "fastgr_fault_events",
 		Help:   "Fault containment events, split by kind.",
 		Labels: []PromLabel{{"kind", "injected"}}},

@@ -98,13 +98,17 @@ const (
 	// MCostHits counts cost-cache fast-path reads (wire, via, segment and
 	// stack queries answered from the materialized cost field).
 	MCostHits = "grid.cost.hits"
-	// MCostMisses counts cost reads that fell back to the direct formula
-	// (unbuilt cache, stale edge or dirty line).
+	// MCostMisses counts per-edge cost reads that evaluated the direct
+	// formula: the cache was unbuilt, or the edge lies outside the cache
+	// window. A built cache is written through at mutation time, so there
+	// is no stale-edge miss.
 	MCostMisses = "grid.cost.misses"
-	// MCostInvalidations counts per-edge cache invalidations caused by
-	// demand or history mutation.
+	// MCostInvalidations counts write-throughs: cached edge values
+	// recomputed in place by a demand or history mutation (the name is
+	// pinned by the Prometheus table).
 	MCostInvalidations = "grid.cost.invalidations"
-	// MCostWarms counts lines/cells rebuilt by Graph.WarmCostCache.
+	// MCostWarms counts lines/cells built or re-summed by
+	// Graph.WarmCostCache.
 	MCostWarms = "grid.cost.warmed_lines"
 	// MMazeExpansionsAStar / MMazeExpansionsDijkstra split the per-search
 	// expansion histogram by maze algorithm, so an A*-vs-Dijkstra

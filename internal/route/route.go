@@ -7,6 +7,7 @@ package route
 
 import (
 	"fmt"
+	"slices"
 
 	"fastgr/internal/geom"
 	"fastgr/internal/grid"
@@ -103,128 +104,79 @@ func (p *Path) AddVia(x, y, l1, l2 int) {
 // router's net occupies tracks.
 type NetRoute struct {
 	NetID int
+	// Paths is frozen from the first Commit on: every later query and
+	// commit reads the edge list sealed then, not the geometry.
 	Paths []Path
 
-	// committed caches the canonical edge sets at commit time so Uncommit
-	// releases exactly what Commit acquired even if Paths changed since.
-	committedWires []wireKey
-	committedVias  []viaKey
+	// edges is the sealed edge list — the route's distinct grid edges as
+	// ascending IDs, wire edges first — built by the first Commit and kept
+	// across Uncommit; nil until then. wires counts its wire edges.
+	edges     []grid.EdgeID
+	wires     int
+	committed bool
 }
 
-type wireKey struct{ layer, x, y int }
-type viaKey struct{ x, y, l int }
-
-// canonical flattens Paths into distinct wire-edge and via-edge sets.
-// The slices are built in first-insertion order — a pure function of
-// Paths — rather than by ranging over the dedup maps, so the canonical
-// edge lists are deterministic (detmap).
-func (r *NetRoute) canonical(g *grid.Graph) ([]wireKey, []viaKey) {
-	wires := make(map[wireKey]struct{})
-	vias := make(map[viaKey]struct{})
-	var wk []wireKey
-	var vk []viaKey
-	addWire := func(k wireKey) {
-		if _, dup := wires[k]; !dup {
-			wires[k] = struct{}{}
-			wk = append(wk, k)
-		}
+// edgeList returns the route's distinct wire and via edges, ascending, and
+// how many of them are wires: the sealed list once there is one, otherwise
+// a fresh flattening of Paths (sort + compact, a pure function of Paths).
+func (r *NetRoute) edgeList(g *grid.Graph) ([]grid.EdgeID, int) {
+	if r.edges != nil {
+		return r.edges, r.wires
 	}
+	n := 0
 	for _, p := range r.Paths {
 		for _, s := range p.Segs {
-			if g.Dir(s.Layer) == grid.Horizontal {
-				if s.A.Y != s.B.Y {
-					panic(fmt.Sprintf("route: seg %v-%v misaligned on H layer %d", s.A, s.B, s.Layer))
-				}
-				lo, hi := geom.Min(s.A.X, s.B.X), geom.Max(s.A.X, s.B.X)
-				for x := lo; x < hi; x++ {
-					addWire(wireKey{s.Layer, x, s.A.Y})
-				}
-			} else {
-				if s.A.X != s.B.X {
-					panic(fmt.Sprintf("route: seg %v-%v misaligned on V layer %d", s.A, s.B, s.Layer))
-				}
-				lo, hi := geom.Min(s.A.Y, s.B.Y), geom.Max(s.A.Y, s.B.Y)
-				for y := lo; y < hi; y++ {
-					addWire(wireKey{s.Layer, s.A.X, y})
-				}
-			}
+			n += geom.ManhattanDist(s.A, s.B)
 		}
 		for _, v := range p.Vias {
-			for l := v.L1; l < v.L2; l++ {
-				k := viaKey{v.X, v.Y, l}
-				if _, dup := vias[k]; !dup {
-					vias[k] = struct{}{}
-					vk = append(vk, k)
-				}
-			}
+			n += v.L2 - v.L1
 		}
 	}
-	return wk, vk
+	edges := make([]grid.EdgeID, 0, n)
+	for _, p := range r.Paths {
+		for _, s := range p.Segs {
+			edges = g.AppendSegEdges(edges, s.Layer, s.A, s.B)
+		}
+		for _, v := range p.Vias {
+			edges = g.AppendViaEdges(edges, v.X, v.Y, v.L1, v.L2)
+		}
+	}
+	slices.Sort(edges)
+	edges = slices.Compact(edges)
+	wires, _ := slices.BinarySearch(edges, g.FirstViaEdge())
+	return edges, wires
 }
 
 // Committed reports whether the route currently holds grid demand.
-func (r *NetRoute) Committed() bool { return r.committedWires != nil || r.committedVias != nil }
+func (r *NetRoute) Committed() bool { return r.committed }
 
 // Commit adds one unit of demand for every distinct wire and via edge the
-// route uses. Committing an already-committed route panics: that is a
-// rip-up/reroute bookkeeping bug.
+// route uses, sealing the edge list on first use. Committing an
+// already-committed route panics: that is a rip-up/reroute bookkeeping bug.
 func (r *NetRoute) Commit(g *grid.Graph) {
-	if r.Committed() {
+	if r.committed {
 		panic(fmt.Sprintf("route: net %d committed twice", r.NetID))
 	}
-	wk, vk := r.canonical(g)
-	for _, k := range wk {
-		g.AddSegDemand(k.layer, geom.Point{X: k.x, Y: k.y}, stepEnd(g, k), 1)
-	}
-	for _, k := range vk {
-		g.AddViaStackDemand(k.x, k.y, k.l, k.l+1, 1)
-	}
-	if wk == nil {
-		wk = []wireKey{}
-	}
-	if vk == nil {
-		vk = []viaKey{}
-	}
-	r.committedWires, r.committedVias = wk, vk
+	r.edges, r.wires = r.edgeList(g)
+	g.AddEdgeDemand(r.edges, 1)
+	r.committed = true
 }
 
 // Uncommit releases the demand acquired by Commit (rip-up).
 func (r *NetRoute) Uncommit(g *grid.Graph) {
-	if !r.Committed() {
+	if !r.committed {
 		panic(fmt.Sprintf("route: net %d uncommitted while not committed", r.NetID))
 	}
-	for _, k := range r.committedWires {
-		g.AddSegDemand(k.layer, geom.Point{X: k.x, Y: k.y}, stepEnd(g, k), -1)
-	}
-	for _, k := range r.committedVias {
-		g.AddViaStackDemand(k.x, k.y, k.l, k.l+1, -1)
-	}
-	r.committedWires, r.committedVias = nil, nil
-}
-
-func stepEnd(g *grid.Graph, k wireKey) geom.Point {
-	if g.Dir(k.layer) == grid.Horizontal {
-		return geom.Point{X: k.x + 1, Y: k.y}
-	}
-	return geom.Point{X: k.x, Y: k.y + 1}
+	g.AddEdgeDemand(r.edges, -1)
+	r.committed = false
 }
 
 // HasOverflow reports whether any wire or via edge the route occupies is
 // currently over capacity — the criterion that sends a net into the rip-up
 // and reroute iterations.
 func (r *NetRoute) HasOverflow(g *grid.Graph) bool {
-	wk, vk := r.canonical(g)
-	for _, k := range wk {
-		if g.WireDem(k.layer, k.x, k.y) > g.WireCap(k.layer, k.x, k.y) {
-			return true
-		}
-	}
-	for _, k := range vk {
-		if g.ViaDem(k.x, k.y, k.l) > g.ViaCap(k.l) {
-			return true
-		}
-	}
-	return false
+	edges, _ := r.edgeList(g)
+	return g.AnyEdgeOverflow(edges)
 }
 
 // Cost evaluates the routed geometry element by element at the grid's
@@ -245,21 +197,21 @@ func (r *NetRoute) Cost(g *grid.Graph) float64 {
 
 // Wirelength returns the number of distinct wire edges the route uses.
 func (r *NetRoute) Wirelength(g *grid.Graph) int {
-	wk, _ := r.canonical(g)
-	return len(wk)
+	_, wires := r.edgeList(g)
+	return wires
 }
 
 // ViaCount returns the number of distinct via edges the route uses.
 func (r *NetRoute) ViaCount(g *grid.Graph) int {
-	_, vk := r.canonical(g)
-	return len(vk)
+	edges, wires := r.edgeList(g)
+	return len(edges) - wires
 }
 
 // Validate checks that the routed geometry is connected and reaches every
 // pin of the net at its pin layer. pins is the list of (position, layer)
 // terminals, e.g. from the design net.
 func (r *NetRoute) Validate(g *grid.Graph, pins []geom.Point3) error {
-	wk, vk := r.canonical(g)
+	edges, _ := r.edgeList(g)
 	// Union-find over 3-D grid nodes touched by the route.
 	id := make(map[geom.Point3]int)
 	parent := []int{}
@@ -280,19 +232,8 @@ func (r *NetRoute) Validate(g *grid.Graph, pins []geom.Point3) error {
 		id[p] = i
 		return i
 	}
-	for _, k := range wk {
-		a := geom.Point3{X: k.x, Y: k.y, Layer: k.layer}
-		var b geom.Point3
-		if g.Dir(k.layer) == grid.Horizontal {
-			b = geom.Point3{X: k.x + 1, Y: k.y, Layer: k.layer}
-		} else {
-			b = geom.Point3{X: k.x, Y: k.y + 1, Layer: k.layer}
-		}
-		union(node(a), node(b))
-	}
-	for _, k := range vk {
-		a := geom.Point3{X: k.x, Y: k.y, Layer: k.l}
-		b := geom.Point3{X: k.x, Y: k.y, Layer: k.l + 1}
+	for _, e := range edges {
+		a, b := g.EdgeEnds(e)
 		union(node(a), node(b))
 	}
 	if len(pins) == 0 {

@@ -8,6 +8,7 @@ package sched
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"fastgr/internal/design"
@@ -245,14 +246,21 @@ func BuildGraph(tasks []Task, gridW, gridH int) *Graph {
 		g.Indegree[to]++
 		g.Edges++
 	}
+	// Pairs arrive in bin order; a successor list is its task's conflict
+	// neighbours in ascending ID.
+	for _, succ := range g.Succ {
+		slices.Sort(succ)
+	}
 	return g
 }
 
 // conflictPairs finds all overlapping bbox pairs via binning: tasks are
 // registered in coarse grid bins; only pairs sharing a bin are tested. A
-// pair spanning several bins surfaces once per shared bin, so candidates are
-// deduplicated by sort-then-compact — cheaper than the map the construction
-// previously used, which dominated allocation on dense designs.
+// pair spanning several bins would surface once per shared bin, so it is
+// emitted only from the bin holding the low corner of the two boxes'
+// intersection — every overlapping pair comes out exactly once, with no
+// candidate list to sort and compact. Pairs are in bin order, smaller
+// index first.
 func conflictPairs(tasks []Task, gridW, gridH int) [][2]int {
 	binsX := (geom.Max(gridW, 1) >> binShift) + 1
 	binsY := (geom.Max(gridH, 1) >> binShift) + 1
@@ -266,35 +274,21 @@ func conflictPairs(tasks []Task, gridW, gridH int) [][2]int {
 		}
 	}
 	var pairs [][2]int
-	for _, bin := range bins {
-		for a := 0; a < len(bin); a++ {
-			for b := a + 1; b < len(bin); b++ {
-				i, j := bin[a], bin[b]
-				if i > j {
-					i, j = j, i
+	for bi, bin := range bins {
+		bx, by := bi%binsX, bi/binsX
+		for a, i := range bin {
+			ri := tasks[i].BBox
+			for _, j := range bin[a+1:] {
+				rj := tasks[j].BBox
+				if ri.Overlaps(rj) &&
+					geom.Max(0, geom.Max(ri.Lo.X, rj.Lo.X)>>binShift) == bx &&
+					geom.Max(0, geom.Max(ri.Lo.Y, rj.Lo.Y)>>binShift) == by {
+					pairs = append(pairs, [2]int{i, j})
 				}
-				pairs = append(pairs, [2]int{i, j})
 			}
 		}
 	}
-	sort.Slice(pairs, func(a, b int) bool {
-		if pairs[a][0] != pairs[b][0] {
-			return pairs[a][0] < pairs[b][0]
-		}
-		return pairs[a][1] < pairs[b][1]
-	})
-	out := pairs[:0]
-	prev := [2]int{-1, -1}
-	for _, p := range pairs {
-		if p == prev {
-			continue
-		}
-		prev = p
-		if tasks[p[0]].BBox.Overlaps(tasks[p[1]].BBox) {
-			out = append(out, p)
-		}
-	}
-	return out
+	return pairs
 }
 
 // TopoOrder returns a topological order of the graph; it panics if the

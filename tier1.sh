@@ -11,9 +11,11 @@
 #                 under fault injection at 1/2/8 workers), the taskflow
 #                 executor, the concurrent obs recorders, sched + maze, which
 #                 run under the pool from core's parallel sections, grid,
-#                 whose cost-cache invalidation flags are mutated from
-#                 concurrent rip-up windows, fault, the containment
-#                 layer whose counters are hit from every worker, and
+#                 whose cost-field values and dirty flags are written from
+#                 concurrent rip-up windows, route and guide, whose sealed
+#                 edge lists are read from every scan worker, fault, the
+#                 containment layer whose counters are hit from every
+#                 worker, and
 #                 shard, whose plans and splits are read from every leaf
 #                 slot (core's TestShardDeterminism drives the sharded
 #                 pipeline itself at 1/2/8 workers under -race), the
@@ -81,7 +83,7 @@ $name: FAIL"
 step vet        go vet -tests=true ./...
 step build      go build ./...
 step test       go test ./...
-step race       go test -race ./internal/par ./internal/core ./internal/taskflow ./internal/obs ./internal/obs/prom ./internal/obs/opsrv ./internal/sched ./internal/maze ./internal/grid ./internal/fault ./internal/shard ./internal/serve
+step race       go test -race ./internal/par ./internal/core ./internal/taskflow ./internal/obs ./internal/obs/prom ./internal/obs/opsrv ./internal/sched ./internal/maze ./internal/grid ./internal/route ./internal/guide ./internal/fault ./internal/shard ./internal/serve
 step lint       go run ./cmd/fastgrlint -fmt ./...
 step lint-self  go run ./cmd/fastgrlint -self
 step bench-obs  go run ./cmd/benchgen -obs -o BENCH_obs.json
