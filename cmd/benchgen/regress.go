@@ -45,7 +45,7 @@ var benchGates = map[string][]gate{
 		{metric: "maze_overhead_pct", limit: "max_overhead_pct", dir: atMost},
 	},
 	"BENCH_maze.json": {
-		{metric: "speedup_astar_warm_vs_dijkstra_cold", limit: "min_speedup_allowed", dir: atLeast},
+		{metric: "ns_per_expansion_ratio_astar_vs_dijkstra_warm", limit: "max_ns_per_expansion_ratio", dir: atMost},
 	},
 	"BENCH_shard.json": {
 		{metric: "heap_ratio_k4", limit: "max_heap_ratio_k4", dir: atMost},

@@ -8,12 +8,12 @@ import (
 )
 
 // Allocation ceilings of one FastGRH run of 18test5 @ 0.02, per net: the
-// measured 358 allocs and 29.3 KB plus ~15% headroom. Before routes kept
+// measured 358 allocs and 29.1 KB plus ~15% headroom. Before routes kept
 // sealed edge lists the same run cost 464 allocs and 61 KB a net, nearly
 // all of the difference in per-net maps rebuilt by every scan.
 const (
 	allocsPerNetCeiling = 410
-	bytesPerNetCeiling  = 34 << 10
+	bytesPerNetCeiling  = 34_300
 )
 
 // TestRouteAllocBudget is the allocation row of the performance ledger as a

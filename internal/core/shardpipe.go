@@ -341,10 +341,15 @@ func (r *runner) stitchAndReconcile(fragRoutes [][]*route.NetRoute) error {
 			continue
 		}
 		win := n.BBox().Inflate(r.opt.MazeMargin).ClampTo(r.g.W, r.g.H)
-		old.Uncommit(r.g)
-		nr, st, err := rsearch.RouteNet(r.g, n.ID, route.PinTerminals(r.trees[n.ID]), win)
+		// The parent's cache is cold by design; a view warmed over the
+		// net's window turns the search's per-relaxation cost formula into
+		// array loads and is dropped with the net.
+		view := r.g.WindowView(win)
+		view.WarmCostCache()
+		old.Uncommit(view)
+		nr, st, err := rsearch.RouteNet(view, n.ID, route.PinTerminals(r.trees[n.ID]), win)
 		if err != nil {
-			old.Commit(r.g)
+			old.Commit(view)
 			var be *maze.BudgetError
 			if errors.As(err, &be) {
 				recExp += st.Expansions
@@ -354,7 +359,7 @@ func (r *runner) stitchAndReconcile(fragRoutes [][]*route.NetRoute) error {
 			}
 			return fmt.Errorf("core: shard reconciliation: %w", err)
 		}
-		nr.Commit(r.g)
+		nr.Commit(view)
 		r.routes[n.ID] = nr
 		r.rep.BoundaryReroutes++
 		recExp += st.Expansions
@@ -572,12 +577,16 @@ func (r *runner) shardRRRStage() error {
 		}
 
 		// Phase A: boundary nets, sequential at the coordinator in sorted
-		// order against the complete post-barrier state, full windows on
-		// the parent graph (whose cache is never warmed — direct formula).
+		// order against the complete post-barrier state, full windows. The
+		// parent's cache stays cold; each net routes behind a view warmed
+		// over its own window (one cost formula per edge, then array loads
+		// across all of the net's passes) that is dropped with the net.
 		for _, ti := range boundaryTis {
 			ti := ti
 			fn := func() error {
-				return reroute(r.g, csearch, ti, obs.Coordinator, windows[ti])
+				view := r.g.WindowView(windows[ti])
+				view.WarmCostCache()
+				return reroute(view, csearch, ti, obs.Coordinator, windows[ti])
 			}
 			var err error
 			if r.fc.Enabled() {

@@ -97,6 +97,21 @@ func (g *Graph) SetObserver(o *obs.Observer) {
 // CostCacheBuilt reports whether the cost field has been materialized.
 func (g *Graph) CostCacheBuilt() bool { return g.cc.built }
 
+// CostField exposes a built full-window cost field for a hot loop that
+// cannot afford a call per edge: wire[l-1][WireIndex(l, x, y)] is
+// WireCost(l, x, y) and via[l-1][y*W+x] is ViaEdgeCost(x, y, l), always
+// fresh (write-through). Both are nil for a windowed or unbuilt cache, whose
+// callers keep using WireCost/ViaEdgeCost. The slices are read-only, valid
+// until the next InvalidateCostCache, and readable wherever the accessors
+// are: an edge's value is only ever written by the edge's owner. The reader
+// adds what it read to hits, once, so the counter keeps counting edge reads.
+func (g *Graph) CostField() (wire, via [][]float64, hits *obs.Counter) {
+	if cc := &g.cc; cc.built && cc.full {
+		return cc.wireVal, cc.viaVal, cc.hits
+	}
+	return nil, nil, nil
+}
+
 // lineLen is the edge count of one routing line of layer l; lineCount is
 // the number of such lines.
 func (g *Graph) lineLen(l int) int {
@@ -135,7 +150,7 @@ func (g *Graph) ccWireSpan(l int) (lineLen, lines int) {
 
 // ccWireLocal maps wire edge (x, y) of layer l to its window-local slot; ok
 // is false when the edge lies outside the cache window. For the full window
-// the local slot equals the global wireIndex.
+// the local slot equals the global WireIndex.
 func (g *Graph) ccWireLocal(l, x, y int) (idx int, ok bool) {
 	win := g.cc.win
 	lineLen, lines := g.ccWireSpan(l)
@@ -291,7 +306,7 @@ func (g *Graph) buildCostCache() (complete int) {
 				if g.Dir(l) == Vertical {
 					x, y = cc.win.Lo.X+li, cc.win.Lo.Y+k
 				}
-				val[li*ll+k] = g.wireCostAt(l, g.wireIndex(l, x, y))
+				val[li*ll+k] = g.wireCostAt(l, g.WireIndex(l, x, y))
 			}
 		}
 		cc.wireVal[l-1] = val

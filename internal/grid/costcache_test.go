@@ -70,7 +70,7 @@ func TestCostCacheExactAfterWarm(t *testing.T) {
 		for y := 0; y < g.H; y++ {
 			for x := 0; x < g.W; x++ {
 				if g.HasWireEdge(l, x, y) {
-					if got, want := g.WireCost(l, x, y), g.wireCostAt(l, g.wireIndex(l, x, y)); got != want {
+					if got, want := g.WireCost(l, x, y), g.wireCostAt(l, g.WireIndex(l, x, y)); got != want {
 						t.Fatalf("WireCost(%d,%d,%d) = %v, want %v", l, x, y, got, want)
 					}
 				}
@@ -99,7 +99,7 @@ func TestCostCacheInvalidation(t *testing.T) {
 	if after == before {
 		t.Fatal("WireCost unchanged after demand mutation — stale cache served")
 	}
-	if want := g.wireCostAt(1, g.wireIndex(1, 3, 4)); after != want {
+	if want := g.wireCostAt(1, g.WireIndex(1, 3, 4)); after != want {
 		t.Fatalf("written-through value %v != direct %v", after, want)
 	}
 	// SegCost over the dirty line must fall back to the per-edge walk.
@@ -134,7 +134,7 @@ func TestCostCacheInvalidation(t *testing.T) {
 	if g.CostCacheBuilt() {
 		t.Fatal("cache still built after InvalidateCostCache")
 	}
-	if got, want := g.WireCost(1, 3, 4), g.wireCostAt(1, g.wireIndex(1, 3, 4)); got != want {
+	if got, want := g.WireCost(1, 3, 4), g.wireCostAt(1, g.WireIndex(1, 3, 4)); got != want {
 		t.Fatalf("unbuilt WireCost %v != direct %v", got, want)
 	}
 }
@@ -335,7 +335,7 @@ func TestCostCacheWriteThrough(t *testing.T) {
 				for y := 0; y < g.H; y++ {
 					for x := 0; x < g.W; x++ {
 						if g.HasWireEdge(l, x, y) {
-							if got, want := g.WireCost(l, x, y), g.wireCostAt(l, g.wireIndex(l, x, y)); got != want {
+							if got, want := g.WireCost(l, x, y), g.wireCostAt(l, g.WireIndex(l, x, y)); got != want {
 								t.Fatalf("windowed=%v round %d: WireCost(%d,%d,%d) = %v, direct %v", windowed, round, l, x, y, got, want)
 							}
 							if _, ok := g.ccWireLocal(l, x, y); ok {

@@ -179,14 +179,14 @@ func (g *Graph) applyBlockage(b design.Blockage) {
 	if g.Dir(l) == Horizontal {
 		for y := r.Lo.Y; y <= r.Hi.Y; y++ {
 			for x := r.Lo.X; x <= r.Hi.X && x < g.W-1; x++ {
-				i := g.wireIndex(l, x, y)
+				i := g.WireIndex(l, x, y)
 				g.wireCap[l-1][i] = int32(math.Floor(float64(g.wireCap[l-1][i]) * keep))
 			}
 		}
 	} else {
 		for x := r.Lo.X; x <= r.Hi.X; x++ {
 			for y := r.Lo.Y; y <= r.Hi.Y && y < g.H-1; y++ {
-				i := g.wireIndex(l, x, y)
+				i := g.WireIndex(l, x, y)
 				g.wireCap[l-1][i] = int32(math.Floor(float64(g.wireCap[l-1][i]) * keep))
 			}
 		}
@@ -203,16 +203,16 @@ func (g *Graph) numWireEdges(l int) int {
 	return g.W * (g.H - 1)
 }
 
-// wireIndex maps the wire edge on layer l starting at (x,y) and running one
+// WireIndex maps the wire edge on layer l starting at (x,y) and running one
 // step in the layer's preferred direction to its slot in the edge arrays.
-func (g *Graph) wireIndex(l, x, y int) int {
+func (g *Graph) WireIndex(l, x, y int) int {
 	if g.Dir(l) == Horizontal {
 		return y*(g.W-1) + x
 	}
 	return x*(g.H-1) + y
 }
 
-// wireXY inverts wireIndex.
+// wireXY inverts WireIndex.
 func (g *Graph) wireXY(l, i int) (x, y int) {
 	if g.Dir(l) == Horizontal {
 		return i % (g.W - 1), i / (g.W - 1)
@@ -221,10 +221,10 @@ func (g *Graph) wireXY(l, i int) (x, y int) {
 }
 
 // WireCap returns the capacity of the wire edge at (x,y) on layer l.
-func (g *Graph) WireCap(l, x, y int) int { return int(g.wireCap[l-1][g.wireIndex(l, x, y)]) }
+func (g *Graph) WireCap(l, x, y int) int { return int(g.wireCap[l-1][g.WireIndex(l, x, y)]) }
 
 // WireDem returns the demand of the wire edge at (x,y) on layer l.
-func (g *Graph) WireDem(l, x, y int) int { return int(g.wireDem[l-1][g.wireIndex(l, x, y)]) }
+func (g *Graph) WireDem(l, x, y int) int { return int(g.wireDem[l-1][g.WireIndex(l, x, y)]) }
 
 // ViaCap returns the via capacity across the boundary above layer l.
 func (g *Graph) ViaCap(l int) int { return int(g.viaCap[l-1]) }
@@ -250,7 +250,7 @@ func (g *Graph) logistic(dem, cap int32) float64 {
 // field is written through at mutation time, so it is never stale; an
 // unbuilt cache or an edge outside the cache window evaluates the formula.
 func (g *Graph) WireCost(l, x, y int) float64 {
-	i := g.wireIndex(l, x, y)
+	i := g.WireIndex(l, x, y)
 	if cc := &g.cc; cc.built {
 		if cc.full {
 			cc.hits.Add(1)
@@ -354,12 +354,12 @@ func (g *Graph) segSpan(l int, a, b geom.Point) (first, n int) {
 		if a.Y != b.Y {
 			panic(fmt.Sprintf("grid: horizontal segment %v-%v on layer %d misaligned", a, b, l))
 		}
-		return g.wireIndex(l, geom.Min(a.X, b.X), a.Y), geom.Abs(a.X - b.X)
+		return g.WireIndex(l, geom.Min(a.X, b.X), a.Y), geom.Abs(a.X - b.X)
 	}
 	if a.X != b.X {
 		panic(fmt.Sprintf("grid: vertical segment %v-%v on layer %d misaligned", a, b, l))
 	}
-	return g.wireIndex(l, a.X, geom.Min(a.Y, b.Y)), geom.Abs(a.Y - b.Y)
+	return g.WireIndex(l, a.X, geom.Min(a.Y, b.Y)), geom.Abs(a.Y - b.Y)
 }
 
 // AddSegDemand adds delta tracks of demand to every wire edge of the
@@ -399,7 +399,7 @@ func (g *Graph) addViaDemand(l, i int, delta int32) {
 }
 
 // EdgeID names one wire or via edge of the grid in four bytes: the wire
-// edges of layers 1..L in wireIndex order, then the via edges of boundaries
+// edges of layers 1..L in WireIndex order, then the via edges of boundaries
 // 1..L-1 in cell order. IDs are a pure function of (W, H, L), so a list
 // built on one grid addresses the same edges on any grid of the same design.
 type EdgeID uint32
@@ -531,7 +531,7 @@ func (g *Graph) CongestionMap2D() []CongestionCell {
 		if g.Dir(l) == Horizontal {
 			for y := 0; y < g.H; y++ {
 				for x := 0; x < g.W-1; x++ {
-					i := g.wireIndex(l, x, y)
+					i := g.WireIndex(l, x, y)
 					m[y*g.W+x].Demand += int(g.wireDem[l-1][i])
 					m[y*g.W+x].Capacity += int(g.wireCap[l-1][i])
 				}
@@ -539,7 +539,7 @@ func (g *Graph) CongestionMap2D() []CongestionCell {
 		} else {
 			for x := 0; x < g.W; x++ {
 				for y := 0; y < g.H-1; y++ {
-					i := g.wireIndex(l, x, y)
+					i := g.WireIndex(l, x, y)
 					m[y*g.W+x].Demand += int(g.wireDem[l-1][i])
 					m[y*g.W+x].Capacity += int(g.wireCap[l-1][i])
 				}

@@ -171,7 +171,7 @@ func TestCostMonotoneInDemand(t *testing.T) {
 		t.Fatal("cost below wire unit")
 	}
 	for i := 0; i < 15; i++ {
-		g.addWireDemand(3, g.wireIndex(3, 5, 5), 1)
+		g.addWireDemand(3, g.WireIndex(3, 5, 5), 1)
 		c := g.WireCost(3, 5, 5)
 		if c < prev {
 			t.Fatalf("cost decreased with demand at step %d: %v < %v", i, c, prev)

@@ -49,5 +49,5 @@ func (g *Graph) WireHistory(l, x, y int) float64 {
 	if g.history == nil {
 		return 0
 	}
-	return float64(g.history[l-1][g.wireIndex(l, x, y)])
+	return float64(g.history[l-1][g.WireIndex(l, x, y)])
 }

@@ -23,7 +23,7 @@ func TestWindowViewMatchesDirect(t *testing.T) {
 		for y := 0; y < g.H; y++ {
 			for x := 0; x < g.W; x++ {
 				if g.HasWireEdge(l, x, y) {
-					if got, want := v.WireCost(l, x, y), g.wireCostAt(l, g.wireIndex(l, x, y)); got != want {
+					if got, want := v.WireCost(l, x, y), g.wireCostAt(l, g.WireIndex(l, x, y)); got != want {
 						t.Fatalf("layer %d (%d,%d): view %v != direct %v", l, x, y, got, want)
 					}
 				}
@@ -75,7 +75,7 @@ func TestWindowViewInvalidation(t *testing.T) {
 	before := v.WireCost(1, 4, 5)
 	v.AddSegDemand(1, a, b, 3)
 	v.WarmCostCache()
-	if got, want := v.WireCost(1, 4, 5), g.wireCostAt(1, g.wireIndex(1, 4, 5)); got != want {
+	if got, want := v.WireCost(1, 4, 5), g.wireCostAt(1, g.WireIndex(1, 4, 5)); got != want {
 		t.Fatalf("after view mutation: cached %v != direct %v", got, want)
 	}
 	if v.WireCost(1, 4, 5) == before {
@@ -90,7 +90,7 @@ func TestWindowViewInvalidation(t *testing.T) {
 	g.AddSegDemand(1, a, b, 2)
 	v2 := g.WindowView(win)
 	v2.WarmCostCache()
-	if got, want := v2.WireCost(1, 4, 5), g.wireCostAt(1, g.wireIndex(1, 4, 5)); got != want {
+	if got, want := v2.WireCost(1, 4, 5), g.wireCostAt(1, g.WireIndex(1, 4, 5)); got != want {
 		t.Fatalf("fresh view after parent mutation: cached %v != direct %v", got, want)
 	}
 

@@ -9,17 +9,28 @@
 // to the nearest remaining target scaled by the unit wire/via costs) prunes
 // expansions that plain Dijkstra would settle. Because the congestion term
 // of the cost model is strictly positive, the bound is strictly below every
-// real path cost, and with (key, node-index) heap ordering plus a canonical
-// equal-cost parent rule the routed geometry is bit-identical to the
-// Dijkstra mode (selectable via SetAlgorithm) — DESIGN.md carries the
+// real path cost, and with an exact (key, node-index) frontier order plus a
+// canonical equal-cost parent rule the routed geometry is bit-identical to
+// the Dijkstra mode (selectable via SetAlgorithm) — DESIGN.md carries the
 // argument, maze_crosscheck_test.go enforces it.
 //
-// The search state (distance/visited/parent arrays, heap storage, the
-// connected and target sets) lives in a reusable Search scratch object:
-// rip-up-and-reroute calls RouteNet thousands of times, and reusing one
-// Search per executor worker keeps the hot path allocation-free. Stale state
-// is invalidated by epoch stamping instead of clearing, so rebinding the
-// scratch to a new window costs O(1) beyond any capacity growth.
+// The frontier is a monotone radix heap keyed on the bits of f (queue.go):
+// a search pops non-decreasing keys, so a popped key sorts what is left by
+// the highest bit in which it differs, and an item moves a few times between
+// buckets instead of sifting through a heap of thousands. The queue is
+// exact — it pops what a binary heap ordered by (f, node) would, which
+// queue_oracle_test.go checks pop for pop — so it changes the cost of an
+// expansion and nothing else.
+//
+// The search state (one 16-byte distance/parent/stamp record per window
+// node, the queue's chunk arena, the connected and target sets) lives in a
+// reusable Search scratch object: rip-up-and-reroute calls RouteNet
+// thousands of times, and reusing one Search per executor worker keeps the
+// hot path allocation-free. Stale state is invalidated by epoch stamping
+// instead of clearing, so rebinding the scratch to a new window costs O(1)
+// beyond any capacity growth. The inner loop addresses a node's neighbours
+// by index offset and, on a graph whose full cost field is built, reads edge
+// costs straight from it (grid.CostField).
 package maze
 
 import (
@@ -77,6 +88,8 @@ func (e *BudgetError) Error() string {
 	return fmt.Sprintf("expansion budget %d exhausted after %d expansions", e.Budget, e.Expansions)
 }
 
+var errUnreachable = errors.New("targets unreachable within window")
+
 // RouteNet maze-routes a whole net inside the window with a fresh scratch
 // object. Callers routing many nets should allocate one Search per worker
 // and use its RouteNet method instead.
@@ -84,7 +97,7 @@ func RouteNet(g *grid.Graph, netID int, pins []geom.Point3, window geom.Rect) (*
 	return NewSearch().RouteNet(g, netID, pins, window)
 }
 
-// Search is the reusable maze-routing scratch: windowed Dijkstra state plus
+// Search is the reusable maze-routing scratch: windowed search state plus
 // the per-net connected/target sets. A Search may be reused across nets,
 // windows and grids; it must not be used from two goroutines at once. The
 // routes it produces are bit-identical to those of a fresh Search.
@@ -93,17 +106,22 @@ type Search struct {
 	win    geom.Rect
 	ww, wh int
 
-	// Per-window-node arrays, epoch-stamped so rebinding and starting a new
-	// Dijkstra pass both cost O(1): a node's entry is valid only when its
-	// stamp matches the current epoch.
-	dist    []float64
-	parent  []int32 // packed predecessor node index, -1 none
-	visited []bool
-	stamp   []uint32
-	epoch   uint32
+	// state holds one entry per window node, epoch-stamped so rebinding and
+	// starting a new pass both cost O(1). epoch is even and advances by two
+	// per pass: a node whose stamp is epoch has been reached in this pass,
+	// epoch+1 settled, anything lower is left over from an earlier pass.
+	state []nodeState
+	epoch uint32
 
-	// Per-net sets, stamped like the arrays above but with epochs that tick
-	// once per RouteNet call (they live across that net's Dijkstra passes).
+	// wire/via are the graph's full-window cost field, fetched per RouteNet
+	// (nil for a windowed or cold cache, which is read through
+	// WireCost/ViaEdgeCost); hits is the counter reads of it are owed to.
+	wire, via [][]float64
+	hits      *obs.Counter
+	reads     int64 // field reads of the current pass, not yet added to hits
+
+	// Per-net sets, stamped like state but with epochs that tick once per
+	// RouteNet call (they live across that net's passes).
 	connStamp []uint32
 	targStamp []uint32
 	connEpoch uint32
@@ -127,7 +145,9 @@ type Search struct {
 	// default) is unlimited.
 	budget int64
 
-	q     pq
+	q radixQueue
+	// trace, set by tests only, sees every frontier push and pop in order.
+	trace func(push bool, it qItem)
 	nodes []geom.Point3 // pathNodes buffer
 	pts   []geom.Point3 // reconstruct buffer
 
@@ -137,6 +157,13 @@ type Search struct {
 	expHistAlg  [2]*obs.Histogram // indexed by Algorithm
 	pushCounter *obs.Counter
 	searchCount *obs.Counter
+}
+
+// nodeState is the per-pass search state of one window node.
+type nodeState struct {
+	dist   float64
+	parent int32 // predecessor node index, -1 at a source
+	stamp  uint32
 }
 
 // NewSearch returns an empty scratch; capacity grows on first use. The
@@ -170,20 +197,15 @@ func (s *Search) SetObserver(o *obs.Observer) {
 func (s *Search) bind(g *grid.Graph, win geom.Rect) {
 	s.g, s.win = g, win
 	s.ww, s.wh = win.Width(), win.Height()
+	s.wire, s.via, s.hits = g.CostField()
 	n := s.ww * s.wh * g.L
-	if cap(s.dist) < n {
-		s.dist = make([]float64, n)
-		s.parent = make([]int32, n)
-		s.visited = make([]bool, n)
-		s.stamp = make([]uint32, n)
+	if cap(s.state) < n {
+		s.state = make([]nodeState, n)
 		s.connStamp = make([]uint32, n)
 		s.targStamp = make([]uint32, n)
 		return
 	}
-	s.dist = s.dist[:n]
-	s.parent = s.parent[:n]
-	s.visited = s.visited[:n]
-	s.stamp = s.stamp[:n]
+	s.state = s.state[:n]
 	s.connStamp = s.connStamp[:n]
 	s.targStamp = s.targStamp[:n]
 }
@@ -201,10 +223,10 @@ func bumpEpoch(e *uint32, arr []uint32) {
 }
 
 // RouteNet maze-routes a whole net inside the window: starting from the
-// first pin, it repeatedly runs Dijkstra from the already-connected
-// geometry (all its 3-D nodes are sources) to the nearest unconnected pin,
-// until every pin is connected. The grid is read-only; the caller commits
-// the returned route.
+// first pin, it repeatedly searches from the already-connected geometry
+// (all its 3-D nodes are sources) to the nearest unconnected pin, until
+// every pin is connected. The grid is read-only; the caller commits the
+// returned route.
 func (s *Search) RouteNet(g *grid.Graph, netID int, pins []geom.Point3, window geom.Rect) (*route.NetRoute, Stats, error) {
 	if len(pins) == 0 {
 		return nil, Stats{}, fmt.Errorf("maze: net %d has no pins", netID)
@@ -241,7 +263,7 @@ func (s *Search) RouteNet(g *grid.Graph, netID int, pins []geom.Point3, window g
 		if s.budget > 0 {
 			limit = s.budget - stats.Expansions
 		}
-		path, reached, st, err := s.search(s.connected, limit)
+		path, reached, st, err := s.search(limit)
 		stats.Expansions += st.Expansions
 		stats.Pushes += st.Pushes
 		if err != nil {
@@ -316,113 +338,31 @@ func (s *Search) index(p geom.Point3) int32 {
 }
 
 func (s *Search) point(i int32) geom.Point3 {
-	x := int(i) % s.ww
-	rest := int(i) / s.ww
-	y := rest % s.wh
-	l := rest/s.wh + 1
-	return geom.Point3{X: x + s.win.Lo.X, Y: y + s.win.Lo.Y, Layer: l}
-}
-
-// fresh lazily resets per-search state via epoch stamping.
-func (s *Search) fresh(i int32) {
-	if s.stamp[i] != s.epoch {
-		s.stamp[i] = s.epoch
-		s.dist[i] = math.Inf(1)
-		s.parent[i] = -1
-		s.visited[i] = false
+	// 32-bit division: node indices are non-negative int32s.
+	ww, wh := uint32(s.ww), uint32(s.wh)
+	rest := uint32(i) / ww
+	return geom.Point3{
+		X:     int(uint32(i)%ww) + s.win.Lo.X,
+		Y:     int(rest%wh) + s.win.Lo.Y,
+		Layer: int(rest/wh) + 1,
 	}
 }
 
-type pqItem struct {
-	node int32
-	f    float64 // heap key: path cost plus heuristic (equal to g for Dijkstra)
-	g    float64 // path cost, for the stale-entry check on pop
-}
-
-// pq is a binary min-heap ordered by (f, node). The sift operations mirror
-// container/heap's algorithm — same swaps — but the ordering carries an
-// explicit node-index tie-break, so the settle order on equal keys is a
-// property of the graph, not of push order: one of the two ingredients
-// (with the canonical parent rule in relaxNeighbors) that makes A* and
-// Dijkstra produce bit-identical geometry. A concrete slice instead of
-// heap.Interface avoids the per-push interface boxing that dominated maze
-// allocations.
-type pq []pqItem
-
-// before is the strict heap order: smaller key first, smaller node index
-// on exact key ties.
-func (a pqItem) before(b pqItem) bool {
-	return a.f < b.f || (a.f == b.f && a.node < b.node)
-}
-
-func (q *pq) push(it pqItem) {
-	*q = append(*q, it)
-	q.up(len(*q) - 1)
-}
-
-func (q *pq) pop() pqItem {
-	h := *q
-	n := len(h) - 1
-	h[0], h[n] = h[n], h[0]
-	q.down(0, n)
-	it := h[n]
-	*q = h[:n]
-	return it
-}
-
-func (q *pq) init() {
-	n := len(*q)
-	for i := n/2 - 1; i >= 0; i-- {
-		q.down(i, n)
-	}
-}
-
-func (q *pq) up(j int) {
-	h := *q
-	for j > 0 {
-		i := (j - 1) / 2
-		if !h[j].before(h[i]) {
-			break
-		}
-		h[i], h[j] = h[j], h[i]
-		j = i
-	}
-}
-
-func (q *pq) down(i, n int) {
-	h := *q
-	for {
-		j1 := 2*i + 1
-		if j1 >= n {
-			break
-		}
-		j := j1
-		if j2 := j1 + 1; j2 < n && h[j2].before(h[j1]) {
-			j = j2
-		}
-		if !h[j].before(h[i]) {
-			break
-		}
-		h[i], h[j] = h[j], h[i]
-		i = j
-	}
-}
-
-// heuristic is the admissible lower bound on the cost from p to the
+// heuristic is the admissible lower bound on the cost from (x, y, l) to the
 // cheapest remaining target: per-axis L1 distance scaled by the unit wire
 // and via costs, minimized over targets. Every wire edge costs at least
 // UnitWire and every via edge at least UnitVia (the congestion term is
 // nonnegative), so the bound never exceeds the true remaining cost; it is
 // also consistent, because one step changes it by at most that step's unit
 // cost. Zero in Dijkstra mode.
-func (s *Search) heuristic(p geom.Point3) float64 {
+func (s *Search) heuristic(x, y, l int) float64 {
 	if s.alg == Dijkstra || len(s.targets) == 0 {
 		return 0
 	}
 	best := math.Inf(1)
 	for _, t := range s.targets {
-		h := float64(geom.Abs(p.X-t.X)+geom.Abs(p.Y-t.Y))*s.hWire +
-			float64(geom.Abs(p.Layer-t.Layer))*s.hVia
+		h := float64(geom.Abs(x-t.X)+geom.Abs(y-t.Y))*s.hWire +
+			float64(geom.Abs(l-t.Layer))*s.hVia
 		if h < best {
 			best = h
 		}
@@ -431,94 +371,130 @@ func (s *Search) heuristic(p geom.Point3) float64 {
 }
 
 // search runs one multi-source multi-target pass (A* or Dijkstra per the
-// configured algorithm) and returns the cheapest path to whichever target
-// settles first. Targets are the nodes whose targStamp carries the current
-// target epoch. limit caps this pass's expansions (the net budget minus
-// what earlier passes spent); negative means unlimited.
-func (s *Search) search(sources []geom.Point3, limit int64) (route.Path, geom.Point3, Stats, error) {
-	bumpEpoch(&s.epoch, s.stamp)
+// configured algorithm) from the connected set and returns the cheapest
+// path to whichever target settles first. Targets are the nodes whose
+// targStamp carries the current target epoch. limit caps this pass's
+// expansions (the net budget minus what earlier passes spent); negative
+// means unlimited.
+//
+// A popped entry is stale exactly when its node is already settled: a
+// node's lower-cost entry has a key no larger (the heuristic term is the
+// same) and the same node index, so it pops no later, and whichever of the
+// two pops first settles the node at the distance kept in state, not in the
+// entry. Deletion stays lazy, so Pushes counts what it always did.
+func (s *Search) search(limit int64) (route.Path, geom.Point3, Stats, error) {
+	s.epoch += 2
+	if s.epoch == 0 { // wrapped: no stale stamp may alias the new epochs
+		full := s.state[:cap(s.state)]
+		for i := range full {
+			full[i].stamp = 0
+		}
+		s.epoch = 2
+	}
 	var st Stats
-	q := &s.q
-	*q = (*q)[:0]
-	for _, src := range sources {
-		if !s.win.Contains(src.P()) {
-			continue
-		}
-		i := s.index(src)
-		s.fresh(i)
-		if s.dist[i] > 0 {
-			s.dist[i] = 0
-			q.push(pqItem{node: i, f: s.heuristic(src), g: 0})
-			st.Pushes++
-		}
+	g, q, open := s.g, &s.q, s.epoch
+	q.reset()
+	for _, src := range s.connected {
+		// A source is a node reached at distance zero from no predecessor.
+		s.relax(-1, s.index(src), 0, 0, src.X, src.Y, src.Layer, &st)
 	}
-	if len(*q) == 0 {
-		return route.Path{}, geom.Point3{}, st, fmt.Errorf("no sources inside window")
-	}
-	q.init()
 
-	for len(*q) > 0 {
+	row, plane := int32(s.ww), int32(s.ww*s.wh)
+	var (
+		path    route.Path
+		reached geom.Point3
+	)
+	err := errUnreachable
+	for !q.empty() {
 		it := q.pop()
+		if s.trace != nil {
+			s.trace(false, it)
+		}
 		i := it.node
-		s.fresh(i)
-		if s.visited[i] || it.g > s.dist[i] {
+		ns := &s.state[i]
+		if ns.stamp != open {
 			continue
 		}
-		s.visited[i] = true
+		ns.stamp = open + 1
 		st.Expansions++
+		p := s.point(i)
 		if s.targStamp[i] == s.targEpoch {
-			return s.reconstruct(i), s.point(i), st, nil
+			path, reached, err = s.reconstruct(i), p, nil
+			break
 		}
 		if limit >= 0 && st.Expansions > limit {
-			return route.Path{}, geom.Point3{}, st, &BudgetError{}
+			err = &BudgetError{}
+			break
 		}
-		s.relaxNeighbors(s.point(i), i, q, &st)
+		d, x, y, l := ns.dist, p.X, p.Y, p.Layer
+
+		// Wire moves along the layer's preferred direction; an edge is named
+		// by its lower end, so the backward one belongs to the neighbour.
+		dx, dy, step := 1, 0, int32(1)
+		hasFwd, hasBack := x < s.win.Hi.X, x > s.win.Lo.X
+		if g.Dir(l) == grid.Vertical {
+			dx, dy, step = 0, 1, row
+			hasFwd, hasBack = y < s.win.Hi.Y, y > s.win.Lo.Y
+		}
+		if hasFwd {
+			s.relax(i, i+step, d, s.wireCost(l, x, y), x+dx, y+dy, l, &st)
+		}
+		if hasBack {
+			s.relax(i, i-step, d, s.wireCost(l, x-dx, y-dy), x-dx, y-dy, l, &st)
+		}
+		// Via moves between adjacent layers.
+		if l < g.L {
+			s.relax(i, i+plane, d, s.viaCost(x, y, l), x, y, l+1, &st)
+		}
+		if l > 1 {
+			s.relax(i, i-plane, d, s.viaCost(x, y, l-1), x, y, l-1, &st)
+		}
 	}
-	return route.Path{}, geom.Point3{}, st, fmt.Errorf("targets unreachable within window")
+	s.hits.Add(s.reads)
+	s.reads = 0
+	return path, reached, st, err
 }
 
-func (s *Search) relaxNeighbors(p geom.Point3, i int32, q *pq, st *Stats) {
-	g := s.g
-	d := s.dist[i]
-	relax := func(np geom.Point3, cost float64) {
-		j := s.index(np)
-		s.fresh(j)
-		nd := d + cost
-		if nd < s.dist[j] {
-			s.dist[j] = nd
-			s.parent[j] = i
-			q.push(pqItem{node: j, f: nd + s.heuristic(np), g: nd})
-			st.Pushes++
-		} else if nd == s.dist[j] && cost > 0 && s.parent[j] >= 0 && i < s.parent[j] {
-			// Canonical parent rule: among equal-cost predecessors the
-			// smallest node index wins, independent of relaxation order.
-			// (cost > 0 keeps the parent pointers acyclic; sources keep
-			// their -1 root marker.)
-			s.parent[j] = i
-		}
+// wireCost and viaCost price one edge: a load from the full cost field when
+// the graph has one built, counted in reads; a call into the graph otherwise,
+// which counts itself.
+func (s *Search) wireCost(l, x, y int) float64 {
+	if s.wire == nil {
+		return s.g.WireCost(l, x, y)
 	}
-	// Wire moves along the layer's preferred direction.
-	if g.Dir(p.Layer) == grid.Horizontal {
-		if p.X+1 <= s.win.Hi.X {
-			relax(geom.Point3{X: p.X + 1, Y: p.Y, Layer: p.Layer}, g.WireCost(p.Layer, p.X, p.Y))
-		}
-		if p.X-1 >= s.win.Lo.X {
-			relax(geom.Point3{X: p.X - 1, Y: p.Y, Layer: p.Layer}, g.WireCost(p.Layer, p.X-1, p.Y))
-		}
-	} else {
-		if p.Y+1 <= s.win.Hi.Y {
-			relax(geom.Point3{X: p.X, Y: p.Y + 1, Layer: p.Layer}, g.WireCost(p.Layer, p.X, p.Y))
-		}
-		if p.Y-1 >= s.win.Lo.Y {
-			relax(geom.Point3{X: p.X, Y: p.Y - 1, Layer: p.Layer}, g.WireCost(p.Layer, p.X, p.Y-1))
-		}
+	s.reads++
+	return s.wire[l-1][s.g.WireIndex(l, x, y)]
+}
+
+func (s *Search) viaCost(x, y, l int) float64 {
+	if s.via == nil {
+		return s.g.ViaEdgeCost(x, y, l)
 	}
-	// Via moves between adjacent layers.
-	if p.Layer+1 <= g.L {
-		relax(geom.Point3{X: p.X, Y: p.Y, Layer: p.Layer + 1}, g.ViaEdgeCost(p.X, p.Y, p.Layer))
-	}
-	if p.Layer-1 >= 1 {
-		relax(geom.Point3{X: p.X, Y: p.Y, Layer: p.Layer - 1}, g.ViaEdgeCost(p.X, p.Y, p.Layer-1))
+	s.reads++
+	return s.via[l-1][y*s.g.W+x]
+}
+
+// relax offers node j, at (x, y, l), the path through its neighbour i at
+// distance d over an edge of the given (finite) cost.
+func (s *Search) relax(i, j int32, d, cost float64, x, y, l int, st *Stats) {
+	ns, nd := &s.state[j], d+cost
+	if fresh := ns.stamp < s.epoch; fresh || nd < ns.dist {
+		if fresh {
+			ns.stamp = s.epoch
+		}
+		ns.dist, ns.parent = nd, i
+		it := qItem{k: math.Float64bits(nd + s.heuristic(x, y, l)), node: j}
+		if s.trace != nil {
+			s.trace(true, it)
+		}
+		s.q.push(it)
+		st.Pushes++
+	} else if nd == ns.dist && cost > 0 && ns.parent >= 0 && i < ns.parent {
+		// Canonical parent rule: among equal-cost predecessors the
+		// smallest node index wins, independent of relaxation order.
+		// (cost > 0 keeps the parent pointers acyclic; sources keep
+		// their -1 root marker.)
+		ns.parent = i
 	}
 }
 
@@ -526,11 +502,8 @@ func (s *Search) relaxNeighbors(p geom.Point3, i int32, q *pq, st *Stats) {
 // steps into segments and layer changes into via stacks.
 func (s *Search) reconstruct(end int32) route.Path {
 	pts := s.pts[:0]
-	for i := end; i >= 0; i = s.parent[i] {
+	for i := end; i >= 0; i = s.state[i].parent {
 		pts = append(pts, s.point(i))
-		if s.parent[i] < 0 {
-			break
-		}
 	}
 	s.pts = pts
 	// pts runs target -> source; orientation does not matter for geometry.

@@ -65,16 +65,27 @@ func TestMazeNeverWorseThanPattern(t *testing.T) {
 // bound must produce bit-identical geometry (reflect.DeepEqual on Paths)
 // and exactly equal cost to the seed Dijkstra, while settling no more
 // nodes — both on a cold graph and after WarmCostCache materializes the
-// cost field.
+// cost field. The "flat" case prices congestion at 1e-11: the slack that
+// keeps f climbing along a path is then of the order of one rounding step,
+// so keys tie exactly and now and then regress, and pushes keyed at or below
+// the queue's last key — its fallback path — happen end to end. (At 1e-6 no
+// key ever does; from 1e-12 down rounding outweighs the slack and A* and
+// Dijkstra stop agreeing on equal-cost geometry, with any exact queue.)
 func TestAStarMatchesDijkstraBitIdentical(t *testing.T) {
 	d := design.MustGenerate("18test5m", 0.003)
-	for _, warm := range []bool{false, true} {
-		name := "cold"
-		if warm {
-			name = "warm"
-		}
-		t.Run(name, func(t *testing.T) {
-			g := grid.NewFromDesign(d)
+	flat := grid.DefaultCostParams()
+	flat.UnitWire, flat.CongestionWeight = 0.3, 1e-11
+	for _, tc := range []struct {
+		name   string
+		warm   bool
+		params grid.CostParams
+	}{
+		{"cold", false, grid.DefaultCostParams()},
+		{"warm", true, grid.DefaultCostParams()},
+		{"flat", true, flat},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			g := grid.NewFromDesignParams(d, tc.params)
 			rng := rand.New(rand.NewSource(17))
 			for i := 0; i < 400; i++ {
 				l := 2 + rng.Intn(3)
@@ -87,7 +98,7 @@ func TestAStarMatchesDijkstraBitIdentical(t *testing.T) {
 					}
 				}
 			}
-			if warm {
+			if tc.warm {
 				g.WarmCostCache()
 				if !g.CostCacheBuilt() {
 					t.Fatal("WarmCostCache did not build the cache")
@@ -96,6 +107,16 @@ func TestAStarMatchesDijkstraBitIdentical(t *testing.T) {
 
 			ast, dij := NewSearch(), NewSearch()
 			dij.SetAlgorithm(Dijkstra)
+			// Count the A* pushes that find no bucket: keyed at, and
+			// strictly below, the queue's last redistribution key.
+			at, below := 0, 0
+			ast.trace = func(push bool, it qItem) {
+				if push && it.k == ast.q.last {
+					at++
+				} else if push && it.k < ast.q.last {
+					below++
+				}
+			}
 			checked := 0
 			for _, net := range d.Nets {
 				if checked >= 50 {
@@ -128,6 +149,10 @@ func TestAStarMatchesDijkstraBitIdentical(t *testing.T) {
 			}
 			if checked < 20 {
 				t.Fatalf("only %d nets checked", checked)
+			}
+			t.Logf("A* pushes keyed at the queue's last key: %d, below it: %d", at, below)
+			if tc.name == "flat" && at+below == 0 {
+				t.Fatal("the flat cost set never pushed a key at or below the queue's last key")
 			}
 		})
 	}

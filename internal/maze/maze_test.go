@@ -297,3 +297,41 @@ func TestSearchObservation(t *testing.T) {
 		t.Fatalf("nil observer broke routing: %v", err)
 	}
 }
+
+// TestCostFieldReadsCountAsHits: a search that reads the full cost field
+// directly owes the graph's hit counter exactly what the same search pays
+// through WireCost/ViaEdgeCost — here on a windowed view, whose cache is
+// not the full field and is therefore read through the calls.
+func TestCostFieldReadsCountAsHits(t *testing.T) {
+	pins := []geom.Point3{{X: 2, Y: 3, Layer: 1}, {X: 17, Y: 12, Layer: 2}, {X: 6, Y: 15, Layer: 1}}
+	win := geom.NewRect(geom.Point{X: 1, Y: 1}, geom.Point{X: 18, Y: 16})
+	hits := func(view bool) (int64, Stats) {
+		g := testGrid(t, 20, 20, 4)
+		reg := obs.NewRegistry()
+		g.SetObserver(&obs.Observer{Metrics: reg})
+		if view {
+			g = g.WindowView(win)
+		}
+		g.WarmCostCache()
+		if wire, _, _ := g.CostField(); (wire == nil) != view {
+			t.Fatalf("view=%v: full cost field present = %v", view, wire != nil)
+		}
+		_, st, err := RouteNet(g, 1, pins, win)
+		if err != nil {
+			t.Fatal(err)
+		}
+		snap := reg.Snapshot()
+		if m := snap.Counters[obs.MCostMisses]; m != 0 {
+			t.Fatalf("view=%v: %d cost-cache misses inside the cached window", view, m)
+		}
+		return snap.Counters[obs.MCostHits], st
+	}
+	direct, dst := hits(false)
+	called, cst := hits(true)
+	if dst != cst {
+		t.Fatalf("stats differ: %+v on the field, %+v through the calls", dst, cst)
+	}
+	if direct != called || direct == 0 {
+		t.Fatalf("cost hits: %d reading the field, %d through the calls", direct, called)
+	}
+}

@@ -3,6 +3,7 @@ package maze
 import (
 	"reflect"
 	"testing"
+	"unsafe"
 
 	"fastgr/internal/design"
 	"fastgr/internal/geom"
@@ -109,4 +110,46 @@ func TestSearchReuseSteadyStateAllocs(t *testing.T) {
 	if reused > fresh/2 {
 		t.Fatalf("scratch reuse saves too little: %.0f allocs vs %.0f fresh", reused, fresh)
 	}
+}
+
+// TestSearchFootprint pins what a warmed scratch retains. The queue's arena
+// holds the chunks the peak frontier fills plus at most one partly filled
+// chunk per bucket, and a window node costs 24 bytes — a 16-byte search
+// state and the two per-net stamps — against the 25 of the four parallel
+// arrays this state replaced.
+func TestSearchFootprint(t *testing.T) {
+	g, nets, pins, wins := scratchFixture(t)
+	s := NewSearch()
+	live, peak, nodes := 0, 0, 0
+	s.trace = func(push bool, _ qItem) {
+		if !push {
+			live--
+			return
+		}
+		if s.q.empty() { // the pass before left its frontier behind; reset dropped it
+			live = 0
+		}
+		if live++; live > peak {
+			peak = live
+		}
+	}
+	for i, n := range nets {
+		if _, _, err := s.RouteNet(g, n.ID, pins[i], wins[i]); err != nil {
+			t.Fatal(err)
+		}
+		if w := wins[i].Area() * g.L; w > nodes {
+			nodes = w
+		}
+	}
+	if max := (peak+chunkCap-1)/chunkCap + 64; s.q.chunks > max {
+		t.Fatalf("queue arena holds %d chunks after a peak of %d items; the bound is %d", s.q.chunks, peak, max)
+	}
+	if sz := unsafe.Sizeof(nodeState{}); sz != 16 {
+		t.Fatalf("nodeState is %d bytes, want 16", sz)
+	}
+	retained := cap(s.state)*int(unsafe.Sizeof(nodeState{})) + 4*cap(s.connStamp) + 4*cap(s.targStamp)
+	if perNode := float64(retained) / float64(nodes); perNode > 24 {
+		t.Fatalf("scratch retains %.1f bytes per node of its largest window (%d nodes), want at most 24", perNode, nodes)
+	}
+	t.Logf("peak frontier %d items, %d chunks; %d bytes for %d window nodes", peak, s.q.chunks, retained, nodes)
 }

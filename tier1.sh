@@ -3,8 +3,10 @@
 #
 #   vet        — go vet (tests included) across the tree
 #   build      — everything compiles
-#   test       — the full test suite (includes TestLintTreeClean and the
-#                ExecWorkers determinism sweeps)
+#   test       — the full test suite (includes TestLintTreeClean, the
+#                ExecWorkers determinism sweeps and every fuzz target's seed
+#                corpus — `go test -run Fuzz ./internal/maze` runs the queue
+#                oracle's alone; `-fuzz FuzzQueueOrder` explores beyond it)
 #   race        — the race detector over every package that executes
 #                 host-parallel: the par pool itself, core's tracing-enabled
 #                 determinism suite AND its seeded chaos suite (every variant
@@ -38,9 +40,11 @@
 #   bench-lint  — records analyzer cost (files/sec, per-check wall time)
 #                 into BENCH_lint.json and fails if the full suite costs
 #                 more than 2x the pre-flow-layer baseline
-#   bench-maze  — maze kernel guard: benchgen -maze fails unless A* on a
-#                 warm cost cache beats the seed Dijkstra-cold config by
-#                 1.5x with fewer expansions
+#   bench-maze  — maze kernel guard: benchgen -maze records ns and pushes
+#                 per expansion for {dijkstra,astar} x {cold,warm} and
+#                 fails if, on the warm cost field, an A* expansion costs
+#                 more than 1.5 Dijkstra expansions (a within-run ratio,
+#                 host-independent) or A* settles no fewer nodes
 #   bench-fault — fault containment overhead guard: benchgen -fault fails
 #                 if arming the layer with injection disabled costs more
 #                 than 2% on the pattern or maze workloads
