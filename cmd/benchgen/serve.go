@@ -226,14 +226,7 @@ func runServe(out string) error {
 // spec: the fastgr CLI defaults with scaled thresholds.
 func directServeOptions(scale float64) core.Options {
 	opt := core.DefaultOptions(core.FastGRL)
-	st := func(full int) int {
-		v := int(float64(full)*math.Sqrt(scale) + 0.5)
-		if v < 2 {
-			v = 2
-		}
-		return v
-	}
-	opt.T1, opt.T2 = st(100), st(500)
+	opt.T1, opt.T2 = core.ScaledThreshold(100, scale), core.ScaledThreshold(500, scale)
 	return opt
 }
 

@@ -13,11 +13,9 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
-	"math"
 	"net/http"
 	_ "net/http/pprof"
 	"os"
-	"strings"
 
 	"fastgr/internal/atomicio"
 	"fastgr/internal/core"
@@ -46,7 +44,7 @@ func main() {
 		guides     = flag.String("guides", "", "write routing guides to this file")
 		evalDR     = flag.Bool("dr", false, "evaluate the solution with the detailed-routing track assigner")
 		workers    = flag.Int("exec-workers", 0, "host worker goroutines executing the router (0 = library default); never changes the reported result")
-		shards     = flag.Int("shards", 0, "spatial shard count: route leaf regions concurrently against windowed cost caches (0 = monolithic pipeline; any count >= 1 yields identical output)")
+		shards     = flag.Int("shards", 0, "spatial shard count: cut the grid into leaf regions routed concurrently against windowed cost caches (0 = one leaf, the whole grid uncut; any count >= 1 yields identical output)")
 		mazeAlg    = flag.String("maze-alg", "astar", "maze search algorithm: astar | dijkstra (identical geometry, different expansion counts)")
 		traceOut   = flag.String("trace", "", "write a Chrome trace_event timeline to this file (open at ui.perfetto.dev)")
 		metricsOut = flag.String("metrics-out", "", "write the metrics registry and report as JSON to this file")
@@ -63,30 +61,24 @@ func main() {
 	if *inFile == "" && (*scale <= 0 || *scale > 1) {
 		fatal(fmt.Errorf("-scale %v outside (0,1] — benchmarks are generated at a fraction of full size", *scale))
 	}
-	if *workers < 0 {
-		fatal(fmt.Errorf("-exec-workers %d is negative (use 0 for the library default)", *workers))
-	}
-	if *shards < 0 || *shards > 4096 {
-		fatal(fmt.Errorf("-shards %d outside [0, 4096] (0 = monolithic pipeline)", *shards))
-	}
 
 	d, err := loadDesign(*inFile, *designName, *scale)
 	if err != nil {
 		fatal(err)
 	}
 
-	variant, err := parseVariant(*router)
+	variant, err := core.ParseVariant(*router)
 	if err != nil {
 		fatal(err)
 	}
 	opt := core.DefaultOptions(variant)
 	opt.RRRIters = *iters
 	opt.SelectionOff = *noSel
-	if *workers > 0 {
-		opt.ExecWorkers = *workers
+	if *workers != 0 {
+		opt.ExecWorkers = *workers // core rejects a negative count
 	}
 	opt.Shards = *shards
-	if s, ok := parseScheme(*scheme); ok {
+	if s, ok := sched.ParseScheme(*scheme); ok {
 		opt.Scheme = s
 	} else {
 		fatal(fmt.Errorf("unknown sorting scheme %q", *scheme))
@@ -102,18 +94,15 @@ func main() {
 	if *t1 > 0 {
 		opt.T1 = *t1
 	} else if *inFile == "" {
-		opt.T1 = scaleThreshold(100, *scale)
+		opt.T1 = core.ScaledThreshold(100, *scale)
 	}
 	if *t2 > 0 {
 		opt.T2 = *t2
 	} else if *inFile == "" {
-		opt.T2 = scaleThreshold(500, *scale)
+		opt.T2 = core.ScaledThreshold(500, *scale)
 	}
 	if *faultProb < 0 || *faultProb > 1 {
 		fatal(fmt.Errorf("-fault-prob %v outside [0,1]", *faultProb))
-	}
-	if *mazeBudget < 0 {
-		fatal(fmt.Errorf("-maze-budget %d is negative", *mazeBudget))
 	}
 	opt.MazeBudget = *mazeBudget
 	if *faultProb > 0 || *faultSeed != 0 {
@@ -207,35 +196,6 @@ func loadDesign(inFile, name string, scale float64) (*design.Design, error) {
 		return design.Read(f)
 	}
 	return design.Generate(name, scale)
-}
-
-func parseVariant(s string) (core.Variant, error) {
-	switch strings.ToLower(s) {
-	case "cugr":
-		return core.CUGR, nil
-	case "fastgrl", "l":
-		return core.FastGRL, nil
-	case "fastgrh", "h":
-		return core.FastGRH, nil
-	}
-	return 0, fmt.Errorf("unknown router %q (want cugr, fastgrl or fastgrh)", s)
-}
-
-func parseScheme(s string) (sched.Scheme, bool) {
-	for _, sc := range sched.Schemes {
-		if sc.String() == s {
-			return sc, true
-		}
-	}
-	return 0, false
-}
-
-func scaleThreshold(full int, scale float64) int {
-	v := int(float64(full)*math.Sqrt(scale) + 0.5)
-	if v < 2 {
-		v = 2
-	}
-	return v
 }
 
 func printReport(res *core.Result) {

@@ -54,14 +54,7 @@ func main() {
 	}
 
 	// Batch-barrier strategy (the widely adopted baseline).
-	var idBatches [][]int
-	for _, b := range sched.ExtractBatches(tasks) {
-		var ids []int
-		for _, t := range b {
-			ids = append(ids, t.ID)
-		}
-		idBatches = append(idBatches, ids)
-	}
+	idBatches := sched.BatchIDs(sched.ExtractBatches(tasks))
 	const workers = 16
 	batch := taskflow.BatchMakespan(idBatches, durations, workers)
 	dag := taskflow.Makespan(g, durations, workers)

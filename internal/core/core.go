@@ -21,7 +21,9 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"runtime"
+	"strings"
 	"time"
 
 	"fastgr/internal/design"
@@ -33,12 +35,10 @@ import (
 	"fastgr/internal/obs"
 	"fastgr/internal/par"
 	"fastgr/internal/pattern"
-	"fastgr/internal/patterngpu"
 	"fastgr/internal/route"
 	"fastgr/internal/sched"
 	"fastgr/internal/shard"
 	"fastgr/internal/stt"
-	"fastgr/internal/taskflow"
 )
 
 // Variant selects the router configuration.
@@ -147,17 +147,17 @@ type Options struct {
 	// a net that exceeds it keeps its pattern route (recorded as a budget
 	// fallback). 0 is unlimited. Works with or without Fault.
 	MazeBudget int64
-	// Shards selects the sharded spatial pipeline (internal/shard): the
-	// grid is bisected into leaf regions on pin density, intra-leaf nets
-	// route against leaf-windowed cost caches with up to Shards leaf
-	// groups running concurrently, and boundary nets are split at the
+	// Shards picks the spatial plan the stages route over (internal/shard).
+	// 0, the default, is the one-leaf plan: the whole grid, no cuts, every
+	// net routed whole against one full-grid cost field. K >= 1 is the cut
+	// plan: the grid is bisected into leaf regions on pin density,
+	// intra-leaf nets route against leaf-windowed cost caches with up to K
+	// leaf groups running concurrently, and boundary nets are split at the
 	// cuts, stitched, and reconciled at coordinator points. Routed output
-	// is bit-identical for every Shards >= 1 (the cut tree never depends
-	// on the count); 0, the default, is the monolithic pipeline,
-	// bit-identical to builds predating sharding. Sharded and monolithic
-	// outputs may differ: the monolithic pattern stage reads segment
-	// costs through full-grid prefix sums, whose rounding a windowed
-	// cache deliberately avoids.
+	// is bit-identical for every K >= 1 (the cut tree never depends on the
+	// count) but may differ from K = 0: boundary nets take the
+	// split/stitch path, and windowed caches keep no prefix sums, so their
+	// segment costs round differently. At most MaxShards.
 	Shards int
 	// HeapGC forces a garbage collection before each peak-heap sample so
 	// PeakHeapBytes measures live bytes, not allocator slack. Benchmarks
@@ -182,6 +182,60 @@ type FaultStats struct {
 	// BudgetFallbacks counts rip-up searches abandoned over budget
 	// (configured or injected); those nets keep their pattern route.
 	BudgetFallbacks int
+}
+
+// MaxShards bounds Options.Shards. The cut tree has at most 16 leaves, so
+// any count above that already runs every leaf group at once; the bound
+// only keeps a typo from passing for a plan.
+const MaxShards = 4096
+
+// validate rejects option values no stage can run with, before any
+// routing; the error names the field.
+func (o *Options) validate() error {
+	for _, c := range []struct {
+		field string
+		val   any
+		ok    bool
+	}{
+		{"RRRIters", o.RRRIters, o.RRRIters >= 0},
+		{"Workers", o.Workers, o.Workers >= 0},
+		{"ExecWorkers", o.ExecWorkers, o.ExecWorkers >= 0},
+		{"MazeMargin", o.MazeMargin, o.MazeMargin >= 0},
+		{"MazeBudget", o.MazeBudget, o.MazeBudget >= 0},
+		{"MazeNsPerExpansion", o.MazeNsPerExpansion, o.MazeNsPerExpansion >= 0},
+		{"HistoryBump", o.HistoryBump, o.HistoryBump >= 0},
+	} {
+		if !c.ok {
+			return fmt.Errorf("core: Options.%s = %v, want >= 0", c.field, c.val)
+		}
+	}
+	if o.Shards < 0 || o.Shards > MaxShards {
+		return fmt.Errorf("core: Options.Shards = %d outside [0, %d]", o.Shards, MaxShards)
+	}
+	return nil
+}
+
+// ParseVariant maps a router name — cugr, fastgrl (or l), fastgrh (or h),
+// in any case — to its Variant. The fastgr CLI and the fastgrd job spec
+// both parse through it, which keeps daemon guides byte-identical to the
+// CLI's.
+func ParseVariant(s string) (Variant, error) {
+	switch strings.ToLower(s) {
+	case "cugr":
+		return CUGR, nil
+	case "fastgrl", "l":
+		return FastGRL, nil
+	case "fastgrh", "h":
+		return FastGRH, nil
+	}
+	return 0, fmt.Errorf("unknown router %q (want cugr, fastgrl or fastgrh)", s)
+}
+
+// ScaledThreshold scales a full-size selection threshold (the paper's
+// T1 = 100, T2 = 500) to a design generated at scale: by sqrt(scale),
+// rounded, and at least 2.
+func ScaledThreshold(full int, scale float64) int {
+	return max(int(float64(full)*math.Sqrt(scale)+0.5), 2)
 }
 
 // DefaultOptions returns the paper-faithful configuration for a variant.
@@ -324,8 +378,8 @@ func RouteContext(ctx context.Context, d *design.Design, opt Options) (*Result, 
 	if err := d.Validate(); err != nil {
 		return nil, err
 	}
-	if opt.RRRIters < 0 || opt.Workers < 0 || opt.Shards < 0 {
-		return nil, fmt.Errorf("core: negative option")
+	if err := opt.validate(); err != nil {
+		return nil, err
 	}
 	r := &runner{ctx: ctx, d: d, opt: opt}
 	return r.run()
@@ -347,7 +401,8 @@ type runner struct {
 	// journaled iteration (see journalIter).
 	jHits, jMisses int64
 
-	// Sharded-pipeline state (see shardpipe.go); nil/empty when Shards == 0.
+	// The leaf plan the stages route over (see stages.go). intraLeaf and
+	// splits exist only for a plan with cuts; the one-leaf plan has neither.
 	shplan    *shard.Plan
 	intraLeaf []int          // by net ID: containing leaf ordinal, -1 for boundary nets
 	splits    []*shard.Split // by net ID: fragment decomposition of boundary nets
@@ -358,13 +413,11 @@ func (r *runner) run() (*Result, error) {
 	r.g.SetObserver(r.opt.Obs)
 	r.pool = par.NewPool(r.opt.ExecWorkers)
 	r.pool.SetObserver(r.opt.Obs)
-	if r.opt.Containment != nil {
-		r.fc = r.opt.Containment
-		r.pool.SetFault(r.fc)
-	} else if r.opt.Fault != nil {
+	r.fc = r.opt.Containment
+	if r.fc == nil && r.opt.Fault != nil {
 		r.fc = fault.New(*r.opt.Fault, r.opt.Obs)
-		r.pool.SetFault(r.fc)
 	}
+	r.pool.SetFault(r.fc)
 	r.rep.Design = r.d.Name
 	r.rep.Variant = r.opt.Variant.String()
 
@@ -404,19 +457,25 @@ func (r *runner) stages() error {
 		return err
 	}
 	r.sampleHeap()
-	if r.opt.Shards >= 1 {
-		r.shardSetup()
-		if err := r.shardPatternStage(); err != nil {
-			return err
-		}
-		r.sampleHeap()
-		return r.shardRRRStage()
+	r.planLeaves()
+	// Views copy the parent's history slice header, so history must exist
+	// before the first view or bumps made through one never reach
+	// Result.Grid. An all-zero store leaves every cost unchanged.
+	if r.opt.HistoryRRR {
+		r.g.EnableHistory()
 	}
-	if err := r.patternStage(); err != nil {
+	// The one-leaf plan routes every stage through one full-grid view whose
+	// cache, prefix sums included, is warmed incrementally for the whole
+	// run; the parent stays cold under every plan.
+	var full *grid.Graph
+	if r.shplan.NumLeaves() == 1 {
+		full = r.g.WindowView(r.shplan.Leaf(0))
+	}
+	if err := r.patternStage(full); err != nil {
 		return err
 	}
 	r.sampleHeap()
-	return r.rrrStage()
+	return r.rrrStage(full)
 }
 
 // sampleHeap folds the current heap high-water into the report. Called at
@@ -448,9 +507,7 @@ func (r *runner) plan() error {
 	est := r.g.Estimator2D()
 	maxID := 0
 	for _, n := range r.d.Nets {
-		if n.ID > maxID {
-			maxID = n.ID
-		}
+		maxID = max(maxID, n.ID)
 	}
 	r.trees = make([]*stt.Tree, maxID+1)
 	r.routes = make([]*route.NetRoute, maxID+1)
@@ -471,107 +528,7 @@ func (r *runner) plan() error {
 	return nil
 }
 
-// patternStage routes every net with the variant's pattern kernel, batch by
-// batch, committing demand after each batch. Batch boundaries are
-// coordinator checkpoints: a cancelled run stops between batches with
-// every committed batch intact.
-func (r *runner) patternStage() error {
-	start := obs.StartStopwatch()
-	tr := r.opt.Obs.T()
-	sp := tr.StartSpan("pattern", obs.Coordinator)
-	defer sp.End()
-	r.stageStart("pattern")
-
-	ordered := append([]*design.Net(nil), r.d.Nets...)
-	sched.SortNets(ordered, r.opt.Scheme)
-	tasks := make([]sched.Task, len(ordered))
-	for i, n := range ordered {
-		tasks[i] = sched.Task{ID: i, BBox: r.trees[n.ID].BBox(), Payload: n}
-	}
-	batches := sched.ExtractBatches(tasks)
-	sched.ObserveBatches(r.opt.Obs.M(), batches)
-	r.rep.PatternBatches = len(batches)
-
-	cfg := r.patternConfig()
-
-	switch r.opt.Variant {
-	case CUGR:
-		// Sequential CPU pattern routing, net by net in batch order. The
-		// cost cache is rewarmed at each batch boundary; commits inside the
-		// batch dirty the touched lines, whose queries fall back to the
-		// direct formula until the next warm.
-		var ops int64
-		for bi, batch := range batches {
-			if err := r.checkpoint("pattern", -1); err != nil {
-				return err
-			}
-			r.g.WarmCostCache()
-			bsp := batchSpan(tr, bi)
-			for _, task := range batch {
-				n := task.Payload.(*design.Net)
-				res := pattern.SolveCPU(r.g, r.trees[n.ID], cfg)
-				res.Route.Commit(r.g)
-				r.routes[n.ID] = res.Route
-				ops += res.Ops.Total()
-				r.rep.TotalEdges += res.Edges
-				r.rep.HybridEdges += res.HybridEdges
-			}
-			bsp.End()
-			r.stageBeat("pattern")
-		}
-		r.rep.PatternSeqOps = ops
-		r.rep.PatternSeqTime = r.opt.CPU.SequentialTime(ops)
-		r.rep.Times.Pattern = r.rep.PatternSeqTime
-		if m := r.opt.Obs.M(); m != nil {
-			m.Counter(obs.MPatternHybrid).Add(int64(r.rep.HybridEdges))
-			m.Counter(obs.MPatternLShape).Add(int64(r.rep.TotalEdges - r.rep.HybridEdges))
-		}
-	default:
-		// GPU-friendly pattern routing: one kernel per batch, one block per
-		// net (Fig. 7). Host workers solve the batch's nets concurrently;
-		// commits stay in batch order below.
-		router := patterngpu.New(r.opt.Device, cfg)
-		router.Workers = r.pool.Workers()
-		router.Obs = r.opt.Obs
-		router.Fault = r.fc
-		router.CPU = r.opt.CPU
-		for bi, batch := range batches {
-			if err := r.checkpoint("pattern", -1); err != nil {
-				return err
-			}
-			bsp := batchSpan(tr, bi)
-			trees := make([]*stt.Tree, len(batch))
-			nets := make([]*design.Net, len(batch))
-			for i, task := range batch {
-				nets[i] = task.Payload.(*design.Net)
-				trees[i] = r.trees[nets[i].ID]
-			}
-			br := router.RouteBatch(r.g, trees)
-			if br.CPUFallback {
-				r.rep.Fault.KernelFallbacks++
-			}
-			for i, res := range br.Results {
-				res.Route.Commit(r.g)
-				r.routes[nets[i].ID] = res.Route
-				r.rep.TotalEdges += res.Edges
-				r.rep.HybridEdges += res.HybridEdges
-			}
-			r.rep.PatternSeqOps += br.SeqOps
-			r.rep.Times.Pattern += br.KernelTime
-			bsp.End()
-			r.stageBeat("pattern")
-		}
-		r.rep.PatternSeqTime = r.opt.CPU.SequentialTime(r.rep.PatternSeqOps)
-	}
-	r.rep.PatternQuality = r.snapshotQuality()
-	r.rep.PatternScore = r.rep.PatternQuality.Score()
-	r.rep.Times.PatternWall = start.Elapsed()
-	r.stageDone("pattern", r.rep.Times.PatternWall, r.rep.PatternScore)
-	return nil
-}
-
-// patternConfig resolves the variant's pattern kernel configuration —
-// shared by the monolithic and sharded pattern stages.
+// patternConfig resolves the variant's pattern kernel configuration.
 func (r *runner) patternConfig() pattern.Config {
 	cfg := pattern.Config{Mode: pattern.LShape}
 	if r.opt.Variant == FastGRH {
@@ -590,236 +547,6 @@ func (r *runner) patternConfig() pattern.Config {
 		}
 	}
 	return cfg
-}
-
-// batchSpan opens a per-batch span on the stages lane; the formatting
-// only runs when tracing is on.
-func batchSpan(tr *obs.Tracer, batch int) obs.Span {
-	if !tr.On() {
-		return obs.Span{}
-	}
-	return tr.StartSpan(fmt.Sprintf("pattern.batch[%d]", batch), obs.Coordinator)
-}
-
-// rrrStage runs the rip-up-and-reroute iterations with the variant's
-// scheduling strategy.
-func (r *runner) rrrStage() error {
-	start := obs.StartStopwatch()
-	tr := r.opt.Obs.T()
-	stageSp := tr.StartSpan("rrr", obs.Coordinator)
-	defer stageSp.End()
-	r.stageStart("rrr")
-	scheme := r.opt.Scheme
-	if r.opt.RRRSchemeOverride != nil {
-		scheme = *r.opt.RRRSchemeOverride
-	}
-	if r.opt.HistoryRRR {
-		r.g.EnableHistory()
-	}
-
-	// One maze scratch per executor worker, reused across nets and
-	// iterations: the search hot path then allocates nothing but the routes
-	// it returns. Worker ids come from the executors below, which guarantee
-	// a worker id is never used by two goroutines at once.
-	searches := make([]*maze.Search, r.pool.Workers())
-	for i := range searches {
-		searches[i] = maze.NewSearch()
-		searches[i].SetAlgorithm(r.opt.MazeAlgorithm)
-		searches[i].SetObserver(r.opt.Obs)
-		searches[i].SetBudget(r.opt.MazeBudget)
-	}
-
-	for iter := 0; iter < r.opt.RRRIters; iter++ {
-		if err := r.checkpoint("rrr", iter); err != nil {
-			return err
-		}
-		var iterSp obs.Span
-		if tr.On() {
-			iterSp = tr.StartSpan(fmt.Sprintf("rrr.iter[%d]", iter), obs.Coordinator)
-		}
-		violating, scanErr := r.violatingNets()
-		if scanErr != nil {
-			return scanErr
-		}
-		if iter == 0 {
-			r.rep.NetsToRipup = len(violating)
-		}
-		if len(violating) == 0 {
-			iterSp.End()
-			break
-		}
-		// Rewarm the cost field at the iteration boundary — the last
-		// single-threaded point before workers uncommit/reroute/commit in
-		// disjoint windows. Mid-iteration mutations write the new edge cost
-		// through, so per-edge reads are always current and the warm only
-		// re-sums prefix runs; results are independent of cache state and
-		// of the worker count.
-		r.g.WarmCostCache()
-		sched.SortNets(violating, scheme)
-
-		// Two task views: the execution graph conflicts on the full maze
-		// window (tasks with disjoint windows touch disjoint grid state and
-		// may safely run concurrently), while the reported scheduling models
-		// conflict on the net bounding boxes, as the paper's task graph does.
-		tasks := make([]sched.Task, len(violating))
-		modelTasks := make([]sched.Task, len(violating))
-		for i, n := range violating {
-			win := n.BBox().Inflate(r.opt.MazeMargin).ClampTo(r.g.W, r.g.H)
-			tasks[i] = sched.Task{ID: i, BBox: win, Payload: n}
-			modelTasks[i] = sched.Task{ID: i, BBox: n.BBox(), Payload: n}
-		}
-		graph := sched.BuildGraph(tasks, r.g.W, r.g.H)
-		modelGraph := sched.BuildGraph(modelTasks, r.g.W, r.g.H)
-
-		durations := make([]time.Duration, len(tasks))
-		expansions := make([]int64, len(tasks))
-		budgetTrips := make([]bool, len(tasks))
-		// work reroutes one task; it is retry-safe: injections fire at
-		// wrapper entry (before any grid mutation) and the Committed guards
-		// make the uncommit/restore idempotent, so a retried unit always
-		// starts from the committed old route. A budget trip — real or
-		// injected — is a graceful outcome (the net keeps its current
-		// route), any other maze error is a hard abort.
-		work := func(worker, ti int) error {
-			n := tasks[ti].Payload.(*design.Net)
-			var sp obs.Span
-			if tr.On() {
-				sp = tr.StartSpan("maze:"+n.Name, worker)
-			}
-			defer sp.End()
-			if r.fc.InjectBudget(ti, worker) {
-				budgetTrips[ti] = true
-				return nil
-			}
-			old := r.routes[n.ID]
-			if old.Committed() {
-				old.Uncommit(r.g)
-			}
-			pins := route.PinTerminals(r.trees[n.ID])
-			nr, st, err := searches[worker].RouteNet(r.g, n.ID, pins, tasks[ti].BBox)
-			if err != nil {
-				// Restore the old route so the grid stays consistent.
-				if !old.Committed() {
-					old.Commit(r.g)
-				}
-				var be *maze.BudgetError
-				if errors.As(err, &be) {
-					budgetTrips[ti] = true
-					expansions[ti] = st.Expansions
-					durations[ti] = time.Duration(float64(st.Expansions) * r.opt.MazeNsPerExpansion)
-					r.fc.Degrade(fault.SiteBudget, 1)
-					return nil
-				}
-				return err
-			}
-			nr.Commit(r.g)
-			r.routes[n.ID] = nr
-			expansions[ti] = st.Expansions
-			durations[ti] = time.Duration(float64(st.Expansions) * r.opt.MazeNsPerExpansion)
-			return nil
-		}
-
-		iterFailed := 0
-		iterSkipped := 0
-		if r.opt.Variant == CUGR {
-			// Batch-barrier strategy: batches execute in order with a full
-			// barrier between them; tasks inside a batch have disjoint maze
-			// windows and run on the worker pool (modeled as P-worker
-			// parallel below either way). A unit that exhausts containment
-			// leaves its net on the old route; an uncontained maze error
-			// aborts the iteration.
-			for _, batch := range sched.ExtractBatches(tasks) {
-				errs := r.pool.ForUnits(fault.SiteTask, len(batch), func(worker, bi int) error {
-					return work(worker, batch[bi].ID)
-				})
-				for _, we := range errs {
-					if !we.Contained {
-						return fmt.Errorf("core: rip-up iteration %d: %w", iter, we.Cause)
-					}
-					iterFailed++
-				}
-			}
-		} else {
-			frep := taskflow.RunWorkersFault(graph, r.pool.Workers(), r.opt.Obs, r.fc, work)
-			if frep.CancelErr != nil {
-				return fmt.Errorf("core: rip-up iteration %d: %w", iter, frep.CancelErr)
-			}
-			iterFailed = len(frep.Failed)
-			iterSkipped = len(frep.Skipped)
-		}
-		r.rep.Fault.FailedNets += iterFailed
-		r.rep.Fault.SkippedNets += iterSkipped
-
-		// Both scheduling models over the same recorded durations, on the
-		// paper-faithful (bounding-box) conflict structure.
-		idBatches := [][]int{}
-		for _, b := range sched.ExtractBatches(modelTasks) {
-			ids := make([]int, len(b))
-			for i, task := range b {
-				ids[i] = task.ID
-			}
-			idBatches = append(idBatches, ids)
-		}
-		tg := taskflow.Makespan(modelGraph, durations, r.opt.Workers)
-		bb := taskflow.BatchMakespan(idBatches, durations, r.opt.Workers)
-
-		var totalExp int64
-		for _, e := range expansions {
-			totalExp += e
-		}
-		iterBudget := 0
-		for _, tripped := range budgetTrips {
-			if tripped {
-				iterBudget++
-			}
-		}
-		r.rep.Fault.BudgetFallbacks += iterBudget
-		iterQ := r.snapshotQuality()
-		st := IterStats{
-			Nets:            len(violating),
-			Expansions:      totalExp,
-			TaskGraphTime:   tg,
-			BatchTime:       bb,
-			ConflictEdges:   modelGraph.Edges,
-			Quality:         iterQ,
-			Score:           iterQ.Score(),
-			FailedNets:      iterFailed,
-			SkippedNets:     iterSkipped,
-			BudgetFallbacks: iterBudget,
-		}
-		r.rep.RRR = append(r.rep.RRR, st)
-		if m := r.opt.Obs.M(); m != nil {
-			m.Counter(obs.MRRRNets).Add(int64(len(violating)))
-			m.Counter(obs.MRRRExpansions).Add(totalExp)
-			m.Gauge(obs.MRRRIterations).Set(int64(iter + 1))
-			m.Gauge(obs.MRRROverflow).Set(int64(iterQ.Shorts))
-		}
-		r.rep.MazeTaskGraphTime += tg
-		r.rep.MazeBatchTime += bb
-		if r.opt.Variant == CUGR {
-			r.rep.Times.Maze += bb
-		} else {
-			r.rep.Times.Maze += tg
-		}
-		if r.opt.HistoryRRR {
-			bump := r.opt.HistoryBump
-			if bump <= 0 {
-				bump = 0.5
-			}
-			r.g.BumpOverflowHistory(bump)
-		}
-		r.sampleHeap()
-		r.stageBeat("rrr")
-		r.journalIter(iter, st, iterQ)
-		iterSp.End()
-	}
-	r.rep.Times.MazeWall = start.Elapsed()
-	score := r.rep.PatternScore
-	if n := len(r.rep.RRR); n > 0 {
-		score = r.rep.RRR[n-1].Score
-	}
-	r.stageDone("rrr", r.rep.Times.MazeWall, score)
-	return nil
 }
 
 // violatingNets returns the nets whose routes cross an over-capacity edge.

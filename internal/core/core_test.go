@@ -1,6 +1,8 @@
 package core
 
 import (
+	"math"
+	"strings"
 	"testing"
 
 	"fastgr/internal/design"
@@ -54,10 +56,24 @@ func TestAllVariantsRouteAndConnect(t *testing.T) {
 
 func TestCommittedDemandMatchesRoutes(t *testing.T) {
 	res := routeVariant(t, "18test5m", FastGRL, nil)
-	// Grid demand must equal the union of all routes: rip everything up and
-	// expect a clean grid (catches commit/uncommit imbalances).
 	for _, n := range res.Design.Nets {
-		res.Routes[n.ID].Uncommit(res.Grid)
+		if res.Routes[n.ID] == nil {
+			t.Fatalf("net %s unrouted", n.Name)
+		}
+	}
+	checkDemandMatchesRoutes(t, res)
+}
+
+// checkDemandMatchesRoutes asserts grid demand equals the union of the
+// result's routes: rip every route up and expect a clean grid (catches
+// commit/uncommit imbalances). Nets without a route — in a cancelled run's
+// partial result — contribute nothing and must have left nothing behind.
+func checkDemandMatchesRoutes(t *testing.T, res *Result) {
+	t.Helper()
+	for _, rt := range res.Routes {
+		if rt != nil {
+			rt.Uncommit(res.Grid)
+		}
 	}
 	wire, via := res.Grid.TotalDemand()
 	if wire != 0 || via != 0 {
@@ -207,6 +223,73 @@ func TestRouteRejectsInvalidInput(t *testing.T) {
 	bad.LayerCapacity = nil
 	if _, err := Route(&bad, DefaultOptions(CUGR)); err == nil {
 		t.Fatal("invalid design accepted")
+	}
+}
+
+// TestSharedParsers pins the parsing the fastgr CLI and the fastgrd job
+// spec share.
+func TestSharedParsers(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		want Variant
+	}{{"cugr", CUGR}, {"FastGRL", FastGRL}, {"l", FastGRL}, {"fastgrh", FastGRH}, {"H", FastGRH}} {
+		if got, err := ParseVariant(c.name); err != nil || got != c.want {
+			t.Errorf("ParseVariant(%q) = %v, %v", c.name, got, err)
+		}
+	}
+	if _, err := ParseVariant("maze"); err == nil {
+		t.Error("unknown router accepted")
+	}
+	for _, c := range []struct {
+		full  int
+		scale float64
+		want  int
+	}{{100, 1, 100}, {100, 0.02, 14}, {500, 0.02, 71}, {100, 0.0001, 2}} {
+		if got := ScaledThreshold(c.full, c.scale); got != c.want {
+			t.Errorf("ScaledThreshold(%d, %v) = %d, want %d", c.full, c.scale, got, c.want)
+		}
+	}
+}
+
+// TestRouteRejectsBadOptions: an option no stage can run with is refused
+// before planning, with an error naming the field — not discovered deep in
+// rip-up (a negative MazeMargin) or silently folded into a report (a
+// negative MazeNsPerExpansion).
+func TestRouteRejectsBadOptions(t *testing.T) {
+	d := design.MustGenerate("18test5m", testScale)
+	for _, tc := range []struct {
+		field string
+		set   func(*Options)
+	}{
+		{"RRRIters", func(o *Options) { o.RRRIters = -1 }},
+		{"Workers", func(o *Options) { o.Workers = -1 }},
+		{"ExecWorkers", func(o *Options) { o.ExecWorkers = -2 }},
+		{"MazeMargin", func(o *Options) { o.MazeMargin = -3 }},
+		{"MazeBudget", func(o *Options) { o.MazeBudget = -1 }},
+		{"MazeNsPerExpansion", func(o *Options) { o.MazeNsPerExpansion = -45 }},
+		{"MazeNsPerExpansion", func(o *Options) { o.MazeNsPerExpansion = math.NaN() }},
+		{"HistoryBump", func(o *Options) { o.HistoryBump = -0.5 }},
+		{"Shards", func(o *Options) { o.Shards = -1 }},
+		{"Shards", func(o *Options) { o.Shards = MaxShards + 1 }},
+	} {
+		opt := DefaultOptions(FastGRL)
+		tc.set(&opt)
+		res, err := Route(d, opt)
+		if err == nil || res != nil {
+			t.Errorf("%s: bad value accepted", tc.field)
+			continue
+		}
+		if !strings.Contains(err.Error(), "Options."+tc.field+" ") {
+			t.Errorf("%s: error %q does not name the field", tc.field, err)
+		}
+	}
+	// The edges of every range stay legal.
+	opt := DefaultOptions(FastGRL)
+	opt.T1, opt.T2 = 4, 40
+	opt.RRRIters, opt.MazeMargin, opt.MazeBudget, opt.HistoryBump = 0, 0, 0, 0
+	opt.MazeNsPerExpansion, opt.ExecWorkers = 0, 0
+	if _, err := Route(d, opt); err != nil {
+		t.Fatalf("zero-valued options rejected: %v", err)
 	}
 }
 

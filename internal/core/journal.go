@@ -9,9 +9,9 @@ import (
 
 // Run journal event payloads. The journal (Options.Journal) receives one
 // "stage" event per pipeline stage boundary and one "iter" event per
-// rip-up-and-reroute iteration, in both the monolithic and sharded
-// pipelines. Like every other observability sink the journal is passive:
-// payloads are read-only snapshots of state the run computes anyway, and
+// rip-up-and-reroute iteration, under every leaf plan. Like every other
+// observability sink the journal is passive: payloads are read-only
+// snapshots of state the run computes anyway, and
 // timestamps live in the journal envelope (package obs), never here —
 // core itself stays wall-clock free outside the sanctioned stopwatches.
 

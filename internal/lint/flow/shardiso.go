@@ -19,9 +19,9 @@ import (
 //     the parameter's owner — every call site that can feed the warm in
 //     worker context must pass a window-derived cache. Obligations chain
 //     through parameter-passing (routeBatch warms its parameter; its
-//     exported caller passes its own parameter through; the shard worker
-//     finally supplies a WindowView — clean, while the monolithic
-//     coordinator call never enters worker context and is not checked).
+//     exported caller passes its own parameter through; the leaf slot
+//     finally supplies a WindowView, or the stage's view parameter, whose
+//     own call site must in turn pass a WindowView — clean).
 //     A warm captured into a spawned closure runs in worker context no
 //     matter who called the owner, so its obligation checks every call
 //     site ("alwaysWorker") — but only when the closure is itself a

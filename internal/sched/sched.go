@@ -56,6 +56,16 @@ func (s Scheme) String() string {
 	return fmt.Sprintf("scheme(%d)", int(s))
 }
 
+// ParseScheme returns the scheme whose String is s.
+func ParseScheme(s string) (Scheme, bool) {
+	for _, sc := range Schemes {
+		if sc.String() == s {
+			return sc, true
+		}
+	}
+	return 0, false
+}
+
 // SortNets orders nets in place by the scheme, breaking ties by net ID so
 // every scheme is a deterministic total order.
 func SortNets(nets []*design.Net, s Scheme) {
@@ -122,6 +132,19 @@ func ExtractBatches(tasks []Task) [][]Task {
 		remaining = rest
 	}
 	return batches
+}
+
+// BatchIDs lists each batch's task IDs, the form the batch-barrier
+// makespan model takes.
+func BatchIDs(batches [][]Task) [][]int {
+	ids := make([][]int, len(batches))
+	for i, b := range batches {
+		ids[i] = make([]int, len(b))
+		for j, t := range b {
+			ids[i][j] = t.ID
+		}
+	}
+	return ids
 }
 
 // ObserveBatches records Algorithm-1 batch statistics into the registry:

@@ -1,6 +1,7 @@
 package sched
 
 import (
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -57,6 +58,26 @@ func TestSchemeStrings(t *testing.T) {
 	}
 	if len(Schemes) != 6 {
 		t.Fatalf("Table IV has 6 schemes, found %d", len(Schemes))
+	}
+}
+
+func TestParseSchemeRoundTrips(t *testing.T) {
+	for _, s := range Schemes {
+		if got, ok := ParseScheme(s.String()); !ok || got != s {
+			t.Errorf("ParseScheme(%q) = %v, %v", s.String(), got, ok)
+		}
+	}
+	if _, ok := ParseScheme("hpwl"); ok {
+		t.Error("unknown scheme name accepted")
+	}
+}
+
+func TestBatchIDs(t *testing.T) {
+	tasks := []Task{taskAt(0, geom.Point{}, geom.Point{X: 4, Y: 4}), taskAt(1, geom.Point{X: 2, Y: 2}, geom.Point{X: 6, Y: 6}),
+		taskAt(2, geom.Point{X: 10, Y: 10}, geom.Point{X: 12, Y: 12})}
+	got := BatchIDs(ExtractBatches(tasks))
+	if want := [][]int{{0, 2}, {1}}; !reflect.DeepEqual(got, want) {
+		t.Fatalf("BatchIDs = %v, want %v", got, want)
 	}
 }
 

@@ -79,13 +79,13 @@ func (sp *JobSpec) normalize() error {
 	if sp.Router == "" {
 		sp.Router = "fastgrl"
 	}
-	if _, err := parseVariant(sp.Router); err != nil {
+	if _, err := core.ParseVariant(sp.Router); err != nil {
 		return err
 	}
 	if sp.Sort == "" {
 		sp.Sort = "hpwl-asc"
 	}
-	if _, ok := parseScheme(sp.Sort); !ok {
+	if _, ok := sched.ParseScheme(sp.Sort); !ok {
 		return fmt.Errorf("unknown sorting scheme %q", sp.Sort)
 	}
 	if sp.MazeAlg == "" {
@@ -100,8 +100,8 @@ func (sp *JobSpec) normalize() error {
 	if sp.ExecWorkers < 0 {
 		return fmt.Errorf("exec_workers %d is negative", sp.ExecWorkers)
 	}
-	if sp.Shards < 0 || sp.Shards > 4096 {
-		return fmt.Errorf("shards %d outside [0, 4096]", sp.Shards)
+	if sp.Shards < 0 || sp.Shards > core.MaxShards {
+		return fmt.Errorf("shards %d outside [0, %d]", sp.Shards, core.MaxShards)
 	}
 	if sp.FaultProb < 0 || sp.FaultProb > 1 {
 		return fmt.Errorf("fault_prob %v outside [0,1]", sp.FaultProb)
@@ -129,7 +129,7 @@ func (sp *JobSpec) buildDesign() (*design.Design, error) {
 // The fault layer is NOT armed here: the runner builds a Containment
 // itself (see runJob) so it can snapshot per-site accounting afterwards.
 func (sp *JobSpec) options() core.Options {
-	variant, _ := parseVariant(sp.Router)
+	variant, _ := core.ParseVariant(sp.Router)
 	opt := core.DefaultOptions(variant)
 	if sp.RRR != nil {
 		opt.RRRIters = *sp.RRR
@@ -139,7 +139,7 @@ func (sp *JobSpec) options() core.Options {
 		opt.ExecWorkers = sp.ExecWorkers
 	}
 	opt.Shards = sp.Shards
-	if s, ok := parseScheme(sp.Sort); ok {
+	if s, ok := sched.ParseScheme(sp.Sort); ok {
 		opt.Scheme = s
 	}
 	if sp.MazeAlg == "dijkstra" {
@@ -148,12 +148,12 @@ func (sp *JobSpec) options() core.Options {
 	if sp.T1 > 0 {
 		opt.T1 = sp.T1
 	} else if sp.DesignText == "" {
-		opt.T1 = scaleThreshold(100, sp.Scale)
+		opt.T1 = core.ScaledThreshold(100, sp.Scale)
 	}
 	if sp.T2 > 0 {
 		opt.T2 = sp.T2
 	} else if sp.DesignText == "" {
-		opt.T2 = scaleThreshold(500, sp.Scale)
+		opt.T2 = core.ScaledThreshold(500, sp.Scale)
 	}
 	opt.MazeBudget = sp.MazeBudget
 	return opt
@@ -256,36 +256,4 @@ func (e *JobError) Error() string {
 		return fmt.Sprintf("serve: job %s %s at %s iteration %d: %s", e.ID, e.State, e.Stage, e.Iter, e.Cause)
 	}
 	return fmt.Sprintf("serve: job %s %s at %s stage: %s", e.ID, e.State, e.Stage, e.Cause)
-}
-
-// parseVariant, parseScheme and scaleThreshold mirror the fastgr CLI's
-// parsing; keep them in lockstep or the byte-identity contract between
-// daemon-routed and CLI-routed guides breaks (serve_test pins it).
-func parseVariant(s string) (core.Variant, error) {
-	switch strings.ToLower(s) {
-	case "cugr":
-		return core.CUGR, nil
-	case "fastgrl", "l":
-		return core.FastGRL, nil
-	case "fastgrh", "h":
-		return core.FastGRH, nil
-	}
-	return 0, fmt.Errorf("unknown router %q (want cugr, fastgrl or fastgrh)", s)
-}
-
-func parseScheme(s string) (sched.Scheme, bool) {
-	for _, sc := range sched.Schemes {
-		if sc.String() == s {
-			return sc, true
-		}
-	}
-	return 0, false
-}
-
-func scaleThreshold(full int, scale float64) int {
-	v := int(float64(full)*math.Sqrt(scale) + 0.5)
-	if v < 2 {
-		v = 2
-	}
-	return v
 }

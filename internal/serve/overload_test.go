@@ -126,7 +126,7 @@ func TestDrainRejectsNewWork(t *testing.T) {
 	waitJob(t, s, blocker, func(j Job) bool { return j.State == StateRunning }, 30*time.Second)
 
 	done := make(chan error, 1)
-	go func() { done <- s.Drain(2 * time.Second) }()
+	go func() { done <- s.Drain(500 * time.Millisecond) }()
 
 	// Admission must flip to 503 as soon as draining starts; poll since
 	// Drain runs concurrently. A transport error means the listener
@@ -152,9 +152,11 @@ func TestDrainRejectsNewWork(t *testing.T) {
 	if err := <-done; err != nil {
 		t.Fatalf("Drain: %v", err)
 	}
-	// The budget (2s) cannot cover a 0.05-scale route (~12s plain, far
-	// more under -race): the blocker must have been checkpointed back
-	// to queued for the next start.
+	// The budget (0.5s) expires inside the first rip-up iteration of a
+	// 0.05-scale route (~3s plain, three ~1s iterations, far more under
+	// -race), so the next checkpoint catches it: the blocker must have
+	// been checkpointed back to queued for the next start. A budget that
+	// lets the run reach its last iteration would let it finish instead.
 	st, err := OpenStore(s.store.Dir())
 	if err != nil {
 		t.Fatalf("reopen store: %v", err)

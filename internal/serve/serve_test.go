@@ -122,8 +122,8 @@ func cliGuideBytes(t *testing.T, name string, scale float64) []byte {
 		t.Fatalf("generate: %v", err)
 	}
 	opt := core.DefaultOptions(core.FastGRL)
-	opt.T1 = scaleThreshold(100, scale)
-	opt.T2 = scaleThreshold(500, scale)
+	opt.T1 = core.ScaledThreshold(100, scale)
+	opt.T2 = core.ScaledThreshold(500, scale)
 	res, err := core.Route(d, opt)
 	if err != nil {
 		t.Fatalf("route: %v", err)

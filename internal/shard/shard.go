@@ -131,6 +131,14 @@ func BuildPlan(d *design.Design, margin int) *Plan {
 	return p
 }
 
+// Whole returns the plan with no cuts: one leaf covering the whole w×h
+// grid. Every net is intra-leaf under it, so nothing is split, stitched
+// or reconciled; it needs no design, and builds no pin table.
+func Whole(w, h int) *Plan {
+	root := node{rect: geom.Rect{Hi: geom.Point{X: w - 1, Y: h - 1}}, left: -1, right: -1}
+	return &Plan{W: w, H: h, nodes: []node{root}, leaves: []int{0}}
+}
+
 // weightedMedian returns the smallest coordinate c along the cut axis such
 // that the pins of r at coordinates <= c reach half of r's total; the
 // middle of the span when r holds no pins.
@@ -165,9 +173,6 @@ func (p *Plan) NumLeaves() int { return len(p.leaves) }
 
 // Leaf returns the rectangle of leaf ordinal i.
 func (p *Plan) Leaf(i int) geom.Rect { return p.nodes[p.leaves[i]].rect }
-
-// LeafPins returns the pin count inside leaf ordinal i.
-func (p *Plan) LeafPins(i int) int { return p.nodes[p.leaves[i]].pins }
 
 // LeafContaining returns the ordinal of the leaf holding pt. The cut tree
 // tiles the grid, so every in-bounds point lies in exactly one leaf.

@@ -78,6 +78,24 @@ func TestBuildPlanTiles(t *testing.T) {
 // into contiguous ascending ranges for every k, and that the leaf set
 // itself — identity, order, rectangles — never depends on k. That
 // independence is the heart of the shard-count-invariance contract.
+// TestWholePlan: the one-leaf plan is the whole grid, contains every
+// in-bounds rectangle and groups into its one leaf for every k.
+func TestWholePlan(t *testing.T) {
+	p := Whole(40, 30)
+	full := geom.Rect{Hi: geom.Point{X: 39, Y: 29}}
+	if p.NumLeaves() != 1 || p.Leaf(0) != full {
+		t.Fatalf("Whole: %d leaves, leaf 0 = %v", p.NumLeaves(), p.Leaf(0))
+	}
+	if p.LeafOf(full) != 0 || p.LeafOf(geom.Rect{Lo: geom.Point{X: 5, Y: 7}, Hi: geom.Point{X: 6, Y: 8}}) != 0 {
+		t.Fatal("Whole: an in-bounds rectangle is not intra-leaf")
+	}
+	for k := 0; k <= 3; k++ {
+		if g := p.Groups(k); len(g) != 1 || len(g[0]) != 1 || g[0][0] != 0 {
+			t.Fatalf("Groups(%d) = %v", k, g)
+		}
+	}
+}
+
 func TestGroupsPartition(t *testing.T) {
 	d := testDesign(96, 96)
 	p := BuildPlan(d, 4)

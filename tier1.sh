@@ -3,13 +3,19 @@
 #
 #   vet        — go vet (tests included) across the tree
 #   build      — everything compiles
-#   test       — the full test suite (includes TestLintTreeClean, the
-#                ExecWorkers determinism sweeps and every fuzz target's seed
+#   test       — the full test suite (includes TestLintTreeClean, core's
+#                determinism table — TestExecWorkersDeterminism (Shards 0),
+#                TestShardDeterminism (Shards {1,2,4}) and
+#                TestExecWorkersDeterminismWithHistory, each x ExecWorkers
+#                {1,2,8} x variants, pinned to recorded fingerprints, plus
+#                TestShardZeroIsMonolithic — and every fuzz target's seed
 #                corpus — `go test -run Fuzz ./internal/maze` runs the queue
 #                oracle's alone; `-fuzz FuzzQueueOrder` explores beyond it)
 #   race        — the race detector over every package that executes
-#                 host-parallel: the par pool itself, core's tracing-enabled
-#                 determinism suite AND its seeded chaos suite (every variant
+#                 host-parallel: the par pool itself, core's determinism
+#                 table (its three Determinism tests and the tracing-enabled
+#                 TestExecWorkersDeterminismWithTracing, both at 1/2/8
+#                 workers) AND its seeded chaos suite (every variant
 #                 under fault injection at 1/2/8 workers), the taskflow
 #                 executor, the concurrent obs recorders, sched + maze, which
 #                 run under the pool from core's parallel sections, grid,
@@ -19,8 +25,8 @@
 #                 containment layer whose counters are hit from every
 #                 worker, and
 #                 shard, whose plans and splits are read from every leaf
-#                 slot (core's TestShardDeterminism drives the sharded
-#                 pipeline itself at 1/2/8 workers under -race), the
+#                 slot (TestShardDeterminism drives the cut plan itself at
+#                 1/2/8 workers under -race), the
 #                 prom exposition renderer, opsrv, whose live-scrape
 #                 test hammers /metrics, /healthz and /tracez from a
 #                 scraper goroutine while a full 19test9m run routes,
