@@ -277,9 +277,10 @@ func BenchmarkMinPlusVecMat(b *testing.B) {
 	for i := range m {
 		m[i] = float64(i % 17)
 	}
+	out, arg := make([]float64, L), make([]int, L)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		pattern.MinPlusVecMat(w, m, L)
+		pattern.MinPlusVecMat(w, m, L, out, arg)
 	}
 }
 

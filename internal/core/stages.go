@@ -271,6 +271,7 @@ func (r *runner) patternStage(full *grid.Graph) error {
 	// lanes belong to the inner executors).
 	par.NewPool(outer).For(outer, func(_, s int) {
 		nb := 0
+		var solver pattern.Solver // the CUGR path's scratch for this slot
 		for gi := s; gi < len(groups); gi += outer {
 			for _, leaf := range groups[gi] {
 				if len(leafBatches[leaf]) == 0 {
@@ -303,7 +304,7 @@ func (r *runner) patternStage(full *grid.Graph) error {
 						bsp = tr.StartSpan(fmt.Sprintf("pattern.batch[%d]", nb), obs.Coordinator)
 					}
 					nb++
-					r.patternBatch(view, router, cfg, &accts[leaf], batch, fragRoutes)
+					r.patternBatch(view, router, &solver, cfg, &accts[leaf], batch, fragRoutes)
 					bsp.End()
 					r.stageBeat("pattern")
 				}
@@ -362,9 +363,9 @@ func (r *runner) patternStage(full *grid.Graph) error {
 
 // patternBatch routes one conflict-free batch and commits it in batch
 // order through view. The GPU variants solve it as one kernel (Fig. 7)
-// first; CUGR (router == nil) solves and commits net by net. A fragment's
-// results merge into one route for its fragRoutes slot.
-func (r *runner) patternBatch(view *grid.Graph, router *patterngpu.Router, cfg pattern.Config, a *leafAcct, batch []sched.Task, fragRoutes [][]*route.NetRoute) {
+// first; CUGR (router == nil) solves on solver and commits net by net. A
+// fragment's results merge into one route for its fragRoutes slot.
+func (r *runner) patternBatch(view *grid.Graph, router *patterngpu.Router, solver *pattern.Solver, cfg pattern.Config, a *leafAcct, batch []sched.Task, fragRoutes [][]*route.NetRoute) {
 	var kernel []pattern.Result
 	if router != nil {
 		trees := make([]*stt.Tree, 0, len(batch))
@@ -393,7 +394,7 @@ func (r *runner) patternBatch(view *grid.Graph, router *patterngpu.Router, cfg p
 			var one [1]pattern.Result
 			results = one[:0]
 			for _, t := range trees {
-				res := pattern.SolveCPU(view, t, cfg)
+				res := solver.SolveCPU(view, t, cfg)
 				a.seqOps += res.Ops.Total()
 				results = append(results, res)
 			}

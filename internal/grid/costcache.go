@@ -71,10 +71,12 @@ type costCache struct {
 
 	// Via side: [b][cell] values and, full window only, one L-entry prefix
 	// run per cell (viaPfx[cell*L+k] sums boundaries 0..k-1) with one
-	// dirty flag per cell.
-	viaVal   [][]float64
-	viaPfx   []float64
-	viaDirty []atomic.Uint32
+	// dirty flag per cell, summarized by one flag per grid row that is set
+	// whenever a cell of the row is.
+	viaVal      [][]float64
+	viaPfx      []float64
+	viaDirty    []atomic.Uint32
+	viaRowDirty []atomic.Uint32
 
 	// Flight-recorder handles, resolved once by SetObserver; all nil in
 	// disabled mode, where each event costs one nil check.
@@ -110,6 +112,20 @@ func (g *Graph) CostField() (wire, via [][]float64, hits *obs.Counter) {
 		return cc.wireVal, cc.viaVal, cc.hits
 	}
 	return nil, nil, nil
+}
+
+// ViaPrefix returns the via prefix run of G-cell (x, y) — p[k] sums the
+// via edges above layers 1..k, so ViaStackCost(x, y, a, b) is
+// p[b-1] - p[a-1] for a < b — when a built full-window field holds it
+// clean; nil for a windowed, cold or dirty cell, where callers use
+// ViaStackCost. A reader that keeps the run adds its reads to hits itself
+// (see CostField). The run is read-only and valid until the next warm.
+func (g *Graph) ViaPrefix(x, y int) []float64 {
+	cell := y*g.W + x
+	if cc := &g.cc; cc.built && cc.full && cc.viaDirty[cell].Load() == 0 {
+		return cc.viaPfx[cell*g.L : (cell+1)*g.L]
+	}
+	return nil
 }
 
 // lineLen is the edge count of one routing line of layer l; lineCount is
@@ -232,6 +248,7 @@ func (g *Graph) noteViaMutation(l, cell int) {
 	ci := cell
 	if cc.full {
 		cc.viaDirty[cell].Store(1)
+		cc.viaRowDirty[cell/g.W].Store(1)
 	} else {
 		var ok bool
 		if ci, ok = g.ccViaLocal(cell%g.W, cell/g.W); !ok {
@@ -246,9 +263,11 @@ func (g *Graph) noteViaMutation(l, cell int) {
 // every edge of the cache window; from then on edge values are kept fresh
 // by write-through, so a warm only re-sums the prefix runs of dirty lines
 // and cells — nothing at all for a windowed cache, which has no prefix
-// sums and no dirty flags. It must only be called at single-threaded coordinator points: it is
-// the one place prefix sums are written, which is what lets concurrent
-// readers skip all synchronization on them.
+// sums and no dirty flags. Cells are looked at only in rows whose summary
+// flag is set, so a warm costs what the mutations since the last one
+// touched, not the grid. It must only be called at single-threaded
+// coordinator points: it is the one place prefix sums are written, which is
+// what lets concurrent readers skip all synchronization on them.
 func (g *Graph) WarmCostCache() {
 	cc := &g.cc
 	warmed := 0
@@ -272,17 +291,23 @@ func (g *Graph) WarmCostCache() {
 			warmed++
 		}
 	}
-	for ci := range cc.viaDirty {
-		if cc.viaDirty[ci].Load() == 0 {
+	for y := range cc.viaRowDirty {
+		if cc.viaRowDirty[y].Load() == 0 {
 			continue
 		}
-		sum := 0.0
-		for b := 0; b < g.L-1; b++ {
-			sum += cc.viaVal[b][ci]
-			cc.viaPfx[ci*g.L+b+1] = sum
+		for ci := y * g.W; ci < (y+1)*g.W; ci++ {
+			if cc.viaDirty[ci].Load() == 0 {
+				continue
+			}
+			sum := 0.0
+			for b := 0; b < g.L-1; b++ {
+				sum += cc.viaVal[b][ci]
+				cc.viaPfx[ci*g.L+b+1] = sum
+			}
+			cc.viaDirty[ci].Store(0)
+			warmed++
 		}
-		cc.viaDirty[ci].Store(0)
-		warmed++
+		cc.viaRowDirty[y].Store(0)
 	}
 	cc.warms.Add(int64(warmed))
 }
@@ -335,6 +360,10 @@ func (g *Graph) buildCostCache() (complete int) {
 	cc.viaDirty = make([]atomic.Uint32, cells)
 	for i := range cc.viaDirty {
 		cc.viaDirty[i].Store(1)
+	}
+	cc.viaRowDirty = make([]atomic.Uint32, g.H)
+	for y := range cc.viaRowDirty {
+		cc.viaRowDirty[y].Store(1)
 	}
 	return 0
 }

@@ -285,6 +285,58 @@ func TestCostCacheCounters(t *testing.T) {
 	if m.Counter(obs.MCostInvalidations).Value() == 0 {
 		t.Fatal("mutation did not count a write-through")
 	}
+
+	// A later warm re-sums exactly the dirty line and cells: two stacks in
+	// one row and one in another, the row summaries cleared with them.
+	g.AddViaStackDemand(3, 2, 1, 4, 1)
+	g.AddViaStackDemand(7, 2, 2, 3, 1)
+	g.AddViaStackDemand(5, 6, 1, 2, 1)
+	before := m.Counter(obs.MCostWarms).Value()
+	g.WarmCostCache()
+	if got := m.Counter(obs.MCostWarms).Value() - before; got != 1+3 {
+		t.Fatalf("warm after one line and three cells changed counted %d, want 4", got)
+	}
+	for y := range g.cc.viaRowDirty {
+		if g.cc.viaRowDirty[y].Load() != 0 {
+			t.Fatalf("row %d still flagged after the warm", y)
+		}
+	}
+	g.WarmCostCache()
+	if got := m.Counter(obs.MCostWarms).Value() - before; got != 4 {
+		t.Fatalf("a warm with nothing dirty counted %d more", got-4)
+	}
+}
+
+// TestViaPrefix: a clean cell of a built full-window field hands out its
+// prefix run, whose differences are ViaStackCost; a cold, dirty or
+// windowed cell hands out nil.
+func TestViaPrefix(t *testing.T) {
+	g := NewFromDesign(testDesign(5))
+	g.AddViaStackDemand(4, 3, 1, 5, 2)
+	if g.ViaPrefix(4, 3) != nil {
+		t.Fatal("cold cache handed out a prefix run")
+	}
+	g.WarmCostCache()
+	p := g.ViaPrefix(4, 3)
+	if len(p) != g.L {
+		t.Fatalf("prefix run of %d entries, want %d", len(p), g.L)
+	}
+	for a := 1; a <= g.L; a++ {
+		for b := a + 1; b <= g.L; b++ {
+			if got, want := p[b-1]-p[a-1], g.ViaStackCost(4, 3, a, b); got != want {
+				t.Fatalf("stack %d-%d: prefix %v, ViaStackCost %v", a, b, got, want)
+			}
+		}
+	}
+	g.AddViaStackDemand(4, 3, 2, 3, 1)
+	if g.ViaPrefix(4, 3) != nil || g.ViaPrefix(5, 3) == nil {
+		t.Fatal("only the mutated cell should lose its prefix run")
+	}
+	v := g.WindowView(geom.Rect{Lo: geom.Point{X: 1, Y: 1}, Hi: geom.Point{X: 6, Y: 5}})
+	v.WarmCostCache()
+	if v.ViaPrefix(2, 2) != nil {
+		t.Fatal("a windowed cache has no prefix runs to hand out")
+	}
 }
 
 // mutateRandomly applies n random demand and history mutations through g,

@@ -333,10 +333,8 @@ func (g *Graph) ViaStackCost(x, y, l1, l2 int) float64 {
 	if lo == hi {
 		return 0
 	}
-	cell := y*g.W + x
-	if cc := &g.cc; cc.built && cc.full && cc.viaDirty[cell].Load() == 0 {
-		cc.hits.Add(1)
-		p := cc.viaPfx[cell*g.L:]
+	if p := g.ViaPrefix(x, y); p != nil {
+		g.cc.hits.Add(1)
 		return p[hi-1] - p[lo-1]
 	}
 	total := 0.0

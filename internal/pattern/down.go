@@ -12,73 +12,92 @@ import "math"
 // connection layer, and every pin layer; conversely every such interval
 // yields a feasible solution, so minimizing over intervals (with each child
 // independently picking its best layer inside) is the true minimum.
-func (s *solver) computeDown(u int) {
+//
+// Each interval is costed once: for a fixed lo, the via-stack sum and every
+// child's minimum are running folds as hi grows (the same additions and
+// strict comparisons as a fresh scan of [lo, hi]). cbc(la) is then the first
+// strict minimum over the intervals containing la, in (lo, hi) ascending
+// order. DownOps keeps counting the per-la enumeration this replaces: an
+// interval is met once per la inside it, and each meeting scans hi-lo+1
+// layers of every child up to the first one with no finite layer.
+func (s *Solver) computeDown(u int) {
 	node := &s.tree.Nodes[u]
 	L := s.L
-	down := make([]float64, L)
-	picks := make([]downChoice, L)
 
-	pinLo, pinHi := 0, 0
+	loMax, hiMin := L, 1
 	if node.IsPin() {
-		pinLo, pinHi = node.PinLayers[0], node.PinLayers[0]
+		loMax, hiMin = node.PinLayers[0], node.PinLayers[0]
 		for _, pl := range node.PinLayers[1:] {
-			if pl < pinLo {
-				pinLo = pl
-			}
-			if pl > pinHi {
-				pinHi = pl
-			}
+			loMax = min(loMax, pl)
+			hiMin = max(hiMin, pl)
 		}
 	}
 
-	// Memoize via-stack costs from each lo upward.
-	stack := make([][]float64, L+1)
-	for lo := 1; lo <= L; lo++ {
-		stack[lo] = make([]float64, L+1)
-		for hi := lo + 1; hi <= L; hi++ {
-			stack[lo][hi] = stack[lo][hi-1] + s.g.ViaEdgeCost(node.Pos.X, node.Pos.Y, hi-1)
-		}
+	via := s.via
+	for b := 1; b < L; b++ {
+		via[b] = s.g.ViaEdgeCost(node.Pos.X, node.Pos.Y, b)
 	}
-
 	children := node.Children
-	for la := 1; la <= L; la++ {
-		best := Inf
-		var bestPick downChoice
-		for lo := 1; lo <= la; lo++ {
-			if pinLo != 0 && lo > pinLo {
-				break
+	s.mins = grow(s.mins, len(children))
+	mins := s.mins
+	for lo := 1; lo <= loMax; lo++ {
+		stack := 0.0
+		for ci := range mins {
+			mins[ci] = Inf
+		}
+		for hi := lo; hi <= L; hi++ {
+			if hi > lo {
+				stack += via[hi-1]
 			}
-			for hi := la; hi <= L; hi++ {
-				if pinHi != 0 && hi < pinHi {
-					continue
+			for ci, c := range children {
+				if v := s.edgeVal[c*L+hi-1]; v < mins[ci] {
+					mins[ci] = v
 				}
-				cost := stack[lo][hi]
-				pick := downChoice{lo: lo, hi: hi, childLayers: make([]int, 0, len(children))}
-				feasible := true
-				for _, c := range children {
-					ev := s.edgeVal[c]
-					bl, bc := 0, Inf
-					for l := lo; l <= hi; l++ {
-						s.ops.DownOps++
-						if ev[l-1] < bc {
-							bc, bl = ev[l-1], l
-						}
-					}
-					if math.IsInf(bc, 1) {
-						feasible = false
-						break
-					}
-					cost += bc
-					pick.childLayers = append(pick.childLayers, bl)
+			}
+			if hi < hiMin {
+				continue
+			}
+			cost, scanned := stack, int64(0)
+			for _, m := range mins {
+				scanned++
+				if math.IsInf(m, 1) {
+					cost = Inf
+					break
 				}
-				if feasible && cost < best {
-					best, bestPick = cost, pick
+				cost += m
+			}
+			n := int64(hi - lo + 1)
+			s.ops.DownOps += n * n * scanned
+			s.ival[(lo-1)*L+hi-1] = cost
+		}
+	}
+
+	down := s.down[u*L : u*L+L]
+	picks := s.downPick[u*L : u*L+L]
+	for la := 1; la <= L; la++ {
+		best, pick := Inf, downChoice{}
+		for lo := 1; lo <= min(la, loMax); lo++ {
+			row := s.ival[(lo-1)*L : lo*L]
+			for hi := max(la, hiMin); hi <= L; hi++ {
+				if row[hi-1] < best {
+					best, pick = row[hi-1], downChoice{lo: lo, hi: hi}
 				}
 			}
 		}
 		down[la-1] = best
-		picks[la-1] = bestPick
+		picks[la-1] = pick
 	}
-	s.down[u] = down
-	s.downPick[u] = picks
+}
+
+// childLayer is the layer at which child c joins a via stack spanning
+// [lo, hi]: its cheapest, the lowest on ties.
+func (s *Solver) childLayer(c, lo, hi int) int {
+	ev := s.edgeVal[c*s.L : c*s.L+s.L]
+	bl, bc := 0, Inf
+	for l := lo; l <= hi; l++ {
+		if ev[l-1] < bc {
+			bc, bl = ev[l-1], l
+		}
+	}
+	return bl
 }

@@ -4,17 +4,22 @@
 // selection (Sections III-F, IV-D).
 //
 // Each two-pin net's dynamic program is reformulated into a min-plus
-// computation-graph flow — an edge-weight vector w⁽¹⁹ and matrices W⁽²⁾/W⁽³⁾
+// computation-graph flow — an edge-weight vector w⁽¹⁾ and matrices W⁽²⁾/W⁽³⁾
 // evaluated with vector-addition and minimum reductions — exactly the
 // GPU-friendly structure of Figs. 8–10. The flows are built here once and
 // can be evaluated either by the sequential CPU evaluator in this package
 // (the CUGR-style baseline) or by the simulated GPU device in package
 // patterngpu; both produce bit-identical routing results.
+//
+// A Solver is the DP's reusable scratch: every table, flow and weight lives
+// in arenas that are reset, not reallocated, so a warm Solver allocates
+// only the route it returns.
 package pattern
 
 import (
 	"math"
 
+	"fastgr/internal/geom"
 	"fastgr/internal/grid"
 	"fastgr/internal/route"
 	"fastgr/internal/stt"
@@ -92,20 +97,15 @@ type Result struct {
 	// them used the hybrid kernel (selection statistics for Table VI).
 	Edges       int
 	HybridEdges int
-	// EdgeFlows and EdgeHybrid record, per routed two-pin net in execution
-	// order, the number of candidate flows and whether the multi-stage
-	// (Z/hybrid) kernel ran — the inputs to the GPU block workload model.
-	EdgeFlows  []int
-	EdgeHybrid []bool
 }
 
 // Evaluator abstracts who executes a two-pin net's computation-graph flow:
 // the sequential CPU (this package) or the simulated GPU (patterngpu).
 type Evaluator interface {
-	// EvalProgram returns, for every target layer lt in 1..L, the minimum
+	// EvalProgram writes, for every target layer lt in 1..L, the minimum
 	// edge cost val[lt-1] (eq. 3 / eq. 10) and the argmin choice that
-	// achieves it.
-	EvalProgram(p *EdgeProgram) (val []float64, choices []Choice)
+	// achieves it into the caller's buffers.
+	EvalProgram(p *EdgeProgram, val []float64, choices []Choice)
 }
 
 // Choice records the argmin of one target layer: the candidate flow index
@@ -116,90 +116,133 @@ type Choice struct {
 	Lc     int // second bend layer; only set for staircase flows
 }
 
-// Solve routes one multi-pin net: builds the Steiner-tree DP bottom-up in
-// the intra-net DFS order, evaluating every two-pin net's flow with eval,
-// then reconstructs the optimal geometry. The grid is not modified; callers
-// commit the returned route.
+// Solve routes one net on a fresh Solver.
 func Solve(g *grid.Graph, tree *stt.Tree, cfg Config, eval Evaluator) Result {
-	s := &solver{g: g, tree: tree, cfg: cfg, eval: eval, L: g.L}
-	return s.run()
+	return new(Solver).Solve(g, tree, cfg, eval)
 }
 
-// SolveCPU routes one net with the sequential CPU evaluator.
+// SolveCPU routes one net with the sequential CPU evaluator on a fresh
+// Solver.
 func SolveCPU(g *grid.Graph, tree *stt.Tree, cfg Config) Result {
-	e := &CPUEvaluator{}
-	res := Solve(g, tree, cfg, e)
-	res.Ops.FlowOps += e.Ops.FlowOps
-	return res
+	return new(Solver).SolveCPU(g, tree, cfg)
 }
 
-type solver struct {
+// Solver is the pattern DP's scratch, reused across nets. The zero value is
+// ready; a Solver serves one goroutine at a time, so each host worker owns
+// one. Per tree node u the DP tables hold L entries at [u*L, u*L+L); flow
+// headers and bend points live per net, until reconstruction; flow weights
+// live per two-pin program and are overwritten by the next one.
+type Solver struct {
 	g    *grid.Graph
 	tree *stt.Tree
 	cfg  Config
-	eval Evaluator
 	L    int
+	ops  Ops
+	// viaReads counts via-stack costs read from cost-field prefix runs; it
+	// reaches grid.cost.hits once per net.
+	viaReads int64
 
-	// Per tree node (indexed by node id):
-	edgeVal    [][]float64    // c*(node, parent, lt) for the edge node->parent
-	edgeChoice [][]Choice     // argmin data for reconstruction
-	edgeProg   []*EdgeProgram // flow kept for geometry reconstruction
-	down       [][]float64    // cbc(node, l) including the node's pin stack
-	downPick   [][]downChoice // argmin data for reconstruction
+	twoPins    []route.TwoPin
+	edgeVal    []float64     // c*(u, parent, lt) for the edge u->parent
+	edgeChoice []Choice      // argmin data for reconstruction
+	down       []float64     // cbc(u, l) including u's pin stack
+	downPick   []downChoice  // the via-stack interval achieving cbc(u, l)
+	edgeProg   []EdgeProgram // u's edge program; only its bends outlive the edge
 
-	ops Ops
+	zflows []ZFlow
+	sflows []SFlow
+	bends  []geom.Point
+
+	w    []float64 // weights of the program being built
+	seg  []float64 // 4L: leg cost vectors of the flow being built
+	via  []float64 // L: via-edge costs above each layer at one node
+	ival []float64 // L*L: cost of each via-stack interval [lo, hi] at one node
+	mins []float64 // per child: its cheapest layer cost inside the interval
+
+	cpu CPUEvaluator // SolveCPU's evaluator
 }
 
-// downChoice records how cbc(u, l) was achieved: the via-stack interval and
-// each child's connection layer.
+// downChoice records how cbc(u, l) was achieved: the via-stack interval;
+// lo is 0 when no interval is feasible. Each child connects at its cheapest
+// layer inside the interval (see childLayer).
 type downChoice struct {
-	lo, hi      int
-	childLayers []int
+	lo, hi int
 }
 
-func (s *solver) run() Result {
-	n := len(s.tree.Nodes)
-	s.edgeVal = make([][]float64, n)
-	s.edgeChoice = make([][]Choice, n)
-	s.edgeProg = make([]*EdgeProgram, n)
-	s.down = make([][]float64, n)
-	s.downPick = make([][]downChoice, n)
+// grow returns s resized to n elements, reallocating only when it lacks
+// capacity; the contents are not cleared.
+func grow[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
+}
 
-	twoPins := route.Decompose(s.tree)
-	res := Result{Route: &route.NetRoute{NetID: s.tree.NetID}}
-	res.Edges = len(twoPins)
-
-	for _, tp := range twoPins {
+// Solve routes one multi-pin net: builds the Steiner-tree DP bottom-up in
+// the intra-net DFS order, evaluating every two-pin net's flow with eval,
+// then reconstructs the optimal geometry. The grid is not modified; callers
+// commit the returned route, the only memory the call hands out.
+func (s *Solver) Solve(g *grid.Graph, tree *stt.Tree, cfg Config, eval Evaluator) Result {
+	s.reset(g, tree, cfg)
+	L := s.L
+	s.twoPins = route.Decompose(s.twoPins[:0], tree)
+	res := Result{Route: &route.NetRoute{NetID: tree.NetID}, Edges: len(s.twoPins)}
+	for _, tp := range s.twoPins {
 		s.computeDown(tp.Child)
 		prog := s.buildProgram(tp)
 		if prog.Hybrid {
 			res.HybridEdges++
 		}
-		res.EdgeFlows = append(res.EdgeFlows, prog.NumFlows())
-		res.EdgeHybrid = append(res.EdgeHybrid, prog.Hybrid)
-		val, choices := s.eval.EvalProgram(prog)
-		s.edgeVal[tp.Child] = val
-		s.edgeChoice[tp.Child] = choices
-		s.edgeProg[tp.Child] = prog
+		c := tp.Child * L
+		eval.EvalProgram(prog, s.edgeVal[c:c+L], s.edgeChoice[c:c+L])
 	}
-	s.computeDown(s.tree.Root)
+	s.computeDown(tree.Root)
 
 	// Root cost: eq. 4 — minimize over the root's access layer.
-	rootVal := s.down[s.tree.Root]
+	rootVal := s.down[tree.Root*L : tree.Root*L+L]
 	bestL, best := 1, rootVal[0]
-	for l := 2; l <= s.L; l++ {
+	for l := 2; l <= L; l++ {
 		if rootVal[l-1] < best {
 			bestL, best = l, rootVal[l-1]
 		}
 	}
 	res.Cost = best
-	s.reconstruct(res.Route, s.tree.Root, bestL)
+	s.reconstruct(res.Route, tree.Root, bestL)
 	res.Ops = s.ops
+	if s.viaReads > 0 {
+		_, _, hits := g.CostField()
+		hits.Add(s.viaReads)
+	}
+	return res
+}
+
+// reset points the scratch at a new net and sizes its arenas.
+func (s *Solver) reset(g *grid.Graph, tree *stt.Tree, cfg Config) {
+	n, L := len(tree.Nodes), g.L
+	s.g, s.tree, s.cfg, s.L = g, tree, cfg, L
+	s.ops, s.viaReads = Ops{}, 0
+	s.edgeVal = grow(s.edgeVal, n*L)
+	s.edgeChoice = grow(s.edgeChoice, n*L)
+	s.down = grow(s.down, n*L)
+	s.downPick = grow(s.downPick, n*L)
+	s.edgeProg = grow(s.edgeProg, n)
+	s.zflows, s.sflows, s.bends = s.zflows[:0], s.sflows[:0], s.bends[:0]
+	s.seg = grow(s.seg, 4*L)
+	s.via = grow(s.via, L)
+	s.ival = grow(s.ival, L*L)
+}
+
+// SolveCPU routes one net with the solver's own sequential CPU evaluator,
+// folding the evaluation work into the result's FlowOps.
+func (s *Solver) SolveCPU(g *grid.Graph, tree *stt.Tree, cfg Config) Result {
+	s.cpu.Ops = Ops{}
+	res := s.Solve(g, tree, cfg, &s.cpu)
+	res.Ops.FlowOps += s.cpu.Ops.FlowOps
 	return res
 }
 
 // useHybrid applies the selection rule to one two-pin net.
-func (s *solver) useHybrid(tp route.TwoPin) bool {
+func (s *Solver) useHybrid(tp route.TwoPin) bool {
 	switch s.cfg.Mode {
 	case LShape:
 		return false

@@ -3,6 +3,7 @@ package pattern
 import (
 	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"fastgr/internal/design"
@@ -382,32 +383,60 @@ func TestOpsCountedAndDeterministic(t *testing.T) {
 }
 
 func TestMinPlusVecMat(t *testing.T) {
+	run := func(w, m []float64) ([]float64, []int) {
+		out, arg := make([]float64, len(w)), make([]int, len(w))
+		MinPlusVecMat(w, m, len(w), out, arg)
+		return out, arg
+	}
 	// L=2: out[j] = min_i w[i]+m[i][j].
 	w := []float64{1, 5}
 	m := []float64{10, 2, 1, 1} // rows: [10,2], [1,1]
-	out, arg := MinPlusVecMat(w, m, 2)
+	out, arg := run(w, m)
 	if out[0] != 6 || arg[0] != 1 {
 		t.Fatalf("out[0]=%v arg=%d", out[0], arg[0])
 	}
 	if out[1] != 3 || arg[1] != 0 {
 		t.Fatalf("out[1]=%v arg=%d", out[1], arg[1])
 	}
-	// Inf propagation.
-	w2 := []float64{Inf, Inf}
-	out, _ = MinPlusVecMat(w2, m, 2)
-	if !math.IsInf(out[0], 1) || !math.IsInf(out[1], 1) {
-		t.Fatal("Inf did not propagate")
+	// Inf propagation: every row entered at Inf leaves every column at Inf
+	// with arg 0.
+	out, arg = run([]float64{Inf, Inf}, m)
+	if !math.IsInf(out[0], 1) || !math.IsInf(out[1], 1) || arg[0] != 0 || arg[1] != 0 {
+		t.Fatalf("Inf rows: out=%v arg=%v", out, arg)
 	}
-}
-
-func TestMergeMin(t *testing.T) {
-	val, cand := MergeMin([][]float64{{3, 9}, {5, 2}}, 2)
-	if val[0] != 3 || cand[0] != 0 || val[1] != 2 || cand[1] != 1 {
-		t.Fatalf("MergeMin wrong: %v %v", val, cand)
+	// L=3: row 0 is Inf, column 2 is Inf in every finite row (arg 0), and
+	// column 0 ties between rows 1 and 2 (the first wins).
+	out, arg = run([]float64{Inf, 2, 1}, []float64{
+		0, 0, 0,
+		1, 4, Inf,
+		2, 1, Inf,
+	})
+	if out[0] != 3 || arg[0] != 1 || out[1] != 2 || arg[1] != 2 ||
+		!math.IsInf(out[2], 1) || arg[2] != 0 {
+		t.Fatalf("Inf row, all-Inf column, tie: out=%v arg=%v", out, arg)
 	}
-	val, cand = MergeMin(nil, 2)
-	if !math.IsInf(val[0], 1) || cand[0] != -1 {
-		t.Fatal("empty merge wrong")
+	// Random tie-heavy inputs against the column-by-column reference.
+	rng := rand.New(rand.NewSource(5))
+	for trial := 0; trial < 500; trial++ {
+		L := 1 + rng.Intn(9)
+		w, m := make([]float64, L), make([]float64, L*L)
+		pick := func() float64 {
+			if rng.Intn(3) == 0 {
+				return Inf
+			}
+			return float64(rng.Intn(4))
+		}
+		for i := range w {
+			w[i] = pick()
+		}
+		for i := range m {
+			m[i] = pick()
+		}
+		out, arg := run(w, m)
+		wantOut, wantArg := refMinPlusVecMat(w, m, L)
+		if !reflect.DeepEqual(out, wantOut) || !reflect.DeepEqual(arg, wantArg) {
+			t.Fatalf("w=%v m=%v: got %v/%v, want %v/%v", w, m, out, arg, wantOut, wantArg)
+		}
 	}
 }
 

@@ -9,8 +9,8 @@ import (
 // reconstruct walks the DP choices top-down from the root, emitting the
 // winning geometry: at each node the chosen via-stack interval, then for
 // each child the chosen edge pattern at its chosen connection layer.
-func (s *solver) reconstruct(r *route.NetRoute, u int, la int) {
-	pick := s.downPick[u][la-1]
+func (s *Solver) reconstruct(r *route.NetRoute, u int, la int) {
+	pick := s.downPick[u*s.L+la-1]
 	if pick.lo == 0 {
 		panic(fmt.Sprintf("pattern: net %d node %d has no feasible down choice at layer %d",
 			s.tree.NetID, u, la))
@@ -21,18 +21,17 @@ func (s *solver) reconstruct(r *route.NetRoute, u int, la int) {
 	if len(p.Vias) > 0 {
 		r.Paths = append(r.Paths, p)
 	}
-	for idx, c := range s.tree.Nodes[u].Children {
-		lc := pick.childLayers[idx]
-		ls := s.emitEdge(r, c, lc)
+	for _, c := range s.tree.Nodes[u].Children {
+		ls := s.emitEdge(r, c, s.childLayer(c, pick.lo, pick.hi))
 		s.reconstruct(r, c, ls)
 	}
 }
 
 // emitEdge appends the geometry of the edge (child -> parent) delivered at
 // target layer lt and returns the source layer the child subtree connects at.
-func (s *solver) emitEdge(r *route.NetRoute, child, lt int) int {
-	prog := s.edgeProg[child]
-	choice := s.edgeChoice[child][lt-1]
+func (s *Solver) emitEdge(r *route.NetRoute, child, lt int) int {
+	prog := &s.edgeProg[child]
+	choice := s.edgeChoice[child*s.L+lt-1]
 	src, dst := prog.TP.Source(), prog.TP.Target()
 	var p route.Path
 	switch {

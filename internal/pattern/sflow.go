@@ -32,93 +32,51 @@ type SFlow struct {
 	B3 geom.Point
 }
 
-// buildStairProgram assembles the staircase program: the full hybrid
-// candidate set plus sampled interior staircases. Returns nil when the net
-// is too small for any flow (caller falls back to L).
-func (s *solver) buildStairProgram(tp route.TwoPin) *EdgeProgram {
-	base := s.buildZProgram(tp)
-	if base == nil {
-		return nil
-	}
-	src, dst := tp.Source(), tp.Target()
+// stairCandidates appends sampled interior staircases to a program that
+// already holds the full hybrid candidate set.
+func (s *Solver) stairCandidates(prog *EdgeProgram) {
+	src, dst := prog.TP.Source(), prog.TP.Target()
 	lox, hix := geom.Min(src.X, dst.X), geom.Max(src.X, dst.X)
 	loy, hiy := geom.Min(src.Y, dst.Y), geom.Max(src.Y, dst.Y)
 	m, n := hix-lox-1, hiy-loy-1 // interior coordinate counts
-	if m > 0 && n > 0 {
-		stride := 1
-		for (m/stride+1)*(n/stride+1) > MaxStairCands {
-			stride++
-		}
-		for xi := lox + 1; xi < hix; xi += stride {
-			for yj := loy + 1; yj < hiy; yj += stride {
-				// HVHV: s -(H)-> B1 -(V)-> B2 -(H)-> B3 -(V)-> t.
-				b1 := geom.Point{X: xi, Y: src.Y}
-				b2 := geom.Point{X: xi, Y: yj}
-				b3 := geom.Point{X: dst.X, Y: yj}
-				base.SFlows = append(base.SFlows, s.buildSFlow(tp, b1, b2, b3))
-				// VHVH: s -(V)-> B1' -(H)-> B2' -(V)-> B3' -(H)-> t.
-				b1v := geom.Point{X: src.X, Y: yj}
-				b2v := geom.Point{X: xi, Y: yj}
-				b3v := geom.Point{X: xi, Y: dst.Y}
-				base.SFlows = append(base.SFlows, s.buildSFlow(tp, b1v, b2v, b3v))
-			}
+	if m <= 0 || n <= 0 {
+		return
+	}
+	stride := 1
+	for (m/stride+1)*(n/stride+1) > MaxStairCands {
+		stride++
+	}
+	start := len(s.sflows)
+	for xi := lox + 1; xi < hix; xi += stride {
+		for yj := loy + 1; yj < hiy; yj += stride {
+			// HVHV: s -(H)-> B1 -(V)-> B2 -(H)-> B3 -(V)-> t, then
+			// VHVH: s -(V)-> B1' -(H)-> B2' -(V)-> B3' -(H)-> t.
+			s.sflows = append(s.sflows,
+				SFlow{B1: geom.Point{X: xi, Y: src.Y}, B2: geom.Point{X: xi, Y: yj}, B3: geom.Point{X: dst.X, Y: yj}},
+				SFlow{B1: geom.Point{X: src.X, Y: yj}, B2: geom.Point{X: xi, Y: yj}, B3: geom.Point{X: xi, Y: dst.Y}})
 		}
 	}
-	return base
+	prog.SFlows = s.sflows[start:]
 }
 
-// buildSFlow assembles one staircase flow's weight chain.
-func (s *solver) buildSFlow(tp route.TwoPin, b1, b2, b3 geom.Point) SFlow {
+// buildSFlow assembles one staircase flow's weight chain into w.
+func (s *Solver) buildSFlow(tp route.TwoPin, f *SFlow, w []float64) {
 	L := s.L
 	src, dst := tp.Source(), tp.Target()
-	down := s.down[tp.Child]
+	down := s.down[tp.Child*L : tp.Child*L+L]
 
-	seg1 := s.segCostAllLayers(src, b1)
-	seg2 := s.segCostAllLayers(b1, b2)
-	seg3 := s.segCostAllLayers(b2, b3)
-	seg4 := s.segCostAllLayers(b3, dst)
+	seg1, seg2, seg3, seg4 := s.legs()
+	s.segCosts(src, f.B1, seg1)
+	s.segCosts(f.B1, f.B2, seg2)
+	s.segCosts(f.B2, f.B3, seg3)
+	s.segCosts(f.B3, dst, seg4)
 
-	f := SFlow{
-		W1: make([]float64, L),
-		W2: make([]float64, L*L),
-		W3: make([]float64, L*L),
-		W4: make([]float64, L*L),
-		B1: b1, B2: b2, B3: b3,
-	}
+	f.W1, w = w[:L], w[L:]
+	f.W2, f.W3, f.W4 = w[:L*L], w[L*L:2*L*L], w[2*L*L:]
 	for ls := 1; ls <= L; ls++ {
 		f.W1[ls-1] = down[ls-1] + seg1[ls-1]
 	}
-	fill := func(w []float64, bend geom.Point, seg []float64) {
-		for a := 1; a <= L; a++ {
-			for b := 1; b <= L; b++ {
-				s.ops.FlowOps++
-				v := seg[b-1]
-				if v < Inf {
-					v += s.g.ViaStackCost(bend.X, bend.Y, a, b)
-				}
-				w[(a-1)*L+(b-1)] = v
-			}
-		}
-	}
-	fill(f.W2, b1, seg2)
-	fill(f.W3, b2, seg3)
-	fill(f.W4, b3, seg4)
-	return f
-}
-
-// evalSFlow chains three min-plus stages and returns per-target-layer cost
-// and the argmin (ls, lb, lc) triple.
-func evalSFlow(f *SFlow, L int, ops *Ops) (out []float64, args [][3]int) {
-	t1, a1 := MinPlusVecMat(f.W1, f.W2, L) // over ls -> per lb
-	t2, a2 := MinPlusVecMat(t1, f.W3, L)   // over lb -> per lc
-	out, a3 := MinPlusVecMat(t2, f.W4, L)  // over lc -> per lt
-	ops.FlowOps += int64(3 * L * L)
-	args = make([][3]int, L)
-	for lt := 0; lt < L; lt++ {
-		lc := a3[lt]
-		lb := a2[lc]
-		ls := a1[lb]
-		args[lt] = [3]int{ls + 1, lb + 1, lc + 1}
-	}
-	return out, args
+	s.fillMatrix(f.W2, f.W1, f.B1, seg2)
+	s.fillMatrix(f.W3, seg2, f.B2, seg3)
+	s.fillMatrix(f.W4, seg3, f.B3, seg4)
 }

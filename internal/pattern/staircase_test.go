@@ -7,7 +7,19 @@ import (
 
 	"fastgr/internal/geom"
 	"fastgr/internal/grid"
+	"fastgr/internal/stt"
 )
+
+// flowCounter evaluates on the CPU and records each program's flow count.
+type flowCounter struct {
+	CPUEvaluator
+	flows []int
+}
+
+func (f *flowCounter) EvalProgram(p *EdgeProgram, val []float64, choices []Choice) {
+	f.flows = append(f.flows, p.NumFlows())
+	f.CPUEvaluator.EvalProgram(p, val, choices)
+}
 
 func congest(t *testing.T, g *grid.Graph, seed int64, n, amount int) {
 	t.Helper()
@@ -162,15 +174,16 @@ func TestStaircaseCandidateCap(t *testing.T) {
 	// per sampled pair, stride rounding).
 	g := testGrid(t, 4)
 	net := netOf(geom.Point{X: 0, Y: 0}, geom.Point{X: 23, Y: 23})
-	res := solveAndCheck(t, g, net, Config{Mode: Staircase})
-	if len(res.EdgeFlows) != 1 {
-		t.Fatalf("edges = %d", len(res.EdgeFlows))
+	fc := &flowCounter{}
+	Solve(g, stt.Build(net), Config{Mode: Staircase}, fc)
+	if len(fc.flows) != 1 {
+		t.Fatalf("edges = %d", len(fc.flows))
 	}
 	hybridSet := 24 + 24 // M + N
-	if res.EdgeFlows[0] > hybridSet+4*MaxStairCands {
-		t.Fatalf("candidate cap breached: %d flows", res.EdgeFlows[0])
+	if fc.flows[0] > hybridSet+4*MaxStairCands {
+		t.Fatalf("candidate cap breached: %d flows", fc.flows[0])
 	}
-	if res.EdgeFlows[0] <= hybridSet {
+	if fc.flows[0] <= hybridSet {
 		t.Fatal("no staircase candidates were added")
 	}
 }

@@ -5,7 +5,7 @@
 // or (M+N)×L×L×L — layer combinations at once).
 //
 // Functionally the flows are evaluated with the exact same code the CPU
-// baseline uses (pattern.EvalProgramSeq), so GPU-routed nets are
+// baseline uses (pattern.CPUEvaluator), so GPU-routed nets are
 // bit-identical to CPU-routed nets; what this package adds is the workload
 // accounting that drives the simulated device's clock — see package gpu for
 // the substitution argument.
@@ -52,6 +52,32 @@ type Router struct {
 	// batches counts RouteBatch calls: the batch ordinal is the kernel
 	// site's injection unit, a worker-count-invariant identity.
 	batches int
+	// workers is each host worker's scratch, indexed by the par worker id
+	// and reused across batches.
+	workers []worker
+}
+
+// worker is one host worker's reusable solver scratch and recorder.
+type worker struct {
+	solver pattern.Solver
+	rec    recorder
+}
+
+// scratch returns the per-worker state, one entry per possible worker id.
+func (r *Router) scratch() []worker {
+	if n := max(r.Workers, 1); len(r.workers) < n {
+		r.workers = make([]worker, n)
+	}
+	return r.workers
+}
+
+// solve routes one net on w's scratch and returns its result, the block's
+// device workload and the bytes its flows move to and from the device.
+func (w *worker) solve(g *grid.Graph, tree *stt.Tree, cfg pattern.Config) (pattern.Result, gpu.Block, [2]int64) {
+	rec := &w.rec
+	rec.reset(g.L)
+	res := w.solver.Solve(g, tree, cfg, rec)
+	return res, gpu.Block{Ops: res.Ops.Total() + rec.cpu.Ops.FlowOps, Span: rec.span}, [2]int64{rec.bytesIn, rec.bytesOut}
 }
 
 // New builds a Router with the given device spec and pattern configuration.
@@ -91,7 +117,7 @@ func (r *Router) RouteBatch(g *grid.Graph, trees []*stt.Tree) BatchResult {
 	if r.Fault.Enabled() {
 		err := r.Fault.RunOnce(fault.SiteKernel, ord, obs.Coordinator, func() error {
 			var solveErr error
-			br, solveErr = r.routeBatchContained(g, trees)
+			br, solveErr = r.routeBatch(g, trees)
 			return solveErr
 		})
 		if err != nil {
@@ -100,7 +126,7 @@ func (r *Router) RouteBatch(g *grid.Graph, trees []*stt.Tree) BatchResult {
 			br = r.routeBatchCPU(g, trees)
 		}
 	} else {
-		br = r.routeBatch(g, trees)
+		br, _ = r.routeBatch(g, trees)
 	}
 	sp.End()
 	if m := r.Obs.M(); m != nil {
@@ -123,10 +149,16 @@ func (r *Router) RouteBatch(g *grid.Graph, trees []*stt.Tree) BatchResult {
 // kernel time (TestRouteBatchBaselineIdentical enforces that); it is not
 // meant for production callers.
 func (r *Router) RouteBatchBaseline(g *grid.Graph, trees []*stt.Tree) BatchResult {
-	return r.routeBatch(g, trees)
+	br, _ := r.routeBatch(g, trees)
+	return br
 }
 
-func (r *Router) routeBatch(g *grid.Graph, trees []*stt.Tree) BatchResult {
+// routeBatch solves a batch as one kernel. With the fault layer armed the
+// solve fan-out runs under it: a panicking or injection-hit net is retried
+// on its own, and a net that exhausts containment fails the whole kernel
+// (the caller then degrades the batch to the CPU path). The net's
+// batch-local index is the injection unit — stable across worker counts.
+func (r *Router) routeBatch(g *grid.Graph, trees []*stt.Tree) (BatchResult, error) {
 	// Materialize the cost field before fanning out: batch entry is a
 	// single-threaded coordinator point, the only kind of place cache
 	// writes are allowed; the solve phase below then reads it lock-free.
@@ -135,56 +167,28 @@ func (r *Router) routeBatch(g *grid.Graph, trees []*stt.Tree) BatchResult {
 	g.WarmCostCache()
 	br := BatchResult{Results: make([]pattern.Result, len(trees))}
 	blocks := make([]gpu.Block, len(trees))
+	moved := make([][2]int64, len(trees))
 
-	// Solve phase: every net writes only its own slot, so the batch can fan
-	// out over host workers; the device accounting below stays sequential
-	// (the simulated clock is shared state) and sums per-net numbers in
-	// batch order, keeping the kernel time independent of the worker count.
-	par.For(r.Workers, len(trees), func(_, i int) {
-		rec := &recorder{}
-		res := pattern.Solve(g, trees[i], r.Cfg, rec)
-		br.Results[i] = res
-		blocks[i] = gpu.Block{Ops: res.Ops.Total() + rec.evalOps, Span: blockSpan(g.L, res)}
-	})
-
-	var bytesIn, bytesOut int64
-	for i, res := range br.Results {
-		br.SeqOps += blocks[i].Ops
-		bytesIn += flowBytes(g.L, res)
-		bytesOut += int64(len(res.EdgeFlows)) * int64(g.L) * 8
-	}
-	br.KernelTime = r.Dev.LaunchKernel(blocks, bytesIn, bytesOut)
-	return br
-}
-
-// routeBatchContained is routeBatch with the solve fan-out running under
-// the fault layer: a panicking or injection-hit net is retried on its
-// own, and a net that exhausts containment fails the whole kernel (the
-// caller then degrades the batch to the CPU path). The net's batch-local
-// index is the injection unit — stable across worker counts.
-func (r *Router) routeBatchContained(g *grid.Graph, trees []*stt.Tree) (BatchResult, error) {
-	g.WarmCostCache()
-	br := BatchResult{Results: make([]pattern.Result, len(trees))}
-	blocks := make([]gpu.Block, len(trees))
-
+	// Solve phase: every net writes only its own slot and its worker's
+	// scratch, so the batch can fan out over host workers; the device
+	// accounting below stays sequential (the simulated clock is shared
+	// state) and sums per-net numbers in batch order, keeping the kernel
+	// time independent of the worker count.
+	ws := r.scratch()
 	p := par.NewPool(r.Workers)
 	p.SetFault(r.Fault)
-	errs := p.ForUnits(fault.SiteSolve, len(trees), func(_, i int) error {
-		rec := &recorder{}
-		res := pattern.Solve(g, trees[i], r.Cfg, rec)
-		br.Results[i] = res
-		blocks[i] = gpu.Block{Ops: res.Ops.Total() + rec.evalOps, Span: blockSpan(g.L, res)}
+	errs := p.ForUnits(fault.SiteSolve, len(trees), func(worker, i int) error {
+		br.Results[i], blocks[i], moved[i] = ws[worker].solve(g, trees[i], r.Cfg)
 		return nil
 	})
 	if len(errs) > 0 {
 		return BatchResult{}, errs[0]
 	}
-
 	var bytesIn, bytesOut int64
-	for i, res := range br.Results {
+	for i := range blocks {
 		br.SeqOps += blocks[i].Ops
-		bytesIn += flowBytes(g.L, res)
-		bytesOut += int64(len(res.EdgeFlows)) * int64(g.L) * 8
+		bytesIn += moved[i][0]
+		bytesOut += moved[i][1]
 	}
 	br.KernelTime = r.Dev.LaunchKernel(blocks, bytesIn, bytesOut)
 	return br, nil
@@ -198,58 +202,46 @@ func (r *Router) routeBatchContained(g *grid.Graph, trees []*stt.Tree) (BatchRes
 func (r *Router) routeBatchCPU(g *grid.Graph, trees []*stt.Tree) BatchResult {
 	g.WarmCostCache()
 	br := BatchResult{Results: make([]pattern.Result, len(trees)), CPUFallback: true}
+	w := &r.scratch()[0]
 	for i, tree := range trees {
-		rec := &recorder{}
-		res := pattern.Solve(g, tree, r.Cfg, rec)
-		br.Results[i] = res
-		br.SeqOps += res.Ops.Total() + rec.evalOps
+		var block gpu.Block
+		br.Results[i], block, _ = w.solve(g, tree, r.Cfg)
+		br.SeqOps += block.Ops
 	}
 	br.KernelTime = r.CPU.SequentialTime(br.SeqOps)
 	return br
 }
 
-// blockSpan models the block's dependency chain: the net's two-pin edges
-// run sequentially in DFS order; each edge contributes its min-plus stage
-// depth (L per vector-matrix stage, doubled for two-stage Z flows) plus a
-// log-depth merge over its candidate flows, and each tree node contributes
-// an L-deep bottom-children reduction (the interval scan parallelizes over
-// lanes; only the prefix-min depth is serial).
-func blockSpan(L int, res pattern.Result) int64 {
-	span := int64(0)
-	for i, flows := range res.EdgeFlows {
-		stages := int64(1)
-		if res.EdgeHybrid[i] {
-			stages = 2
-		}
-		span += stages*int64(L) + int64(bits.Len(uint(flows)))
-	}
-	span += int64(len(res.EdgeFlows)+1) * int64(L)
-	return span
-}
-
-// flowBytes estimates the host->device bytes of a net's flow weights
-// (float64 W1/W2/W3 entries).
-func flowBytes(L int, res pattern.Result) int64 {
-	var b int64
-	for i, flows := range res.EdgeFlows {
-		if res.EdgeHybrid[i] {
-			b += int64(flows) * int64(L+2*L*L) * 8
-		} else {
-			b += int64(L+L*L) * 8
-		}
-	}
-	return b
-}
-
-// recorder evaluates flows functionally while accounting device work.
+// recorder evaluates flows with the CPU evaluator while accounting the
+// block's device workload program by program. span models the block's
+// dependency chain: the net's two-pin edges run sequentially in DFS order;
+// each edge contributes its min-plus stage depth (L per vector-matrix
+// stage, doubled for two-stage Z flows) plus a log-depth merge over its
+// candidate flows, and each tree node contributes an L-deep
+// bottom-children reduction (the interval scan parallelizes over lanes;
+// only the prefix-min depth is serial). bytesIn estimates the host->device
+// bytes of the flow weights (float64 W1/W2/W3 entries), bytesOut the
+// L-entry result of every edge.
 type recorder struct {
-	ops     pattern.Ops
-	evalOps int64
+	cpu                     pattern.CPUEvaluator
+	span, bytesIn, bytesOut int64
 }
 
-func (r *recorder) EvalProgram(p *pattern.EdgeProgram) ([]float64, []pattern.Choice) {
-	before := r.ops.FlowOps
-	val, ch := pattern.EvalProgramSeq(p, &r.ops)
-	r.evalOps += r.ops.FlowOps - before
-	return val, ch
+// reset starts a net: its root's reduction is the one node term no edge
+// brings.
+func (r *recorder) reset(L int) {
+	r.cpu.Ops = pattern.Ops{}
+	r.span, r.bytesIn, r.bytesOut = int64(L), 0, 0
+}
+
+func (r *recorder) EvalProgram(p *pattern.EdgeProgram, val []float64, choices []pattern.Choice) {
+	r.cpu.EvalProgram(p, val, choices)
+	L, flows := int64(p.L), int64(p.NumFlows())
+	stages, weights := int64(1), L+L*L
+	if p.Hybrid {
+		stages, weights = 2, flows*(L+2*L*L)
+	}
+	r.span += stages*L + int64(bits.Len(uint(flows))) + L
+	r.bytesIn += weights * 8
+	r.bytesOut += L * 8
 }

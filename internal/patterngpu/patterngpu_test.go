@@ -1,7 +1,8 @@
 package patterngpu
 
 import (
-	"math"
+	"math/bits"
+	"reflect"
 	"testing"
 	"time"
 
@@ -25,29 +26,38 @@ func setup(t *testing.T) (*grid.Graph, []*stt.Tree) {
 	return g, trees
 }
 
+// TestGPUResultsMatchCPU runs each batch at 1, 2 and 8 host workers, so
+// under -race the per-worker solver scratch is shared the way production
+// shares it, and every worker count must return the CPU path's routes.
 func TestGPUResultsMatchCPU(t *testing.T) {
 	g, trees := setup(t)
 	for _, cfg := range []pattern.Config{
 		{Mode: pattern.LShape},
 		{Mode: pattern.Hybrid, Selection: true, T1: 4, T2: 50},
 	} {
-		r := New(gpu.RTX3090(), cfg)
-		br := r.RouteBatch(g, trees)
-		if len(br.Results) != len(trees) {
-			t.Fatalf("got %d results for %d trees", len(br.Results), len(trees))
-		}
-		for i, tree := range trees {
-			cpuRes := pattern.SolveCPU(g, tree, cfg)
-			gpuRes := br.Results[i]
-			if math.Abs(cpuRes.Cost-gpuRes.Cost) > 1e-9 {
-				t.Fatalf("net %d mode %v: CPU cost %v, GPU cost %v",
-					tree.NetID, cfg.Mode, cpuRes.Cost, gpuRes.Cost)
+		var kernel time.Duration
+		for _, workers := range []int{1, 2, 8} {
+			r := New(gpu.RTX3090(), cfg)
+			r.Workers = workers
+			br := r.RouteBatch(g, trees)
+			if len(br.Results) != len(trees) {
+				t.Fatalf("got %d results for %d trees", len(br.Results), len(trees))
 			}
-			if gpuRes.Route.Wirelength(g) != cpuRes.Route.Wirelength(g) {
-				t.Fatalf("net %d: wirelength differs between backends", tree.NetID)
+			if workers > 1 && br.KernelTime != kernel {
+				t.Fatalf("%d workers: kernel time %v, 1 worker %v", workers, br.KernelTime, kernel)
 			}
-			if err := gpuRes.Route.Validate(g, route.PinTerminals(tree)); err != nil {
-				t.Fatalf("net %d: %v", tree.NetID, err)
+			kernel = br.KernelTime
+			var cpu pattern.Solver
+			for i, tree := range trees {
+				cpuRes := cpu.SolveCPU(g, tree, cfg)
+				gpuRes := br.Results[i]
+				if cpuRes.Cost != gpuRes.Cost || !reflect.DeepEqual(cpuRes.Route, gpuRes.Route) {
+					t.Fatalf("net %d mode %v workers %d: CPU cost %v, GPU cost %v",
+						tree.NetID, cfg.Mode, workers, cpuRes.Cost, gpuRes.Cost)
+				}
+				if err := gpuRes.Route.Validate(g, route.PinTerminals(tree)); err != nil {
+					t.Fatalf("net %d: %v", tree.NetID, err)
+				}
 			}
 		}
 	}
@@ -127,14 +137,51 @@ func TestEmptyBatch(t *testing.T) {
 	}
 }
 
+// programLog evaluates on the CPU and records each program's shape.
+type programLog struct {
+	pattern.CPUEvaluator
+	flows  []int
+	hybrid []bool
+}
+
+func (p *programLog) EvalProgram(prog *pattern.EdgeProgram, val []float64, choices []pattern.Choice) {
+	p.flows = append(p.flows, prog.NumFlows())
+	p.hybrid = append(p.hybrid, prog.Hybrid)
+	p.CPUEvaluator.EvalProgram(prog, val, choices)
+}
+
+// TestBlockSpanScalesWithEdges checks the recorder's running block
+// accounting against the per-net formula it accumulates — span
+// Σ(stages·L + bitlen(flows)) + (edges+1)·L, bytes in Σ flows·(L+2L²)·8
+// for hybrid edges and (L+L²)·8 for L edges, bytes out edges·L·8 — and that
+// the span grows with the net's edges.
 func TestBlockSpanScalesWithEdges(t *testing.T) {
-	small := pattern.Result{EdgeFlows: []int{1}, EdgeHybrid: []bool{false}}
-	big := pattern.Result{
-		EdgeFlows:  []int{1, 8, 8, 1},
-		EdgeHybrid: []bool{false, true, true, false},
+	g, trees := setup(t)
+	cfg := pattern.Config{Mode: pattern.Hybrid, Selection: true, T1: 4, T2: 50}
+	L := int64(g.L)
+	spans := map[int]int64{} // edges -> span
+	var w worker
+	for _, tree := range trees {
+		_, block, moved := w.solve(g, tree, cfg)
+		log := &programLog{}
+		pattern.Solve(g, tree, cfg, log)
+		span, in := (int64(len(log.flows))+1)*L, int64(0)
+		for i, flows := range log.flows {
+			stages, weights := int64(1), L+L*L
+			if log.hybrid[i] {
+				stages, weights = 2, int64(flows)*(L+2*L*L)
+			}
+			span += stages*L + int64(bits.Len(uint(flows)))
+			in += weights * 8
+		}
+		if block.Span != span || moved != [2]int64{in, int64(len(log.flows)) * L * 8} {
+			t.Fatalf("net %d: span %d bytes %v, formula %d [%d %d]",
+				tree.NetID, block.Span, moved, span, in, int64(len(log.flows))*L*8)
+		}
+		spans[len(log.flows)] = span
 	}
-	if blockSpan(9, big) <= blockSpan(9, small) {
-		t.Fatal("span not monotone in edge count")
+	if spans[1] == 0 || spans[4] == 0 || spans[4] <= spans[1] {
+		t.Fatalf("span not monotone in edge count: %v", spans)
 	}
 }
 

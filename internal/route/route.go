@@ -34,31 +34,26 @@ func (tp TwoPin) BBox() geom.Rect { return geom.NewRect(tp.Source(), tp.Target()
 // the measure the selection technique thresholds on.
 func (tp TwoPin) HPWL() int { return geom.ManhattanDist(tp.Source(), tp.Target()) }
 
-// Decompose breaks a Steiner tree into two-pin nets in intra-net execution
-// order: the reverse of a DFS preorder from the root (Fig. 4), so every
-// node's edge appears after the edges of all its descendants — exactly the
-// bottom-up order the dynamic program requires.
-func Decompose(t *stt.Tree) []TwoPin {
-	pre := make([]int, 0, len(t.Nodes))
-	stack := []int{t.Root}
-	for len(stack) > 0 {
-		u := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		pre = append(pre, u)
-		// Push children in reverse so DFS visits them in declared order.
-		cs := t.Nodes[u].Children
-		for i := len(cs) - 1; i >= 0; i-- {
-			stack = append(stack, cs[i])
-		}
+// Decompose appends the Steiner tree's two-pin nets to dst in intra-net
+// execution order: the reverse of a DFS preorder from the root (Fig. 4),
+// so every node's edge appears after the edges of all its descendants —
+// exactly the bottom-up order the dynamic program requires.
+func Decompose(dst []TwoPin, t *stt.Tree) []TwoPin {
+	return appendReversePreorder(dst, t, t.Root)
+}
+
+// appendReversePreorder appends the edges of u's subtree, u's own last: the
+// reverse of preorder(u) = u, preorder(c1), ..., preorder(ck) visits ck's
+// subtree first.
+func appendReversePreorder(dst []TwoPin, t *stt.Tree, u int) []TwoPin {
+	cs := t.Nodes[u].Children
+	for i := len(cs) - 1; i >= 0; i-- {
+		dst = appendReversePreorder(dst, t, cs[i])
 	}
-	out := make([]TwoPin, 0, len(pre)-1)
-	for i := len(pre) - 1; i >= 0; i-- {
-		u := pre[i]
-		if p := t.Nodes[u].Parent; p >= 0 {
-			out = append(out, TwoPin{Tree: t, Child: u, Parent: p})
-		}
+	if p := t.Nodes[u].Parent; p >= 0 {
+		dst = append(dst, TwoPin{Tree: t, Child: u, Parent: p})
 	}
-	return out
+	return dst
 }
 
 // Seg is a straight wire on one layer between two aligned points.

@@ -34,7 +34,7 @@ func TestDecomposeOrderIsBottomUp(t *testing.T) {
 	net := netOf(geom.Point{X: 5, Y: 5}, geom.Point{X: 0, Y: 5}, geom.Point{X: 10, Y: 5},
 		geom.Point{X: 5, Y: 0}, geom.Point{X: 5, Y: 10})
 	tr := stt.Build(net)
-	tps := Decompose(tr)
+	tps := Decompose(nil, tr)
 	if len(tps) != tr.NumEdges() {
 		t.Fatalf("decomposed %d edges, tree has %d", len(tps), tr.NumEdges())
 	}
@@ -63,7 +63,7 @@ func TestDecomposeChainMatchesPaperExample(t *testing.T) {
 	pts := []geom.Point{{X: 10, Y: 0}, {X: 8, Y: 0}, {X: 6, Y: 0}, {X: 4, Y: 0}, {X: 2, Y: 0}, {X: 0, Y: 0}}
 	net := netOf(pts...) // first pin (root) = P6 at (10,0)
 	tr := stt.Build(net)
-	tps := Decompose(tr)
+	tps := Decompose(nil, tr)
 	if len(tps) != 5 {
 		t.Fatalf("chain of 6 gives %d two-pin nets", len(tps))
 	}
@@ -81,7 +81,7 @@ func TestDecomposeChainMatchesPaperExample(t *testing.T) {
 func TestTwoPinAccessors(t *testing.T) {
 	net := netOf(geom.Point{X: 1, Y: 2}, geom.Point{X: 4, Y: 6})
 	tr := stt.Build(net)
-	tps := Decompose(tr)
+	tps := Decompose(nil, tr)
 	tp := tps[0]
 	if tp.HPWL() != 7 {
 		t.Fatalf("HPWL = %d, want 7", tp.HPWL())

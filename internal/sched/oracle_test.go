@@ -92,3 +92,46 @@ func TestBuildGraphMatchesBruteForce(t *testing.T) {
 		}
 	}
 }
+
+// bruteBatches is Algorithm 1 by the book: each pass scans every task left
+// against every box already in the batch, and the tasks it skips form a
+// fresh list for the next pass.
+func bruteBatches(tasks []Task) [][]Task {
+	var batches [][]Task
+	for remaining := tasks; len(remaining) > 0; {
+		var batch, rest []Task
+		for _, t := range remaining {
+			free := true
+			for _, b := range batch {
+				free = free && !t.BBox.Overlaps(b.BBox)
+			}
+			if free {
+				batch = append(batch, t)
+			} else {
+				rest = append(rest, t)
+			}
+		}
+		batches = append(batches, batch)
+		remaining = rest
+	}
+	return batches
+}
+
+// TestExtractBatchesMatchesBruteForce: the in-place, binned extraction
+// yields the reference's batches, and a caller appending to one batch can
+// not write into the next.
+func TestExtractBatchesMatchesBruteForce(t *testing.T) {
+	rng := rand.New(rand.NewSource(26))
+	for trial := 0; trial < 60; trial++ {
+		tasks := randomTasks(rng, rng.Intn(150), 1+rng.Intn(150), 1+rng.Intn(150))
+		got, want := ExtractBatches(tasks), bruteBatches(tasks)
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("trial %d (%d tasks): %d batches, want %d", trial, len(tasks), len(got), len(want))
+		}
+		for i, b := range got {
+			if cap(b) != len(b) {
+				t.Fatalf("trial %d: batch %d has capacity past its end, which the next batch owns", trial, i)
+			}
+		}
+	}
+}

@@ -111,25 +111,27 @@ type Task struct {
 // independent sets. Every task lands in exactly one batch. Conflict checks
 // go through the same 16x16 G-cell binning the conflict graph uses, so a
 // pass costs near-linear time instead of the quadratic scan over all
-// accepted boxes.
+// accepted boxes. The tasks a pass leaves are compacted in place, and the
+// batches are consecutive windows of one array.
 func ExtractBatches(tasks []Task) [][]Task {
 	occ := newBinnedOccupancy(taskBounds(tasks))
 	remaining := append([]Task(nil), tasks...)
+	all := make([]Task, 0, len(tasks))
 	var batches [][]Task
 	for len(remaining) > 0 {
 		occ.reset()
-		var batch []Task
-		var rest []Task
+		start, rest := len(all), 0
 		for _, t := range remaining {
 			if occ.conflicts(t.BBox) {
-				rest = append(rest, t)
+				remaining[rest] = t
+				rest++
 				continue
 			}
-			batch = append(batch, t)
+			all = append(all, t)
 			occ.add(t.BBox)
 		}
-		batches = append(batches, batch)
-		remaining = rest
+		batches = append(batches, all[start:len(all):len(all)])
+		remaining = remaining[:rest]
 	}
 	return batches
 }

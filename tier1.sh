@@ -23,7 +23,9 @@
 #                 concurrent rip-up windows, route and guide, whose sealed
 #                 edge lists are read from every scan worker, fault, the
 #                 containment layer whose counters are hit from every
-#                 worker, and
+#                 worker, pattern and patterngpu, whose per-worker solver
+#                 scratch serves the kernel's solve fan-out
+#                 (TestGPUResultsMatchCPU at 1/2/8 workers), and
 #                 shard, whose plans and splits are read from every leaf
 #                 slot (TestShardDeterminism drives the cut plan itself at
 #                 1/2/8 workers under -race), the
@@ -93,7 +95,7 @@ $name: FAIL"
 step vet        go vet -tests=true ./...
 step build      go build ./...
 step test       go test ./...
-step race       go test -race ./internal/par ./internal/core ./internal/taskflow ./internal/obs ./internal/obs/prom ./internal/obs/opsrv ./internal/sched ./internal/maze ./internal/grid ./internal/route ./internal/guide ./internal/fault ./internal/shard ./internal/serve
+step race       go test -race ./internal/par ./internal/core ./internal/taskflow ./internal/obs ./internal/obs/prom ./internal/obs/opsrv ./internal/sched ./internal/maze ./internal/grid ./internal/route ./internal/guide ./internal/fault ./internal/pattern ./internal/patterngpu ./internal/shard ./internal/serve
 step lint       go run ./cmd/fastgrlint -fmt ./...
 step lint-self  go run ./cmd/fastgrlint -self
 step bench-obs  go run ./cmd/benchgen -obs -o BENCH_obs.json
