@@ -1,6 +1,7 @@
 // Pattern routing anatomy: route one two-pin net across a congested region
 // with the L-shape, Z-shape and hybrid-shape kernels and print each
-// solution's geometry and cost — a visual version of Figs. 2, 8 and 9.
+// solution's cost, maximal wire runs and via stacks — a visual version of
+// Figs. 2, 8 and 9.
 package main
 
 import (
@@ -53,12 +54,11 @@ func main() {
 		fmt.Printf("%s cost=%8.2f  wirelength=%d vias=%d  DP ops=%d\n",
 			cfg.name, res.Cost, res.Route.Wirelength(g), res.Route.ViaCount(g),
 			res.Ops.Total())
-		for _, p := range res.Route.Paths {
-			for _, s := range p.Segs {
-				fmt.Printf("    wire layer %d: %v -> %v\n", s.Layer, s.A, s.B)
-			}
-			for _, v := range p.Vias {
-				fmt.Printf("    via  (%d,%d): layers %d..%d\n", v.X, v.Y, v.L1, v.L2)
+		for _, run := range g.AppendRuns(nil, res.Route.Edges()) {
+			if run.Lo == run.Hi {
+				fmt.Printf("    wire layer %d: %v -> %v\n", run.Lo, run.A, run.B)
+			} else {
+				fmt.Printf("    via  (%d,%d): layers %d..%d\n", run.A.X, run.A.Y, run.Lo, run.Hi)
 			}
 		}
 	}

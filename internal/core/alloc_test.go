@@ -8,14 +8,16 @@ import (
 )
 
 // Allocation ceilings of one FastGRH run of 18test5 @ 0.02, per net: the
-// measured 123 allocs and 10.7 KB (11.1 KB under -race) plus ~15%
+// measured 112 allocs and 9.97 KB (10.36 KB under -race) plus ~15%
 // headroom. Before routes kept sealed edge lists the same run cost 464
 // allocs and 61 KB a net, nearly all of the difference in per-net maps
 // rebuilt by every scan; before the pattern DP kept its tables, flows and
-// weights in a reused Solver it cost 358 allocs and 29.1 KB.
+// weights in a reused Solver it cost 358 allocs and 29.1 KB; before the
+// edge list was the only geometry a route held (no segment and via-stack
+// slices beside it) it cost 123 allocs and 10.96 KB.
 const (
-	allocsPerNetCeiling = 141
-	bytesPerNetCeiling  = 12_600
+	allocsPerNetCeiling = 129
+	bytesPerNetCeiling  = 11_900
 )
 
 // TestRouteAllocBudget is the allocation row of the performance ledger as a

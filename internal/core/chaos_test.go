@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
+	"slices"
 	"testing"
 
 	"fastgr/internal/design"
@@ -114,7 +115,7 @@ func TestChaosGeometryIdenticalAcrossWorkers(t *testing.T) {
 			if (a == nil) != (b == nil) {
 				t.Fatalf("workers=%d: net %s routed on one side only", workers, n.Name)
 			}
-			if a != nil && !reflect.DeepEqual(a.Paths, b.Paths) {
+			if a != nil && !slices.Equal(a.Edges(), b.Edges()) {
 				t.Fatalf("workers=%d: net %s geometry differs under chaos", workers, n.Name)
 			}
 		}
@@ -140,7 +141,7 @@ func TestChaosZeroProbabilityByteIdentical(t *testing.T) {
 			t.Fatalf("%v: zero-probability armed report differs from unarmed:\n%+v\nvs\n%+v", v, a, b)
 		}
 		for _, n := range plain.Design.Nets {
-			if !reflect.DeepEqual(plain.Routes[n.ID].Paths, armed.Routes[n.ID].Paths) {
+			if !slices.Equal(plain.Routes[n.ID].Edges(), armed.Routes[n.ID].Edges()) {
 				t.Fatalf("%v: net %s geometry differs with zero-probability armed layer", v, n.Name)
 			}
 		}

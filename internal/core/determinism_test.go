@@ -9,6 +9,7 @@ import (
 	"encoding/hex"
 	"fmt"
 	"reflect"
+	"slices"
 	"testing"
 
 	"fastgr/internal/core"
@@ -202,7 +203,7 @@ func checkDeterminism(t *testing.T, classes []detClass) {
 						}
 						for _, n := range c.d.Nets {
 							ra, rb := base.Routes[n.ID], res.Routes[n.ID]
-							if (ra == nil) != (rb == nil) || (ra != nil && !reflect.DeepEqual(ra.Paths, rb.Paths)) {
+							if (ra == nil) != (rb == nil) || (ra != nil && !slices.Equal(ra.Edges(), rb.Edges())) {
 								t.Fatalf("shards=%d workers=%d: net %s geometry differs", shards, w, n.Name)
 							}
 						}
@@ -284,7 +285,7 @@ func tracedRunMatches(t *testing.T, d *design.Design, opt core.Options, base *co
 	for _, n := range d.Nets {
 		ra, rb := base.Routes[n.ID], res.Routes[n.ID]
 		if (ra == nil) != (rb == nil) ||
-			(ra != nil && !reflect.DeepEqual(ra.Paths, rb.Paths)) {
+			(ra != nil && !slices.Equal(ra.Edges(), rb.Edges())) {
 			t.Fatalf("%v workers=%d: tracing changed net %s geometry", v, w, n.Name)
 		}
 	}

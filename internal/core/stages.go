@@ -367,6 +367,7 @@ func (r *runner) patternStage(full *grid.Graph) error {
 // fragment's results merge into one route for its fragRoutes slot.
 func (r *runner) patternBatch(view *grid.Graph, router *patterngpu.Router, solver *pattern.Solver, cfg pattern.Config, a *leafAcct, batch []sched.Task, fragRoutes [][]*route.NetRoute) {
 	var kernel []pattern.Result
+	var merge route.Builder
 	if router != nil {
 		trees := make([]*stt.Tree, 0, len(batch))
 		for _, task := range batch {
@@ -399,16 +400,17 @@ func (r *runner) patternBatch(view *grid.Graph, router *patterngpu.Router, solve
 				results = append(results, res)
 			}
 		}
-		nr := results[0].Route
-		if len(results) > 1 {
-			nr = &route.NetRoute{NetID: n.ID}
-		}
 		for _, res := range results {
 			a.totalEdges += res.Edges
 			a.hybridEdges += res.HybridEdges
-			if len(results) > 1 {
-				nr.Paths = append(nr.Paths, res.Route.Paths...)
+		}
+		nr := results[0].Route
+		if len(results) > 1 {
+			merge.Reset(view, n.ID)
+			for _, res := range results {
+				merge.AddRoute(res.Route)
 			}
+			nr = merge.Build()
 		}
 		nr.Commit(view)
 		if frag < 0 {

@@ -40,49 +40,21 @@ type panelKey struct {
 	line  int
 }
 
-// ValidateRoutes checks every route's geometry against the grid before
-// evaluation: segment layers inside [1, L], endpoints inside the G-cell
-// array, segments axis-aligned along their layer's preferred direction,
-// via stacks in range. Evaluate indexes grid capacity arrays straight
-// from these coordinates, so a corrupt route (a truncated guide file, a
-// buggy deserializer) must be rejected here with a named net and
-// coordinate rather than panic deep inside assignPanel.
+// ValidateRoutes checks every route against the grid before evaluation:
+// each edge ID must name an edge of g. A route's geometry was checked when
+// it was built (route.Builder), but a route built for another design — or
+// handed over with the wrong grid — would index past g's capacity arrays,
+// so it is rejected here with the net and the edge named rather than panic
+// deep inside assignPanel.
 func ValidateRoutes(g *grid.Graph, routes []*route.NetRoute) error {
 	for _, r := range routes {
 		if r == nil {
 			continue
 		}
-		for _, p := range r.Paths {
-			for _, s := range p.Segs {
-				if s.Layer < 1 || s.Layer > g.L {
-					return fmt.Errorf("dr: net %d: segment %v-%v layer %d outside [1,%d]",
-						r.NetID, s.A, s.B, s.Layer, g.L)
-				}
-				for _, pt := range [2]struct{ X, Y int }{{s.A.X, s.A.Y}, {s.B.X, s.B.Y}} {
-					if pt.X < 0 || pt.X >= g.W || pt.Y < 0 || pt.Y >= g.H {
-						return fmt.Errorf("dr: net %d: segment endpoint (%d,%d) layer %d outside %dx%d grid",
-							r.NetID, pt.X, pt.Y, s.Layer, g.W, g.H)
-					}
-				}
-				if g.Dir(s.Layer) == grid.Horizontal {
-					if s.A.Y != s.B.Y {
-						return fmt.Errorf("dr: net %d: segment %v-%v not row-aligned on horizontal layer %d",
-							r.NetID, s.A, s.B, s.Layer)
-					}
-				} else if s.A.X != s.B.X {
-					return fmt.Errorf("dr: net %d: segment %v-%v not column-aligned on vertical layer %d",
-						r.NetID, s.A, s.B, s.Layer)
-				}
-			}
-			for _, v := range p.Vias {
-				if v.X < 0 || v.X >= g.W || v.Y < 0 || v.Y >= g.H {
-					return fmt.Errorf("dr: net %d: via (%d,%d) outside %dx%d grid",
-						r.NetID, v.X, v.Y, g.W, g.H)
-				}
-				if v.L1 < 1 || v.L1 > v.L2 || v.L2 > g.L {
-					return fmt.Errorf("dr: net %d: via (%d,%d) layer span [%d,%d] invalid for %d layers",
-						r.NetID, v.X, v.Y, v.L1, v.L2, g.L)
-				}
+		for _, e := range r.Edges() {
+			if int(e) >= g.NumEdges() {
+				return fmt.Errorf("dr: net %d: edge %d outside the %d edges of a %dx%dx%d grid",
+					r.NetID, e, g.NumEdges(), g.W, g.H, g.L)
 			}
 		}
 	}
@@ -131,67 +103,29 @@ func Evaluate(g *grid.Graph, routes []*route.NetRoute) Metrics {
 	return m
 }
 
-// collectPanels flattens the routes into per-panel interval lists. Wire
-// edges are deduplicated per net first, so overlapping tree edges of one net
-// occupy one track, then merged into maximal contiguous intervals.
+// collectPanels cuts the routes into per-panel interval lists: each
+// maximal wire run of a route's sealed edge list — distinct edges, so
+// overlapping tree edges of one net occupy one track — is one interval.
 func collectPanels(g *grid.Graph, routes []*route.NetRoute) map[panelKey][]interval {
 	panels := make(map[panelKey][]interval)
+	var runs []grid.Run
 	for _, r := range routes {
 		if r == nil {
 			continue
 		}
-		// Distinct wire edges per (layer, line): position set.
-		occ := make(map[panelKey]map[int]bool)
-		for _, p := range r.Paths {
-			for _, s := range p.Segs {
-				if g.Dir(s.Layer) == grid.Horizontal {
-					lo, hi := min(s.A.X, s.B.X), max(s.A.X, s.B.X)
-					k := panelKey{s.Layer, s.A.Y}
-					addRange(occ, k, lo, hi-1)
-				} else {
-					lo, hi := min(s.A.Y, s.B.Y), max(s.A.Y, s.B.Y)
-					k := panelKey{s.Layer, s.A.X}
-					addRange(occ, k, lo, hi-1)
-				}
+		runs = g.AppendRuns(runs[:0], r.Edges())
+		for _, run := range runs {
+			if run.Lo != run.Hi {
+				continue // via stack
 			}
-		}
-		for k, set := range occ {
-			for _, iv := range mergeRuns(set) {
-				panels[k] = append(panels[k], interval{net: r.NetID, lo: iv[0], hi: iv[1]})
+			k, lo, hi := panelKey{run.Lo, run.A.Y}, run.A.X, run.B.X
+			if g.Dir(run.Lo) == grid.Vertical {
+				k, lo, hi = panelKey{run.Lo, run.A.X}, run.A.Y, run.B.Y
 			}
+			panels[k] = append(panels[k], interval{net: r.NetID, lo: lo, hi: hi - 1})
 		}
 	}
 	return panels
-}
-
-func addRange(occ map[panelKey]map[int]bool, k panelKey, lo, hi int) {
-	set := occ[k]
-	if set == nil {
-		set = make(map[int]bool)
-		occ[k] = set
-	}
-	for p := lo; p <= hi; p++ {
-		set[p] = true
-	}
-}
-
-// mergeRuns converts a position set to sorted maximal [lo,hi] runs.
-func mergeRuns(set map[int]bool) [][2]int {
-	pos := make([]int, 0, len(set))
-	for p := range set {
-		pos = append(pos, p)
-	}
-	sort.Ints(pos)
-	var runs [][2]int
-	for i := 0; i < len(pos); {
-		j := i
-		for j+1 < len(pos) && pos[j+1] == pos[j]+1 {
-			j++
-		}
-		runs = append(runs, [2]int{pos[i], pos[j]})
-		i = j + 1
-	}
-	return runs
 }
 
 // assignPanel greedily colors the panel's intervals onto tracks (best-fit by

@@ -26,12 +26,23 @@ func testGrid(t *testing.T, cap int) *grid.Graph {
 	return grid.NewFromDesign(d)
 }
 
-func routeWithSeg(net int, layer int, a, b geom.Point) *route.NetRoute {
-	r := &route.NetRoute{NetID: net}
-	var p route.Path
-	p.AddSeg(layer, a, b)
-	r.Paths = []route.Path{p}
-	return r
+// shapeGrid has testGrid's dimensions: routes built on it address the same
+// edges on every testGrid, whatever the capacities.
+var shapeGrid = grid.NewFromDesign(&design.Design{
+	Name: "shape", GridW: 32, GridH: 32, NumLayers: 4,
+	LayerCapacity: []int{1, 1, 1, 1}, ViaCapacity: 1,
+})
+
+// buildRoute builds net's route on shapeGrid from the pieces add gives.
+func buildRoute(net int, add func(b *route.Builder)) *route.NetRoute {
+	var b route.Builder
+	b.Reset(shapeGrid, net)
+	add(&b)
+	return b.Build()
+}
+
+func routeWithSeg(net int, layer int, a, c geom.Point) *route.NetRoute {
+	return buildRoute(net, func(b *route.Builder) { b.Seg(layer, a, c) })
 }
 
 func TestEmptyRoutes(t *testing.T) {
@@ -97,11 +108,10 @@ func TestNetSelfOverlapCountsOnce(t *testing.T) {
 	g := testGrid(t, 1)
 	// One net with two overlapping paths in the same panel: dedup keeps it
 	// on one track, no shorts.
-	r := &route.NetRoute{NetID: 7}
-	var p1, p2 route.Path
-	p1.AddSeg(3, geom.Point{X: 2, Y: 5}, geom.Point{X: 10, Y: 5})
-	p2.AddSeg(3, geom.Point{X: 6, Y: 5}, geom.Point{X: 14, Y: 5})
-	r.Paths = []route.Path{p1, p2}
+	r := buildRoute(7, func(b *route.Builder) {
+		b.Seg(3, geom.Point{X: 2, Y: 5}, geom.Point{X: 10, Y: 5})
+		b.Seg(3, geom.Point{X: 6, Y: 5}, geom.Point{X: 14, Y: 5})
+	})
 	m := Evaluate(g, []*route.NetRoute{r})
 	if m.Shorts != 0 {
 		t.Fatalf("self-overlap shorted: %+v", m)
@@ -148,10 +158,7 @@ func TestVerticalPanels(t *testing.T) {
 
 func TestGuideViasCounted(t *testing.T) {
 	g := testGrid(t, 8)
-	r := &route.NetRoute{NetID: 1}
-	var p route.Path
-	p.AddVia(3, 3, 1, 4)
-	r.Paths = []route.Path{p}
+	r := buildRoute(1, func(b *route.Builder) { b.Via(3, 3, 1, 4) })
 	m := Evaluate(g, []*route.NetRoute{r})
 	if m.Vias != 3 {
 		t.Fatalf("vias = %d, want 3", m.Vias)
@@ -179,15 +186,22 @@ func TestEvaluateFullRouterOutput(t *testing.T) {
 	}
 }
 
+// TestMergeRuns: one net's overlapping pieces on a panel become its
+// maximal runs of distinct edges, one interval each.
 func TestMergeRuns(t *testing.T) {
-	runs := mergeRuns(map[int]bool{1: true, 2: true, 3: true, 7: true, 9: true, 10: true})
-	want := [][2]int{{1, 3}, {7, 7}, {9, 10}}
-	if len(runs) != len(want) {
-		t.Fatalf("runs = %v", runs)
+	r := buildRoute(1, func(b *route.Builder) {
+		for _, xs := range [][2]int{{1, 4}, {2, 3}, {7, 8}, {9, 11}, {10, 11}} {
+			b.Seg(3, geom.Point{X: xs[0], Y: 5}, geom.Point{X: xs[1], Y: 5})
+		}
+	})
+	got := collectPanels(shapeGrid, []*route.NetRoute{r})[panelKey{3, 5}]
+	want := []interval{{net: 1, lo: 1, hi: 3}, {net: 1, lo: 7, hi: 7}, {net: 1, lo: 9, hi: 10}}
+	if len(got) != len(want) {
+		t.Fatalf("runs = %v, want %v", got, want)
 	}
 	for i := range want {
-		if runs[i] != want[i] {
-			t.Fatalf("run %d = %v, want %v", i, runs[i], want[i])
+		if got[i] != want[i] {
+			t.Fatalf("run %d = %v, want %v", i, got[i], want[i])
 		}
 	}
 }

@@ -210,23 +210,12 @@ func guideMask(f *fineGraph, r *route.NetRoute, slack int) *mask {
 			m.bbox = m.bbox.Union(r)
 		}
 	}
-	for _, p := range r.Paths {
-		for _, s := range p.Segs {
-			if s.A.Y == s.B.Y {
-				lo, hi := geom.Min(s.A.X, s.B.X), geom.Max(s.A.X, s.B.X)
-				for x := lo; x <= hi; x++ {
-					add(x, s.A.Y, s.Layer)
+	for _, run := range f.coarse.AppendRuns(nil, r.Edges()) {
+		for l := run.Lo; l <= run.Hi; l++ {
+			for y := run.A.Y; y <= run.B.Y; y++ {
+				for x := run.A.X; x <= run.B.X; x++ {
+					add(x, y, l)
 				}
-			} else {
-				lo, hi := geom.Min(s.A.Y, s.B.Y), geom.Max(s.A.Y, s.B.Y)
-				for y := lo; y <= hi; y++ {
-					add(s.A.X, y, s.Layer)
-				}
-			}
-		}
-		for _, v := range p.Vias {
-			for l := v.L1; l <= v.L2; l++ {
-				add(v.X, v.Y, l)
 			}
 		}
 	}

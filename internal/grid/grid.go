@@ -10,6 +10,7 @@ package grid
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"fastgr/internal/design"
 	"fastgr/internal/geom"
@@ -477,6 +478,75 @@ func (g *Graph) EdgeEnds(e EdgeID) (a, b geom.Point3) {
 		return a, geom.Point3{X: x + 1, Y: y, Layer: k + 1}
 	}
 	return a, geom.Point3{X: x, Y: y + 1, Layer: k + 1}
+}
+
+// NumEdges is the number of wire and via edges: every EdgeID of the grid
+// is below it.
+func (g *Graph) NumEdges() int { return g.edgeOff[2*g.L-1] }
+
+// Run is one maximal straight piece of an edge list: a wire run on layer
+// Lo == Hi from A to B (A before B along the layer's direction), or a via
+// stack at A == B joining layers Lo < Hi. Either way the G-cells it touches
+// are those from A to B on every layer from Lo to Hi.
+type Run struct {
+	A, B   geom.Point
+	Lo, Hi int
+}
+
+// AppendRuns appends the maximal runs an ascending, duplicate-free edge
+// list spells: wire runs in edge order (layer, then line, then position),
+// then via stacks in the order of their lowest edges.
+func (g *Graph) AppendRuns(dst []Run, edges []EdgeID) []Run {
+	k, i := 0, 0
+	for first := g.FirstViaEdge(); i < len(edges) && edges[i] < first; {
+		blk, s := g.edgeSlot(edges[i], k)
+		k = blk
+		l := blk + 1
+		line := g.H - 1
+		if g.dirs[blk] == Horizontal {
+			line = g.W - 1
+		}
+		// A run continues while the IDs do, up to the end of its line; block
+		// sizes are whole lines, so this also stops at a block.
+		n, room := 1, line-s%line
+		for n < room && i+n < len(edges) && edges[i+n] == edges[i]+EdgeID(n) {
+			n++
+		}
+		x, y := g.wireXY(l, s)
+		b := geom.Point{X: x, Y: y + n}
+		if g.dirs[blk] == Horizontal {
+			b = geom.Point{X: x + n, Y: y}
+		}
+		dst = append(dst, Run{A: geom.Point{X: x, Y: y}, B: b, Lo: l, Hi: l})
+		i += n
+	}
+	// A via edge one plane above another at the same cell continues its
+	// stack; a stack starts where the edge below is missing. e - plane
+	// rises with e, so one cursor finds every edge below.
+	vias, plane := edges[i:], EdgeID(g.W*g.H)
+	below := 0
+	for p, e := range vias {
+		for below < p && vias[below]+plane < e {
+			below++
+		}
+		if below < p && vias[below]+plane == e {
+			continue
+		}
+		blk, s := g.edgeSlot(e, k)
+		k = blk
+		hi := blk - g.L + 2
+		for q, top := p+1, e+plane; ; top += plane {
+			n, found := slices.BinarySearch(vias[q:], top)
+			if !found {
+				break
+			}
+			q += n
+			hi++
+		}
+		a := geom.Point{X: s % g.W, Y: s / g.W}
+		dst = append(dst, Run{A: a, B: a, Lo: blk - g.L + 1, Hi: hi})
+	}
+	return dst
 }
 
 // Overflow sums max(0, demand-capacity) over wire and via edges — the

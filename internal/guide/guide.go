@@ -16,6 +16,7 @@ import (
 
 	"fastgr/internal/core"
 	"fastgr/internal/geom"
+	"fastgr/internal/grid"
 	"fastgr/internal/route"
 )
 
@@ -45,12 +46,13 @@ func (g Guide) Area() int {
 // form detailed routers consume).
 func FromResult(res *core.Result) []Guide {
 	var guides []Guide
+	var c cells
 	for _, n := range res.Design.Nets {
 		r := res.Routes[n.ID]
 		if r == nil {
 			continue
 		}
-		guides = append(guides, Guide{Net: n.Name, Boxes: boxesOf(r)})
+		guides = append(guides, Guide{Net: n.Name, Boxes: c.boxesOf(res.Grid, r)})
 	}
 	return guides
 }
@@ -64,30 +66,34 @@ func cellKey(l, x, y int) uint64 {
 	return uint64(l)<<(2*cellBits) | uint64(y)<<cellBits | uint64(x)
 }
 
-// boxesOf collects the net's touched cells per layer and merges them.
-func boxesOf(r *route.NetRoute) []Box {
-	var keys []uint64
-	for _, p := range r.Paths {
-		for _, s := range p.Segs {
-			if s.A.Y == s.B.Y {
-				lo, hi := geom.Min(s.A.X, s.B.X), geom.Max(s.A.X, s.B.X)
-				for x := lo; x <= hi; x++ {
-					keys = append(keys, cellKey(s.Layer, x, s.A.Y))
+// cells is the scratch of the cell walk, reused net after net.
+type cells struct {
+	runs []grid.Run
+	keys []uint64
+}
+
+// boxesOf collects the net's touched cells per layer — each cell of each
+// maximal run of its edges — and merges them into boxes.
+func (c *cells) boxesOf(g *grid.Graph, r *route.NetRoute) []Box {
+	c.runs = g.AppendRuns(c.runs[:0], r.Edges())
+	keys := c.keys[:0]
+	for _, run := range c.runs {
+		for l := run.Lo; l <= run.Hi; l++ {
+			for y := run.A.Y; y <= run.B.Y; y++ {
+				for x := run.A.X; x <= run.B.X; x++ {
+					keys = append(keys, cellKey(l, x, y))
 				}
-			} else {
-				lo, hi := geom.Min(s.A.Y, s.B.Y), geom.Max(s.A.Y, s.B.Y)
-				for y := lo; y <= hi; y++ {
-					keys = append(keys, cellKey(s.Layer, s.A.X, y))
-				}
-			}
-		}
-		for _, v := range p.Vias {
-			for l := v.L1; l <= v.L2; l++ {
-				keys = append(keys, cellKey(l, v.X, v.Y))
 			}
 		}
 	}
-	// Merge per (layer,row) into maximal runs, deterministically.
+	c.keys = keys
+	return boxesOfCells(keys)
+}
+
+// boxesOfCells merges cell keys per (layer, row) into maximal runs, then
+// stacks equal runs of adjacent rows, deterministically. keys is sorted in
+// place.
+func boxesOfCells(keys []uint64) []Box {
 	slices.Sort(keys)
 	keys = slices.Compact(keys)
 	const mask = 1<<cellBits - 1
@@ -133,45 +139,63 @@ func mergeVertical(boxes []Box) []Box {
 	return out
 }
 
-// Covers verifies the guide contract: every wire edge and via of every
-// routed net lies inside one of its guide boxes. It returns the first
-// violation found.
+// Covers verifies the guide contract: every G-cell a routed net touches —
+// both ends of every edge it uses — lies inside one of its guide boxes. Each
+// net stamps its boxes' cells with its own tag in one array over the grid's
+// cells, so each touched cell is one lookup. It returns the first violation
+// found.
 func Covers(res *core.Result, guides []Guide) error {
-	byName := map[string]Guide{}
-	for _, g := range guides {
-		byName[g.Net] = g
+	byName := make(map[string]int, len(guides))
+	for i, g := range guides {
+		byName[g.Net] = i
 	}
-	for _, n := range res.Design.Nets {
+	g := res.Grid
+	stamp := make([]uint32, g.W*g.H*g.L)
+	var runs []grid.Run
+	for k, n := range res.Design.Nets {
 		r := res.Routes[n.ID]
 		if r == nil {
 			continue
 		}
-		g, ok := byName[n.Name]
+		i, ok := byName[n.Name]
 		if !ok {
 			return fmt.Errorf("guide: net %s has no guide", n.Name)
 		}
-		inGuide := func(l, x, y int) bool {
-			for _, b := range g.Boxes {
-				if b.Layer == l && b.Rect.Contains(geom.Point{X: x, Y: y}) {
-					return true
-				}
-			}
-			return false
+		tag := uint32(k + 1)
+		stampBoxes(g, stamp, guides[i].Boxes, tag)
+		runs = g.AppendRuns(runs[:0], r.Edges())
+		if err := checkRuns(g, stamp, tag, runs); err != nil {
+			return fmt.Errorf("guide: net %s %w", n.Name, err)
 		}
-		for _, p := range r.Paths {
-			for _, s := range p.Segs {
-				for _, pt := range []geom.Point{s.A, s.B} {
-					if !inGuide(s.Layer, pt.X, pt.Y) {
-						return fmt.Errorf("guide: net %s wire endpoint %v layer %d uncovered",
-							n.Name, pt, s.Layer)
-					}
-				}
+	}
+	return nil
+}
+
+// stampBoxes writes tag over the cells of the boxes that lie on the grid.
+func stampBoxes(g *grid.Graph, stamp []uint32, boxes []Box, tag uint32) {
+	for _, b := range boxes {
+		r := b.Rect
+		if b.Layer < 1 || b.Layer > g.L || r.Hi.X < 0 || r.Hi.Y < 0 || r.Lo.X >= g.W || r.Lo.Y >= g.H {
+			continue
+		}
+		r = r.ClampTo(g.W, g.H)
+		for y := r.Lo.Y; y <= r.Hi.Y; y++ {
+			row := stamp[cellIndex(g, b.Layer, 0, y):]
+			for x := r.Lo.X; x <= r.Hi.X; x++ {
+				row[x] = tag
 			}
-			for _, v := range p.Vias {
-				for l := v.L1; l <= v.L2; l++ {
-					if !inGuide(l, v.X, v.Y) {
-						return fmt.Errorf("guide: net %s via (%d,%d) layer %d uncovered",
-							n.Name, v.X, v.Y, l)
+		}
+	}
+}
+
+// checkRuns names the first cell of the runs not stamped with tag.
+func checkRuns(g *grid.Graph, stamp []uint32, tag uint32, runs []grid.Run) error {
+	for _, run := range runs {
+		for l := run.Lo; l <= run.Hi; l++ {
+			for y := run.A.Y; y <= run.B.Y; y++ {
+				for x := run.A.X; x <= run.B.X; x++ {
+					if stamp[cellIndex(g, l, x, y)] != tag {
+						return fmt.Errorf("cell (%d,%d) layer %d uncovered", x, y, l)
 					}
 				}
 			}
@@ -179,6 +203,10 @@ func Covers(res *core.Result, guides []Guide) error {
 	}
 	return nil
 }
+
+// cellIndex is the position of G-cell (x, y) on layer l in an array over
+// the grid's cells.
+func cellIndex(g *grid.Graph, l, x, y int) int { return ((l-1)*g.H+y)*g.W + x }
 
 // Write serializes guides in the CUGR-style text form:
 //

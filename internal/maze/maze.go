@@ -127,11 +127,13 @@ type Search struct {
 	connEpoch uint32
 	targEpoch uint32
 
-	// connected is an ordered source list (its membership set is connStamp):
-	// set iteration order would make equal-cost tie-breaking — and therefore
-	// the chosen geometry and expansion counts — nondeterministic. targets
-	// is the ordered list of unreached targets (membership set: targStamp),
-	// scanned by the A* heuristic.
+	// connected is the source list (its membership set is connStamp): the
+	// first pin, then each pass's parent chain, target end first. Its order
+	// steers nothing: every source is seeded at distance zero with no
+	// parent, and the queue pops in the total (f, node) order, so seeding in
+	// any order settles the same nodes in the same sequence. targets is the
+	// ordered list of unreached targets (membership set: targStamp), scanned
+	// by the A* heuristic.
 	connected []geom.Point3
 	targets   []geom.Point3
 
@@ -148,8 +150,7 @@ type Search struct {
 	q radixQueue
 	// trace, set by tests only, sees every frontier push and pop in order.
 	trace func(push bool, it qItem)
-	nodes []geom.Point3 // pathNodes buffer
-	pts   []geom.Point3 // reconstruct buffer
+	b     route.Builder // the route of the current RouteNet call
 
 	// Flight-recorder handles, resolved once by SetObserver; all nil in
 	// disabled mode, where RouteNet pays a handful of nil checks.
@@ -243,7 +244,7 @@ func (s *Search) RouteNet(g *grid.Graph, netID int, pins []geom.Point3, window g
 	s.hVia = math.Max(0, g.Params.UnitVia)
 	bumpEpoch(&s.connEpoch, s.connStamp)
 	bumpEpoch(&s.targEpoch, s.targStamp)
-	r := &route.NetRoute{NetID: netID}
+	s.b.Reset(g, netID)
 	var stats Stats
 
 	s.connected = append(s.connected[:0], pins[0])
@@ -263,7 +264,7 @@ func (s *Search) RouteNet(g *grid.Graph, netID int, pins []geom.Point3, window g
 		if s.budget > 0 {
 			limit = s.budget - stats.Expansions
 		}
-		path, reached, st, err := s.search(limit)
+		reached, st, err := s.search(limit)
 		stats.Expansions += st.Expansions
 		stats.Pushes += st.Pushes
 		if err != nil {
@@ -275,27 +276,15 @@ func (s *Search) RouteNet(g *grid.Graph, netID int, pins []geom.Point3, window g
 			}
 			return nil, stats, fmt.Errorf("maze: net %d: %w", netID, err)
 		}
-		s.targStamp[s.index(reached)] = s.targEpoch - 1
-		s.dropTarget(reached)
-		// Every node of the new path joins the source set.
-		s.nodes = pathNodes(g, path, s.nodes[:0])
-		for _, p3 := range s.nodes {
-			if i := s.index(p3); s.connStamp[i] != s.connEpoch {
-				s.connStamp[i] = s.connEpoch
-				s.connected = append(s.connected, p3)
-			}
-		}
-		if i := s.index(reached); s.connStamp[i] != s.connEpoch {
-			s.connStamp[i] = s.connEpoch
-			s.connected = append(s.connected, reached)
-		}
-		r.Paths = append(r.Paths, path)
+		s.targStamp[reached] = s.targEpoch - 1
+		s.dropTarget(s.point(reached))
+		s.reconstruct(reached)
 	}
 	s.expHist.Observe(stats.Expansions)
 	s.expHistAlg[s.alg].Observe(stats.Expansions)
 	s.pushCounter.Add(stats.Pushes)
 	s.searchCount.Add(1)
-	return r, stats, nil
+	return s.b.Build(), stats, nil
 }
 
 // dropTarget removes a reached target from the ordered target list
@@ -308,29 +297,6 @@ func (s *Search) dropTarget(reached geom.Point3) {
 		}
 	}
 	s.targets = keep
-}
-
-// pathNodes appends all 3-D grid nodes a path touches to dst.
-func pathNodes(g *grid.Graph, p route.Path, dst []geom.Point3) []geom.Point3 {
-	for _, s := range p.Segs {
-		if g.Dir(s.Layer) == grid.Horizontal {
-			lo, hi := geom.Min(s.A.X, s.B.X), geom.Max(s.A.X, s.B.X)
-			for x := lo; x <= hi; x++ {
-				dst = append(dst, geom.Point3{X: x, Y: s.A.Y, Layer: s.Layer})
-			}
-		} else {
-			lo, hi := geom.Min(s.A.Y, s.B.Y), geom.Max(s.A.Y, s.B.Y)
-			for y := lo; y <= hi; y++ {
-				dst = append(dst, geom.Point3{X: s.A.X, Y: y, Layer: s.Layer})
-			}
-		}
-	}
-	for _, v := range p.Vias {
-		for l := v.L1; l <= v.L2; l++ {
-			dst = append(dst, geom.Point3{X: v.X, Y: v.Y, Layer: l})
-		}
-	}
-	return dst
 }
 
 func (s *Search) index(p geom.Point3) int32 {
@@ -371,8 +337,9 @@ func (s *Search) heuristic(x, y, l int) float64 {
 }
 
 // search runs one multi-source multi-target pass (A* or Dijkstra per the
-// configured algorithm) from the connected set and returns the cheapest
-// path to whichever target settles first. Targets are the nodes whose
+// configured algorithm) from the connected set and returns the index of
+// whichever target settles first; its parent chain is the cheapest path to
+// it. Targets are the nodes whose
 // targStamp carries the current target epoch. limit caps this pass's
 // expansions (the net budget minus what earlier passes spent); negative
 // means unlimited.
@@ -382,7 +349,7 @@ func (s *Search) heuristic(x, y, l int) float64 {
 // same) and the same node index, so it pops no later, and whichever of the
 // two pops first settles the node at the distance kept in state, not in the
 // entry. Deletion stays lazy, so Pushes counts what it always did.
-func (s *Search) search(limit int64) (route.Path, geom.Point3, Stats, error) {
+func (s *Search) search(limit int64) (int32, Stats, error) {
 	s.epoch += 2
 	if s.epoch == 0 { // wrapped: no stale stamp may alias the new epochs
 		full := s.state[:cap(s.state)]
@@ -400,10 +367,7 @@ func (s *Search) search(limit int64) (route.Path, geom.Point3, Stats, error) {
 	}
 
 	row, plane := int32(s.ww), int32(s.ww*s.wh)
-	var (
-		path    route.Path
-		reached geom.Point3
-	)
+	reached := int32(-1)
 	err := errUnreachable
 	for !q.empty() {
 		it := q.pop()
@@ -419,7 +383,7 @@ func (s *Search) search(limit int64) (route.Path, geom.Point3, Stats, error) {
 		st.Expansions++
 		p := s.point(i)
 		if s.targStamp[i] == s.targEpoch {
-			path, reached, err = s.reconstruct(i), p, nil
+			reached, err = i, nil
 			break
 		}
 		if limit >= 0 && st.Expansions > limit {
@@ -452,7 +416,7 @@ func (s *Search) search(limit int64) (route.Path, geom.Point3, Stats, error) {
 	}
 	s.hits.Add(s.reads)
 	s.reads = 0
-	return path, reached, st, err
+	return reached, st, err
 }
 
 // wireCost and viaCost price one edge: a load from the full cost field when
@@ -498,37 +462,28 @@ func (s *Search) relax(i, j int32, d, cost float64, x, y, l int, st *Stats) {
 	}
 }
 
-// reconstruct walks parents back to a source, compressing runs of same-layer
-// steps into segments and layer changes into via stacks.
-func (s *Search) reconstruct(end int32) route.Path {
-	pts := s.pts[:0]
-	for i := end; i >= 0; i = s.state[i].parent {
-		pts = append(pts, s.point(i))
-	}
-	s.pts = pts
-	// pts runs target -> source; orientation does not matter for geometry.
-	var path route.Path
-	if len(pts) < 2 {
-		return path
-	}
-	anchor := pts[0]
-	for k := 1; k < len(pts); k++ {
-		prev, cur := pts[k-1], pts[k]
-		if cur.Layer != prev.Layer {
-			// Flush wire run, then the via.
-			if anchor != prev {
-				path.AddSeg(prev.Layer, anchor.P(), prev.P())
-			}
-			path.AddVia(prev.X, prev.Y, prev.Layer, cur.Layer)
-			anchor = cur
-			continue
+// reconstruct walks the parent chain from end back to a source. Each step
+// is one grid edge, added to the route, and every node of the chain joins
+// the source set of the next pass.
+func (s *Search) reconstruct(end int32) {
+	prev := s.point(end)
+	s.connect(end, prev)
+	for i := s.state[end].parent; i >= 0; i = s.state[i].parent {
+		cur := s.point(i)
+		if cur.Layer == prev.Layer {
+			s.b.Seg(cur.Layer, prev.P(), cur.P())
+		} else {
+			s.b.Via(cur.X, cur.Y, min(prev.Layer, cur.Layer), max(prev.Layer, cur.Layer))
 		}
-		// Same layer: the run continues; direction cannot change mid-run on
-		// a preferred-direction grid (one wire axis per layer).
+		s.connect(i, cur)
+		prev = cur
 	}
-	last := pts[len(pts)-1]
-	if anchor != last {
-		path.AddSeg(last.Layer, anchor.P(), last.P())
+}
+
+// connect adds node i, at p, to the source set unless it is there already.
+func (s *Search) connect(i int32, p geom.Point3) {
+	if s.connStamp[i] != s.connEpoch {
+		s.connStamp[i] = s.connEpoch
+		s.connected = append(s.connected, p)
 	}
-	return path
 }

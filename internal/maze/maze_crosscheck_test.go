@@ -3,7 +3,7 @@ package maze
 import (
 	"math"
 	"math/rand"
-	"reflect"
+	"slices"
 	"testing"
 
 	"fastgr/internal/design"
@@ -62,7 +62,7 @@ func TestMazeNeverWorseThanPattern(t *testing.T) {
 
 // TestAStarMatchesDijkstraBitIdentical is the A*/cost-cache cross-check:
 // on randomized congested grids, A* guided by the admissible unit-cost
-// bound must produce bit-identical geometry (reflect.DeepEqual on Paths)
+// bound must produce bit-identical geometry (equal sealed edge lists)
 // and exactly equal cost to the seed Dijkstra, while settling no more
 // nodes — both on a cold graph and after WarmCostCache materializes the
 // cost field. The "flat" case prices congestion at 1e-11: the slack that
@@ -135,9 +135,9 @@ func TestAStarMatchesDijkstraBitIdentical(t *testing.T) {
 				if err != nil {
 					t.Fatalf("net %s dijkstra: %v", net.Name, err)
 				}
-				if !reflect.DeepEqual(ra.Paths, rd.Paths) {
+				if !slices.Equal(ra.Edges(), rd.Edges()) {
 					t.Fatalf("net %s: astar geometry differs from dijkstra:\n%v\nvs\n%v",
-						net.Name, ra.Paths, rd.Paths)
+						net.Name, ra.Edges(), rd.Edges())
 				}
 				if ca, cd := ra.Cost(g), rd.Cost(g); ca != cd {
 					t.Fatalf("net %s: astar cost %v != dijkstra cost %v", net.Name, ca, cd)

@@ -71,8 +71,16 @@ func TestMultiPinMazeRoute(t *testing.T) {
 	if err := r.Validate(g, pins); err != nil {
 		t.Fatalf("multi-pin maze route invalid: %v", err)
 	}
-	if len(r.Paths) != 3 {
-		t.Fatalf("expected 3 connection paths, got %d", len(r.Paths))
+	// Three passes, each joining one pin by a path that meets the
+	// connected set only at its source, leave a tree: one node more than
+	// edges.
+	nodes := map[geom.Point3]bool{}
+	for _, e := range r.Edges() {
+		a, b := g.EdgeEnds(e)
+		nodes[a], nodes[b] = true, true
+	}
+	if len(nodes) != len(r.Edges())+1 {
+		t.Fatalf("route touches %d nodes with %d edges: not a tree", len(nodes), len(r.Edges()))
 	}
 }
 
@@ -106,11 +114,9 @@ func TestMazeDetoursAroundBlockage(t *testing.T) {
 		t.Fatal(err)
 	}
 	crossesAt := -1
-	for _, p := range r.Paths {
-		for _, s := range p.Segs {
-			if s.Layer == 1 && geom.Min(s.A.X, s.B.X) <= 10 && geom.Max(s.A.X, s.B.X) >= 11 {
-				crossesAt = s.A.Y
-			}
+	for _, run := range g.AppendRuns(nil, r.Edges()) {
+		if run.Lo == 1 && run.Hi == 1 && run.A.X <= 10 && run.B.X >= 11 {
+			crossesAt = run.A.Y
 		}
 	}
 	if crossesAt != 4 {
@@ -126,16 +132,9 @@ func TestWindowRestriction(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, p := range r.Paths {
-		for _, s := range p.Segs {
-			if !win.Contains(s.A) || !win.Contains(s.B) {
-				t.Fatalf("segment %v-%v escapes window", s.A, s.B)
-			}
-		}
-		for _, v := range p.Vias {
-			if !win.Contains(geom.Point{X: v.X, Y: v.Y}) {
-				t.Fatalf("via at (%d,%d) escapes window", v.X, v.Y)
-			}
+	for _, run := range g.AppendRuns(nil, r.Edges()) {
+		if !win.Contains(run.A) || !win.Contains(run.B) {
+			t.Fatalf("run %+v escapes window", run)
 		}
 	}
 }

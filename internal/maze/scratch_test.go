@@ -1,7 +1,7 @@
 package maze
 
 import (
-	"reflect"
+	"slices"
 	"testing"
 	"unsafe"
 
@@ -47,9 +47,9 @@ func TestSearchReuseMatchesFresh(t *testing.T) {
 			if freshStats != reusedStats {
 				t.Fatalf("round %d net %s: stats %+v vs %+v", round, n.Name, freshStats, reusedStats)
 			}
-			if !reflect.DeepEqual(fresh.Paths, reused.Paths) {
+			if !slices.Equal(fresh.Edges(), reused.Edges()) {
 				t.Fatalf("round %d net %s: geometry diverged:\n%+v\nvs\n%+v",
-					round, n.Name, fresh.Paths, reused.Paths)
+					round, n.Name, fresh.Edges(), reused.Edges())
 			}
 		}
 	}
@@ -77,8 +77,8 @@ func TestSearchReuseAcrossGrids(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(fresh.Paths, reused.Paths) {
-		t.Fatalf("cross-grid reuse diverged:\n%+v\nvs\n%+v", fresh.Paths, reused.Paths)
+	if !slices.Equal(fresh.Edges(), reused.Edges()) {
+		t.Fatalf("cross-grid reuse diverged:\n%+v\nvs\n%+v", fresh.Edges(), reused.Edges())
 	}
 	if err := reused.Validate(g2, p2); err != nil {
 		t.Fatal(err)

@@ -37,6 +37,11 @@ type refSolver struct {
 
 	ops     Ops
 	evalOps Ops // the evaluator's work, kept apart as SolveCPU kept it
+
+	// pieces is the reconstructed geometry element by element, one per DP
+	// term — wires (Lo == Hi) and via stacks — as routes held it before
+	// the sealed edge list became the route.
+	pieces []grid.Run
 }
 
 // refDownChoice records how cbc(u, l) was achieved: the via-stack interval and
@@ -56,8 +61,7 @@ func (s *refSolver) run() Result {
 	s.downPick = make([][]refDownChoice, n)
 
 	twoPins := route.Decompose(nil, s.tree)
-	res := Result{Route: &route.NetRoute{NetID: s.tree.NetID}}
-	res.Edges = len(twoPins)
+	res := Result{Edges: len(twoPins)}
 
 	for _, tp := range twoPins {
 		s.computeDown(tp.Child)
@@ -81,7 +85,17 @@ func (s *refSolver) run() Result {
 		}
 	}
 	res.Cost = best
-	s.reconstruct(res.Route, s.tree.Root, bestL)
+	s.reconstruct(s.tree.Root, bestL)
+	var b route.Builder
+	b.Reset(s.g, s.tree.NetID)
+	for _, p := range s.pieces {
+		if p.Lo == p.Hi {
+			b.Seg(p.Lo, p.A, p.B)
+		} else {
+			b.Via(p.A.X, p.A.Y, p.Lo, p.Hi)
+		}
+	}
+	res.Route = b.Build()
 	res.Ops = s.ops
 	res.Ops.FlowOps += s.evalOps.FlowOps
 	return res
@@ -439,59 +453,79 @@ func refEvalSFlow(f *SFlow, L int, ops *Ops) (out []float64, args [][3]int) {
 // reconstruct walks the DP choices top-down from the root, emitting the
 // winning geometry: at each node the chosen via-stack interval, then for
 // each child the chosen edge pattern at its chosen connection layer.
-func (s *refSolver) reconstruct(r *route.NetRoute, u int, la int) {
+func (s *refSolver) reconstruct(u int, la int) {
 	pick := s.downPick[u][la-1]
 	if pick.lo == 0 {
 		panic(fmt.Sprintf("pattern: net %d node %d has no feasible down choice at layer %d",
 			s.tree.NetID, u, la))
 	}
 	pos := s.tree.Nodes[u].Pos
-	var p route.Path
-	p.AddVia(pos.X, pos.Y, pick.lo, pick.hi)
-	if len(p.Vias) > 0 {
-		r.Paths = append(r.Paths, p)
-	}
+	s.addVia(pos, pick.lo, pick.hi)
 	for idx, c := range s.tree.Nodes[u].Children {
 		lc := pick.childLayers[idx]
-		ls := s.emitEdge(r, c, lc)
-		s.reconstruct(r, c, ls)
+		ls := s.emitEdge(c, lc)
+		s.reconstruct(c, ls)
 	}
 }
 
 // emitEdge appends the geometry of the edge (child -> parent) delivered at
 // target layer lt and returns the source layer the child subtree connects at.
-func (s *refSolver) emitEdge(r *route.NetRoute, child, lt int) int {
+func (s *refSolver) emitEdge(child, lt int) int {
 	prog := s.edgeProg[child]
 	choice := s.edgeChoice[child][lt-1]
 	src, dst := prog.TP.Source(), prog.TP.Target()
-	var p route.Path
 	switch {
 	case choice.Cand < 0:
 		bend := prog.LFlow.Bends[choice.Ls-1]
-		p.AddSeg(choice.Ls, src, bend)
-		p.AddVia(bend.X, bend.Y, choice.Ls, lt)
-		p.AddSeg(lt, bend, dst)
+		s.addSeg(choice.Ls, src, bend)
+		s.addVia(bend, choice.Ls, lt)
+		s.addSeg(lt, bend, dst)
 	case choice.Cand >= len(prog.ZFlows):
 		f := &prog.SFlows[choice.Cand-len(prog.ZFlows)]
-		p.AddSeg(choice.Ls, src, f.B1)
-		p.AddVia(f.B1.X, f.B1.Y, choice.Ls, choice.Lb)
-		p.AddSeg(choice.Lb, f.B1, f.B2)
-		p.AddVia(f.B2.X, f.B2.Y, choice.Lb, choice.Lc)
-		p.AddSeg(choice.Lc, f.B2, f.B3)
-		p.AddVia(f.B3.X, f.B3.Y, choice.Lc, lt)
-		p.AddSeg(lt, f.B3, dst)
+		s.addSeg(choice.Ls, src, f.B1)
+		s.addVia(f.B1, choice.Ls, choice.Lb)
+		s.addSeg(choice.Lb, f.B1, f.B2)
+		s.addVia(f.B2, choice.Lb, choice.Lc)
+		s.addSeg(choice.Lc, f.B2, f.B3)
+		s.addVia(f.B3, choice.Lc, lt)
+		s.addSeg(lt, f.B3, dst)
 	default:
 		f := &prog.ZFlows[choice.Cand]
-		p.AddSeg(choice.Ls, src, f.Bs)
-		p.AddVia(f.Bs.X, f.Bs.Y, choice.Ls, choice.Lb)
-		p.AddSeg(choice.Lb, f.Bs, f.Bt)
-		p.AddVia(f.Bt.X, f.Bt.Y, choice.Lb, lt)
-		p.AddSeg(lt, f.Bt, dst)
-	}
-	if len(p.Segs) > 0 || len(p.Vias) > 0 {
-		r.Paths = append(r.Paths, p)
+		s.addSeg(choice.Ls, src, f.Bs)
+		s.addVia(f.Bs, choice.Ls, choice.Lb)
+		s.addSeg(choice.Lb, f.Bs, f.Bt)
+		s.addVia(f.Bt, choice.Lb, lt)
+		s.addSeg(lt, f.Bt, dst)
 	}
 	return choice.Ls
+}
+
+// addSeg records a wire piece, skipping zero-length ones.
+func (s *refSolver) addSeg(l int, a, b geom.Point) {
+	if a != b {
+		s.pieces = append(s.pieces, grid.Run{A: a, B: b, Lo: l, Hi: l})
+	}
+}
+
+// addVia records a via stack, skipping empty ones.
+func (s *refSolver) addVia(p geom.Point, l1, l2 int) {
+	if l1 != l2 {
+		s.pieces = append(s.pieces, grid.Run{A: p, B: p, Lo: min(l1, l2), Hi: max(l1, l2)})
+	}
+}
+
+// pieceCost prices the pieces one by one at the grid's current demand. Each
+// DP term corresponds to exactly one piece, so this must equal the DP cost.
+func pieceCost(g *grid.Graph, pieces []grid.Run) float64 {
+	total := 0.0
+	for _, p := range pieces {
+		if p.Lo == p.Hi {
+			total += g.SegCost(p.Lo, p.A, p.B)
+		} else {
+			total += g.ViaStackCost(p.A.X, p.A.Y, p.Lo, p.Hi)
+		}
+	}
+	return total
 }
 
 // refEvalProgramSeq evaluates a program with plain sequential min-plus

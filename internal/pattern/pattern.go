@@ -159,7 +159,8 @@ type Solver struct {
 	ival []float64 // L*L: cost of each via-stack interval [lo, hi] at one node
 	mins []float64 // per child: its cheapest layer cost inside the interval
 
-	cpu CPUEvaluator // SolveCPU's evaluator
+	cpu CPUEvaluator  // SolveCPU's evaluator
+	b   route.Builder // the route being reconstructed
 }
 
 // downChoice records how cbc(u, l) was achieved: the via-stack interval;
@@ -186,7 +187,7 @@ func (s *Solver) Solve(g *grid.Graph, tree *stt.Tree, cfg Config, eval Evaluator
 	s.reset(g, tree, cfg)
 	L := s.L
 	s.twoPins = route.Decompose(s.twoPins[:0], tree)
-	res := Result{Route: &route.NetRoute{NetID: tree.NetID}, Edges: len(s.twoPins)}
+	res := Result{Edges: len(s.twoPins)}
 	for _, tp := range s.twoPins {
 		s.computeDown(tp.Child)
 		prog := s.buildProgram(tp)
@@ -207,7 +208,9 @@ func (s *Solver) Solve(g *grid.Graph, tree *stt.Tree, cfg Config, eval Evaluator
 		}
 	}
 	res.Cost = best
-	s.reconstruct(res.Route, tree.Root, bestL)
+	s.b.Reset(g, tree.NetID)
+	s.reconstruct(tree.Root, bestL)
+	res.Route = s.b.Build()
 	res.Ops = s.ops
 	if s.viaReads > 0 {
 		_, _, hits := g.CostField()

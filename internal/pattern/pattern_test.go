@@ -4,6 +4,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 
 	"fastgr/internal/design"
@@ -39,22 +40,6 @@ func netOf(pts ...geom.Point) *design.Net {
 	return n
 }
 
-// elementCost recomputes the route's cost element-by-element at the grid's
-// current (unchanged) demand. Each DP term corresponds to exactly one
-// emitted element, so this must equal Result.Cost.
-func elementCost(g *grid.Graph, r *route.NetRoute) float64 {
-	total := 0.0
-	for _, p := range r.Paths {
-		for _, s := range p.Segs {
-			total += g.SegCost(s.Layer, s.A, s.B)
-		}
-		for _, v := range p.Vias {
-			total += g.ViaStackCost(v.X, v.Y, v.L1, v.L2)
-		}
-	}
-	return total
-}
-
 func solveAndCheck(t *testing.T, g *grid.Graph, net *design.Net, cfg Config) Result {
 	t.Helper()
 	tree := stt.Build(net)
@@ -68,8 +53,14 @@ func solveAndCheck(t *testing.T, g *grid.Graph, net *design.Net, cfg Config) Res
 	if err := res.Route.Validate(g, route.PinTerminals(tree)); err != nil {
 		t.Fatalf("route invalid: %v", err)
 	}
-	if ec := elementCost(g, res.Route); math.Abs(ec-res.Cost) > 1e-6 {
-		t.Fatalf("element cost %v != DP cost %v", ec, res.Cost)
+	// The reference DP's pieces, priced one by one, must add up to the DP
+	// cost and spell the route's edges.
+	ref, want := refSolve(g, tree, cfg)
+	if ec := pieceCost(g, ref.pieces); math.Abs(ec-res.Cost) > 1e-6 {
+		t.Fatalf("piece cost %v != DP cost %v", ec, res.Cost)
+	}
+	if !slices.Equal(res.Route.Edges(), want.Route.Edges()) {
+		t.Fatalf("route edges %v, reference %v", res.Route.Edges(), want.Route.Edges())
 	}
 	return res
 }
@@ -356,11 +347,9 @@ func TestCongestionAvoidance(t *testing.T) {
 	}
 	// And the winning geometry's long horizontal run must sit on an
 	// interior row.
-	for _, p := range hRes.Route.Paths {
-		for _, s := range p.Segs {
-			if s.A.Y == s.B.Y && geom.Abs(s.A.X-s.B.X) > 2 && (s.A.Y == 2 || s.A.Y == 8) {
-				t.Fatalf("long horizontal run on congested row %d", s.A.Y)
-			}
+	for _, run := range g.AppendRuns(nil, hRes.Route.Edges()) {
+		if run.Lo == run.Hi && run.A.Y == run.B.Y && run.B.X-run.A.X > 2 && (run.A.Y == 2 || run.A.Y == 8) {
+			t.Fatalf("long horizontal run on congested row %d", run.A.Y)
 		}
 	}
 }

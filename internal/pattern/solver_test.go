@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 
 	"fastgr/internal/design"
@@ -133,8 +134,8 @@ func checkAgainstReference(t *testing.T, s *Solver, g *grid.Graph, tree *stt.Tre
 		}
 		checkDown(t, s, ref, u)
 	}
-	if !reflect.DeepEqual(got.Route, want.Route) {
-		t.Fatalf("route %+v, reference %+v", got.Route.Paths, want.Route.Paths)
+	if got.Route.NetID != want.Route.NetID || !slices.Equal(got.Route.Edges(), want.Route.Edges()) {
+		t.Fatalf("route %v, reference %v", got.Route.Edges(), want.Route.Edges())
 	}
 }
 
@@ -233,21 +234,16 @@ func TestComputeDownMatchesReference(t *testing.T) {
 // sinkRoute keeps copyRoute's result alive for the allocation count.
 var sinkRoute *route.NetRoute
 
-// copyRoute rebuilds r the way the solver emits it: one NetRoute, its Paths
-// grown path by path, every path's Segs and Vias grown element by element.
-func copyRoute(r *route.NetRoute) *route.NetRoute {
-	c := &route.NetRoute{NetID: r.NetID}
-	for _, p := range r.Paths {
-		var q route.Path
-		for _, sg := range p.Segs {
-			q.AddSeg(sg.Layer, sg.A, sg.B)
-		}
-		for _, v := range p.Vias {
-			q.AddVia(v.X, v.Y, v.L1, v.L2)
-		}
-		c.Paths = append(c.Paths, q)
-	}
-	return c
+// copier is copyRoute's builder, warm after AllocsPerRun's first call like
+// the Solver's own.
+var copier route.Builder
+
+// copyRoute rebuilds r the way the solver emits it: one NetRoute and its
+// sealed edge list, out of a warm builder.
+func copyRoute(g *grid.Graph, r *route.NetRoute) *route.NetRoute {
+	copier.Reset(g, r.NetID)
+	copier.AddRoute(r)
+	return copier.Build()
 }
 
 // TestSolverAllocatesOnlyTheRoute: a reused Solver on a warm grid
@@ -261,7 +257,7 @@ func TestSolverAllocatesOnlyTheRoute(t *testing.T) {
 			tree := stt.Build(oracleNet(rng, g, i))
 			res := s.SolveCPU(g, tree, cfg)
 			got := testing.AllocsPerRun(5, func() { s.SolveCPU(g, tree, cfg) })
-			want := testing.AllocsPerRun(5, func() { sinkRoute = copyRoute(res.Route) })
+			want := testing.AllocsPerRun(5, func() { sinkRoute = copyRoute(g, res.Route) })
 			if got != want {
 				t.Errorf("%v net %d: %v allocs per solve, the route alone takes %v", cfg.Mode, i, got, want)
 			}

@@ -1,5 +1,5 @@
 // Package route defines the routed-net representation shared by pattern and
-// maze routing — wire segments on layers plus via stacks — along with the
+// maze routing — the sealed list of grid edges a net uses — along with the
 // multi-pin → two-pin decomposition and the DFS intra-net ordering of
 // Section II-D, demand commit/uncommit against the grid, and connectivity
 // validation.
@@ -56,103 +56,124 @@ func appendReversePreorder(dst []TwoPin, t *stt.Tree, u int) []TwoPin {
 	return dst
 }
 
-// Seg is a straight wire on one layer between two aligned points.
-type Seg struct {
-	Layer int
-	A, B  geom.Point
-}
-
-// Via is a via stack at one G-cell spanning layers [L1, L2] (normalized).
-type Via struct {
-	X, Y   int
-	L1, L2 int
-}
-
-// Path is the routed geometry of one two-pin net (or one maze connection).
-type Path struct {
-	Segs []Seg
-	Vias []Via
-}
-
-// AddSeg appends a wire segment, skipping zero-length ones.
-func (p *Path) AddSeg(layer int, a, b geom.Point) {
-	if a == b {
-		return
-	}
-	p.Segs = append(p.Segs, Seg{Layer: layer, A: a, B: b})
-}
-
-// AddVia appends a via stack, skipping empty ones and normalizing layer order.
-func (p *Path) AddVia(x, y, l1, l2 int) {
-	if l1 == l2 {
-		return
-	}
-	if l1 > l2 {
-		l1, l2 = l2, l1
-	}
-	p.Vias = append(p.Vias, Via{X: x, Y: y, L1: l1, L2: l2})
-}
-
-// NetRoute is the complete routed geometry of one multi-pin net. Demand is
-// committed per distinct grid edge: segments of different tree edges that
-// overlap (common near Steiner points) count once, matching how a real
-// router's net occupies tracks.
+// NetRoute is the routed geometry of one multi-pin net, held as the one
+// thing every consumer needs: its distinct grid edges, as an ascending
+// grid.EdgeID list with the wire edges first. A Builder seals the list when
+// the route is made and nothing changes it after; overlapping pieces of
+// different tree edges (common near Steiner points) count once, matching
+// how a real router's net occupies tracks. Straight runs and via stacks are
+// derived from the list (grid.AppendRuns), never stored beside it.
 type NetRoute struct {
 	NetID int
-	// Paths is frozen from the first Commit on: every later query and
-	// commit reads the edge list sealed then, not the geometry.
-	Paths []Path
 
-	// edges is the sealed edge list — the route's distinct grid edges as
-	// ascending IDs, wire edges first — built by the first Commit and kept
-	// across Uncommit; nil until then. wires counts its wire edges.
 	edges     []grid.EdgeID
-	wires     int
+	wires     int // edges[:wires] are wire edges
 	committed bool
 }
 
-// edgeList returns the route's distinct wire and via edges, ascending, and
-// how many of them are wires: the sealed list once there is one, otherwise
-// a fresh flattening of Paths (sort + compact, a pure function of Paths).
-func (r *NetRoute) edgeList(g *grid.Graph) ([]grid.EdgeID, int) {
-	if r.edges != nil {
-		return r.edges, r.wires
+// Edges returns the route's sealed edge list: distinct, ascending, wire
+// edges first. The list belongs to the route; callers must not modify it.
+func (r *NetRoute) Edges() []grid.EdgeID { return r.edges }
+
+// Builder collects one net's geometry as grid edges and seals it into a
+// NetRoute. Every piece is checked against the grid as it is added, so a
+// route that exists is well-formed. Reset binds it to a grid and a net; one
+// goroutine reuses a Builder net after net.
+type Builder struct {
+	g     *grid.Graph
+	net   int
+	edges []grid.EdgeID
+}
+
+// Reset starts a new route for net netID on g (or on any grid of the same
+// dimensions: edge IDs depend on nothing else).
+func (b *Builder) Reset(g *grid.Graph, netID int) {
+	b.g, b.net, b.edges = g, netID, b.edges[:0]
+}
+
+// Seg adds the wire edges of the straight run a-b on layer l; a == b adds
+// nothing. A layer outside [1, L], an end off the grid or a run across the
+// layer's direction panics, naming the net and the coordinates.
+func (b *Builder) Seg(l int, a, c geom.Point) {
+	g := b.g
+	ok := l >= 1 && l <= g.L && g.InBounds(a.X, a.Y) && g.InBounds(c.X, c.Y)
+	if ok && g.Dir(l) == grid.Horizontal {
+		ok = a.Y == c.Y
+	} else if ok {
+		ok = a.X == c.X
 	}
-	n := 0
-	for _, p := range r.Paths {
-		for _, s := range p.Segs {
-			n += geom.ManhattanDist(s.A, s.B)
-		}
-		for _, v := range p.Vias {
-			n += v.L2 - v.L1
+	if !ok {
+		b.badSeg(l, a, c)
+	}
+	b.edges = g.AppendSegEdges(b.edges, l, a, c)
+}
+
+// badSeg panics with what is wrong with the run a-c on layer l. The
+// diagnosis lives out of line: formatting it inside Seg grows the frame of
+// every producer's innermost call, and the pattern kernel under fault
+// containment measurably pays for that stack.
+func (b *Builder) badSeg(l int, a, c geom.Point) {
+	g := b.g
+	if l < 1 || l > g.L {
+		panic(fmt.Sprintf("route: net %d: segment %v-%v layer %d outside [1,%d]", b.net, a, c, l, g.L))
+	}
+	for _, p := range [2]geom.Point{a, c} {
+		if !g.InBounds(p.X, p.Y) {
+			panic(fmt.Sprintf("route: net %d: segment endpoint (%d,%d) layer %d outside %dx%d grid",
+				b.net, p.X, p.Y, l, g.W, g.H))
 		}
 	}
-	edges := make([]grid.EdgeID, 0, n)
-	for _, p := range r.Paths {
-		for _, s := range p.Segs {
-			edges = g.AppendSegEdges(edges, s.Layer, s.A, s.B)
-		}
-		for _, v := range p.Vias {
-			edges = g.AppendViaEdges(edges, v.X, v.Y, v.L1, v.L2)
-		}
+	if g.Dir(l) == grid.Horizontal {
+		panic(fmt.Sprintf("route: net %d: segment %v-%v not row-aligned on horizontal layer %d", b.net, a, c, l))
 	}
-	slices.Sort(edges)
-	edges = slices.Compact(edges)
-	wires, _ := slices.BinarySearch(edges, g.FirstViaEdge())
-	return edges, wires
+	panic(fmt.Sprintf("route: net %d: segment %v-%v not column-aligned on vertical layer %d", b.net, a, c, l))
+}
+
+// Via adds the via edges of the stack at (x, y) joining layers lo <= hi;
+// lo == hi adds nothing. A cell off the grid or a span outside [1, L] or
+// inverted panics, naming the net and the coordinates.
+func (b *Builder) Via(x, y, lo, hi int) {
+	g := b.g
+	if !g.InBounds(x, y) || lo < 1 || lo > hi || hi > g.L {
+		b.badVia(x, y, lo, hi)
+	}
+	b.edges = g.AppendViaEdges(b.edges, x, y, lo, hi)
+}
+
+// badVia panics with what is wrong with the stack at (x, y) over lo..hi,
+// out of line for the same reason as badSeg.
+func (b *Builder) badVia(x, y, lo, hi int) {
+	g := b.g
+	if !g.InBounds(x, y) {
+		panic(fmt.Sprintf("route: net %d: via (%d,%d) outside %dx%d grid", b.net, x, y, g.W, g.H))
+	}
+	panic(fmt.Sprintf("route: net %d: via (%d,%d) layer span [%d,%d] invalid for %d layers",
+		b.net, x, y, lo, hi, g.L))
+}
+
+// AddRoute adds every edge of a sealed route (a fragment being merged).
+func (b *Builder) AddRoute(r *NetRoute) { b.edges = append(b.edges, r.edges...) }
+
+// Build seals the collected edges — sorted, duplicates dropped — into a new
+// route and empties the builder for the next one.
+func (b *Builder) Build() *NetRoute {
+	slices.Sort(b.edges)
+	edges := slices.Clone(slices.Compact(b.edges))
+	wires, _ := slices.BinarySearch(edges, b.g.FirstViaEdge())
+	b.edges = b.edges[:0]
+	return &NetRoute{NetID: b.net, edges: edges, wires: wires}
 }
 
 // Committed reports whether the route currently holds grid demand.
 func (r *NetRoute) Committed() bool { return r.committed }
 
 // Commit adds one unit of demand for every distinct wire and via edge the
-// route uses, sealing the edge list on first use. Committing an
-// already-committed route panics: that is a rip-up/reroute bookkeeping bug.
+// route uses. Committing an already-committed route panics: that is a
+// rip-up/reroute bookkeeping bug.
 func (r *NetRoute) Commit(g *grid.Graph) {
 	if r.committed {
 		panic(fmt.Sprintf("route: net %d committed twice", r.NetID))
 	}
-	r.edges, r.wires = r.edgeList(g)
 	g.AddEdgeDemand(r.edges, 1)
 	r.committed = true
 }
@@ -170,43 +191,34 @@ func (r *NetRoute) Uncommit(g *grid.Graph) {
 // currently over capacity — the criterion that sends a net into the rip-up
 // and reroute iterations.
 func (r *NetRoute) HasOverflow(g *grid.Graph) bool {
-	edges, _ := r.edgeList(g)
-	return g.AnyEdgeOverflow(edges)
+	return g.AnyEdgeOverflow(r.edges)
 }
 
-// Cost evaluates the routed geometry element by element at the grid's
-// current demand — the common currency for comparing routes across the
-// pattern and maze routers (the cross-check suites sum it the same way).
+// Cost prices the route's maximal runs at the grid's current demand — the
+// common currency for comparing routes across the pattern and maze routers
+// (the cross-check suites sum it the same way).
 func (r *NetRoute) Cost(g *grid.Graph) float64 {
 	total := 0.0
-	for _, p := range r.Paths {
-		for _, s := range p.Segs {
-			total += g.SegCost(s.Layer, s.A, s.B)
-		}
-		for _, v := range p.Vias {
-			total += g.ViaStackCost(v.X, v.Y, v.L1, v.L2)
+	for _, run := range g.AppendRuns(nil, r.edges) {
+		if run.Lo == run.Hi {
+			total += g.SegCost(run.Lo, run.A, run.B)
+		} else {
+			total += g.ViaStackCost(run.A.X, run.A.Y, run.Lo, run.Hi)
 		}
 	}
 	return total
 }
 
 // Wirelength returns the number of distinct wire edges the route uses.
-func (r *NetRoute) Wirelength(g *grid.Graph) int {
-	_, wires := r.edgeList(g)
-	return wires
-}
+func (r *NetRoute) Wirelength(g *grid.Graph) int { return r.wires }
 
 // ViaCount returns the number of distinct via edges the route uses.
-func (r *NetRoute) ViaCount(g *grid.Graph) int {
-	edges, wires := r.edgeList(g)
-	return len(edges) - wires
-}
+func (r *NetRoute) ViaCount(g *grid.Graph) int { return len(r.edges) - r.wires }
 
 // Validate checks that the routed geometry is connected and reaches every
 // pin of the net at its pin layer. pins is the list of (position, layer)
 // terminals, e.g. from the design net.
 func (r *NetRoute) Validate(g *grid.Graph, pins []geom.Point3) error {
-	edges, _ := r.edgeList(g)
 	// Union-find over 3-D grid nodes touched by the route.
 	id := make(map[geom.Point3]int)
 	parent := []int{}
@@ -227,7 +239,7 @@ func (r *NetRoute) Validate(g *grid.Graph, pins []geom.Point3) error {
 		id[p] = i
 		return i
 	}
-	for _, e := range edges {
+	for _, e := range r.edges {
 		a, b := g.EdgeEnds(e)
 		union(node(a), node(b))
 	}

@@ -8,10 +8,7 @@ import (
 
 func TestHasOverflowWire(t *testing.T) {
 	g := testGrid()
-	r := &NetRoute{NetID: 1}
-	var p Path
-	p.AddSeg(3, geom.Point{X: 2, Y: 2}, geom.Point{X: 6, Y: 2})
-	r.Paths = []Path{p}
+	r := build(g, 1, func(b *Builder) { b.Seg(3, geom.Point{X: 2, Y: 2}, geom.Point{X: 6, Y: 2}) })
 	r.Commit(g)
 	if r.HasOverflow(g) {
 		t.Fatal("route on empty grid reports overflow")
@@ -34,10 +31,7 @@ func TestHasOverflowWire(t *testing.T) {
 
 func TestHasOverflowVia(t *testing.T) {
 	g := testGrid() // via capacity 8
-	r := &NetRoute{NetID: 2}
-	var p Path
-	p.AddVia(5, 5, 1, 3)
-	r.Paths = []Path{p}
+	r := build(g, 2, func(b *Builder) { b.Via(5, 5, 1, 3) })
 	r.Commit(g)
 	if r.HasOverflow(g) {
 		t.Fatal("fresh via stack reports overflow")
@@ -52,7 +46,7 @@ func TestHasOverflowVia(t *testing.T) {
 
 func TestHasOverflowEmptyRoute(t *testing.T) {
 	g := testGrid()
-	r := &NetRoute{NetID: 3}
+	r := build(g, 3, func(*Builder) {})
 	if r.HasOverflow(g) {
 		t.Fatal("empty route reports overflow")
 	}

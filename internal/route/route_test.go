@@ -92,16 +92,22 @@ func TestTwoPinAccessors(t *testing.T) {
 	}
 }
 
+// build seals the pieces add gives into net id's route on g.
+func build(g *grid.Graph, id int, add func(b *Builder)) *NetRoute {
+	var b Builder
+	b.Reset(g, id)
+	add(&b)
+	return b.Build()
+}
+
 func buildLRoute() *NetRoute {
-	r := &NetRoute{NetID: 1}
-	var p Path
-	p.AddVia(0, 0, 1, 3)                                        // pin up to layer 3
-	p.AddSeg(3, geom.Point{X: 0, Y: 0}, geom.Point{X: 5, Y: 0}) // horizontal on l3
-	p.AddVia(5, 0, 2, 3)                                        // down to l2
-	p.AddSeg(2, geom.Point{X: 5, Y: 0}, geom.Point{X: 5, Y: 5}) // vertical on l2
-	p.AddVia(5, 5, 1, 2)                                        // down to pin layer
-	r.Paths = append(r.Paths, p)
-	return r
+	return build(testGrid(), 1, func(b *Builder) {
+		b.Via(0, 0, 1, 3)                                        // pin up to layer 3
+		b.Seg(3, geom.Point{X: 0, Y: 0}, geom.Point{X: 5, Y: 0}) // horizontal on l3
+		b.Via(5, 0, 2, 3)                                        // down to l2
+		b.Seg(2, geom.Point{X: 5, Y: 0}, geom.Point{X: 5, Y: 5}) // vertical on l2
+		b.Via(5, 5, 1, 2)                                        // down to pin layer
+	})
 }
 
 func TestCommitUncommitBalanced(t *testing.T) {
@@ -150,11 +156,10 @@ func TestUncommitWithoutCommitPanics(t *testing.T) {
 
 func TestOverlappingSegmentsCountOnce(t *testing.T) {
 	g := testGrid()
-	r := &NetRoute{NetID: 2}
-	var p1, p2 Path
-	p1.AddSeg(3, geom.Point{X: 0, Y: 0}, geom.Point{X: 6, Y: 0})
-	p2.AddSeg(3, geom.Point{X: 3, Y: 0}, geom.Point{X: 9, Y: 0}) // overlaps [3,6)
-	r.Paths = []Path{p1, p2}
+	r := build(g, 2, func(b *Builder) {
+		b.Seg(3, geom.Point{X: 0, Y: 0}, geom.Point{X: 6, Y: 0})
+		b.Seg(3, geom.Point{X: 3, Y: 0}, geom.Point{X: 9, Y: 0}) // overlaps [3,6)
+	})
 	if got := r.Wirelength(g); got != 9 {
 		t.Fatalf("Wirelength = %d, want 9 (dedup)", got)
 	}
@@ -171,27 +176,32 @@ func TestOverlappingSegmentsCountOnce(t *testing.T) {
 
 func TestViaDedup(t *testing.T) {
 	g := testGrid()
-	r := &NetRoute{NetID: 3}
-	var p Path
-	p.AddVia(2, 2, 1, 3)
-	p.AddVia(2, 2, 2, 4) // overlaps [2,3]
-	r.Paths = []Path{p}
+	r := build(g, 3, func(b *Builder) {
+		b.Via(2, 2, 1, 3)
+		b.Via(2, 2, 2, 4) // overlaps [2,3]
+	})
 	if got := r.ViaCount(g); got != 3 {
 		t.Fatalf("ViaCount = %d, want 3 (layers 1-2, 2-3, 3-4)", got)
 	}
 }
 
+// TestZeroLengthHelpers: zero-length pieces add no edge; an inverted via
+// span is refused, not normalized.
 func TestZeroLengthHelpers(t *testing.T) {
-	var p Path
-	p.AddSeg(3, geom.Point{X: 1, Y: 1}, geom.Point{X: 1, Y: 1})
-	p.AddVia(1, 1, 2, 2)
-	if len(p.Segs) != 0 || len(p.Vias) != 0 {
-		t.Fatal("zero-length geometry not skipped")
+	g := testGrid()
+	r := build(g, 1, func(b *Builder) {
+		b.Seg(3, geom.Point{X: 1, Y: 1}, geom.Point{X: 1, Y: 1})
+		b.Via(1, 1, 2, 2)
+	})
+	if len(r.Edges()) != 0 {
+		t.Fatalf("zero-length geometry added edges %v", r.Edges())
 	}
-	p.AddVia(1, 1, 3, 1)
-	if p.Vias[0].L1 != 1 || p.Vias[0].L2 != 3 {
-		t.Fatal("via layers not normalized")
-	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("inverted via span accepted")
+		}
+	}()
+	build(g, 1, func(b *Builder) { b.Via(1, 1, 3, 1) })
 }
 
 func TestValidateConnectivity(t *testing.T) {
@@ -207,29 +217,26 @@ func TestValidateConnectivity(t *testing.T) {
 		t.Fatal("unreached pin layer accepted")
 	}
 	// Disconnected geometry.
-	r2 := &NetRoute{NetID: 4}
-	var pa, pb Path
-	pa.AddSeg(3, geom.Point{X: 0, Y: 0}, geom.Point{X: 2, Y: 0})
-	pb.AddSeg(3, geom.Point{X: 5, Y: 5}, geom.Point{X: 7, Y: 5})
-	r2.Paths = []Path{pa, pb}
+	r2 := build(g, 4, func(b *Builder) {
+		b.Seg(3, geom.Point{X: 0, Y: 0}, geom.Point{X: 2, Y: 0})
+		b.Seg(3, geom.Point{X: 5, Y: 5}, geom.Point{X: 7, Y: 5})
+	})
 	pins2 := []geom.Point3{{X: 0, Y: 0, Layer: 3}, {X: 5, Y: 5, Layer: 3}}
 	if r2.Validate(g, pins2) == nil {
 		t.Fatal("disconnected route accepted")
 	}
 }
 
+// TestMisalignedSegPanicsOnCommit: a diagonal segment never gets as far
+// as a commit — the builder refuses it.
 func TestMisalignedSegPanicsOnCommit(t *testing.T) {
 	g := testGrid()
-	r := &NetRoute{NetID: 5}
-	var p Path
-	p.Segs = append(p.Segs, Seg{Layer: 3, A: geom.Point{X: 0, Y: 0}, B: geom.Point{X: 2, Y: 2}})
-	r.Paths = []Path{p}
 	defer func() {
 		if recover() == nil {
 			t.Fatal("misaligned segment accepted")
 		}
 	}()
-	r.Commit(g)
+	build(g, 5, func(b *Builder) { b.Seg(3, geom.Point{X: 0, Y: 0}, geom.Point{X: 2, Y: 2}) }).Commit(g)
 }
 
 func TestPinTerminals(t *testing.T) {

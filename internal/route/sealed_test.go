@@ -1,20 +1,76 @@
 package route
 
 import (
+	"cmp"
 	"math/rand"
 	"slices"
 	"testing"
 
+	"fastgr/internal/design"
 	"fastgr/internal/geom"
 	"fastgr/internal/grid"
 )
 
+// oracleLayers are the layer counts the oracle tests build grids with.
+var oracleLayers = []int{2, 5, 9}
+
+// layeredGrid is an 11x7 grid with L layers; the unequal sides keep row and
+// column arithmetic apart.
+func layeredGrid(L int) *grid.Graph {
+	caps := make([]int, L)
+	for i := range caps {
+		caps[i] = 10
+	}
+	return grid.NewFromDesign(&design.Design{
+		Name: "layers", GridW: 11, GridH: 7, NumLayers: L,
+		LayerCapacity: caps, ViaCapacity: 8,
+	})
+}
+
+// randomPieces draws geometry whose pieces deliberately collide: wires
+// (Lo == Hi, ends in either order) on a few rows and columns so they
+// overlap and abut across line ends, via stacks (Lo <= Hi) on a few cells
+// so they repeat, and zero-length pieces of both kinds.
+func randomPieces(rng *rand.Rand, g *grid.Graph) []grid.Run {
+	var pieces []grid.Run
+	for n := rng.Intn(16); n > 0; n-- {
+		l := 1 + rng.Intn(g.L)
+		if rng.Intn(3) == 0 {
+			l2 := 1 + rng.Intn(g.L)
+			p := geom.Point{X: rng.Intn(3), Y: rng.Intn(3)}
+			pieces = append(pieces, grid.Run{A: p, B: p, Lo: min(l, l2), Hi: max(l, l2)})
+			continue
+		}
+		line := rng.Intn(4)
+		a, b := geom.Point{X: rng.Intn(g.W), Y: line}, geom.Point{X: rng.Intn(g.W), Y: line}
+		if g.Dir(l) == grid.Vertical {
+			a, b = geom.Point{X: line, Y: rng.Intn(g.H)}, geom.Point{X: line, Y: rng.Intn(g.H)}
+		}
+		pieces = append(pieces, grid.Run{A: a, B: b, Lo: l, Hi: l})
+	}
+	return pieces
+}
+
+// buildPieces seals pieces into net id's route through the Builder.
+func buildPieces(g *grid.Graph, id int, pieces []grid.Run) *NetRoute {
+	return build(g, id, func(b *Builder) {
+		for _, p := range pieces {
+			if p.Lo == p.Hi {
+				b.Seg(p.Lo, p.A, p.B)
+			} else {
+				b.Via(p.A.X, p.A.Y, p.Lo, p.Hi)
+			}
+		}
+	})
+}
+
 // The map-based flattening the sealed edge list replaced, kept as the
-// oracle: distinct wire and via edges of Paths, in first-insertion order.
+// oracle: distinct wire and via edges of the pieces, in first-insertion
+// order.
 type wireKey struct{ layer, x, y int }
 type viaKey struct{ x, y, l int }
 
-func canonicalRef(g *grid.Graph, r *NetRoute) ([]wireKey, []viaKey) {
+func canonicalRef(g *grid.Graph, pieces []grid.Run) ([]wireKey, []viaKey) {
 	wires := make(map[wireKey]struct{})
 	vias := make(map[viaKey]struct{})
 	var wk []wireKey
@@ -25,57 +81,98 @@ func canonicalRef(g *grid.Graph, r *NetRoute) ([]wireKey, []viaKey) {
 			wk = append(wk, k)
 		}
 	}
-	for _, p := range r.Paths {
-		for _, s := range p.Segs {
-			if g.Dir(s.Layer) == grid.Horizontal {
-				lo, hi := geom.Min(s.A.X, s.B.X), geom.Max(s.A.X, s.B.X)
-				for x := lo; x < hi; x++ {
-					addWire(wireKey{s.Layer, x, s.A.Y})
-				}
-			} else {
-				lo, hi := geom.Min(s.A.Y, s.B.Y), geom.Max(s.A.Y, s.B.Y)
-				for y := lo; y < hi; y++ {
-					addWire(wireKey{s.Layer, s.A.X, y})
-				}
-			}
-		}
-		for _, v := range p.Vias {
-			for l := v.L1; l < v.L2; l++ {
-				k := viaKey{v.X, v.Y, l}
+	for _, p := range pieces {
+		if p.Lo != p.Hi {
+			for l := p.Lo; l < p.Hi; l++ {
+				k := viaKey{p.A.X, p.A.Y, l}
 				if _, dup := vias[k]; !dup {
 					vias[k] = struct{}{}
 					vk = append(vk, k)
 				}
+			}
+		} else if g.Dir(p.Lo) == grid.Horizontal {
+			for x := geom.Min(p.A.X, p.B.X); x < geom.Max(p.A.X, p.B.X); x++ {
+				addWire(wireKey{p.Lo, x, p.A.Y})
+			}
+		} else {
+			for y := geom.Min(p.A.Y, p.B.Y); y < geom.Max(p.A.Y, p.B.Y); y++ {
+				addWire(wireKey{p.Lo, p.A.X, y})
 			}
 		}
 	}
 	return wk, vk
 }
 
-// randomRoute builds a route whose pieces deliberately collide: segments
-// drawn from a few rows and columns so they overlap, via stacks drawn from
-// a few cells so they repeat, and zero-length pieces appended raw (past the
-// AddSeg/AddVia filters).
-func randomRoute(rng *rand.Rand, g *grid.Graph, id int) *NetRoute {
-	r := &NetRoute{NetID: id}
-	for np := 1 + rng.Intn(4); np > 0; np-- {
-		var p Path
-		for ns := rng.Intn(6); ns > 0; ns-- {
-			l := 1 + rng.Intn(g.L)
-			line, a, b := rng.Intn(4), rng.Intn(g.W), rng.Intn(g.W)
-			if g.Dir(l) == grid.Horizontal {
-				p.Segs = append(p.Segs, Seg{Layer: l, A: geom.Point{X: a, Y: line}, B: geom.Point{X: b, Y: line}})
-			} else {
-				p.Segs = append(p.Segs, Seg{Layer: l, A: geom.Point{X: line, Y: a}, B: geom.Point{X: line, Y: b}})
+// refRuns joins the reference edge sets into maximal runs without edge
+// IDs: a wire run starts at an edge whose predecessor along the layer is
+// missing, a via stack at an edge with none below it.
+func refRuns(g *grid.Graph, wk []wireKey, vk []viaKey) []grid.Run {
+	wires := make(map[wireKey]bool)
+	for _, k := range wk {
+		wires[k] = true
+	}
+	vias := make(map[viaKey]bool)
+	for _, k := range vk {
+		vias[k] = true
+	}
+	var runs []grid.Run
+	for _, k := range wk {
+		dx, dy := 1, 0
+		if g.Dir(k.layer) == grid.Vertical {
+			dx, dy = 0, 1
+		}
+		if wires[wireKey{k.layer, k.x - dx, k.y - dy}] {
+			continue
+		}
+		n := 1
+		for wires[wireKey{k.layer, k.x + n*dx, k.y + n*dy}] {
+			n++
+		}
+		runs = append(runs, grid.Run{A: geom.Point{X: k.x, Y: k.y}, B: geom.Point{X: k.x + n*dx, Y: k.y + n*dy}, Lo: k.layer, Hi: k.layer})
+	}
+	for _, k := range vk {
+		if vias[viaKey{k.x, k.y, k.l - 1}] {
+			continue
+		}
+		hi := k.l + 1
+		for vias[viaKey{k.x, k.y, hi}] {
+			hi++
+		}
+		p := geom.Point{X: k.x, Y: k.y}
+		runs = append(runs, grid.Run{A: p, B: p, Lo: k.l, Hi: hi})
+	}
+	return runs
+}
+
+func compareRuns(a, b grid.Run) int {
+	return cmp.Or(cmp.Compare(a.Lo, b.Lo), cmp.Compare(a.Hi, b.Hi),
+		cmp.Compare(a.A.Y, b.A.Y), cmp.Compare(a.A.X, b.A.X))
+}
+
+// TestRunsMatchReference: on random colliding geometry at 2, 5 and 9
+// layers, AppendRuns spells the sealed list as exactly the maximal runs the
+// reference joins from its edge sets, wire runs before via stacks.
+func TestRunsMatchReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(26))
+	for _, L := range oracleLayers {
+		g := layeredGrid(L)
+		for trial := 0; trial < 300; trial++ {
+			pieces := randomPieces(rng, g)
+			got := g.AppendRuns(nil, buildPieces(g, trial, pieces).Edges())
+			wk, vk := canonicalRef(g, pieces)
+			want := refRuns(g, wk, vk)
+			for i := 1; i < len(got); i++ {
+				if got[i-1].Lo != got[i-1].Hi && got[i].Lo == got[i].Hi {
+					t.Fatalf("L=%d trial %d: wire run %+v after via stack %+v", L, trial, got[i], got[i-1])
+				}
+			}
+			slices.SortFunc(got, compareRuns)
+			slices.SortFunc(want, compareRuns)
+			if !slices.Equal(got, want) {
+				t.Fatalf("L=%d trial %d: runs\n%+v\nreference\n%+v", L, trial, got, want)
 			}
 		}
-		for nv := rng.Intn(5); nv > 0; nv-- {
-			l1, l2 := 1+rng.Intn(g.L), 1+rng.Intn(g.L)
-			p.Vias = append(p.Vias, Via{X: rng.Intn(3), Y: rng.Intn(3), L1: geom.Min(l1, l2), L2: geom.Max(l1, l2)})
-		}
-		r.Paths = append(r.Paths, p)
 	}
-	return r
 }
 
 // demandOf snapshots every demand counter of the grid.
@@ -111,10 +208,10 @@ func refOverflow(g *grid.Graph, wk []wireKey, vk []viaKey) bool {
 	return false
 }
 
-// TestSealedEdgeListMatchesReference: on random colliding routes the sealed
-// list names exactly the reference's distinct edges, every query agrees with
-// the reference before and after sealing, and commit → uncommit → commit
-// leaves the grid exactly as one commit does.
+// TestSealedEdgeListMatchesReference: on random colliding geometry the
+// list the Builder seals names exactly the reference's distinct edges, every
+// query agrees with the reference as built, committed and uncommitted, and
+// commit → uncommit → commit leaves the grid exactly as one commit does.
 func TestSealedEdgeListMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(18))
 	const trials = 300
@@ -127,8 +224,9 @@ func TestSealedEdgeListMatchesReference(t *testing.T) {
 			g.AddSegDemand(3, geom.Point{X: x, Y: y}, geom.Point{X: x + 1, Y: y}, rng.Intn(12))
 			g.AddViaStackDemand(rng.Intn(3), rng.Intn(3), 1, g.L, rng.Intn(4))
 		}
-		r := randomRoute(rng, g, trial)
-		wk, vk := canonicalRef(g, r)
+		pieces := randomPieces(rng, g)
+		r := buildPieces(g, trial, pieces)
+		wk, vk := canonicalRef(g, pieces)
 
 		// The same set of edges, as IDs.
 		var want []grid.EdgeID
@@ -146,9 +244,8 @@ func TestSealedEdgeListMatchesReference(t *testing.T) {
 
 		check := func(when string) {
 			t.Helper()
-			got, wires := r.edgeList(g)
-			if !slices.Equal(got, want) || wires != len(wk) {
-				t.Fatalf("trial %d %s: edge list %v (%d wires), want %v (%d wires)", trial, when, got, wires, want, len(wk))
+			if got := r.Edges(); !slices.Equal(got, want) || r.wires != len(wk) {
+				t.Fatalf("trial %d %s: edge list %v (%d wires), want %v (%d wires)", trial, when, got, r.wires, want, len(wk))
 			}
 			if r.Wirelength(g) != len(wk) || r.ViaCount(g) != len(vk) {
 				t.Fatalf("trial %d %s: Wirelength/ViaCount = %d/%d, want %d/%d",
@@ -159,12 +256,9 @@ func TestSealedEdgeListMatchesReference(t *testing.T) {
 			}
 		}
 
-		check("unsealed")
+		check("built")
 		if r.HasOverflow(g) {
 			overflowed++
-		}
-		if r.edges != nil {
-			t.Fatalf("trial %d: a query sealed the route", trial)
 		}
 		empty := demandOf(g)
 		r.Commit(g)
@@ -179,8 +273,8 @@ func TestSealedEdgeListMatchesReference(t *testing.T) {
 		if !slices.Equal(demandOf(g), empty) {
 			t.Fatalf("trial %d: uncommit did not restore the grid", trial)
 		}
-		if r.Committed() || r.edges == nil {
-			t.Fatalf("trial %d: after Uncommit committed=%v sealed=%v", trial, r.Committed(), r.edges != nil)
+		if r.Committed() {
+			t.Fatalf("trial %d: committed after Uncommit", trial)
 		}
 		check("uncommitted")
 

@@ -13,7 +13,7 @@ type Crossing struct {
 }
 
 // StitchFragments reassembles a boundary net from its per-shard fragment
-// routes: the fragment geometry is merged verbatim, then every crossing edge
+// routes: the fragments' edges are merged verbatim, then every crossing edge
 // — the one-step halo connections the splitter cut at — is realized on a
 // deterministically chosen layer with the via stacks needed to reach the
 // fragment geometry on both sides.
@@ -23,8 +23,8 @@ type Crossing struct {
 //	via(A: la -> l) + wire(l, A-B) + via(B: l -> lb)
 //
 // over the layers whose preferred direction matches the step, where la/lb
-// are the lowest layers already carrying the net at A/B (fragment geometry
-// appended so far, earlier crossings included, plus the net's own pins);
+// are the lowest layers already carrying the net at A/B (fragment edges
+// added so far, earlier crossings included, plus the net's own pins);
 // ties break to the lowest layer. Crossings are processed in the order
 // given, each seeing its predecessors' geometry, so the result is a pure
 // function of (grid state, fragments, crossings) — the stitching pass runs
@@ -33,15 +33,16 @@ type Crossing struct {
 //
 // The returned route is not committed; the caller commits it like any other.
 func StitchFragments(g *grid.Graph, netID int, pins []geom.Point3, frags []*NetRoute, crossings []Crossing) *NetRoute {
-	merged := &NetRoute{NetID: netID}
+	var b Builder
+	b.Reset(g, netID)
 	for _, f := range frags {
 		if f != nil {
-			merged.Paths = append(merged.Paths, f.Paths...)
+			b.AddRoute(f)
 		}
 	}
 	for _, cr := range crossings {
-		la := lowestLayerAt(merged, pins, cr.A)
-		lb := lowestLayerAt(merged, pins, cr.B)
+		la := lowestLayerAt(g, b.edges, pins, cr.A)
+		lb := lowestLayerAt(g, b.edges, pins, cr.B)
 		horiz := cr.A.Y == cr.B.Y
 		bestL, bestCost := 0, 0.0
 		for l := 1; l <= g.L; l++ {
@@ -59,48 +60,35 @@ func StitchFragments(g *grid.Graph, netID int, pins []geom.Point3, frags []*NetR
 				bestL, bestCost = l, c
 			}
 		}
-		var p Path
 		if la > 0 {
-			p.AddVia(cr.A.X, cr.A.Y, la, bestL)
+			b.Via(cr.A.X, cr.A.Y, min(la, bestL), max(la, bestL))
 		}
-		p.AddSeg(bestL, cr.A, cr.B)
+		b.Seg(bestL, cr.A, cr.B)
 		if lb > 0 {
-			p.AddVia(cr.B.X, cr.B.Y, bestL, lb)
+			b.Via(cr.B.X, cr.B.Y, min(lb, bestL), max(lb, bestL))
 		}
-		merged.Paths = append(merged.Paths, p)
 	}
-	return merged
+	return b.Build()
 }
 
-// lowestLayerAt returns the lowest layer at which the route's geometry (or
-// one of the net's pins) touches position pos; 0 when nothing does.
-func lowestLayerAt(r *NetRoute, pins []geom.Point3, pos geom.Point) int {
+// lowestLayerAt returns the lowest layer at which one of the edges (or one
+// of the net's pins) touches position pos; 0 when nothing does. A via
+// stack's lowest edge starts at its lowest layer, so edge ends see what the
+// stack touches.
+func lowestLayerAt(g *grid.Graph, edges []grid.EdgeID, pins []geom.Point3, pos geom.Point) int {
 	best := 0
-	touch := func(l int) {
-		if best == 0 || l < best {
-			best = l
+	touch := func(p geom.Point3) {
+		if p.P() == pos && (best == 0 || p.Layer < best) {
+			best = p.Layer
 		}
 	}
-	for _, p := range r.Paths {
-		for _, s := range p.Segs {
-			if s.A.Y == s.B.Y && pos.Y == s.A.Y &&
-				pos.X >= geom.Min(s.A.X, s.B.X) && pos.X <= geom.Max(s.A.X, s.B.X) {
-				touch(s.Layer)
-			} else if s.A.X == s.B.X && pos.X == s.A.X &&
-				pos.Y >= geom.Min(s.A.Y, s.B.Y) && pos.Y <= geom.Max(s.A.Y, s.B.Y) {
-				touch(s.Layer)
-			}
-		}
-		for _, v := range p.Vias {
-			if v.X == pos.X && v.Y == pos.Y {
-				touch(v.L1)
-			}
-		}
+	for _, e := range edges {
+		a, b := g.EdgeEnds(e)
+		touch(a)
+		touch(b)
 	}
 	for _, pin := range pins {
-		if pin.X == pos.X && pin.Y == pos.Y {
-			touch(pin.Layer)
-		}
+		touch(pin)
 	}
 	return best
 }

@@ -1,6 +1,8 @@
 package route
 
 import (
+	"math/rand"
+	"slices"
 	"testing"
 
 	"fastgr/internal/design"
@@ -34,14 +36,8 @@ func TestStitchFragmentsBridgesCut(t *testing.T) {
 		{X: 13, Y: 5, Layer: 3},
 	}
 	// Layer 3 is horizontal; each fragment carries its half of the row.
-	left := &NetRoute{NetID: 1}
-	var lp Path
-	lp.AddSeg(3, geom.Point{X: 2, Y: 5}, geom.Point{X: 7, Y: 5})
-	left.Paths = append(left.Paths, lp)
-	right := &NetRoute{NetID: 1}
-	var rp Path
-	rp.AddSeg(3, geom.Point{X: 8, Y: 5}, geom.Point{X: 13, Y: 5})
-	right.Paths = append(right.Paths, rp)
+	left := build(g, 1, func(b *Builder) { b.Seg(3, geom.Point{X: 2, Y: 5}, geom.Point{X: 7, Y: 5}) })
+	right := build(g, 1, func(b *Builder) { b.Seg(3, geom.Point{X: 8, Y: 5}, geom.Point{X: 13, Y: 5}) })
 
 	nr := StitchFragments(g, 1, pins, []*NetRoute{left, right},
 		[]Crossing{{A: geom.Point{X: 7, Y: 5}, B: geom.Point{X: 8, Y: 5}}})
@@ -77,17 +73,12 @@ func TestStitchFragmentsClimbsLayers(t *testing.T) {
 	// Left fragment on horizontal layer 1; right fragment reaches its pin
 	// via a vertical layer-2 hop (the crossing is horizontal, so the
 	// bridge itself must pick layer 1 or 3 and via down/over).
-	left := &NetRoute{NetID: 2}
-	var lp Path
-	lp.AddSeg(1, geom.Point{X: 4, Y: 8}, geom.Point{X: 7, Y: 8})
-	left.Paths = append(left.Paths, lp)
-	right := &NetRoute{NetID: 2}
-	var rp Path
-	rp.AddSeg(1, geom.Point{X: 8, Y: 8}, geom.Point{X: 11, Y: 8})
-	rp.AddVia(11, 8, 1, 2)
-	var rp2 Path
-	rp2.AddSeg(2, geom.Point{X: 11, Y: 8}, geom.Point{X: 11, Y: 9})
-	right.Paths = append(right.Paths, rp, rp2)
+	left := build(g, 2, func(b *Builder) { b.Seg(1, geom.Point{X: 4, Y: 8}, geom.Point{X: 7, Y: 8}) })
+	right := build(g, 2, func(b *Builder) {
+		b.Seg(1, geom.Point{X: 8, Y: 8}, geom.Point{X: 11, Y: 8})
+		b.Via(11, 8, 1, 2)
+		b.Seg(2, geom.Point{X: 11, Y: 8}, geom.Point{X: 11, Y: 9})
+	})
 
 	nr := StitchFragments(g, 2, pins, []*NetRoute{left, right},
 		[]Crossing{{A: geom.Point{X: 7, Y: 8}, B: geom.Point{X: 8, Y: 8}}})
@@ -100,44 +91,84 @@ func TestStitchFragmentsClimbsLayers(t *testing.T) {
 // the same grid state and expects identical geometry — the stitcher must
 // be a pure function of (grid state, fragments, crossings).
 func TestStitchFragmentsDeterministic(t *testing.T) {
-	build := func() *NetRoute {
+	stitch := func() *NetRoute {
 		g := stitchGrid(t)
 		pins := []geom.Point3{
 			{X: 1, Y: 2, Layer: 3},
 			{X: 14, Y: 13, Layer: 3},
 		}
-		a := &NetRoute{NetID: 3}
-		var pa Path
-		pa.AddSeg(3, geom.Point{X: 1, Y: 2}, geom.Point{X: 7, Y: 2})
-		a.Paths = append(a.Paths, pa)
-		b := &NetRoute{NetID: 3}
-		var pb Path
-		pb.AddSeg(3, geom.Point{X: 8, Y: 2}, geom.Point{X: 14, Y: 2})
-		var pb2 Path
-		pb2.AddVia(14, 2, 3, 4)
-		pb2.AddSeg(4, geom.Point{X: 14, Y: 2}, geom.Point{X: 14, Y: 13})
-		pb2.AddVia(14, 13, 4, 3)
-		b.Paths = append(b.Paths, pb, pb2)
+		a := build(g, 3, func(b *Builder) { b.Seg(3, geom.Point{X: 1, Y: 2}, geom.Point{X: 7, Y: 2}) })
+		b := build(g, 3, func(b *Builder) {
+			b.Seg(3, geom.Point{X: 8, Y: 2}, geom.Point{X: 14, Y: 2})
+			b.Via(14, 2, 3, 4)
+			b.Seg(4, geom.Point{X: 14, Y: 2}, geom.Point{X: 14, Y: 13})
+			b.Via(14, 13, 3, 4)
+		})
 		return StitchFragments(g, 3, pins, []*NetRoute{a, b},
 			[]Crossing{{A: geom.Point{X: 7, Y: 2}, B: geom.Point{X: 8, Y: 2}}})
 	}
-	r1, r2 := build(), build()
-	if len(r1.Paths) != len(r2.Paths) {
-		t.Fatalf("path counts differ: %d vs %d", len(r1.Paths), len(r2.Paths))
+	r1, r2 := stitch(), stitch()
+	if !slices.Equal(r1.Edges(), r2.Edges()) {
+		t.Fatalf("stitched edges differ:\n%v\nvs\n%v", r1.Edges(), r2.Edges())
 	}
-	for i := range r1.Paths {
-		p1, p2 := r1.Paths[i], r2.Paths[i]
-		if len(p1.Segs) != len(p2.Segs) || len(p1.Vias) != len(p2.Vias) {
-			t.Fatalf("path %d shape differs", i)
+}
+
+// lowestLayerAtSegs is lowestLayerAt as it walked segments and via stacks
+// before routes became edge lists: a wire piece touches every cell from A
+// to B on its layer, a via stack touches its lowest layer. Zero-length
+// pieces never reached a route (AddSeg and AddVia dropped them).
+func lowestLayerAtSegs(pieces []grid.Run, pins []geom.Point3, pos geom.Point) int {
+	best := 0
+	touch := func(l int) {
+		if best == 0 || l < best {
+			best = l
 		}
-		for j := range p1.Segs {
-			if p1.Segs[j] != p2.Segs[j] {
-				t.Fatalf("path %d seg %d differs: %+v vs %+v", i, j, p1.Segs[j], p2.Segs[j])
+	}
+	for _, p := range pieces {
+		if p.Lo == p.Hi && p.A == p.B {
+			continue
+		}
+		if p.Lo != p.Hi {
+			if p.A == pos {
+				touch(p.Lo)
 			}
+		} else if p.A.Y == p.B.Y && pos.Y == p.A.Y &&
+			pos.X >= geom.Min(p.A.X, p.B.X) && pos.X <= geom.Max(p.A.X, p.B.X) {
+			touch(p.Lo)
+		} else if p.A.X == p.B.X && pos.X == p.A.X &&
+			pos.Y >= geom.Min(p.A.Y, p.B.Y) && pos.Y <= geom.Max(p.A.Y, p.B.Y) {
+			touch(p.Lo)
 		}
-		for j := range p1.Vias {
-			if p1.Vias[j] != p2.Vias[j] {
-				t.Fatalf("path %d via %d differs: %+v vs %+v", i, j, p1.Vias[j], p2.Vias[j])
+	}
+	for _, pin := range pins {
+		if pin.X == pos.X && pin.Y == pos.Y {
+			touch(pin.Layer)
+		}
+	}
+	return best
+}
+
+// TestLowestLayerAtMatchesSegmentWalk: on random colliding geometry the
+// lowest layer found among edge ends is the one the segment walk found, at
+// every cell of the grid.
+func TestLowestLayerAtMatchesSegmentWalk(t *testing.T) {
+	rng := rand.New(rand.NewSource(31))
+	for _, L := range oracleLayers {
+		g := layeredGrid(L)
+		for trial := 0; trial < 60; trial++ {
+			pieces := randomPieces(rng, g)
+			var pins []geom.Point3
+			for i := rng.Intn(3); i > 0; i-- {
+				pins = append(pins, geom.Point3{X: rng.Intn(g.W), Y: rng.Intn(g.H), Layer: 1 + rng.Intn(L)})
+			}
+			edges := buildPieces(g, trial, pieces).Edges()
+			for y := 0; y < g.H; y++ {
+				for x := 0; x < g.W; x++ {
+					pos := geom.Point{X: x, Y: y}
+					if got, want := lowestLayerAt(g, edges, pins, pos), lowestLayerAtSegs(pieces, pins, pos); got != want {
+						t.Fatalf("L=%d trial %d at %v: lowest layer %d, segment walk %d", L, trial, pos, got, want)
+					}
+				}
 			}
 		}
 	}

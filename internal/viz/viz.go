@@ -92,37 +92,34 @@ func WriteCongestionSVG(w io.Writer, g *grid.Graph) error {
 	return s.close()
 }
 
-// WriteRouteSVG renders one or more routed nets: wires colored by layer,
-// vias as black circles, optional pin markers.
+// WriteRouteSVG renders one or more routed nets: one line per maximal wire
+// run, colored by layer, one black circle per via stack, optional pin
+// markers.
 func WriteRouteSVG(w io.Writer, g *grid.Graph, routes []*route.NetRoute, pins []geom.Point3) error {
 	s := &svg{w: w}
 	s.open(g.W, g.H)
-	// Deterministic draw order: lower layers first so upper layers overlay.
-	type wire struct {
-		layer int
-		a, b  geom.Point
-	}
-	var wires []wire
+	var runs, wires []grid.Run
 	var vias []geom.Point
 	for _, r := range routes {
 		if r == nil {
 			continue
 		}
-		for _, p := range r.Paths {
-			for _, sg := range p.Segs {
-				wires = append(wires, wire{sg.Layer, sg.A, sg.B})
-			}
-			for _, v := range p.Vias {
-				vias = append(vias, geom.Point{X: v.X, Y: v.Y})
+		runs = g.AppendRuns(runs[:0], r.Edges())
+		for _, run := range runs {
+			if run.Lo == run.Hi {
+				wires = append(wires, run)
+			} else {
+				vias = append(vias, run.A)
 			}
 		}
 	}
-	sort.SliceStable(wires, func(i, j int) bool { return wires[i].layer < wires[j].layer })
+	// Deterministic draw order: lower layers first so upper layers overlay.
+	sort.SliceStable(wires, func(i, j int) bool { return wires[i].Lo < wires[j].Lo })
 	for _, wr := range wires {
-		x1, y1 := center(wr.a)
-		x2, y2 := center(wr.b)
+		x1, y1 := center(wr.A)
+		x2, y2 := center(wr.B)
 		s.printf(`<line x1="%.1f" y1="%.1f" x2="%.1f" y2="%.1f" stroke="%s" stroke-width="2.4" stroke-linecap="round"/>`+"\n",
-			x1, y1, x2, y2, LayerColor(wr.layer))
+			x1, y1, x2, y2, LayerColor(wr.Lo))
 	}
 	for _, v := range vias {
 		x, y := center(v)
