@@ -8,16 +8,17 @@ import (
 )
 
 // Allocation ceilings of one FastGRH run of 18test5 @ 0.02, per net: the
-// measured 112 allocs and 9.97 KB (10.36 KB under -race) plus ~15%
+// measured 112 allocs and 9.69 KB (10.07 KB under -race) plus ~15%
 // headroom. Before routes kept sealed edge lists the same run cost 464
 // allocs and 61 KB a net, nearly all of the difference in per-net maps
 // rebuilt by every scan; before the pattern DP kept its tables, flows and
 // weights in a reused Solver it cost 358 allocs and 29.1 KB; before the
 // edge list was the only geometry a route held (no segment and via-stack
-// slices beside it) it cost 123 allocs and 10.96 KB.
+// slices beside it) it cost 123 allocs and 10.96 KB; before the maze
+// search state shrank to 12 bytes a node it cost 112 allocs and 9.97 KB.
 const (
 	allocsPerNetCeiling = 129
-	bytesPerNetCeiling  = 11_900
+	bytesPerNetCeiling  = 11_600
 )
 
 // TestRouteAllocBudget is the allocation row of the performance ledger as a

@@ -22,15 +22,18 @@
 // queue_oracle_test.go checks pop for pop — so it changes the cost of an
 // expansion and nothing else.
 //
-// The search state (one 16-byte distance/parent/stamp record per window
-// node, the queue's chunk arena, the connected and target sets) lives in a
-// reusable Search scratch object: rip-up-and-reroute calls RouteNet
-// thousands of times, and reusing one Search per executor worker keeps the
-// hot path allocation-free. Stale state is invalidated by epoch stamping
-// instead of clearing, so rebinding the scratch to a new window costs O(1)
-// beyond any capacity growth. The inner loop addresses a node's neighbours
-// by index offset and, on a graph whose full cost field is built, reads edge
-// costs straight from it (grid.CostField).
+// The search state (one 12-byte record per window node, the queue's chunk
+// arena, the source and target lists) lives in a reusable Search scratch
+// object: rip-up-and-reroute calls RouteNet thousands of times, and reusing
+// one Search per executor worker keeps the hot path allocation-free. A
+// record is the node's distance plus one 32-bit word packing the pass epoch,
+// a settled bit, a target bit and the direction of the node's parent (one of
+// six neighbours, or none at a source); state_oracle_test.go holds it push
+// for push to the 24-byte-a-node state it replaced. Stale state is
+// invalidated by the epoch instead of clearing, so rebinding the scratch to
+// a new window costs O(1) beyond any capacity growth. The inner loop
+// addresses a node's neighbours by index offset and, on a graph whose full
+// cost field is built, reads edge costs straight from it (grid.CostField).
 package maze
 
 import (
@@ -98,7 +101,7 @@ func RouteNet(g *grid.Graph, netID int, pins []geom.Point3, window geom.Rect) (*
 }
 
 // Search is the reusable maze-routing scratch: windowed search state plus
-// the per-net connected/target sets. A Search may be reused across nets,
+// the per-net source and target lists. A Search may be reused across nets,
 // windows and grids; it must not be used from two goroutines at once. The
 // routes it produces are bit-identical to those of a fresh Search.
 type Search struct {
@@ -106,10 +109,10 @@ type Search struct {
 	win    geom.Rect
 	ww, wh int
 
-	// state holds one entry per window node, epoch-stamped so rebinding and
-	// starting a new pass both cost O(1). epoch is even and advances by two
-	// per pass: a node whose stamp is epoch has been reached in this pass,
-	// epoch+1 settled, anything lower is left over from an earlier pass.
+	// state holds one record per window node, epoch-stamped so rebinding
+	// and starting a new pass both cost O(1). epoch is the current pass's
+	// value of a word's epoch bits: a word below it is left over from an
+	// earlier pass.
 	state []nodeState
 	epoch uint32
 
@@ -120,20 +123,14 @@ type Search struct {
 	hits      *obs.Counter
 	reads     int64 // field reads of the current pass, not yet added to hits
 
-	// Per-net sets, stamped like state but with epochs that tick once per
-	// RouteNet call (they live across that net's passes).
-	connStamp []uint32
-	targStamp []uint32
-	connEpoch uint32
-	targEpoch uint32
-
-	// connected is the source list (its membership set is connStamp): the
-	// first pin, then each pass's parent chain, target end first. Its order
-	// steers nothing: every source is seeded at distance zero with no
-	// parent, and the queue pops in the total (f, node) order, so seeding in
-	// any order settles the same nodes in the same sequence. targets is the
-	// ordered list of unreached targets (membership set: targStamp), scanned
-	// by the A* heuristic.
+	// connected is the source list: the first pin, then each pass's parent
+	// chain, target end first. Its order steers nothing: every source is
+	// seeded at distance zero with no parent, and the queue pops in the
+	// total (f, node) order, so seeding in any order settles the same nodes
+	// in the same sequence. targets is the ordered list of unreached pins
+	// other than the first, scanned by the A* heuristic; each pass flags
+	// them in their records. A repeated pin stays repeated: reaching it
+	// drops every copy, and the heuristic's minimum ignores copies.
 	connected []geom.Point3
 	targets   []geom.Point3
 
@@ -160,11 +157,49 @@ type Search struct {
 	searchCount *obs.Counter
 }
 
-// nodeState is the per-pass search state of one window node.
+// nodeState is the per-pass search state of one window node: the bits of
+// its float64 distance, split in halves so the record packs to 12 bytes
+// (a float64 field would align it to 16), and a word laid out as
+//
+//	bits 0-2  parent code: 0 at a source, else the parent's direction
+//	bit  3    target: a pin this pass searches for
+//	bit  4    settled
+//	bits 5-31 the epoch of the pass that wrote the record
 type nodeState struct {
-	dist   float64
-	parent int32 // predecessor node index, -1 at a source
-	stamp  uint32
+	distLo, distHi uint32
+	word           uint32
+}
+
+const (
+	parentMask = 1<<3 - 1
+	targetBit  = 1 << 3
+	settledBit = 1 << 4
+	epochStep  = 1 << 5
+)
+
+// Parent codes, numbered in the order of the index offsets they stand for
+// (reconstruct maps them back), so the smaller code always names the smaller
+// parent index, which is what the canonical equal-cost parent rule compares. A node's candidate parents are
+// its wire neighbours along one axis and its via neighbours, and their
+// offsets are distinct whenever both exist (a horizontal layer has x moves
+// only when the window is at least 2 wide, so plane > 1; a vertical one has
+// y moves only when it is at least 2 tall, so plane > row).
+const (
+	fromBelow = 1 + iota // parent at -plane
+	fromSouth            // -row
+	fromWest             // -1
+	fromEast             // +1
+	fromNorth            // +row
+	fromAbove            // +plane
+)
+
+func (n *nodeState) dist() float64 {
+	return math.Float64frombits(uint64(n.distHi)<<32 | uint64(n.distLo))
+}
+
+func (n *nodeState) setDist(d float64) {
+	b := math.Float64bits(d)
+	n.distLo, n.distHi = uint32(b), uint32(b>>32)
 }
 
 // NewSearch returns an empty scratch; capacity grows on first use. The
@@ -192,9 +227,9 @@ func (s *Search) SetObserver(o *obs.Observer) {
 	s.searchCount = o.M().Counter(obs.MMazeSearches)
 }
 
-// bind points the scratch at a grid and window, growing the node arrays as
-// needed. Entries surviving from earlier windows are invalidated by their
-// stale stamps, never by clearing.
+// bind points the scratch at a grid and window, growing the record array
+// as needed. Records surviving from earlier windows are invalidated by
+// their stale epochs, never by clearing.
 func (s *Search) bind(g *grid.Graph, win geom.Rect) {
 	s.g, s.win = g, win
 	s.ww, s.wh = win.Width(), win.Height()
@@ -202,25 +237,9 @@ func (s *Search) bind(g *grid.Graph, win geom.Rect) {
 	n := s.ww * s.wh * g.L
 	if cap(s.state) < n {
 		s.state = make([]nodeState, n)
-		s.connStamp = make([]uint32, n)
-		s.targStamp = make([]uint32, n)
 		return
 	}
 	s.state = s.state[:n]
-	s.connStamp = s.connStamp[:n]
-	s.targStamp = s.targStamp[:n]
-}
-
-// bumpEpoch advances an epoch counter, clearing the backing array on the
-// (once per 2^32 uses) wrap so stale stamps can never collide.
-func bumpEpoch(e *uint32, arr []uint32) {
-	*e++
-	if *e == 0 {
-		for i := range arr {
-			arr[i] = 0
-		}
-		*e = 1
-	}
 }
 
 // RouteNet maze-routes a whole net inside the window: starting from the
@@ -242,20 +261,13 @@ func (s *Search) RouteNet(g *grid.Graph, netID int, pins []geom.Point3, window g
 	s.bind(g, window)
 	s.hWire = math.Max(0, g.Params.UnitWire)
 	s.hVia = math.Max(0, g.Params.UnitVia)
-	bumpEpoch(&s.connEpoch, s.connStamp)
-	bumpEpoch(&s.targEpoch, s.targStamp)
 	s.b.Reset(g, netID)
 	var stats Stats
 
 	s.connected = append(s.connected[:0], pins[0])
-	s.connStamp[s.index(pins[0])] = s.connEpoch
 	s.targets = s.targets[:0]
 	for _, p := range pins[1:] {
-		if p == pins[0] {
-			continue
-		}
-		if i := s.index(p); s.targStamp[i] != s.targEpoch {
-			s.targStamp[i] = s.targEpoch
+		if p != pins[0] {
 			s.targets = append(s.targets, p)
 		}
 	}
@@ -276,7 +288,6 @@ func (s *Search) RouteNet(g *grid.Graph, netID int, pins []geom.Point3, window g
 			}
 			return nil, stats, fmt.Errorf("maze: net %d: %w", netID, err)
 		}
-		s.targStamp[reached] = s.targEpoch - 1
 		s.dropTarget(s.point(reached))
 		s.reconstruct(reached)
 	}
@@ -287,8 +298,8 @@ func (s *Search) RouteNet(g *grid.Graph, netID int, pins []geom.Point3, window g
 	return s.b.Build(), stats, nil
 }
 
-// dropTarget removes a reached target from the ordered target list
-// (stable, in place; membership already left targStamp above).
+// dropTarget removes every copy of a reached target from the ordered
+// target list (stable, in place).
 func (s *Search) dropTarget(reached geom.Point3) {
 	keep := s.targets[:0]
 	for _, t := range s.targets {
@@ -339,10 +350,15 @@ func (s *Search) heuristic(x, y, l int) float64 {
 // search runs one multi-source multi-target pass (A* or Dijkstra per the
 // configured algorithm) from the connected set and returns the index of
 // whichever target settles first; its parent chain is the cheapest path to
-// it. Targets are the nodes whose
-// targStamp carries the current target epoch. limit caps this pass's
-// expansions (the net budget minus what earlier passes spent); negative
-// means unlimited.
+// it. limit caps this pass's expansions (the net budget minus what earlier
+// passes spent); negative means unlimited.
+//
+// The pass opens a new epoch and flags each remaining target in its record
+// at distance +Inf: a target is then reached like any fresh node (every
+// finite distance beats +Inf), keeps its flag through relaxation, and is
+// recognised on pop from the record already loaded. No target is ever a
+// source: a pin on an earlier pass's chain would have settled, at a smaller
+// distance, before the pin that ended that pass.
 //
 // A popped entry is stale exactly when its node is already settled: a
 // node's lower-cost entry has a key no larger (the heuristic term is the
@@ -350,20 +366,22 @@ func (s *Search) heuristic(x, y, l int) float64 {
 // two pops first settles the node at the distance kept in state, not in the
 // entry. Deletion stays lazy, so Pushes counts what it always did.
 func (s *Search) search(limit int64) (int32, Stats, error) {
-	s.epoch += 2
-	if s.epoch == 0 { // wrapped: no stale stamp may alias the new epochs
-		full := s.state[:cap(s.state)]
-		for i := range full {
-			full[i].stamp = 0
-		}
-		s.epoch = 2
+	s.epoch += epochStep
+	if s.epoch == 0 { // wrapped: no stale word may alias the new epochs
+		clear(s.state[:cap(s.state)])
+		s.epoch = epochStep
+	}
+	for _, t := range s.targets {
+		ns := &s.state[s.index(t)]
+		ns.setDist(math.Inf(1))
+		ns.word = s.epoch | targetBit
 	}
 	var st Stats
-	g, q, open := s.g, &s.q, s.epoch
+	g, q := s.g, &s.q
 	q.reset()
 	for _, src := range s.connected {
 		// A source is a node reached at distance zero from no predecessor.
-		s.relax(-1, s.index(src), 0, 0, src.X, src.Y, src.Layer, &st)
+		s.relax(0, s.index(src), 0, 0, src.X, src.Y, src.Layer, &st)
 	}
 
 	row, plane := int32(s.ww), int32(s.ww*s.wh)
@@ -376,13 +394,12 @@ func (s *Search) search(limit int64) (int32, Stats, error) {
 		}
 		i := it.node
 		ns := &s.state[i]
-		if ns.stamp != open {
+		if ns.word&settledBit != 0 {
 			continue
 		}
-		ns.stamp = open + 1
+		ns.word |= settledBit
 		st.Expansions++
-		p := s.point(i)
-		if s.targStamp[i] == s.targEpoch {
+		if ns.word&targetBit != 0 {
 			reached, err = i, nil
 			break
 		}
@@ -390,28 +407,33 @@ func (s *Search) search(limit int64) (int32, Stats, error) {
 			err = &BudgetError{}
 			break
 		}
-		d, x, y, l := ns.dist, p.X, p.Y, p.Layer
+		p := s.point(i)
+		d, x, y, l := ns.dist(), p.X, p.Y, p.Layer
 
 		// Wire moves along the layer's preferred direction; an edge is named
 		// by its lower end, so the backward one belongs to the neighbour.
+		// The forward neighbour's parent lies behind it, the backward one's
+		// ahead of it.
 		dx, dy, step := 1, 0, int32(1)
+		fwd, back := uint32(fromWest), uint32(fromEast)
 		hasFwd, hasBack := x < s.win.Hi.X, x > s.win.Lo.X
 		if g.Dir(l) == grid.Vertical {
 			dx, dy, step = 0, 1, row
+			fwd, back = fromSouth, fromNorth
 			hasFwd, hasBack = y < s.win.Hi.Y, y > s.win.Lo.Y
 		}
 		if hasFwd {
-			s.relax(i, i+step, d, s.wireCost(l, x, y), x+dx, y+dy, l, &st)
+			s.relax(fwd, i+step, d, s.wireCost(l, x, y), x+dx, y+dy, l, &st)
 		}
 		if hasBack {
-			s.relax(i, i-step, d, s.wireCost(l, x-dx, y-dy), x-dx, y-dy, l, &st)
+			s.relax(back, i-step, d, s.wireCost(l, x-dx, y-dy), x-dx, y-dy, l, &st)
 		}
 		// Via moves between adjacent layers.
 		if l < g.L {
-			s.relax(i, i+plane, d, s.viaCost(x, y, l), x, y, l+1, &st)
+			s.relax(fromBelow, i+plane, d, s.viaCost(x, y, l), x, y, l+1, &st)
 		}
 		if l > 1 {
-			s.relax(i, i-plane, d, s.viaCost(x, y, l-1), x, y, l-1, &st)
+			s.relax(fromAbove, i-plane, d, s.viaCost(x, y, l-1), x, y, l-1, &st)
 		}
 	}
 	s.hits.Add(s.reads)
@@ -438,52 +460,54 @@ func (s *Search) viaCost(x, y, l int) float64 {
 	return s.via[l-1][y*s.g.W+x]
 }
 
-// relax offers node j, at (x, y, l), the path through its neighbour i at
-// distance d over an edge of the given (finite) cost.
-func (s *Search) relax(i, j int32, d, cost float64, x, y, l int, st *Stats) {
+// relax offers node j, at (x, y, l), the path through the neighbour in
+// direction code at distance d over an edge of the given (finite) cost;
+// code 0 seeds a source. A fresh node's word is rewritten whole, which
+// drops any flags left by an earlier pass; otherwise the flags stay and
+// only the parent code changes.
+func (s *Search) relax(code uint32, j int32, d, cost float64, x, y, l int, st *Stats) {
 	ns, nd := &s.state[j], d+cost
-	if fresh := ns.stamp < s.epoch; fresh || nd < ns.dist {
+	w := ns.word
+	if fresh := w < s.epoch; fresh || nd < ns.dist() {
 		if fresh {
-			ns.stamp = s.epoch
+			w = s.epoch
 		}
-		ns.dist, ns.parent = nd, i
+		ns.setDist(nd)
+		ns.word = w&^parentMask | code
 		it := qItem{k: math.Float64bits(nd + s.heuristic(x, y, l)), node: j}
 		if s.trace != nil {
 			s.trace(true, it)
 		}
 		s.q.push(it)
 		st.Pushes++
-	} else if nd == ns.dist && cost > 0 && ns.parent >= 0 && i < ns.parent {
+	} else if p := w & parentMask; nd == ns.dist() && cost > 0 && p != 0 && code < p {
 		// Canonical parent rule: among equal-cost predecessors the
-		// smallest node index wins, independent of relaxation order.
-		// (cost > 0 keeps the parent pointers acyclic; sources keep
-		// their -1 root marker.)
-		ns.parent = i
+		// smallest node index — the smallest code — wins, independent of
+		// relaxation order. (cost > 0 keeps the parent pointers acyclic;
+		// sources keep their 0 root code.)
+		ns.word = w&^parentMask | code
 	}
 }
 
 // reconstruct walks the parent chain from end back to a source. Each step
-// is one grid edge, added to the route, and every node of the chain joins
-// the source set of the next pass.
+// is one grid edge, added to the route, and every node of the chain that
+// has a parent joins the source list of the next pass. Those are exactly
+// the chain's nodes not in the list already: every listed node was seeded
+// as a source at distance zero with code 0, and no positive edge cost
+// improves on zero.
 func (s *Search) reconstruct(end int32) {
-	prev := s.point(end)
-	s.connect(end, prev)
-	for i := s.state[end].parent; i >= 0; i = s.state[i].parent {
+	row, plane := int32(s.ww), int32(s.ww*s.wh)
+	off := [...]int32{fromBelow: -plane, fromSouth: -row, fromWest: -1, fromEast: 1, fromNorth: row, fromAbove: plane}
+	i, prev := end, s.point(end)
+	for code := s.state[i].word & parentMask; code != 0; code = s.state[i].word & parentMask {
+		s.connected = append(s.connected, prev)
+		i += off[code]
 		cur := s.point(i)
 		if cur.Layer == prev.Layer {
 			s.b.Seg(cur.Layer, prev.P(), cur.P())
 		} else {
 			s.b.Via(cur.X, cur.Y, min(prev.Layer, cur.Layer), max(prev.Layer, cur.Layer))
 		}
-		s.connect(i, cur)
 		prev = cur
-	}
-}
-
-// connect adds node i, at p, to the source set unless it is there already.
-func (s *Search) connect(i int32, p geom.Point3) {
-	if s.connStamp[i] != s.connEpoch {
-		s.connStamp[i] = s.connEpoch
-		s.connected = append(s.connected, p)
 	}
 }

@@ -114,9 +114,9 @@ func TestSearchReuseSteadyStateAllocs(t *testing.T) {
 
 // TestSearchFootprint pins what a warmed scratch retains. The queue's arena
 // holds the chunks the peak frontier fills plus at most one partly filled
-// chunk per bucket, and a window node costs 24 bytes — a 16-byte search
-// state and the two per-net stamps — against the 25 of the four parallel
-// arrays this state replaced.
+// chunk per bucket, and a window node costs one 12-byte record — distance
+// plus a word packing epoch, flags and parent direction — against the 24 of
+// the 16-byte record and two per-net stamp arrays it replaced.
 func TestSearchFootprint(t *testing.T) {
 	g, nets, pins, wins := scratchFixture(t)
 	s := NewSearch()
@@ -144,12 +144,47 @@ func TestSearchFootprint(t *testing.T) {
 	if max := (peak+chunkCap-1)/chunkCap + 64; s.q.chunks > max {
 		t.Fatalf("queue arena holds %d chunks after a peak of %d items; the bound is %d", s.q.chunks, peak, max)
 	}
-	if sz := unsafe.Sizeof(nodeState{}); sz != 16 {
-		t.Fatalf("nodeState is %d bytes, want 16", sz)
+	if sz := unsafe.Sizeof(nodeState{}); sz != 12 {
+		t.Fatalf("nodeState is %d bytes, want 12", sz)
 	}
-	retained := cap(s.state)*int(unsafe.Sizeof(nodeState{})) + 4*cap(s.connStamp) + 4*cap(s.targStamp)
-	if perNode := float64(retained) / float64(nodes); perNode > 24 {
-		t.Fatalf("scratch retains %.1f bytes per node of its largest window (%d nodes), want at most 24", perNode, nodes)
+	retained := cap(s.state) * int(unsafe.Sizeof(nodeState{}))
+	if perNode := float64(retained) / float64(nodes); perNode > 12 {
+		t.Fatalf("scratch retains %.1f bytes per node of its largest window (%d nodes), want at most 12", perNode, nodes)
 	}
 	t.Logf("peak frontier %d items, %d chunks; %d bytes for %d window nodes", peak, s.q.chunks, retained, nodes)
+}
+
+// TestSearchEpochWrap routes across the epoch's wrap-around on a warmed
+// scratch: the wrap must clear every record ever bound, or words stamped
+// with the last epochs before it outrank the first ones after it and read
+// as reached, settled or flagged. Routes and stats must equal a fresh
+// Search's, whichever pass of a net the wrap falls in.
+func TestSearchEpochWrap(t *testing.T) {
+	g, nets, pins, wins := scratchFixture(t)
+	s := NewSearch()
+	for i, n := range nets {
+		if _, _, err := s.RouteNet(g, n.ID, pins[i], wins[i]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for before := uint32(1); before <= 4; before++ {
+		s.epoch = -before * epochStep // the wrap comes `before` passes from now
+		for i, n := range nets[:20] {
+			fresh, freshStats, err := RouteNet(g, n.ID, pins[i], wins[i])
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, gotStats, err := s.RouteNet(g, n.ID, pins[i], wins[i])
+			if err != nil {
+				t.Fatalf("wrap %d passes ahead, net %s: %v", before, n.Name, err)
+			}
+			if gotStats != freshStats || !slices.Equal(got.Edges(), fresh.Edges()) {
+				t.Fatalf("wrap %d passes ahead, net %s: stats %+v vs fresh %+v, edges equal %v",
+					before, n.Name, gotStats, freshStats, slices.Equal(got.Edges(), fresh.Edges()))
+			}
+		}
+		if s.epoch >= 1<<20 {
+			t.Fatalf("epoch %#x: the wrap never happened", s.epoch)
+		}
+	}
 }
