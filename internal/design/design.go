@@ -7,6 +7,8 @@ package design
 
 import (
 	"fmt"
+	"hash/maphash"
+	"math/bits"
 	"sort"
 
 	"fastgr/internal/geom"
@@ -107,8 +109,21 @@ func (d *Design) Validate() error {
 		return fmt.Errorf("design %s: %d layer capacities for %d layers",
 			d.Name, len(d.LayerCapacity), d.NumLayers)
 	}
-	ids := make(map[int]bool, len(d.Nets))
+	// Routes are indexed by ID (core sizes them by the largest) and guides
+	// keyed by name, so both must be unique.
+	maxID := -1
 	for _, n := range d.Nets {
+		if n.ID < 0 {
+			return fmt.Errorf("net %s: negative id %d", n.Name, n.ID)
+		}
+		maxID = max(maxID, n.ID)
+	}
+	ids := make([]bool, maxID+1)
+	// names is an open-addressing set of the names seen so far: slot k
+	// holds 1 + the index of a net whose name hashes there (0 = empty).
+	names := make([]int32, 2<<bits.Len(uint(len(d.Nets))))
+	seed, mask := maphash.MakeSeed(), uint64(len(names)-1)
+	for i, n := range d.Nets {
 		if len(n.Pins) < 2 {
 			return fmt.Errorf("net %s: %d pins, need >= 2", n.Name, len(n.Pins))
 		}
@@ -116,6 +131,13 @@ func (d *Design) Validate() error {
 			return fmt.Errorf("net %s: duplicate id %d", n.Name, n.ID)
 		}
 		ids[n.ID] = true
+		k := maphash.String(seed, n.Name) & mask
+		for ; names[k] != 0; k = (k + 1) & mask {
+			if d.Nets[names[k]-1].Name == n.Name {
+				return fmt.Errorf("net %s: duplicate name", n.Name)
+			}
+		}
+		names[k] = int32(i + 1)
 		for _, p := range n.Pins {
 			if p.Pos.X < 0 || p.Pos.X >= d.GridW || p.Pos.Y < 0 || p.Pos.Y >= d.GridH {
 				return fmt.Errorf("net %s: pin %v outside %dx%d grid",
@@ -131,7 +153,7 @@ func (d *Design) Validate() error {
 		if b.Layer < 1 || b.Layer > d.NumLayers {
 			return fmt.Errorf("blockage layer %d outside [1,%d]", b.Layer, d.NumLayers)
 		}
-		if b.Density <= 0 || b.Density > 1 {
+		if !(b.Density > 0 && b.Density <= 1) { // NaN fails both tests
 			return fmt.Errorf("blockage density %v outside (0,1]", b.Density)
 		}
 	}

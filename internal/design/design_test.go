@@ -2,10 +2,13 @@ package design
 
 import (
 	"bytes"
+	"io"
+	"math"
 	"strings"
 	"testing"
 
 	"fastgr/internal/geom"
+	"fastgr/internal/textio"
 )
 
 func TestSpecsTwelveDesigns(t *testing.T) {
@@ -200,6 +203,21 @@ func TestValidateCatchesErrors(t *testing.T) {
 	if d.Validate() == nil {
 		t.Error("blockage density > 1 accepted")
 	}
+	d = base()
+	d.Blockages = []Blockage{{Layer: 2, Density: math.NaN()}}
+	if d.Validate() == nil {
+		t.Error("blockage density NaN accepted")
+	}
+	d = base()
+	d.Nets = append(d.Nets, &Net{ID: 1, Name: "n0", Pins: d.Nets[0].Pins})
+	if d.Validate() == nil {
+		t.Error("duplicate net name accepted")
+	}
+	d = base()
+	d.Nets[0].ID = -1
+	if d.Validate() == nil {
+		t.Error("negative net id accepted")
+	}
 }
 
 func TestRoundTripSerialization(t *testing.T) {
@@ -235,22 +253,69 @@ func TestRoundTripSerialization(t *testing.T) {
 }
 
 func TestReadErrors(t *testing.T) {
-	cases := []string{
-		"",                         // no end
-		"bogus directive\nend\n",   // unknown directive
-		"pin 1 2 3\nend\n",         // pin outside net
-		"design x 10 10\nend\n",    // short design line
-		"net n0 one\nend\n",        // bad pin count
-		"viacap x\nend\n",          // bad viacap
-		"blockage 1 2 3\nend\n",    // short blockage
-		"caps 1 x\nend\n",          // bad capacity
-		"design x 10 10 3\nend\n",  // validate fails: no caps
-		"net n0 2\npin 1 2\nend\n", // short pin line
+	const hdr = "design x 10 10 3\ncaps 1 8 8\nviacap 4\n"
+	const net = "net n0 2\npin 1 1 1\npin 5 5 1\n"
+	cases := []struct {
+		in   string
+		line string // the "line N:" the error must carry; "" when it has none
+	}{
+		{"", ""},                                // no end
+		{"bogus directive\nend\n", "line 1:"},   // unknown directive
+		{"pin 1 2 3\nend\n", "line 1:"},         // pin outside net
+		{"design x 10 10\nend\n", "line 1:"},    // short design line
+		{"net n0 one\nend\n", "line 1:"},        // bad pin count
+		{"viacap x\nend\n", "line 1:"},          // bad viacap
+		{"blockage 1 2 3\nend\n", "line 1:"},    // short blockage
+		{"caps 1 x\nend\n", "line 1:"},          // bad capacity
+		{"design x 10 10 3\nend\n", ""},         // validate fails: no caps
+		{"net n0 2\npin 1 2\nend\n", "line 2:"}, // short pin line
+		// A net with fewer pin lines than it declares, cut short by the
+		// next net, by end, or by any other directive.
+		{hdr + "net n0 3\npin 1 1 1\npin 5 5 1\nnet n1 2\npin 1 1 1\npin 5 5 1\nend\n", "line 7:"},
+		{hdr + "net n0 3\npin 1 1 1\npin 5 5 1\nend\n", "line 7:"},
+		{hdr + "net n0 3\npin 1 1 1\nviacap 4\npin 5 5 1\npin 2 2 1\nend\n", "line 6:"},
+		// Trailing junk in a number.
+		{hdr + "net n0 2\npin 1 1 1x\npin 5 5 1\nend\n", "line 5:"},
+		{"design x 10 10 3\ncaps 1 8 8z\n" + net + "end\n", "line 2:"},
+		{hdr + "net n0 2x\npin 1 1 1\npin 5 5 1\nend\n", "line 4:"},
+		{"design x 10 10 3z\ncaps 1 8 8\n" + net + "end\n", "line 1:"},
+		{hdr + "blockage 2 0 0 5 5 0.5x\n" + net + "end\n", "line 4:"},
+		// An extra field.
+		{hdr + "net n0 2\npin 1 1 1 9\npin 5 5 1\nend\n", "line 5:"},
+		// Repeated header lines.
+		{hdr + "design y 20 20 3\n" + net + "end\n", "line 4:"},
+		{"design x 10 10 3\ncaps 1 8\ncaps 8\n" + net + "end\n", "line 3:"},
+		{hdr + "viacap 5\n" + net + "end\n", "line 4:"},
+		// A negative pin count.
+		{hdr + "net n0 -1\nend\n", "line 4:"},
+		// A line longer than the reader takes.
+		{hdr + "net " + strings.Repeat("n", textio.MaxLine) + " 2\nend\n", "line 4:"},
 	}
 	for i, c := range cases {
-		if _, err := Read(strings.NewReader(c)); err == nil {
+		_, err := Read(strings.NewReader(c.in))
+		if err == nil {
 			t.Errorf("case %d: bad input accepted", i)
+			continue
 		}
+		if c.line != "" && !strings.HasPrefix(err.Error(), c.line) {
+			t.Errorf("case %d: error %q does not start with %q", i, err, c.line)
+		}
+	}
+}
+
+// TestReadAcceptsLooseSpelling pins what the strict reader still allows:
+// comments, blank lines, any white space between fields, explicit plus
+// signs, leading zeros and anything after end.
+func TestReadAcceptsLooseSpelling(t *testing.T) {
+	in := "# a comment\n\ndesign x +10 010 3\n  caps\t1 8 +8 \r\n#net n9 2\n" +
+		"net n0 2\n\n# between pins\npin 1 1 1\npin 5 5 +1\nend\ntrailing text is ignored\n"
+	d, err := Read(strings.NewReader(in))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d.GridW != 10 || d.GridH != 10 || len(d.Nets) != 1 || len(d.Nets[0].Pins) != 2 ||
+		d.LayerCapacity[2] != 8 || d.ViaCapacity != defaultViaCap {
+		t.Fatalf("loose spelling misparsed: %+v", d)
 	}
 }
 
@@ -296,5 +361,45 @@ func TestSortNetsByID(t *testing.T) {
 		if n.ID != i+1 {
 			t.Fatalf("order wrong at %d: %d", i, n.ID)
 		}
+	}
+}
+
+// readAllocsPerNetCeiling bounds Read's allocations per net on
+// 18test5m@0.05: a name each, plus the slabs nets and pins are carved from
+// and the net list's growth (measured: 1.02, also under -race).
+const readAllocsPerNetCeiling = 1.25
+
+func TestReadAllocBudget(t *testing.T) {
+	d := MustGenerate("18test5m", 0.05)
+	var buf bytes.Buffer
+	if err := Write(&buf, d); err != nil {
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(3, func() {
+		if _, err := Read(bytes.NewReader(buf.Bytes())); err != nil {
+			t.Fatal(err)
+		}
+	})
+	perNet := allocs / float64(len(d.Nets))
+	t.Logf("Read: %v allocs for %d nets, %.3f per net", allocs, len(d.Nets), perNet)
+	if perNet > readAllocsPerNetCeiling {
+		t.Fatalf("Read allocates %.2f per net (%v for %d nets), ceiling %v",
+			perNet, allocs, len(d.Nets), readAllocsPerNetCeiling)
+	}
+}
+
+// writeAllocsCeiling bounds Write's allocations, whatever the design's
+// size: the line writer and its buffer (measured: 1).
+const writeAllocsCeiling = 2
+
+func TestWriteAllocsConstant(t *testing.T) {
+	small := MustGenerate("18test5m", 0.003)
+	large := MustGenerate("18test5m", 0.05)
+	a := testing.AllocsPerRun(3, func() { Write(io.Discard, small) })
+	b := testing.AllocsPerRun(3, func() { Write(io.Discard, large) })
+	t.Logf("Write: %v allocs for %d nets, %v for %d", a, len(small.Nets), b, len(large.Nets))
+	if a != b || b > writeAllocsCeiling {
+		t.Fatalf("Write allocates %v for %d nets and %v for %d, want one constant <= %d",
+			a, len(small.Nets), b, len(large.Nets), writeAllocsCeiling)
 	}
 }

@@ -2,12 +2,15 @@ package design
 
 import (
 	"bytes"
+	"reflect"
 	"strings"
 	"testing"
 )
 
-// FuzzRead hardens the design parser: arbitrary input must never panic, and
-// anything it accepts must be a valid design that round-trips.
+// FuzzRead hardens the design parser: arbitrary input must never panic;
+// anything it accepts must be a valid design, accepted as an equal design
+// by the laxer fmt reader it replaced, and Write(Read(x)) must be a fixed
+// point of Write∘Read.
 func FuzzRead(f *testing.F) {
 	var seed bytes.Buffer
 	if err := Write(&seed, MustGenerate("18test5m", 0.003)); err != nil {
@@ -16,6 +19,8 @@ func FuzzRead(f *testing.F) {
 	f.Add(seed.String())
 	f.Add("design x 10 10 3\ncaps 1 8 8\nviacap 4\nnet n0 2\npin 1 1 1\npin 5 5 1\nend\n")
 	f.Add("design x 10 10 3\ncaps 1 8 8\nblockage 2 0 0 5 5 0.5\nend\n")
+	f.Add("design x 10 10 3\ncaps 1 8 8\nblockage 2 0 0 5 5 nan\nnet n0 2\npin 1 1 1\npin 5 5 1\nend\n")
+	f.Add("# c\n\ndesign x +10 010 3\ncaps 1 8 +8\nnet n \u00850 2\npin 1 1 1\npin 5 5 1\nend\nafter\n")
 	f.Add("")
 	f.Add("garbage\n")
 	f.Add("net orphan 1\npin 0 0 1\nend\n")
@@ -29,16 +34,26 @@ func FuzzRead(f *testing.F) {
 		if err := d.Validate(); err != nil {
 			t.Fatalf("Read accepted an invalid design: %v", err)
 		}
-		var buf bytes.Buffer
-		if err := Write(&buf, d); err != nil {
+		ref, err := oracleRead(strings.NewReader(input))
+		if err != nil {
+			t.Fatalf("Read accepted what the fmt reader rejects: %v", err)
+		}
+		if !reflect.DeepEqual(d, ref) {
+			t.Fatalf("Read and the fmt reader disagree:\n%+v\n%+v", d, ref)
+		}
+		var once, twice bytes.Buffer
+		if err := Write(&once, d); err != nil {
 			t.Fatalf("Write failed on accepted design: %v", err)
 		}
-		d2, err := Read(&buf)
+		d2, err := Read(bytes.NewReader(once.Bytes()))
 		if err != nil {
 			t.Fatalf("round trip failed: %v", err)
 		}
-		if len(d2.Nets) != len(d.Nets) || d2.GridW != d.GridW || d2.GridH != d.GridH {
-			t.Fatal("round trip changed the design")
+		if err := Write(&twice, d2); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(once.Bytes(), twice.Bytes()) {
+			t.Fatal("Write(Read(Write(d))) differs from Write(d)")
 		}
 	})
 }

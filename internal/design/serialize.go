@@ -1,12 +1,12 @@
 package design
 
 import (
-	"bufio"
+	"errors"
 	"fmt"
 	"io"
-	"strings"
+	"strconv"
 
-	"fastgr/internal/geom"
+	"fastgr/internal/textio"
 )
 
 // The on-disk format is a minimal line-oriented text format in the spirit of
@@ -21,99 +21,167 @@ import (
 //	end
 //
 // It exists so generated benchmarks can be saved once and replayed, and so
-// users can hand-write small designs for the examples.
+// users can hand-write small designs for the examples. DESIGN.md ("Text
+// formats") gives the full grammar and what Read rejects.
 
 // Write serializes d to w.
 func Write(w io.Writer, d *Design) error {
-	bw := bufio.NewWriter(w)
-	fmt.Fprintf(bw, "design %s %d %d %d\n", d.Name, d.GridW, d.GridH, d.NumLayers)
-	fmt.Fprint(bw, "caps")
+	tw := textio.NewWriter(w)
+	tw.Word("design")
+	tw.Word(d.Name)
+	tw.Int(d.GridW)
+	tw.Int(d.GridH)
+	tw.Int(d.NumLayers)
+	tw.EndLine()
+	tw.Word("caps")
 	for _, c := range d.LayerCapacity {
-		fmt.Fprintf(bw, " %d", c)
+		tw.Int(c)
 	}
-	fmt.Fprintln(bw)
-	fmt.Fprintf(bw, "viacap %d\n", d.ViaCapacity)
+	tw.EndLine()
+	tw.Word("viacap")
+	tw.Int(d.ViaCapacity)
+	tw.EndLine()
 	for _, b := range d.Blockages {
-		fmt.Fprintf(bw, "blockage %d %d %d %d %d %.4f\n",
-			b.Layer, b.Region.Lo.X, b.Region.Lo.Y, b.Region.Hi.X, b.Region.Hi.Y, b.Density)
+		tw.Word("blockage")
+		tw.Int(b.Layer)
+		tw.Int(b.Region.Lo.X)
+		tw.Int(b.Region.Lo.Y)
+		tw.Int(b.Region.Hi.X)
+		tw.Int(b.Region.Hi.Y)
+		tw.Fixed4(b.Density)
+		tw.EndLine()
 	}
 	for _, n := range d.Nets {
-		fmt.Fprintf(bw, "net %s %d\n", n.Name, len(n.Pins))
+		tw.Word("net")
+		tw.Word(n.Name)
+		tw.Int(len(n.Pins))
+		tw.EndLine()
 		for _, p := range n.Pins {
-			fmt.Fprintf(bw, "pin %d %d %d\n", p.Pos.X, p.Pos.Y, p.Layer)
+			tw.Word("pin")
+			tw.Int(p.Pos.X)
+			tw.Int(p.Pos.Y)
+			tw.Int(p.Layer)
+			tw.EndLine()
 		}
 	}
-	fmt.Fprintln(bw, "end")
-	return bw.Flush()
+	tw.Word("end")
+	tw.EndLine()
+	return tw.Flush()
 }
 
-// Read parses a design in the format produced by Write.
+// Nets and pins are carved from slabs of these sizes rather than allocated
+// one by one. A net reserves at most pinSlab pins from its declared count,
+// so that a hostile count cannot force a huge allocation; a larger net's
+// pins still arrive by append.
+const (
+	netSlab = 256
+	pinSlab = 1024
+)
+
+// Read parses a design in the format produced by Write and validates it.
+// Every malformed line is an error naming its line number.
 func Read(r io.Reader) (*Design, error) {
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 1<<20), 1<<24)
+	tr := textio.NewReader(r)
 	d := &Design{ViaCapacity: defaultViaCap}
 	var cur *Net
+	var nets []Net
+	var pins []Pin
 	pinsLeft := 0
-	line := 0
-	for sc.Scan() {
-		line++
-		fields := strings.Fields(sc.Text())
-		if len(fields) == 0 || strings.HasPrefix(fields[0], "#") {
+	var haveDesign, haveCaps, haveViaCap bool
+	for {
+		f, err := tr.Next()
+		if err == io.EOF {
+			return nil, errors.New("design: missing end directive")
+		}
+		if err != nil {
+			return nil, fmt.Errorf("line %d: %w", tr.Line(), err)
+		}
+		if len(f) == 0 || f[0][0] == '#' {
 			continue
 		}
-		switch fields[0] {
+		line := tr.Line()
+		if pinsLeft > 0 && string(f[0]) != "pin" {
+			return nil, fmt.Errorf("line %d: net %s declares %d pins, has %d",
+				line, cur.Name, len(cur.Pins)+pinsLeft, len(cur.Pins))
+		}
+		switch string(f[0]) {
 		case "design":
-			if len(fields) != 5 {
+			if len(f) != 5 {
 				return nil, fmt.Errorf("line %d: design wants 4 args", line)
 			}
-			d.Name = fields[1]
-			if _, err := fmt.Sscanf(strings.Join(fields[2:], " "), "%d %d %d",
-				&d.GridW, &d.GridH, &d.NumLayers); err != nil {
-				return nil, fmt.Errorf("line %d: %v", line, err)
+			if haveDesign {
+				return nil, fmt.Errorf("line %d: second design line", line)
+			}
+			haveDesign = true
+			d.Name = string(f[1])
+			if err := ints(f[2:], &d.GridW, &d.GridH, &d.NumLayers); err != nil {
+				return nil, fmt.Errorf("line %d: design: %w", line, err)
 			}
 		case "caps":
-			for _, f := range fields[1:] {
-				var c int
-				if _, err := fmt.Sscanf(f, "%d", &c); err != nil {
-					return nil, fmt.Errorf("line %d: bad capacity %q", line, f)
+			if haveCaps {
+				return nil, fmt.Errorf("line %d: second caps line", line)
+			}
+			haveCaps = true
+			d.LayerCapacity = make([]int, len(f)-1)
+			for i, x := range f[1:] {
+				c, ok := textio.Int(x)
+				if !ok {
+					return nil, fmt.Errorf("line %d: bad capacity %q", line, x)
 				}
-				d.LayerCapacity = append(d.LayerCapacity, c)
+				d.LayerCapacity[i] = c
 			}
 		case "viacap":
-			if len(fields) != 2 {
+			if len(f) != 2 {
 				return nil, fmt.Errorf("line %d: viacap wants 1 arg", line)
 			}
-			if _, err := fmt.Sscanf(fields[1], "%d", &d.ViaCapacity); err != nil {
-				return nil, fmt.Errorf("line %d: %v", line, err)
+			if haveViaCap {
+				return nil, fmt.Errorf("line %d: second viacap line", line)
+			}
+			haveViaCap = true
+			if err := ints(f[1:], &d.ViaCapacity); err != nil {
+				return nil, fmt.Errorf("line %d: viacap: %w", line, err)
 			}
 		case "blockage":
-			if len(fields) != 7 {
+			if len(f) != 7 {
 				return nil, fmt.Errorf("line %d: blockage wants 6 args", line)
 			}
 			var b Blockage
-			if _, err := fmt.Sscanf(strings.Join(fields[1:], " "), "%d %d %d %d %d %f",
-				&b.Layer, &b.Region.Lo.X, &b.Region.Lo.Y,
-				&b.Region.Hi.X, &b.Region.Hi.Y, &b.Density); err != nil {
-				return nil, fmt.Errorf("line %d: %v", line, err)
+			if err := ints(f[1:6], &b.Layer, &b.Region.Lo.X, &b.Region.Lo.Y,
+				&b.Region.Hi.X, &b.Region.Hi.Y); err != nil {
+				return nil, fmt.Errorf("line %d: blockage: %w", line, err)
+			}
+			if b.Density, err = strconv.ParseFloat(string(f[6]), 64); err != nil {
+				return nil, fmt.Errorf("line %d: blockage: bad density %q", line, f[6])
 			}
 			d.Blockages = append(d.Blockages, b)
 		case "net":
-			if len(fields) != 3 {
+			if len(f) != 3 {
 				return nil, fmt.Errorf("line %d: net wants 2 args", line)
 			}
-			cur = &Net{ID: len(d.Nets), Name: fields[1]}
-			if _, err := fmt.Sscanf(fields[2], "%d", &pinsLeft); err != nil {
-				return nil, fmt.Errorf("line %d: %v", line, err)
+			if err := ints(f[2:], &pinsLeft); err != nil || pinsLeft < 0 {
+				return nil, fmt.Errorf("line %d: net: bad pin count %q", line, f[2])
 			}
+			if len(nets) == 0 {
+				nets = make([]Net, netSlab)
+			}
+			cur, nets = &nets[0], nets[1:]
+			n := min(pinsLeft, pinSlab)
+			if len(pins) < n {
+				pins = make([]Pin, pinSlab)
+			}
+			*cur = Net{ID: len(d.Nets), Name: string(f[1]), Pins: pins[:0:n]}
+			pins = pins[n:]
 			d.Nets = append(d.Nets, cur)
 		case "pin":
-			if cur == nil || pinsLeft <= 0 {
+			if pinsLeft == 0 {
 				return nil, fmt.Errorf("line %d: pin outside net", line)
 			}
+			if len(f) != 4 {
+				return nil, fmt.Errorf("line %d: pin wants 3 args", line)
+			}
 			var p Pin
-			if _, err := fmt.Sscanf(strings.Join(fields[1:], " "), "%d %d %d",
-				&p.Pos.X, &p.Pos.Y, &p.Layer); err != nil {
-				return nil, fmt.Errorf("line %d: %v", line, err)
+			if err := ints(f[1:], &p.Pos.X, &p.Pos.Y, &p.Layer); err != nil {
+				return nil, fmt.Errorf("line %d: pin: %w", line, err)
 			}
 			cur.Pins = append(cur.Pins, p)
 			pinsLeft--
@@ -123,20 +191,20 @@ func Read(r io.Reader) (*Design, error) {
 			}
 			return d, nil
 		default:
-			return nil, fmt.Errorf("line %d: unknown directive %q", line, fields[0])
+			return nil, fmt.Errorf("line %d: unknown directive %q", line, f[0])
 		}
 	}
-	if err := sc.Err(); err != nil {
-		return nil, err
-	}
-	return nil, fmt.Errorf("design: missing end directive")
 }
 
-// ParseRect is a convenience for tests and tools: "lox,loy,hix,hiy".
-func ParseRect(s string) (geom.Rect, error) {
-	var r geom.Rect
-	if _, err := fmt.Sscanf(s, "%d,%d,%d,%d", &r.Lo.X, &r.Lo.Y, &r.Hi.X, &r.Hi.Y); err != nil {
-		return geom.Rect{}, err
+// ints parses fields as whole decimal integers into dst, in order; the
+// caller has checked that there are as many fields as targets.
+func ints(fields [][]byte, dst ...*int) error {
+	for i, p := range dst {
+		v, ok := textio.Int(fields[i])
+		if !ok {
+			return fmt.Errorf("bad integer %q", fields[i])
+		}
+		*p = v
 	}
-	return r, nil
+	return nil
 }

@@ -6,18 +6,16 @@
 package guide
 
 import (
-	"bufio"
 	"cmp"
 	"fmt"
 	"io"
 	"slices"
-	"strconv"
-	"strings"
 
 	"fastgr/internal/core"
 	"fastgr/internal/geom"
 	"fastgr/internal/grid"
 	"fastgr/internal/route"
+	"fastgr/internal/textio"
 )
 
 // Box is one guide rectangle on a metal layer (inclusive G-cell bounds).
@@ -216,47 +214,59 @@ func cellIndex(g *grid.Graph, l, x, y int) int { return ((l-1)*g.H+y)*g.W + x }
 //	...
 //	)
 func Write(w io.Writer, guides []Guide) error {
-	bw := bufio.NewWriter(w)
+	tw := textio.NewWriter(w)
 	for _, g := range guides {
-		fmt.Fprintln(bw, g.Net)
-		fmt.Fprintln(bw, "(")
+		tw.Word(g.Net)
+		tw.EndLine()
+		tw.Word("(")
+		tw.EndLine()
 		for _, b := range g.Boxes {
-			fmt.Fprintf(bw, "%d %d %d %d %d\n",
-				b.Rect.Lo.X, b.Rect.Lo.Y, b.Rect.Hi.X, b.Rect.Hi.Y, b.Layer)
+			tw.Int(b.Rect.Lo.X)
+			tw.Int(b.Rect.Lo.Y)
+			tw.Int(b.Rect.Hi.X)
+			tw.Int(b.Rect.Hi.Y)
+			tw.Int(b.Layer)
+			tw.EndLine()
 		}
-		fmt.Fprintln(bw, ")")
+		tw.Word(")")
+		tw.EndLine()
 	}
-	return bw.Flush()
+	return tw.Flush()
 }
 
-// Read parses the format produced by Write.
+// Read parses the format produced by Write. A name line is the whole line,
+// trimmed.
 func Read(r io.Reader) ([]Guide, error) {
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 1<<20), 1<<24)
+	tr := textio.NewReader(r)
 	var guides []Guide
 	var cur *Guide
 	inBody := false
-	line := 0
-	for sc.Scan() {
-		line++
-		text := strings.TrimSpace(sc.Text())
-		if text == "" {
+	for {
+		fields, err := tr.Next()
+		if err == io.EOF {
+			break
+		}
+		if err != nil {
+			return nil, fmt.Errorf("guide: line %d: %w", tr.Line(), err)
+		}
+		if len(fields) == 0 {
 			continue
 		}
+		line, text := tr.Line(), tr.Text()
 		switch {
-		case text == "(":
+		case string(text) == "(":
 			if cur == nil || inBody {
 				return nil, fmt.Errorf("guide: line %d: unexpected '('", line)
 			}
 			inBody = true
-		case text == ")":
+		case string(text) == ")":
 			if cur == nil || !inBody {
 				return nil, fmt.Errorf("guide: line %d: unexpected ')'", line)
 			}
 			guides = append(guides, *cur)
 			cur, inBody = nil, false
 		case inBody:
-			b, err := parseBox(text)
+			b, err := parseBox(fields)
 			if err != nil {
 				return nil, fmt.Errorf("guide: line %d: net %q: %w", line, cur.Net, err)
 			}
@@ -265,11 +275,8 @@ func Read(r io.Reader) ([]Guide, error) {
 			if cur != nil {
 				return nil, fmt.Errorf("guide: line %d: net %q missing body", line, cur.Net)
 			}
-			cur = &Guide{Net: text}
+			cur = &Guide{Net: string(text)}
 		}
-	}
-	if err := sc.Err(); err != nil {
-		return nil, err
 	}
 	if cur != nil {
 		return nil, fmt.Errorf("guide: unterminated guide for net %q", cur.Net)
@@ -278,20 +285,18 @@ func Read(r io.Reader) ([]Guide, error) {
 }
 
 // parseBox validates one "x1 y1 x2 y2 layer" body line strictly: exactly
-// five integer fields, non-negative coordinates, Lo <= Hi on both axes, a
-// positive layer. fmt.Sscanf would silently accept trailing junk and
-// reversed rectangles; a guide file is an inter-tool contract, so a
+// five whole integer fields, non-negative coordinates, Lo <= Hi on both
+// axes, a positive layer. A guide file is an inter-tool contract, so a
 // malformed line gets a precise diagnosis instead of a half-parsed Box.
-func parseBox(text string) (Box, error) {
-	fields := strings.Fields(text)
+func parseBox(fields [][]byte) (Box, error) {
 	if len(fields) != 5 {
 		return Box{}, fmt.Errorf("want 5 fields \"x1 y1 x2 y2 layer\", got %d", len(fields))
 	}
-	vals := make([]int, 5)
+	var vals [5]int
 	names := [5]string{"x1", "y1", "x2", "y2", "layer"}
 	for i, f := range fields {
-		v, err := strconv.Atoi(f)
-		if err != nil {
+		v, ok := textio.Int(f)
+		if !ok {
 			return Box{}, fmt.Errorf("field %s: %q is not an integer", names[i], f)
 		}
 		vals[i] = v

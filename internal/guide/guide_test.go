@@ -9,7 +9,7 @@ import (
 	"fastgr/internal/design"
 )
 
-func routedResult(t *testing.T) *core.Result {
+func routedResult(t testing.TB) *core.Result {
 	t.Helper()
 	d := design.MustGenerate("18test5m", 0.003)
 	opt := core.DefaultOptions(core.FastGRH)

@@ -62,11 +62,18 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusBadRequest, errorResponse{Error: "bad job spec: " + err.Error()})
 		return
 	}
-	if err := spec.normalize(); err != nil {
+	up, err := spec.normalize()
+	if err != nil {
 		writeJSON(w, http.StatusBadRequest, errorResponse{Error: err.Error()})
 		return
 	}
-	est := spec.estimateBytes()
+	est := spec.estimateBytes(up)
+	if est > s.cfg.MaxBytes {
+		// No amount of waiting admits it: no Retry-After.
+		writeJSON(w, http.StatusRequestEntityTooLarge, errorResponse{Error: fmt.Sprintf(
+			"job needs an estimated %d bytes, over the queue budget of %d", est, s.cfg.MaxBytes)})
+		return
+	}
 	if !s.q.admit(est) {
 		s.obs.M().Counter(obs.MServeRejected).Add(1)
 		retry := s.retryAfterSeconds()

@@ -61,8 +61,18 @@ type JobSpec struct {
 }
 
 // normalize fills CLI defaults into zero fields and validates the rest.
-func (sp *JobSpec) normalize() error {
-	if sp.DesignText == "" {
+// An uploaded design is parsed here, so that a malformed one is refused at
+// submit with the parser's line-numbered error; it is returned for the
+// admission estimate (nil when the spec names a benchmark).
+func (sp *JobSpec) normalize() (*design.Design, error) {
+	var up *design.Design
+	if sp.DesignText != "" {
+		d, err := sp.buildDesign()
+		if err != nil {
+			return nil, fmt.Errorf("design_text: %w", err)
+		}
+		up = d
+	} else {
 		if sp.Design == "" {
 			sp.Design = "18test5m"
 		}
@@ -70,49 +80,49 @@ func (sp *JobSpec) normalize() error {
 			sp.Scale = 0.01
 		}
 		if sp.Scale <= 0 || sp.Scale > 1 {
-			return fmt.Errorf("scale %v outside (0,1]", sp.Scale)
+			return nil, fmt.Errorf("scale %v outside (0,1]", sp.Scale)
 		}
 		if _, err := design.SpecByName(sp.Design); err != nil {
-			return err
+			return nil, err
 		}
 	}
 	if sp.Router == "" {
 		sp.Router = "fastgrl"
 	}
 	if _, err := core.ParseVariant(sp.Router); err != nil {
-		return err
+		return nil, err
 	}
 	if sp.Sort == "" {
 		sp.Sort = "hpwl-asc"
 	}
 	if _, ok := sched.ParseScheme(sp.Sort); !ok {
-		return fmt.Errorf("unknown sorting scheme %q", sp.Sort)
+		return nil, fmt.Errorf("unknown sorting scheme %q", sp.Sort)
 	}
 	if sp.MazeAlg == "" {
 		sp.MazeAlg = "astar"
 	}
 	if sp.MazeAlg != "astar" && sp.MazeAlg != "dijkstra" {
-		return fmt.Errorf("unknown maze algorithm %q", sp.MazeAlg)
+		return nil, fmt.Errorf("unknown maze algorithm %q", sp.MazeAlg)
 	}
 	if sp.RRR != nil && *sp.RRR < 0 {
-		return fmt.Errorf("rrr %d is negative", *sp.RRR)
+		return nil, fmt.Errorf("rrr %d is negative", *sp.RRR)
 	}
 	if sp.ExecWorkers < 0 {
-		return fmt.Errorf("exec_workers %d is negative", sp.ExecWorkers)
+		return nil, fmt.Errorf("exec_workers %d is negative", sp.ExecWorkers)
 	}
 	if sp.Shards < 0 || sp.Shards > core.MaxShards {
-		return fmt.Errorf("shards %d outside [0, %d]", sp.Shards, core.MaxShards)
+		return nil, fmt.Errorf("shards %d outside [0, %d]", sp.Shards, core.MaxShards)
 	}
 	if sp.FaultProb < 0 || sp.FaultProb > 1 {
-		return fmt.Errorf("fault_prob %v outside [0,1]", sp.FaultProb)
+		return nil, fmt.Errorf("fault_prob %v outside [0,1]", sp.FaultProb)
 	}
 	if sp.MazeBudget < 0 {
-		return fmt.Errorf("maze_budget %d is negative", sp.MazeBudget)
+		return nil, fmt.Errorf("maze_budget %d is negative", sp.MazeBudget)
 	}
 	if sp.TimeoutMs < 0 {
-		return fmt.Errorf("timeout_ms %d is negative", sp.TimeoutMs)
+		return nil, fmt.Errorf("timeout_ms %d is negative", sp.TimeoutMs)
 	}
-	return nil
+	return up, nil
 }
 
 // buildDesign materializes the job's design.
@@ -172,25 +182,35 @@ func (sp *JobSpec) faultOptions() fault.Options {
 }
 
 // estimateBytes is the job's admission-control memory estimate: grid
-// cost state plus per-net route state at the spec's scaled dimensions,
-// computed from the benchmark table without generating the design (the
-// accept path must stay cheap). Advisory — admission compares these
-// estimates against the queue budget; nothing enforces them at runtime.
-func (sp *JobSpec) estimateBytes() int64 {
+// cost state plus per-net route state. A generated design's dimensions
+// come from the benchmark table without generating it (the accept path
+// must stay cheap); an upload's from up, its parsed design, and an upload
+// that does not parse (replayed from an older journal) gets the floor.
+// Advisory — admission compares these estimates against the queue budget;
+// nothing enforces them at runtime.
+func (sp *JobSpec) estimateBytes(up *design.Design) int64 {
 	const floor = 1 << 20
-	if sp.DesignText != "" {
-		return int64(len(sp.DesignText))*8 + floor
-	}
-	spec, err := design.SpecByName(sp.Design)
-	if err != nil {
+	var cells, nets float64
+	switch {
+	case up != nil:
+		cells = float64(up.GridW) * float64(up.GridH) * float64(up.NumLayers)
+		nets = float64(len(up.Nets))
+	case sp.DesignText != "":
 		return floor
+	default:
+		spec, err := design.SpecByName(sp.Design)
+		if err != nil {
+			return floor
+		}
+		// Mirror design.Generate's scaling: grid side shrinks as
+		// scale^0.42, net count linearly.
+		side := math.Pow(sp.Scale, 0.42)
+		cells = float64(spec.GridW) * side * float64(spec.GridH) * side * float64(spec.Layers)
+		nets = float64(spec.Nets) * sp.Scale
 	}
-	// Mirror design.Generate's scaling: grid side shrinks as scale^0.42,
-	// net count linearly.
-	side := math.Pow(sp.Scale, 0.42)
-	cells := float64(spec.GridW) * side * float64(spec.GridH) * side * float64(spec.Layers)
-	nets := float64(spec.Nets) * sp.Scale
-	return int64(cells*48+nets*512) + floor
+	// An upload's grid is unbounded: cap the estimate where it still
+	// converts exactly, far above any budget.
+	return int64(min(cells*48+nets*512, 1<<62)) + floor
 }
 
 // JobResult is the measurable outcome of a finished (or partially

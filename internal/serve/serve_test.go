@@ -6,6 +6,8 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -275,6 +277,47 @@ func TestSubmitValidation(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusNotFound {
 		t.Fatalf("unknown job: status %d", resp.StatusCode)
+	}
+}
+
+// TestSubmitRefusesBadUploads: a malformed or invalid upload is refused at
+// submit with the parser's line-numbered error and never journaled, and an
+// upload whose estimate alone exceeds the queue budget is refused with 413
+// and no Retry-After, since no amount of waiting admits it.
+func TestSubmitRefusesBadUploads(t *testing.T) {
+	s := startTestServer(t, Config{MaxBytes: 1 << 30})
+	const hdr = "design x 10 10 3\ncaps 1 8 8\n"
+	for _, c := range []struct{ text, want string }{
+		{hdr + "net n0 3\npin 1 1 1\npin 5 5 1\nend\n", "line 6:"},
+		{hdr + "net n0 2\npin 1 1 1x\npin 5 5 1\nend\n", "line 4:"},
+		{hdr + "net n0 2\npin 1 1 1\npin 50 5 1\nend\n", "outside 10x10 grid"},
+	} {
+		_, code, body := trySubmit(t, s, JobSpec{DesignText: c.text})
+		if code != http.StatusBadRequest || !strings.Contains(body, c.want) {
+			t.Errorf("upload %q: status %d body %s, want 400 naming %q", c.text, code, body, c.want)
+		}
+	}
+	if jobs := s.store.List(); len(jobs) != 0 {
+		t.Fatalf("refused uploads were journaled: %v", ids(jobs))
+	}
+
+	huge := "design x 100000 100000 9\ncaps 1 8 8 8 8 8 8 8 8\nnet n0 2\npin 1 1 1\npin 5 5 1\nend\n"
+	raw, _ := json.Marshal(JobSpec{DesignText: huge})
+	resp, err := http.Post("http://"+s.Addr()+"/v1/jobs", "application/json", bytes.NewReader(raw))
+	if err != nil {
+		t.Fatalf("POST /v1/jobs: %v", err)
+	}
+	body, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusRequestEntityTooLarge || resp.Header.Get("Retry-After") != "" {
+		t.Fatalf("oversized upload: status %d Retry-After %q body %s, want 413 without Retry-After",
+			resp.StatusCode, resp.Header.Get("Retry-After"), body)
+	}
+	if jobs := s.store.List(); len(jobs) != 0 {
+		t.Fatalf("oversized upload was journaled: %v", ids(jobs))
+	}
+	if st, err := os.Stat(filepath.Join(s.store.Dir(), journalName)); err == nil && st.Size() != 0 {
+		t.Fatalf("journal holds %d bytes after refused submissions only", st.Size())
 	}
 }
 

@@ -100,7 +100,10 @@ func OpenStore(dir string) (*Store, error) {
 		}
 		if j.State == StateQueued {
 			j.Recovered = true
-			j.bytes = j.Spec.estimateBytes()
+			// The spec was journaled normalized, so normalize only
+			// re-parses an upload (nil if it no longer parses).
+			up, _ := j.Spec.normalize()
+			j.bytes = j.Spec.estimateBytes(up)
 		}
 	}
 	return s, nil

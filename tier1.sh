@@ -35,6 +35,13 @@
 #                 and serve, the fastgrd job pipeline whose overload
 #                 test saturates admission, cancels mid-run jobs and
 #                 drains while HTTP clients hammer the handlers
+#   fuzz-design, fuzz-guide — 10 s of coverage-guided fuzzing of each text
+#                 reader (FuzzRead in internal/design and internal/guide)
+#                 beyond its seed corpus: no panic, the design reader never
+#                 accepts what its fmt reference rejects, and what either
+#                 reader accepts round-trips byte-stably through its writer.
+#                 -fuzzminimizetime 1s keeps the budget on exploration
+#                 rather than on shrinking each new corpus entry
 #   lint        — fastgrlint, the static invariant net (determinism +
 #                 passive observability + recover-hygiene contracts, plus
 #                 the interprocedural flow checks: walltaint, writeroute,
@@ -96,6 +103,8 @@ step vet        go vet -tests=true ./...
 step build      go build ./...
 step test       go test ./...
 step race       go test -race ./internal/par ./internal/core ./internal/taskflow ./internal/obs ./internal/obs/prom ./internal/obs/opsrv ./internal/sched ./internal/maze ./internal/grid ./internal/route ./internal/guide ./internal/fault ./internal/pattern ./internal/patterngpu ./internal/shard ./internal/serve
+step fuzz-design go test -run '^$' -fuzz '^FuzzRead$' -fuzztime 10s -fuzzminimizetime 1s ./internal/design
+step fuzz-guide go test -run '^$' -fuzz '^FuzzRead$' -fuzztime 10s -fuzzminimizetime 1s ./internal/guide
 step lint       go run ./cmd/fastgrlint -fmt ./...
 step lint-self  go run ./cmd/fastgrlint -self
 step bench-obs  go run ./cmd/benchgen -obs -o BENCH_obs.json
