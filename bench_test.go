@@ -152,6 +152,7 @@ func BenchmarkGPUPatternBatch(b *testing.B) {
 func BenchmarkMazeRoute(b *testing.B) {
 	d := design.MustGenerate("18test5m", 0.003)
 	g := grid.NewFromDesign(d)
+	g.WarmCostCache()
 	nets := d.Nets[:50]
 	pins := make([][]geom.Point3, len(nets))
 	wins := make([]geom.Rect, len(nets))
@@ -193,6 +194,7 @@ func BenchmarkPatternStageExec(b *testing.B) {
 func BenchmarkMazeScratch(b *testing.B) {
 	d := design.MustGenerate("18test5m", 0.003)
 	g := grid.NewFromDesign(d)
+	g.WarmCostCache()
 	nets := d.Nets[:50]
 	pins := make([][]geom.Point3, len(nets))
 	wins := make([]geom.Rect, len(nets))

@@ -75,7 +75,10 @@ func runHostpar(out string) error {
 	d := design.MustGenerate("18test5m", hostparScale)
 	g := grid.NewFromDesign(d)
 
-	// Maze workload: the bench_test.go BenchmarkMazeScratch fixture.
+	// Maze workload: the bench_test.go BenchmarkMazeScratch fixture, on its
+	// own graph, whose cost field the searches read.
+	mg := grid.NewFromDesign(d)
+	mg.WarmCostCache()
 	nets := d.Nets[:50]
 	pins := make([][]geom.Point3, len(nets))
 	wins := make([]geom.Rect, len(nets))
@@ -87,9 +90,9 @@ func runHostpar(out string) error {
 		for j := range nets {
 			var err error
 			if s != nil {
-				_, _, err = s.RouteNet(g, nets[j].ID, pins[j], wins[j])
+				_, _, err = s.RouteNet(mg, nets[j].ID, pins[j], wins[j])
 			} else {
-				_, _, err = maze.RouteNet(g, nets[j].ID, pins[j], wins[j])
+				_, _, err = maze.RouteNet(mg, nets[j].ID, pins[j], wins[j])
 			}
 			if err != nil {
 				b.Fatal(err)

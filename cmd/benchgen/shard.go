@@ -66,8 +66,12 @@ type shardReport struct {
 	// HeapRatioK4 is delta(K=4)/delta(monolithic), gated below
 	// MaxHeapRatioK4; ScoreDriftPct is the worst |score_K - score_mono|
 	// drift across the sweep, gated below MaxScoreDriftPct.
-	HeapRatioK4      float64 `json:"heap_ratio_k4"`
-	MaxHeapRatioK4   float64 `json:"max_heap_ratio_k4"`
+	HeapRatioK4    float64 `json:"heap_ratio_k4"`
+	MaxHeapRatioK4 float64 `json:"max_heap_ratio_k4"`
+	// WallRatioK4 is wall(K=4)/wall(monolithic), the cut plan's time cost
+	// over the one-leaf plan. Report-only: each is a single run on a
+	// shared host, too noisy to gate.
+	WallRatioK4      float64 `json:"wall_ratio_k4"`
 	ScoreDriftPct    float64 `json:"score_drift_pct"`
 	MaxScoreDriftPct float64 `json:"max_score_drift_pct"`
 
@@ -151,6 +155,7 @@ func runShard(out string) error {
 		}
 	}
 	rep.HeapRatioK4 = float64(k4.DeltaHeap) / float64(rep.Monolithic.DeltaHeap)
+	rep.WallRatioK4 = k4.WallMs / rep.Monolithic.WallMs
 
 	rep.Meta = currentBenchMeta()
 	data, err := json.MarshalIndent(rep, "", "  ")

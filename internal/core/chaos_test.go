@@ -1,6 +1,8 @@
 package core
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"errors"
 	"fmt"
 	"reflect"
@@ -26,97 +28,144 @@ func chaosProbs() map[string]float64 {
 	}
 }
 
-// chaosRoute runs one variant under injection with a fresh registry and
-// returns the result plus the fault counter snapshot.
-func chaosRoute(t *testing.T, v Variant, seed int64, workers int) (*Result, obs.Snapshot) {
+// chaosCutPrints were recorded at the commit before the cut plan's
+// boundary reroutes and reconciliation left the coordinator for the task
+// graph: a chaos run of the cut plan (Shards 2) must keep its Report, fault
+// stats included, and its geometry (see chaosPrint) now that this work
+// runs on workers.
+var chaosCutPrints = map[string]string{
+	"CUGR/seed=3/cut":     "a543e6b8002ad1f1",
+	"CUGR/seed=11/cut":    "565c7c2e44c84ea7",
+	"FastGRL/seed=3/cut":  "ac74a600b385a246",
+	"FastGRL/seed=11/cut": "f954a78cff1e3789",
+	"FastGRH/seed=3/cut":  "7d970f0c80050068",
+	"FastGRH/seed=11/cut": "d9bd1e9385542bbe",
+}
+
+// chaosPlans are the plans every chaos row runs on: the one-leaf plan and
+// a two-shard cut plan.
+var chaosPlans = []int{0, 2}
+
+// chaosName names a chaos row: variant and seed, plus "/cut" on a cut plan.
+func chaosName(v Variant, seed int64, shards int) string {
+	name := fmt.Sprintf("%v/seed=%d", v, seed)
+	if shards > 0 {
+		name += "/cut"
+	}
+	return name
+}
+
+// hostFree drops a Report's host measurements (wall clocks, heap
+// high-water), which no determinism contract covers.
+func hostFree(r Report) Report {
+	r.Times.PlanWall, r.Times.PatternWall, r.Times.MazeWall, r.Times.WallTotal = 0, 0, 0, 0
+	r.PeakHeapBytes = 0
+	return r
+}
+
+// chaosPrint hashes a run's host-free Report and every net's edge list.
+func chaosPrint(res *Result) string {
+	h := sha256.New()
+	fmt.Fprintf(h, "%+v", hostFree(res.Report))
+	for _, n := range res.Design.Nets {
+		if rt := res.Routes[n.ID]; rt != nil {
+			fmt.Fprintf(h, "%d:%v\n", n.ID, rt.Edges())
+		}
+	}
+	return hex.EncodeToString(h.Sum(nil))[:16]
+}
+
+// chaosRoute runs one variant under injection on a plan (Shards) with a
+// fresh registry and returns the result plus the fault counter snapshot.
+func chaosRoute(t *testing.T, v Variant, seed int64, shards, workers int) (*Result, obs.Snapshot) {
 	t.Helper()
 	d := design.MustGenerate("18test5m", testScale)
 	opt := DefaultOptions(v)
 	opt.T1, opt.T2 = 4, 40
+	opt.Shards = shards
 	opt.ExecWorkers = workers
 	reg := obs.NewRegistry()
 	opt.Obs = &obs.Observer{Metrics: reg}
 	opt.Fault = &fault.Options{Seed: seed, Probs: chaosProbs()}
 	res, err := Route(d, opt)
 	if err != nil {
-		t.Fatalf("%v seed=%d workers=%d: chaos run aborted: %v", v, seed, workers, err)
+		t.Fatalf("%s workers=%d: chaos run aborted: %v", chaosName(v, seed, shards), workers, err)
 	}
 	return res, reg.Snapshot()
 }
 
-// TestChaosContainment is the tentpole acceptance suite: every variant ×
-// chaos seed × worker count must (a) survive injection without an
-// uncontained panic, (b) satisfy the fault accounting equation, and (c)
+// TestChaosContainment is the tentpole acceptance suite: every plan ×
+// variant × chaos seed × worker count must (a) survive injection without
+// an uncontained panic, (b) satisfy the fault accounting equation, and (c)
 // produce a bit-identical Report and routed geometry at every worker
-// count. Runs under -race in tier1.
+// count; a cut-plan row must also match chaosCutPrints. Runs under -race
+// in tier1.
 func TestChaosContainment(t *testing.T) {
-	for _, v := range []Variant{CUGR, FastGRL, FastGRH} {
-		for _, seed := range []int64{3, 11} {
-			t.Run(fmt.Sprintf("%v/seed=%d", v, seed), func(t *testing.T) {
-				type outcome struct {
-					rep  Report
-					snap obs.Snapshot
-				}
-				var ref *outcome
-				anyInjected := false
-				for _, workers := range []int{1, 2, 8} {
-					res, snap := chaosRoute(t, v, seed, workers)
-					inj := snap.Counters[obs.MFaultInjected]
-					rec := snap.Counters[obs.MFaultRecovered]
-					deg := snap.Counters[obs.MFaultDegraded]
-					if inj != rec+deg {
-						t.Fatalf("workers=%d: accounting equation violated: injected=%d recovered=%d degraded=%d",
-							workers, inj, rec, deg)
+	for _, shards := range chaosPlans {
+		for _, v := range []Variant{CUGR, FastGRL, FastGRH} {
+			for _, seed := range []int64{3, 11} {
+				name := chaosName(v, seed, shards)
+				t.Run(name, func(t *testing.T) {
+					var ref *Result
+					var refSnap obs.Snapshot
+					anyInjected := false
+					for _, workers := range []int{1, 2, 8} {
+						res, snap := chaosRoute(t, v, seed, shards, workers)
+						inj := snap.Counters[obs.MFaultInjected]
+						rec := snap.Counters[obs.MFaultRecovered]
+						deg := snap.Counters[obs.MFaultDegraded]
+						if inj != rec+deg {
+							t.Fatalf("workers=%d: accounting equation violated: injected=%d recovered=%d degraded=%d",
+								workers, inj, rec, deg)
+						}
+						if inj > 0 {
+							anyInjected = true
+						}
+						if ref == nil {
+							ref, refSnap = res, snap
+							if want, ok := chaosCutPrints[name]; ok && chaosPrint(res) != want {
+								t.Errorf("chaos print %s, recorded %s: output moved from the parent", chaosPrint(res), want)
+							}
+							continue
+						}
+						// The full Report — quality, modeled times, fault
+						// stats — must be bit-identical across worker counts.
+						if a, b := hostFree(ref.Report), hostFree(res.Report); !reflect.DeepEqual(a, b) {
+							t.Fatalf("report differs between 1 and %d workers under chaos:\n%+v\nvs\n%+v",
+								workers, a, b)
+						}
+						if refSnap.Counters[obs.MFaultInjected] != inj ||
+							refSnap.Counters[obs.MFaultDegraded] != deg ||
+							refSnap.Counters[obs.MFaultRecovered] != rec {
+							t.Fatalf("fault counters differ between 1 and %d workers: %v vs inj=%d rec=%d deg=%d",
+								workers, refSnap.Counters, inj, rec, deg)
+						}
 					}
-					if inj > 0 {
-						anyInjected = true
+					if !anyInjected {
+						t.Fatalf("%s: chaos table never fired — the suite is vacuous", name)
 					}
-					o := &outcome{rep: res.Report, snap: snap}
-					if ref == nil {
-						ref = o
-						continue
-					}
-					// The full Report — quality, modeled times, fault stats —
-					// must be bit-identical across worker counts, host
-					// measurements (wall clocks, heap high-water) aside.
-					a, b := ref.rep, o.rep
-					a.Times.PlanWall, b.Times.PlanWall = 0, 0
-					a.Times.PatternWall, b.Times.PatternWall = 0, 0
-					a.Times.MazeWall, b.Times.MazeWall = 0, 0
-					a.Times.WallTotal, b.Times.WallTotal = 0, 0
-					a.PeakHeapBytes, b.PeakHeapBytes = 0, 0
-					if !reflect.DeepEqual(a, b) {
-						t.Fatalf("report differs between 1 and %d workers under chaos:\n%+v\nvs\n%+v",
-							workers, a, b)
-					}
-					if ref.snap.Counters[obs.MFaultInjected] != inj ||
-						ref.snap.Counters[obs.MFaultDegraded] != deg ||
-						ref.snap.Counters[obs.MFaultRecovered] != rec {
-						t.Fatalf("fault counters differ between 1 and %d workers: %v vs inj=%d rec=%d deg=%d",
-							workers, ref.snap.Counters, inj, rec, deg)
-					}
-				}
-				if !anyInjected {
-					t.Fatalf("%v seed=%d: chaos table never fired — the suite is vacuous", v, seed)
-				}
-			})
+				})
+			}
 		}
 	}
 }
 
 // TestChaosGeometryIdenticalAcrossWorkers pins the routed geometry (not
-// just the Report) for one chaos configuration across worker counts.
+// just the Report) for one chaos configuration across worker counts, on
+// both plans.
 func TestChaosGeometryIdenticalAcrossWorkers(t *testing.T) {
-	ref, _ := chaosRoute(t, FastGRH, 3, 1)
-	for _, workers := range []int{2, 8} {
-		got, _ := chaosRoute(t, FastGRH, 3, workers)
-		for _, n := range ref.Design.Nets {
-			a, b := ref.Routes[n.ID], got.Routes[n.ID]
-			if (a == nil) != (b == nil) {
-				t.Fatalf("workers=%d: net %s routed on one side only", workers, n.Name)
-			}
-			if a != nil && !slices.Equal(a.Edges(), b.Edges()) {
-				t.Fatalf("workers=%d: net %s geometry differs under chaos", workers, n.Name)
+	for _, shards := range chaosPlans {
+		ref, _ := chaosRoute(t, FastGRH, 3, shards, 1)
+		for _, workers := range []int{2, 8} {
+			got, _ := chaosRoute(t, FastGRH, 3, shards, workers)
+			for _, n := range ref.Design.Nets {
+				a, b := ref.Routes[n.ID], got.Routes[n.ID]
+				if (a == nil) != (b == nil) {
+					t.Fatalf("shards=%d workers=%d: net %s routed on one side only", shards, workers, n.Name)
+				}
+				if a != nil && !slices.Equal(a.Edges(), b.Edges()) {
+					t.Fatalf("shards=%d workers=%d: net %s geometry differs under chaos", shards, workers, n.Name)
+				}
 			}
 		}
 	}
@@ -131,12 +180,7 @@ func TestChaosZeroProbabilityByteIdentical(t *testing.T) {
 		armed := routeVariant(t, "18test5m", v, func(o *Options) {
 			o.Fault = &fault.Options{Seed: 123, Probs: fault.UniformProbs(0)}
 		})
-		a, b := plain.Report, armed.Report
-		a.Times.PlanWall, b.Times.PlanWall = 0, 0
-		a.Times.PatternWall, b.Times.PatternWall = 0, 0
-		a.Times.MazeWall, b.Times.MazeWall = 0, 0
-		a.Times.WallTotal, b.Times.WallTotal = 0, 0
-		a.PeakHeapBytes, b.PeakHeapBytes = 0, 0
+		a, b := hostFree(plain.Report), hostFree(armed.Report)
 		if !reflect.DeepEqual(a, b) {
 			t.Fatalf("%v: zero-probability armed report differs from unarmed:\n%+v\nvs\n%+v", v, a, b)
 		}
@@ -215,12 +259,7 @@ func TestMazeBudgetFallbackKeepsPatternRoute(t *testing.T) {
 		}
 	}
 	ref := run(1)
-	a, b := ref.Report, res.Report
-	a.Times.PlanWall, b.Times.PlanWall = 0, 0
-	a.Times.PatternWall, b.Times.PatternWall = 0, 0
-	a.Times.MazeWall, b.Times.MazeWall = 0, 0
-	a.Times.WallTotal, b.Times.WallTotal = 0, 0
-	a.PeakHeapBytes, b.PeakHeapBytes = 0, 0
+	a, b := hostFree(ref.Report), hostFree(res.Report)
 	if !reflect.DeepEqual(a, b) {
 		t.Fatalf("budgeted report differs across worker counts:\n%+v\nvs\n%+v", a, b)
 	}

@@ -14,39 +14,9 @@ import (
 
 	"fastgr/internal/core"
 	"fastgr/internal/design"
-	"fastgr/internal/geom"
 	"fastgr/internal/guide"
 	"fastgr/internal/obs"
 )
-
-// crossDesign is a crafted worst case for the splitter: every net's
-// bounding box straddles both the vertical and the horizontal center
-// cuts, so nothing is intra-leaf and every net goes through the
-// fragment/stitch/reconcile machinery. Capacities are tight enough to
-// leave rip-up work.
-func crossDesign() *design.Design {
-	d := &design.Design{
-		Name:          "crossall",
-		GridW:         64,
-		GridH:         64,
-		NumLayers:     5,
-		LayerCapacity: []int{0, 3, 3, 4, 4},
-		ViaCapacity:   6,
-	}
-	for i := 0; i < 48; i++ {
-		n := &design.Net{ID: i, Name: fmt.Sprintf("x%d", i)}
-		// Pins on all four sides of the center, so the bbox spans both
-		// cut axes regardless of where the pin-median cut lands.
-		n.Pins = []design.Pin{
-			{Pos: geom.Point{X: 4 + i%9, Y: 28 + i%7}, Layer: 1},
-			{Pos: geom.Point{X: 58 - i%11, Y: 30 + i%5}, Layer: 1 + i%2},
-			{Pos: geom.Point{X: 29 + i%5, Y: 3 + i%13}, Layer: 1},
-			{Pos: geom.Point{X: 31 - i%3, Y: 60 - i%9}, Layer: 1 + (i/2)%2},
-		}
-		d.Nets = append(d.Nets, n)
-	}
-	return d
-}
 
 func guideBytes(t *testing.T, res *core.Result) []byte {
 	t.Helper()
@@ -100,6 +70,11 @@ var parentFingerprints = map[string]string{
 	"crossall/CUGR/cut":                 "0949dfee656f0888",
 	"crossall/FastGRL/cut":              "092514e06434ed41",
 	"crossall/FastGRH/cut":              "c81868b5d920a1a2",
+	// Recorded before boundary reroutes and reconciliation moved onto the
+	// task graph; they pin the cut plan across many history iterations.
+	"18test5m/CUGR/cut+history+rrr6":    "9abc9ebd627cf208",
+	"18test5m/FastGRL/cut+history+rrr6": "bdf88d87d0ed4298",
+	"18test5m/FastGRH/cut+history+rrr6": "dbeaa8445d421eb6",
 }
 
 // detClass is one row of the determinism table: (design, variant, plan,
@@ -113,6 +88,10 @@ type detClass struct {
 	history bool
 	shards  []int
 	workers []int
+	// iters overrides Options.RRRIters when non-zero; the class name then
+	// ends "+rrr<iters>" and every run must carry out at least four
+	// iterations.
+	iters int
 }
 
 // TestExecWorkersDeterminism is the one-leaf plan's rows (Shards = 0):
@@ -120,8 +99,8 @@ type detClass struct {
 // must be identical at 1, 2 and 8 workers and match the parent.
 func TestExecWorkersDeterminism(t *testing.T) {
 	checkDeterminism(t, []detClass{
-		{design.MustGenerate("18test5m", 0.005), "one-leaf", false, []int{0}, []int{1, 2, 8}},
-		{crossDesign(), "one-leaf", false, []int{0}, []int{1, 2, 8}},
+		{design.MustGenerate("18test5m", 0.005), "one-leaf", false, []int{0}, []int{1, 2, 8}, 0},
+		{core.CrossDesign(), "one-leaf", false, []int{0}, []int{1, 2, 8}, 0},
 	})
 }
 
@@ -130,19 +109,23 @@ func TestExecWorkersDeterminism(t *testing.T) {
 // through split/stitch/reconcile.
 func TestShardDeterminism(t *testing.T) {
 	checkDeterminism(t, []detClass{
-		{design.MustGenerate("18test5m", 0.005), "cut", false, []int{1, 2, 4}, []int{1, 2, 8}},
-		{crossDesign(), "cut", false, []int{1, 2, 4}, []int{1, 2, 8}},
+		{design.MustGenerate("18test5m", 0.005), "cut", false, []int{1, 2, 4}, []int{1, 2, 8}, 0},
+		{core.CrossDesign(), "cut", false, []int{1, 2, 4}, []int{1, 2, 8}, 0},
 	})
 }
 
 // TestExecWorkersDeterminismWithHistory covers the negotiated-congestion
 // rows: history bumps depend on overflow state after each iteration,
-// which must itself be worker-count independent on both plans.
+// which must itself be worker-count independent on both plans. The
+// long cut-plan row pins state carried between iterations: a boundary
+// pass that reused a cost view built in an earlier iteration would miss
+// the leaf views' write-through and the history bumps, and move output.
 func TestExecWorkersDeterminismWithHistory(t *testing.T) {
 	small := design.MustGenerate("18test5m", 0.005)
 	checkDeterminism(t, []detClass{
-		{small, "one-leaf", true, []int{0}, []int{1, 8}},
-		{small, "cut", true, []int{2}, []int{1, 8}},
+		{small, "one-leaf", true, []int{0}, []int{1, 8}, 0},
+		{small, "cut", true, []int{2}, []int{1, 8}, 0},
+		{small, "cut", true, []int{2, 4}, []int{1, 2}, 6},
 	})
 }
 
@@ -168,6 +151,9 @@ func checkDeterminism(t *testing.T, classes []detClass) {
 			if c.history {
 				name += "+history"
 			}
+			if c.iters > 0 {
+				name += fmt.Sprintf("+rrr%d", c.iters)
+			}
 			t.Run(name, func(t *testing.T) {
 				var base *core.Result
 				var baseGuides []byte
@@ -178,9 +164,15 @@ func checkDeterminism(t *testing.T, classes []detClass) {
 						opt.Shards = shards
 						opt.ExecWorkers = w
 						opt.HistoryRRR = c.history
+						if c.iters > 0 {
+							opt.RRRIters = c.iters
+						}
 						res, err := core.Route(c.d, opt)
 						if err != nil {
 							t.Fatalf("shards=%d workers=%d: %v", shards, w, err)
+						}
+						if c.iters > 0 && len(res.Report.RRR) < 4 {
+							t.Fatalf("only %d rip-up iterations ran; the row pins nothing across iterations", len(res.Report.RRR))
 						}
 						checkPlanAccounting(t, c.d, shards, res.Report)
 						gb := guideBytes(t, res)

@@ -4,24 +4,27 @@
 // cut plan: the grid is bisected into leaf regions on pin density,
 // intra-leaf nets route fully inside their leaf against a leaf-windowed
 // cost cache, and nets straddling a cut are split into per-leaf fragments
-// routed against the frozen halo state, then stitched and reconciled at
-// sequential coordinator points.
+// routed against the frozen halo state, then stitched at a sequential
+// coordinator point. Boundary-net reroutes — reconciliation and each rip-up
+// iteration's boundary pass — run as task graphs whose conflict edges keep
+// their serial order (boundaryPass).
 //
 // Shard-count invariance. Every decision below derives from the cut tree
 // (a pure function of design and margin) or happens at a coordinator
-// point in canonical net order. The shard count K only picks how leaves
-// are grouped onto executor slots; leaves touch provably disjoint grid
-// edges (an intra-leaf route never commits an edge leaving its leaf, and
-// crossing edges are committed only at the stitch point), so the demand
-// trajectory each leaf observes is independent of which other leaves run
-// beside it. Routed output is therefore bit-identical for every K >= 1
-// and every ExecWorkers count.
+// point in canonical net order, or in a task graph equivalent to it. The
+// shard count K only picks how leaves are grouped onto executor slots;
+// leaves touch provably disjoint grid edges (an intra-leaf route never
+// commits an edge leaving its leaf, and crossing edges are committed only
+// at the stitch point), so the demand trajectory each leaf observes is
+// independent of which other leaves run beside it. Routed output is
+// therefore bit-identical for every K >= 1 and every ExecWorkers count.
 //
 // Memory. The parent graph's cost cache is never warmed. The one-leaf plan's
 // full-grid view holds values and prefix sums for the whole run; under a
-// cut plan a slot warms one leaf-sized view at a time, a coordinator
-// reroute one net-sized view, and the stitch reads the direct formula, so
-// peak heap (Report.PeakHeapBytes) shrinks with the leaf size.
+// cut plan a slot warms one leaf-sized view at a time, each boundary pass
+// one full-grid view that lives only for the pass, and the stitch reads the
+// direct formula. Peak heap (Report.PeakHeapBytes, sampled between passes)
+// shrinks with the leaf size.
 package core
 
 import (
@@ -421,11 +424,52 @@ func (r *runner) patternBatch(view *grid.Graph, router *patterngpu.Router, solve
 	}
 }
 
-// stitchAndReconcile runs the two coordinator passes over boundary nets
-// in canonical net order: stitching realizes each net's crossing edges
-// against the now-complete post-pattern demand (the frozen halo snapshot
-// every shard routed against), and reconciliation reroutes whole any
-// stitched net still crossing an over-capacity edge.
+// boundaryPassProbe, when set (by tests only), sees the runner at the start
+// and the end of every boundary pass.
+var boundaryPassProbe func(r *runner)
+
+// boundaryPass runs one pass over boundary nets — reconciliation, or a
+// rip-up iteration's boundary reroutes — as a task graph on the executor
+// pool. The tasks are listed in the pass's serial order, and task.BBox is
+// the net's maze window: a boundary net's route lies inside that window
+// (TestBoundaryRoutesStayInWindow), so a task's overflow check, rip-up,
+// search and commit touch only edges inside it. sched.OrderGraph points
+// every conflict edge from the earlier task to the later one, which makes
+// any schedule of the graph commit exactly what the serial loop did. The
+// pass routes through one full-grid view built and warmed here, at the
+// coordinator, and dropped with the pass: the next iteration's leaf views
+// write through to their own caches, never to this one. body runs once per
+// task with the view and its worker's maze scratch; the first error a body
+// returns cancels the rest of the pass and is returned.
+func (r *runner) boundaryPass(tasks []sched.Task, body func(view *grid.Graph, sr *maze.Search, lane int, task sched.Task) error) error {
+	if boundaryPassProbe != nil {
+		boundaryPassProbe(r)
+		defer boundaryPassProbe(r)
+	}
+	if len(tasks) == 0 {
+		return nil
+	}
+	view := r.g.WindowView(geom.Rect{Hi: geom.Point{X: r.g.W - 1, Y: r.g.H - 1}})
+	view.WarmCostCache()
+	workers := r.pool.Workers()
+	// The scratches grow to the largest boundary windows, so they live for
+	// one pass only.
+	searches := make([]*maze.Search, workers)
+	for i := range searches {
+		searches[i] = r.newSearch()
+	}
+	rep := taskflow.RunWorkersFault(sched.OrderGraph(tasks, r.g.W, r.g.H), workers, r.opt.Obs, nil, func(worker, k int) error {
+		return body(view, searches[worker], worker, tasks[k])
+	})
+	return rep.CancelErr
+}
+
+// stitchAndReconcile runs the two passes over boundary nets in canonical
+// net order: stitching, at the coordinator, realizes each net's crossing
+// edges against the now-complete post-pattern demand (the frozen halo
+// snapshot every shard routed against), and reconciliation, a boundary
+// pass, reroutes whole any stitched net still crossing an over-capacity
+// edge.
 func (r *runner) stitchAndReconcile(fragRoutes [][]*route.NetRoute) error {
 	tr := r.opt.Obs.T()
 	sp := tr.StartSpan("shard.stitch", obs.Coordinator)
@@ -450,30 +494,36 @@ func (r *runner) stitchAndReconcile(fragRoutes [][]*route.NetRoute) error {
 
 	rsp := tr.StartSpan("shard.reconcile", obs.Coordinator)
 	defer rsp.End()
-	rsearch := r.newSearch()
-	var recExp int64
+	var tasks []sched.Task
 	for _, n := range r.d.Nets {
-		if r.splits[n.ID] == nil {
-			continue
+		if r.splits[n.ID] != nil {
+			tasks = append(tasks, sched.Task{ID: len(tasks), BBox: r.mazeWindow(n), Payload: n})
 		}
-		old := r.routes[n.ID]
-		if old == nil || !old.HasOverflow(r.g) {
-			continue
+	}
+	type outcome struct {
+		exp               int64
+		rerouted, tripped bool
+	}
+	outs := make([]outcome, len(tasks))
+	err := r.boundaryPass(tasks, func(view *grid.Graph, sr *maze.Search, _ int, task sched.Task) error {
+		n := task.Payload.(*design.Net)
+		if old := r.routes[n.ID]; old == nil || !old.HasOverflow(view) {
+			return nil
 		}
-		win := r.mazeWindow(n)
-		// The parent's cache is cold by design; a view warmed over the
-		// net's window turns the search's per-relaxation cost formula into
-		// array loads and is dropped with the net.
-		view := r.g.WindowView(win)
-		view.WarmCostCache()
-		exp, tripped, err := r.rerouteNet(view, rsearch, n, win)
-		if err != nil {
-			return fmt.Errorf("core: shard reconciliation: %w", err)
-		}
-		recExp += exp
-		if tripped {
+		exp, tripped, err := r.rerouteNet(view, sr, n, task.BBox)
+		outs[task.ID] = outcome{exp: exp, rerouted: err == nil && !tripped, tripped: tripped}
+		return err
+	})
+	if err != nil {
+		return fmt.Errorf("core: shard reconciliation: %w", err)
+	}
+	var recExp int64
+	for _, o := range outs {
+		recExp += o.exp
+		if o.tripped {
 			r.rep.Fault.BudgetFallbacks++
-		} else {
+		}
+		if o.rerouted {
 			r.rep.BoundaryReroutes++
 		}
 	}
@@ -485,7 +535,7 @@ func (r *runner) stitchAndReconcile(fragRoutes [][]*route.NetRoute) error {
 // rrrStage runs the rip-up-and-reroute iterations with the variant's
 // scheduling strategy. Each iteration scans and sorts the violating nets
 // globally, then intra-leaf nets fan out over leaf groups behind leaf
-// views and a cut plan's boundary nets reroute at the coordinator after
+// views and a cut plan's boundary nets reroute in a boundary pass after
 // the barrier. full is the one-leaf plan's view, nil under a cut plan.
 func (r *runner) rrrStage(full *grid.Graph) error {
 	start := obs.StartStopwatch()
@@ -541,21 +591,22 @@ func (r *runner) rrrStage(full *grid.Graph) error {
 		}
 		sched.SortNets(violating, scheme)
 
-		// Two task views. Execution tasks conflict on the maze window
-		// clamped to the net's leaf (tasks with disjoint windows touch
-		// disjoint grid state and may run concurrently); the reported
+		// Two task views. Execution tasks conflict on the maze window,
+		// clamped to the net's leaf for an intra-leaf net (tasks with
+		// disjoint windows touch disjoint grid state and may run
+		// concurrently); the reported
 		// scheduling models conflict on the bare bounding boxes of every
 		// violating net, as the paper's task graph does. A task's ID is
 		// its index in violating.
 		tasks := make([]sched.Task, 0, len(violating))
 		modelTasks := make([]sched.Task, len(violating))
-		var boundary []int
+		var boundary []sched.Task
 		for ti, n := range violating {
 			modelTasks[ti] = sched.Task{ID: ti, BBox: n.BBox(), Payload: n}
 			if leaf := r.leafOf(n.ID); leaf >= 0 {
 				tasks = append(tasks, sched.Task{ID: ti, BBox: r.mazeWindow(n).Intersect(r.shplan.Leaf(leaf)), Payload: n})
 			} else {
-				boundary = append(boundary, ti)
+				boundary = append(boundary, sched.Task{ID: ti, BBox: r.mazeWindow(n), Payload: n})
 			}
 		}
 		leafTasks := r.byLeaf(tasks)
@@ -663,27 +714,28 @@ func (r *runner) rrrStage(full *grid.Graph) error {
 			iterSkipped += o.skipped
 		}
 
-		// Phase A (cut plan): boundary nets, sequential at the coordinator
-		// in sorted order, full windows, each behind a view warmed over its
-		// window and dropped with the net. The coordinator scratch grows to
-		// the largest boundary window, so it lives for one iteration only.
-		var csearch *maze.Search
-		if len(boundary) > 0 {
-			csearch = r.newSearch()
-		}
-		for _, ti := range boundary {
-			task := sched.Task{ID: ti, BBox: r.mazeWindow(violating[ti]), Payload: violating[ti]}
-			err := r.fc.Run(fault.SiteTask, ti, obs.Coordinator, func() error {
-				view := r.g.WindowView(task.BBox)
-				view.WarmCostCache()
-				return reroute(view, csearch, task, obs.Coordinator)
+		// Phase A (cut plan): boundary nets in sorted order over full maze
+		// windows, as a boundary pass. Each task runs under containment
+		// keyed by its net's sorted index; a task that exhausts it keeps
+		// its net's old route and holds back no later task.
+		failed := make([]bool, len(violating))
+		err := r.boundaryPass(boundary, func(view *grid.Graph, sr *maze.Search, lane int, task sched.Task) error {
+			err := r.fc.Run(fault.SiteTask, task.ID, lane, func() error {
+				return reroute(view, sr, task, lane)
 			})
 			var we *fault.WorkError
-			switch {
-			case errors.As(err, &we) && we.Contained:
+			if errors.As(err, &we) && we.Contained {
+				failed[task.ID] = true
+				return nil
+			}
+			return err
+		})
+		if err != nil {
+			return fmt.Errorf("core: rip-up iteration %d: %w", iter, err)
+		}
+		for _, f := range failed {
+			if f {
 				iterFailed++
-			case err != nil:
-				return fmt.Errorf("core: rip-up iteration %d: %w", iter, err)
 			}
 		}
 

@@ -78,6 +78,10 @@ type costCache struct {
 	viaDirty    []atomic.Uint32
 	viaRowDirty []atomic.Uint32
 
+	// field is the strided table over wireVal/viaVal handed to hot loops,
+	// filled when the cache is built.
+	field CostField
+
 	// Flight-recorder handles, resolved once by SetObserver; all nil in
 	// disabled mode, where each event costs one nil check.
 	hits   *obs.Counter
@@ -91,6 +95,7 @@ type costCache struct {
 // the number of lines/cells (re)summed by WarmCostCache.
 func (g *Graph) SetObserver(o *obs.Observer) {
 	g.cc.hits = o.M().Counter(obs.MCostHits)
+	g.cc.field.Hits = g.cc.hits
 	g.cc.misses = o.M().Counter(obs.MCostMisses)
 	g.cc.invals = o.M().Counter(obs.MCostInvalidations)
 	g.cc.warms = o.M().Counter(obs.MCostWarms)
@@ -99,19 +104,40 @@ func (g *Graph) SetObserver(o *obs.Observer) {
 // CostCacheBuilt reports whether the cost field has been materialized.
 func (g *Graph) CostCacheBuilt() bool { return g.cc.built }
 
-// CostField exposes a built full-window cost field for a hot loop that
-// cannot afford a call per edge: wire[l-1][WireIndex(l, x, y)] is
-// WireCost(l, x, y) and via[l-1][y*W+x] is ViaEdgeCost(x, y, l), always
-// fresh (write-through). Both are nil for a windowed or unbuilt cache, whose
-// callers keep using WireCost/ViaEdgeCost. The slices are read-only, valid
-// until the next InvalidateCostCache, and readable wherever the accessors
-// are: an edge's value is only ever written by the edge's owner. The reader
-// adds what it read to hits, once, so the counter keeps counting edge reads.
-func (g *Graph) CostField() (wire, via [][]float64, hits *obs.Counter) {
-	if cc := &g.cc; cc.built && cc.full {
-		return cc.wireVal, cc.viaVal, cc.hits
+// CostField is the edge-value table of a built cost cache, full or
+// windowed, for a hot loop that cannot afford a call per edge:
+// Wire[l-1][f.WireSlot(l, x, y)] is WireCost(l, x, y) for every wire edge
+// starting in Win, and Via[l-1][f.ViaSlot(x, y)] is ViaEdgeCost(x, y, l)
+// for every G-cell of Win. The values are always fresh (write-through) and
+// readable wherever the accessors are: an edge's value is only ever written
+// by the edge's owner. The tables are read-only and valid until the next
+// InvalidateCostCache. A reader adds what it read to Hits, once, so the
+// counter keeps counting edge reads.
+type CostField struct {
+	Win       geom.Rect
+	Wire, Via [][]float64
+	Hits      *obs.Counter
+	// dx[l-1] and dy[l-1] are the slot steps of one G-cell along x and y
+	// on layer l: one along the layer's lines, a line's length across them.
+	dx, dy []int
+}
+
+// WireSlot is the slot of wire edge (x, y) of layer l in Wire[l-1].
+func (f *CostField) WireSlot(l, x, y int) int {
+	return (x-f.Win.Lo.X)*f.dx[l-1] + (y-f.Win.Lo.Y)*f.dy[l-1]
+}
+
+// ViaSlot is the slot of G-cell (x, y) in every Via[b].
+func (f *CostField) ViaSlot(x, y int) int {
+	return (y-f.Win.Lo.Y)*(f.Win.Hi.X-f.Win.Lo.X+1) + x - f.Win.Lo.X
+}
+
+// CostField returns the built cost field, nil while the cache is cold.
+func (g *Graph) CostField() *CostField {
+	if !g.cc.built {
+		return nil
 	}
-	return nil, nil, nil
+	return &g.cc.field
 }
 
 // ViaPrefix returns the via prefix run of G-cell (x, y) — p[k] sums the
@@ -321,9 +347,14 @@ func (g *Graph) buildCostCache() (complete int) {
 	cc.wireVal = make([][]float64, g.L)
 	cc.wirePfx = make([][]float64, g.L)
 	cc.wireDirty = make([][]atomic.Uint32, g.L)
+	f := CostField{Win: cc.win, Hits: cc.hits, dx: make([]int, g.L), dy: make([]int, g.L)}
 	for l := 1; l <= g.L; l++ {
 		ll, lines := g.ccWireSpan(l)
 		ll = geom.Max(ll, 0)
+		f.dx[l-1], f.dy[l-1] = 1, ll
+		if g.Dir(l) == Vertical {
+			f.dx[l-1], f.dy[l-1] = ll, 1
+		}
 		val := make([]float64, lines*ll)
 		for li := 0; li < lines; li++ {
 			for k := 0; k < ll; k++ {
@@ -352,6 +383,8 @@ func (g *Graph) buildCostCache() (complete int) {
 			cc.viaVal[b][ci] = g.viaCostAt(b+1, (cc.win.Lo.Y+ci/cw)*g.W+cc.win.Lo.X+ci%cw)
 		}
 	}
+	f.Wire, f.Via = cc.wireVal, cc.viaVal
+	cc.field = f
 	cc.built = true
 	if !cc.full {
 		return complete + cells

@@ -115,3 +115,49 @@ func TestWindowViewFullEqualsGlobal(t *testing.T) {
 		t.Fatalf("full view SegCost %v != parent %v", got, want)
 	}
 }
+
+// TestCostFieldSlots: on the full grid, on interior windows and on windows
+// flush against the far sides, every wire edge starting in the field's
+// window and every via edge in it sits at its strided slot, bit-identical
+// to the direct formula, and stays so through write-through mutations.
+func TestCostFieldSlots(t *testing.T) {
+	g := NewFromDesign(design.MustGenerate("18test5m", 0.003))
+	congest(g, 9, 3000)
+	for _, win := range []geom.Rect{
+		{Hi: geom.Point{X: g.W - 1, Y: g.H - 1}},
+		{Lo: geom.Point{X: 5, Y: 3}, Hi: geom.Point{X: g.W/2 + 3, Y: g.H/2 + 1}},
+		{Lo: geom.Point{X: g.W - 4, Y: g.H - 6}, Hi: geom.Point{X: g.W - 1, Y: g.H - 1}},
+		{Lo: geom.Point{X: g.W - 1, Y: 2}, Hi: geom.Point{X: g.W - 1, Y: 9}},
+	} {
+		v := g.WindowView(win)
+		if v.CostField() != nil {
+			t.Fatal("cold view serves a cost field")
+		}
+		v.WarmCostCache()
+		check := func(stage string) {
+			f := v.CostField()
+			if f.Win != win {
+				t.Fatalf("window %v: field window %v", win, f.Win)
+			}
+			for l := 1; l <= g.L; l++ {
+				for y := win.Lo.Y; y <= win.Hi.Y; y++ {
+					for x := win.Lo.X; x <= win.Hi.X; x++ {
+						if g.HasWireEdge(l, x, y) {
+							if got, want := f.Wire[l-1][f.WireSlot(l, x, y)], g.wireCostAt(l, g.WireIndex(l, x, y)); got != want {
+								t.Fatalf("%s window %v layer %d (%d,%d): field %v != direct %v", stage, win, l, x, y, got, want)
+							}
+						}
+						if l < g.L {
+							if got, want := f.Via[l-1][f.ViaSlot(x, y)], g.viaCostAt(l, y*g.W+x); got != want {
+								t.Fatalf("%s window %v via %d (%d,%d): field %v != direct %v", stage, win, l, x, y, got, want)
+							}
+						}
+					}
+				}
+			}
+		}
+		check("built")
+		congest(v, 10, 500)
+		check("written through")
+	}
+}

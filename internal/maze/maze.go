@@ -32,8 +32,10 @@
 // for push to the 24-byte-a-node state it replaced. Stale state is
 // invalidated by the epoch instead of clearing, so rebinding the scratch to
 // a new window costs O(1) beyond any capacity growth. The inner loop
-// addresses a node's neighbours by index offset and, on a graph whose full
-// cost field is built, reads edge costs straight from it (grid.CostField).
+// addresses a node's neighbours by index offset and reads edge costs
+// straight from the graph's built cost field (grid.CostField), full or
+// windowed — its one cost-read path — so a graph is searchable only inside
+// the window its cost cache was warmed over.
 package maze
 
 import (
@@ -116,12 +118,10 @@ type Search struct {
 	state []nodeState
 	epoch uint32
 
-	// wire/via are the graph's full-window cost field, fetched per RouteNet
-	// (nil for a windowed or cold cache, which is read through
-	// WireCost/ViaEdgeCost); hits is the counter reads of it are owed to.
-	wire, via [][]float64
-	hits      *obs.Counter
-	reads     int64 // field reads of the current pass, not yet added to hits
+	// f is the graph's cost field, copied per RouteNet; reads counts the
+	// field reads of the current pass, not yet added to f.Hits.
+	f     grid.CostField
+	reads int64
 
 	// connected is the source list: the first pin, then each pass's parent
 	// chain, target end first. Its order steers nothing: every source is
@@ -227,13 +227,12 @@ func (s *Search) SetObserver(o *obs.Observer) {
 	s.searchCount = o.M().Counter(obs.MMazeSearches)
 }
 
-// bind points the scratch at a grid and window, growing the record array
-// as needed. Records surviving from earlier windows are invalidated by
-// their stale epochs, never by clearing.
-func (s *Search) bind(g *grid.Graph, win geom.Rect) {
-	s.g, s.win = g, win
+// bind points the scratch at a grid, its cost field and a window, growing
+// the record array as needed. Records surviving from earlier windows are
+// invalidated by their stale epochs, never by clearing.
+func (s *Search) bind(g *grid.Graph, f *grid.CostField, win geom.Rect) {
+	s.g, s.f, s.win = g, *f, win
 	s.ww, s.wh = win.Width(), win.Height()
-	s.wire, s.via, s.hits = g.CostField()
 	n := s.ww * s.wh * g.L
 	if cap(s.state) < n {
 		s.state = make([]nodeState, n)
@@ -246,7 +245,8 @@ func (s *Search) bind(g *grid.Graph, win geom.Rect) {
 // first pin, it repeatedly searches from the already-connected geometry
 // (all its 3-D nodes are sources) to the nearest unconnected pin, until
 // every pin is connected. The grid is read-only; the caller commits the
-// returned route.
+// returned route. The graph's cost cache must be built (WarmCostCache) over
+// a region containing the window.
 func (s *Search) RouteNet(g *grid.Graph, netID int, pins []geom.Point3, window geom.Rect) (*route.NetRoute, Stats, error) {
 	if len(pins) == 0 {
 		return nil, Stats{}, fmt.Errorf("maze: net %d has no pins", netID)
@@ -257,8 +257,12 @@ func (s *Search) RouteNet(g *grid.Graph, netID int, pins []geom.Point3, window g
 			return nil, Stats{}, fmt.Errorf("maze: pin %v outside window %v", p, window)
 		}
 	}
+	f := g.CostField()
+	if f == nil || !f.Win.ContainsRect(window) {
+		return nil, Stats{}, fmt.Errorf("maze: net %d: no cost field built over window %v", netID, window)
+	}
 
-	s.bind(g, window)
+	s.bind(g, f, window)
 	s.hWire = math.Max(0, g.Params.UnitWire)
 	s.hVia = math.Max(0, g.Params.UnitVia)
 	s.b.Reset(g, netID)
@@ -436,28 +440,21 @@ func (s *Search) search(limit int64) (int32, Stats, error) {
 			s.relax(fromAbove, i-plane, d, s.viaCost(x, y, l-1), x, y, l-1, &st)
 		}
 	}
-	s.hits.Add(s.reads)
+	s.f.Hits.Add(s.reads)
 	s.reads = 0
 	return reached, st, err
 }
 
-// wireCost and viaCost price one edge: a load from the full cost field when
-// the graph has one built, counted in reads; a call into the graph otherwise,
-// which counts itself.
+// wireCost and viaCost price one edge with a load from the cost field,
+// counted in reads.
 func (s *Search) wireCost(l, x, y int) float64 {
-	if s.wire == nil {
-		return s.g.WireCost(l, x, y)
-	}
 	s.reads++
-	return s.wire[l-1][s.g.WireIndex(l, x, y)]
+	return s.f.Wire[l-1][s.f.WireSlot(l, x, y)]
 }
 
 func (s *Search) viaCost(x, y, l int) float64 {
-	if s.via == nil {
-		return s.g.ViaEdgeCost(x, y, l)
-	}
 	s.reads++
-	return s.via[l-1][y*s.g.W+x]
+	return s.f.Via[l-1][s.f.ViaSlot(x, y)]
 }
 
 // relax offers node j, at (x, y, l), the path through the neighbour in

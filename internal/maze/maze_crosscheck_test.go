@@ -19,7 +19,7 @@ import (
 // path cost can never exceed the pattern DP's optimum for a two-pin net.
 func TestMazeNeverWorseThanPattern(t *testing.T) {
 	d := design.MustGenerate("18test5m", 0.002)
-	g := grid.NewFromDesign(d)
+	g := warm(grid.NewFromDesign(d))
 	rng := rand.New(rand.NewSource(5))
 	// Random congestion so the comparison is not on a uniform grid.
 	for i := 0; i < 400; i++ {
@@ -64,8 +64,8 @@ func TestMazeNeverWorseThanPattern(t *testing.T) {
 // on randomized congested grids, A* guided by the admissible unit-cost
 // bound must produce bit-identical geometry (equal sealed edge lists)
 // and exactly equal cost to the seed Dijkstra, while settling no more
-// nodes — both on a cold graph and after WarmCostCache materializes the
-// cost field. The "flat" case prices congestion at 1e-11: the slack that
+// nodes — both on a view warmed over each net's window alone ("cold", the
+// windowed field) and on the whole grid's field. The "flat" case prices congestion at 1e-11: the slack that
 // keeps f climbing along a path is then of the order of one rounding step,
 // so keys tie exactly and now and then regress, and pushes keyed at or below
 // the queue's last key — its fallback path — happen end to end. (At 1e-6 no
@@ -77,12 +77,12 @@ func TestAStarMatchesDijkstraBitIdentical(t *testing.T) {
 	flat.UnitWire, flat.CongestionWeight = 0.3, 1e-11
 	for _, tc := range []struct {
 		name   string
-		warm   bool
+		perNet bool // a fresh window view per net instead of the full field
 		params grid.CostParams
 	}{
-		{"cold", false, grid.DefaultCostParams()},
-		{"warm", true, grid.DefaultCostParams()},
-		{"flat", true, flat},
+		{"cold", true, grid.DefaultCostParams()},
+		{"warm", false, grid.DefaultCostParams()},
+		{"flat", false, flat},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			g := grid.NewFromDesignParams(d, tc.params)
@@ -98,7 +98,7 @@ func TestAStarMatchesDijkstraBitIdentical(t *testing.T) {
 					}
 				}
 			}
-			if tc.warm {
+			if !tc.perNet {
 				g.WarmCostCache()
 				if !g.CostCacheBuilt() {
 					t.Fatal("WarmCostCache did not build the cache")
@@ -126,12 +126,17 @@ func TestAStarMatchesDijkstraBitIdentical(t *testing.T) {
 				tree := stt.Build(net)
 				pins := route.PinTerminals(tree)
 				win := net.BBox().Inflate(6).ClampTo(g.W, g.H)
+				sg := g
+				if tc.perNet {
+					sg = g.WindowView(win)
+					sg.WarmCostCache()
+				}
 
-				ra, sa, err := ast.RouteNet(g, net.ID, pins, win)
+				ra, sa, err := ast.RouteNet(sg, net.ID, pins, win)
 				if err != nil {
 					t.Fatalf("net %s astar: %v", net.Name, err)
 				}
-				rd, sd, err := dij.RouteNet(g, net.ID, pins, win)
+				rd, sd, err := dij.RouteNet(sg, net.ID, pins, win)
 				if err != nil {
 					t.Fatalf("net %s dijkstra: %v", net.Name, err)
 				}
@@ -162,7 +167,7 @@ func TestAStarMatchesDijkstraBitIdentical(t *testing.T) {
 // independent Bellman-Ford relaxation over the same 3-D window.
 func TestDijkstraMatchesBellmanFord(t *testing.T) {
 	d := design.MustGenerate("18test5m", 0.002)
-	g := grid.NewFromDesign(d)
+	g := warm(grid.NewFromDesign(d))
 	rng := rand.New(rand.NewSource(9))
 	for i := 0; i < 200; i++ {
 		l := 2 + rng.Intn(3)

@@ -30,7 +30,14 @@ func testGrid(t *testing.T, w, h, layers int) *grid.Graph {
 	if err := d.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	return grid.NewFromDesign(d)
+	return warm(grid.NewFromDesign(d))
+}
+
+// warm builds g's cost field, the one cost path the search reads, and
+// returns g.
+func warm(g *grid.Graph) *grid.Graph {
+	g.WarmCostCache()
+	return g
 }
 
 func fullWindow(g *grid.Graph) geom.Rect {
@@ -104,7 +111,7 @@ func TestMazeDetoursAroundBlockage(t *testing.T) {
 	if err := d.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	g := grid.NewFromDesign(d)
+	g := warm(grid.NewFromDesign(d))
 	pins := []geom.Point3{{X: 2, Y: 2, Layer: 1}, {X: 18, Y: 2, Layer: 1}}
 	r, _, err := RouteNet(g, 4, pins, fullWindow(g))
 	if err != nil {
@@ -225,7 +232,7 @@ func TestMazeMatchesPatternOnEasyNets(t *testing.T) {
 
 func TestMazeOnGeneratedDesign(t *testing.T) {
 	d := design.MustGenerate("18test5m", 0.002)
-	g := grid.NewFromDesign(d)
+	g := warm(grid.NewFromDesign(d))
 	for _, net := range d.Nets[:60] {
 		tree := stt.Build(net)
 		pins := route.PinTerminals(tree)
@@ -297,10 +304,10 @@ func TestSearchObservation(t *testing.T) {
 	}
 }
 
-// TestCostFieldReadsCountAsHits: a search that reads the full cost field
-// directly owes the graph's hit counter exactly what the same search pays
-// through WireCost/ViaEdgeCost — here on a windowed view, whose cache is
-// not the full field and is therefore read through the calls.
+// TestCostFieldReadsCountAsHits: a search reads a windowed view's field
+// exactly as it reads the full one — the same stats, the same hit count,
+// no misses — and refuses a graph whose field is cold or does not cover
+// its window.
 func TestCostFieldReadsCountAsHits(t *testing.T) {
 	pins := []geom.Point3{{X: 2, Y: 3, Layer: 1}, {X: 17, Y: 12, Layer: 2}, {X: 6, Y: 15, Layer: 1}}
 	win := geom.NewRect(geom.Point{X: 1, Y: 1}, geom.Point{X: 18, Y: 16})
@@ -310,10 +317,15 @@ func TestCostFieldReadsCountAsHits(t *testing.T) {
 		g.SetObserver(&obs.Observer{Metrics: reg})
 		if view {
 			g = g.WindowView(win)
+		} else {
+			g.InvalidateCostCache()
+		}
+		if _, _, err := RouteNet(g, 1, pins, win); err == nil {
+			t.Fatalf("view=%v: routed on a cold cost field", view)
 		}
 		g.WarmCostCache()
-		if wire, _, _ := g.CostField(); (wire == nil) != view {
-			t.Fatalf("view=%v: full cost field present = %v", view, wire != nil)
+		if f := g.CostField(); f == nil || f.Win != g.CostCacheWindow() {
+			t.Fatalf("view=%v: warm graph serves field %+v", view, f)
 		}
 		_, st, err := RouteNet(g, 1, pins, win)
 		if err != nil {
@@ -325,12 +337,17 @@ func TestCostFieldReadsCountAsHits(t *testing.T) {
 		}
 		return snap.Counters[obs.MCostHits], st
 	}
-	direct, dst := hits(false)
-	called, cst := hits(true)
-	if dst != cst {
-		t.Fatalf("stats differ: %+v on the field, %+v through the calls", dst, cst)
+	full, fst := hits(false)
+	windowed, wst := hits(true)
+	if fst != wst {
+		t.Fatalf("stats differ: %+v on the full field, %+v on the view's", fst, wst)
 	}
-	if direct != called || direct == 0 {
-		t.Fatalf("cost hits: %d reading the field, %d through the calls", direct, called)
+	if full != windowed || full == 0 {
+		t.Fatalf("cost hits: %d on the full field, %d on the view's", full, windowed)
+	}
+	g := testGrid(t, 20, 20, 4).WindowView(geom.NewRect(geom.Point{X: 2, Y: 2}, geom.Point{X: 18, Y: 16}))
+	g.WarmCostCache()
+	if _, _, err := RouteNet(g, 1, pins, win); err == nil {
+		t.Fatal("routed in a window its graph's field does not cover")
 	}
 }

@@ -179,7 +179,7 @@ func TestQueueKeysAtAndBelowLastPop(t *testing.T) {
 // replays it through both queues.
 func TestQueueMatchesHeapOnRealTrace(t *testing.T) {
 	d := design.MustGenerate("18test5m", 0.004)
-	g := grid.NewFromDesign(d)
+	g := warm(grid.NewFromDesign(d))
 	s := NewSearch()
 	for _, n := range d.Nets[:120] {
 		r, _, err := s.RouteNet(g, n.ID, route.PinTerminals(stt.Build(n)), n.BBox().Inflate(3))

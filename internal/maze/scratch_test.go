@@ -16,7 +16,7 @@ import (
 // scratch reuse crosses window sizes and grids.
 func scratchFixture(t testing.TB) (*grid.Graph, []*design.Net, [][]geom.Point3, []geom.Rect) {
 	d := design.MustGenerate("18test5m", 0.004)
-	g := grid.NewFromDesign(d)
+	g := warm(grid.NewFromDesign(d))
 	nets := d.Nets[:80]
 	pins := make([][]geom.Point3, len(nets))
 	wins := make([]geom.Rect, len(nets))
@@ -60,7 +60,7 @@ func TestSearchReuseMatchesFresh(t *testing.T) {
 func TestSearchReuseAcrossGrids(t *testing.T) {
 	g1, nets1, pins1, wins1 := scratchFixture(t)
 	d2 := design.MustGenerate("18test8m", 0.003)
-	g2 := grid.NewFromDesign(d2)
+	g2 := warm(grid.NewFromDesign(d2))
 	n2 := d2.Nets[0]
 	p2 := route.PinTerminals(stt.Build(n2))
 	w2 := n2.BBox().Inflate(4).ClampTo(g2.W, g2.H)

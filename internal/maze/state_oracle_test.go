@@ -27,8 +27,6 @@ type refSearch struct {
 	state []refNodeState
 	epoch uint32
 
-	wire, via [][]float64
-
 	connStamp []uint32
 	targStamp []uint32
 	connEpoch uint32
@@ -55,7 +53,6 @@ type refNodeState struct {
 func (s *refSearch) bind(g *grid.Graph, win geom.Rect) {
 	s.g, s.win = g, win
 	s.ww, s.wh = win.Width(), win.Height()
-	s.wire, s.via, _ = g.CostField()
 	n := s.ww * s.wh * g.L
 	if cap(s.state) < n {
 		s.state = make([]refNodeState, n)
@@ -221,19 +218,11 @@ func (s *refSearch) search(limit int64) (int32, Stats, error) {
 	return -1, st, errUnreachable
 }
 
-func (s *refSearch) wireCost(l, x, y int) float64 {
-	if s.wire == nil {
-		return s.g.WireCost(l, x, y)
-	}
-	return s.wire[l-1][s.g.WireIndex(l, x, y)]
-}
+// The reference reads every edge through the graph's accessors, not the
+// field the search under test loads from.
+func (s *refSearch) wireCost(l, x, y int) float64 { return s.g.WireCost(l, x, y) }
 
-func (s *refSearch) viaCost(x, y, l int) float64 {
-	if s.via == nil {
-		return s.g.ViaEdgeCost(x, y, l)
-	}
-	return s.via[l-1][y*s.g.W+x]
-}
+func (s *refSearch) viaCost(x, y, l int) float64 { return s.g.ViaEdgeCost(x, y, l) }
 
 func (s *refSearch) relax(i, j int32, d, cost float64, x, y, l int, st *Stats) {
 	ns, nd := &s.state[j], d+cost
@@ -402,7 +391,9 @@ func TestSearchStateMatchesOracle(t *testing.T) {
 		name   string
 		layers int
 		params grid.CostParams
-		warm   bool
+		// warm builds the cost field from the congested grid; otherwise it
+		// is built first and the congestion reaches it by write-through.
+		warm bool
 	}{
 		{"L2", 2, grid.DefaultCostParams(), false},
 		{"L5", 5, grid.DefaultCostParams(), true},
@@ -414,10 +405,11 @@ func TestSearchStateMatchesOracle(t *testing.T) {
 			t.Run(tc.name+"/"+alg.String(), func(t *testing.T) {
 				rng := rand.New(rand.NewSource(int64(31*tc.layers) + int64(alg)))
 				g := oracleGrid(t, 28, 24, tc.layers, tc.params)
-				congest(g, rng, 600)
-				if tc.warm {
+				if !tc.warm {
 					g.WarmCostCache()
 				}
+				congest(g, rng, 600)
+				g.WarmCostCache()
 				p := newOraclePair(t, alg)
 				for n := 0; n < 150; n++ {
 					win := randomWindow(rng, g, n%4)
@@ -488,7 +480,7 @@ func TestSearchStateMatchesOracleOnDesign(t *testing.T) {
 		p.route(g, n.ID, pins[i], wins[i])
 	}
 	d := design.MustGenerate("18test8m", 0.003)
-	g2 := grid.NewFromDesign(d)
+	g2 := warm(grid.NewFromDesign(d))
 	for _, n := range d.Nets[:40] {
 		p.route(g2, n.ID, route.PinTerminals(stt.Build(n)), n.BBox().Inflate(3).ClampTo(g2.W, g2.H))
 	}

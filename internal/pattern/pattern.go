@@ -213,8 +213,8 @@ func (s *Solver) Solve(g *grid.Graph, tree *stt.Tree, cfg Config, eval Evaluator
 	res.Route = s.b.Build()
 	res.Ops = s.ops
 	if s.viaReads > 0 {
-		_, _, hits := g.CostField()
-		hits.Add(s.viaReads)
+		// Via prefix runs exist only in a built field.
+		g.CostField().Hits.Add(s.viaReads)
 	}
 	return res
 }

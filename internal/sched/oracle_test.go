@@ -93,6 +93,95 @@ func TestBuildGraphMatchesBruteForce(t *testing.T) {
 	}
 }
 
+// parentBuildGraph is BuildGraph as it stood before OrderGraph existed: one
+// binned root batch, then each conflict pair oriented in place by the two
+// rules.
+func parentBuildGraph(tasks []Task, gridW, gridH int) *Graph {
+	g := &Graph{
+		Tasks:     tasks,
+		Succ:      make([][]int, len(tasks)),
+		Indegree:  make([]int, len(tasks)),
+		RootBatch: make([]bool, len(tasks)),
+	}
+	occ := newBinnedOccupancy(gridW, gridH)
+	for i, t := range tasks {
+		if !occ.conflicts(t.BBox) {
+			g.RootBatch[i] = true
+			occ.add(t.BBox)
+		}
+	}
+	for _, pair := range conflictPairs(tasks, gridW, gridH) {
+		i, j := pair[0], pair[1]
+		var from, to int
+		switch {
+		case g.RootBatch[i]:
+			from, to = i, j
+		case g.RootBatch[j]:
+			from, to = j, i
+		case i < j:
+			from, to = i, j
+		default:
+			from, to = j, i
+		}
+		g.Succ[from] = append(g.Succ[from], to)
+		g.Indegree[to]++
+		g.Edges++
+	}
+	for _, succ := range g.Succ {
+		slices.Sort(succ)
+	}
+	return g
+}
+
+// TestOrderGraphIsListOrder: on random boxes every overlapping pair i < j
+// gets exactly one edge, i -> j, and the graph has no other edge.
+func TestOrderGraphIsListOrder(t *testing.T) {
+	rng := rand.New(rand.NewSource(34))
+	for trial := 0; trial < 80; trial++ {
+		w, h := 1+rng.Intn(150), 1+rng.Intn(150)
+		tasks := randomTasks(rng, rng.Intn(150), w, h)
+		g := OrderGraph(tasks, w, h)
+		indeg := make([]int, len(tasks))
+		edges := 0
+		for i := range tasks {
+			var want []int
+			for j := i + 1; j < len(tasks); j++ {
+				if tasks[i].BBox.Overlaps(tasks[j].BBox) {
+					want = append(want, j)
+					indeg[j]++
+				}
+			}
+			if !slices.Equal(g.Succ[i], want) {
+				t.Fatalf("trial %d: Succ[%d] = %v, want %v", trial, i, g.Succ[i], want)
+			}
+			edges += len(want)
+		}
+		if !slices.Equal(g.Indegree, indeg) || g.Edges != edges || g.RootBatch != nil {
+			t.Fatalf("trial %d: Indegree/Edges/RootBatch = %v/%d/%v, want %v/%d/nil",
+				trial, g.Indegree, g.Edges, g.RootBatch, indeg, edges)
+		}
+	}
+}
+
+// TestBuildGraphMatchesParent: BuildGraph layered on OrderGraph yields the
+// graph the previous one-pass construction did, field for field.
+func TestBuildGraphMatchesParent(t *testing.T) {
+	rng := rand.New(rand.NewSource(35))
+	for trial := 0; trial < 80; trial++ {
+		w, h := 1+rng.Intn(150), 1+rng.Intn(150)
+		tasks := randomTasks(rng, rng.Intn(150), w, h)
+		got, want := BuildGraph(tasks, w, h), parentBuildGraph(tasks, w, h)
+		if !slices.Equal(got.RootBatch, want.RootBatch) || !slices.Equal(got.Indegree, want.Indegree) || got.Edges != want.Edges {
+			t.Fatalf("trial %d (%dx%d, %d tasks): RootBatch/Indegree/Edges differ from the parent construction", trial, w, h, len(tasks))
+		}
+		for i := range tasks {
+			if !slices.Equal(got.Succ[i], want.Succ[i]) {
+				t.Fatalf("trial %d: Succ[%d] = %v, parent %v", trial, i, got.Succ[i], want.Succ[i])
+			}
+		}
+	}
+}
+
 // bruteBatches is Algorithm 1 by the book: each pass scans every task left
 // against every box already in the batch, and the tasks it skips form a
 // fresh list for the next pass.

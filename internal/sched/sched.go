@@ -2,7 +2,8 @@
 // (Section III-B): task conflict graphs from bounding-box overlap, the
 // Algorithm-1 batch extraction that carves maximal conflict-free batches out
 // of a sorted task list, root-batch selection, and the conflict-edge
-// orientation that turns the conflict graph into an execution DAG (Fig. 6).
+// orientation that turns the conflict graph into an execution DAG (Fig. 6),
+// or into one that keeps the list's serial order (OrderGraph).
 // It also provides the six inter-net sorting schemes of Table IV.
 package sched
 
@@ -231,22 +232,43 @@ type Graph struct {
 	Edges int
 }
 
-// BuildGraph constructs the conflict graph over tasks (bounding-box overlap,
-// found with a coarse spatial binning) and orients every conflict edge with
-// the paper's two rules: root-batch tasks precede their non-root neighbors;
-// between two non-root tasks the smaller task ID goes first. The root batch
-// is the first Algorithm-1 batch. The result is acyclic by construction:
-// every edge either leaves the root batch or goes from a smaller to a larger
-// ID.
-func BuildGraph(tasks []Task, gridW, gridH int) *Graph {
+// OrderGraph constructs the conflict graph over tasks (bounding-box
+// overlap, found with a coarse spatial binning) oriented by list order:
+// every overlapping pair i < j gets the one edge i -> j. Two tasks that
+// conflict therefore run in list order under any schedule of the graph,
+// and tasks that do not conflict touch disjoint regions, so executing it
+// on any number of workers has the effect of running the list serially —
+// the graph for a task list whose serial order is the specification.
+// Successor lists ascend; RootBatch is nil.
+func OrderGraph(tasks []Task, gridW, gridH int) *Graph {
 	g := &Graph{
-		Tasks:     tasks,
-		Succ:      make([][]int, len(tasks)),
-		Indegree:  make([]int, len(tasks)),
-		RootBatch: make([]bool, len(tasks)),
+		Tasks:    tasks,
+		Succ:     make([][]int, len(tasks)),
+		Indegree: make([]int, len(tasks)),
 	}
+	for _, pair := range conflictPairs(tasks, gridW, gridH) {
+		g.Succ[pair[0]] = append(g.Succ[pair[0]], pair[1])
+		g.Indegree[pair[1]]++
+		g.Edges++
+	}
+	// Pairs arrive in bin order.
+	for _, succ := range g.Succ {
+		slices.Sort(succ)
+	}
+	return g
+}
+
+// BuildGraph constructs the paper's task graph: the conflict graph of
+// OrderGraph with every edge oriented by the two rules of Fig. 6 —
+// root-batch tasks precede their non-root neighbors; between two non-root
+// tasks the smaller task ID goes first. The root batch is the first
+// Algorithm-1 batch. The result is acyclic by construction: every edge
+// either leaves the root batch or goes from a smaller to a larger ID.
+func BuildGraph(tasks []Task, gridW, gridH int) *Graph {
+	g := OrderGraph(tasks, gridW, gridH)
 	// Root batch: greedy independent set in task order (Algorithm 1, one
 	// pass), with binned conflict checks.
+	g.RootBatch = make([]bool, len(tasks))
 	occ := newBinnedOccupancy(gridW, gridH)
 	for i, t := range tasks {
 		if !occ.conflicts(t.BBox) {
@@ -254,27 +276,29 @@ func BuildGraph(tasks []Task, gridW, gridH int) *Graph {
 			occ.add(t.BBox)
 		}
 	}
-	for _, pair := range conflictPairs(tasks, gridW, gridH) {
-		i, j := pair[0], pair[1]
-		var from, to int
-		switch {
-		case g.RootBatch[i]:
-			from, to = i, j
-		case g.RootBatch[j]:
-			from, to = j, i
-		case i < j:
-			from, to = i, j
-		default:
-			from, to = j, i
+	// Root tasks never conflict with each other, so the only edges the
+	// list order gets wrong run from a non-root task into a later root
+	// task: turn each around.
+	for i, succ := range g.Succ {
+		if g.RootBatch[i] {
+			continue
 		}
-		g.Succ[from] = append(g.Succ[from], to)
-		g.Indegree[to]++
-		g.Edges++
+		keep := succ[:0]
+		for _, j := range succ {
+			if !g.RootBatch[j] {
+				keep = append(keep, j)
+				continue
+			}
+			g.Succ[j] = append(g.Succ[j], i)
+			g.Indegree[j]--
+			g.Indegree[i]++
+		}
+		g.Succ[i] = keep
 	}
-	// Pairs arrive in bin order; a successor list is its task's conflict
-	// neighbours in ascending ID.
-	for _, succ := range g.Succ {
-		slices.Sort(succ)
+	for i, succ := range g.Succ {
+		if g.RootBatch[i] {
+			slices.Sort(succ)
+		}
 	}
 	return g
 }
