@@ -25,17 +25,19 @@ const (
 	// maxShardHeapRatio gates the memory claim: the K=4 run's peak-heap
 	// growth over its pre-route baseline must be at most this fraction of
 	// the monolithic (K = 0, one-leaf plan) run's. The one-leaf plan
-	// materializes a full-grid cost cache with prefix-sum arrays; a cut
-	// plan serves the same values from transient leaf-window caches, so
-	// its high-water should sit well below half.
+	// materializes a full-grid cost cache for the whole run; a cut plan
+	// keeps the same arrays (values, prefix runs, dirty flags) in
+	// transient leaf-window caches, so its high-water should sit well
+	// below half.
 	maxShardHeapRatio = 0.5
 
 	// maxShardScoreDriftPct bounds quality drift: every sharded run's
 	// eq. 15 score must stay within this percentage of the monolithic
 	// run's. (Sharded runs are bit-identical across K by construction —
 	// core's TestShardDeterminism — but the cut plan may differ slightly from
-	// the one-leaf plan: boundary nets are split and stitched, and
-	// windowed caches skip the prefix-sum rounding.)
+	// the one-leaf plan: boundary nets are split and stitched, and a leaf
+	// cache sums its prefix runs from the leaf's origin, so segment costs
+	// round differently.)
 	maxShardScoreDriftPct = 10.0
 )
 

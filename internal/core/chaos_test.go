@@ -28,18 +28,17 @@ func chaosProbs() map[string]float64 {
 	}
 }
 
-// chaosCutPrints were recorded at the commit before the cut plan's
-// boundary reroutes and reconciliation left the coordinator for the task
-// graph: a chaos run of the cut plan (Shards 2) must keep its Report, fault
-// stats included, and its geometry (see chaosPrint) now that this work
-// runs on workers.
+// chaosCutPrints pin a chaos run of the cut plan (Shards 2): its Report,
+// fault stats included, and its geometry (see chaosPrint), with boundary
+// reroutes and reconciliation on the task graph's workers. Recorded when
+// leaf views gained prefix runs summed from the leaf's origin.
 var chaosCutPrints = map[string]string{
-	"CUGR/seed=3/cut":     "a543e6b8002ad1f1",
-	"CUGR/seed=11/cut":    "565c7c2e44c84ea7",
-	"FastGRL/seed=3/cut":  "ac74a600b385a246",
-	"FastGRL/seed=11/cut": "f954a78cff1e3789",
-	"FastGRH/seed=3/cut":  "7d970f0c80050068",
-	"FastGRH/seed=11/cut": "d9bd1e9385542bbe",
+	"CUGR/seed=3/cut":     "4f000dc06919955a",
+	"CUGR/seed=11/cut":    "a0933a782aca5ee8",
+	"FastGRL/seed=3/cut":  "3943c362dc05d19c",
+	"FastGRL/seed=11/cut": "22b8abaf681b0618",
+	"FastGRH/seed=3/cut":  "f5218ae869c6c315",
+	"FastGRH/seed=11/cut": "9894f2254c136fad",
 }
 
 // chaosPlans are the plans every chaos row runs on: the one-leaf plan and

@@ -156,8 +156,9 @@ type Options struct {
 	// cuts, stitched, and reconciled at coordinator points. Routed output
 	// is bit-identical for every K >= 1 (the cut tree never depends on the
 	// count) but may differ from K = 0: boundary nets take the
-	// split/stitch path, and windowed caches keep no prefix sums, so their
-	// segment costs round differently. At most MaxShards.
+	// split/stitch path, and a leaf cache sums its prefix runs from the
+	// leaf's origin, so its segment costs round differently. At most
+	// MaxShards.
 	Shards int
 	// HeapGC forces a garbage collection before each peak-heap sample so
 	// PeakHeapBytes measures live bytes, not allocator slack. Benchmarks

@@ -50,31 +50,32 @@ func fingerprint(t *testing.T, res *core.Result) string {
 // parentFingerprints were recorded at the commit before the monolithic and
 // sharded pipelines became one stage driver (one-leaf plan = Shards 0, cut
 // plan = Shards >= 1), so output bit-identity to both old drivers is a
-// test. A change that means to move output re-records them and says why.
+// test. A change that means to move output re-records them and says why:
+// the cut-plan entries were re-recorded when leaf views gained prefix runs
+// summed from the leaf's origin.
 var parentFingerprints = map[string]string{
 	"18test5m/CUGR/one-leaf":            "b314338734d0bd3f",
 	"18test5m/FastGRL/one-leaf":         "1bd9c1b5cd3324c7",
 	"18test5m/FastGRH/one-leaf":         "fa68b4a30aebccdd",
-	"18test5m/CUGR/cut":                 "af823893c9a5f831",
-	"18test5m/FastGRL/cut":              "baaf8cc197db4c66",
-	"18test5m/FastGRH/cut":              "e075691fa66d8f6d",
+	"18test5m/CUGR/cut":                 "3c21a9a2e3a170d5",
+	"18test5m/FastGRL/cut":              "c739338232d95f44",
+	"18test5m/FastGRH/cut":              "cfe42e7a072fd10e",
 	"18test5m/CUGR/one-leaf+history":    "6735893e82b260dc",
 	"18test5m/FastGRL/one-leaf+history": "1ca78852069c3174",
 	"18test5m/FastGRH/one-leaf+history": "0698c4c149998179",
-	"18test5m/CUGR/cut+history":         "e424ad6d924d46e5",
-	"18test5m/FastGRL/cut+history":      "f0bba63c5ea3445a",
-	"18test5m/FastGRH/cut+history":      "408bce11095abfd5",
+	"18test5m/CUGR/cut+history":         "8fe8c5b86ce52724",
+	"18test5m/FastGRL/cut+history":      "9795fa6ecf090c17",
+	"18test5m/FastGRH/cut+history":      "a0d7ca042838f941",
 	"crossall/CUGR/one-leaf":            "6bb9bcc0c597233d",
 	"crossall/FastGRL/one-leaf":         "cc1ae2bbbf5e06b5",
 	"crossall/FastGRH/one-leaf":         "3631b2f46d9fd458",
-	"crossall/CUGR/cut":                 "0949dfee656f0888",
-	"crossall/FastGRL/cut":              "092514e06434ed41",
-	"crossall/FastGRH/cut":              "c81868b5d920a1a2",
-	// Recorded before boundary reroutes and reconciliation moved onto the
-	// task graph; they pin the cut plan across many history iterations.
-	"18test5m/CUGR/cut+history+rrr6":    "9abc9ebd627cf208",
-	"18test5m/FastGRL/cut+history+rrr6": "bdf88d87d0ed4298",
-	"18test5m/FastGRH/cut+history+rrr6": "dbeaa8445d421eb6",
+	"crossall/CUGR/cut":                 "6874b519a0c2dacb",
+	"crossall/FastGRL/cut":              "226358907496119e",
+	"crossall/FastGRH/cut":              "896d03377095e8fd",
+	// These pin the cut plan across many history iterations.
+	"18test5m/CUGR/cut+history+rrr6":    "8cc808c445e7b5a9",
+	"18test5m/FastGRL/cut+history+rrr6": "7a17513564edba54",
+	"18test5m/FastGRH/cut+history+rrr6": "31086e331326c76c",
 }
 
 // detClass is one row of the determinism table: (design, variant, plan,

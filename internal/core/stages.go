@@ -19,11 +19,13 @@
 // independent of which other leaves run beside it. Routed output is
 // therefore bit-identical for every K >= 1 and every ExecWorkers count.
 //
-// Memory. The parent graph's cost cache is never warmed. The one-leaf plan's
-// full-grid view holds values and prefix sums for the whole run; under a
-// cut plan a slot warms one leaf-sized view at a time, each boundary pass
+// Memory. The parent graph's cost cache is never warmed. Every view keeps
+// the same cache — values, prefix runs and dirty flags — over its own
+// window. The one-leaf plan's full-grid view lives for the whole run; under
+// a cut plan a slot warms one leaf-sized view at a time, each boundary pass
 // one full-grid view that lives only for the pass, and the stitch reads the
-// direct formula. Peak heap (Report.PeakHeapBytes, sampled between passes)
+// direct formula. A maze scratch drops its view when RouteNet returns, so
+// scratches kept across iterations pin no view. Peak heap (Report.PeakHeapBytes, sampled between passes)
 // shrinks with the leaf size.
 package core
 

@@ -3,6 +3,7 @@ package grid
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"fastgr/internal/design"
@@ -34,19 +35,21 @@ func congest(g *Graph, seed int64, n int) {
 // write-through run the same code as the uncached path.
 func assertCacheMatchesDirect(t *testing.T, g *Graph) {
 	t.Helper()
-	if !g.CostCacheBuilt() {
+	f := g.CostField()
+	if f == nil {
 		t.Fatal("cache not built")
 	}
 	for l := 1; l <= g.L; l++ {
 		for i := 0; i < g.numWireEdges(l); i++ {
-			if got, want := g.cc.wireVal[l-1][i], g.wireCostAt(l, i); got != want {
+			x, y := g.wireXY(l, i)
+			if got, want := f.Wire[l-1][f.WireSlot(l, x, y)], g.wireCostAt(l, i); got != want {
 				t.Fatalf("layer %d edge %d cached %v != direct %v", l, i, got, want)
 			}
 		}
 	}
 	for b := 0; b < g.L-1; b++ {
 		for cell := 0; cell < g.W*g.H; cell++ {
-			if got, want := g.cc.viaVal[b][cell], g.viaCostAt(b+1, cell); got != want {
+			if got, want := f.Via[b][f.ViaSlot(cell%g.W, cell/g.W)], g.viaCostAt(b+1, cell); got != want {
 				t.Fatalf("via boundary %d cell %d cached %v != direct %v", b, cell, got, want)
 			}
 		}
@@ -131,7 +134,7 @@ func TestCostCacheInvalidation(t *testing.T) {
 	assertCacheMatchesDirect(t, g)
 
 	g.InvalidateCostCache()
-	if g.CostCacheBuilt() {
+	if g.CostField() != nil {
 		t.Fatal("cache still built after InvalidateCostCache")
 	}
 	if got, want := g.WireCost(1, 3, 4), g.wireCostAt(1, g.WireIndex(1, 3, 4)); got != want {
@@ -272,7 +275,11 @@ func TestCostCacheCounters(t *testing.T) {
 	g.WarmCostCache()
 	lines := g.W * g.H // one prefix run per cell, plus one per routing line
 	for l := 1; l <= g.L; l++ {
-		lines += g.lineCount(l)
+		if g.Dir(l) == Horizontal {
+			lines += g.H
+		} else {
+			lines += g.W
+		}
 	}
 	if got := m.Counter(obs.MCostWarms).Value(); got != int64(lines) {
 		t.Fatalf("first warm counted %d lines and cells, want %d", got, lines)
@@ -307,9 +314,10 @@ func TestCostCacheCounters(t *testing.T) {
 	}
 }
 
-// TestViaPrefix: a clean cell of a built full-window field hands out its
-// prefix run, whose differences are ViaStackCost; a cold, dirty or
-// windowed cell hands out nil.
+// TestViaPrefix: a clean cell of a built field hands out its prefix run,
+// whose differences are ViaStackCost; a cold, dirty or out-of-window cell
+// hands out nil. A window's runs equal the full grid's bit for bit: a via
+// run always sums from layer 1.
 func TestViaPrefix(t *testing.T) {
 	g := NewFromDesign(testDesign(5))
 	g.AddViaStackDemand(4, 3, 1, 5, 2)
@@ -332,10 +340,23 @@ func TestViaPrefix(t *testing.T) {
 	if g.ViaPrefix(4, 3) != nil || g.ViaPrefix(5, 3) == nil {
 		t.Fatal("only the mutated cell should lose its prefix run")
 	}
-	v := g.WindowView(geom.Rect{Lo: geom.Point{X: 1, Y: 1}, Hi: geom.Point{X: 6, Y: 5}})
+	g.WarmCostCache()
+	win := geom.Rect{Lo: geom.Point{X: 1, Y: 1}, Hi: geom.Point{X: 6, Y: 5}}
+	v := g.WindowView(win)
 	v.WarmCostCache()
-	if v.ViaPrefix(2, 2) != nil {
-		t.Fatal("a windowed cache has no prefix runs to hand out")
+	for y := 0; y < g.H; y++ {
+		for x := 0; x < g.W; x++ {
+			vp := v.ViaPrefix(x, y)
+			if !win.Contains(geom.Point{X: x, Y: y}) {
+				if vp != nil {
+					t.Fatalf("window handed out a prefix run for (%d,%d) outside it", x, y)
+				}
+				continue
+			}
+			if !slices.Equal(vp, g.ViaPrefix(x, y)) {
+				t.Fatalf("(%d,%d): window run %v != full-grid run %v", x, y, vp, g.ViaPrefix(x, y))
+			}
+		}
 	}
 }
 
@@ -371,9 +392,6 @@ func TestCostCacheWriteThrough(t *testing.T) {
 		g := base
 		if windowed {
 			g = base.WindowView(geom.Rect{Lo: geom.Point{X: 2, Y: 1}, Hi: geom.Point{X: base.W - 3, Y: base.H - 2}})
-			if g.cc.full {
-				t.Fatal("partial window marked full")
-			}
 		}
 		rng := rand.New(rand.NewSource(21))
 		mutateRandomly(g, rng, 50)
@@ -390,7 +408,7 @@ func TestCostCacheWriteThrough(t *testing.T) {
 							if got, want := g.WireCost(l, x, y), g.wireCostAt(l, g.WireIndex(l, x, y)); got != want {
 								t.Fatalf("windowed=%v round %d: WireCost(%d,%d,%d) = %v, direct %v", windowed, round, l, x, y, got, want)
 							}
-							if _, ok := g.ccWireLocal(l, x, y); ok {
+							if _, _, ok := g.wireRun(l, x, y, 1); ok {
 								inWindow++
 							}
 						}
@@ -398,7 +416,7 @@ func TestCostCacheWriteThrough(t *testing.T) {
 							if got, want := g.ViaEdgeCost(x, y, l), g.viaCostAt(l, y*g.W+x); got != want {
 								t.Fatalf("windowed=%v round %d: ViaEdgeCost(%d,%d,%d) = %v, direct %v", windowed, round, x, y, l, got, want)
 							}
-							if _, ok := g.ccViaLocal(x, y); ok {
+							if _, ok := g.viaCell(x, y); ok {
 								inWindow++
 							}
 						}
@@ -413,7 +431,7 @@ func TestCostCacheWriteThrough(t *testing.T) {
 			g.SetObserver(nil)
 
 			g.WarmCostCache()
-			fresh := base.WindowView(g.CostCacheWindow())
+			fresh := base.WindowView(g.CostField().Win)
 			fresh.WarmCostCache()
 			for trial := 0; trial < 200; trial++ {
 				l := 1 + rng.Intn(g.L)

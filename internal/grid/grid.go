@@ -142,20 +142,21 @@ func NewFromDesignParams(d *design.Design, p CostParams) *Graph {
 	for _, blk := range d.Blockages {
 		g.applyBlockage(blk)
 	}
-	g.cc.win = g.fullRect()
-	g.cc.full = true
+	g.cc.field.Win = g.fullRect()
 	return g
 }
 
 // WindowView returns a Graph sharing every capacity, demand, and history
 // array with g — mutations through either are visible to both — but holding
-// its own cost cache bounded to win. A shard routes through its view: the
-// view's cache stays leaf-sized (the sharded pipeline's peak-memory win)
-// and mutations through the view write through to the view's cache, never
-// the parent's. The parent's cache must therefore be cold (or invalidated)
-// while views are live; the core pipeline never warms it between view
-// phases. Views are coordinator-created and must not outlive the phase
-// whose mutations they observed.
+// its own cost cache bounded to win: the same values, prefix runs and dirty
+// flags a whole-grid cache keeps, laid out over the window. A shard routes
+// through its view: the view's cache stays leaf-sized (the sharded
+// pipeline's peak-memory win) and mutations through the view write through
+// to the view's cache, never the parent's. The parent's cache must
+// therefore be cold (or invalidated) while views are live; the core
+// pipeline never warms it between view phases. Views are
+// coordinator-created and must not outlive the phase whose mutations they
+// observed.
 func (g *Graph) WindowView(win geom.Rect) *Graph {
 	v := &Graph{
 		W: g.W, H: g.H, L: g.L, Params: g.Params,
@@ -164,8 +165,7 @@ func (g *Graph) WindowView(win geom.Rect) *Graph {
 		viaCap: g.viaCap, viaDem: g.viaDem,
 		history: g.history,
 	}
-	v.cc.win = win.ClampTo(g.W, g.H)
-	v.cc.full = v.cc.win == g.fullRect()
+	v.cc.field.Win = win.ClampTo(g.W, g.H)
 	v.cc.hits = g.cc.hits
 	v.cc.misses = g.cc.misses
 	v.cc.invals = g.cc.invals
@@ -251,57 +251,46 @@ func (g *Graph) logistic(dem, cap int32) float64 {
 // field is written through at mutation time, so it is never stale; an
 // unbuilt cache or an edge outside the cache window evaluates the formula.
 func (g *Graph) WireCost(l, x, y int) float64 {
-	i := g.WireIndex(l, x, y)
-	if cc := &g.cc; cc.built {
-		if cc.full {
-			cc.hits.Add(1)
-			return cc.wireVal[l-1][i]
-		}
-		if li, ok := g.ccWireLocal(l, x, y); ok {
-			cc.hits.Add(1)
-			return cc.wireVal[l-1][li]
-		}
+	if s, _, ok := g.wireRun(l, x, y, 1); ok {
+		g.cc.hits.Add(1)
+		return g.cc.field.Wire[l-1][s]
 	}
 	g.cc.misses.Add(1)
-	return g.wireCostAt(l, i)
+	return g.wireCostAt(l, g.WireIndex(l, x, y))
 }
 
 // SegCost is the cost of a straight wire from a to b on layer l. The segment
 // must run along the layer's preferred direction; a == b costs zero. With a
-// warm cost cache and a clean line this is two prefix-sum reads (the
-// prefix-sum total can differ from the edge-walk total by float rounding;
-// consumers compare segment costs with tolerances); a line mutated since the
-// last warm falls back to walking the edges' cached values.
+// warm cost cache, a clean line and a run inside the cache window this is
+// two prefix-sum reads (the prefix-sum total can differ from the edge-walk
+// total by float rounding; consumers compare segment costs with
+// tolerances); otherwise it walks the run edge by edge with WireCost.
 func (g *Graph) SegCost(l int, a, b geom.Point) float64 {
 	if a == b {
 		return 0
 	}
+	lo, n := g.segRun(l, a, b)
+	s, line, ok := g.wireRun(l, lo.X, lo.Y, n)
+	return g.runCost(l, lo, n, s, line, ok)
+}
+
+// runCost is the cost of the run of n wire edges of layer l starting at lo,
+// placed in the cache window by wireRun: two prefix reads when the run lies
+// in the window (inWin) on a clean line, else a walk with WireCost.
+func (g *Graph) runCost(l int, lo geom.Point, n, s, line int, inWin bool) float64 {
+	if cc := &g.cc; inWin && cc.wireDirty[l-1][line].Load() == 0 {
+		cc.hits.Add(1)
+		p := cc.wirePfx[l-1][s+line:]
+		return p[n] - p[0]
+	}
 	total := 0.0
 	if g.Dir(l) == Horizontal {
-		if a.Y != b.Y {
-			panic(fmt.Sprintf("grid: horizontal segment %v-%v on layer %d misaligned", a, b, l))
-		}
-		lo, hi := geom.Min(a.X, b.X), geom.Max(a.X, b.X)
-		if cc := &g.cc; cc.built && cc.full && cc.wireDirty[l-1][a.Y].Load() == 0 {
-			cc.hits.Add(1)
-			p := cc.wirePfx[l-1][a.Y*g.W:]
-			return p[hi] - p[lo]
-		}
-		for x := lo; x < hi; x++ {
-			total += g.WireCost(l, x, a.Y)
+		for x := lo.X; x < lo.X+n; x++ {
+			total += g.WireCost(l, x, lo.Y)
 		}
 	} else {
-		if a.X != b.X {
-			panic(fmt.Sprintf("grid: vertical segment %v-%v on layer %d misaligned", a, b, l))
-		}
-		lo, hi := geom.Min(a.Y, b.Y), geom.Max(a.Y, b.Y)
-		if cc := &g.cc; cc.built && cc.full && cc.wireDirty[l-1][a.X].Load() == 0 {
-			cc.hits.Add(1)
-			p := cc.wirePfx[l-1][a.X*g.H:]
-			return p[hi] - p[lo]
-		}
-		for y := lo; y < hi; y++ {
-			total += g.WireCost(l, a.X, y)
+		for y := lo.Y; y < lo.Y+n; y++ {
+			total += g.WireCost(l, lo.X, y)
 		}
 	}
 	return total
@@ -310,19 +299,12 @@ func (g *Graph) SegCost(l int, a, b geom.Point) float64 {
 // ViaEdgeCost is the cost of one via edge at (x,y) crossing the boundary
 // above layer l. Cached like WireCost.
 func (g *Graph) ViaEdgeCost(x, y, l int) float64 {
-	i := y*g.W + x
-	if cc := &g.cc; cc.built {
-		if cc.full {
-			cc.hits.Add(1)
-			return cc.viaVal[l-1][i]
-		}
-		if ci, ok := g.ccViaLocal(x, y); ok {
-			cc.hits.Add(1)
-			return cc.viaVal[l-1][ci]
-		}
+	if s, ok := g.viaCell(x, y); ok {
+		g.cc.hits.Add(1)
+		return g.cc.field.Via[l-1][s]
 	}
 	g.cc.misses.Add(1)
-	return g.viaCostAt(l, i)
+	return g.viaCostAt(l, y*g.W+x)
 }
 
 // ViaStackCost is c_v(u, l1, l2): the cost of the via stack at (x,y)
@@ -345,20 +327,26 @@ func (g *Graph) ViaStackCost(x, y, l1, l2 int) float64 {
 	return total
 }
 
-// segSpan returns the first wire-edge slot and the edge count of the
-// straight run a-b on layer l (the slots of one run are consecutive); a run
-// across the layer's preferred direction panics.
-func (g *Graph) segSpan(l int, a, b geom.Point) (first, n int) {
+// segRun returns the lower end and the edge count of the straight run a-b
+// on layer l; a run across the layer's preferred direction panics.
+func (g *Graph) segRun(l int, a, b geom.Point) (lo geom.Point, n int) {
 	if g.Dir(l) == Horizontal {
 		if a.Y != b.Y {
 			panic(fmt.Sprintf("grid: horizontal segment %v-%v on layer %d misaligned", a, b, l))
 		}
-		return g.WireIndex(l, geom.Min(a.X, b.X), a.Y), geom.Abs(a.X - b.X)
+		return geom.Point{X: geom.Min(a.X, b.X), Y: a.Y}, geom.Abs(a.X - b.X)
 	}
 	if a.X != b.X {
 		panic(fmt.Sprintf("grid: vertical segment %v-%v on layer %d misaligned", a, b, l))
 	}
-	return g.WireIndex(l, a.X, geom.Min(a.Y, b.Y)), geom.Abs(a.Y - b.Y)
+	return geom.Point{X: a.X, Y: geom.Min(a.Y, b.Y)}, geom.Abs(a.Y - b.Y)
+}
+
+// segSpan returns the first wire-edge slot and the edge count of the
+// straight run a-b on layer l (the slots of one run are consecutive).
+func (g *Graph) segSpan(l int, a, b geom.Point) (first, n int) {
+	lo, n := g.segRun(l, a, b)
+	return g.WireIndex(l, lo.X, lo.Y), n
 }
 
 // AddSegDemand adds delta tracks of demand to every wire edge of the

@@ -1,6 +1,7 @@
 package grid
 
 import (
+	"math"
 	"testing"
 
 	"fastgr/internal/design"
@@ -15,9 +16,6 @@ func TestWindowViewMatchesDirect(t *testing.T) {
 	congest(g, 7, 4000)
 	win := geom.Rect{Lo: geom.Point{X: 5, Y: 3}, Hi: geom.Point{X: g.W/2 + 3, Y: g.H/2 + 1}}
 	v := g.WindowView(win)
-	if v.cc.full {
-		t.Fatal("partial window marked full")
-	}
 	v.WarmCostCache()
 	for l := 1; l <= g.L; l++ {
 		for y := 0; y < g.H; y++ {
@@ -39,25 +37,61 @@ func TestWindowViewMatchesDirect(t *testing.T) {
 	}
 }
 
-// TestWindowViewSegCostExact: windowed caches must not take the prefix-sum
-// shortcut (its rounding differs from the edge walk), so SegCost through a
-// warm view is bit-identical to SegCost on a cold graph.
+// TestWindowViewSegCostExact: a warm partial window prices a run inside it
+// as the difference of two prefix sums folded from the window's origin —
+// bit-identical to a fresh build of the same window and within rounding of
+// the edge walk — and walks a run that straddles its edge, which then
+// equals the cold graph's walk exactly.
 func TestWindowViewSegCostExact(t *testing.T) {
 	g := NewFromDesign(design.MustGenerate("18test5m", 0.003))
 	congest(g, 11, 4000)
-	win := geom.Rect{Lo: geom.Point{}, Hi: geom.Point{X: g.W - 2, Y: g.H - 2}}
+	win := geom.Rect{Lo: geom.Point{X: 2, Y: 2}, Hi: geom.Point{X: g.W - 4, Y: g.H - 4}}
 	v := g.WindowView(win)
 	v.WarmCostCache()
-	for l := 1; l <= g.L; l++ {
-		a := geom.Point{X: 2, Y: 2}
-		var b geom.Point
+	congest(v, 12, 500) // written through, prefix runs re-summed below
+	v.WarmCostCache()
+	fresh := g.WindowView(win)
+	fresh.WarmCostCache()
+	// at is the point k steps along layer l's direction from the start of
+	// line c; fold sums the window's edges on that line before step k.
+	at := func(l, c, k int) geom.Point {
 		if g.Dir(l) == Horizontal {
-			b = geom.Point{X: g.W - 4, Y: 2}
-		} else {
-			b = geom.Point{X: 2, Y: g.H - 4}
+			return geom.Point{X: k, Y: c}
 		}
-		if got, want := v.SegCost(l, a, b), g.SegCost(l, a, b); got != want {
-			t.Fatalf("layer %d seg %v-%v: view %v != cold %v", l, a, b, got, want)
+		return geom.Point{X: c, Y: k}
+	}
+	fold := func(l, c, lo, k int) float64 {
+		sum := 0.0
+		for i := lo; i < k; i++ {
+			p := at(l, c, i)
+			sum += g.wireCostAt(l, g.WireIndex(l, p.X, p.Y))
+		}
+		return sum
+	}
+	for l := 1; l <= g.L; l++ {
+		lo, hi, clo, chi := win.Lo.X, win.Hi.X, win.Lo.Y, win.Hi.Y
+		if g.Dir(l) == Vertical {
+			lo, hi, clo, chi = win.Lo.Y, win.Hi.Y, win.Lo.X, win.Hi.X
+		}
+		for _, c := range []int{clo, (clo + chi) / 2, chi} {
+			// Inside: every edge starts in the window, the last at hi.
+			a, b := at(l, c, lo+1), at(l, c, hi+1)
+			got := v.SegCost(l, a, b)
+			if want := fold(l, c, lo, hi+1) - fold(l, c, lo, lo+1); got != want {
+				t.Fatalf("layer %d run %v-%v: %v, prefix difference %v", l, a, b, got, want)
+			}
+			if want := fresh.SegCost(l, a, b); got != want {
+				t.Fatalf("layer %d run %v-%v: %v, fresh build %v", l, a, b, got, want)
+			}
+			if walk := g.SegCost(l, a, b); math.Abs(got-walk) > 1e-9 {
+				t.Fatalf("layer %d run %v-%v: %v, edge walk %v", l, a, b, got, walk)
+			}
+			// Straddling either edge of the window: a walk.
+			for _, r := range [][2]geom.Point{{at(l, c, lo-1), at(l, c, lo+2)}, {at(l, c, hi-1), at(l, c, hi+2)}} {
+				if got, want := v.SegCost(l, r[0], r[1]), g.SegCost(l, r[0], r[1]); got != want {
+					t.Fatalf("layer %d straddling run %v-%v: %v, cold walk %v", l, r[0], r[1], got, want)
+				}
+			}
 		}
 	}
 }
@@ -105,9 +139,6 @@ func TestWindowViewFullEqualsGlobal(t *testing.T) {
 	g := NewFromDesign(design.MustGenerate("18test5m", 0.003))
 	congest(g, 13, 2000)
 	v := g.WindowView(geom.Rect{Lo: geom.Point{}, Hi: geom.Point{X: g.W - 1, Y: g.H - 1}})
-	if !v.cc.full {
-		t.Fatal("grid-covering window not marked full")
-	}
 	g.WarmCostCache()
 	v.WarmCostCache()
 	a, b := geom.Point{X: 1, Y: 4}, geom.Point{X: g.W - 2, Y: 4}

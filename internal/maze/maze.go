@@ -246,8 +246,11 @@ func (s *Search) bind(g *grid.Graph, f *grid.CostField, win geom.Rect) {
 // (all its 3-D nodes are sources) to the nearest unconnected pin, until
 // every pin is connected. The grid is read-only; the caller commits the
 // returned route. The graph's cost cache must be built (WarmCostCache) over
-// a region containing the window.
+// a region containing the window. On return the scratch holds no reference
+// to the graph or its cost field, so a scratch kept between calls never
+// pins a view's cache.
 func (s *Search) RouteNet(g *grid.Graph, netID int, pins []geom.Point3, window geom.Rect) (*route.NetRoute, Stats, error) {
+	defer s.release()
 	if len(pins) == 0 {
 		return nil, Stats{}, fmt.Errorf("maze: net %d has no pins", netID)
 	}
@@ -300,6 +303,12 @@ func (s *Search) RouteNet(g *grid.Graph, netID int, pins []geom.Point3, window g
 	s.pushCounter.Add(stats.Pushes)
 	s.searchCount.Add(1)
 	return s.b.Build(), stats, nil
+}
+
+// release drops the scratch's references to the graph of the last call.
+func (s *Search) release() {
+	s.g, s.f = nil, grid.CostField{}
+	s.b.Reset(nil, 0)
 }
 
 // dropTarget removes every copy of a reached target from the ordered

@@ -100,7 +100,7 @@ func TestAStarMatchesDijkstraBitIdentical(t *testing.T) {
 			}
 			if !tc.perNet {
 				g.WarmCostCache()
-				if !g.CostCacheBuilt() {
+				if g.CostField() == nil {
 					t.Fatal("WarmCostCache did not build the cache")
 				}
 			}

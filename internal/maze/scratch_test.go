@@ -1,6 +1,7 @@
 package maze
 
 import (
+	"reflect"
 	"slices"
 	"testing"
 	"unsafe"
@@ -187,4 +188,38 @@ func TestSearchEpochWrap(t *testing.T) {
 			t.Fatalf("epoch %#x: the wrap never happened", s.epoch)
 		}
 	}
+}
+
+// TestSearchReleasesGraph: whether RouteNet routes, trips its budget or
+// rejects a pin outside the window, the scratch it returns from holds no
+// graph, cost field or route-builder graph, so a scratch kept between
+// rip-up iterations pins no view's cache.
+func TestSearchReleasesGraph(t *testing.T) {
+	g := testGrid(t, 30, 30, 4)
+	pins := []geom.Point3{{X: 2, Y: 3, Layer: 1}, {X: 25, Y: 27, Layer: 1}}
+	s := NewSearch()
+	released := func(stage string) {
+		t.Helper()
+		if s.g != nil || s.f.Wire != nil || s.f.Via != nil || s.f.Hits != nil {
+			t.Fatalf("%s: scratch still holds the graph or its cost field", stage)
+		}
+		if !reflect.ValueOf(&s.b).Elem().FieldByName("g").IsNil() {
+			t.Fatalf("%s: route builder still holds the graph", stage)
+		}
+	}
+	_, st, err := s.RouteNet(g, 1, pins, fullWindow(g))
+	if err != nil {
+		t.Fatal(err)
+	}
+	released("routed")
+	s.SetBudget(st.Expansions / 2)
+	if _, _, err := s.RouteNet(g, 1, pins, fullWindow(g)); err == nil {
+		t.Fatal("half the expansions did not trip the budget")
+	}
+	released("budget trip")
+	s.SetBudget(0)
+	if _, _, err := s.RouteNet(g, 1, pins, geom.NewRect(geom.Point{}, geom.Point{X: 5, Y: 5})); err == nil {
+		t.Fatal("pin outside the window accepted")
+	}
+	released("pin outside window")
 }

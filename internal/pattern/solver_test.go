@@ -32,8 +32,9 @@ var oracleConfigs = []Config{
 //	warm   — random demand, warm: every bend reads a clean prefix run
 //	cold   — random demand, never warmed: every read takes the formula
 //	dirty  — warm, then more demand: dirty lines and cells walk values
-//	window — random demand behind a warmed partial-window view, which has
-//	         no prefix runs and computes cells outside it from the formula
+//	window — random demand behind a warmed partial-window view, whose
+//	         prefix runs start at its origin and which walks the formula
+//	         for runs and cells leaving it
 func oracleGrid(t *testing.T, rng *rand.Rand, L int, state string) *grid.Graph {
 	t.Helper()
 	const w, h = 18, 16
