@@ -39,7 +39,7 @@ func main() {
 		hostpar  = flag.Bool("hostpar", false, "measure host-parallel execution benchmarks and emit JSON")
 		obsFlag  = flag.Bool("obs", false, "measure observability overhead on the pattern stage and emit JSON (fails if disabled-mode overhead exceeds the budget)")
 		lintFlag = flag.Bool("lint", false, "measure the fastgrlint suite over the whole module and emit JSON (files/sec, findings)")
-		mazeFlag = flag.Bool("maze", false, "measure the maze kernel (dijkstra/astar x cold/warm cost cache) and emit JSON (fails if astar+warm misses the speedup gate)")
+		mazeFlag = flag.Bool("maze", false, "measure the maze kernel (dijkstra/astar x cold/warm/congested cost field) and emit JSON (fails if an astar expansion on the warm field misses the cost gate)")
 		faultBmk = flag.Bool("fault", false, "measure the fault containment layer's disabled-injection overhead and emit JSON (fails past the budget)")
 		shardBmk = flag.Bool("shard", false, "sweep sharded vs monolithic routing and emit JSON (fails if K=4 misses the peak-heap reduction or quality-parity gates)")
 		serveBmk = flag.Bool("serve", false, "measure the fastgrd daemon path vs direct core.Route and job latency under concurrent submitters, and emit JSON (fails past the overhead budget)")

@@ -113,8 +113,9 @@ type Options struct {
 	// Device is the simulated GPU; CPU models the host.
 	Device gpu.Spec
 	CPU    gpu.CPUModel
-	// MazeNsPerExpansion converts maze search work (node expansions) into
-	// modeled time; heap-based Dijkstra costs tens of ns per settled node.
+	// MazeNsPerExpansion converts maze search work (settled nodes: 3-D
+	// expansions and the A* bound's plane cells) into modeled time;
+	// heap-based Dijkstra costs tens of ns per settled node.
 	MazeNsPerExpansion float64
 	// Obs, when non-nil, attaches the flight recorder (internal/obs):
 	// stage/batch/iteration/task spans and the pipeline metrics registry.
@@ -282,7 +283,7 @@ type StageTimes struct {
 // IterStats records one rip-up-and-reroute iteration.
 type IterStats struct {
 	Nets          int           // nets ripped up in this iteration
-	Expansions    int64         // total maze expansions
+	Expansions    int64         // total maze expansions (3-D nodes settled)
 	TaskGraphTime time.Duration // modeled DAG-schedule makespan
 	BatchTime     time.Duration // modeled batch-barrier makespan
 	ConflictEdges int
@@ -344,7 +345,8 @@ type Report struct {
 	// reconciliation pass after stitching left them overflowed.
 	BoundaryReroutes int
 	// ReconcileTime is the modeled cost of those reconciliation searches
-	// (expansions x MazeNsPerExpansion); it is included in Times.Maze.
+	// (expansions plus A* bound cells x MazeNsPerExpansion); it is
+	// included in Times.Maze.
 	ReconcileTime time.Duration
 
 	// PeakHeapBytes is the high-water HeapAlloc observed at stage

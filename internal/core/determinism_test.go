@@ -37,45 +37,82 @@ func deterministic(r core.Report) core.Report {
 	return r
 }
 
-// fingerprint hashes a run's output: its guide bytes and its deterministic
-// Report — quality, score, every modeled time and count, the RRR
-// trajectory.
-func fingerprint(t *testing.T, res *core.Result) string {
+// geometryPrint hashes a run's geometry: its guide bytes and every net's
+// sealed edge list.
+func geometryPrint(t *testing.T, res *core.Result) string {
 	h := sha256.New()
 	h.Write(guideBytes(t, res))
+	for _, n := range res.Design.Nets {
+		if rt := res.Routes[n.ID]; rt != nil {
+			fmt.Fprintf(h, "%d:%v\n", n.ID, rt.Edges())
+		}
+	}
+	return hex.EncodeToString(h.Sum(nil))[:16]
+}
+
+// reportPrint hashes a run's deterministic Report: quality, score, every
+// modeled time and count, the RRR trajectory.
+func reportPrint(res *core.Result) string {
+	h := sha256.New()
 	fmt.Fprintf(h, "%+v", deterministic(res.Report))
 	return hex.EncodeToString(h.Sum(nil))[:16]
 }
 
-// parentFingerprints were recorded at the commit before the monolithic and
-// sharded pipelines became one stage driver (one-leaf plan = Shards 0, cut
-// plan = Shards >= 1), so output bit-identity to both old drivers is a
-// test. A change that means to move output re-records them and says why:
-// the cut-plan entries were re-recorded when leaf views gained prefix runs
-// summed from the leaf's origin.
-var parentFingerprints = map[string]string{
-	"18test5m/CUGR/one-leaf":            "b314338734d0bd3f",
-	"18test5m/FastGRL/one-leaf":         "1bd9c1b5cd3324c7",
-	"18test5m/FastGRH/one-leaf":         "fa68b4a30aebccdd",
-	"18test5m/CUGR/cut":                 "3c21a9a2e3a170d5",
-	"18test5m/FastGRL/cut":              "c739338232d95f44",
-	"18test5m/FastGRH/cut":              "cfe42e7a072fd10e",
-	"18test5m/CUGR/one-leaf+history":    "6735893e82b260dc",
-	"18test5m/FastGRL/one-leaf+history": "1ca78852069c3174",
-	"18test5m/FastGRH/one-leaf+history": "0698c4c149998179",
-	"18test5m/CUGR/cut+history":         "8fe8c5b86ce52724",
-	"18test5m/FastGRL/cut+history":      "9795fa6ecf090c17",
-	"18test5m/FastGRH/cut+history":      "a0d7ca042838f941",
-	"crossall/CUGR/one-leaf":            "6bb9bcc0c597233d",
-	"crossall/FastGRL/one-leaf":         "cc1ae2bbbf5e06b5",
-	"crossall/FastGRH/one-leaf":         "3631b2f46d9fd458",
-	"crossall/CUGR/cut":                 "6874b519a0c2dacb",
-	"crossall/FastGRL/cut":              "226358907496119e",
-	"crossall/FastGRH/cut":              "896d03377095e8fd",
+// parentGeometry pins each class's routed geometry. A change that only
+// schedules or prunes work — a worker count, a shard count, a tighter A*
+// bound — must leave every entry as it is; these were recorded before the
+// congestion-aware maze bound landed, and it left them unchanged.
+var parentGeometry = map[string]string{
+	"18test5m/CUGR/one-leaf":            "2244ca226da5d115",
+	"18test5m/FastGRL/one-leaf":         "f0cc2bfd4413933e",
+	"18test5m/FastGRH/one-leaf":         "a3ef61994cd3a07a",
+	"18test5m/CUGR/cut":                 "e1d46fde82df1a04",
+	"18test5m/FastGRL/cut":              "e1d46fde82df1a04",
+	"18test5m/FastGRH/cut":              "8a6c60cd43925733",
+	"18test5m/CUGR/one-leaf+history":    "686c4898cd26e74c",
+	"18test5m/FastGRL/one-leaf+history": "c564296d45026b57",
+	"18test5m/FastGRH/one-leaf+history": "456759517844c787",
+	"18test5m/CUGR/cut+history":         "e1d46fde82df1a04",
+	"18test5m/FastGRL/cut+history":      "e1d46fde82df1a04",
+	"18test5m/FastGRH/cut+history":      "72c1b2dd97ede5e8",
+	"crossall/CUGR/one-leaf":            "ac4ee4b978deaa9c",
+	"crossall/FastGRL/one-leaf":         "ac4ee4b978deaa9c",
+	"crossall/FastGRH/one-leaf":         "acf909d30c37ad75",
+	"crossall/CUGR/cut":                 "33639d2b2b8ec1c3",
+	"crossall/FastGRL/cut":              "33639d2b2b8ec1c3",
+	"crossall/FastGRH/cut":              "7cd1b06789ee61c4",
 	// These pin the cut plan across many history iterations.
-	"18test5m/CUGR/cut+history+rrr6":    "8cc808c445e7b5a9",
-	"18test5m/FastGRL/cut+history+rrr6": "7a17513564edba54",
-	"18test5m/FastGRH/cut+history+rrr6": "31086e331326c76c",
+	"18test5m/CUGR/cut+history+rrr6":    "aa5eee0a0a526685",
+	"18test5m/FastGRL/cut+history+rrr6": "aa5eee0a0a526685",
+	"18test5m/FastGRH/cut+history+rrr6": "4dd704d6f00d35ea",
+}
+
+// reportPrints pin each class's Report. A change that moves work counts
+// or modeled times re-records them and says why: the congestion-aware
+// maze bound moved the expansion counts and modeled maze times.
+var reportPrints = map[string]string{
+	"18test5m/CUGR/one-leaf":            "2d1338f691809d71",
+	"18test5m/FastGRL/one-leaf":         "85a40dcc53ad0113",
+	"18test5m/FastGRH/one-leaf":         "1667ffbbfa4312e0",
+	"18test5m/CUGR/cut":                 "8bd6c36286fab4f8",
+	"18test5m/FastGRL/cut":              "8cee909fcb772756",
+	"18test5m/FastGRH/cut":              "a30f4176bbb5fcfa",
+	"18test5m/CUGR/one-leaf+history":    "2457a6bc6faac7a8",
+	"18test5m/FastGRL/one-leaf+history": "26033940f6009a5f",
+	"18test5m/FastGRH/one-leaf+history": "2d61919e44796d7d",
+	"18test5m/CUGR/cut+history":         "a9284c7667ea428b",
+	"18test5m/FastGRL/cut+history":      "7aa803e5fb50699c",
+	"18test5m/FastGRH/cut+history":      "3996788cbea47470",
+	"crossall/CUGR/one-leaf":            "87b18203b3c49505",
+	"crossall/FastGRL/one-leaf":         "8cac6f02fabe4e1f",
+	"crossall/FastGRH/one-leaf":         "1bf4f620c1a9dba0",
+	"crossall/CUGR/cut":                 "2f72716c3c9bcb14",
+	"crossall/FastGRL/cut":              "a655de7c7bdef6ad",
+	"crossall/FastGRH/cut":              "7ffbe0a1c0f22b02",
+	// These pin the cut plan across many history iterations.
+	"18test5m/CUGR/cut+history+rrr6":    "322333a32776db8c",
+	"18test5m/FastGRL/cut+history+rrr6": "acd58dd5a0d8ae2c",
+	"18test5m/FastGRH/cut+history+rrr6": "78ba07d21f44538e",
 }
 
 // detClass is one row of the determinism table: (design, variant, plan,
@@ -144,7 +181,7 @@ func TestShardZeroIsMonolithic(t *testing.T) {
 }
 
 // checkDeterminism runs every class of the table for every variant and
-// pins each class's first run to parentFingerprints.
+// pins each class's first run to parentGeometry and reportPrints.
 func checkDeterminism(t *testing.T, classes []detClass) {
 	for _, c := range classes {
 		for _, v := range []core.Variant{core.CUGR, core.FastGRL, core.FastGRH} {
@@ -182,8 +219,11 @@ func checkDeterminism(t *testing.T, classes []detClass) {
 							if c.d.Name != "crossall" && res.Report.NetsToRipup == 0 {
 								t.Fatal("no rip-up work; the table exercises nothing")
 							}
-							if got := fingerprint(t, res); got != parentFingerprints[name] {
-								t.Errorf("fingerprint %s, recorded %s: output moved from the parent", got, parentFingerprints[name])
+							if got := geometryPrint(t, res); got != parentGeometry[name] {
+								t.Errorf("geometry print %s, recorded %s: routes moved from the parent", got, parentGeometry[name])
+							}
+							if got := reportPrint(res); got != reportPrints[name] {
+								t.Errorf("report print %s, recorded %s: the report moved", got, reportPrints[name])
 							}
 							continue
 						}

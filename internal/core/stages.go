@@ -176,11 +176,11 @@ func (r *runner) newSearch() *maze.Search {
 }
 
 // rerouteNet rips n up on g and maze-routes it within win, committing the
-// new route. The Committed guards make it retry-safe: a retried unit
-// starts from the committed old route. Any maze error puts the old route
-// back; a budget trip — the net keeps its route — is a graceful outcome
-// reported as tripped, any other error is returned.
-func (r *runner) rerouteNet(g *grid.Graph, sr *maze.Search, n *design.Net, win geom.Rect) (exp int64, tripped bool, err error) {
+// new route, and returns the search's work. The Committed guards make it
+// retry-safe: a retried unit starts from the committed old route. Any maze
+// error puts the old route back; a budget trip — the net keeps its route —
+// is a graceful outcome reported as tripped, any other error is returned.
+func (r *runner) rerouteNet(g *grid.Graph, sr *maze.Search, n *design.Net, win geom.Rect) (st maze.Stats, tripped bool, err error) {
 	old := r.routes[n.ID]
 	if old.Committed() {
 		old.Uncommit(g)
@@ -192,13 +192,19 @@ func (r *runner) rerouteNet(g *grid.Graph, sr *maze.Search, n *design.Net, win g
 		}
 		if errors.As(err, new(*maze.BudgetError)) {
 			r.fc.Degrade(fault.SiteBudget, 1)
-			return st.Expansions, true, nil
+			return st, true, nil
 		}
-		return st.Expansions, false, err
+		return st, false, err
 	}
 	nr.Commit(g)
 	r.routes[n.ID] = nr
-	return st.Expansions, false, nil
+	return st, false, nil
+}
+
+// mazeTime is the modeled time of settled search nodes — 3-D expansions
+// and the A* bound's plane cells alike — at MazeNsPerExpansion.
+func (r *runner) mazeTime(settled int64) time.Duration {
+	return time.Duration(float64(settled) * r.opt.MazeNsPerExpansion)
 }
 
 func uncommitAll(g *grid.Graph, routes []*route.NetRoute) {
@@ -503,7 +509,7 @@ func (r *runner) stitchAndReconcile(fragRoutes [][]*route.NetRoute) error {
 		}
 	}
 	type outcome struct {
-		exp               int64
+		settled           int64
 		rerouted, tripped bool
 	}
 	outs := make([]outcome, len(tasks))
@@ -512,16 +518,16 @@ func (r *runner) stitchAndReconcile(fragRoutes [][]*route.NetRoute) error {
 		if old := r.routes[n.ID]; old == nil || !old.HasOverflow(view) {
 			return nil
 		}
-		exp, tripped, err := r.rerouteNet(view, sr, n, task.BBox)
-		outs[task.ID] = outcome{exp: exp, rerouted: err == nil && !tripped, tripped: tripped}
+		st, tripped, err := r.rerouteNet(view, sr, n, task.BBox)
+		outs[task.ID] = outcome{settled: st.Expansions + st.BoundCells, rerouted: err == nil && !tripped, tripped: tripped}
 		return err
 	})
 	if err != nil {
 		return fmt.Errorf("core: shard reconciliation: %w", err)
 	}
-	var recExp int64
+	var recSettled int64
 	for _, o := range outs {
-		recExp += o.exp
+		recSettled += o.settled
 		if o.tripped {
 			r.rep.Fault.BudgetFallbacks++
 		}
@@ -529,7 +535,7 @@ func (r *runner) stitchAndReconcile(fragRoutes [][]*route.NetRoute) error {
 			r.rep.BoundaryReroutes++
 		}
 	}
-	r.rep.ReconcileTime = time.Duration(float64(recExp) * r.opt.MazeNsPerExpansion)
+	r.rep.ReconcileTime = r.mazeTime(recSettled)
 	r.rep.Times.Maze += r.rep.ReconcileTime
 	return nil
 }
@@ -633,9 +639,9 @@ func (r *runner) rrrStage(full *grid.Graph) error {
 				budgetTrips[ti] = true
 				return nil
 			}
-			exp, tripped, err := r.rerouteNet(gg, sr, n, task.BBox)
-			expansions[ti] = exp
-			durations[ti] = time.Duration(float64(exp) * r.opt.MazeNsPerExpansion)
+			st, tripped, err := r.rerouteNet(gg, sr, n, task.BBox)
+			expansions[ti] = st.Expansions
+			durations[ti] = r.mazeTime(st.Expansions + st.BoundCells)
 			budgetTrips[ti] = tripped
 			return err
 		}

@@ -171,6 +171,24 @@ func (g *Graph) ViaPrefix(x, y int) []float64 {
 	return nil
 }
 
+// WarmedSegCost is the cost of the straight run from a to b on layer l as
+// the last WarmCostCache summed it: two reads of the line's prefix run,
+// whatever the line's dirty flag. It lags the write-throughs since that
+// warm, but prefix runs are written only at warms, so no concurrent
+// mutation anywhere on the line can change the answer: a decision taken
+// on it is a pure function of the graph at the warm. ok is false on a cold
+// cache and for a run leaving the cache window. The caller counts the read
+// (see CostField).
+func (g *Graph) WarmedSegCost(l int, a, b geom.Point) (cost float64, ok bool) {
+	lo, n := g.segRun(l, a, b)
+	s, line, ok := g.wireRun(l, lo.X, lo.Y, n)
+	if !ok {
+		return 0, false
+	}
+	p := g.cc.wirePfx[l-1][s+line:]
+	return p[n] - p[0], true
+}
+
 // fullRect is the window covering every G-cell of the grid.
 func (g *Graph) fullRect() geom.Rect {
 	return geom.Rect{Hi: geom.Point{X: g.W - 1, Y: g.H - 1}}

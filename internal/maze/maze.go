@@ -5,14 +5,18 @@
 // routing it explores every path inside the window, which is what lets
 // rerouting resolve the violations pattern routing leaves behind.
 //
-// The search runs as A* by default: an admissible lower bound (L1 distance
-// to the nearest remaining target scaled by the unit wire/via costs) prunes
-// expansions that plain Dijkstra would settle. Because the congestion term
-// of the cost model is strictly positive, the bound is strictly below every
-// real path cost, and with an exact (key, node-index) frontier order plus a
-// canonical equal-cost parent rule the routed geometry is bit-identical to
-// the Dijkstra mode (selectable via SetAlgorithm) — DESIGN.md carries the
-// argument, maze_crosscheck_test.go enforces it.
+// The search runs as A* by default: an admissible lower bound prunes
+// expansions that plain Dijkstra would settle. It is the L1 distance to the
+// nearest remaining target scaled by the unit wire/via costs and, when the
+// window is congested enough that this ignores most of the cost, the larger
+// of that and a potential over the window's G-cell plane priced at each
+// edge's cheapest layer, plus the layer gap (bound.go). Both are strictly
+// consistent — strictly below every edge's cost plus the next node's
+// bound — and 0 at every remaining target, so with an exact (key,
+// node-index) frontier order plus a canonical equal-cost parent rule the
+// routed geometry is bit-identical to the Dijkstra mode (selectable via
+// SetAlgorithm) — DESIGN.md carries the argument, maze_crosscheck_test.go
+// and bound_test.go enforce it.
 //
 // The frontier is a monotone radix heap keyed on the bits of f (queue.go):
 // a search pops non-decreasing keys, so a popped key sorts what is left by
@@ -25,7 +29,9 @@
 // The search state (one 12-byte record per window node, the queue's chunk
 // arena, the source and target lists) lives in a reusable Search scratch
 // object: rip-up-and-reroute calls RouteNet thousands of times, and reusing
-// one Search per executor worker keeps the hot path allocation-free. A
+// one Search per executor worker keeps the hot path allocation-free (the
+// bound's plane excepted: an engaged net allocates it and drops it on
+// return, so a kept scratch never holds one). A
 // record is the node's distance plus one 32-bit word packing the pass epoch,
 // a settled bit, a target bit and the direction of the node's parent (one of
 // six neighbours, or none at a source); state_oracle_test.go holds it push
@@ -54,6 +60,10 @@ import (
 type Stats struct {
 	Expansions int64 // settled node count
 	Pushes     int64 // heap pushes
+	// BoundPasses counts the passes that ran with the congestion-aware
+	// bound (bound.go), BoundCells the plane cells its floods settled.
+	BoundPasses int64
+	BoundCells  int64
 }
 
 // Algorithm selects the maze search strategy. Both produce bit-identical
@@ -140,6 +150,13 @@ type Search struct {
 	hWire float64
 	hVia  float64
 
+	// plane is the congestion-aware bound's table over the window's
+	// G-cells (bound.go): built when RouteNet engages the bound, dropped
+	// when it returns, nil otherwise. planeEpoch stamps the cells the
+	// current flood may still lower.
+	plane      []planeCell
+	planeEpoch uint32
+
 	// budget caps the settled-node count across one RouteNet call; 0 (the
 	// default) is unlimited.
 	budget int64
@@ -155,6 +172,8 @@ type Search struct {
 	expHistAlg  [2]*obs.Histogram // indexed by Algorithm
 	pushCounter *obs.Counter
 	searchCount *obs.Counter
+	boundPasses *obs.Counter
+	boundCells  *obs.Counter
 }
 
 // nodeState is the per-pass search state of one window node: the bits of
@@ -217,14 +236,17 @@ func (s *Search) SetBudget(budget int64) { s.budget = budget }
 // SetObserver attaches (or, with nil, detaches) the flight recorder:
 // every RouteNet then records its expansion count into the
 // obs.MMazeExpansions histogram (plus the per-algorithm split) and bumps
-// the pushes/searches counters. Observation reads only the returned Stats,
-// so routed geometry and the expansion counts themselves are unchanged.
+// the pushes/searches counters and the bound's passes/cells counters.
+// Observation reads only the returned Stats, so routed geometry and the
+// expansion counts themselves are unchanged.
 func (s *Search) SetObserver(o *obs.Observer) {
 	s.expHist = o.M().Histogram(obs.MMazeExpansions, obs.ExpansionBuckets)
 	s.expHistAlg[AStar] = o.M().Histogram(obs.MMazeExpansionsAStar, obs.ExpansionBuckets)
 	s.expHistAlg[Dijkstra] = o.M().Histogram(obs.MMazeExpansionsDijkstra, obs.ExpansionBuckets)
 	s.pushCounter = o.M().Counter(obs.MMazePushes)
 	s.searchCount = o.M().Counter(obs.MMazeSearches)
+	s.boundPasses = o.M().Counter(obs.MMazeBoundPasses)
+	s.boundCells = o.M().Counter(obs.MMazeBoundCells)
 }
 
 // bind points the scratch at a grid, its cost field and a window, growing
@@ -278,7 +300,18 @@ func (s *Search) RouteNet(g *grid.Graph, netID int, pins []geom.Point3, window g
 			s.targets = append(s.targets, p)
 		}
 	}
+	if s.alg == AStar && len(s.targets) > 0 {
+		engage, reads := congested(g, window)
+		s.reads += reads
+		if engage {
+			s.buildPlane()
+		}
+	}
 	for len(s.targets) > 0 {
+		if s.plane != nil {
+			stats.BoundPasses++
+			stats.BoundCells += s.settlePlane()
+		}
 		limit := int64(-1) // unlimited
 		if s.budget > 0 {
 			limit = s.budget - stats.Expansions
@@ -295,20 +328,28 @@ func (s *Search) RouteNet(g *grid.Graph, netID int, pins []geom.Point3, window g
 			}
 			return nil, stats, fmt.Errorf("maze: net %d: %w", netID, err)
 		}
-		s.dropTarget(s.point(reached))
+		at := s.point(reached)
+		s.dropTarget(at)
 		s.reconstruct(reached)
+		if s.plane != nil && len(s.targets) > 0 {
+			s.reopen(at.X, at.Y)
+		}
 	}
 	s.expHist.Observe(stats.Expansions)
 	s.expHistAlg[s.alg].Observe(stats.Expansions)
 	s.pushCounter.Add(stats.Pushes)
 	s.searchCount.Add(1)
+	s.boundPasses.Add(stats.BoundPasses)
+	s.boundCells.Add(stats.BoundCells)
 	return s.b.Build(), stats, nil
 }
 
-// release drops the scratch's references to the graph of the last call.
+// release drops the scratch's references to the graph of the last call
+// and the bound's plane.
 func (s *Search) release() {
 	s.g, s.f = nil, grid.CostField{}
 	s.b.Reset(nil, 0)
+	s.plane = nil
 }
 
 // dropTarget removes every copy of a reached target from the ordered
@@ -339,12 +380,17 @@ func (s *Search) point(i int32) geom.Point3 {
 }
 
 // heuristic is the admissible lower bound on the cost from (x, y, l) to the
-// cheapest remaining target: per-axis L1 distance scaled by the unit wire
-// and via costs, minimized over targets. Every wire edge costs at least
-// UnitWire and every via edge at least UnitVia (the congestion term is
-// nonnegative), so the bound never exceeds the true remaining cost; it is
-// also consistent, because one step changes it by at most that step's unit
-// cost. Zero in Dijkstra mode.
+// cheapest remaining target. Its L1 term is the per-axis L1 distance
+// scaled by the unit wire and via costs, minimized over targets: every
+// wire edge costs at least UnitWire and every via edge at least UnitVia
+// (the congestion term is nonnegative), so it never exceeds the true
+// remaining cost, and it is consistent, because one step changes it by at
+// most that step's unit cost. An engaged net takes the larger of that and
+// the bound term (bound.go): the plane potential of (x, y) plus the layer
+// gap to the nearest target layer at boundScale·UnitVia a layer, which is
+// below every remaining path by a 1024th of its unit costs and steps by
+// less than any edge's cost; the maximum of two such bounds is one too.
+// Both terms are 0 at every remaining target. Zero in Dijkstra mode.
 func (s *Search) heuristic(x, y, l int) float64 {
 	if s.alg == Dijkstra || len(s.targets) == 0 {
 		return 0
@@ -356,6 +402,13 @@ func (s *Search) heuristic(x, y, l int) float64 {
 		if h < best {
 			best = h
 		}
+	}
+	if s.plane != nil {
+		gap := math.MaxInt
+		for _, t := range s.targets {
+			gap = min(gap, geom.Abs(l-t.Layer))
+		}
+		best = max(best, s.plane[s.cell(x, y)].phi+float64(gap)*s.hVia*boundScale)
 	}
 	return best
 }

@@ -71,6 +71,8 @@ func TestMazeNeverWorseThanPattern(t *testing.T) {
 // the queue's last key — its fallback path — happen end to end. (At 1e-6 no
 // key ever does; from 1e-12 down rounding outweighs the slack and A* and
 // Dijkstra stop agreeing on equal-cost geometry, with any exact queue.)
+// The "hot" rows load the grid until the congestion-aware bound engages:
+// each must show bound passes in the A* stats, with the same geometry.
 func TestAStarMatchesDijkstraBitIdentical(t *testing.T) {
 	d := design.MustGenerate("18test5m", 0.003)
 	flat := grid.DefaultCostParams()
@@ -79,15 +81,19 @@ func TestAStarMatchesDijkstraBitIdentical(t *testing.T) {
 		name   string
 		perNet bool // a fresh window view per net instead of the full field
 		params grid.CostParams
+		load   int // random demand additions on layers 2-4
+		hot    bool
 	}{
-		{"cold", true, grid.DefaultCostParams()},
-		{"warm", false, grid.DefaultCostParams()},
-		{"flat", false, flat},
+		{"cold", true, grid.DefaultCostParams(), 400, false},
+		{"warm", false, grid.DefaultCostParams(), 400, false},
+		{"flat", false, flat, 400, false},
+		{"hot-cold", true, grid.DefaultCostParams(), 8000, true},
+		{"hot-warm", false, grid.DefaultCostParams(), 8000, true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			g := grid.NewFromDesignParams(d, tc.params)
 			rng := rand.New(rand.NewSource(17))
-			for i := 0; i < 400; i++ {
+			for i := 0; i < tc.load; i++ {
 				l := 2 + rng.Intn(3)
 				x, y := rng.Intn(g.W-1), rng.Intn(g.H-1)
 				if g.HasWireEdge(l, x, y) {
@@ -117,7 +123,7 @@ func TestAStarMatchesDijkstraBitIdentical(t *testing.T) {
 					below++
 				}
 			}
-			checked := 0
+			checked, bound := 0, int64(0)
 			for _, net := range d.Nets {
 				if checked >= 50 {
 					break
@@ -151,10 +157,15 @@ func TestAStarMatchesDijkstraBitIdentical(t *testing.T) {
 					t.Fatalf("net %s: astar settled %d nodes, dijkstra only %d",
 						net.Name, sa.Expansions, sd.Expansions)
 				}
+				bound += sa.BoundPasses
 			}
 			if checked < 20 {
 				t.Fatalf("only %d nets checked", checked)
 			}
+			if tc.hot && bound == 0 {
+				t.Fatal("no A* pass engaged the congestion-aware bound")
+			}
+			t.Logf("A* passes with the congestion-aware bound: %d", bound)
 			t.Logf("A* pushes keyed at the queue's last key: %d, below it: %d", at, below)
 			if tc.name == "flat" && at+below == 0 {
 				t.Fatal("the flat cost set never pushed a key at or below the queue's last key")

@@ -19,6 +19,9 @@ import (
 // 16-byte {dist, parent index, stamp} record per window node, a per-net
 // connected set and a per-net target set, each stamped with its own epoch.
 // It shares the queue and the route builder with Search and nothing else.
+// Its A* heuristic is an input: the L1 term, raised to the per-cell table
+// that bound returns at the start of each pass plus the layer gap to the
+// nearest target at boundScale·UnitVia a layer (nil leaves the L1 term).
 type refSearch struct {
 	g      *grid.Graph
 	win    geom.Rect
@@ -38,6 +41,9 @@ type refSearch struct {
 	hWire  float64
 	hVia   float64
 	budget int64
+
+	bound func(g *grid.Graph, win geom.Rect, targets []geom.Point3) []float64
+	pot   []float64 // the current pass's table from bound
 
 	q     radixQueue
 	trace func(push bool, it qItem)
@@ -110,6 +116,12 @@ func (s *refSearch) RouteNet(g *grid.Graph, netID int, pins []geom.Point3, windo
 		if s.budget > 0 {
 			limit = s.budget - stats.Expansions
 		}
+		s.pot = nil
+		if s.alg == AStar && s.bound != nil {
+			if s.pot = s.bound(g, window, s.targets); s.pot != nil {
+				stats.BoundPasses++
+			}
+		}
 		reached, st, err := s.search(limit)
 		stats.Expansions += st.Expansions
 		stats.Pushes += st.Pushes
@@ -156,6 +168,13 @@ func (s *refSearch) heuristic(x, y, l int) float64 {
 		if h < best {
 			best = h
 		}
+	}
+	if s.pot != nil {
+		gap := math.MaxInt
+		for _, t := range s.targets {
+			gap = min(gap, geom.Abs(l-t.Layer))
+		}
+		best = max(best, s.pot[(y-s.win.Lo.Y)*s.ww+x-s.win.Lo.X]+float64(gap)*s.hVia*boundScale)
 	}
 	return best
 }
@@ -284,10 +303,11 @@ type oraclePair struct {
 	last     Stats // of the latest route
 	nets     int
 	trips    int
+	bound    int // nets routed with the congestion-aware bound
 }
 
 func newOraclePair(t *testing.T, alg Algorithm) *oraclePair {
-	p := &oraclePair{t: t, got: NewSearch(), want: &refSearch{}}
+	p := &oraclePair{t: t, got: NewSearch(), want: &refSearch{bound: refBound}}
 	p.got.SetAlgorithm(alg)
 	p.want.alg = alg
 	p.want.trace = func(push bool, it qItem) { p.refTrace = append(p.refTrace, tracedEvent{push, it}) }
@@ -319,7 +339,12 @@ func (p *oraclePair) route(g *grid.Graph, netID int, pins []geom.Point3, win geo
 	if errors.As(werr, &be) {
 		p.trips++
 	}
-	if gs != ws {
+	if ws.BoundPasses > 0 {
+		p.bound++
+	}
+	// The flood's settled cells are the Search's own work; the oracle
+	// floods the whole plane every pass.
+	if gs.BoundCells = 0; gs != ws {
 		p.t.Fatalf("%s: stats %+v, oracle %+v", p.net, gs, ws)
 	}
 	if p.seen != len(p.refTrace) {
@@ -383,7 +408,10 @@ func randomWindow(rng *rand.Rand, g *grid.Graph, shape int) geom.Rect {
 // congested grids at 2, 5 and 9 layers, on the crosscheck's tie-heavy flat
 // costs (cold and warm), in 1-wide and 1-tall windows, with repeated pins
 // and pins that an earlier pass's chain already connects, and through
-// budget trips — in both search modes, on one reused scratch each.
+// budget trips — in both search modes, on one reused scratch each. The
+// oracle's A* heuristic is refBound; the "hot" rows load the grid until
+// the engagement rule fires, so they hold the congestion-aware bound to it
+// too.
 func TestSearchStateMatchesOracle(t *testing.T) {
 	flat := grid.DefaultCostParams()
 	flat.UnitWire, flat.CongestionWeight = 0.3, 1e-11
@@ -394,12 +422,19 @@ func TestSearchStateMatchesOracle(t *testing.T) {
 		// warm builds the cost field from the congested grid; otherwise it
 		// is built first and the congestion reaches it by write-through.
 		warm bool
+		// load is the number of random demand additions; a hot row must
+		// engage the bound on some A* net.
+		load int
+		hot  bool
 	}{
-		{"L2", 2, grid.DefaultCostParams(), false},
-		{"L5", 5, grid.DefaultCostParams(), true},
-		{"L9", 9, grid.DefaultCostParams(), false},
-		{"flat", 5, flat, false},
-		{"flat-warm", 5, flat, true},
+		{"L2", 2, grid.DefaultCostParams(), false, 600, false},
+		{"L5", 5, grid.DefaultCostParams(), true, 600, false},
+		{"L9", 9, grid.DefaultCostParams(), false, 600, false},
+		{"flat", 5, flat, false, 600, false},
+		{"flat-warm", 5, flat, true, 600, false},
+		{"hot-L2", 2, grid.DefaultCostParams(), false, 3000, true},
+		{"hot-L5", 5, grid.DefaultCostParams(), true, 6000, true},
+		{"hot-L9", 9, grid.DefaultCostParams(), false, 9000, true},
 	} {
 		for _, alg := range []Algorithm{AStar, Dijkstra} {
 			t.Run(tc.name+"/"+alg.String(), func(t *testing.T) {
@@ -408,7 +443,7 @@ func TestSearchStateMatchesOracle(t *testing.T) {
 				if !tc.warm {
 					g.WarmCostCache()
 				}
-				congest(g, rng, 600)
+				congest(g, rng, tc.load)
 				g.WarmCostCache()
 				p := newOraclePair(t, alg)
 				for n := 0; n < 150; n++ {
@@ -444,7 +479,10 @@ func TestSearchStateMatchesOracle(t *testing.T) {
 				if p.trips == 0 {
 					t.Fatal("no budget trip was exercised")
 				}
-				t.Logf("%d nets, %d budget trips", p.nets, p.trips)
+				if tc.hot && alg == AStar && p.bound == 0 {
+					t.Fatal("no net engaged the congestion-aware bound")
+				}
+				t.Logf("%d nets, %d budget trips, %d with the bound", p.nets, p.trips, p.bound)
 			})
 		}
 	}

@@ -52,6 +52,10 @@ var promTable = map[string]PromMapping{
 		Help: "Heap pushes across all maze searches."},
 	MMazeSearches: {Family: "fastgr_maze_searches",
 		Help: "Maze RouteNet invocations."},
+	MMazeBoundPasses: {Family: "fastgr_maze_bound_passes",
+		Help: "Maze passes that ran with the congestion-aware A* bound."},
+	MMazeBoundCells: {Family: "fastgr_maze_bound_cells",
+		Help: "Plane cells settled by the congestion-aware bound's floods."},
 	MBatchSize: {Family: "fastgr_sched_batch_size",
 		Help: "Tasks per Algorithm-1 batch."},
 	MSchedBatches: {Family: "fastgr_sched_batches",

@@ -14,6 +14,7 @@ import (
 // appears exactly once in snapshot and exposition" invariant is kept.
 var sharedMetricNames = []string{
 	MMazeExpansions, MMazePushes, MMazeSearches,
+	MMazeBoundPasses, MMazeBoundCells,
 	MBatchSize, MSchedBatches,
 	MPatternLShape, MPatternHybrid,
 	MKernelNs,

@@ -67,6 +67,11 @@ const (
 	MMazePushes = "maze.pushes"
 	// MMazeSearches counts RouteNet invocations.
 	MMazeSearches = "maze.searches"
+	// MMazeBoundPasses counts maze passes that ran with the congestion-
+	// aware A* bound.
+	MMazeBoundPasses = "maze.bound.passes"
+	// MMazeBoundCells counts plane cells settled by the bound's floods.
+	MMazeBoundCells = "maze.bound.cells"
 	// MBatchSize is the Algorithm-1 batch size histogram.
 	MBatchSize = "sched.batch_size"
 	// MSchedBatches counts extracted batches.
