@@ -41,7 +41,7 @@ func main() {
 		lintFlag = flag.Bool("lint", false, "measure the fastgrlint suite over the whole module and emit JSON (files/sec, findings)")
 		mazeFlag = flag.Bool("maze", false, "measure the maze kernel (dijkstra/astar x cold/warm/congested cost field) and emit JSON (fails if an astar expansion on the warm field misses the cost gate)")
 		faultBmk = flag.Bool("fault", false, "measure the fault containment layer's disabled-injection overhead and emit JSON (fails past the budget)")
-		shardBmk = flag.Bool("shard", false, "sweep sharded vs monolithic routing and emit JSON (fails if K=4 misses the peak-heap reduction or quality-parity gates)")
+		shardBmk = flag.Bool("shard", false, "run the cut plan against the one-leaf plan and emit JSON (fails if the cut plan misses the peak-heap reduction or quality-parity gates)")
 		serveBmk = flag.Bool("serve", false, "measure the fastgrd daemon path vs direct core.Route and job latency under concurrent submitters, and emit JSON (fails past the overhead budget)")
 		regress  = flag.Bool("regress", false, "re-validate every BENCH_*.json against its recorded gates and diff against the committed baseline (fails on a gate breach; warns on drift)")
 		baseline = flag.String("baseline-ref", "HEAD", "git ref holding the baseline BENCH_*.json files for -regress")

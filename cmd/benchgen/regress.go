@@ -52,7 +52,7 @@ var benchGates = map[string][]gate{
 		{metric: "hot_ns_per_op_ratio_astar_vs_dijkstra", dir: atMost},
 	},
 	"BENCH_shard.json": {
-		{metric: "heap_ratio_k4", limit: "max_heap_ratio_k4", dir: atMost},
+		{metric: "heap_ratio", limit: "max_heap_ratio", dir: atMost},
 		{metric: "score_drift_pct", limit: "max_score_drift_pct", dir: atMost},
 	},
 	"BENCH_serve.json": {

@@ -3,6 +3,7 @@ package main
 import (
 	"encoding/json"
 	"fmt"
+	"math"
 	"os"
 	"runtime"
 	"time"
@@ -12,32 +13,36 @@ import (
 	"fastgr/internal/design"
 )
 
-// The sharded-vs-monolithic sweep runs the largest Table III design that
-// fits the harness through the full pipeline once monolithically and once
-// per shard count, and records quality and peak-heap high-water for each.
-// tier1.sh runs `benchgen -shard` and fails the build when sharding stops
-// paying for itself.
+// The sharded-vs-monolithic record runs the largest Table III design that
+// fits the harness through the full pipeline once on the one-leaf plan and
+// once on the cut plan, and records quality and peak-heap high-water for
+// each. Every shard count >= 1 runs the same cut plan the same way, so one
+// cut-plan run stands for all of them. tier1.sh runs `benchgen -shard` and
+// fails the build when sharding stops paying for itself.
 const (
 	shardDesignName = "19test9m"
 	shardScale      = 0.005
 	shardWorkers    = 4
+	// cutShards is the shard count of the cut-plan run; any K >= 1 is the
+	// same run.
+	cutShards = 1
 
-	// maxShardHeapRatio gates the memory claim: the K=4 run's peak-heap
-	// growth over its pre-route baseline must be at most this fraction of
-	// the monolithic (K = 0, one-leaf plan) run's. The one-leaf plan
-	// materializes a full-grid cost cache for the whole run; a cut plan
-	// keeps the same arrays (values, prefix runs, dirty flags) in
-	// transient leaf-window caches, so its high-water should sit well
+	// maxShardHeapRatio gates the memory claim: the cut-plan run's
+	// peak-heap growth over its pre-route baseline must be at most this
+	// fraction of the monolithic (K = 0, one-leaf plan) run's. The
+	// one-leaf plan materializes a full-grid cost cache for the whole run;
+	// a cut plan keeps the same arrays (values, prefix runs, dirty flags)
+	// in transient leaf-window caches, so its high-water should sit well
 	// below half.
 	maxShardHeapRatio = 0.5
 
-	// maxShardScoreDriftPct bounds quality drift: every sharded run's
-	// eq. 15 score must stay within this percentage of the monolithic
-	// run's. (Sharded runs are bit-identical across K by construction —
-	// core's TestShardDeterminism — but the cut plan may differ slightly from
-	// the one-leaf plan: boundary nets are split and stitched, and a leaf
-	// cache sums its prefix runs from the leaf's origin, so segment costs
-	// round differently.)
+	// maxShardScoreDriftPct bounds quality drift: the cut-plan run's eq. 15
+	// score must stay within this percentage of the monolithic run's. (Cut
+	// plans are bit-identical across K by construction — core's
+	// TestShardDeterminism — but may differ slightly from the one-leaf
+	// plan: boundary nets are split and stitched, and a leaf cache sums its
+	// prefix runs from the leaf's origin, so segment costs round
+	// differently.)
 	maxShardScoreDriftPct = 10.0
 )
 
@@ -62,18 +67,18 @@ type shardReport struct {
 	Variant string  `json:"variant"`
 	Workers int     `json:"workers"`
 
-	Monolithic shardRun   `json:"monolithic"`
-	Sharded    []shardRun `json:"sharded"`
+	Monolithic shardRun `json:"monolithic"`
+	Cut        shardRun `json:"cut"`
 
-	// HeapRatioK4 is delta(K=4)/delta(monolithic), gated below
-	// MaxHeapRatioK4; ScoreDriftPct is the worst |score_K - score_mono|
-	// drift across the sweep, gated below MaxScoreDriftPct.
-	HeapRatioK4    float64 `json:"heap_ratio_k4"`
-	MaxHeapRatioK4 float64 `json:"max_heap_ratio_k4"`
-	// WallRatioK4 is wall(K=4)/wall(monolithic), the cut plan's time cost
+	// HeapRatio is delta(cut)/delta(monolithic), gated below MaxHeapRatio;
+	// ScoreDriftPct is |score_cut - score_mono| as a percentage of
+	// score_mono, gated below MaxScoreDriftPct.
+	HeapRatio    float64 `json:"heap_ratio"`
+	MaxHeapRatio float64 `json:"max_heap_ratio"`
+	// WallRatio is wall(cut)/wall(monolithic), the cut plan's time cost
 	// over the one-leaf plan. Report-only: each is a single run on a
 	// shared host, too noisy to gate.
-	WallRatioK4      float64 `json:"wall_ratio_k4"`
+	WallRatio        float64 `json:"wall_ratio"`
 	ScoreDriftPct    float64 `json:"score_drift_pct"`
 	MaxScoreDriftPct float64 `json:"max_score_drift_pct"`
 
@@ -81,11 +86,11 @@ type shardReport struct {
 	Meta BenchMeta `json:"meta"`
 }
 
-// runShard sweeps the full pipeline monolithically and at K ∈ {1, 2, 4}
-// shards, records quality/overflow/peak-heap per run, and writes the JSON
-// record. It returns an error — failing the build — when the K=4 heap
-// high-water misses the reduction gate or any sharded score drifts from
-// the monolithic one.
+// runShard runs the full pipeline on the one-leaf plan and on the cut
+// plan, records quality/overflow/peak-heap per run, and writes the JSON
+// record. It returns an error — failing the build — when the cut plan's
+// heap high-water misses the reduction gate or its score drifts from the
+// monolithic one.
 func runShard(out string) error {
 	d := design.MustGenerate(shardDesignName, shardScale)
 
@@ -131,33 +136,19 @@ func runShard(out string) error {
 		Scale:            shardScale,
 		Variant:          "FastGR-H",
 		Workers:          shardWorkers,
-		MaxHeapRatioK4:   maxShardHeapRatio,
+		MaxHeapRatio:     maxShardHeapRatio,
 		MaxScoreDriftPct: maxShardScoreDriftPct,
 	}
 	var err error
 	if rep.Monolithic, err = doRun(0); err != nil {
 		return err
 	}
-	var k4 *shardRun
-	for _, k := range []int{1, 2, 4} {
-		sr, err := doRun(k)
-		if err != nil {
-			return err
-		}
-		rep.Sharded = append(rep.Sharded, sr)
-		if k == 4 {
-			k4 = &rep.Sharded[len(rep.Sharded)-1]
-		}
-		drift := 100 * (sr.Score - rep.Monolithic.Score) / rep.Monolithic.Score
-		if drift < 0 {
-			drift = -drift
-		}
-		if drift > rep.ScoreDriftPct {
-			rep.ScoreDriftPct = drift
-		}
+	if rep.Cut, err = doRun(cutShards); err != nil {
+		return err
 	}
-	rep.HeapRatioK4 = float64(k4.DeltaHeap) / float64(rep.Monolithic.DeltaHeap)
-	rep.WallRatioK4 = k4.WallMs / rep.Monolithic.WallMs
+	rep.ScoreDriftPct = 100 * math.Abs(rep.Cut.Score-rep.Monolithic.Score) / rep.Monolithic.Score
+	rep.HeapRatio = float64(rep.Cut.DeltaHeap) / float64(rep.Monolithic.DeltaHeap)
+	rep.WallRatio = rep.Cut.WallMs / rep.Monolithic.WallMs
 
 	rep.Meta = currentBenchMeta()
 	data, err := json.MarshalIndent(rep, "", "  ")
@@ -175,12 +166,12 @@ func runShard(out string) error {
 		}
 		fmt.Printf("sharded routing benchmark record written to %s\n", out)
 	}
-	if rep.HeapRatioK4 > maxShardHeapRatio {
-		return fmt.Errorf("K=4 peak-heap delta is %.2fx the monolithic one (gate %.2fx): %d vs %d bytes",
-			rep.HeapRatioK4, maxShardHeapRatio, k4.DeltaHeap, rep.Monolithic.DeltaHeap)
+	if rep.HeapRatio > maxShardHeapRatio {
+		return fmt.Errorf("cut-plan peak-heap delta is %.2fx the monolithic one (gate %.2fx): %d vs %d bytes",
+			rep.HeapRatio, maxShardHeapRatio, rep.Cut.DeltaHeap, rep.Monolithic.DeltaHeap)
 	}
 	if rep.ScoreDriftPct > maxShardScoreDriftPct {
-		return fmt.Errorf("sharded score drifts %.2f%% from monolithic (gate %.1f%%)",
+		return fmt.Errorf("cut-plan score drifts %.2f%% from monolithic (gate %.1f%%)",
 			rep.ScoreDriftPct, maxShardScoreDriftPct)
 	}
 	return nil

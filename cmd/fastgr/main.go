@@ -44,7 +44,7 @@ func main() {
 		guides     = flag.String("guides", "", "write routing guides to this file")
 		evalDR     = flag.Bool("dr", false, "evaluate the solution with the detailed-routing track assigner")
 		workers    = flag.Int("exec-workers", 0, "host worker goroutines executing the router (0 = library default); never changes the reported result")
-		shards     = flag.Int("shards", 0, "spatial shard count: cut the grid into leaf regions routed concurrently against windowed cost caches (0 = one leaf, the whole grid uncut; any count >= 1 yields identical output)")
+		shards     = flag.Int("shards", 0, "spatial plan: 0 routes the whole grid as one leaf; any count >= 1 cuts it into leaf regions that executor slots claim and route against windowed cost caches (every count >= 1 runs and outputs the same)")
 		mazeAlg    = flag.String("maze-alg", "astar", "maze search algorithm: astar | dijkstra (identical geometry, different expansion counts)")
 		traceOut   = flag.String("trace", "", "write a Chrome trace_event timeline to this file (open at ui.perfetto.dev)")
 		metricsOut = flag.String("metrics-out", "", "write the metrics registry and report as JSON to this file")

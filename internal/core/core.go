@@ -152,14 +152,13 @@ type Options struct {
 	// 0, the default, is the one-leaf plan: the whole grid, no cuts, every
 	// net routed whole against one full-grid cost field. K >= 1 is the cut
 	// plan: the grid is bisected into leaf regions on pin density,
-	// intra-leaf nets route against leaf-windowed cost caches with up to K
-	// leaf groups running concurrently, and boundary nets are split at the
-	// cuts, stitched, and reconciled at coordinator points. Routed output
-	// is bit-identical for every K >= 1 (the cut tree never depends on the
-	// count) but may differ from K = 0: boundary nets take the
-	// split/stitch path, and a leaf cache sums its prefix runs from the
-	// leaf's origin, so its segment costs round differently. At most
-	// MaxShards.
+	// executor slots claim leaves and route their intra-leaf nets against
+	// leaf-windowed cost caches, and boundary nets are split at the cuts,
+	// stitched, and reconciled at coordinator points. K steers nothing but
+	// that choice, so routed output is bit-identical for every K >= 1 but
+	// may differ from K = 0: boundary nets take the split/stitch path, and
+	// a leaf cache sums its prefix runs from the leaf's origin, so its
+	// segment costs round differently. At most MaxShards.
 	Shards int
 	// HeapGC forces a garbage collection before each peak-heap sample so
 	// PeakHeapBytes measures live bytes, not allocator slack. Benchmarks
@@ -186,9 +185,8 @@ type FaultStats struct {
 	BudgetFallbacks int
 }
 
-// MaxShards bounds Options.Shards. The cut tree has at most 16 leaves, so
-// any count above that already runs every leaf group at once; the bound
-// only keeps a typo from passing for a plan.
+// MaxShards bounds Options.Shards. Every count >= 1 runs the same cut
+// plan; the bound only keeps a typo from passing for a plan.
 const MaxShards = 4096
 
 // validate rejects option values no stage can run with, before any

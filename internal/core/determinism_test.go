@@ -5,11 +5,13 @@ package core_test
 
 import (
 	"bytes"
+	"cmp"
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
 	"reflect"
 	"slices"
+	"strings"
 	"testing"
 
 	"fastgr/internal/core"
@@ -277,8 +279,8 @@ func checkPlanAccounting(t *testing.T, d *design.Design, shards int, r core.Repo
 // recorder: with the tracer and metrics registry attached, every
 // paper-facing output must stay byte-for-byte identical to an
 // observability-free run, for both plans and at every worker count —
-// tracing is passive. One worker runs a cut plan's single slot on the
-// coordinator, where it records the batch-level spans too.
+// tracing is passive. Every executor slot, fanned out or not, records its
+// batch spans and kernel metrics.
 func TestExecWorkersDeterminismWithTracing(t *testing.T) {
 	d := design.MustGenerate("18test5m", 0.005)
 	for _, v := range []core.Variant{core.CUGR, core.FastGRL, core.FastGRH} {
@@ -332,5 +334,55 @@ func tracedRunMatches(t *testing.T, d *design.Design, opt core.Options, base *co
 	}
 	if s.Histograms[obs.MBatchSize].Count == 0 {
 		t.Errorf("%v workers=%d: no batch sizes recorded", v, w)
+	}
+	if o.Tracer.Dropped() > 0 {
+		t.Fatalf("%v workers=%d: tracer dropped %d spans", v, w, o.Tracer.Dropped())
+	}
+	batches := res.Report.PatternBatches
+	if opt.Variant != core.CUGR {
+		if got := s.Histograms[obs.MKernelNs].Count; got != int64(batches) {
+			t.Errorf("%v workers=%d: %d kernel observations, want one per pattern batch (%d)", v, w, got, batches)
+		}
+	}
+	events := o.Tracer.Events()
+	spans := 0
+	for _, e := range events {
+		if strings.HasPrefix(e.Name, "pattern.batch[") {
+			spans++
+		}
+	}
+	if spans != batches {
+		t.Errorf("%v workers=%d: %d pattern.batch spans, want one per pattern batch (%d)", v, w, spans, batches)
+	}
+	checkLaneNesting(t, v, w, events)
+}
+
+// checkLaneNesting requires the spans of every lane to nest in LIFO
+// order: two spans on one lane are disjoint or one contains the other,
+// so no two goroutines ever drew on the same lane at once.
+func checkLaneNesting(t *testing.T, v string, w int, events []obs.Event) {
+	t.Helper()
+	byLane := map[int][]obs.Event{}
+	for _, e := range events {
+		byLane[e.Lane] = append(byLane[e.Lane], e)
+	}
+	for lane, es := range byLane {
+		// By start, the outer of two equal starts first.
+		slices.SortFunc(es, func(a, b obs.Event) int {
+			return cmp.Or(cmp.Compare(a.Start, b.Start), cmp.Compare(b.Dur, a.Dur))
+		})
+		var open []obs.Event // the chain of spans enclosing the current one
+		for _, e := range es {
+			for len(open) > 0 && open[len(open)-1].Start+open[len(open)-1].Dur <= e.Start {
+				open = open[:len(open)-1]
+			}
+			if len(open) > 0 {
+				if p := open[len(open)-1]; e.Start+e.Dur > p.Start+p.Dur {
+					t.Fatalf("%v workers=%d: lane %d: %s [%v, %v] overlaps %s [%v, %v] without nesting",
+						v, w, lane, e.Name, e.Start, e.Start+e.Dur, p.Name, p.Start, p.Start+p.Dur)
+				}
+			}
+			open = append(open, e)
+		}
 	}
 }

@@ -9,15 +9,22 @@
 // iteration's boundary pass — run as task graphs whose conflict edges keep
 // their serial order (boundaryPass).
 //
+// Execution. A leaf is the unit an executor slot claims (see slots), and a
+// leaf's batches run on its slot as a chain in canonical order. Every slot
+// checkpoints before each pattern batch, draws its batch spans on its
+// first composite lane and lends its kernel router and rip-up task graph
+// the observer.
+//
 // Shard-count invariance. Every decision below derives from the cut tree
 // (a pure function of design and margin) or happens at a coordinator
 // point in canonical net order, or in a task graph equivalent to it. The
-// shard count K only picks how leaves are grouped onto executor slots;
-// leaves touch provably disjoint grid edges (an intra-leaf route never
-// commits an edge leaving its leaf, and crossing edges are committed only
-// at the stitch point), so the demand trajectory each leaf observes is
-// independent of which other leaves run beside it. Routed output is
-// therefore bit-identical for every K >= 1 and every ExecWorkers count.
+// shard count K only selects the cut plan; which slot claims a leaf, and
+// beside which other leaves it runs, is left to the executor. Leaves touch
+// provably disjoint grid edges (an intra-leaf route never commits an edge
+// leaving its leaf, and crossing edges are committed only at the stitch
+// point), so the demand trajectory each leaf observes is independent of
+// which other leaves run beside it. Routed output is therefore
+// bit-identical for every K >= 1 and every ExecWorkers count.
 //
 // Memory. The parent graph's cost cache is never warmed. Every view keeps
 // the same cache — values, prefix runs and dirty flags — over its own
@@ -30,8 +37,10 @@
 package core
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
+	"sync/atomic"
 	"time"
 
 	"fastgr/internal/design"
@@ -86,16 +95,14 @@ func (r *runner) leafOf(id int) int {
 	return r.intraLeaf[id]
 }
 
-// leafGroups sizes the two-level executor: outer slots iterate leaf
-// groups, inner workers execute inside one leaf, and outer*inner never
-// exceeds the executor pool. A single slot (one leaf, K = 1 or one exec
-// worker) runs inline on the coordinator goroutine, so it may poll the
-// context between batches and draw spans on the stages lane.
-func (r *runner) leafGroups() (groups [][]int, outer, inner int) {
-	groups = r.shplan.Groups(r.opt.Shards)
-	outer = min(len(groups), r.pool.Workers())
-	inner = max(r.pool.Workers()/outer, 1)
-	return groups, outer, inner
+// slots sizes the two-level executor: outer slots claim leaves, inner
+// workers execute inside one leaf, and outer*inner never exceeds the
+// executor pool. Slot s's workers own composite lanes s*inner onward. A
+// single slot (one leaf or one exec worker) runs inline on the
+// coordinator goroutine.
+func (r *runner) slots() (outer, inner int) {
+	outer = min(r.shplan.NumLeaves(), r.pool.Workers())
+	return outer, max(r.pool.Workers()/outer, 1)
 }
 
 // byLeaf splits tasks into per-leaf lists, each in input order. The
@@ -220,15 +227,7 @@ func uncommitAll(g *grid.Graph, routes []*route.NetRoute) {
 // behind its view, then a cut plan's fragments are stitched and
 // reconciled. full is the one-leaf plan's view, nil under a cut plan.
 func (r *runner) patternStage(full *grid.Graph) error {
-	groups, outer, inner := r.leafGroups()
-	coord := outer == 1
-	if !coord {
-		// Fanned-out slots never poll the context: the stage checkpoints
-		// once, before it starts.
-		if err := r.checkpoint("pattern", -1); err != nil {
-			return err
-		}
-	}
+	outer, inner := r.slots()
 	cut := r.shplan.NumLeaves() > 1
 	start := obs.StartStopwatch()
 	tr := r.opt.Obs.T()
@@ -260,7 +259,11 @@ func (r *runner) patternStage(full *grid.Graph) error {
 	}
 	leafTasks := r.byLeaf(tasks)
 	leafBatches := make([][][]sched.Task, len(leafTasks))
+	// firstBatch[leaf] is the ordinal of the leaf's first batch in leaf
+	// order, which names its batch spans.
+	firstBatch := make([]int, len(leafTasks))
 	for leaf, lt := range leafTasks {
+		firstBatch[leaf] = r.rep.PatternBatches
 		leafBatches[leaf] = sched.ExtractBatches(lt)
 		sched.ObserveBatches(r.opt.Obs.M(), leafBatches[leaf])
 		r.rep.PatternBatches += len(leafBatches[leaf])
@@ -268,58 +271,47 @@ func (r *runner) patternStage(full *grid.Graph) error {
 
 	cfg := r.patternConfig()
 	accts := make([]leafAcct, len(leafTasks))
-	// A lone slot runs on the coordinator: it checkpoints and spans every
-	// batch, and its kernel routers record their batch spans and metrics.
-	// stopped is written by that slot only.
-	var kobs *obs.Observer
-	if coord {
-		kobs = r.opt.Obs
-	}
-	var stopped error
-	// Slot fan-out: slot s owns groups s, s+outer, ... — leaves never
-	// migrate between goroutines mid-stage, and a leaf's batches run in
-	// their canonical order. The outer pool carries no observer (its
-	// lanes belong to the inner executors).
-	par.NewPool(outer).For(outer, func(_, s int) {
-		nb := 0
-		var solver pattern.Solver // the CUGR path's scratch for this slot
-		for gi := s; gi < len(groups); gi += outer {
-			for _, leaf := range groups[gi] {
-				if len(leafBatches[leaf]) == 0 {
-					continue
-				}
-				view := full
-				if view == nil {
-					view = r.g.WindowView(r.shplan.Leaf(leaf))
-				}
-				// One router per leaf: the batch-ordinal base keyed by the
-				// leaf keeps kernel fault-injection units disjoint across
-				// leaves and invariant in K.
-				var router *patterngpu.Router
-				if r.opt.Variant != CUGR {
-					router = patterngpu.New(r.opt.Device, cfg)
-					router.Workers = inner
-					router.Obs = kobs
-					router.Fault = r.fc
-					router.CPU = r.opt.CPU
-					router.SetBatchBase(leaf << 20)
-				}
-				for _, batch := range leafBatches[leaf] {
-					if coord {
-						if stopped = r.checkpoint("pattern", -1); stopped != nil {
-							return
-						}
-					}
-					var bsp obs.Span
-					if coord && tr.On() {
-						bsp = tr.StartSpan(fmt.Sprintf("pattern.batch[%d]", nb), obs.Coordinator)
-					}
-					nb++
-					r.patternBatch(view, router, &solver, cfg, &accts[leaf], batch, fragRoutes)
-					bsp.End()
-					r.stageBeat("pattern")
-				}
+	stops := make([]error, len(leafTasks))
+	var cancelled atomic.Bool                // set at the first cancelled checkpoint
+	solvers := make([]pattern.Solver, outer) // the CUGR path's scratch per slot
+	// Slots claim leaves; a leaf's batches run in their canonical order on
+	// one slot. After a cancelled checkpoint no slot starts another leaf.
+	// The outer pool carries no observer (its lanes belong to the inner
+	// executors).
+	par.NewPool(outer).For(len(leafBatches), func(s, leaf int) {
+		if len(leafBatches[leaf]) == 0 || cancelled.Load() {
+			return
+		}
+		lane := s * inner
+		view := full
+		if view == nil {
+			view = r.g.WindowView(r.shplan.Leaf(leaf))
+		}
+		// One router per leaf: the batch-ordinal base keyed by the leaf
+		// keeps kernel fault-injection units disjoint across leaves and
+		// invariant in the slot that claims it.
+		var router *patterngpu.Router
+		if r.opt.Variant != CUGR {
+			router = patterngpu.New(r.opt.Device, cfg)
+			router.Workers = inner
+			router.Obs = r.opt.Obs
+			router.Fault = r.fc
+			router.CPU = r.opt.CPU
+			router.SetBatchBase(leaf << 20)
+			router.SetLane(lane)
+		}
+		for i, batch := range leafBatches[leaf] {
+			if stops[leaf] = r.checkpoint("pattern", -1); stops[leaf] != nil {
+				cancelled.Store(true)
+				return
 			}
+			var bsp obs.Span
+			if tr.On() {
+				bsp = tr.StartSpan(fmt.Sprintf("pattern.batch[%d]", firstBatch[leaf]+i), lane)
+			}
+			r.patternBatch(view, router, &solvers[s], cfg, &accts[leaf], batch, fragRoutes)
+			bsp.End()
+			r.stageBeat("pattern")
 		}
 	})
 
@@ -336,6 +328,7 @@ func (r *runner) patternStage(full *grid.Graph) error {
 	if r.opt.Variant == CUGR {
 		r.rep.Times.Pattern = r.rep.PatternSeqTime
 	}
+	stopped := cmp.Or(stops...) // the first cancelled leaf's checkpoint
 	// The stitch is the stage's last coordinator pass; checking before it
 	// means a cancelled run stops before rewriting any boundary net.
 	if stopped == nil && cut {
@@ -349,8 +342,8 @@ func (r *runner) patternStage(full *grid.Graph) error {
 		}
 		return stopped
 	}
-	// Kernel routers holding the observer counted their own batches.
-	if m := r.opt.Obs.M(); m != nil && (r.opt.Variant == CUGR || kobs == nil) {
+	// Kernel routers count their own batches; the CUGR path has none.
+	if m := r.opt.Obs.M(); m != nil && r.opt.Variant == CUGR {
 		m.Counter(obs.MPatternHybrid).Add(int64(r.rep.HybridEdges))
 		m.Counter(obs.MPatternLShape).Add(int64(r.rep.TotalEdges - r.rep.HybridEdges))
 	}
@@ -542,9 +535,10 @@ func (r *runner) stitchAndReconcile(fragRoutes [][]*route.NetRoute) error {
 
 // rrrStage runs the rip-up-and-reroute iterations with the variant's
 // scheduling strategy. Each iteration scans and sorts the violating nets
-// globally, then intra-leaf nets fan out over leaf groups behind leaf
-// views and a cut plan's boundary nets reroute in a boundary pass after
-// the barrier. full is the one-leaf plan's view, nil under a cut plan.
+// globally, then slots claim leaves and reroute their intra-leaf nets
+// behind leaf views, and a cut plan's boundary nets reroute in a boundary
+// pass after the barrier. full is the one-leaf plan's view, nil under a
+// cut plan.
 func (r *runner) rrrStage(full *grid.Graph) error {
 	start := obs.StartStopwatch()
 	tr := r.opt.Obs.T()
@@ -562,14 +556,8 @@ func (r *runner) rrrStage(full *grid.Graph) error {
 		bumpG = full
 	}
 
-	groups, outer, inner := r.leafGroups()
-	outerPool := par.NewPool(outer)
-	// Only a lone slot, running on the coordinator, lends the task-graph
-	// executor the observer.
-	var tobs *obs.Observer
-	if outer == 1 {
-		tobs = r.opt.Obs
-	}
+	outer, inner := r.slots()
+	slotPool := par.NewPool(outer)
 	// One maze scratch per composite lane (slot*inner + inner worker),
 	// reused across nets and iterations: the search hot path then
 	// allocates nothing but the routes it returns. Lanes are disjoint
@@ -686,7 +674,7 @@ func (r *runner) rrrStage(full *grid.Graph) error {
 				return failed, skipped, nil
 			}
 			lg := sched.BuildGraph(lt, r.g.W, r.g.H)
-			frep := taskflow.RunWorkersFault(lg, inner, tobs, r.fc, func(worker, li int) error {
+			frep := taskflow.RunWorkersFault(lg, inner, r.opt.Obs, r.fc, func(worker, li int) error {
 				return work(worker, lt[li])
 			})
 			if frep.CancelErr != nil {
@@ -695,22 +683,15 @@ func (r *runner) rrrStage(full *grid.Graph) error {
 			return len(frep.Failed), len(frep.Skipped), nil
 		}
 
-		// Phase B: intra-leaf nets, leaf groups fanned over slots; a slot
-		// stops at its first failed leaf.
+		// Phase B: intra-leaf nets, each leaf claimed by one slot.
 		type leafOut struct {
 			failed, skipped int
 			err             error
 		}
 		outs := make([]leafOut, len(leafTasks))
-		outerPool.For(outer, func(_, s int) {
-			for gi := s; gi < len(groups); gi += outer {
-				for _, leaf := range groups[gi] {
-					if o := &outs[leaf]; len(leafTasks[leaf]) > 0 {
-						if o.failed, o.skipped, o.err = runLeaf(s, leaf); o.err != nil {
-							return
-						}
-					}
-				}
+		slotPool.For(len(leafTasks), func(s, leaf int) {
+			if o := &outs[leaf]; len(leafTasks[leaf]) > 0 {
+				o.failed, o.skipped, o.err = runLeaf(s, leaf)
 			}
 		})
 		iterFailed, iterSkipped := 0, 0

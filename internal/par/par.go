@@ -41,9 +41,9 @@ type Pool struct {
 	fc *fault.Containment
 
 	// lane offsets the tracer lane of this pool's chunk spans. A nested
-	// sub-pool (sharded routing runs one per shard group) sets it to the
-	// group's first composite lane so its workers' spans land on lanes
-	// disjoint from every sibling group's. It shifts only where spans are
+	// sub-pool (the rip-up stage runs one per executor slot) sets it to
+	// the slot's first composite lane so its workers' spans land on lanes
+	// disjoint from every sibling slot's. It shifts only where spans are
 	// drawn; fn still receives the raw worker id.
 	lane int
 }

@@ -52,6 +52,9 @@ type Router struct {
 	// batches counts RouteBatch calls: the batch ordinal is the kernel
 	// site's injection unit, a worker-count-invariant identity.
 	batches int
+	// lane is the tracer lane and fault worker id of the batch span and
+	// kernel unit: obs.Coordinator unless SetLane moves it.
+	lane int
 	// workers is each host worker's scratch, indexed by the par worker id
 	// and reused across batches.
 	workers []worker
@@ -82,13 +85,17 @@ func (w *worker) solve(g *grid.Graph, tree *stt.Tree, cfg pattern.Config) (patte
 
 // New builds a Router with the given device spec and pattern configuration.
 func New(spec gpu.Spec, cfg pattern.Config) *Router {
-	return &Router{Dev: gpu.New(spec), Cfg: cfg}
+	return &Router{Dev: gpu.New(spec), Cfg: cfg, lane: obs.Coordinator}
 }
+
+// SetLane moves the batch span and the kernel fault unit onto an executor
+// lane: a router serving one executor slot draws on that slot's lane.
+func (r *Router) SetLane(lane int) { r.lane = lane }
 
 // SetBatchBase offsets the batch-ordinal counter. Sharded routing runs one
 // Router per leaf region; giving each a disjoint ordinal space keeps the
 // kernel site's injection units distinct across leaves and invariant in the
-// shard count (the leaf index, not the execution grouping, picks the base).
+// shard and worker counts (the leaf index, not the slot, picks the base).
 func (r *Router) SetBatchBase(b int) { r.batches = b }
 
 // BatchResult is the outcome of one kernel (one batch).
@@ -112,10 +119,10 @@ type BatchResult struct {
 func (r *Router) RouteBatch(g *grid.Graph, trees []*stt.Tree) BatchResult {
 	ord := r.batches
 	r.batches++
-	sp := r.Obs.T().StartSpan("gpu.batch", obs.Coordinator)
+	sp := r.Obs.T().StartSpan("gpu.batch", r.lane)
 	var br BatchResult
 	if r.Fault.Enabled() {
-		err := r.Fault.RunOnce(fault.SiteKernel, ord, obs.Coordinator, func() error {
+		err := r.Fault.RunOnce(fault.SiteKernel, ord, r.lane, func() error {
 			var solveErr error
 			br, solveErr = r.routeBatch(g, trees)
 			return solveErr

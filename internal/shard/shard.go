@@ -1,15 +1,14 @@
 // Package shard partitions the G-cell grid into rectangular regions for
 // sharded routing — the partition-based parallelization GANGR argues is the
 // path past a single monolithic cost field. A Plan is a recursive-bisection
-// cut tree over pin density: leaves are the atomic routing regions, and
-// Groups coarsens the leaves into K work groups for execution.
+// cut tree over pin density whose leaves are the atomic routing regions and
+// the unit of parallel work: an executor slot claims one leaf at a time.
 //
 // Determinism contract. The cut tree is a pure function of the design and
 // the maze margin — never of the shard count, the worker count, or any
-// runtime state. K only selects how leaves are grouped for concurrent
-// execution; every per-leaf decision (net classification, fragment
+// runtime state. Every per-leaf decision (net classification, fragment
 // splitting, intra-leaf work order) derives from the leaves alone, which is
-// what makes routed output invariant across shard counts.
+// what makes routed output invariant across shard and worker counts.
 package shard
 
 import (
@@ -35,7 +34,6 @@ func MinLeafSide(margin int) int {
 // their ordinal in DFS (left-before-right) order.
 type node struct {
 	rect        geom.Rect
-	pins        int
 	left, right int // node ids; -1 on leaves
 	leaf        int // leaf ordinal; -1 on internal nodes
 }
@@ -82,7 +80,7 @@ func BuildPlan(d *design.Design, margin int) *Plan {
 	var build func(r geom.Rect, depth int) int
 	build = func(r geom.Rect, depth int) int {
 		id := len(p.nodes)
-		p.nodes = append(p.nodes, node{rect: r, pins: int(rectPins(r)), left: -1, right: -1, leaf: -1})
+		p.nodes = append(p.nodes, node{rect: r, left: -1, right: -1, leaf: -1})
 		if depth >= MaxDepth {
 			return id
 		}
@@ -186,52 +184,4 @@ func (p *Plan) LeafContaining(pt geom.Point) int {
 		}
 	}
 	return p.nodes[id].leaf
-}
-
-// Groups coarsens the leaves into at most k contiguous groups for
-// execution: starting from the root, the internal node with the most pins
-// (ties to the lower node id) is expanded into its two children until k
-// parts exist or every part is a leaf. Each group is a cut-tree node, so
-// its leaves form a contiguous ordinal range and its footprint is a
-// rectangle. The result is a pure function of (plan, k).
-func (p *Plan) Groups(k int) [][]int {
-	if k < 1 {
-		k = 1
-	}
-	parts := []int{p.root}
-	for len(parts) < k {
-		best := -1
-		for i, id := range parts {
-			if p.nodes[id].left < 0 {
-				continue
-			}
-			if best < 0 || p.nodes[id].pins > p.nodes[parts[best]].pins ||
-				(p.nodes[id].pins == p.nodes[parts[best]].pins && id < parts[best]) {
-				best = i
-			}
-		}
-		if best < 0 {
-			break
-		}
-		id := parts[best]
-		expanded := make([]int, 0, len(parts)+1)
-		expanded = append(expanded, parts[:best]...)
-		expanded = append(expanded, p.nodes[id].left, p.nodes[id].right)
-		expanded = append(expanded, parts[best+1:]...)
-		parts = expanded
-	}
-	groups := make([][]int, len(parts))
-	for i, id := range parts {
-		groups[i] = p.leavesUnder(id)
-	}
-	return groups
-}
-
-// leavesUnder lists the leaf ordinals below node id in DFS order.
-func (p *Plan) leavesUnder(id int) []int {
-	n := &p.nodes[id]
-	if n.left < 0 {
-		return []int{n.leaf}
-	}
-	return append(p.leavesUnder(n.left), p.leavesUnder(n.right)...)
 }

@@ -74,12 +74,8 @@ func TestBuildPlanTiles(t *testing.T) {
 	}
 }
 
-// TestGroupsPartition checks that Groups(k) partitions the leaf ordinals
-// into contiguous ascending ranges for every k, and that the leaf set
-// itself — identity, order, rectangles — never depends on k. That
-// independence is the heart of the shard-count-invariance contract.
-// TestWholePlan: the one-leaf plan is the whole grid, contains every
-// in-bounds rectangle and groups into its one leaf for every k.
+// TestWholePlan: the one-leaf plan is the whole grid and contains every
+// in-bounds rectangle.
 func TestWholePlan(t *testing.T) {
 	p := Whole(40, 30)
 	full := geom.Rect{Hi: geom.Point{X: 39, Y: 29}}
@@ -88,38 +84,6 @@ func TestWholePlan(t *testing.T) {
 	}
 	if p.LeafOf(full) != 0 || p.LeafOf(geom.Rect{Lo: geom.Point{X: 5, Y: 7}, Hi: geom.Point{X: 6, Y: 8}}) != 0 {
 		t.Fatal("Whole: an in-bounds rectangle is not intra-leaf")
-	}
-	for k := 0; k <= 3; k++ {
-		if g := p.Groups(k); len(g) != 1 || len(g[0]) != 1 || g[0][0] != 0 {
-			t.Fatalf("Groups(%d) = %v", k, g)
-		}
-	}
-}
-
-func TestGroupsPartition(t *testing.T) {
-	d := testDesign(96, 96)
-	p := BuildPlan(d, 4)
-	for k := 1; k <= 2*p.NumLeaves(); k++ {
-		groups := p.Groups(k)
-		want := geom.Min(k, p.NumLeaves())
-		if len(groups) != want {
-			t.Fatalf("Groups(%d): got %d groups, want %d", k, len(groups), want)
-		}
-		next := 0
-		for gi, g := range groups {
-			if len(g) == 0 {
-				t.Fatalf("Groups(%d): group %d empty", k, gi)
-			}
-			for _, leaf := range g {
-				if leaf != next {
-					t.Fatalf("Groups(%d): group %d holds leaf %d, want contiguous %d", k, gi, leaf, next)
-				}
-				next++
-			}
-		}
-		if next != p.NumLeaves() {
-			t.Fatalf("Groups(%d): covered %d leaves of %d", k, next, p.NumLeaves())
-		}
 	}
 }
 

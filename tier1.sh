@@ -15,8 +15,11 @@
 #                 host-parallel: the par pool itself, core's determinism
 #                 table (its three Determinism tests and the tracing-enabled
 #                 TestExecWorkersDeterminismWithTracing, both at 1/2/8
-#                 workers) AND its seeded chaos suite (every variant
-#                 under fault injection at 1/2/8 workers), the taskflow
+#                 workers, the latter also checking every lane's span
+#                 nesting while fanned-out slots trace), its seeded chaos
+#                 suite (every variant under fault injection at 1/2/8
+#                 workers) AND TestCancelAtEveryCheckpoint's 4-worker cut
+#                 row, where every slot polls one context, the taskflow
 #                 executor, the concurrent obs recorders, sched + maze, which
 #                 run under the pool from core's parallel sections, grid,
 #                 whose cost-field values and dirty flags are written from
@@ -26,9 +29,9 @@
 #                 worker, pattern and patterngpu, whose per-worker solver
 #                 scratch serves the kernel's solve fan-out
 #                 (TestGPUResultsMatchCPU at 1/2/8 workers), and
-#                 shard, whose plans and splits are read from every leaf
-#                 slot (TestShardDeterminism drives the cut plan itself at
-#                 1/2/8 workers under -race), the
+#                 shard, whose plans and splits are read from every slot
+#                 that claims a leaf (TestShardDeterminism drives the cut
+#                 plan itself at 1/2/8 workers under -race), the
 #                 prom exposition renderer, opsrv, whose live-scrape
 #                 test hammers /metrics, /healthz and /tracez from a
 #                 scraper goroutine while a full 19test9m run routes,
@@ -63,10 +66,11 @@
 #   bench-fault — fault containment overhead guard: benchgen -fault fails
 #                 if arming the layer with injection disabled costs more
 #                 than 2% on the pattern or maze workloads
-#   bench-shard — sharded routing guard: benchgen -shard sweeps sharded
-#                 vs monolithic on the largest harness design and fails
-#                 if the K=4 peak-heap delta exceeds half the monolithic
-#                 one or quality drifts more than 10%
+#   bench-shard — sharded routing guard: benchgen -shard runs the cut
+#                 plan once against the one-leaf plan on the largest
+#                 harness design and fails if the cut plan's peak-heap
+#                 delta exceeds half the one-leaf one or its quality
+#                 drifts more than 10%
 #   bench-serve — daemon overhead guard: benchgen -serve fails if routing
 #                 a job through the fastgrd pipeline (journal, queue,
 #                 guide artifact) costs more than 5% over direct
