@@ -40,8 +40,8 @@ const (
 	// score must stay within this percentage of the monolithic run's. (Cut
 	// plans are bit-identical across K by construction — core's
 	// TestShardDeterminism — but may differ slightly from the one-leaf
-	// plan: boundary nets are split and stitched, and a leaf cache sums its
-	// prefix runs from the leaf's origin, so segment costs round
+	// plan: boundary nets route after the intra-leaf ones, and a leaf cache
+	// sums its prefix runs from the leaf's origin, so segment costs round
 	// differently.)
 	maxShardScoreDriftPct = 10.0
 )

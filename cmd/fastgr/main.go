@@ -214,8 +214,8 @@ func printReport(res *core.Result) {
 	fmt.Printf("heap     peak=%.1f MiB\n", float64(r.PeakHeapBytes)/(1<<20))
 	// Every variant prints every row: a reader diffing two runs should
 	// never wonder whether a stat was zero or just omitted.
-	fmt.Printf("shards   k=%d leaves=%d boundary-nets=%d reroutes=%d reconcile=%v\n",
-		r.Shards, r.ShardLeaves, r.BoundaryNets, r.BoundaryReroutes, r.ReconcileTime)
+	fmt.Printf("shards   k=%d leaves=%d boundary-nets=%d reroutes=%d\n",
+		r.Shards, r.ShardLeaves, r.BoundaryNets, r.BoundaryReroutes)
 	fmt.Printf("fault    failed-nets=%d skipped-nets=%d kernel-fallbacks=%d budget-fallbacks=%d\n",
 		r.Fault.FailedNets, r.Fault.SkippedNets, r.Fault.KernelFallbacks, r.Fault.BudgetFallbacks)
 	for i, it := range r.RRR {

@@ -7,8 +7,8 @@ import (
 
 // Cancellation. RouteContext threads a context through the pipeline,
 // checked at coordinator points only — the single-threaded instants
-// between parallel sections (a pattern batch boundary, the top of a
-// rip-up iteration, a sharded stitch pass). Workers never observe the
+// between parallel sections (a pattern batch boundary, leaf or boundary,
+// and the top of a rip-up iteration). Workers never observe the
 // context, so a run that completes is bit-identical whether or not a
 // context was attached; a run that is cancelled stops at the next
 // checkpoint with every committed route intact and the partial Report
@@ -21,7 +21,7 @@ import (
 // committed so far.
 type CancelError struct {
 	// Stage is the pipeline stage whose checkpoint observed the
-	// cancellation: "plan", "pattern", "rrr" or "stitch".
+	// cancellation: "plan", "pattern" or "rrr".
 	Stage string
 	// Iter is the rip-up iteration about to start when the run stopped;
 	// -1 outside the rip-up stage.

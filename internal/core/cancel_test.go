@@ -51,9 +51,9 @@ func (c *pollCtx) count() int {
 }
 
 // TestCancelAtEveryCheckpoint pins checkpoint granularity. Both plans
-// checkpoint before planning, before every pattern batch of every leaf and
-// at the top of every rip-up iteration; a cut plan also checkpoints before
-// the stitch. For every n, a run cancelled at the n-th poll must stop at
+// checkpoint before planning, before every pattern batch — every leaf's,
+// then a cut plan's boundary batches — and at the top of every rip-up
+// iteration. For every n, a run cancelled at the n-th poll must stop at
 // the n-th checkpoint of that sequence and hand back a partial Result
 // whose committed demand is exactly the demand of its routes. At one exec
 // worker the run stops after exactly n polls; at four, slots still
@@ -110,9 +110,6 @@ func checkpointSequence(opt Options, rep Report) []CancelError {
 	want := []CancelError{{Stage: "plan", Iter: -1}}
 	for i := 0; i < rep.PatternBatches; i++ {
 		want = append(want, CancelError{Stage: "pattern", Iter: -1})
-	}
-	if opt.Shards > 0 {
-		want = append(want, CancelError{Stage: "stitch", Iter: -1})
 	}
 	iters := len(rep.RRR)
 	if iters < opt.RRRIters {

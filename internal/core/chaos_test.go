@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"reflect"
 	"slices"
+	"strings"
 	"testing"
 
 	"fastgr/internal/design"
@@ -31,34 +32,35 @@ func chaosProbs() map[string]float64 {
 // chaosGeometry pins every chaos row's routed geometry (see
 // chaosGeometryPrint), on both plans. Recorded before the congestion-aware
 // maze bound landed, which left every entry unchanged: a bound prunes
-// work, it never steers a route.
+// work, it never steers a route. The cut rows were re-recorded once when
+// boundary nets began to route whole after the leaves.
 var chaosGeometry = map[string]string{
 	"CUGR/seed=3":         "1d630792c036037c",
-	"CUGR/seed=3/cut":     "d1a8b7dba82fecb1",
+	"CUGR/seed=3/cut":     "e5578936582ec6a5",
 	"CUGR/seed=11":        "82a33de96c6f2251",
-	"CUGR/seed=11/cut":    "654c634576313f69",
+	"CUGR/seed=11/cut":    "235897de768f14c5",
 	"FastGRL/seed=3":      "7c171abc026bda13",
-	"FastGRL/seed=3/cut":  "d1a8b7dba82fecb1",
+	"FastGRL/seed=3/cut":  "d61bdef5c153fa01",
 	"FastGRL/seed=11":     "5605f5de0c476d92",
-	"FastGRL/seed=11/cut": "654c634576313f69",
+	"FastGRL/seed=11/cut": "3465565023ff7afe",
 	"FastGRH/seed=3":      "e976ca3a190bfa64",
-	"FastGRH/seed=3/cut":  "1bae13cb26b53dda",
+	"FastGRH/seed=3/cut":  "a04ea23c53703f3d",
 	"FastGRH/seed=11":     "3ca9143f42cb2abe",
-	"FastGRH/seed=11/cut": "2565c7e8177930ce",
+	"FastGRH/seed=11/cut": "1c5863c93fdfa970",
 }
 
 // chaosCutReports pin a chaos run of the cut plan (Shards 2): its
-// host-free Report, fault stats included, with boundary reroutes and
-// reconciliation on the task graph's workers. Re-recorded when the
-// congestion-aware maze bound moved expansion counts and modeled maze
-// times.
+// host-free Report, fault stats included, with boundary reroutes on the
+// task graph's workers. Re-recorded when the congestion-aware maze bound
+// moved expansion counts and modeled maze times, and again when boundary
+// nets began to route whole after the leaves.
 var chaosCutReports = map[string]string{
-	"CUGR/seed=3/cut":     "36ea48d5ce4f0ddf",
-	"CUGR/seed=11/cut":    "490fe3311600d690",
-	"FastGRL/seed=3/cut":  "c029e6bfd831a172",
-	"FastGRL/seed=11/cut": "ba519d024e9dfb3a",
-	"FastGRH/seed=3/cut":  "f1894a35eb34edd0",
-	"FastGRH/seed=11/cut": "dbcc5f193cb3d86a",
+	"CUGR/seed=3/cut":     "46212390afe66999",
+	"CUGR/seed=11/cut":    "63cdc916f5866121",
+	"FastGRL/seed=3/cut":  "4974b881a021b102",
+	"FastGRL/seed=11/cut": "05e4bfb9199978f3",
+	"FastGRH/seed=3/cut":  "c06df310c5014e52",
+	"FastGRH/seed=11/cut": "e8f1e4c8a344461f",
 }
 
 // chaosPlans are the plans every chaos row runs on: the one-leaf plan and
@@ -139,6 +141,7 @@ func TestChaosContainment(t *testing.T) {
 					anyInjected := false
 					for _, workers := range []int{1, 2, 8} {
 						res, snap := chaosRoute(t, v, seed, shards, workers)
+						checkDemandMatchesRoutes(t, res)
 						inj := snap.Counters[obs.MFaultInjected]
 						rec := snap.Counters[obs.MFaultRecovered]
 						deg := snap.Counters[obs.MFaultDegraded]
@@ -177,6 +180,72 @@ func TestChaosContainment(t *testing.T) {
 					}
 				})
 			}
+		}
+	}
+}
+
+// TestChaosFaultMarkersOnSlotLanes requires every fault marker to be
+// drawn on a lane of the executor that ran the faulted unit. A traced
+// cut-plan run (FastGRH, Shards 2, 8 workers) injects on kernel solves and
+// rip-up tasks. Each fault:* marker must lie inside a slot span that covers
+// its lane: a leaf's pattern.batch or rrr.leaf span covers its slot's inner
+// lanes, and a boundary pass span every worker lane. The traced run must
+// route exactly like an untraced one.
+func TestChaosFaultMarkersOnSlotLanes(t *testing.T) {
+	d := design.MustGenerate("18test5m", testScale)
+	opt := DefaultOptions(FastGRH)
+	opt.T1, opt.T2 = 4, 40
+	opt.Shards = 2
+	opt.ExecWorkers = 8
+	opt.Fault = &fault.Options{Seed: 3, Probs: map[string]float64{fault.SiteSolve: 0.3, fault.SiteTask: 0.3}}
+	plain, err := Route(d, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr := obs.NewTracer(1<<18, opt.ExecWorkers)
+	opt.Obs = &obs.Observer{Tracer: tr}
+	res, err := Route(d, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(hostFree(plain.Report), hostFree(res.Report)) || chaosGeometryPrint(plain) != chaosGeometryPrint(res) {
+		t.Fatal("tracing changed the routed result")
+	}
+	if tr.Dropped() > 0 {
+		t.Fatalf("tracer dropped %d spans", tr.Dropped())
+	}
+
+	// Event lanes are worker ids plus one; lane 0 is the coordinator's.
+	outer := min(res.Report.ShardLeaves, opt.ExecWorkers)
+	inner := max(opt.ExecWorkers/outer, 1)
+	type slotSpan struct {
+		e      obs.Event
+		lo, hi int // the event lanes [lo, hi) of the slot's executor
+	}
+	var slots []slotSpan
+	var markers []obs.Event
+	for _, e := range tr.Events() {
+		switch {
+		case strings.HasPrefix(e.Name, "fault:"):
+			markers = append(markers, e)
+		case strings.HasPrefix(e.Name, "pattern.batch[") || strings.HasPrefix(e.Name, "rrr.leaf["):
+			slots = append(slots, slotSpan{e, e.Lane, e.Lane + inner})
+		case e.Name == "pattern.boundary" || e.Name == "rrr.boundary":
+			slots = append(slots, slotSpan{e, 1, 1 + opt.ExecWorkers})
+		}
+	}
+	sites := map[string]int{}
+	for _, m := range markers {
+		sites[m.Name]++
+		if !slices.ContainsFunc(slots, func(s slotSpan) bool {
+			return s.e.Start <= m.Start && m.Start+m.Dur <= s.e.Start+s.e.Dur && s.lo <= m.Lane && m.Lane < s.hi
+		}) {
+			t.Fatalf("%s on lane %d at %v lies in no enclosing slot span covering its lane", m.Name, m.Lane, m.Start)
+		}
+	}
+	for _, site := range []string{fault.SiteSolve, fault.SiteTask} {
+		if sites["fault:"+site] == 0 {
+			t.Fatalf("no fault:%s markers; the check is vacuous (markers: %v)", site, sites)
 		}
 	}
 }

@@ -153,12 +153,14 @@ type Options struct {
 	// net routed whole against one full-grid cost field. K >= 1 is the cut
 	// plan: the grid is bisected into leaf regions on pin density,
 	// executor slots claim leaves and route their intra-leaf nets against
-	// leaf-windowed cost caches, and boundary nets are split at the cuts,
-	// stitched, and reconciled at coordinator points. K steers nothing but
-	// that choice, so routed output is bit-identical for every K >= 1 but
-	// may differ from K = 0: boundary nets take the split/stitch path, and
-	// a leaf cache sums its prefix runs from the leaf's origin, so its
-	// segment costs round differently. At most MaxShards.
+	// leaf-windowed cost caches, and boundary nets (nets crossing a cut)
+	// route whole after the leaves in each stage, over a full-grid view.
+	// K steers nothing but that choice, so routed output is bit-identical
+	// for every K >= 1 but may differ from K = 0: boundary nets route after
+	// the intra-leaf ones, and a leaf cache sums its prefix runs from the
+	// leaf's origin, so its segment costs round differently. When every net
+	// crosses a cut, the cut plan routes exactly like K = 0. At most
+	// MaxShards.
 	Shards int
 	// HeapGC forces a garbage collection before each peak-heap sample so
 	// PeakHeapBytes measures live bytes, not allocator slack. Benchmarks
@@ -336,15 +338,18 @@ type Report struct {
 	// Sharded-pipeline accounting; all zero when Shards == 0.
 	Shards      int // Options.Shards as run
 	ShardLeaves int // leaf regions in the cut tree
-	// BoundaryNets counts nets whose Steiner tree straddles a cut and was
-	// split into per-leaf fragments.
+	// BoundaryNets counts nets whose Steiner tree straddles a cut; they
+	// route whole after the leaves in both stages.
 	BoundaryNets int
-	// BoundaryReroutes counts boundary nets rerouted whole by the
-	// reconciliation pass after stitching left them overflowed.
+	// BoundaryReroutes counts the boundary nets the rip-up iterations'
+	// boundary passes rerouted, summed over iterations: a net rerouted in
+	// two iterations counts twice, and failed or over-budget searches do
+	// not count.
 	BoundaryReroutes int
-	// ReconcileTime is the modeled cost of those reconciliation searches
-	// (expansions plus A* bound cells x MazeNsPerExpansion); it is
-	// included in Times.Maze.
+	// ReconcileTime is always zero. It was the modeled cost of the
+	// reconciliation pass that rerouted stitched boundary nets; boundary
+	// nets are no longer split, so nothing is stitched or reconciled. The
+	// field stays because cmd/e2ebench still reads it.
 	ReconcileTime time.Duration
 
 	// PeakHeapBytes is the high-water HeapAlloc observed at stage
@@ -402,11 +407,10 @@ type runner struct {
 	// journaled iteration (see journalIter).
 	jHits, jMisses int64
 
-	// The leaf plan the stages route over (see stages.go). intraLeaf and
-	// splits exist only for a plan with cuts; the one-leaf plan has neither.
+	// The leaf plan the stages route over (see stages.go). intraLeaf exists
+	// only for a plan with cuts; the one-leaf plan has none.
 	shplan    *shard.Plan
-	intraLeaf []int          // by net ID: containing leaf ordinal, -1 for boundary nets
-	splits    []*shard.Split // by net ID: fragment decomposition of boundary nets
+	intraLeaf []int // by net ID: containing leaf ordinal, -1 for boundary nets
 }
 
 func (r *runner) run() (*Result, error) {

@@ -81,6 +81,13 @@ func checkDemandMatchesRoutes(t *testing.T, res *Result) {
 	}
 }
 
+// CheckDemandMatchesRoutes is checkDemandMatchesRoutes for the external
+// determinism tests. Like it, it rips every route of res up.
+func CheckDemandMatchesRoutes(t *testing.T, res *Result) {
+	t.Helper()
+	checkDemandMatchesRoutes(t, res)
+}
+
 func TestCUGRAndFastGRLSameQuality(t *testing.T) {
 	// The paper's claim: FastGRL accelerates CUGR "without any quality
 	// degradation" — both run the same L-shape DP, so pattern-stage output

@@ -62,59 +62,64 @@ func reportPrint(res *core.Result) string {
 
 // parentGeometry pins each class's routed geometry. A change that only
 // schedules or prunes work — a worker count, a shard count, a tighter A*
-// bound — must leave every entry as it is; these were recorded before the
-// congestion-aware maze bound landed, and it left them unchanged.
+// bound — must leave every entry as it is. The one-leaf entries were
+// recorded before the congestion-aware maze bound landed, and it left them
+// unchanged. The cut entries were re-recorded once when boundary nets
+// stopped being split and stitched and began to route whole after the
+// leaves; on crossall, where every net crosses a cut, each now equals its
+// one-leaf entry.
 var parentGeometry = map[string]string{
 	"18test5m/CUGR/one-leaf":            "2244ca226da5d115",
 	"18test5m/FastGRL/one-leaf":         "f0cc2bfd4413933e",
 	"18test5m/FastGRH/one-leaf":         "a3ef61994cd3a07a",
-	"18test5m/CUGR/cut":                 "e1d46fde82df1a04",
-	"18test5m/FastGRL/cut":              "e1d46fde82df1a04",
-	"18test5m/FastGRH/cut":              "8a6c60cd43925733",
+	"18test5m/CUGR/cut":                 "4074001a6e0932ec",
+	"18test5m/FastGRL/cut":              "4074001a6e0932ec",
+	"18test5m/FastGRH/cut":              "365e5fd6afd550a1",
 	"18test5m/CUGR/one-leaf+history":    "686c4898cd26e74c",
 	"18test5m/FastGRL/one-leaf+history": "c564296d45026b57",
 	"18test5m/FastGRH/one-leaf+history": "456759517844c787",
-	"18test5m/CUGR/cut+history":         "e1d46fde82df1a04",
-	"18test5m/FastGRL/cut+history":      "e1d46fde82df1a04",
-	"18test5m/FastGRH/cut+history":      "72c1b2dd97ede5e8",
+	"18test5m/CUGR/cut+history":         "4074001a6e0932ec",
+	"18test5m/FastGRL/cut+history":      "4074001a6e0932ec",
+	"18test5m/FastGRH/cut+history":      "365e5fd6afd550a1",
 	"crossall/CUGR/one-leaf":            "ac4ee4b978deaa9c",
 	"crossall/FastGRL/one-leaf":         "ac4ee4b978deaa9c",
 	"crossall/FastGRH/one-leaf":         "acf909d30c37ad75",
-	"crossall/CUGR/cut":                 "33639d2b2b8ec1c3",
-	"crossall/FastGRL/cut":              "33639d2b2b8ec1c3",
-	"crossall/FastGRH/cut":              "7cd1b06789ee61c4",
+	"crossall/CUGR/cut":                 "ac4ee4b978deaa9c",
+	"crossall/FastGRL/cut":              "ac4ee4b978deaa9c",
+	"crossall/FastGRH/cut":              "acf909d30c37ad75",
 	// These pin the cut plan across many history iterations.
-	"18test5m/CUGR/cut+history+rrr6":    "aa5eee0a0a526685",
-	"18test5m/FastGRL/cut+history+rrr6": "aa5eee0a0a526685",
-	"18test5m/FastGRH/cut+history+rrr6": "4dd704d6f00d35ea",
+	"18test5m/CUGR/cut+history+rrr6":    "4074001a6e0932ec",
+	"18test5m/FastGRL/cut+history+rrr6": "4074001a6e0932ec",
+	"18test5m/FastGRH/cut+history+rrr6": "785cf991a0cd88e7",
 }
 
 // reportPrints pin each class's Report. A change that moves work counts
 // or modeled times re-records them and says why: the congestion-aware
-// maze bound moved the expansion counts and modeled maze times.
+// maze bound moved the expansion counts and modeled maze times, and
+// routing boundary nets whole moved every cut entry.
 var reportPrints = map[string]string{
 	"18test5m/CUGR/one-leaf":            "2d1338f691809d71",
 	"18test5m/FastGRL/one-leaf":         "85a40dcc53ad0113",
 	"18test5m/FastGRH/one-leaf":         "1667ffbbfa4312e0",
-	"18test5m/CUGR/cut":                 "8bd6c36286fab4f8",
-	"18test5m/FastGRL/cut":              "8cee909fcb772756",
-	"18test5m/FastGRH/cut":              "a30f4176bbb5fcfa",
+	"18test5m/CUGR/cut":                 "897164aa317c90e8",
+	"18test5m/FastGRL/cut":              "af105ba35f12795a",
+	"18test5m/FastGRH/cut":              "97ea9bc4d49aac2b",
 	"18test5m/CUGR/one-leaf+history":    "2457a6bc6faac7a8",
 	"18test5m/FastGRL/one-leaf+history": "26033940f6009a5f",
 	"18test5m/FastGRH/one-leaf+history": "2d61919e44796d7d",
-	"18test5m/CUGR/cut+history":         "a9284c7667ea428b",
-	"18test5m/FastGRL/cut+history":      "7aa803e5fb50699c",
-	"18test5m/FastGRH/cut+history":      "3996788cbea47470",
+	"18test5m/CUGR/cut+history":         "c36ade4af11a2c4f",
+	"18test5m/FastGRL/cut+history":      "dbced049914a1b28",
+	"18test5m/FastGRH/cut+history":      "41a5335ac52f69d5",
 	"crossall/CUGR/one-leaf":            "87b18203b3c49505",
 	"crossall/FastGRL/one-leaf":         "8cac6f02fabe4e1f",
 	"crossall/FastGRH/one-leaf":         "1bf4f620c1a9dba0",
-	"crossall/CUGR/cut":                 "2f72716c3c9bcb14",
-	"crossall/FastGRL/cut":              "a655de7c7bdef6ad",
-	"crossall/FastGRH/cut":              "7ffbe0a1c0f22b02",
+	"crossall/CUGR/cut":                 "106d3a3f0b49cdc7",
+	"crossall/FastGRL/cut":              "c9c75ca628509fbf",
+	"crossall/FastGRH/cut":              "f4a087c58ab3f51b",
 	// These pin the cut plan across many history iterations.
-	"18test5m/CUGR/cut+history+rrr6":    "322333a32776db8c",
-	"18test5m/FastGRL/cut+history+rrr6": "acd58dd5a0d8ae2c",
-	"18test5m/FastGRH/cut+history+rrr6": "78ba07d21f44538e",
+	"18test5m/CUGR/cut+history+rrr6":    "48716495177eee06",
+	"18test5m/FastGRL/cut+history+rrr6": "69c6092e1f4f4466",
+	"18test5m/FastGRH/cut+history+rrr6": "8a679aa81488082e",
 }
 
 // detClass is one row of the determinism table: (design, variant, plan,
@@ -145,8 +150,8 @@ func TestExecWorkersDeterminism(t *testing.T) {
 }
 
 // TestShardDeterminism is the cut plan's rows: Shards {1,2,4} x
-// ExecWorkers {1,2,8}. The crafted all-boundary design forces every net
-// through split/stitch/reconcile.
+// ExecWorkers {1,2,8}. The crafted all-boundary design routes every net
+// as a boundary net.
 func TestShardDeterminism(t *testing.T) {
 	checkDeterminism(t, []detClass{
 		{design.MustGenerate("18test5m", 0.005), "cut", false, []int{1, 2, 4}, []int{1, 2, 8}, 0},
@@ -167,6 +172,34 @@ func TestExecWorkersDeterminismWithHistory(t *testing.T) {
 		{small, "cut", true, []int{2}, []int{1, 8}, 0},
 		{small, "cut", true, []int{2, 4}, []int{1, 2}, 6},
 	})
+}
+
+// TestCrossAllCutMatchesOneLeaf pins the cut plan's shape: when every net
+// crosses a cut, the leaves route nothing and the boundary nets route
+// whole in the one-leaf plan's order and batches, so the cut plan's
+// geometry print must equal the one-leaf plan's for every variant and
+// worker count.
+func TestCrossAllCutMatchesOneLeaf(t *testing.T) {
+	d := core.CrossDesign()
+	for _, v := range []core.Variant{core.CUGR, core.FastGRL, core.FastGRH} {
+		for _, w := range []int{1, 2, 8} {
+			var prints [2]string
+			for i, shards := range []int{0, 2} {
+				opt := core.DefaultOptions(v)
+				opt.T1, opt.T2 = 4, 40
+				opt.Shards = shards
+				opt.ExecWorkers = w
+				res, err := core.Route(d, opt)
+				if err != nil {
+					t.Fatalf("%v shards=%d workers=%d: %v", v, shards, w, err)
+				}
+				prints[i] = geometryPrint(t, res)
+			}
+			if prints[0] != prints[1] {
+				t.Errorf("%v workers=%d: cut-plan geometry print %s, one-leaf %s", v, w, prints[1], prints[0])
+			}
+		}
+	}
 }
 
 // TestShardZeroIsMonolithic pins the dispatch contract: Shards = 0 runs
@@ -216,6 +249,8 @@ func checkDeterminism(t *testing.T, classes []detClass) {
 						}
 						checkPlanAccounting(t, c.d, shards, res.Report)
 						gb := guideBytes(t, res)
+						// Last: the demand check rips every route up.
+						defer checkSound(t, res)
 						if base == nil {
 							base, baseGuides = res, gb
 							if c.d.Name != "crossall" && res.Report.NetsToRipup == 0 {
@@ -249,9 +284,21 @@ func checkDeterminism(t *testing.T, classes []detClass) {
 	}
 }
 
+// checkSound checks a run with checkers independent of the router: the
+// guides cover every route, and committed demand is the demand of the
+// routes. It rips every route of res up.
+func checkSound(t *testing.T, res *core.Result) {
+	t.Helper()
+	if err := guide.Covers(res, guide.FromResult(res)); err != nil {
+		t.Fatal(err)
+	}
+	core.CheckDemandMatchesRoutes(t, res)
+}
+
 // checkPlanAccounting pins what each plan reports about itself: the
 // one-leaf plan leaks no shard accounting, a cut plan echoes K, has real
-// leaves, and splits boundary nets (every net on the crafted design).
+// leaves and boundary nets (every net on the crafted design), and
+// reconciles nothing.
 func checkPlanAccounting(t *testing.T, d *design.Design, shards int, r core.Report) {
 	t.Helper()
 	if r.PeakHeapBytes == 0 {
@@ -271,7 +318,10 @@ func checkPlanAccounting(t *testing.T, d *design.Design, shards int, r core.Repo
 		t.Fatalf("%d of %d nets classified boundary, want all", r.BoundaryNets, len(d.Nets))
 	}
 	if r.BoundaryNets == 0 {
-		t.Fatal("no boundary nets; the cut plan exercises no stitching")
+		t.Fatal("no boundary nets; the cut plan exercises no boundary pass")
+	}
+	if r.ReconcileTime != 0 {
+		t.Fatalf("cut plan reports ReconcileTime %v; nothing is reconciled", r.ReconcileTime)
 	}
 }
 

@@ -22,7 +22,7 @@ type stageEvent struct {
 	// WallMs is the stage's wall-clock duration, on "done" events only.
 	WallMs float64 `json:"wall_ms,omitempty"`
 	// Score is the eq.-15 score after the stage committed, for the
-	// stages that change routed state (pattern, rrr, stitch).
+	// stages that change routed state (pattern, rrr).
 	Score float64 `json:"score,omitempty"`
 	// PeakHeapBytes is the run's heap high-water as of this boundary.
 	PeakHeapBytes uint64 `json:"peak_heap_bytes,omitempty"`

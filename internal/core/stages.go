@@ -3,17 +3,19 @@
 // one-leaf plan — the whole grid, no cuts, no boundary nets. K >= 1 is the
 // cut plan: the grid is bisected into leaf regions on pin density,
 // intra-leaf nets route fully inside their leaf against a leaf-windowed
-// cost cache, and nets straddling a cut are split into per-leaf fragments
-// routed against the frozen halo state, then stitched at a sequential
-// coordinator point. Boundary-net reroutes — reconciliation and each rip-up
-// iteration's boundary pass — run as task graphs whose conflict edges keep
-// their serial order (boundaryPass).
+// cost cache, and boundary nets — nets whose Steiner tree crosses a cut —
+// route whole after the leaves. Both stages have that shape: slots route
+// the leaves, and after the barrier the coordinator routes the boundary
+// nets over one full-grid view, the pattern stage batch by batch
+// (patternBoundary), each rip-up iteration as a task graph whose conflict
+// edges keep the serial order (boundaryPass). Overflow the pattern stage
+// leaves on a boundary net is the rip-up stage's to repair.
 //
 // Execution. A leaf is the unit an executor slot claims (see slots), and a
 // leaf's batches run on its slot as a chain in canonical order. Every slot
-// checkpoints before each pattern batch, draws its batch spans on its
-// first composite lane and lends its kernel router and rip-up task graph
-// the observer.
+// checkpoints before each pattern batch, draws its batch and leaf spans on
+// its first composite lane and lends its kernel router and rip-up task
+// graph the observer.
 //
 // Shard-count invariance. Every decision below derives from the cut tree
 // (a pure function of design and margin) or happens at a coordinator
@@ -21,18 +23,18 @@
 // shard count K only selects the cut plan; which slot claims a leaf, and
 // beside which other leaves it runs, is left to the executor. Leaves touch
 // provably disjoint grid edges (an intra-leaf route never commits an edge
-// leaving its leaf, and crossing edges are committed only at the stitch
-// point), so the demand trajectory each leaf observes is independent of
-// which other leaves run beside it. Routed output is therefore
-// bit-identical for every K >= 1 and every ExecWorkers count.
+// leaving its leaf, and boundary nets route only after the leaf barrier),
+// so the demand trajectory each leaf observes is independent of which
+// other leaves run beside it. Routed output is therefore bit-identical for
+// every K >= 1 and every ExecWorkers count.
 //
 // Memory. The parent graph's cost cache is never warmed. Every view keeps
 // the same cache — values, prefix runs and dirty flags — over its own
 // window. The one-leaf plan's full-grid view lives for the whole run; under
-// a cut plan a slot warms one leaf-sized view at a time, each boundary pass
-// one full-grid view that lives only for the pass, and the stitch reads the
-// direct formula. A maze scratch drops its view when RouteNet returns, so
-// scratches kept across iterations pin no view. Peak heap (Report.PeakHeapBytes, sampled between passes)
+// a cut plan a slot warms one leaf-sized view at a time, and each boundary
+// pass one full-grid view that lives only for the pass. A maze scratch
+// drops its view when RouteNet returns, so scratches kept across iterations
+// pin no view. Peak heap (Report.PeakHeapBytes, sampled between passes)
 // shrinks with the leaf size.
 package core
 
@@ -62,9 +64,9 @@ import (
 // planLeaves builds the leaf plan. The one-leaf plan classifies nothing:
 // every net is intra-leaf. A cut plan classifies every net: a net whose
 // Steiner tree fits inside one leaf is intra (routed wholly by that leaf);
-// anything else is split into per-leaf fragments plus the crossing edges
-// the stitcher will realize. Classification runs at a coordinator point
-// and depends only on (design, margin) — never on the shard count.
+// anything else is a boundary net, routed whole after the leaves.
+// Classification runs at a coordinator point and depends only on (design,
+// margin) — never on the shard count.
 func (r *runner) planLeaves() {
 	if r.opt.Shards == 0 {
 		r.shplan = shard.Whole(r.d.GridW, r.d.GridH)
@@ -76,11 +78,8 @@ func (r *runner) planLeaves() {
 	r.rep.Shards = r.opt.Shards
 	r.rep.ShardLeaves = r.shplan.NumLeaves()
 	r.intraLeaf = make([]int, len(r.trees))
-	r.splits = make([]*shard.Split, len(r.trees))
 	for _, n := range r.d.Nets {
-		t := r.trees[n.ID]
-		if r.intraLeaf[n.ID] = r.shplan.LeafOf(t.BBox()); r.intraLeaf[n.ID] < 0 {
-			r.splits[n.ID] = shard.SplitTree(r.shplan, t)
+		if r.intraLeaf[n.ID] = r.shplan.LeafOf(r.trees[n.ID].BBox()); r.intraLeaf[n.ID] < 0 {
 			r.rep.BoundaryNets++
 		}
 	}
@@ -105,47 +104,31 @@ func (r *runner) slots() (outer, inner int) {
 	return outer, max(r.pool.Workers()/outer, 1)
 }
 
-// byLeaf splits tasks into per-leaf lists, each in input order. The
+// byLeaf splits tasks, each carrying its *design.Net, into one list per
+// leaf of its intra-leaf nets, with each task's box clamped to the leaf,
+// and the list of boundary nets; every list keeps input order. The
 // one-leaf plan's list is tasks itself.
-func (r *runner) byLeaf(tasks []sched.Task) [][]sched.Task {
-	out := make([][]sched.Task, r.shplan.NumLeaves())
-	if len(out) == 1 {
-		out[0] = tasks
-		return out
+func (r *runner) byLeaf(tasks []sched.Task) (leaves [][]sched.Task, boundary []sched.Task) {
+	leaves = make([][]sched.Task, r.shplan.NumLeaves())
+	if len(leaves) == 1 {
+		leaves[0] = tasks
+		return leaves, nil
 	}
 	for _, t := range tasks {
-		leaf := r.taskLeaf(t)
-		out[leaf] = append(out[leaf], t)
+		leaf := r.leafOf(t.Payload.(*design.Net).ID)
+		if leaf < 0 {
+			boundary = append(boundary, t)
+			continue
+		}
+		t.BBox = t.BBox.Intersect(r.shplan.Leaf(leaf))
+		leaves[leaf] = append(leaves[leaf], t)
 	}
-	return out
+	return leaves, boundary
 }
 
-// patItem is the payload of a boundary-net fragment's pattern task. An
-// intra net's task carries the bare *design.Net instead, so the one-leaf
-// plan allocates no item per net.
-type patItem struct {
-	*shard.Fragment
-	net  *design.Net
-	frag int // index into splits[net.ID].Fragments
-}
-
-// taskLeaf is the leaf a pattern or rip-up task routes in.
-func (r *runner) taskLeaf(t sched.Task) int {
-	if it, ok := t.Payload.(*patItem); ok {
-		return it.Leaf
-	}
-	return r.leafOf(t.Payload.(*design.Net).ID)
-}
-
-// patTask unpacks a pattern task: its net, the trees to route — an intra
-// net's own tree as a one-element window of r.trees — and the fragment
-// index, -1 for an intra net.
-func (r *runner) patTask(t sched.Task) (*design.Net, []*stt.Tree, int) {
-	if it, ok := t.Payload.(*patItem); ok {
-		return it.net, it.Trees, it.frag
-	}
-	n := t.Payload.(*design.Net)
-	return n, r.trees[n.ID : n.ID+1], -1
+// fullView is a fresh view over the whole grid.
+func (r *runner) fullView() *grid.Graph {
+	return r.g.WindowView(geom.Rect{Hi: geom.Point{X: r.g.W - 1, Y: r.g.H - 1}})
 }
 
 // leafAcct accumulates one leaf's pattern-stage accounting; the slices of
@@ -157,14 +140,6 @@ type leafAcct struct {
 	totalEdges  int
 	hybridEdges int
 	fallbacks   int
-}
-
-func itemBBox(trees []*stt.Tree) geom.Rect {
-	bb := trees[0].BBox()
-	for _, t := range trees[1:] {
-		bb = bb.Union(t.BBox())
-	}
-	return bb
 }
 
 // mazeWindow is a net's rip-up search window: its bounding box inflated
@@ -214,50 +189,28 @@ func (r *runner) mazeTime(settled int64) time.Duration {
 	return time.Duration(float64(settled) * r.opt.MazeNsPerExpansion)
 }
 
-func uncommitAll(g *grid.Graph, routes []*route.NetRoute) {
-	for _, rt := range routes {
-		if rt != nil && rt.Committed() {
-			rt.Uncommit(g)
-		}
-	}
-}
-
 // patternStage routes every net with the variant's pattern kernel: each
-// leaf routes its intra nets and boundary-net fragments batch by batch
-// behind its view, then a cut plan's fragments are stitched and
-// reconciled. full is the one-leaf plan's view, nil under a cut plan.
+// leaf routes its intra nets batch by batch behind its view, then a cut
+// plan's boundary nets route whole (patternBoundary). full is the
+// one-leaf plan's view, nil under a cut plan.
 func (r *runner) patternStage(full *grid.Graph) error {
 	outer, inner := r.slots()
-	cut := r.shplan.NumLeaves() > 1
 	start := obs.StartStopwatch()
 	tr := r.opt.Obs.T()
 	sp := tr.StartSpan("pattern", obs.Coordinator)
 	defer sp.End()
 	r.stageStart("pattern")
 
-	// One task per intra net and one per (boundary net, leaf) fragment, in
-	// the global scheme order: a leaf's list is that order filtered to its
-	// members, a pure function of the cut tree.
+	// One task per net, in the global scheme order: a leaf's list is that
+	// order filtered to its intra nets, a pure function of the cut tree,
+	// and the boundary list is the rest.
 	ordered := append([]*design.Net(nil), r.d.Nets...)
 	sched.SortNets(ordered, r.opt.Scheme)
-	tasks := make([]sched.Task, 0, len(ordered))
-	var fragRoutes [][]*route.NetRoute
-	if cut {
-		fragRoutes = make([][]*route.NetRoute, len(r.routes))
+	tasks := make([]sched.Task, len(ordered))
+	for i, n := range ordered {
+		tasks[i] = sched.Task{BBox: r.trees[n.ID].BBox(), Payload: n}
 	}
-	for _, n := range ordered {
-		if r.leafOf(n.ID) >= 0 {
-			tasks = append(tasks, sched.Task{BBox: r.trees[n.ID].BBox(), Payload: n})
-			continue
-		}
-		s := r.splits[n.ID]
-		fragRoutes[n.ID] = make([]*route.NetRoute, len(s.Fragments))
-		for fi := range s.Fragments {
-			f := &s.Fragments[fi]
-			tasks = append(tasks, sched.Task{BBox: itemBBox(f.Trees), Payload: &patItem{Fragment: f, net: n, frag: fi}})
-		}
-	}
-	leafTasks := r.byLeaf(tasks)
+	leafTasks, boundary := r.byLeaf(tasks)
 	leafBatches := make([][][]sched.Task, len(leafTasks))
 	// firstBatch[leaf] is the ordinal of the leaf's first batch in leaf
 	// order, which names its batch spans.
@@ -270,7 +223,8 @@ func (r *runner) patternStage(full *grid.Graph) error {
 	}
 
 	cfg := r.patternConfig()
-	accts := make([]leafAcct, len(leafTasks))
+	// One accounting slot per leaf, and the last for the boundary nets.
+	accts := make([]leafAcct, len(leafTasks)+1)
 	stops := make([]error, len(leafTasks))
 	var cancelled atomic.Bool                // set at the first cancelled checkpoint
 	solvers := make([]pattern.Solver, outer) // the CUGR path's scratch per slot
@@ -290,16 +244,7 @@ func (r *runner) patternStage(full *grid.Graph) error {
 		// One router per leaf: the batch-ordinal base keyed by the leaf
 		// keeps kernel fault-injection units disjoint across leaves and
 		// invariant in the slot that claims it.
-		var router *patterngpu.Router
-		if r.opt.Variant != CUGR {
-			router = patterngpu.New(r.opt.Device, cfg)
-			router.Workers = inner
-			router.Obs = r.opt.Obs
-			router.Fault = r.fc
-			router.CPU = r.opt.CPU
-			router.SetBatchBase(leaf << 20)
-			router.SetLane(lane)
-		}
+		router := r.newRouter(cfg, inner, leaf<<20, lane)
 		for i, batch := range leafBatches[leaf] {
 			if stops[leaf] = r.checkpoint("pattern", -1); stops[leaf] != nil {
 				cancelled.Store(true)
@@ -309,11 +254,15 @@ func (r *runner) patternStage(full *grid.Graph) error {
 			if tr.On() {
 				bsp = tr.StartSpan(fmt.Sprintf("pattern.batch[%d]", firstBatch[leaf]+i), lane)
 			}
-			r.patternBatch(view, router, &solvers[s], cfg, &accts[leaf], batch, fragRoutes)
+			r.patternBatch(view, router, &solvers[s], cfg, &accts[leaf], batch)
 			bsp.End()
 			r.stageBeat("pattern")
 		}
 	})
+	stopped := cmp.Or(stops...) // the first cancelled leaf's checkpoint
+	if stopped == nil && len(boundary) > 0 {
+		stopped = r.patternBoundary(boundary, cfg, &accts[len(leafTasks)])
+	}
 
 	var kernelTime time.Duration
 	for _, a := range accts {
@@ -328,35 +277,13 @@ func (r *runner) patternStage(full *grid.Graph) error {
 	if r.opt.Variant == CUGR {
 		r.rep.Times.Pattern = r.rep.PatternSeqTime
 	}
-	stopped := cmp.Or(stops...) // the first cancelled leaf's checkpoint
-	// The stitch is the stage's last coordinator pass; checking before it
-	// means a cancelled run stops before rewriting any boundary net.
-	if stopped == nil && cut {
-		stopped = r.checkpoint("stitch", -1)
-	}
 	if stopped != nil {
-		// A cancelled run keeps whole routes only, so committed demand
-		// stays the demand of Result.Routes.
-		for _, frs := range fragRoutes {
-			uncommitAll(r.g, frs)
-		}
 		return stopped
 	}
 	// Kernel routers count their own batches; the CUGR path has none.
 	if m := r.opt.Obs.M(); m != nil && r.opt.Variant == CUGR {
 		m.Counter(obs.MPatternHybrid).Add(int64(r.rep.HybridEdges))
 		m.Counter(obs.MPatternLShape).Add(int64(r.rep.TotalEdges - r.rep.HybridEdges))
-	}
-	if cut {
-		if err := r.stitchAndReconcile(fragRoutes); err != nil {
-			return err
-		}
-		// The fragment decompositions duplicate every boundary net's
-		// Steiner geometry; once stitched routes are committed nothing
-		// reads them again (RRR classifies via intraLeaf and reroutes whole
-		// nets), so release them rather than carry them to the stage's
-		// high-water mark.
-		r.splits = nil
 	}
 	r.rep.PatternQuality = r.snapshotQuality()
 	r.rep.PatternScore = r.rep.PatternQuality.Score()
@@ -365,18 +292,68 @@ func (r *runner) patternStage(full *grid.Graph) error {
 	return nil
 }
 
-// patternBatch routes one conflict-free batch and commits it in batch
-// order through view. The GPU variants solve it as one kernel (Fig. 7)
-// first; CUGR (router == nil) solves on solver and commits net by net. A
-// fragment's results merge into one route for its fragRoutes slot.
-func (r *runner) patternBatch(view *grid.Graph, router *patterngpu.Router, solver *pattern.Solver, cfg pattern.Config, a *leafAcct, batch []sched.Task, fragRoutes [][]*route.NetRoute) {
+// newRouter builds the variant's kernel router for one executor: workers
+// solve a batch's nets, base offsets its batch ordinals (the kernel's
+// fault-injection units) and lane is the executor's first lane. CUGR has
+// no kernel and gets nil.
+func (r *runner) newRouter(cfg pattern.Config, workers, base, lane int) *patterngpu.Router {
+	if r.opt.Variant == CUGR {
+		return nil
+	}
+	router := patterngpu.New(r.opt.Device, cfg)
+	router.Workers = workers
+	router.Obs = r.opt.Obs
+	router.Fault = r.fc
+	router.CPU = r.opt.CPU
+	router.SetBatchBase(base)
+	router.SetLane(lane)
+	return router
+}
+
+// patternBoundary routes a cut plan's boundary nets after the leaf
+// barrier, whole and in scheme order: sched.ExtractBatches over their tree
+// bounding boxes, each batch through patternBatch on one full-grid view
+// built here and dropped with the pass. The kernel router fans out over the
+// whole executor pool, and its batch base NumLeaves<<20 is disjoint from
+// every leaf's. Every batch is preceded by a checkpoint, and its
+// pattern.batch ordinal continues after the leaves'; the first cancelled
+// checkpoint is returned.
+func (r *runner) patternBoundary(tasks []sched.Task, cfg pattern.Config, a *leafAcct) error {
+	tr := r.opt.Obs.T()
+	sp := tr.StartSpan("pattern.boundary", obs.Coordinator)
+	defer sp.End()
+	batches := sched.ExtractBatches(tasks)
+	sched.ObserveBatches(r.opt.Obs.M(), batches)
+	first := r.rep.PatternBatches
+	r.rep.PatternBatches += len(batches)
+	view := r.fullView()
+	router := r.newRouter(cfg, r.pool.Workers(), r.shplan.NumLeaves()<<20, 0)
+	var solver pattern.Solver
+	for i, batch := range batches {
+		if err := r.checkpoint("pattern", -1); err != nil {
+			return err
+		}
+		var bsp obs.Span
+		if tr.On() {
+			bsp = tr.StartSpan(fmt.Sprintf("pattern.batch[%d]", first+i), 0)
+		}
+		r.patternBatch(view, router, &solver, cfg, a, batch)
+		bsp.End()
+		r.stageBeat("pattern")
+	}
+	return nil
+}
+
+// patternBatch routes one conflict-free batch, one tree per task, and
+// commits it in batch order through view. The GPU variants solve it as one
+// kernel (Fig. 7) first; CUGR (router == nil) solves on solver and commits
+// net by net.
+func (r *runner) patternBatch(view *grid.Graph, router *patterngpu.Router, solver *pattern.Solver, cfg pattern.Config, a *leafAcct, batch []sched.Task) {
 	var kernel []pattern.Result
-	var merge route.Builder
 	if router != nil {
-		trees := make([]*stt.Tree, 0, len(batch))
-		for _, task := range batch {
-			_, ts, _ := r.patTask(task)
-			trees = append(trees, ts...)
+		trees := make([]*stt.Tree, len(batch))
+		for i, task := range batch {
+			trees[i] = r.trees[task.Payload.(*design.Net).ID]
 		}
 		br := router.RouteBatch(view, trees)
 		kernel = br.Results
@@ -390,38 +367,19 @@ func (r *runner) patternBatch(view *grid.Graph, router *patterngpu.Router, solve
 		// through, so only the prefix runs lag.
 		view.WarmCostCache()
 	}
-	for _, task := range batch {
-		n, trees, frag := r.patTask(task)
-		var results []pattern.Result
+	for i, task := range batch {
+		n := task.Payload.(*design.Net)
+		var res pattern.Result
 		if router != nil {
-			results, kernel = kernel[:len(trees)], kernel[len(trees):]
+			res = kernel[i]
 		} else {
-			var one [1]pattern.Result
-			results = one[:0]
-			for _, t := range trees {
-				res := solver.SolveCPU(view, t, cfg)
-				a.seqOps += res.Ops.Total()
-				results = append(results, res)
-			}
+			res = solver.SolveCPU(view, r.trees[n.ID], cfg)
+			a.seqOps += res.Ops.Total()
 		}
-		for _, res := range results {
-			a.totalEdges += res.Edges
-			a.hybridEdges += res.HybridEdges
-		}
-		nr := results[0].Route
-		if len(results) > 1 {
-			merge.Reset(view, n.ID)
-			for _, res := range results {
-				merge.AddRoute(res.Route)
-			}
-			nr = merge.Build()
-		}
-		nr.Commit(view)
-		if frag < 0 {
-			r.routes[n.ID] = nr
-		} else {
-			fragRoutes[n.ID][frag] = nr
-		}
+		a.totalEdges += res.Edges
+		a.hybridEdges += res.HybridEdges
+		res.Route.Commit(view)
+		r.routes[n.ID] = res.Route
 	}
 }
 
@@ -429,11 +387,10 @@ func (r *runner) patternBatch(view *grid.Graph, router *patterngpu.Router, solve
 // and the end of every boundary pass.
 var boundaryPassProbe func(r *runner)
 
-// boundaryPass runs one pass over boundary nets — reconciliation, or a
-// rip-up iteration's boundary reroutes — as a task graph on the executor
-// pool. The tasks are listed in the pass's serial order, and task.BBox is
-// the net's maze window: a boundary net's route lies inside that window
-// (TestBoundaryRoutesStayInWindow), so a task's overflow check, rip-up,
+// boundaryPass reroutes a rip-up iteration's boundary nets as a task graph
+// on the executor pool. The tasks are listed in the pass's serial order,
+// and task.BBox is the net's maze window: a boundary net's route lies
+// inside that window (TestBoundaryRoutesStayInWindow), so a task's rip-up,
 // search and commit touch only edges inside it. sched.OrderGraph points
 // every conflict edge from the earlier task to the later one, which makes
 // any schedule of the graph commit exactly what the serial loop did. The
@@ -450,7 +407,9 @@ func (r *runner) boundaryPass(tasks []sched.Task, body func(view *grid.Graph, sr
 	if len(tasks) == 0 {
 		return nil
 	}
-	view := r.g.WindowView(geom.Rect{Hi: geom.Point{X: r.g.W - 1, Y: r.g.H - 1}})
+	sp := r.opt.Obs.T().StartSpan("rrr.boundary", obs.Coordinator)
+	defer sp.End()
+	view := r.fullView()
 	view.WarmCostCache()
 	workers := r.pool.Workers()
 	// The scratches grow to the largest boundary windows, so they live for
@@ -459,78 +418,10 @@ func (r *runner) boundaryPass(tasks []sched.Task, body func(view *grid.Graph, sr
 	for i := range searches {
 		searches[i] = r.newSearch()
 	}
-	rep := taskflow.RunWorkersFault(sched.OrderGraph(tasks, r.g.W, r.g.H), workers, r.opt.Obs, nil, func(worker, k int) error {
+	rep := taskflow.RunWorkersFault(sched.OrderGraph(tasks, r.g.W, r.g.H), workers, r.opt.Obs, func(worker, k int) error {
 		return body(view, searches[worker], worker, tasks[k])
 	})
 	return rep.CancelErr
-}
-
-// stitchAndReconcile runs the two passes over boundary nets in canonical
-// net order: stitching, at the coordinator, realizes each net's crossing
-// edges against the now-complete post-pattern demand (the frozen halo
-// snapshot every shard routed against), and reconciliation, a boundary
-// pass, reroutes whole any stitched net still crossing an over-capacity
-// edge.
-func (r *runner) stitchAndReconcile(fragRoutes [][]*route.NetRoute) error {
-	tr := r.opt.Obs.T()
-	sp := tr.StartSpan("shard.stitch", obs.Coordinator)
-	for _, n := range r.d.Nets {
-		s := r.splits[n.ID]
-		if s == nil {
-			continue
-		}
-		frs := fragRoutes[n.ID]
-		// The merged route re-commits every fragment edge, so the
-		// fragments must come off the grid first or demand would double.
-		uncommitAll(r.g, frs)
-		crossings := make([]route.Crossing, len(s.Crossings))
-		for i, c := range s.Crossings {
-			crossings[i] = route.Crossing{A: c.A, B: c.B}
-		}
-		nr := route.StitchFragments(r.g, n.ID, route.PinTerminals(r.trees[n.ID]), frs, crossings)
-		nr.Commit(r.g)
-		r.routes[n.ID] = nr
-	}
-	sp.End()
-
-	rsp := tr.StartSpan("shard.reconcile", obs.Coordinator)
-	defer rsp.End()
-	var tasks []sched.Task
-	for _, n := range r.d.Nets {
-		if r.splits[n.ID] != nil {
-			tasks = append(tasks, sched.Task{ID: len(tasks), BBox: r.mazeWindow(n), Payload: n})
-		}
-	}
-	type outcome struct {
-		settled           int64
-		rerouted, tripped bool
-	}
-	outs := make([]outcome, len(tasks))
-	err := r.boundaryPass(tasks, func(view *grid.Graph, sr *maze.Search, _ int, task sched.Task) error {
-		n := task.Payload.(*design.Net)
-		if old := r.routes[n.ID]; old == nil || !old.HasOverflow(view) {
-			return nil
-		}
-		st, tripped, err := r.rerouteNet(view, sr, n, task.BBox)
-		outs[task.ID] = outcome{settled: st.Expansions + st.BoundCells, rerouted: err == nil && !tripped, tripped: tripped}
-		return err
-	})
-	if err != nil {
-		return fmt.Errorf("core: shard reconciliation: %w", err)
-	}
-	var recSettled int64
-	for _, o := range outs {
-		recSettled += o.settled
-		if o.tripped {
-			r.rep.Fault.BudgetFallbacks++
-		}
-		if o.rerouted {
-			r.rep.BoundaryReroutes++
-		}
-	}
-	r.rep.ReconcileTime = r.mazeTime(recSettled)
-	r.rep.Times.Maze += r.rep.ReconcileTime
-	return nil
 }
 
 // rrrStage runs the rip-up-and-reroute iterations with the variant's
@@ -594,18 +485,13 @@ func (r *runner) rrrStage(full *grid.Graph) error {
 		// scheduling models conflict on the bare bounding boxes of every
 		// violating net, as the paper's task graph does. A task's ID is
 		// its index in violating.
-		tasks := make([]sched.Task, 0, len(violating))
+		tasks := make([]sched.Task, len(violating))
 		modelTasks := make([]sched.Task, len(violating))
-		var boundary []sched.Task
 		for ti, n := range violating {
+			tasks[ti] = sched.Task{ID: ti, BBox: r.mazeWindow(n), Payload: n}
 			modelTasks[ti] = sched.Task{ID: ti, BBox: n.BBox(), Payload: n}
-			if leaf := r.leafOf(n.ID); leaf >= 0 {
-				tasks = append(tasks, sched.Task{ID: ti, BBox: r.mazeWindow(n).Intersect(r.shplan.Leaf(leaf)), Payload: n})
-			} else {
-				boundary = append(boundary, sched.Task{ID: ti, BBox: r.mazeWindow(n), Payload: n})
-			}
 		}
-		leafTasks := r.byLeaf(tasks)
+		leafTasks, boundary := r.byLeaf(tasks)
 		modelGraph := sched.BuildGraph(modelTasks, r.g.W, r.g.H)
 
 		durations := make([]time.Duration, len(violating))
@@ -641,6 +527,11 @@ func (r *runner) rrrStage(full *grid.Graph) error {
 		// mutate disjoint windows (and only re-sums lagging prefix runs).
 		runLeaf := func(s, leaf int) (failed, skipped int, err error) {
 			lt := leafTasks[leaf]
+			var lsp obs.Span
+			if tr.On() {
+				lsp = tr.StartSpan(fmt.Sprintf("rrr.leaf[%d]", leaf), s*inner)
+			}
+			defer lsp.End()
 			view := full
 			if view == nil {
 				view = r.g.WindowView(r.shplan.Leaf(leaf))
@@ -673,9 +564,14 @@ func (r *runner) rrrStage(full *grid.Graph) error {
 				}
 				return failed, skipped, nil
 			}
+			// Containment keys a task by its index in the leaf's list and
+			// marks its faults on the worker's composite lane; a task that
+			// exhausts it poisons its dependents.
 			lg := sched.BuildGraph(lt, r.g.W, r.g.H)
-			frep := taskflow.RunWorkersFault(lg, inner, r.opt.Obs, r.fc, func(worker, li int) error {
-				return work(worker, lt[li])
+			frep := taskflow.RunWorkersFault(lg, inner, r.opt.Obs, func(worker, li int) error {
+				return r.fc.Run(fault.SiteTask, li, s*inner+worker, func() error {
+					return work(worker, lt[li])
+				})
 			})
 			if frep.CancelErr != nil {
 				return failed, skipped, frep.CancelErr
@@ -683,7 +579,7 @@ func (r *runner) rrrStage(full *grid.Graph) error {
 			return len(frep.Failed), len(frep.Skipped), nil
 		}
 
-		// Phase B: intra-leaf nets, each leaf claimed by one slot.
+		// Intra-leaf nets first, each leaf claimed by one slot.
 		type leafOut struct {
 			failed, skipped int
 			err             error
@@ -703,7 +599,7 @@ func (r *runner) rrrStage(full *grid.Graph) error {
 			iterSkipped += o.skipped
 		}
 
-		// Phase A (cut plan): boundary nets in sorted order over full maze
+		// Then a cut plan's boundary nets, in sorted order over full maze
 		// windows, as a boundary pass. Each task runs under containment
 		// keyed by its net's sorted index; a task that exhausts it keeps
 		// its net's old route and holds back no later task.
@@ -722,9 +618,11 @@ func (r *runner) rrrStage(full *grid.Graph) error {
 		if err != nil {
 			return fmt.Errorf("core: rip-up iteration %d: %w", iter, err)
 		}
-		for _, f := range failed {
-			if f {
+		for _, t := range boundary {
+			if failed[t.ID] {
 				iterFailed++
+			} else if !budgetTrips[t.ID] {
+				r.rep.BoundaryReroutes++
 			}
 		}
 

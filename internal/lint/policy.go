@@ -127,7 +127,7 @@ func DefaultPolicy() Policy {
 //     taskflow task bodies. Workers may warm only WindowView-derived
 //     caches; Graph.WarmCostCache on a parent cache, journal emission
 //     and writes to the coordinator-owned report fields stay on the
-//     coordinator (DESIGN.md "Sharded routing and halo reconciliation").
+//     coordinator (DESIGN.md "Sharded routing and boundary nets").
 //   - promdrift: metric names registered through obs.Registry must map
 //     through the promTable in internal/obs/names.go, and every table
 //     entry must have a live registration site.

@@ -42,9 +42,9 @@ type Pool struct {
 
 	// lane offsets the tracer lane of this pool's chunk spans. A nested
 	// sub-pool (the rip-up stage runs one per executor slot) sets it to
-	// the slot's first composite lane so its workers' spans land on lanes
-	// disjoint from every sibling slot's. It shifts only where spans are
-	// drawn; fn still receives the raw worker id.
+	// the slot's first composite lane so its workers' spans and fault
+	// markers land on lanes disjoint from every sibling slot's. It shifts
+	// only where spans are drawn; fn still receives the raw worker id.
 	lane int
 }
 
@@ -59,8 +59,9 @@ func NewPool(workers int) *Pool {
 // Workers reports the pool's worker bound.
 func (p *Pool) Workers() int { return p.workers }
 
-// SetLane sets the tracer-lane base for this pool's chunk spans (see the
-// lane field). Call before sharing the pool across goroutines.
+// SetLane sets the tracer-lane base for this pool's chunk spans and
+// ForUnits fault markers (see the lane field). Call before sharing the
+// pool across goroutines.
 func (p *Pool) SetLane(base int) { p.lane = base }
 
 // SetObserver attaches (or, with nil, detaches) the flight recorder:
@@ -169,7 +170,7 @@ func (p *Pool) ForUnits(site string, n int, fn func(worker, i int) error) []*fau
 	p.For(n, func(worker, i int) {
 		var err error
 		if p.fc.Enabled() {
-			err = p.fc.Run(site, i, worker, func() error { return fn(worker, i) })
+			err = p.fc.Run(site, i, p.lane+worker, func() error { return fn(worker, i) })
 		} else {
 			err = fn(worker, i)
 		}

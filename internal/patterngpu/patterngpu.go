@@ -53,7 +53,8 @@ type Router struct {
 	// site's injection unit, a worker-count-invariant identity.
 	batches int
 	// lane is the tracer lane and fault worker id of the batch span and
-	// kernel unit: obs.Coordinator unless SetLane moves it.
+	// kernel unit, and the first lane of its solve units: obs.Coordinator
+	// unless SetLane moves it.
 	lane int
 	// workers is each host worker's scratch, indexed by the par worker id
 	// and reused across batches.
@@ -89,7 +90,8 @@ func New(spec gpu.Spec, cfg pattern.Config) *Router {
 }
 
 // SetLane moves the batch span and the kernel fault unit onto an executor
-// lane: a router serving one executor slot draws on that slot's lane.
+// lane, and the solve units onto the lanes from it on: a router serving
+// one executor slot draws on that slot's lanes.
 func (r *Router) SetLane(lane int) { r.lane = lane }
 
 // SetBatchBase offsets the batch-ordinal counter. Sharded routing runs one
@@ -184,6 +186,9 @@ func (r *Router) routeBatch(g *grid.Graph, trees []*stt.Tree) (BatchResult, erro
 	ws := r.scratch()
 	p := par.NewPool(r.Workers)
 	p.SetFault(r.Fault)
+	// Solve faults mark the lanes of the executor serving this router; a
+	// router left on the coordinator lane marks its raw worker ids.
+	p.SetLane(max(r.lane, 0))
 	errs := p.ForUnits(fault.SiteSolve, len(trees), func(worker, i int) error {
 		br.Results[i], blocks[i], moved[i] = ws[worker].solve(g, trees[i], r.Cfg)
 		return nil

@@ -3,12 +3,15 @@
 // path past a single monolithic cost field. A Plan is a recursive-bisection
 // cut tree over pin density whose leaves are the atomic routing regions and
 // the unit of parallel work: an executor slot claims one leaf at a time.
+// LeafOf classifies a net: intra-leaf when its tree fits in one leaf, a
+// boundary net otherwise. The router routes boundary nets whole, after the
+// leaves; it does not cut them.
 //
 // Determinism contract. The cut tree is a pure function of the design and
 // the maze margin — never of the shard count, the worker count, or any
-// runtime state. Every per-leaf decision (net classification, fragment
-// splitting, intra-leaf work order) derives from the leaves alone, which is
-// what makes routed output invariant across shard and worker counts.
+// runtime state. Every per-leaf decision (net classification, intra-leaf
+// work order) derives from the leaves alone, which is what makes routed
+// output invariant across shard and worker counts.
 package shard
 
 import (
@@ -130,8 +133,8 @@ func BuildPlan(d *design.Design, margin int) *Plan {
 }
 
 // Whole returns the plan with no cuts: one leaf covering the whole w×h
-// grid. Every net is intra-leaf under it, so nothing is split, stitched
-// or reconciled; it needs no design, and builds no pin table.
+// grid. Every net is intra-leaf under it, so there are no boundary nets;
+// it needs no design, and builds no pin table.
 func Whole(w, h int) *Plan {
 	root := node{rect: geom.Rect{Hi: geom.Point{X: w - 1, Y: h - 1}}, left: -1, right: -1}
 	return &Plan{W: w, H: h, nodes: []node{root}, leaves: []int{0}}
@@ -171,6 +174,16 @@ func (p *Plan) NumLeaves() int { return len(p.leaves) }
 
 // Leaf returns the rectangle of leaf ordinal i.
 func (p *Plan) Leaf(i int) geom.Rect { return p.nodes[p.leaves[i]].rect }
+
+// LeafOf returns the ordinal of the leaf fully containing r, or -1 when r
+// straddles a cut — the intra/boundary classifier.
+func (p *Plan) LeafOf(r geom.Rect) int {
+	leaf := p.LeafContaining(r.Lo)
+	if p.Leaf(leaf).ContainsRect(r) {
+		return leaf
+	}
+	return -1
+}
 
 // LeafContaining returns the ordinal of the leaf holding pt. The cut tree
 // tiles the grid, so every in-bounds point lies in exactly one leaf.

@@ -27,16 +27,6 @@ type Split struct {
 	Crossings []Crossing // discovery order, deduplicated
 }
 
-// LeafOf returns the ordinal of the leaf fully containing r, or -1 when r
-// straddles a cut — the intra/boundary classifier.
-func (p *Plan) LeafOf(r geom.Rect) int {
-	leaf := p.LeafContaining(r.Lo)
-	if p.Leaf(leaf).ContainsRect(r) {
-		return leaf
-	}
-	return -1
-}
-
 // leafBuilder accumulates one leaf's chain endpoints and chain edges in
 // insertion order (maps only deduplicate; iteration never ranges over them).
 type leafBuilder struct {
@@ -75,6 +65,9 @@ func (b *leafBuilder) edge(a, c int) {
 // endpoints inside a cut carry no pins (pseudo terminals). The result is a
 // pure function of (plan, tree): it never depends on shard count, worker
 // count, or grid state.
+//
+// The router no longer calls SplitTree: boundary nets route whole, after
+// the leaves. It stays for cmd/e2ebench, which still times it.
 func SplitTree(p *Plan, t *stt.Tree) *Split {
 	s := &Split{NetID: t.NetID}
 

@@ -40,7 +40,7 @@ func TestFaultReportSkipsDependentsOfFailedTask(t *testing.T) {
 	g := faultChainGraph(5, 3) // chain 0..4, isolated 5..7
 	var mu sync.Mutex
 	ran := map[int]bool{}
-	rep := RunWorkersFault(g, 4, nil, nil, func(_, task int) error {
+	rep := RunWorkersFault(g, 4, nil, func(_, task int) error {
 		mu.Lock()
 		ran[task] = true
 		mu.Unlock()
@@ -77,7 +77,7 @@ func TestFaultReportDeterministicAcrossWorkerCounts(t *testing.T) {
 		})
 	}
 	run := func(workers int) FaultReport {
-		return RunWorkersFault(build(), workers, nil, nil, func(_, task int) error {
+		return RunWorkersFault(build(), workers, nil, func(_, task int) error {
 			if task == 1 || task == 6 {
 				return &fault.WorkError{Site: fault.SiteTask, Unit: task, Attempts: 1, Cause: errors.New("boom")}
 			}
@@ -109,7 +109,7 @@ func TestFaultRunWithContainmentRetriesPanics(t *testing.T) {
 	c := fault.New(fault.Options{Seed: 2}, &obs.Observer{Metrics: reg})
 	var mu sync.Mutex
 	attempts := map[int]int{}
-	rep := RunWorkersFault(g, 2, nil, c, func(_, task int) error {
+	body := func(task int) error {
 		mu.Lock()
 		attempts[task]++
 		a := attempts[task]
@@ -121,6 +121,9 @@ func TestFaultRunWithContainmentRetriesPanics(t *testing.T) {
 			panic("permanent")
 		}
 		return nil
+	}
+	rep := RunWorkersFault(g, 2, nil, func(worker, task int) error {
+		return c.Run(fault.SiteTask, task, worker, func() error { return body(task) })
 	})
 	if rep.CancelErr != nil {
 		t.Fatalf("unexpected cancel: %v", rep.CancelErr)
@@ -160,7 +163,7 @@ func TestFaultRunCancelMidGraph(t *testing.T) {
 	hard := errors.New("hard failure")
 	var mu sync.Mutex
 	ran := map[int]bool{}
-	rep := RunWorkersFault(g, 4, nil, nil, func(_, task int) error {
+	rep := RunWorkersFault(g, 4, nil, func(_, task int) error {
 		mu.Lock()
 		ran[task] = true
 		mu.Unlock()
@@ -184,14 +187,14 @@ func TestFaultRunCancelMidGraph(t *testing.T) {
 }
 
 func TestFaultRunEmptyAndNilCases(t *testing.T) {
-	rep := RunWorkersFault(independentGraph(0), 4, nil, nil, func(_, _ int) error { return nil })
+	rep := RunWorkersFault(independentGraph(0), 4, nil, func(_, _ int) error { return nil })
 	if rep.Completed != 0 || rep.Failure() != nil {
 		t.Fatalf("empty graph report = %+v", rep)
 	}
 	// All tasks succeed: report is all-complete, no allocations of the
 	// failure slices.
 	g := faultChainGraph(6, 2)
-	rep = RunWorkersFault(g, 3, nil, nil, func(_, _ int) error { return nil })
+	rep = RunWorkersFault(g, 3, nil, func(_, _ int) error { return nil })
 	if rep.Completed != 8 || rep.Failed != nil || rep.Skipped != nil || rep.CancelErr != nil {
 		t.Fatalf("all-success report = %+v", rep)
 	}

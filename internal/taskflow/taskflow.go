@@ -142,17 +142,18 @@ func (r *FaultReport) Failure() *fault.WorkError {
 	return r.Errs[0]
 }
 
-// RunWorkersFault is RunWorkersObserved for fallible tasks: each body
-// runs under the containment layer (when armed), a task's terminal
-// *fault.WorkError poisons its dependents — they are skipped, never
-// run — and the run still settles every task, so a failing graph
+// RunWorkersFault is RunWorkersObserved for fallible tasks. A body that
+// returns a *fault.WorkError fails its task, and its dependents are
+// skipped, never run; a caller contains a task by running its body under
+// fault.Containment.Run, which returns one when the unit exhausts its
+// attempts. The run still settles every task, so a failing graph
 // completes with a partial-failure report instead of wedging the
 // executor. Any other body error cancels the run: remaining ready tasks
-// drain unrun and CancelErr reports the cause. Task ids, not goroutine
-// interleavings, key injection and ordering, so for a fixed fault seed
-// the Completed/Failed/Skipped partition is identical at every worker
-// count (except after a cancel, which is an abort path).
-func RunWorkersFault(g *sched.Graph, workers int, o *obs.Observer, c *fault.Containment, fn func(worker, task int) error) FaultReport {
+// drain unrun and CancelErr reports the cause. When the bodies key
+// injection by task id, not by goroutine interleaving, the
+// Completed/Failed/Skipped partition for a fixed fault seed is identical
+// at every worker count (except after a cancel, which is an abort path).
+func RunWorkersFault(g *sched.Graph, workers int, o *obs.Observer, fn func(worker, task int) error) FaultReport {
 	var rep FaultReport
 	n := len(g.Tasks)
 	if n == 0 {
@@ -239,8 +240,6 @@ func RunWorkersFault(g *sched.Graph, workers int, o *obs.Observer, c *fault.Cont
 				var err error
 				if drain {
 					// Abort path: don't run, just settle so the run ends.
-				} else if c.Enabled() {
-					err = c.Run(fault.SiteTask, t, worker, func() error { return fn(worker, t) })
 				} else {
 					var run obs.Stopwatch
 					if observing {
