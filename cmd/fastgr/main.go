@@ -216,8 +216,8 @@ func printReport(res *core.Result) {
 	// never wonder whether a stat was zero or just omitted.
 	fmt.Printf("shards   k=%d leaves=%d boundary-nets=%d reroutes=%d\n",
 		r.Shards, r.ShardLeaves, r.BoundaryNets, r.BoundaryReroutes)
-	fmt.Printf("fault    failed-nets=%d skipped-nets=%d kernel-fallbacks=%d budget-fallbacks=%d\n",
-		r.Fault.FailedNets, r.Fault.SkippedNets, r.Fault.KernelFallbacks, r.Fault.BudgetFallbacks)
+	fmt.Printf("fault    failed-nets=%d kernel-fallbacks=%d budget-fallbacks=%d\n",
+		r.Fault.FailedNets, r.Fault.KernelFallbacks, r.Fault.BudgetFallbacks)
 	for i, it := range r.RRR {
 		fmt.Printf("  rrr[%d] nets=%d expansions=%d taskgraph=%v batch=%v shorts=%d score=%.1f\n",
 			i, it.Nets, it.Expansions, it.TaskGraphTime, it.BatchTime, it.Quality.Shorts, it.Score)

@@ -23,7 +23,8 @@ import (
 // Router variants, matching the paper's evaluation.
 const (
 	// CUGR is the sequential baseline: CPU L-shape pattern routing and
-	// batch-barrier parallel rip-up-and-reroute.
+	// rip-up-and-reroute in Algorithm-1 batch order, timed as
+	// batch-barrier parallel.
 	CUGR = core.CUGR
 	// FastGRL is the runtime-oriented variant: GPU L-shape kernel plus the
 	// task-graph scheduler.

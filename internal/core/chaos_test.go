@@ -33,34 +33,39 @@ func chaosProbs() map[string]float64 {
 // chaosGeometryPrint), on both plans. Recorded before the congestion-aware
 // maze bound landed, which left every entry unchanged: a bound prunes
 // work, it never steers a route. The cut rows were re-recorded once when
-// boundary nets began to route whole after the leaves.
+// boundary nets began to route whole after the leaves, and every row once
+// when all rip-up passes moved onto one executor: rip-up containment is
+// keyed by task ID under every variant (CUGR leaves keyed by the index
+// within a batch, FastGR cut-plan leaves by the index within the leaf),
+// and a contained failure no longer skips its dependents.
 var chaosGeometry = map[string]string{
-	"CUGR/seed=3":         "1d630792c036037c",
-	"CUGR/seed=3/cut":     "e5578936582ec6a5",
-	"CUGR/seed=11":        "82a33de96c6f2251",
-	"CUGR/seed=11/cut":    "235897de768f14c5",
-	"FastGRL/seed=3":      "7c171abc026bda13",
-	"FastGRL/seed=3/cut":  "d61bdef5c153fa01",
-	"FastGRL/seed=11":     "5605f5de0c476d92",
-	"FastGRL/seed=11/cut": "3465565023ff7afe",
-	"FastGRH/seed=3":      "e976ca3a190bfa64",
-	"FastGRH/seed=3/cut":  "a04ea23c53703f3d",
-	"FastGRH/seed=11":     "3ca9143f42cb2abe",
-	"FastGRH/seed=11/cut": "1c5863c93fdfa970",
+	"CUGR/seed=3":         "e89536c180d69471",
+	"CUGR/seed=3/cut":     "aa8408bcb3fde0f3",
+	"CUGR/seed=11":        "e5b925c689e4d600",
+	"CUGR/seed=11/cut":    "d1652e776ff91b5d",
+	"FastGRL/seed=3":      "65e6e906e16e3d7f",
+	"FastGRL/seed=3/cut":  "aa8408bcb3fde0f3",
+	"FastGRL/seed=11":     "31aa84fd23825503",
+	"FastGRL/seed=11/cut": "d1652e776ff91b5d",
+	"FastGRH/seed=3":      "0db97489dd50466e",
+	"FastGRH/seed=3/cut":  "4666cec948530329",
+	"FastGRH/seed=11":     "c32f9854bb3e87e7",
+	"FastGRH/seed=11/cut": "0dc21856d42dd0e1",
 }
 
 // chaosCutReports pin a chaos run of the cut plan (Shards 2): its
 // host-free Report, fault stats included, with boundary reroutes on the
 // task graph's workers. Re-recorded when the congestion-aware maze bound
-// moved expansion counts and modeled maze times, and again when boundary
-// nets began to route whole after the leaves.
+// moved expansion counts and modeled maze times, again when boundary
+// nets began to route whole after the leaves, and again with
+// chaosGeometry when all rip-up passes moved onto one executor.
 var chaosCutReports = map[string]string{
-	"CUGR/seed=3/cut":     "46212390afe66999",
-	"CUGR/seed=11/cut":    "63cdc916f5866121",
-	"FastGRL/seed=3/cut":  "4974b881a021b102",
-	"FastGRL/seed=11/cut": "05e4bfb9199978f3",
-	"FastGRH/seed=3/cut":  "c06df310c5014e52",
-	"FastGRH/seed=11/cut": "e8f1e4c8a344461f",
+	"CUGR/seed=3/cut":     "fb034d81de1b68f0",
+	"CUGR/seed=11/cut":    "23f23642fa69e9a5",
+	"FastGRL/seed=3/cut":  "fc988a98219019b9",
+	"FastGRL/seed=11/cut": "22b46da14484582b",
+	"FastGRH/seed=3/cut":  "19a5ef1b3f2fb3a3",
+	"FastGRH/seed=11/cut": "80d8f56d1889fdef",
 }
 
 // chaosPlans are the plans every chaos row runs on: the one-leaf plan and
@@ -362,5 +367,56 @@ func TestMazeBudgetFallbackKeepsPatternRoute(t *testing.T) {
 	a, b := hostFree(ref.Report), hostFree(res.Report)
 	if !reflect.DeepEqual(a, b) {
 		t.Fatalf("budgeted report differs across worker counts:\n%+v\nvs\n%+v", a, b)
+	}
+}
+
+// TestContainedFailureHoldsBackNothing fails every rip-up task: rrr.task
+// injected at probability 1 exhausts containment on each one, for every
+// variant on both plans at 1, 2 and 8 workers. A failed task keeps its
+// net's old route and holds back no other task, so every task of every
+// iteration runs and fails: FailedNets is the sum of the iterations'
+// violating nets, the routes are the pattern stage's (a run with no
+// rip-up at all), and committed demand still equals the routes' demand.
+func TestContainedFailureHoldsBackNothing(t *testing.T) {
+	d := design.MustGenerate("18test5m", testScale)
+	for _, shards := range chaosPlans {
+		for _, v := range []Variant{CUGR, FastGRL, FastGRH} {
+			name := chaosName(v, 1, shards)
+			opt := DefaultOptions(v)
+			opt.T1, opt.T2 = 4, 40
+			opt.Shards = shards
+			opt.RRRIters = 0
+			plain, err := Route(d, opt)
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			want := chaosGeometryPrint(plain)
+			opt.RRRIters = DefaultOptions(v).RRRIters
+			opt.Fault = &fault.Options{Seed: 1, Probs: map[string]float64{fault.SiteTask: 1}}
+			for _, workers := range []int{1, 2, 8} {
+				opt.ExecWorkers = workers
+				res, err := Route(d, opt)
+				if err != nil {
+					t.Fatalf("%s workers=%d: %v", name, workers, err)
+				}
+				ripped := 0
+				for _, it := range res.Report.RRR {
+					ripped += it.Nets
+					if it.FailedNets != it.Nets {
+						t.Errorf("%s workers=%d: an iteration failed %d of its %d nets", name, workers, it.FailedNets, it.Nets)
+					}
+				}
+				if ripped == 0 {
+					t.Fatalf("%s workers=%d: no rip-up work; the check is vacuous", name, workers)
+				}
+				if got := res.Report.Fault.FailedNets; got != ripped {
+					t.Errorf("%s workers=%d: FailedNets %d, want every ripped net (%d)", name, workers, got, ripped)
+				}
+				if got := chaosGeometryPrint(res); got != want {
+					t.Errorf("%s workers=%d: geometry print %s, want the pattern stage's %s", name, workers, got, want)
+				}
+				checkDemandMatchesRoutes(t, res)
+			}
+		}
 	}
 }

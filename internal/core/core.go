@@ -2,12 +2,16 @@
 // pattern routing planning (Steiner trees + edge shifting + net ordering +
 // Algorithm-1 batching), the pattern routing stage (CPU-sequential for the
 // CUGR baseline, batched GPU kernels for FastGR), and the rip-up-and-reroute
-// iterations (batch-barrier parallel maze routing for the baseline,
-// task-graph-scheduled maze routing for FastGR).
+// iterations (maze routing in Algorithm-1 batch order for the baseline,
+// task-graph-scheduled maze routing for FastGR). Both rip-up orders execute
+// as task graphs on one executor; the baseline's batch barrier is modeled
+// (taskflow.BatchMakespan), not executed, and its routes depend only on
+// its batch order.
 //
 // Three router variants are provided, matching the evaluation:
 //
-//	CUGR     — sequential L-shape pattern routing + batch-barrier RRR.
+//	CUGR     — sequential L-shape pattern routing + batch-order RRR
+//	           (batch-barrier modeled time).
 //	FastGRL  — GPU L-shape kernel + task-graph scheduler (runtime-oriented).
 //	FastGRH  — GPU hybrid-shape kernel with selection + task-graph scheduler
 //	           (quality-oriented).
@@ -175,10 +179,6 @@ type FaultStats struct {
 	// FailedNets counts rip-up tasks whose containment attempts were
 	// exhausted; the nets keep their previous committed route.
 	FailedNets int
-	// SkippedNets counts rip-up tasks never run because a task-graph
-	// dependency failed (FastGR scheduling only; the batch-barrier
-	// baseline has no dependents to skip).
-	SkippedNets int
 	// KernelFallbacks counts pattern-stage batches degraded to the CPU
 	// baseline path.
 	KernelFallbacks int
@@ -293,10 +293,9 @@ type IterStats struct {
 	// reported metric (the snapshot is a pure function of grid state).
 	Quality metrics.Quality
 	Score   float64
-	// FailedNets / SkippedNets / BudgetFallbacks are this iteration's
-	// containment outcomes (see FaultStats); all zero without faults.
+	// FailedNets / BudgetFallbacks are this iteration's containment
+	// outcomes (see FaultStats); both zero without faults.
 	FailedNets      int
-	SkippedNets     int
 	BudgetFallbacks int
 }
 

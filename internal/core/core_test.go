@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"fastgr/internal/design"
+	"fastgr/internal/fault"
 	"fastgr/internal/geom"
 	"fastgr/internal/route"
 	"fastgr/internal/sched"
@@ -334,5 +335,36 @@ func TestHistoryRRR(t *testing.T) {
 	})
 	if hist.Report.Quality != hist2.Report.Quality {
 		t.Fatal("history RRR nondeterministic")
+	}
+}
+
+// TestRRRStopsAtFixedPoint: without history, an iteration that leaves
+// every net on its edge list leaves the grid as it found it, and the next
+// one would repeat it exactly. Asked for six iterations, the CUGR runs on
+// 18test5m reach such a fixed point on both plans: they stop there, so no
+// two consecutive iterations they record are identical. Every rip-up task
+// failing is a fixed point at once.
+func TestRRRStopsAtFixedPoint(t *testing.T) {
+	for _, shards := range []int{0, 2} {
+		res := routeVariant(t, "18test5m", CUGR, func(o *Options) {
+			o.Shards = shards
+			o.RRRIters = 6
+		})
+		it := res.Report.RRR
+		if len(it) == 6 {
+			t.Errorf("shards=%d: all 6 iterations ran; the run never reached its fixed point", shards)
+		}
+		for i := 1; i < len(it); i++ {
+			if it[i] == it[i-1] {
+				t.Errorf("shards=%d: rrr[%d] repeats rrr[%d]: %+v", shards, i, i-1, it[i])
+			}
+		}
+		failing := routeVariant(t, "18test5m", CUGR, func(o *Options) {
+			o.Shards = shards
+			o.Fault = &fault.Options{Seed: 1, Probs: map[string]float64{fault.SiteTask: 1}}
+		})
+		if n := len(failing.Report.RRR); n != 1 {
+			t.Errorf("shards=%d: %d iterations ran with every rip-up task failing, want 1", shards, n)
+		}
 	}
 }

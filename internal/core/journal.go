@@ -45,7 +45,6 @@ type iterEvent struct {
 	CostHitRate float64 `json:"cost_hit_rate"`
 	// Containment outcomes for this iteration; all zero without faults.
 	FailedNets      int `json:"failed_nets"`
-	SkippedNets     int `json:"skipped_nets"`
 	BudgetFallbacks int `json:"budget_fallbacks"`
 	// PeakHeapBytes is the run's heap high-water after this iteration.
 	PeakHeapBytes uint64 `json:"peak_heap_bytes"`
@@ -105,7 +104,6 @@ func (r *runner) journalIter(iter int, st IterStats, q metrics.Quality) {
 		CostMisses:      misses,
 		CostHitRate:     rate,
 		FailedNets:      st.FailedNets,
-		SkippedNets:     st.SkippedNets,
 		BudgetFallbacks: st.BudgetFallbacks,
 		PeakHeapBytes:   r.rep.PeakHeapBytes,
 	})

@@ -15,7 +15,13 @@
 // leaf's batches run on its slot as a chain in canonical order. Every slot
 // checkpoints before each pattern batch, draws its batch and leaf spans on
 // its first composite lane and lends its kernel router and rip-up task
-// graph the observer.
+// graph the observer. Every rip-up pass — a leaf's, of either variant, and
+// a boundary pass — is a task graph on the one taskflow executor with one
+// failure policy: a task that exhausts fault containment keeps its net's
+// route and holds back nothing. CUGR's graph is its Algorithm-1 batch
+// order, so its routes are defined by that order; its batch barrier is a
+// cost the reported times model (taskflow.BatchMakespan), never one the
+// host pays.
 //
 // Shard-count invariance. Every decision below derives from the cut tree
 // (a pure function of design and margin) or happens at a coordinator
@@ -42,6 +48,7 @@ import (
 	"cmp"
 	"errors"
 	"fmt"
+	"slices"
 	"sync/atomic"
 	"time"
 
@@ -387,6 +394,10 @@ func (r *runner) patternBatch(view *grid.Graph, router *patterngpu.Router, solve
 // and the end of every boundary pass.
 var boundaryPassProbe func(r *runner)
 
+// ripupFunc runs one task graph of reroutes through view on one executor:
+// worker w keeps searches[w] and draws on lane lane0+w.
+type ripupFunc func(g *sched.Graph, view *grid.Graph, searches []*maze.Search, lane0 int) error
+
 // boundaryPass reroutes a rip-up iteration's boundary nets as a task graph
 // on the executor pool. The tasks are listed in the pass's serial order,
 // and task.BBox is the net's maze window: a boundary net's route lies
@@ -396,10 +407,8 @@ var boundaryPassProbe func(r *runner)
 // any schedule of the graph commit exactly what the serial loop did. The
 // pass routes through one full-grid view built and warmed here, at the
 // coordinator, and dropped with the pass: the next iteration's leaf views
-// write through to their own caches, never to this one. body runs once per
-// task with the view and its worker's maze scratch; the first error a body
-// returns cancels the rest of the pass and is returned.
-func (r *runner) boundaryPass(tasks []sched.Task, body func(view *grid.Graph, sr *maze.Search, lane int, task sched.Task) error) error {
+// write through to their own caches, never to this one.
+func (r *runner) boundaryPass(tasks []sched.Task, ripup ripupFunc) error {
 	if boundaryPassProbe != nil {
 		boundaryPassProbe(r)
 		defer boundaryPassProbe(r)
@@ -411,25 +420,27 @@ func (r *runner) boundaryPass(tasks []sched.Task, body func(view *grid.Graph, sr
 	defer sp.End()
 	view := r.fullView()
 	view.WarmCostCache()
-	workers := r.pool.Workers()
 	// The scratches grow to the largest boundary windows, so they live for
 	// one pass only.
-	searches := make([]*maze.Search, workers)
+	searches := make([]*maze.Search, r.pool.Workers())
 	for i := range searches {
 		searches[i] = r.newSearch()
 	}
-	rep := taskflow.RunWorkersFault(sched.OrderGraph(tasks, r.g.W, r.g.H), workers, r.opt.Obs, func(worker, k int) error {
-		return body(view, searches[worker], worker, tasks[k])
-	})
-	return rep.CancelErr
+	return ripup(sched.OrderGraph(tasks, r.g.W, r.g.H), view, searches, 0)
 }
 
-// rrrStage runs the rip-up-and-reroute iterations with the variant's
-// scheduling strategy. Each iteration scans and sorts the violating nets
-// globally, then slots claim leaves and reroute their intra-leaf nets
-// behind leaf views, and a cut plan's boundary nets reroute in a boundary
-// pass after the barrier. full is the one-leaf plan's view, nil under a
-// cut plan.
+// rrrStage runs the rip-up-and-reroute iterations. Each iteration scans
+// and sorts the violating nets globally, then slots claim leaves and
+// reroute their intra-leaf nets behind leaf views, and a cut plan's
+// boundary nets reroute in a boundary pass after the barrier. Every pass
+// is a task graph on one executor with one failure policy (ripup). The
+// variants differ in the leaf's graph only: FastGR runs the paper's task
+// graph (sched.BuildGraph), CUGR its batch order — Algorithm-1 batches
+// listed one after another as an order graph, which commits exactly what
+// the batch-barrier loop did, since conflicting tasks keep batch order and
+// the rest touch disjoint windows. The barrier's cost is modeled
+// (taskflow.BatchMakespan), never executed. full is the one-leaf plan's
+// view, nil under a cut plan.
 func (r *runner) rrrStage(full *grid.Graph) error {
 	start := obs.StartStopwatch()
 	tr := r.opt.Obs.T()
@@ -497,36 +508,59 @@ func (r *runner) rrrStage(full *grid.Graph) error {
 		durations := make([]time.Duration, len(violating))
 		expansions := make([]int64, len(violating))
 		budgetTrips := make([]bool, len(violating))
+		failed := make([]bool, len(violating))
+		moved := make([]bool, len(violating)) // the reroute changed its net's edge list
 
-		// reroute rips up one task's net on gg within the task's window and
-		// records its work. Injections fire at wrapper entry, before any
-		// grid mutation, and an injected budget trip keeps the net's route
-		// like a real one.
-		reroute := func(gg *grid.Graph, sr *maze.Search, task sched.Task, lane int) error {
-			ti, n := task.ID, task.Payload.(*design.Net)
-			var msp obs.Span
-			if tr.On() {
-				msp = tr.StartSpan("maze:"+n.Name, lane)
-			}
-			defer msp.End()
-			if r.fc.InjectBudget(ti, lane) {
-				budgetTrips[ti] = true
-				return nil
-			}
-			st, tripped, err := r.rerouteNet(gg, sr, n, task.BBox)
-			expansions[ti] = st.Expansions
-			durations[ti] = r.mazeTime(st.Expansions + st.BoundCells)
-			budgetTrips[ti] = tripped
-			return err
+		// ripup is every pass's executor and failure policy. Each task
+		// rips its net up within its window under containment keyed by
+		// its ID; a task that exhausts containment keeps its net's old
+		// route, is marked failed and holds back nothing, and only an
+		// uncontained error cancels the graph. Injections fire at wrapper
+		// entry, before any grid mutation, and an injected budget trip
+		// keeps the net's route like a real one.
+		ripup := func(g *sched.Graph, view *grid.Graph, searches []*maze.Search, lane0 int) error {
+			return taskflow.RunWorkersFault(g, len(searches), r.opt.Obs, func(worker, k int) error {
+				task, lane := g.Tasks[k], lane0+worker
+				ti, n := task.ID, task.Payload.(*design.Net)
+				err := r.fc.Run(fault.SiteTask, ti, lane, func() error {
+					var msp obs.Span
+					if tr.On() {
+						msp = tr.StartSpan("maze:"+n.Name, lane)
+					}
+					defer msp.End()
+					if r.fc.InjectBudget(ti, lane) {
+						budgetTrips[ti] = true
+						return nil
+					}
+					old := r.routes[n.ID]
+					st, tripped, err := r.rerouteNet(view, searches[worker], n, task.BBox)
+					moved[ti] = !slices.Equal(old.Edges(), r.routes[n.ID].Edges())
+					expansions[ti] = st.Expansions
+					durations[ti] = r.mazeTime(st.Expansions + st.BoundCells)
+					budgetTrips[ti] = tripped
+					return err
+				})
+				var we *fault.WorkError
+				if errors.As(err, &we) && we.Contained {
+					failed[ti] = true
+					return nil
+				}
+				return err
+			})
 		}
 
-		// runLeaf executes one leaf's reroutes on slot s. A cut plan's leaf
-		// view is fresh each iteration, postdating the coordinator's
-		// commits; windows clamp to the leaf, so leaves run unsynchronized.
-		// The warm is the leaf's last single-threaded point before workers
-		// mutate disjoint windows (and only re-sums lagging prefix runs).
-		runLeaf := func(s, leaf int) (failed, skipped int, err error) {
+		// Intra-leaf nets first, each leaf claimed by one slot. A cut
+		// plan's leaf view is fresh each iteration, postdating the
+		// coordinator's commits; windows clamp to the leaf, so leaves run
+		// unsynchronized. The warm is the leaf's last single-threaded
+		// point before workers mutate disjoint windows (and only re-sums
+		// lagging prefix runs).
+		errs := make([]error, len(leafTasks))
+		slotPool.For(len(leafTasks), func(s, leaf int) {
 			lt := leafTasks[leaf]
+			if len(lt) == 0 {
+				return
+			}
 			var lsp obs.Span
 			if tr.On() {
 				lsp = tr.StartSpan(fmt.Sprintf("rrr.leaf[%d]", leaf), s*inner)
@@ -537,91 +571,25 @@ func (r *runner) rrrStage(full *grid.Graph) error {
 				view = r.g.WindowView(r.shplan.Leaf(leaf))
 			}
 			view.WarmCostCache()
-			work := func(worker int, task sched.Task) error {
-				lane := s*inner + worker
-				return reroute(view, searches[lane], task, lane)
-			}
+			var lg *sched.Graph
 			if r.opt.Variant == CUGR {
-				// Batch-barrier strategy: batches execute in order with a
-				// full barrier between them; tasks inside a batch have
-				// disjoint maze windows and run on the worker pool. A unit
-				// that exhausts containment leaves its net on the old
-				// route; an uncontained maze error aborts the iteration.
-				ip := par.NewPool(inner)
-				ip.SetObserver(r.opt.Obs)
-				ip.SetLane(s * inner)
-				ip.SetFault(r.fc)
-				for _, batch := range sched.ExtractBatches(lt) {
-					errs := ip.ForUnits(fault.SiteTask, len(batch), func(worker, bi int) error {
-						return work(worker, batch[bi])
-					})
-					for _, we := range errs {
-						if !we.Contained {
-							return failed, skipped, we.Cause
-						}
-						failed++
-					}
-				}
-				return failed, skipped, nil
+				lg = sched.OrderGraph(slices.Concat(sched.ExtractBatches(lt)...), r.g.W, r.g.H)
+			} else {
+				lg = sched.BuildGraph(lt, r.g.W, r.g.H)
 			}
-			// Containment keys a task by its index in the leaf's list and
-			// marks its faults on the worker's composite lane; a task that
-			// exhausts it poisons its dependents.
-			lg := sched.BuildGraph(lt, r.g.W, r.g.H)
-			frep := taskflow.RunWorkersFault(lg, inner, r.opt.Obs, func(worker, li int) error {
-				return r.fc.Run(fault.SiteTask, li, s*inner+worker, func() error {
-					return work(worker, lt[li])
-				})
-			})
-			if frep.CancelErr != nil {
-				return failed, skipped, frep.CancelErr
-			}
-			return len(frep.Failed), len(frep.Skipped), nil
-		}
-
-		// Intra-leaf nets first, each leaf claimed by one slot.
-		type leafOut struct {
-			failed, skipped int
-			err             error
-		}
-		outs := make([]leafOut, len(leafTasks))
-		slotPool.For(len(leafTasks), func(s, leaf int) {
-			if o := &outs[leaf]; len(leafTasks[leaf]) > 0 {
-				o.failed, o.skipped, o.err = runLeaf(s, leaf)
-			}
+			errs[leaf] = ripup(lg, view, searches[s*inner:(s+1)*inner], s*inner)
 		})
-		iterFailed, iterSkipped := 0, 0
-		for _, o := range outs {
-			if o.err != nil {
-				return fmt.Errorf("core: rip-up iteration %d: %w", iter, o.err)
-			}
-			iterFailed += o.failed
-			iterSkipped += o.skipped
-		}
-
 		// Then a cut plan's boundary nets, in sorted order over full maze
-		// windows, as a boundary pass. Each task runs under containment
-		// keyed by its net's sorted index; a task that exhausts it keeps
-		// its net's old route and holds back no later task.
-		failed := make([]bool, len(violating))
-		err := r.boundaryPass(boundary, func(view *grid.Graph, sr *maze.Search, lane int, task sched.Task) error {
-			err := r.fc.Run(fault.SiteTask, task.ID, lane, func() error {
-				return reroute(view, sr, task, lane)
-			})
-			var we *fault.WorkError
-			if errors.As(err, &we) && we.Contained {
-				failed[task.ID] = true
-				return nil
-			}
-			return err
-		})
+		// windows, as a boundary pass.
+		err := cmp.Or(errs...)
+		if err == nil {
+			err = r.boundaryPass(boundary, ripup)
+		}
 		if err != nil {
 			return fmt.Errorf("core: rip-up iteration %d: %w", iter, err)
 		}
 		for _, t := range boundary {
-			if failed[t.ID] {
-				iterFailed++
-			} else if !budgetTrips[t.ID] {
+			if !failed[t.ID] && !budgetTrips[t.ID] {
 				r.rep.BoundaryReroutes++
 			}
 		}
@@ -632,15 +600,17 @@ func (r *runner) rrrStage(full *grid.Graph) error {
 		bb := taskflow.BatchMakespan(sched.BatchIDs(sched.ExtractBatches(modelTasks)), durations, r.opt.Workers)
 
 		var totalExp int64
-		iterBudget := 0
+		iterFailed, iterBudget := 0, 0
 		for ti, e := range expansions {
 			totalExp += e
+			if failed[ti] {
+				iterFailed++
+			}
 			if budgetTrips[ti] {
 				iterBudget++
 			}
 		}
 		r.rep.Fault.FailedNets += iterFailed
-		r.rep.Fault.SkippedNets += iterSkipped
 		r.rep.Fault.BudgetFallbacks += iterBudget
 		iterQ := r.snapshotQuality()
 		st := IterStats{
@@ -652,7 +622,6 @@ func (r *runner) rrrStage(full *grid.Graph) error {
 			Quality:         iterQ,
 			Score:           iterQ.Score(),
 			FailedNets:      iterFailed,
-			SkippedNets:     iterSkipped,
 			BudgetFallbacks: iterBudget,
 		}
 		r.rep.RRR = append(r.rep.RRR, st)
@@ -680,6 +649,15 @@ func (r *runner) rrrStage(full *grid.Graph) error {
 		r.stageBeat("rrr")
 		r.journalIter(iter, st, iterQ)
 		iterSp.End()
+		// A fixed point: every net kept its edge list (a budget trip or a
+		// contained failure keeps the old route), so grid and routes are
+		// as the iteration found them. Without history the next iteration
+		// would rip up the same nets and draw the same injections — keyed
+		// by site, task ID and attempt, never by iteration — and repeat
+		// this one exactly.
+		if !r.opt.HistoryRRR && !slices.Contains(moved, true) {
+			break
+		}
 	}
 	r.rep.Times.MazeWall = start.Elapsed()
 	score := r.rep.PatternScore

@@ -51,8 +51,7 @@ const (
 	// SiteKernel is one whole pattern-stage batch kernel; a kernel-site
 	// fault falls the batch back to the CPU baseline path.
 	SiteKernel = "gpu.kernel"
-	// SiteTask is one rip-up-and-reroute task (taskflow task or
-	// batch-barrier unit).
+	// SiteTask is one rip-up-and-reroute task, keyed by its task ID.
 	SiteTask = "rrr.task"
 	// SiteBudget is one net's maze expansion budget; a budget-site fault
 	// makes the net keep its pattern route.

@@ -124,10 +124,12 @@ func DefaultPolicy() Policy {
 //     durable artifact write routes through it (PR 5's contract).
 //   - shardisolation: worker roots are the par pool's chunk callbacks
 //     (Pool.For/ForUnits and the package-level For convenience) and the
-//     taskflow task bodies. Workers may warm only WindowView-derived
-//     caches; Graph.WarmCostCache on a parent cache, journal emission
-//     and writes to the coordinator-owned report fields stay on the
-//     coordinator (DESIGN.md "Sharded routing and boundary nets").
+//     task bodies handed to the taskflow executor (RunWorkersFault and
+//     its Run/RunWorkers wrappers). Workers may warm only
+//     WindowView-derived caches; Graph.WarmCostCache on a parent cache,
+//     journal emission and writes to the coordinator-owned report fields
+//     stay on the coordinator (DESIGN.md "Sharded routing and boundary
+//     nets").
 //   - promdrift: metric names registered through obs.Registry must map
 //     through the promTable in internal/obs/names.go, and every table
 //     entry must have a live registration site.
@@ -152,8 +154,8 @@ func DefaultFlowConfig() flow.Config {
 			"fastgr/internal/par.Pool.For",
 			"fastgr/internal/par.Pool.ForUnits",
 			"fastgr/internal/par.For",
+			"fastgr/internal/taskflow.Run",
 			"fastgr/internal/taskflow.RunWorkers",
-			"fastgr/internal/taskflow.RunWorkersObserved",
 			"fastgr/internal/taskflow.RunWorkersFault",
 		},
 		WarmFuncs: []string{

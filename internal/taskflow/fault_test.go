@@ -2,7 +2,6 @@ package taskflow
 
 import (
 	"errors"
-	"reflect"
 	"sync"
 	"testing"
 
@@ -11,21 +10,8 @@ import (
 	"fastgr/internal/sched"
 )
 
-// faultGraph builds an n-task graph from an explicit dependency edge
-// list, reusing the struct idiom of the other taskflow tests.
-func faultGraph(n int, edges [][2]int) *sched.Graph {
-	g := independentGraph(n)
-	for _, e := range edges {
-		g.Succ[e[0]] = append(g.Succ[e[0]], e[1])
-		g.Indegree[e[1]]++
-		g.Edges++
-	}
-	return g
-}
-
 // faultChainGraph builds 0 → 1 → ... → chain-1 plus an independent tail
-// of isolated tasks, so one failure poisons a known suffix while the
-// rest completes.
+// of isolated tasks.
 func faultChainGraph(chain, isolated int) *sched.Graph {
 	g := independentGraph(chain + isolated)
 	for i := 0; i+1 < chain; i++ {
@@ -36,79 +22,16 @@ func faultChainGraph(chain, isolated int) *sched.Graph {
 	return g
 }
 
-func TestFaultReportSkipsDependentsOfFailedTask(t *testing.T) {
-	g := faultChainGraph(5, 3) // chain 0..4, isolated 5..7
-	var mu sync.Mutex
-	ran := map[int]bool{}
-	rep := RunWorkersFault(g, 4, nil, func(_, task int) error {
-		mu.Lock()
-		ran[task] = true
-		mu.Unlock()
-		if task == 2 {
-			return &fault.WorkError{Site: fault.SiteTask, Unit: 2, Attempts: 1, Cause: errors.New("boom")}
-		}
-		return nil
-	})
-	if rep.CancelErr != nil {
-		t.Fatalf("unexpected cancel: %v", rep.CancelErr)
-	}
-	if !reflect.DeepEqual(rep.Failed, []int{2}) {
-		t.Fatalf("Failed = %v, want [2]", rep.Failed)
-	}
-	if !reflect.DeepEqual(rep.Skipped, []int{3, 4}) {
-		t.Fatalf("Skipped = %v, want [3 4]", rep.Skipped)
-	}
-	if rep.Completed != 5 { // 0, 1, 5, 6, 7
-		t.Fatalf("Completed = %d, want 5", rep.Completed)
-	}
-	if ran[3] || ran[4] {
-		t.Fatal("dependents of the failed task must never run")
-	}
-	if we := rep.Failure(); we == nil || we.Unit != 2 {
-		t.Fatalf("Failure() = %v, want unit 2", we)
-	}
-}
-
-func TestFaultReportDeterministicAcrossWorkerCounts(t *testing.T) {
-	// A wider graph: two diamonds sharing a failing apex dependency.
-	build := func() *sched.Graph {
-		return faultGraph(9, [][2]int{ // task 8 stays isolated
-			{0, 1}, {0, 2}, {1, 3}, {2, 3}, {3, 4}, {5, 6}, {6, 7},
-		})
-	}
-	run := func(workers int) FaultReport {
-		return RunWorkersFault(build(), workers, nil, func(_, task int) error {
-			if task == 1 || task == 6 {
-				return &fault.WorkError{Site: fault.SiteTask, Unit: task, Attempts: 1, Cause: errors.New("boom")}
-			}
-			return nil
-		})
-	}
-	ref := run(1)
-	if !reflect.DeepEqual(ref.Failed, []int{1, 6}) {
-		t.Fatalf("Failed = %v, want [1 6]", ref.Failed)
-	}
-	// 3 depends on both 1 (failed) and 2 (ok) → skipped; 4 depends on 3 →
-	// skipped; 7 depends on 6 → skipped.
-	if !reflect.DeepEqual(ref.Skipped, []int{3, 4, 7}) {
-		t.Fatalf("Skipped = %v, want [3 4 7]", ref.Skipped)
-	}
-	for _, w := range []int{2, 8} {
-		got := run(w)
-		if got.Completed != ref.Completed ||
-			!reflect.DeepEqual(got.Failed, ref.Failed) ||
-			!reflect.DeepEqual(got.Skipped, ref.Skipped) {
-			t.Fatalf("report at %d workers differs: %+v vs %+v", w, got, ref)
-		}
-	}
-}
-
+// TestFaultRunWithContainmentRetriesPanics runs a chain under containment
+// the way the rip-up stage does: a contained failure is recorded and the
+// body returns nil, so the failed task holds back none of its dependents.
 func TestFaultRunWithContainmentRetriesPanics(t *testing.T) {
 	g := faultChainGraph(4, 0)
 	reg := obs.NewRegistry()
 	c := fault.New(fault.Options{Seed: 2}, &obs.Observer{Metrics: reg})
 	var mu sync.Mutex
 	attempts := map[int]int{}
+	var failed []*fault.WorkError
 	body := func(task int) error {
 		mu.Lock()
 		attempts[task]++
@@ -122,22 +45,28 @@ func TestFaultRunWithContainmentRetriesPanics(t *testing.T) {
 		}
 		return nil
 	}
-	rep := RunWorkersFault(g, 2, nil, func(worker, task int) error {
-		return c.Run(fault.SiteTask, task, worker, func() error { return body(task) })
+	err := RunWorkersFault(g, 2, nil, func(worker, task int) error {
+		err := c.Run(fault.SiteTask, task, worker, func() error { return body(task) })
+		var we *fault.WorkError
+		if errors.As(err, &we) && we.Contained {
+			mu.Lock()
+			failed = append(failed, we)
+			mu.Unlock()
+			return nil
+		}
+		return err
 	})
-	if rep.CancelErr != nil {
-		t.Fatalf("unexpected cancel: %v", rep.CancelErr)
+	if err != nil {
+		t.Fatalf("unexpected cancel: %v", err)
 	}
-	// Task 1 recovers on retry and completes; task 2 exhausts attempts
-	// and fails; task 3 (dependent of 2) is skipped.
-	if !reflect.DeepEqual(rep.Failed, []int{2}) {
-		t.Fatalf("Failed = %v, want [2]", rep.Failed)
+	// Task 1 recovers on retry; task 2 exhausts its attempts; task 3, its
+	// dependent, still runs.
+	if len(failed) != 1 || failed[0].Unit != 2 {
+		t.Fatalf("contained failures = %v, want unit 2 only", failed)
 	}
-	if !reflect.DeepEqual(rep.Skipped, []int{3}) {
-		t.Fatalf("Skipped = %v, want [3]", rep.Skipped)
-	}
-	if rep.Completed != 2 {
-		t.Fatalf("Completed = %d, want 2", rep.Completed)
+	var pe *fault.PanicError
+	if !errors.As(failed[0], &pe) {
+		t.Fatalf("task 2 failure should wrap a PanicError, got %v", failed[0])
 	}
 	if attempts[1] != 2 {
 		t.Fatalf("task 1 attempts = %d, want 2 (panic then success)", attempts[1])
@@ -145,9 +74,8 @@ func TestFaultRunWithContainmentRetriesPanics(t *testing.T) {
 	if attempts[2] != fault.DefaultMaxAttempts {
 		t.Fatalf("task 2 attempts = %d, want %d", attempts[2], fault.DefaultMaxAttempts)
 	}
-	var pe *fault.PanicError
-	if we := rep.Failure(); we == nil || !errors.As(we, &pe) {
-		t.Fatalf("task 2 failure should wrap a PanicError, got %v", rep.Failure())
+	if attempts[3] != 1 {
+		t.Fatalf("task 3 attempts = %d, want 1: a contained failure holds back nothing", attempts[3])
 	}
 	s := reg.Snapshot()
 	rec, deg := s.Counters[obs.MFaultRecovered], s.Counters[obs.MFaultDegraded]
@@ -157,13 +85,13 @@ func TestFaultRunWithContainmentRetriesPanics(t *testing.T) {
 }
 
 func TestFaultRunCancelMidGraph(t *testing.T) {
-	// A long chain: a hard (non-WorkError) failure at task 3 cancels the
-	// run. Everything after the cancel must settle without running.
+	// A long chain: an error at task 3 cancels the run. Everything after
+	// the cancel must settle without running.
 	g := faultChainGraph(50, 10)
 	hard := errors.New("hard failure")
 	var mu sync.Mutex
 	ran := map[int]bool{}
-	rep := RunWorkersFault(g, 4, nil, func(_, task int) error {
+	err := RunWorkersFault(g, 4, nil, func(_, task int) error {
 		mu.Lock()
 		ran[task] = true
 		mu.Unlock()
@@ -172,30 +100,36 @@ func TestFaultRunCancelMidGraph(t *testing.T) {
 		}
 		return nil
 	})
-	if rep.CancelErr != hard {
-		t.Fatalf("CancelErr = %v, want the hard failure", rep.CancelErr)
+	if err != hard {
+		t.Fatalf("cancel error = %v, want the hard failure", err)
 	}
 	for task := 4; task < 50; task++ {
 		if ran[task] {
 			t.Fatalf("chain task %d ran after the cancel point", task)
 		}
 	}
-	// Every task settled exactly once: completed + failed + skipped = n.
-	if got := rep.Completed + len(rep.Failed) + len(rep.Skipped); got != 60 {
-		t.Fatalf("settled %d tasks, want 60", got)
-	}
 }
 
 func TestFaultRunEmptyAndNilCases(t *testing.T) {
-	rep := RunWorkersFault(independentGraph(0), 4, nil, func(_, _ int) error { return nil })
-	if rep.Completed != 0 || rep.Failure() != nil {
-		t.Fatalf("empty graph report = %+v", rep)
+	if err := RunWorkersFault(independentGraph(0), 4, nil, func(_, _ int) error { return nil }); err != nil {
+		t.Fatalf("empty graph: %v", err)
 	}
-	// All tasks succeed: report is all-complete, no allocations of the
-	// failure slices.
+	// All tasks succeed: every task runs once and nothing cancels.
 	g := faultChainGraph(6, 2)
-	rep = RunWorkersFault(g, 3, nil, func(_, _ int) error { return nil })
-	if rep.Completed != 8 || rep.Failed != nil || rep.Skipped != nil || rep.CancelErr != nil {
-		t.Fatalf("all-success report = %+v", rep)
+	var mu sync.Mutex
+	runs := make([]int, 8)
+	err := RunWorkersFault(g, 3, nil, func(_, task int) error {
+		mu.Lock()
+		runs[task]++
+		mu.Unlock()
+		return nil
+	})
+	if err != nil {
+		t.Fatalf("all-success run: %v", err)
+	}
+	for task, n := range runs {
+		if n != 1 {
+			t.Fatalf("task %d ran %d times, want once", task, n)
+		}
 	}
 }

@@ -1,16 +1,16 @@
 // Package taskflow executes oriented task graphs, playing the role of the
-// Taskflow C++ library the paper uses for the rip-up-and-reroute stage: a
+// Taskflow C++ library the paper uses for the rip-up-and-reroute stage: one
 // dependency-respecting worker-pool executor plus deterministic makespan
 // models for the two parallelization strategies the paper compares — the
 // task-graph schedule (FastGR) and the widely adopted batch-barrier
-// schedule (the CPU baseline).
+// schedule (the CPU baseline). The batch barrier is modeled, never
+// executed: a baseline run executes its batch order as a task graph too.
 package taskflow
 
 import (
 	"sync"
 	"time"
 
-	"fastgr/internal/fault"
 	"fastgr/internal/obs"
 	"fastgr/internal/sched"
 )
@@ -29,19 +29,27 @@ func Run(g *sched.Graph, workers int, fn func(task int)) {
 // scratch object per worker — e.g. a maze.Search — without locking. A worker
 // id is used by exactly one goroutine for the whole run.
 func RunWorkers(g *sched.Graph, workers int, fn func(worker, task int)) {
-	RunWorkersObserved(g, workers, nil, fn)
+	RunWorkersFault(g, workers, nil, func(worker, task int) error {
+		fn(worker, task)
+		return nil
+	})
 }
 
-// RunWorkersObserved is RunWorkers with a flight recorder attached: each
-// executed task records its ready-to-start latency (obs.MTaskWaitNs, the
-// time between its last predecessor finishing and a worker picking it
-// up) and its run duration (obs.MTaskRunNs). A nil or metrics-less
-// observer adds no timing calls; observation never changes the schedule
-// or the task outcomes.
-func RunWorkersObserved(g *sched.Graph, workers int, o *obs.Observer, fn func(worker, task int)) {
+// RunWorkersFault is the executor, for fallible tasks: RunWorkers whose
+// bodies return an error. The first error a body returns cancels the run
+// — tasks not yet started settle unrun — and is returned; nil means every
+// task ran. A failure the caller can contain holds back nothing: it runs
+// the body under fault.Containment.Run and returns nil for a contained
+// *fault.WorkError, so every dependent still runs. With a metrics registry
+// attached, each executed task records its ready-to-start latency
+// (obs.MTaskWaitNs, from its last predecessor finishing to a worker
+// picking it up) and its run duration (obs.MTaskRunNs); a nil or
+// metrics-less observer adds no timing calls, and observation never
+// changes the schedule or the task outcomes.
+func RunWorkersFault(g *sched.Graph, workers int, o *obs.Observer, fn func(worker, task int) error) error {
 	n := len(g.Tasks)
 	if n == 0 {
-		return
+		return nil
 	}
 	if workers < 1 {
 		workers = 1
@@ -59,41 +67,50 @@ func RunWorkersObserved(g *sched.Graph, workers int, o *obs.Observer, fn func(wo
 
 	indeg := append([]int(nil), g.Indegree...)
 	ready := make(chan int, n)
+	push := func(t int) {
+		if observing {
+			readyAt[t] = obs.StartStopwatch()
+		}
+		ready <- t
+	}
 	for i, d := range indeg {
 		if d == 0 {
-			if observing {
-				readyAt[i] = obs.StartStopwatch()
-			}
-			ready <- i
+			push(i)
 		}
 	}
 
 	var mu sync.Mutex
 	done := 0
+	var cancelErr error
 	var wg sync.WaitGroup
 	wg.Add(workers)
 	for w := 0; w < workers; w++ {
 		go func(worker int) {
 			defer wg.Done()
 			for t := range ready {
-				var run obs.Stopwatch
-				if observing {
-					waitHist.Observe(readyAt[t].ElapsedNs())
-					run = obs.StartStopwatch()
-				}
-				fn(worker, t)
-				if observing {
-					runHist.Observe(run.ElapsedNs())
+				mu.Lock()
+				canceled := cancelErr != nil
+				mu.Unlock()
+				var err error
+				if !canceled {
+					var run obs.Stopwatch
+					if observing {
+						waitHist.Observe(readyAt[t].ElapsedNs())
+						run = obs.StartStopwatch()
+					}
+					err = fn(worker, t)
+					if observing {
+						runHist.Observe(run.ElapsedNs())
+					}
 				}
 				mu.Lock()
+				if cancelErr == nil {
+					cancelErr = err
+				}
 				done++
 				for _, v := range g.Succ[t] {
-					indeg[v]--
-					if indeg[v] == 0 {
-						if observing {
-							readyAt[v] = obs.StartStopwatch()
-						}
-						ready <- v
+					if indeg[v]--; indeg[v] == 0 {
+						push(v)
 					}
 				}
 				if done == n {
@@ -107,196 +124,8 @@ func RunWorkersObserved(g *sched.Graph, workers int, o *obs.Observer, fn func(wo
 	if done != n {
 		panic("taskflow: executor deadlocked (cyclic graph?)")
 	}
+	return cancelErr
 }
-
-// FaultReport is the partial-failure outcome of RunWorkersFault: which
-// tasks completed, which failed terminally, and which were skipped
-// because a dependency failed. Failed, Skipped and Errs are sorted by
-// task id, so the report is identical at every worker count (the
-// skipped set is a pure function of the failed set and the graph).
-type FaultReport struct {
-	// Completed counts tasks whose body returned nil.
-	Completed int
-	// Failed lists tasks whose body ended in a *fault.WorkError
-	// (containment exhaustion or a deliberate unit failure).
-	Failed []int
-	// Skipped lists tasks never run because a transitive predecessor
-	// failed (or, on the cancel path, tasks abandoned mid-run).
-	Skipped []int
-	// Errs holds the terminal error of each failed task, parallel to
-	// Failed.
-	Errs []*fault.WorkError
-	// CancelErr is the first (lowest task id) non-WorkError a body
-	// returned; non-nil means the run was aborted, remaining tasks were
-	// drained unrun, and the rest of the report describes a partial,
-	// timing-dependent state the caller must discard.
-	CancelErr error
-}
-
-// Failure returns the lowest-task-id terminal error, nil when every
-// scheduled task completed.
-func (r *FaultReport) Failure() *fault.WorkError {
-	if len(r.Errs) == 0 {
-		return nil
-	}
-	return r.Errs[0]
-}
-
-// RunWorkersFault is RunWorkersObserved for fallible tasks. A body that
-// returns a *fault.WorkError fails its task, and its dependents are
-// skipped, never run; a caller contains a task by running its body under
-// fault.Containment.Run, which returns one when the unit exhausts its
-// attempts. The run still settles every task, so a failing graph
-// completes with a partial-failure report instead of wedging the
-// executor. Any other body error cancels the run: remaining ready tasks
-// drain unrun and CancelErr reports the cause. When the bodies key
-// injection by task id, not by goroutine interleaving, the
-// Completed/Failed/Skipped partition for a fixed fault seed is identical
-// at every worker count (except after a cancel, which is an abort path).
-func RunWorkersFault(g *sched.Graph, workers int, o *obs.Observer, fn func(worker, task int) error) FaultReport {
-	var rep FaultReport
-	n := len(g.Tasks)
-	if n == 0 {
-		return rep
-	}
-	if workers < 1 {
-		workers = 1
-	}
-
-	waitHist := o.M().Histogram(obs.MTaskWaitNs, obs.DurationBuckets)
-	runHist := o.M().Histogram(obs.MTaskRunNs, obs.DurationBuckets)
-	observing := waitHist != nil
-	var readyAt []obs.Stopwatch
-	if observing {
-		readyAt = make([]obs.Stopwatch, n)
-	}
-
-	indeg := append([]int(nil), g.Indegree...)
-	poisoned := make([]bool, n)
-	ready := make(chan int, n)
-
-	var mu sync.Mutex
-	done := 0
-	canceled := false
-
-	// settleLocked finishes task t (mu held): it counts toward done,
-	// poisons dependents when it did not succeed, and either enqueues or
-	// cascades-skips each dependent that becomes ready. The cascade is
-	// iterative (an explicit stack) so a long poisoned chain cannot
-	// overflow the goroutine stack, and skipping happens here — under the
-	// settle lock, in dependency order — so the skipped set never depends
-	// on which worker observed the failure.
-	var stack []int
-	settleLocked := func(t int, ok bool) {
-		stack = append(stack[:0], t)
-		okAt := map[int]bool{t: ok}
-		for len(stack) > 0 {
-			u := stack[len(stack)-1]
-			stack = stack[:len(stack)-1]
-			done++
-			if done == n {
-				close(ready)
-			}
-			for _, v := range g.Succ[u] {
-				if !okAt[u] {
-					poisoned[v] = true
-				}
-				indeg[v]--
-				if indeg[v] != 0 {
-					continue
-				}
-				if poisoned[v] || canceled {
-					rep.Skipped = append(rep.Skipped, v)
-					okAt[v] = false
-					stack = append(stack, v)
-					continue
-				}
-				if observing {
-					readyAt[v] = obs.StartStopwatch()
-				}
-				ready <- v
-			}
-		}
-	}
-
-	for i, d := range indeg {
-		if d == 0 {
-			if observing {
-				readyAt[i] = obs.StartStopwatch()
-			}
-			ready <- i
-		}
-	}
-
-	var wg sync.WaitGroup
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func(worker int) {
-			defer wg.Done()
-			for t := range ready {
-				mu.Lock()
-				drain := canceled
-				mu.Unlock()
-				var err error
-				if drain {
-					// Abort path: don't run, just settle so the run ends.
-				} else {
-					var run obs.Stopwatch
-					if observing {
-						waitHist.Observe(readyAt[t].ElapsedNs())
-						run = obs.StartStopwatch()
-					}
-					err = fn(worker, t)
-					if observing {
-						runHist.Observe(run.ElapsedNs())
-					}
-				}
-				mu.Lock()
-				switch we := err.(type) {
-				case nil:
-					if drain {
-						rep.Skipped = append(rep.Skipped, t)
-						settleLocked(t, false)
-					} else {
-						rep.Completed++
-						settleLocked(t, true)
-					}
-				case *fault.WorkError:
-					rep.Failed = append(rep.Failed, t)
-					rep.Errs = append(rep.Errs, we)
-					settleLocked(t, false)
-				default:
-					if !canceled {
-						canceled = true
-						rep.CancelErr = err
-					}
-					rep.Skipped = append(rep.Skipped, t)
-					settleLocked(t, false)
-				}
-				mu.Unlock()
-			}
-		}(w)
-	}
-	wg.Wait()
-	if done != n {
-		panic("taskflow: executor deadlocked (cyclic graph?)")
-	}
-
-	sortInts(rep.Failed)
-	sortInts(rep.Skipped)
-	sortErrs(rep.Errs)
-	return rep
-}
-
-func sortInts(s []int) {
-	for i := 1; i < len(s); i++ {
-		for j := i; j > 0 && s[j] < s[j-1]; j-- {
-			s[j], s[j-1] = s[j-1], s[j]
-		}
-	}
-}
-
-func sortErrs(errs []*fault.WorkError) { fault.SortWorkErrors(errs) }
 
 // Makespan simulates critical-path-first list scheduling of the task graph
 // on P workers with the given per-task durations: a task becomes ready when

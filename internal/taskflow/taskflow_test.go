@@ -234,19 +234,23 @@ func TestMakespanEmpty(t *testing.T) {
 	}
 }
 
-// TestRunWorkersObserved checks the wait/run histograms: every task
-// contributes one observation to each, and dependencies still hold.
+// TestRunWorkersObserved checks the executor's wait/run histograms: every
+// task contributes one observation to each, and dependencies still hold.
 func TestRunWorkersObserved(t *testing.T) {
 	const n = 40
 	g := chainGraph(n)
 	o := &obs.Observer{Metrics: obs.NewRegistry()}
 	var mu sync.Mutex
 	var order []int
-	RunWorkersObserved(g, 4, o, func(_, task int) {
+	err := RunWorkersFault(g, 4, o, func(_, task int) error {
 		mu.Lock()
 		order = append(order, task)
 		mu.Unlock()
+		return nil
 	})
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(order) != n {
 		t.Fatalf("executed %d tasks, want %d", len(order), n)
 	}
