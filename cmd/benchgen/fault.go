@@ -1,13 +1,10 @@
 package main
 
 import (
-	"encoding/json"
 	"fmt"
-	"os"
 	"sort"
 	"time"
 
-	"fastgr/internal/atomicio"
 	"fastgr/internal/design"
 	"fastgr/internal/fault"
 	"fastgr/internal/geom"
@@ -192,28 +189,14 @@ func runFault(out string) error {
 	}
 
 	rep.Meta = currentBenchMeta()
-	data, err := json.MarshalIndent(rep, "", "  ")
-	if err != nil {
-		return err
-	}
-	data = append(data, '\n')
-	if out == "" {
-		if _, err := os.Stdout.Write(data); err != nil {
-			return err
-		}
-	} else {
-		if err := atomicio.WriteFile(out, data); err != nil {
-			return err
-		}
-		fmt.Printf("fault containment overhead record written to %s\n", out)
-	}
-	if rep.PatternOverheadPct > maxFaultOverheadPct {
-		return fmt.Errorf("disabled-injection pattern overhead %.2f%% exceeds the %.1f%% budget (plain %d ns/op, armed %d ns/op)",
+	var gate error
+	switch {
+	case rep.PatternOverheadPct > maxFaultOverheadPct:
+		gate = fmt.Errorf("disabled-injection pattern overhead %.2f%% exceeds the %.1f%% budget (plain %d ns/op, armed %d ns/op)",
 			rep.PatternOverheadPct, maxFaultOverheadPct, rep.PatternPlainNsPerOp, rep.PatternArmedNsPerOp)
-	}
-	if rep.MazeOverheadPct > maxFaultOverheadPct {
-		return fmt.Errorf("budget-check maze overhead %.2f%% exceeds the %.1f%% budget (unbudgeted %d ns/op, budgeted %d ns/op)",
+	case rep.MazeOverheadPct > maxFaultOverheadPct:
+		gate = fmt.Errorf("budget-check maze overhead %.2f%% exceeds the %.1f%% budget (unbudgeted %d ns/op, budgeted %d ns/op)",
 			rep.MazeOverheadPct, maxFaultOverheadPct, rep.MazeUnbudgetedNsPerOp, rep.MazeBudgetedNsPerOp)
 	}
-	return nil
+	return writeRecord(out, "fault containment overhead record", rep, gate)
 }

@@ -1,13 +1,11 @@
 package main
 
 import (
-	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
 	"time"
 
-	"fastgr/internal/atomicio"
 	"fastgr/internal/lint"
 )
 
@@ -102,25 +100,14 @@ func runLint(out string) error {
 		rep.Checks[st.Check] = lintCheckStat{WallMs: st.WallMs, Findings: st.Findings}
 	}
 	rep.Meta = currentBenchMeta()
-	data, err := json.MarshalIndent(rep, "", "  ")
-	if err != nil {
-		return err
-	}
-	data = append(data, '\n')
-	if out == "" {
-		if _, err := os.Stdout.Write(data); err != nil {
-			return err
-		}
-	} else if err := atomicio.WriteFile(out, data); err != nil {
-		return err
-	}
 	fmt.Printf("lint: %d packages, %d files, %d findings in %.0fms (%.0f files/sec, %.2fx baseline)\n",
 		rep.Packages, rep.Files, rep.Findings, rep.WallMs, rep.FilesPerSec, rep.WallRatio)
+	var gate error
 	if rep.WallRatio > lintMaxWallRatio {
-		return fmt.Errorf("lint suite took %.0fms, %.2fx the %.0fms baseline (limit %.1fx)",
+		gate = fmt.Errorf("lint suite took %.0fms, %.2fx the %.0fms baseline (limit %.1fx)",
 			rep.WallMs, rep.WallRatio, rep.BaselineWallMs, lintMaxWallRatio)
 	}
-	return nil
+	return writeRecord(out, "lint analyzer cost record", rep, gate)
 }
 
 // lintModuleRoot walks up from the working directory to the nearest

@@ -1,12 +1,9 @@
 package main
 
 import (
-	"encoding/json"
 	"fmt"
 	"math/rand"
-	"os"
 
-	"fastgr/internal/atomicio"
 	"fastgr/internal/design"
 	"fastgr/internal/geom"
 	"fastgr/internal/grid"
@@ -200,27 +197,13 @@ func runMaze(out string) error {
 	rep.HotNsPerOpRatio = float64(hotA.NsPerOp) / float64(hotD.NsPerOp)
 
 	rep.Meta = currentBenchMeta()
-	data, err := json.MarshalIndent(rep, "", "  ")
-	if err != nil {
-		return err
-	}
-	data = append(data, '\n')
-	if out == "" {
-		if _, err := os.Stdout.Write(data); err != nil {
-			return err
-		}
-	} else {
-		if err := atomicio.WriteFile(out, data); err != nil {
-			return err
-		}
-		fmt.Printf("maze kernel benchmark record written to %s\n", out)
-	}
-	if rep.NsPerExpansionRatio > maxNsPerExpansionRatio {
-		return fmt.Errorf("an astar expansion costs %.2fx a dijkstra expansion on the warm field (%.0f vs %.0f ns); the gate is %.1fx",
+	var gate error
+	switch {
+	case rep.NsPerExpansionRatio > maxNsPerExpansionRatio:
+		gate = fmt.Errorf("an astar expansion costs %.2fx a dijkstra expansion on the warm field (%.0f vs %.0f ns); the gate is %.1fx",
 			rep.NsPerExpansionRatio, ship.NsPerExpansion, base.NsPerExpansion, maxNsPerExpansionRatio)
+	case ship.Expansions >= seed.Expansions:
+		gate = fmt.Errorf("astar settled %d nodes, not fewer than dijkstra's %d", ship.Expansions, seed.Expansions)
 	}
-	if ship.Expansions >= seed.Expansions {
-		return fmt.Errorf("astar settled %d nodes, not fewer than dijkstra's %d", ship.Expansions, seed.Expansions)
-	}
-	return nil
+	return writeRecord(out, "maze kernel benchmark record", rep, gate)
 }

@@ -1,12 +1,9 @@
 package main
 
 import (
-	"encoding/json"
 	"fmt"
-	"os"
 	"time"
 
-	"fastgr/internal/atomicio"
 	"fastgr/internal/design"
 	"fastgr/internal/gpu"
 	"fastgr/internal/grid"
@@ -115,25 +112,11 @@ func runObs(out string) error {
 	rep.EnabledOverheadPct = pct(rep.EnabledNsPerOp)
 
 	rep.Meta = currentBenchMeta()
-	data, err := json.MarshalIndent(rep, "", "  ")
-	if err != nil {
-		return err
-	}
-	data = append(data, '\n')
-	if out == "" {
-		if _, err := os.Stdout.Write(data); err != nil {
-			return err
-		}
-	} else {
-		if err := atomicio.WriteFile(out, data); err != nil {
-			return err
-		}
-		fmt.Printf("observability overhead record written to %s\n", out)
-	}
+	var gate error
 	if rep.DisabledOverheadPct > maxDisabledOverheadPct {
-		return fmt.Errorf("disabled-mode observability overhead %.2f%% exceeds the %.1f%% budget (baseline %d ns/op, disabled %d ns/op)",
+		gate = fmt.Errorf("disabled-mode observability overhead %.2f%% exceeds the %.1f%% budget (baseline %d ns/op, disabled %d ns/op)",
 			rep.DisabledOverheadPct, maxDisabledOverheadPct,
 			rep.BaselineNsPerOp, rep.DisabledNsPerOp)
 	}
-	return nil
+	return writeRecord(out, "observability overhead record", rep, gate)
 }

@@ -200,26 +200,12 @@ func runServe(out string) error {
 	}
 
 	rep.Meta = currentBenchMeta()
-	data, err := json.MarshalIndent(rep, "", "  ")
-	if err != nil {
-		return err
-	}
-	data = append(data, '\n')
-	if out == "" {
-		if _, err := os.Stdout.Write(data); err != nil {
-			return err
-		}
-	} else {
-		if err := atomicio.WriteFile(out, data); err != nil {
-			return err
-		}
-		fmt.Printf("serve daemon overhead record written to %s\n", out)
-	}
+	var gate error
 	if rep.OverheadPct > maxServeOverheadPct {
-		return fmt.Errorf("daemon-path overhead %.2f%% exceeds the %.1f%% budget (direct %d ns/op, daemon %d ns/op)",
+		gate = fmt.Errorf("daemon-path overhead %.2f%% exceeds the %.1f%% budget (direct %d ns/op, daemon %d ns/op)",
 			rep.OverheadPct, maxServeOverheadPct, rep.DirectNsPerOp, rep.DaemonNsPerOp)
 	}
-	return nil
+	return writeRecord(out, "serve daemon overhead record", rep, gate)
 }
 
 // directServeOptions mirrors what the daemon resolves for the bench

@@ -1,14 +1,11 @@
 package main
 
 import (
-	"encoding/json"
 	"fmt"
 	"math"
-	"os"
 	"runtime"
 	"time"
 
-	"fastgr/internal/atomicio"
 	"fastgr/internal/core"
 	"fastgr/internal/design"
 )
@@ -151,28 +148,14 @@ func runShard(out string) error {
 	rep.WallRatio = rep.Cut.WallMs / rep.Monolithic.WallMs
 
 	rep.Meta = currentBenchMeta()
-	data, err := json.MarshalIndent(rep, "", "  ")
-	if err != nil {
-		return err
-	}
-	data = append(data, '\n')
-	if out == "" {
-		if _, err := os.Stdout.Write(data); err != nil {
-			return err
-		}
-	} else {
-		if err := atomicio.WriteFile(out, data); err != nil {
-			return err
-		}
-		fmt.Printf("sharded routing benchmark record written to %s\n", out)
-	}
-	if rep.HeapRatio > maxShardHeapRatio {
-		return fmt.Errorf("cut-plan peak-heap delta is %.2fx the monolithic one (gate %.2fx): %d vs %d bytes",
+	var gate error
+	switch {
+	case rep.HeapRatio > maxShardHeapRatio:
+		gate = fmt.Errorf("cut-plan peak-heap delta is %.2fx the monolithic one (gate %.2fx): %d vs %d bytes",
 			rep.HeapRatio, maxShardHeapRatio, rep.Cut.DeltaHeap, rep.Monolithic.DeltaHeap)
-	}
-	if rep.ScoreDriftPct > maxShardScoreDriftPct {
-		return fmt.Errorf("cut-plan score drifts %.2f%% from monolithic (gate %.1f%%)",
+	case rep.ScoreDriftPct > maxShardScoreDriftPct:
+		gate = fmt.Errorf("cut-plan score drifts %.2f%% from monolithic (gate %.1f%%)",
 			rep.ScoreDriftPct, maxShardScoreDriftPct)
 	}
-	return nil
+	return writeRecord(out, "sharded routing benchmark record", rep, gate)
 }

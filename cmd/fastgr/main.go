@@ -23,7 +23,6 @@ import (
 	"fastgr/internal/dr"
 	"fastgr/internal/fault"
 	"fastgr/internal/guide"
-	"fastgr/internal/maze"
 	"fastgr/internal/metrics"
 	"fastgr/internal/obs"
 	"fastgr/internal/obs/opsrv"
@@ -44,8 +43,7 @@ func main() {
 		guides     = flag.String("guides", "", "write routing guides to this file")
 		evalDR     = flag.Bool("dr", false, "evaluate the solution with the detailed-routing track assigner")
 		workers    = flag.Int("exec-workers", 0, "host worker goroutines executing the router (0 = library default); never changes the reported result")
-		shards     = flag.Int("shards", 0, "spatial plan: 0 routes the whole grid as one leaf; any count >= 1 cuts it into leaf regions that executor slots claim and route against windowed cost caches (every count >= 1 runs and outputs the same)")
-		mazeAlg    = flag.String("maze-alg", "astar", "maze search algorithm: astar | dijkstra (identical geometry, different expansion counts)")
+		shards     = flag.Int("shards", 0, "spatial plan: 0 routes the whole grid as one leaf; any count >= 1 cuts it into leaf regions whose nets route against windowed cost caches, leaf after leaf in the pattern stage and as one task graph per rip-up iteration (every count >= 1 runs and outputs the same)")
 		traceOut   = flag.String("trace", "", "write a Chrome trace_event timeline to this file (open at ui.perfetto.dev)")
 		metricsOut = flag.String("metrics-out", "", "write the metrics registry and report as JSON to this file")
 		pprofAddr  = flag.String("pprof", "", "serve net/http/pprof on this address (e.g. localhost:6060)")
@@ -82,14 +80,6 @@ func main() {
 		opt.Scheme = s
 	} else {
 		fatal(fmt.Errorf("unknown sorting scheme %q", *scheme))
-	}
-	switch *mazeAlg {
-	case "astar":
-		opt.MazeAlgorithm = maze.AStar
-	case "dijkstra":
-		opt.MazeAlgorithm = maze.Dijkstra
-	default:
-		fatal(fmt.Errorf("unknown maze algorithm %q (want astar or dijkstra)", *mazeAlg))
 	}
 	if *t1 > 0 {
 		opt.T1 = *t1

@@ -70,7 +70,12 @@ func main() {
 
 	// And execute for real with the dependency-respecting worker pool.
 	done := make(chan int, len(tasks))
-	taskflow.Run(g, 4, func(task int) { done <- task })
+	if err := taskflow.RunWorkersFault(g, 4, nil, func(_, task int) error {
+		done <- task
+		return nil
+	}); err != nil {
+		panic(err)
+	}
 	close(done)
 	count := 0
 	for range done {

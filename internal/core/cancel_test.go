@@ -12,7 +12,8 @@ import (
 
 // pollCtx is a context whose Done channel reads closed from its n-th poll
 // on. Every checkpoint polls exactly once, so n picks the checkpoint the
-// run stops at. Executor slots poll concurrently, so the count is guarded.
+// run stops at. Only the coordinator polls; the guard keeps the count
+// race-clean should a worker ever poll.
 type pollCtx struct {
 	context.Context // Background: no deadline, no values
 	n               int
@@ -54,10 +55,9 @@ func (c *pollCtx) count() int {
 // checkpoint before planning, before every pattern batch — every leaf's,
 // then a cut plan's boundary batches — and at the top of every rip-up
 // iteration. For every n, a run cancelled at the n-th poll must stop at
-// the n-th checkpoint of that sequence and hand back a partial Result
-// whose committed demand is exactly the demand of its routes. At one exec
-// worker the run stops after exactly n polls; at four, slots still
-// running poll on past the n-th before they stop.
+// the n-th checkpoint of that sequence, after exactly n polls at any
+// worker count (only the coordinator polls), and hand back a partial
+// Result whose committed demand is exactly the demand of its routes.
 func TestCancelAtEveryCheckpoint(t *testing.T) {
 	d := design.MustGenerate("18test5m", testScale)
 	for _, c := range []struct {
@@ -65,7 +65,7 @@ func TestCancelAtEveryCheckpoint(t *testing.T) {
 		shards, workers int
 	}{
 		{CUGR, 0, 1}, {CUGR, 2, 1}, {FastGRH, 0, 1}, {FastGRH, 2, 1},
-		{FastGRH, 2, 4}, // slots fanned out, polling one context
+		{FastGRH, 2, 4}, // workers fanned out under a polling coordinator
 	} {
 		name := fmt.Sprintf("%v/shards=%d", c.v, c.shards)
 		if c.workers > 1 {
@@ -95,7 +95,7 @@ func TestCancelAtEveryCheckpoint(t *testing.T) {
 				if !errors.As(err, &ce) || res == nil {
 					t.Fatalf("n=%d: want a *CancelError with a partial result, got %v", n, err)
 				}
-				if got := (CancelError{Stage: ce.Stage, Iter: ce.Iter}); got != want[n-1] || polls < n || (c.workers == 1 && polls != n) {
+				if got := (CancelError{Stage: ce.Stage, Iter: ce.Iter}); got != want[n-1] || polls != n {
 					t.Fatalf("n=%d: stopped at %+v after %d polls, want %+v", n, got, polls, want[n-1])
 				}
 				checkDemandMatchesRoutes(t, res)

@@ -189,14 +189,14 @@ func TestChaosContainment(t *testing.T) {
 	}
 }
 
-// TestChaosFaultMarkersOnSlotLanes requires every fault marker to be
-// drawn on a lane of the executor that ran the faulted unit. A traced
+// TestChaosFaultMarkersOnWorkerLanes requires every fault marker to be
+// drawn on the lane of the worker that ran the faulted unit. A traced
 // cut-plan run (FastGRH, Shards 2, 8 workers) injects on kernel solves and
-// rip-up tasks. Each fault:* marker must lie inside a slot span that covers
-// its lane: a leaf's pattern.batch or rrr.leaf span covers its slot's inner
-// lanes, and a boundary pass span every worker lane. The traced run must
-// route exactly like an untraced one.
-func TestChaosFaultMarkersOnSlotLanes(t *testing.T) {
+// rip-up tasks. Each fault:* marker must lie inside the span of the unit's
+// own work on its own lane: a solve's inside a par.chunk span of the
+// kernel's fan-out, a rip-up task's inside its maze:<net> span. The traced
+// run must route exactly like an untraced one.
+func TestChaosFaultMarkersOnWorkerLanes(t *testing.T) {
 	d := design.MustGenerate("18test5m", testScale)
 	opt := DefaultOptions(FastGRH)
 	opt.T1, opt.T2 = 4, 40
@@ -220,32 +220,32 @@ func TestChaosFaultMarkersOnSlotLanes(t *testing.T) {
 		t.Fatalf("tracer dropped %d spans", tr.Dropped())
 	}
 
-	// Event lanes are worker ids plus one; lane 0 is the coordinator's.
-	outer := min(res.Report.ShardLeaves, opt.ExecWorkers)
-	inner := max(opt.ExecWorkers/outer, 1)
-	type slotSpan struct {
-		e      obs.Event
-		lo, hi int // the event lanes [lo, hi) of the slot's executor
+	// The span a unit's work draws on its worker's lane, by fault site.
+	unitSpan := map[string]string{
+		"fault:" + fault.SiteSolve: "par.chunk",
+		"fault:" + fault.SiteTask:  "maze:",
 	}
-	var slots []slotSpan
-	var markers []obs.Event
+	var units, markers []obs.Event
 	for _, e := range tr.Events() {
 		switch {
 		case strings.HasPrefix(e.Name, "fault:"):
 			markers = append(markers, e)
-		case strings.HasPrefix(e.Name, "pattern.batch[") || strings.HasPrefix(e.Name, "rrr.leaf["):
-			slots = append(slots, slotSpan{e, e.Lane, e.Lane + inner})
-		case e.Name == "pattern.boundary" || e.Name == "rrr.boundary":
-			slots = append(slots, slotSpan{e, 1, 1 + opt.ExecWorkers})
+		case e.Name == "par.chunk" || strings.HasPrefix(e.Name, "maze:"):
+			units = append(units, e)
 		}
 	}
 	sites := map[string]int{}
 	for _, m := range markers {
 		sites[m.Name]++
-		if !slices.ContainsFunc(slots, func(s slotSpan) bool {
-			return s.e.Start <= m.Start && m.Start+m.Dur <= s.e.Start+s.e.Dur && s.lo <= m.Lane && m.Lane < s.hi
+		want, ok := unitSpan[m.Name]
+		if !ok {
+			t.Fatalf("unexpected marker %s", m.Name)
+		}
+		if !slices.ContainsFunc(units, func(u obs.Event) bool {
+			return strings.HasPrefix(u.Name, want) && u.Lane == m.Lane && u.Depth < m.Depth &&
+				u.Start <= m.Start && m.Start+m.Dur <= u.Start+u.Dur
 		}) {
-			t.Fatalf("%s on lane %d at %v lies in no enclosing slot span covering its lane", m.Name, m.Lane, m.Start)
+			t.Fatalf("%s on lane %d at %v lies in no enclosing %s span on its lane", m.Name, m.Lane, m.Start, want)
 		}
 	}
 	for _, site := range []string{fault.SiteSolve, fault.SiteTask} {

@@ -37,12 +37,12 @@ import (
 	"fastgr/internal/maze"
 	"fastgr/internal/metrics"
 	"fastgr/internal/obs"
-	"fastgr/internal/par"
 	"fastgr/internal/pattern"
 	"fastgr/internal/route"
 	"fastgr/internal/sched"
 	"fastgr/internal/shard"
 	"fastgr/internal/stt"
+	"fastgr/internal/taskflow"
 )
 
 // Variant selects the router configuration.
@@ -99,11 +99,13 @@ type Options struct {
 	// MazeMargin inflates each net's maze search window (and its conflict
 	// footprint) beyond its bounding box.
 	MazeMargin int
-	// MazeAlgorithm selects the rip-up search strategy. The zero value is
-	// maze.AStar; maze.Dijkstra is the unguided baseline. Routed geometry
-	// is bit-identical either way (the A* bound is strictly admissible
-	// under the default cost parameters) — only expansion counts, and with
-	// them the modeled maze times, differ.
+	// MazeAlgorithm selects the rip-up search strategy. The zero value,
+	// maze.AStar, is the only production setting: no CLI flag or job spec
+	// field reaches this field. maze.Dijkstra is the unguided oracle that
+	// tests and the frozen e2ebench replay switch to. Routed geometry is
+	// bit-identical either way (the A* bound is strictly admissible under
+	// the default cost parameters) — only expansion counts, and with them
+	// the modeled maze times, differ.
 	MazeAlgorithm maze.Algorithm
 	// Workers is the modeled CPU worker count for parallel-RRR makespans
 	// (paper host: 16 cores).
@@ -156,8 +158,9 @@ type Options struct {
 	// 0, the default, is the one-leaf plan: the whole grid, no cuts, every
 	// net routed whole against one full-grid cost field. K >= 1 is the cut
 	// plan: the grid is bisected into leaf regions on pin density,
-	// executor slots claim leaves and route their intra-leaf nets against
-	// leaf-windowed cost caches, and boundary nets (nets crossing a cut)
+	// intra-leaf nets route against leaf-windowed cost caches (leaf after
+	// leaf in the pattern stage, every leaf in one task graph per rip-up
+	// iteration), and boundary nets (nets crossing a cut)
 	// route whole after the leaves in each stage, over a full-grid view.
 	// K steers nothing but that choice, so routed output is bit-identical
 	// for every K >= 1 but may differ from K = 0: boundary nets route after
@@ -396,7 +399,6 @@ type runner struct {
 	opt Options
 
 	g      *grid.Graph
-	pool   *par.Pool
 	fc     *fault.Containment
 	trees  []*stt.Tree
 	routes []*route.NetRoute
@@ -415,13 +417,10 @@ type runner struct {
 func (r *runner) run() (*Result, error) {
 	r.g = grid.NewFromDesign(r.d)
 	r.g.SetObserver(r.opt.Obs)
-	r.pool = par.NewPool(r.opt.ExecWorkers)
-	r.pool.SetObserver(r.opt.Obs)
 	r.fc = r.opt.Containment
 	if r.fc == nil && r.opt.Fault != nil {
 		r.fc = fault.New(*r.opt.Fault, r.opt.Obs)
 	}
-	r.pool.SetFault(r.fc)
 	r.rep.Design = r.d.Name
 	r.rep.Variant = r.opt.Variant.String()
 
@@ -500,9 +499,9 @@ func (r *runner) sampleHeap() {
 // plan builds and congestion-shifts the Steiner tree of every net (the
 // pattern routing planning box of Fig. 5). Nets are independent — the
 // estimator is a read-only snapshot and each net writes only its own tree
-// slot — so construction fans out over the executor pool. Every later
-// stage needs every tree, so a net whose planning unit exhausts
-// containment aborts the run with its typed error.
+// slot — so construction fans out over the executor, each net a
+// contained unit. Every later stage needs every tree, so a net whose
+// planning unit exhausts containment aborts the run with its typed error.
 func (r *runner) plan() error {
 	start := obs.StartStopwatch()
 	sp := r.opt.Obs.T().StartSpan("plan", obs.Coordinator)
@@ -515,18 +514,20 @@ func (r *runner) plan() error {
 	}
 	r.trees = make([]*stt.Tree, maxID+1)
 	r.routes = make([]*route.NetRoute, maxID+1)
-	errs := r.pool.ForUnits(fault.SitePlan, len(r.d.Nets), func(_, i int) error {
-		n := r.d.Nets[i]
-		t := stt.Build(n)
-		if !r.opt.NoEdgeShift {
-			t.Shift(est)
-		}
-		r.trees[n.ID] = t
-		return nil
+	err := taskflow.For(r.workers(), len(r.d.Nets), r.opt.Obs, func(worker, i int) error {
+		return r.fc.Run(fault.SitePlan, i, worker, func() error {
+			n := r.d.Nets[i]
+			t := stt.Build(n)
+			if !r.opt.NoEdgeShift {
+				t.Shift(est)
+			}
+			r.trees[n.ID] = t
+			return nil
+		})
 	})
 	r.rep.Times.PlanWall = start.Elapsed()
-	if len(errs) > 0 {
-		return fmt.Errorf("core: planning: %w", errs[0])
+	if err != nil {
+		return fmt.Errorf("core: planning: %w", err)
 	}
 	r.stageDone("plan", r.rep.Times.PlanWall, 0)
 	return nil
@@ -555,19 +556,22 @@ func (r *runner) patternConfig() pattern.Config {
 
 // violatingNets returns the nets whose routes cross an over-capacity edge.
 // The scan reads only the grid and each net's own route, so it fans out over
-// the pool; the result list is assembled in net order to stay deterministic.
+// the executor, each net a contained unit; the result list is assembled in
+// net order to stay deterministic.
 // A scan unit exhausting containment aborts the run: a missing flag would
 // silently drop a violating net from rip-up.
 func (r *runner) violatingNets() ([]*design.Net, error) {
 	flags := make([]bool, len(r.d.Nets))
-	errs := r.pool.ForUnits(fault.SiteScan, len(r.d.Nets), func(_, i int) error {
-		if rt := r.routes[r.d.Nets[i].ID]; rt != nil && rt.HasOverflow(r.g) {
-			flags[i] = true
-		}
-		return nil
+	err := taskflow.For(r.workers(), len(r.d.Nets), r.opt.Obs, func(worker, i int) error {
+		return r.fc.Run(fault.SiteScan, i, worker, func() error {
+			if rt := r.routes[r.d.Nets[i].ID]; rt != nil && rt.HasOverflow(r.g) {
+				flags[i] = true
+			}
+			return nil
+		})
 	})
-	if len(errs) > 0 {
-		return nil, fmt.Errorf("core: overflow scan: %w", errs[0])
+	if err != nil {
+		return nil, fmt.Errorf("core: overflow scan: %w", err)
 	}
 	var out []*design.Net
 	for i, f := range flags {

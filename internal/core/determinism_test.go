@@ -331,8 +331,8 @@ func checkPlanAccounting(t *testing.T, d *design.Design, shards int, r core.Repo
 // recorder: with the tracer and metrics registry attached, every
 // paper-facing output must stay byte-for-byte identical to an
 // observability-free run, for both plans and at every worker count —
-// tracing is passive. Every executor slot, fanned out or not, records its
-// batch spans and kernel metrics.
+// tracing is passive. Every pattern batch, a leaf's or a boundary one,
+// records its batch span and kernel metrics.
 func TestExecWorkersDeterminismWithTracing(t *testing.T) {
 	d := design.MustGenerate("18test5m", 0.005)
 	for _, v := range []core.Variant{core.CUGR, core.FastGRL, core.FastGRH} {

@@ -4,52 +4,57 @@
 // cut plan: the grid is bisected into leaf regions on pin density,
 // intra-leaf nets route fully inside their leaf against a leaf-windowed
 // cost cache, and boundary nets — nets whose Steiner tree crosses a cut —
-// route whole after the leaves. Both stages have that shape: slots route
-// the leaves, and after the barrier the coordinator routes the boundary
-// nets over one full-grid view, the pattern stage batch by batch
-// (patternBoundary), each rip-up iteration as a task graph whose conflict
-// edges keep the serial order (boundaryPass). Overflow the pattern stage
-// leaves on a boundary net is the rip-up stage's to repair.
+// route whole after the leaves over one full-grid view. Both stages have
+// that shape: the pattern stage routes leaf after leaf and then the
+// boundary nets, batch by batch (patternPass); each rip-up iteration
+// reroutes every leaf's nets as one task graph (leafPass) and then the
+// boundary nets as another, whose conflict edges keep the serial order
+// (boundaryPass). Overflow the pattern stage leaves on a boundary net is
+// the rip-up stage's to repair.
 //
-// Execution. A leaf is the unit an executor slot claims (see slots), and a
-// leaf's batches run on its slot as a chain in canonical order. Every slot
-// checkpoints before each pattern batch, draws its batch and leaf spans on
-// its first composite lane and lends its kernel router and rip-up task
-// graph the observer. Every rip-up pass — a leaf's, of either variant, and
-// a boundary pass — is a task graph on the one taskflow executor with one
-// failure policy: a task that exhausts fault containment keeps its net's
-// route and holds back nothing. CUGR's graph is its Algorithm-1 batch
-// order, so its routes are defined by that order; its batch barrier is a
-// cost the reported times model (taskflow.BatchMakespan), never one the
-// host pays.
+// Execution. There is one executor, internal/taskflow, and one client of
+// it: the coordinator runs every pass in turn, and workers fan out only
+// inside a pass. A pattern batch fans its kernel's net solves out over
+// every ExecWorkers worker (taskflow.For); a rip-up pass runs its task
+// graph on all of them (taskflow.RunWorkersFault) with one failure policy:
+// a task that exhausts fault containment keeps its net's route and holds
+// back nothing. CUGR's graph is its Algorithm-1 batch order, so its routes
+// are defined by that order; its batch barrier is a cost the reported
+// times model (taskflow.BatchMakespan), never one the host pays. The
+// coordinator's spans — stages, passes, batches, iterations, kernels — sit
+// on the stages lane; worker w's spans (par.chunk, maze:<net>) and the
+// fault markers of the units it runs sit on lane w. Checkpoints are polled
+// on the coordinator only: before every pattern batch and at the top of
+// every rip-up iteration.
 //
 // Shard-count invariance. Every decision below derives from the cut tree
 // (a pure function of design and margin) or happens at a coordinator
 // point in canonical net order, or in a task graph equivalent to it. The
-// shard count K only selects the cut plan; which slot claims a leaf, and
-// beside which other leaves it runs, is left to the executor. Leaves touch
-// provably disjoint grid edges (an intra-leaf route never commits an edge
-// leaving its leaf, and boundary nets route only after the leaf barrier),
-// so the demand trajectory each leaf observes is independent of which
-// other leaves run beside it. Routed output is therefore bit-identical for
-// every K >= 1 and every ExecWorkers count.
+// shard count K only selects the cut plan. Leaves touch provably disjoint
+// grid edges (an intra-leaf route never commits an edge leaving its leaf,
+// and boundary nets route only after the leaves), and the leaf-clamped
+// rip-up windows of two leaves never overlap, so the demand trajectory
+// each leaf observes is independent of which other leaves run beside it.
+// Routed output is therefore bit-identical for every K >= 1 and every
+// ExecWorkers count.
 //
 // Memory. The parent graph's cost cache is never warmed. Every view keeps
 // the same cache — values, prefix runs and dirty flags — over its own
-// window. The one-leaf plan's full-grid view lives for the whole run; under
-// a cut plan a slot warms one leaf-sized view at a time, and each boundary
-// pass one full-grid view that lives only for the pass. A maze scratch
-// drops its view when RouteNet returns, so scratches kept across iterations
-// pin no view. Peak heap (Report.PeakHeapBytes, sampled between passes)
-// shrinks with the leaf size.
+// window. The one-leaf plan's full-grid view lives for the whole run.
+// Under a cut plan the pattern stage keeps one view alive at a time: a
+// leaf's, then the boundary nets' full-grid one. A rip-up iteration's leaf
+// pass holds every non-empty leaf's view at once; leaves tile the grid, so
+// together they come to about one full-grid cache, the size of the
+// full-grid view the boundary pass right after it holds, and they are
+// dropped before that pass builds its own. A maze scratch drops its view
+// when RouteNet returns, so scratches kept across iterations pin no view.
+// Peak heap (Report.PeakHeapBytes) is sampled between passes.
 package core
 
 import (
-	"cmp"
 	"errors"
 	"fmt"
 	"slices"
-	"sync/atomic"
 	"time"
 
 	"fastgr/internal/design"
@@ -58,7 +63,6 @@ import (
 	"fastgr/internal/grid"
 	"fastgr/internal/maze"
 	"fastgr/internal/obs"
-	"fastgr/internal/par"
 	"fastgr/internal/pattern"
 	"fastgr/internal/patterngpu"
 	"fastgr/internal/route"
@@ -101,25 +105,15 @@ func (r *runner) leafOf(id int) int {
 	return r.intraLeaf[id]
 }
 
-// slots sizes the two-level executor: outer slots claim leaves, inner
-// workers execute inside one leaf, and outer*inner never exceeds the
-// executor pool. Slot s's workers own composite lanes s*inner onward. A
-// single slot (one leaf or one exec worker) runs inline on the
-// coordinator goroutine.
-func (r *runner) slots() (outer, inner int) {
-	outer = min(r.shplan.NumLeaves(), r.pool.Workers())
-	return outer, max(r.pool.Workers()/outer, 1)
-}
+// workers is the executor's worker count: ExecWorkers, at least one.
+func (r *runner) workers() int { return max(r.opt.ExecWorkers, 1) }
 
-// byLeaf splits tasks, each carrying its *design.Net, into one list per
-// leaf of its intra-leaf nets, with each task's box clamped to the leaf,
-// and the list of boundary nets; every list keeps input order. The
-// one-leaf plan's list is tasks itself.
-func (r *runner) byLeaf(tasks []sched.Task) (leaves [][]sched.Task, boundary []sched.Task) {
-	leaves = make([][]sched.Task, r.shplan.NumLeaves())
-	if len(leaves) == 1 {
-		leaves[0] = tasks
-		return leaves, nil
+// split separates tasks, each carrying its *design.Net, into the intra-leaf
+// tasks, each box clamped to its net's leaf, and the boundary tasks; both
+// lists keep input order. The one-leaf plan's intra list is tasks itself.
+func (r *runner) split(tasks []sched.Task) (intra, boundary []sched.Task) {
+	if r.shplan.NumLeaves() == 1 {
+		return tasks, nil
 	}
 	for _, t := range tasks {
 		leaf := r.leafOf(t.Payload.(*design.Net).ID)
@@ -128,25 +122,14 @@ func (r *runner) byLeaf(tasks []sched.Task) (leaves [][]sched.Task, boundary []s
 			continue
 		}
 		t.BBox = t.BBox.Intersect(r.shplan.Leaf(leaf))
-		leaves[leaf] = append(leaves[leaf], t)
+		intra = append(intra, t)
 	}
-	return leaves, boundary
+	return intra, boundary
 }
 
 // fullView is a fresh view over the whole grid.
 func (r *runner) fullView() *grid.Graph {
 	return r.g.WindowView(geom.Rect{Hi: geom.Point{X: r.g.W - 1, Y: r.g.H - 1}})
-}
-
-// leafAcct accumulates one leaf's pattern-stage accounting; the slices of
-// these are reduced in leaf-ordinal order after the barrier so every
-// reported number is independent of execution interleaving.
-type leafAcct struct {
-	seqOps      int64
-	kernelTime  time.Duration
-	totalEdges  int
-	hybridEdges int
-	fallbacks   int
 }
 
 // mazeWindow is a net's rip-up search window: its bounding box inflated
@@ -196,91 +179,52 @@ func (r *runner) mazeTime(settled int64) time.Duration {
 	return time.Duration(float64(settled) * r.opt.MazeNsPerExpansion)
 }
 
-// patternStage routes every net with the variant's pattern kernel: each
-// leaf routes its intra nets batch by batch behind its view, then a cut
-// plan's boundary nets route whole (patternBoundary). full is the
-// one-leaf plan's view, nil under a cut plan.
+// patternStage routes every net with the variant's pattern kernel: leaf
+// after leaf, each leaf's intra nets behind its own view, and then a cut
+// plan's boundary nets whole over one full-grid view. full is the one-leaf
+// plan's view, nil under a cut plan.
 func (r *runner) patternStage(full *grid.Graph) error {
-	outer, inner := r.slots()
 	start := obs.StartStopwatch()
 	tr := r.opt.Obs.T()
 	sp := tr.StartSpan("pattern", obs.Coordinator)
 	defer sp.End()
 	r.stageStart("pattern")
 
-	// One task per net, in the global scheme order: a leaf's list is that
-	// order filtered to its intra nets, a pure function of the cut tree,
-	// and the boundary list is the rest.
+	// One task per net, in the global scheme order: byLeaf[1+leaf] is that
+	// order filtered to the leaf's intra nets, a pure function of the cut
+	// tree, and byLeaf[0] lists the boundary nets.
 	ordered := append([]*design.Net(nil), r.d.Nets...)
 	sched.SortNets(ordered, r.opt.Scheme)
-	tasks := make([]sched.Task, len(ordered))
-	for i, n := range ordered {
-		tasks[i] = sched.Task{BBox: r.trees[n.ID].BBox(), Payload: n}
-	}
-	leafTasks, boundary := r.byLeaf(tasks)
-	leafBatches := make([][][]sched.Task, len(leafTasks))
-	// firstBatch[leaf] is the ordinal of the leaf's first batch in leaf
-	// order, which names its batch spans.
-	firstBatch := make([]int, len(leafTasks))
-	for leaf, lt := range leafTasks {
-		firstBatch[leaf] = r.rep.PatternBatches
-		leafBatches[leaf] = sched.ExtractBatches(lt)
-		sched.ObserveBatches(r.opt.Obs.M(), leafBatches[leaf])
-		r.rep.PatternBatches += len(leafBatches[leaf])
+	byLeaf := make([][]sched.Task, 1+r.shplan.NumLeaves())
+	for _, n := range ordered {
+		i := 1 + r.leafOf(n.ID)
+		byLeaf[i] = append(byLeaf[i], sched.Task{BBox: r.trees[n.ID].BBox(), Payload: n})
 	}
 
 	cfg := r.patternConfig()
-	// One accounting slot per leaf, and the last for the boundary nets.
-	accts := make([]leafAcct, len(leafTasks)+1)
-	stops := make([]error, len(leafTasks))
-	var cancelled atomic.Bool                // set at the first cancelled checkpoint
-	solvers := make([]pattern.Solver, outer) // the CUGR path's scratch per slot
-	// Slots claim leaves; a leaf's batches run in their canonical order on
-	// one slot. After a cancelled checkpoint no slot starts another leaf.
-	// The outer pool carries no observer (its lanes belong to the inner
-	// executors).
-	par.NewPool(outer).For(len(leafBatches), func(s, leaf int) {
-		if len(leafBatches[leaf]) == 0 || cancelled.Load() {
-			return
+	var stopped error // the first cancelled checkpoint
+	// A leaf's view lives for the leaf only. Its router's batch base,
+	// keyed by the leaf, keeps kernel fault-injection units disjoint across
+	// leaves; the boundary nets' base NumLeaves<<20 follows them all.
+	for leaf, lt := range byLeaf[1:] {
+		if len(lt) == 0 {
+			continue
 		}
-		lane := s * inner
 		view := full
 		if view == nil {
 			view = r.g.WindowView(r.shplan.Leaf(leaf))
 		}
-		// One router per leaf: the batch-ordinal base keyed by the leaf
-		// keeps kernel fault-injection units disjoint across leaves and
-		// invariant in the slot that claims it.
-		router := r.newRouter(cfg, inner, leaf<<20, lane)
-		for i, batch := range leafBatches[leaf] {
-			if stops[leaf] = r.checkpoint("pattern", -1); stops[leaf] != nil {
-				cancelled.Store(true)
-				return
-			}
-			var bsp obs.Span
-			if tr.On() {
-				bsp = tr.StartSpan(fmt.Sprintf("pattern.batch[%d]", firstBatch[leaf]+i), lane)
-			}
-			r.patternBatch(view, router, &solvers[s], cfg, &accts[leaf], batch)
-			bsp.End()
-			r.stageBeat("pattern")
+		if stopped = r.patternPass(view, lt, leaf<<20, cfg); stopped != nil {
+			break
 		}
-	})
-	stopped := cmp.Or(stops...) // the first cancelled leaf's checkpoint
-	if stopped == nil && len(boundary) > 0 {
-		stopped = r.patternBoundary(boundary, cfg, &accts[len(leafTasks)])
+	}
+	if stopped == nil && len(byLeaf[0]) > 0 {
+		bsp := tr.StartSpan("pattern.boundary", obs.Coordinator)
+		stopped = r.patternPass(r.fullView(), byLeaf[0], r.shplan.NumLeaves()<<20, cfg)
+		bsp.End()
 	}
 
-	var kernelTime time.Duration
-	for _, a := range accts {
-		r.rep.PatternSeqOps += a.seqOps
-		kernelTime += a.kernelTime
-		r.rep.TotalEdges += a.totalEdges
-		r.rep.HybridEdges += a.hybridEdges
-		r.rep.Fault.KernelFallbacks += a.fallbacks
-	}
 	r.rep.PatternSeqTime = r.opt.CPU.SequentialTime(r.rep.PatternSeqOps)
-	r.rep.Times.Pattern = kernelTime
 	if r.opt.Variant == CUGR {
 		r.rep.Times.Pattern = r.rep.PatternSeqTime
 	}
@@ -299,42 +243,35 @@ func (r *runner) patternStage(full *grid.Graph) error {
 	return nil
 }
 
-// newRouter builds the variant's kernel router for one executor: workers
-// solve a batch's nets, base offsets its batch ordinals (the kernel's
-// fault-injection units) and lane is the executor's first lane. CUGR has
-// no kernel and gets nil.
-func (r *runner) newRouter(cfg pattern.Config, workers, base, lane int) *patterngpu.Router {
+// newRouter builds the variant's kernel router: its solves fan out over
+// the whole executor, and base offsets its batch ordinals (the kernel's
+// fault-injection units). CUGR has no kernel and gets nil.
+func (r *runner) newRouter(cfg pattern.Config, base int) *patterngpu.Router {
 	if r.opt.Variant == CUGR {
 		return nil
 	}
 	router := patterngpu.New(r.opt.Device, cfg)
-	router.Workers = workers
+	router.Workers = r.workers()
 	router.Obs = r.opt.Obs
 	router.Fault = r.fc
 	router.CPU = r.opt.CPU
 	router.SetBatchBase(base)
-	router.SetLane(lane)
 	return router
 }
 
-// patternBoundary routes a cut plan's boundary nets after the leaf
-// barrier, whole and in scheme order: sched.ExtractBatches over their tree
-// bounding boxes, each batch through patternBatch on one full-grid view
-// built here and dropped with the pass. The kernel router fans out over the
-// whole executor pool, and its batch base NumLeaves<<20 is disjoint from
-// every leaf's. Every batch is preceded by a checkpoint, and its
-// pattern.batch ordinal continues after the leaves'; the first cancelled
-// checkpoint is returned.
-func (r *runner) patternBoundary(tasks []sched.Task, cfg pattern.Config, a *leafAcct) error {
+// patternPass routes tasks — a leaf's intra nets or a cut plan's boundary
+// nets — in scheme order through view: sched.ExtractBatches over their
+// tree bounding boxes, then each batch through patternBatch with one
+// kernel router whose batch ordinals start at base. Every batch is
+// preceded by a checkpoint, and its pattern.batch ordinal continues from
+// the previous pass's; the first cancelled checkpoint is returned.
+func (r *runner) patternPass(view *grid.Graph, tasks []sched.Task, base int, cfg pattern.Config) error {
 	tr := r.opt.Obs.T()
-	sp := tr.StartSpan("pattern.boundary", obs.Coordinator)
-	defer sp.End()
 	batches := sched.ExtractBatches(tasks)
 	sched.ObserveBatches(r.opt.Obs.M(), batches)
 	first := r.rep.PatternBatches
 	r.rep.PatternBatches += len(batches)
-	view := r.fullView()
-	router := r.newRouter(cfg, r.pool.Workers(), r.shplan.NumLeaves()<<20, 0)
+	router := r.newRouter(cfg, base)
 	var solver pattern.Solver
 	for i, batch := range batches {
 		if err := r.checkpoint("pattern", -1); err != nil {
@@ -342,9 +279,9 @@ func (r *runner) patternBoundary(tasks []sched.Task, cfg pattern.Config, a *leaf
 		}
 		var bsp obs.Span
 		if tr.On() {
-			bsp = tr.StartSpan(fmt.Sprintf("pattern.batch[%d]", first+i), 0)
+			bsp = tr.StartSpan(fmt.Sprintf("pattern.batch[%d]", first+i), obs.Coordinator)
 		}
-		r.patternBatch(view, router, &solver, cfg, a, batch)
+		r.patternBatch(view, router, &solver, cfg, batch)
 		bsp.End()
 		r.stageBeat("pattern")
 	}
@@ -355,7 +292,7 @@ func (r *runner) patternBoundary(tasks []sched.Task, cfg pattern.Config, a *leaf
 // commits it in batch order through view. The GPU variants solve it as one
 // kernel (Fig. 7) first; CUGR (router == nil) solves on solver and commits
 // net by net.
-func (r *runner) patternBatch(view *grid.Graph, router *patterngpu.Router, solver *pattern.Solver, cfg pattern.Config, a *leafAcct, batch []sched.Task) {
+func (r *runner) patternBatch(view *grid.Graph, router *patterngpu.Router, solver *pattern.Solver, cfg pattern.Config, batch []sched.Task) {
 	var kernel []pattern.Result
 	if router != nil {
 		trees := make([]*stt.Tree, len(batch))
@@ -364,10 +301,10 @@ func (r *runner) patternBatch(view *grid.Graph, router *patterngpu.Router, solve
 		}
 		br := router.RouteBatch(view, trees)
 		kernel = br.Results
-		a.seqOps += br.SeqOps
-		a.kernelTime += br.KernelTime
+		r.rep.PatternSeqOps += br.SeqOps
+		r.rep.Times.Pattern += br.KernelTime
 		if br.CPUFallback {
-			a.fallbacks++
+			r.rep.Fault.KernelFallbacks++
 		}
 	} else {
 		// Rewarm at the batch boundary: commits write their edges' costs
@@ -381,31 +318,75 @@ func (r *runner) patternBatch(view *grid.Graph, router *patterngpu.Router, solve
 			res = kernel[i]
 		} else {
 			res = solver.SolveCPU(view, r.trees[n.ID], cfg)
-			a.seqOps += res.Ops.Total()
+			r.rep.PatternSeqOps += res.Ops.Total()
 		}
-		a.totalEdges += res.Edges
-		a.hybridEdges += res.HybridEdges
+		r.rep.TotalEdges += res.Edges
+		r.rep.HybridEdges += res.HybridEdges
 		res.Route.Commit(view)
 		r.routes[n.ID] = res.Route
 	}
+}
+
+// ripupFunc runs one task graph of reroutes on the executor: worker w
+// keeps searches[w], and a task routes through views[leafOf(net)+1] — its
+// leaf's view, or views[0] for a boundary net.
+type ripupFunc func(g *sched.Graph, searches []*maze.Search, views []*grid.Graph) error
+
+// ripupGraph is the execution graph of a rip-up pass over tasks listed in
+// the pass's sorted order. FastGR runs the paper's task graph
+// (sched.BuildGraph); CUGR its batch order — Algorithm-1 batches listed
+// one after another as an order graph, which commits exactly what the
+// batch-barrier loop did, since conflicting tasks keep batch order and the
+// rest touch disjoint windows.
+func (r *runner) ripupGraph(tasks []sched.Task) *sched.Graph {
+	if r.opt.Variant == CUGR {
+		return sched.OrderGraph(slices.Concat(sched.ExtractBatches(tasks)...), r.g.W, r.g.H)
+	}
+	return sched.BuildGraph(tasks, r.g.W, r.g.H)
+}
+
+// leafPass reroutes a rip-up iteration's intra-leaf nets as one task graph
+// over every leaf (ripupGraph). A task's box is its maze window clamped to
+// its leaf, and leaves are disjoint, so no conflict edge joins two leaves
+// and both the root batch and the batch order of a leaf's tasks depend on
+// that leaf's tasks alone: the graph is the disjoint union of the leaves'
+// own graphs. Each task routes through its leaf's view. The coordinator
+// builds and warms one view per non-empty leaf here — fresh each
+// iteration, postdating the last pass's commits — and the views drop with
+// the pass; the one-leaf plan routes through full.
+func (r *runner) leafPass(tasks []sched.Task, full *grid.Graph, searches []*maze.Search, ripup ripupFunc) error {
+	if len(tasks) == 0 {
+		return nil
+	}
+	sp := r.opt.Obs.T().StartSpan("rrr.leaves", obs.Coordinator)
+	defer sp.End()
+	views := make([]*grid.Graph, 1+r.shplan.NumLeaves())
+	for _, t := range tasks {
+		leaf := r.leafOf(t.Payload.(*design.Net).ID)
+		if views[1+leaf] != nil {
+			continue
+		}
+		views[1+leaf] = full
+		if full == nil {
+			views[1+leaf] = r.g.WindowView(r.shplan.Leaf(leaf))
+		}
+		views[1+leaf].WarmCostCache()
+	}
+	return ripup(r.ripupGraph(tasks), searches, views)
 }
 
 // boundaryPassProbe, when set (by tests only), sees the runner at the start
 // and the end of every boundary pass.
 var boundaryPassProbe func(r *runner)
 
-// ripupFunc runs one task graph of reroutes through view on one executor:
-// worker w keeps searches[w] and draws on lane lane0+w.
-type ripupFunc func(g *sched.Graph, view *grid.Graph, searches []*maze.Search, lane0 int) error
-
 // boundaryPass reroutes a rip-up iteration's boundary nets as a task graph
-// on the executor pool. The tasks are listed in the pass's serial order,
-// and task.BBox is the net's maze window: a boundary net's route lies
-// inside that window (TestBoundaryRoutesStayInWindow), so a task's rip-up,
-// search and commit touch only edges inside it. sched.OrderGraph points
-// every conflict edge from the earlier task to the later one, which makes
-// any schedule of the graph commit exactly what the serial loop did. The
-// pass routes through one full-grid view built and warmed here, at the
+// on the executor. The tasks are listed in the pass's serial order, and
+// task.BBox is the net's maze window: a boundary net's route lies inside
+// that window (TestBoundaryRoutesStayInWindow), so a task's rip-up, search
+// and commit touch only edges inside it. sched.OrderGraph points every
+// conflict edge from the earlier task to the later one, which makes any
+// schedule of the graph commit exactly what the serial loop did. The pass
+// routes through one full-grid view built and warmed here, at the
 // coordinator, and dropped with the pass: the next iteration's leaf views
 // write through to their own caches, never to this one.
 func (r *runner) boundaryPass(tasks []sched.Task, ripup ripupFunc) error {
@@ -422,25 +403,20 @@ func (r *runner) boundaryPass(tasks []sched.Task, ripup ripupFunc) error {
 	view.WarmCostCache()
 	// The scratches grow to the largest boundary windows, so they live for
 	// one pass only.
-	searches := make([]*maze.Search, r.pool.Workers())
+	searches := make([]*maze.Search, r.workers())
 	for i := range searches {
 		searches[i] = r.newSearch()
 	}
-	return ripup(sched.OrderGraph(tasks, r.g.W, r.g.H), view, searches, 0)
+	return ripup(sched.OrderGraph(tasks, r.g.W, r.g.H), searches, []*grid.Graph{view})
 }
 
 // rrrStage runs the rip-up-and-reroute iterations. Each iteration scans
-// and sorts the violating nets globally, then slots claim leaves and
-// reroute their intra-leaf nets behind leaf views, and a cut plan's
-// boundary nets reroute in a boundary pass after the barrier. Every pass
-// is a task graph on one executor with one failure policy (ripup). The
-// variants differ in the leaf's graph only: FastGR runs the paper's task
-// graph (sched.BuildGraph), CUGR its batch order — Algorithm-1 batches
-// listed one after another as an order graph, which commits exactly what
-// the batch-barrier loop did, since conflicting tasks keep batch order and
-// the rest touch disjoint windows. The barrier's cost is modeled
-// (taskflow.BatchMakespan), never executed. full is the one-leaf plan's
-// view, nil under a cut plan.
+// and sorts the violating nets globally, reroutes the intra-leaf ones in a
+// leaf pass and then a cut plan's boundary nets in a boundary pass. Every
+// pass is a task graph on the one executor with one failure policy
+// (ripup). The variants differ in the leaf pass's graph only (ripupGraph);
+// CUGR's barrier cost is modeled (taskflow.BatchMakespan), never executed.
+// full is the one-leaf plan's view, nil under a cut plan.
 func (r *runner) rrrStage(full *grid.Graph) error {
 	start := obs.StartStopwatch()
 	tr := r.opt.Obs.T()
@@ -458,13 +434,10 @@ func (r *runner) rrrStage(full *grid.Graph) error {
 		bumpG = full
 	}
 
-	outer, inner := r.slots()
-	slotPool := par.NewPool(outer)
-	// One maze scratch per composite lane (slot*inner + inner worker),
-	// reused across nets and iterations: the search hot path then
-	// allocates nothing but the routes it returns. Lanes are disjoint
-	// across slots, so a scratch never sees two goroutines.
-	searches := make([]*maze.Search, outer*inner)
+	// One maze scratch per executor worker, reused across nets and
+	// iterations: the search hot path then allocates nothing but the
+	// routes it returns.
+	searches := make([]*maze.Search, r.workers())
 	for i := range searches {
 		searches[i] = r.newSearch()
 	}
@@ -492,17 +465,16 @@ func (r *runner) rrrStage(full *grid.Graph) error {
 		// Two task views. Execution tasks conflict on the maze window,
 		// clamped to the net's leaf for an intra-leaf net (tasks with
 		// disjoint windows touch disjoint grid state and may run
-		// concurrently); the reported
-		// scheduling models conflict on the bare bounding boxes of every
-		// violating net, as the paper's task graph does. A task's ID is
-		// its index in violating.
+		// concurrently); the reported scheduling models conflict on the
+		// bare bounding boxes of every violating net, as the paper's task
+		// graph does. A task's ID is its index in violating.
 		tasks := make([]sched.Task, len(violating))
 		modelTasks := make([]sched.Task, len(violating))
 		for ti, n := range violating {
 			tasks[ti] = sched.Task{ID: ti, BBox: r.mazeWindow(n), Payload: n}
 			modelTasks[ti] = sched.Task{ID: ti, BBox: n.BBox(), Payload: n}
 		}
-		leafTasks, boundary := r.byLeaf(tasks)
+		intra, boundary := r.split(tasks)
 		modelGraph := sched.BuildGraph(modelTasks, r.g.W, r.g.H)
 
 		durations := make([]time.Duration, len(violating))
@@ -517,23 +489,24 @@ func (r *runner) rrrStage(full *grid.Graph) error {
 		// route, is marked failed and holds back nothing, and only an
 		// uncontained error cancels the graph. Injections fire at wrapper
 		// entry, before any grid mutation, and an injected budget trip
-		// keeps the net's route like a real one.
-		ripup := func(g *sched.Graph, view *grid.Graph, searches []*maze.Search, lane0 int) error {
+		// keeps the net's route like a real one. The task's maze span
+		// encloses every attempt and its fault markers.
+		ripup := func(g *sched.Graph, searches []*maze.Search, views []*grid.Graph) error {
 			return taskflow.RunWorkersFault(g, len(searches), r.opt.Obs, func(worker, k int) error {
-				task, lane := g.Tasks[k], lane0+worker
+				task := g.Tasks[k]
 				ti, n := task.ID, task.Payload.(*design.Net)
-				err := r.fc.Run(fault.SiteTask, ti, lane, func() error {
-					var msp obs.Span
-					if tr.On() {
-						msp = tr.StartSpan("maze:"+n.Name, lane)
-					}
-					defer msp.End()
-					if r.fc.InjectBudget(ti, lane) {
+				var msp obs.Span
+				if tr.On() {
+					msp = tr.StartSpan("maze:"+n.Name, worker)
+				}
+				defer msp.End()
+				err := r.fc.Run(fault.SiteTask, ti, worker, func() error {
+					if r.fc.InjectBudget(ti, worker) {
 						budgetTrips[ti] = true
 						return nil
 					}
 					old := r.routes[n.ID]
-					st, tripped, err := r.rerouteNet(view, searches[worker], n, task.BBox)
+					st, tripped, err := r.rerouteNet(views[1+r.leafOf(n.ID)], searches[worker], n, task.BBox)
 					moved[ti] = !slices.Equal(old.Edges(), r.routes[n.ID].Edges())
 					expansions[ti] = st.Expansions
 					durations[ti] = r.mazeTime(st.Expansions + st.BoundCells)
@@ -549,39 +522,9 @@ func (r *runner) rrrStage(full *grid.Graph) error {
 			})
 		}
 
-		// Intra-leaf nets first, each leaf claimed by one slot. A cut
-		// plan's leaf view is fresh each iteration, postdating the
-		// coordinator's commits; windows clamp to the leaf, so leaves run
-		// unsynchronized. The warm is the leaf's last single-threaded
-		// point before workers mutate disjoint windows (and only re-sums
-		// lagging prefix runs).
-		errs := make([]error, len(leafTasks))
-		slotPool.For(len(leafTasks), func(s, leaf int) {
-			lt := leafTasks[leaf]
-			if len(lt) == 0 {
-				return
-			}
-			var lsp obs.Span
-			if tr.On() {
-				lsp = tr.StartSpan(fmt.Sprintf("rrr.leaf[%d]", leaf), s*inner)
-			}
-			defer lsp.End()
-			view := full
-			if view == nil {
-				view = r.g.WindowView(r.shplan.Leaf(leaf))
-			}
-			view.WarmCostCache()
-			var lg *sched.Graph
-			if r.opt.Variant == CUGR {
-				lg = sched.OrderGraph(slices.Concat(sched.ExtractBatches(lt)...), r.g.W, r.g.H)
-			} else {
-				lg = sched.BuildGraph(lt, r.g.W, r.g.H)
-			}
-			errs[leaf] = ripup(lg, view, searches[s*inner:(s+1)*inner], s*inner)
-		})
-		// Then a cut plan's boundary nets, in sorted order over full maze
-		// windows, as a boundary pass.
-		err := cmp.Or(errs...)
+		// Intra-leaf nets first, then a cut plan's boundary nets in sorted
+		// order over full maze windows.
+		err := r.leafPass(intra, full, searches, ripup)
 		if err == nil {
 			err = r.boundaryPass(boundary, ripup)
 		}

@@ -9,7 +9,7 @@ import (
 	"fastgr/internal/design"
 	"fastgr/internal/geom"
 	"fastgr/internal/obs"
-	"fastgr/internal/par"
+	"fastgr/internal/taskflow"
 )
 
 // congest seeds deterministic non-uniform demand so cached values differ
@@ -237,7 +237,7 @@ func TestCostCacheConcurrentWindows(t *testing.T) {
 	if band < 2 {
 		t.Skipf("grid too narrow for %d bands", workers)
 	}
-	par.For(workers, workers, func(_, w int) {
+	_ = taskflow.For(workers, workers, nil, func(_, w int) error {
 		rng := rand.New(rand.NewSource(int64(w)))
 		lox := w * band
 		for rep := 0; rep < 200; rep++ {
@@ -254,6 +254,7 @@ func TestCostCacheConcurrentWindows(t *testing.T) {
 			g.AddViaStackDemand(lox+rng.Intn(band), rng.Intn(g.H), 1, g.L, 1)
 			_ = g.ViaStackCost(lox+rng.Intn(band), rng.Intn(g.H), 1, g.L)
 		}
+		return nil
 	})
 
 	g.WarmCostCache()

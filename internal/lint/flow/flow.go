@@ -13,7 +13,7 @@
 //     writer package (internal/atomicio); any os.Create/os.WriteFile/
 //     os.OpenFile-for-write elsewhere is a finding.
 //   - shardisolation — functions reachable from worker-callback roots
-//     (par pool chunk funcs, taskflow task bodies) must not warm a
+//     (taskflow parallel-for and task bodies) must not warm a
 //     non-window cost cache, mutate coordinator-owned fields, or emit
 //     run-journal events.
 //   - promdrift — every metric name reaching a registry registration

@@ -19,7 +19,7 @@ import (
 //     the parameter's owner — every call site that can feed the warm in
 //     worker context must pass a window-derived cache. Obligations chain
 //     through parameter-passing (routeBatch warms its parameter; its
-//     exported caller passes its own parameter through; the leaf slot
+//     exported caller passes its own parameter through; the pattern pass
 //     finally supplies a WindowView, or the stage's view parameter, whose
 //     own call site must in turn pass a WindowView — clean).
 //     A warm captured into a spawned closure runs in worker context no

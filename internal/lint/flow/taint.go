@@ -7,7 +7,7 @@ import (
 )
 
 // CheckWallTaint closes the loophole in the package-level detwall check:
-// detwall-exempt packages (obs, par, cmd, examples) may legally read the
+// detwall-exempt packages (obs, cmd, examples) may legally read the
 // wall clock, but nothing stops a wall-derived value from flowing back
 // into the routing pipeline through a return value, a parameter or a
 // struct field — which would break the byte-identical contract just as

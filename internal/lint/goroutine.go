@@ -3,10 +3,10 @@ package lint
 import "go/ast"
 
 // checkGoroutine flags bare go statements outside the sanctioned
-// executor packages (internal/par, internal/taskflow, internal/obs).
-// All worker spawning must go through the pool or the taskflow
-// executor: they are what make parallel execution deterministic and
-// keep the tracer's one-goroutine-per-lane invariant true.
+// executor packages (see Policy.GoroutineAllowed). All worker spawning
+// must go through the taskflow executor: it is what makes parallel
+// execution deterministic and keeps the tracer's one-goroutine-per-lane
+// invariant true.
 func checkGoroutine(p *Package) []Finding {
 	var out []Finding
 	for _, f := range p.Files {
@@ -19,7 +19,7 @@ func checkGoroutine(p *Package) []Finding {
 				Pos:    p.Fset.Position(gs.Pos()),
 				Check:  CheckGoroutine,
 				Msg:    "bare go statement outside the executor packages",
-				Remedy: "run the work through par.Pool or taskflow, or suppress with //lint:ignore goroutine-hygiene <reason>",
+				Remedy: "run the work through taskflow, or suppress with //lint:ignore goroutine-hygiene <reason>",
 			})
 			return true
 		})

@@ -5,7 +5,7 @@
 // load-bearing contracts:
 //
 //   - determinism — routed geometry, modeled times and reported quality
-//     are bit-identical at every ExecWorkers count (package par's
+//     are bit-identical at every ExecWorkers count (package taskflow's
 //     contract, proven by core's determinism suite);
 //   - passive observability — package obs may time things, but nil
 //     handles are no-ops and the wall clock never feeds a result.

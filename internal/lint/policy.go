@@ -20,9 +20,9 @@ type Policy struct {
 	// from map iteration is tolerated without a canonicalizing sort.
 	DetmapExempt []string
 	// GoroutineAllowed lists the packages permitted to contain bare go
-	// statements. All other worker spawning must go through the par pool
-	// or the taskflow executor so the determinism contract and the
-	// tracer's one-goroutine-per-lane invariant hold.
+	// statements. All other worker spawning must go through the taskflow
+	// executor so the determinism contract and the tracer's
+	// one-goroutine-per-lane invariant hold.
 	GoroutineAllowed []string
 	// NilsafePackages lists the packages whose exported pointer-receiver
 	// methods must open with a nil-receiver guard (the flight recorder's
@@ -41,25 +41,25 @@ type Policy struct {
 
 // DefaultPolicy is the rule table for the fastgr module itself.
 //
-//   - internal/obs and internal/par are the two sanctioned wall-clock
-//     readers: obs is the observability choke point (package comment:
-//     "the wall clock never feeds a reported metric"), par times its
-//     chunks for the span lanes. cmd and examples are human-facing
+//   - internal/obs is the sanctioned wall-clock reader: it is the
+//     observability choke point (package comment: "the wall clock never
+//     feeds a reported metric"), and the executor times its chunks and
+//     tasks through its Stopwatch. cmd and examples are human-facing
 //     programs, free to print timestamps.
-//   - goroutines may only be spawned by the par pool, the taskflow
-//     executor and obs itself; cmd binaries needing a service goroutine
+//   - goroutines may only be spawned by the taskflow executor and obs
+//     itself; cmd binaries needing a service goroutine
 //     (e.g. the pprof listener) must justify it with a suppression.
 //   - internal/obs/opsrv is additionally allowed one bare go statement:
 //     the ops server's accept loop (go srv.Serve(ln)). It lives outside
 //     the routing pipeline — handlers only snapshot observability state,
 //     never touch routed data — so it cannot violate the one-goroutine-
 //     per-lane tracer invariant or the determinism contract, and an
-//     accept loop cannot run on the par pool without deadlocking a
+//     accept loop cannot run on the executor without deadlocking a
 //     worker for the lifetime of the server.
 //   - internal/serve is sanctioned on both counts: the fastgrd daemon's
 //     runner loops, accept loop and drain joiner are long-lived service
 //     goroutines joined by Drain/Close — like opsrv's accept loop they
-//     would deadlock a par worker for the server's lifetime — and its
+//     would deadlock an executor worker for the server's lifetime — and its
 //     wall readings (job service times, Retry-After estimates, drain
 //     budgets) are advisory operational signals, declassified by
 //     construction: they shape queueing politeness, never a routed
@@ -86,14 +86,12 @@ func DefaultPolicy() Policy {
 	return Policy{
 		DetwallExempt: []string{
 			"fastgr/internal/obs",
-			"fastgr/internal/par",
 			"fastgr/internal/serve",
 			"fastgr/cmd/...",
 			"fastgr/examples/...",
 		},
 		DetmapExempt: nil, // export paths canonicalize; none exempt today
 		GoroutineAllowed: []string{
-			"fastgr/internal/par",
 			"fastgr/internal/taskflow",
 			"fastgr/internal/obs",
 			"fastgr/internal/obs/opsrv",
@@ -114,7 +112,7 @@ func DefaultPolicy() Policy {
 //
 //   - walltaint: route, core and grid hold routed output and the data it
 //     is computed from; a wall-derived value crossing into them breaks
-//     the byte-identical contract the detwall exemptions (obs, par, cmd)
+//     the byte-identical contract the detwall exemptions (obs, cmd)
 //     were never meant to loosen. The *Wall columns of core.StageTimes
 //     and the journal's stage wall_ms are the documented host-time
 //     report carriers, explicitly excluded from the bit-identical
@@ -122,10 +120,10 @@ func DefaultPolicy() Policy {
 //     are the sanctioned declassification points.
 //   - writeroute: internal/atomicio is the one crash-safe writer; every
 //     durable artifact write routes through it (PR 5's contract).
-//   - shardisolation: worker roots are the par pool's chunk callbacks
-//     (Pool.For/ForUnits and the package-level For convenience) and the
-//     task bodies handed to the taskflow executor (RunWorkersFault and
-//     its Run/RunWorkers wrappers). Workers may warm only
+//   - shardisolation: worker roots are the bodies handed to the taskflow
+//     executor — its parallel-for (For, and par.For, which forwards to
+//     it) and its task graphs (RunWorkersFault and its Run/RunWorkers
+//     wrappers). Workers may warm only
 //     WindowView-derived caches; Graph.WarmCostCache on a parent cache,
 //     journal emission and writes to the coordinator-owned report fields
 //     stay on the coordinator (DESIGN.md "Sharded routing and boundary
@@ -151,9 +149,8 @@ func DefaultFlowConfig() flow.Config {
 			"fastgr/internal/atomicio",
 		},
 		SpawnFuncs: []string{
-			"fastgr/internal/par.Pool.For",
-			"fastgr/internal/par.Pool.ForUnits",
 			"fastgr/internal/par.For",
+			"fastgr/internal/taskflow.For",
 			"fastgr/internal/taskflow.Run",
 			"fastgr/internal/taskflow.RunWorkers",
 			"fastgr/internal/taskflow.RunWorkersFault",

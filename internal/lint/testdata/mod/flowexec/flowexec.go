@@ -4,7 +4,7 @@
 // context is a policy notion, not a goroutine one.
 package flowexec
 
-// Run invokes fn once per index, standing in for the par pool's chunk
+// Run invokes fn once per index, standing in for the executor's chunk
 // dispatch.
 func Run(n int, fn func(int)) {
 	for i := 0; i < n; i++ {

@@ -1,4 +1,4 @@
-// Package flowwall is detwall-exempt, like obs/par/cmd in the real
+// Package flowwall is detwall-exempt, like obs/cmd in the real
 // tree: it may read the wall clock. The walltaint fixtures pin the
 // loophole the flow engine closes — exemption does not license letting
 // wall-derived values flow into sink-package data.

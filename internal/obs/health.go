@@ -13,8 +13,8 @@ import (
 // the nil *Health is the disabled tracker, and nothing a stage reports
 // here ever feeds routed geometry or a reported metric.
 //
-// Beats arrive from parallel sections (leaf slots, pool workers), so
-// the tracker is mutex-guarded; the lock is taken once per beat — stage
+// Beats arrive from every run sharing the tracker (a daemon's
+// concurrent jobs), so the tracker is mutex-guarded; the lock is taken once per beat — stage
 // and iteration cadence, never per net — which keeps it far off the hot
 // path.
 type Health struct {

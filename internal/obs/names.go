@@ -69,9 +69,9 @@ var promTable = map[string]PromMapping{
 	MKernelNs: {Family: "fastgr_gpu_kernel_ns",
 		Help: "Simulated per-batch pattern kernel time in nanoseconds."},
 	MParWaitNs: {Family: "fastgr_par_chunk_wait_ns",
-		Help: "Par-pool chunk claim latency in nanoseconds."},
+		Help: "Parallel-for chunk claim latency in nanoseconds."},
 	MParRunNs: {Family: "fastgr_par_chunk_run_ns",
-		Help: "Par-pool chunk run duration in nanoseconds."},
+		Help: "Parallel-for chunk run duration in nanoseconds."},
 	MTaskWaitNs: {Family: "fastgr_taskflow_task_wait_ns",
 		Help: "Taskflow ready-to-start latency in nanoseconds."},
 	MTaskRunNs: {Family: "fastgr_taskflow_task_run_ns",

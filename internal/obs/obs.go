@@ -82,10 +82,10 @@ const (
 	MPatternHybrid = "pattern.edges.hybrid"
 	// MKernelNs is the simulated per-batch kernel time histogram (ns).
 	MKernelNs = "gpu.kernel_ns"
-	// MParWaitNs is the par-pool chunk claim latency histogram (ns from
-	// For() entry to the chunk starting on a worker).
+	// MParWaitNs is the parallel-for chunk claim latency histogram (ns
+	// from taskflow.For entry to the chunk starting on a worker).
 	MParWaitNs = "par.chunk_wait_ns"
-	// MParRunNs is the par-pool chunk run duration histogram (ns).
+	// MParRunNs is the parallel-for chunk run duration histogram (ns).
 	MParRunNs = "par.chunk_run_ns"
 	// MTaskWaitNs is the taskflow ready-to-start latency histogram (ns).
 	MTaskWaitNs = "taskflow.task_wait_ns"

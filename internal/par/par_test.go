@@ -1,11 +1,12 @@
 package par
 
+// These tests pin the contract of the forwarding For that the frozen
+// e2ebench replay calls; taskflow's For tests cover the executor itself.
+
 import (
 	"sync"
 	"sync/atomic"
 	"testing"
-
-	"fastgr/internal/obs"
 )
 
 func TestForCoversEveryIndexOnce(t *testing.T) {
@@ -26,12 +27,8 @@ func TestForCoversEveryIndexOnce(t *testing.T) {
 
 func TestForWorkerIDsWithinBound(t *testing.T) {
 	const workers, n = 5, 300
-	p := NewPool(workers)
-	if p.Workers() != workers {
-		t.Fatalf("Workers() = %d, want %d", p.Workers(), workers)
-	}
 	var bad atomic.Int32
-	p.For(n, func(w, _ int) {
+	For(workers, n, func(w, _ int) {
 		if w < 0 || w >= workers {
 			bad.Add(1)
 		}
@@ -85,14 +82,8 @@ func TestForClampsWorkersToN(t *testing.T) {
 	}
 }
 
-func TestNewPoolClampsToOne(t *testing.T) {
-	if NewPool(-3).Workers() != 1 {
-		t.Fatal("negative worker count not clamped")
-	}
-}
-
 func TestForConcurrentPools(t *testing.T) {
-	// Distinct pools may run concurrently without interfering.
+	// Distinct calls may run concurrently without interfering.
 	var wg sync.WaitGroup
 	for k := 0; k < 4; k++ {
 		wg.Add(1)
@@ -110,61 +101,4 @@ func TestForConcurrentPools(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-}
-
-// TestForObservation checks the flight-recorder hooks: with an observer
-// attached For records one par.chunk span per claimed chunk on the
-// claiming worker's lane, plus wait/run duration histograms; with a nil
-// observer nothing is recorded and the loop still covers every index.
-func TestForObservation(t *testing.T) {
-	o := &obs.Observer{Tracer: obs.NewTracer(1<<10, 4), Metrics: obs.NewRegistry()}
-	p := NewPool(4)
-	p.SetObserver(o)
-	hits := make([]int32, 500)
-	p.For(len(hits), func(_, i int) { atomic.AddInt32(&hits[i], 1) })
-	for i, h := range hits {
-		if h != 1 {
-			t.Fatalf("index %d visited %d times with observer attached", i, h)
-		}
-	}
-	if o.Tracer.Recorded() == 0 {
-		t.Fatal("no par.chunk spans recorded")
-	}
-	for _, e := range o.Tracer.Events() {
-		if e.Name != "par.chunk" {
-			t.Fatalf("unexpected span %q", e.Name)
-		}
-		if e.Lane < 1 || e.Lane > 4 {
-			t.Fatalf("par.chunk on lane %d, want a worker lane in [1,4]", e.Lane)
-		}
-	}
-	s := o.Metrics.Snapshot()
-	wait, run := s.Histograms[obs.MParWaitNs], s.Histograms[obs.MParRunNs]
-	if wait.Count == 0 || run.Count == 0 {
-		t.Fatalf("wait/run histograms empty: %d/%d", wait.Count, run.Count)
-	}
-	if wait.Count != run.Count || wait.Count != int64(o.Tracer.Recorded()) {
-		t.Fatalf("wait=%d run=%d spans=%d, want all equal",
-			wait.Count, run.Count, o.Tracer.Recorded())
-	}
-}
-
-// TestForObservationSequentialPath covers the workers<=1 / tiny-n branch:
-// a single par.chunk observation with zero wait.
-func TestForObservationSequentialPath(t *testing.T) {
-	o := &obs.Observer{Tracer: obs.NewTracer(16, 1), Metrics: obs.NewRegistry()}
-	p := NewPool(1)
-	p.SetObserver(o)
-	var n int32
-	p.For(10, func(_, _ int) { atomic.AddInt32(&n, 1) })
-	if n != 10 {
-		t.Fatalf("covered %d indices, want 10", n)
-	}
-	if got := o.Tracer.Recorded(); got != 1 {
-		t.Fatalf("sequential path recorded %d spans, want 1", got)
-	}
-	s := o.Metrics.Snapshot()
-	if w := s.Histograms[obs.MParWaitNs]; w.Count != 1 || w.Max != 0 {
-		t.Fatalf("sequential wait histogram = %+v, want one zero observation", w)
-	}
 }

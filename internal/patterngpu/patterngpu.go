@@ -19,9 +19,9 @@ import (
 	"fastgr/internal/gpu"
 	"fastgr/internal/grid"
 	"fastgr/internal/obs"
-	"fastgr/internal/par"
 	"fastgr/internal/pattern"
 	"fastgr/internal/stt"
+	"fastgr/internal/taskflow"
 )
 
 // Router routes batches of nets on a simulated device.
@@ -34,11 +34,13 @@ type Router struct {
 	// evaluation is independent; results, per-net work counters and the
 	// simulated kernel time are bit-identical for every worker count.
 	Workers int
-	// Obs, when non-nil, records per-batch kernel spans, the simulated
-	// kernel-time histogram and the per-shape kernel selection counters.
-	// Observation is per batch, never per net, so the disabled-mode cost
-	// of RouteBatch is a handful of nil checks; RouteBatchBaseline below
-	// is the frozen uninstrumented twin that proves it.
+	// Obs, when non-nil, records per-batch kernel spans on the
+	// coordinator lane, the simulated kernel-time histogram, the per-shape
+	// kernel selection counters and the solve fan-out's par.chunk spans on
+	// the worker lanes. Observation is per batch and per chunk, never per
+	// net, so the disabled-mode cost of RouteBatch is a handful of nil
+	// checks; RouteBatchBaseline below is the frozen uninstrumented twin
+	// that proves it.
 	Obs *obs.Observer
 	// Fault, when armed, contains per-net solve panics (retried) and
 	// whole-kernel failures: a batch whose kernel fails degrades to the
@@ -52,12 +54,8 @@ type Router struct {
 	// batches counts RouteBatch calls: the batch ordinal is the kernel
 	// site's injection unit, a worker-count-invariant identity.
 	batches int
-	// lane is the tracer lane and fault worker id of the batch span and
-	// kernel unit, and the first lane of its solve units: obs.Coordinator
-	// unless SetLane moves it.
-	lane int
-	// workers is each host worker's scratch, indexed by the par worker id
-	// and reused across batches.
+	// workers is each host worker's scratch, indexed by the executor's
+	// worker id and reused across batches.
 	workers []worker
 }
 
@@ -86,18 +84,13 @@ func (w *worker) solve(g *grid.Graph, tree *stt.Tree, cfg pattern.Config) (patte
 
 // New builds a Router with the given device spec and pattern configuration.
 func New(spec gpu.Spec, cfg pattern.Config) *Router {
-	return &Router{Dev: gpu.New(spec), Cfg: cfg, lane: obs.Coordinator}
+	return &Router{Dev: gpu.New(spec), Cfg: cfg}
 }
-
-// SetLane moves the batch span and the kernel fault unit onto an executor
-// lane, and the solve units onto the lanes from it on: a router serving
-// one executor slot draws on that slot's lanes.
-func (r *Router) SetLane(lane int) { r.lane = lane }
 
 // SetBatchBase offsets the batch-ordinal counter. Sharded routing runs one
 // Router per leaf region; giving each a disjoint ordinal space keeps the
 // kernel site's injection units distinct across leaves and invariant in the
-// shard and worker counts (the leaf index, not the slot, picks the base).
+// shard and worker counts.
 func (r *Router) SetBatchBase(b int) { r.batches = b }
 
 // BatchResult is the outcome of one kernel (one batch).
@@ -121,12 +114,12 @@ type BatchResult struct {
 func (r *Router) RouteBatch(g *grid.Graph, trees []*stt.Tree) BatchResult {
 	ord := r.batches
 	r.batches++
-	sp := r.Obs.T().StartSpan("gpu.batch", r.lane)
+	sp := r.Obs.T().StartSpan("gpu.batch", obs.Coordinator)
 	var br BatchResult
 	if r.Fault.Enabled() {
-		err := r.Fault.RunOnce(fault.SiteKernel, ord, r.lane, func() error {
+		err := r.Fault.RunOnce(fault.SiteKernel, ord, obs.Coordinator, func() error {
 			var solveErr error
-			br, solveErr = r.routeBatch(g, trees)
+			br, solveErr = r.routeBatch(g, trees, r.Obs)
 			return solveErr
 		})
 		if err != nil {
@@ -135,7 +128,7 @@ func (r *Router) RouteBatch(g *grid.Graph, trees []*stt.Tree) BatchResult {
 			br = r.routeBatchCPU(g, trees)
 		}
 	} else {
-		br, _ = r.routeBatch(g, trees)
+		br, _ = r.routeBatch(g, trees, r.Obs)
 	}
 	sp.End()
 	if m := r.Obs.M(); m != nil {
@@ -158,16 +151,17 @@ func (r *Router) RouteBatch(g *grid.Graph, trees []*stt.Tree) BatchResult {
 // kernel time (TestRouteBatchBaselineIdentical enforces that); it is not
 // meant for production callers.
 func (r *Router) RouteBatchBaseline(g *grid.Graph, trees []*stt.Tree) BatchResult {
-	br, _ := r.routeBatch(g, trees)
+	br, _ := r.routeBatch(g, trees, nil)
 	return br
 }
 
-// routeBatch solves a batch as one kernel. With the fault layer armed the
-// solve fan-out runs under it: a panicking or injection-hit net is retried
-// on its own, and a net that exhausts containment fails the whole kernel
-// (the caller then degrades the batch to the CPU path). The net's
-// batch-local index is the injection unit — stable across worker counts.
-func (r *Router) routeBatch(g *grid.Graph, trees []*stt.Tree) (BatchResult, error) {
+// routeBatch solves a batch as one kernel, its solve fan-out observed by
+// o. With the fault layer armed each net's solve runs under it: a
+// panicking or injection-hit net is retried on its own, and a net that
+// exhausts containment fails the whole kernel (the caller then degrades
+// the batch to the CPU path). The net's batch-local index is the injection
+// unit — stable across worker counts.
+func (r *Router) routeBatch(g *grid.Graph, trees []*stt.Tree, o *obs.Observer) (BatchResult, error) {
 	// Materialize the cost field before fanning out: batch entry is a
 	// single-threaded coordinator point, the only kind of place cache
 	// writes are allowed; the solve phase below then reads it lock-free.
@@ -184,17 +178,14 @@ func (r *Router) routeBatch(g *grid.Graph, trees []*stt.Tree) (BatchResult, erro
 	// state) and sums per-net numbers in batch order, keeping the kernel
 	// time independent of the worker count.
 	ws := r.scratch()
-	p := par.NewPool(r.Workers)
-	p.SetFault(r.Fault)
-	// Solve faults mark the lanes of the executor serving this router; a
-	// router left on the coordinator lane marks its raw worker ids.
-	p.SetLane(max(r.lane, 0))
-	errs := p.ForUnits(fault.SiteSolve, len(trees), func(worker, i int) error {
-		br.Results[i], blocks[i], moved[i] = ws[worker].solve(g, trees[i], r.Cfg)
-		return nil
+	err := taskflow.For(r.Workers, len(trees), o, func(worker, i int) error {
+		return r.Fault.Run(fault.SiteSolve, i, worker, func() error {
+			br.Results[i], blocks[i], moved[i] = ws[worker].solve(g, trees[i], r.Cfg)
+			return nil
+		})
 	})
-	if len(errs) > 0 {
-		return BatchResult{}, errs[0]
+	if err != nil {
+		return BatchResult{}, err
 	}
 	var bytesIn, bytesOut int64
 	for i := range blocks {

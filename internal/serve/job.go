@@ -8,7 +8,6 @@ import (
 	"fastgr/internal/core"
 	"fastgr/internal/design"
 	"fastgr/internal/fault"
-	"fastgr/internal/maze"
 	"fastgr/internal/sched"
 )
 
@@ -50,7 +49,6 @@ type JobSpec struct {
 	NoSelection bool    `json:"no_selection,omitempty"`
 	Shards      int     `json:"shards,omitempty"`
 	ExecWorkers int     `json:"exec_workers,omitempty"`
-	MazeAlg     string  `json:"maze_alg,omitempty"` // astar | dijkstra
 	MazeBudget  int64   `json:"maze_budget,omitempty"`
 	FaultProb   float64 `json:"fault_prob,omitempty"`
 	FaultSeed   int64   `json:"fault_seed,omitempty"`
@@ -97,12 +95,6 @@ func (sp *JobSpec) normalize() (*design.Design, error) {
 	}
 	if _, ok := sched.ParseScheme(sp.Sort); !ok {
 		return nil, fmt.Errorf("unknown sorting scheme %q", sp.Sort)
-	}
-	if sp.MazeAlg == "" {
-		sp.MazeAlg = "astar"
-	}
-	if sp.MazeAlg != "astar" && sp.MazeAlg != "dijkstra" {
-		return nil, fmt.Errorf("unknown maze algorithm %q", sp.MazeAlg)
 	}
 	if sp.RRR != nil && *sp.RRR < 0 {
 		return nil, fmt.Errorf("rrr %d is negative", *sp.RRR)
@@ -151,9 +143,6 @@ func (sp *JobSpec) options() core.Options {
 	opt.Shards = sp.Shards
 	if s, ok := sched.ParseScheme(sp.Sort); ok {
 		opt.Scheme = s
-	}
-	if sp.MazeAlg == "dijkstra" {
-		opt.MazeAlgorithm = maze.Dijkstra
 	}
 	if sp.T1 > 0 {
 		opt.T1 = sp.T1

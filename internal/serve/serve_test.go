@@ -177,6 +177,28 @@ func TestJobLifecycleAndGuideByteIdentity(t *testing.T) {
 	}
 }
 
+// TestJournaledMazeAlgReplays: journals written while the spec had
+// maze_alg carry it on their submit records. Replay decodes leniently, so
+// such a record still reopens, and the recovered job — journaled for
+// Dijkstra, now routed with A*, which commits the same geometry — serves
+// guides byte-identical to the CLI's.
+func TestJournaledMazeAlgReplays(t *testing.T) {
+	dir := t.TempDir()
+	rec := `{"seq":1,"kind":"submit","id":"job-000001","spec":{"design":"18test5m","scale":0.005,` +
+		`"router":"fastgrl","sort":"hpwl-asc","maze_alg":"dijkstra"}}` + "\n"
+	if err := os.WriteFile(filepath.Join(dir, journalName), []byte(rec), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	s := startTestServer(t, Config{Dir: dir, Runners: 1})
+	if j := waitTerminal(t, s, "job-000001", 60*time.Second); j.State != StateDone || !j.Recovered {
+		t.Fatalf("replayed job ended %s (recovered %v): %s", j.State, j.Recovered, j.Error)
+	}
+	code, got := fetchGuides(t, s, "job-000001")
+	if code != http.StatusOK || !bytes.Equal(got, cliGuideBytes(t, "18test5m", 0.005)) {
+		t.Fatalf("replayed job's guides (status %d, %d bytes) differ from the CLI's", code, len(got))
+	}
+}
+
 func TestGuidesUnavailableBeforeDone(t *testing.T) {
 	// One runner pinned by a slow job keeps the second job queued.
 	s := startTestServer(t, Config{Runners: 1})
@@ -262,7 +284,6 @@ func TestSubmitValidation(t *testing.T) {
 		{Design: "no-such-design"},
 		{Design: "18test5m", Scale: 7},
 		{Design: "18test5m", Scale: 0.005, Router: "warp"},
-		{Design: "18test5m", Scale: 0.005, MazeAlg: "bfs"},
 		{Design: "18test5m", Scale: 0.005, FaultProb: 2},
 		{Design: "18test5m", Scale: 0.005, TimeoutMs: -1},
 	} {
@@ -270,7 +291,19 @@ func TestSubmitValidation(t *testing.T) {
 			t.Errorf("spec %+v: status %d, want 400", bad, code)
 		}
 	}
-	resp, err := http.Get("http://" + s.Addr() + "/v1/jobs/job-999999")
+	// maze_alg left the spec with Dijkstra as a production option: a body
+	// still carrying it is refused as an unknown field.
+	resp, err := http.Post("http://"+s.Addr()+"/v1/jobs", "application/json",
+		strings.NewReader(`{"design":"18test5m","scale":0.005,"maze_alg":"astar"}`))
+	if err != nil {
+		t.Fatalf("POST: %v", err)
+	}
+	body, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(body), "maze_alg") {
+		t.Errorf("maze_alg body: status %d body %s, want 400 naming the field", resp.StatusCode, body)
+	}
+	resp, err = http.Get("http://" + s.Addr() + "/v1/jobs/job-999999")
 	if err != nil {
 		t.Fatalf("GET: %v", err)
 	}

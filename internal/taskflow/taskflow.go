@@ -1,14 +1,25 @@
-// Package taskflow executes oriented task graphs, playing the role of the
-// Taskflow C++ library the paper uses for the rip-up-and-reroute stage: one
-// dependency-respecting worker-pool executor plus deterministic makespan
-// models for the two parallelization strategies the paper compares — the
-// task-graph schedule (FastGR) and the widely adopted batch-barrier
-// schedule (the CPU baseline). The batch barrier is modeled, never
-// executed: a baseline run executes its batch order as a task graph too.
+// Package taskflow is the router's one host executor, playing the role of
+// the Taskflow C++ library the paper uses for the rip-up-and-reroute
+// stage: a dependency-respecting worker pool for task graphs
+// (RunWorkersFault), a chunked parallel-for for independent units (For),
+// and deterministic makespan models for the two parallelization
+// strategies the paper compares — the task-graph schedule (FastGR) and the
+// widely adopted batch-barrier schedule (the CPU baseline). The batch
+// barrier is modeled, never executed: a baseline run executes its batch
+// order as a task graph too.
+//
+// The contract that keeps parallel runs bit-identical to sequential ones
+// is the caller's: the body run for a task or index may only write state
+// that task owns (its own result slot, grid cells inside its private
+// window) plus scratch keyed by the worker id it receives. Under that
+// contract the outcome is a pure function of the input however the work
+// interleaves, so no modeled time or routing result may change with the
+// worker count — only wall-clock does.
 package taskflow
 
 import (
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"fastgr/internal/obs"
@@ -20,6 +31,8 @@ import (
 // finished. Tasks whose bounding boxes do not conflict may run concurrently;
 // because conflicts were defined on the (inflated) regions each task
 // touches, concurrent tasks commute and the outcome is deterministic.
+// Only the frozen cmd/e2ebench replay calls it; the router calls
+// RunWorkersFault.
 func Run(g *sched.Graph, workers int, fn func(task int)) {
 	RunWorkers(g, workers, func(_, task int) { fn(task) })
 }
@@ -27,7 +40,8 @@ func Run(g *sched.Graph, workers int, fn func(task int)) {
 // RunWorkers is Run with worker identity: fn receives the id (in
 // [0, workers)) of the goroutine executing it, so callers can keep one
 // scratch object per worker — e.g. a maze.Search — without locking. A worker
-// id is used by exactly one goroutine for the whole run.
+// id is used by exactly one goroutine for the whole run. Only the frozen
+// cmd/e2ebench replay calls it; the router calls RunWorkersFault.
 func RunWorkers(g *sched.Graph, workers int, fn func(worker, task int)) {
 	RunWorkersFault(g, workers, nil, func(worker, task int) error {
 		fn(worker, task)
@@ -125,6 +139,91 @@ func RunWorkersFault(g *sched.Graph, workers int, o *obs.Observer, fn func(worke
 		panic("taskflow: executor deadlocked (cyclic graph?)")
 	}
 	return cancelErr
+}
+
+// For runs fn(worker, i) for every i in [0, n) on at most workers
+// goroutines and returns the error of the lowest index whose fn failed —
+// nil when none did. Every index runs either way, so the returned error
+// is the same at every worker count. The worker argument is in
+// [0, workers) and names one goroutine for the whole call, so fn may index
+// per-worker scratch without locking. Indices are claimed in contiguous
+// chunks from a shared counter (work-stealing by chunk), which balances
+// skewed per-index costs without a scheduler thread; one worker runs the
+// whole range inline as one chunk. A fault-containment layer is the
+// caller's to wrap around fn.
+//
+// With an observer, each chunk records a par.chunk span on its worker's
+// lane, its claim latency since the call began (obs.MParWaitNs; zero on
+// the inline path) and its run duration (obs.MParRunNs). Observation
+// never changes which indices run or what they return.
+func For(workers, n int, o *obs.Observer, fn func(worker, i int) error) error {
+	if n <= 0 {
+		return nil
+	}
+	workers = min(max(workers, 1), n)
+	tr := o.T()
+	waitHist := o.M().Histogram(obs.MParWaitNs, obs.DurationBuckets)
+	runHist := o.M().Histogram(obs.MParRunNs, obs.DurationBuckets)
+	observing := tr.On() || waitHist != nil
+	var forStart obs.Stopwatch
+	if observing {
+		forStart = obs.StartStopwatch()
+	}
+	// Chunked claiming keeps the atomic counter off the hot path while
+	// still letting fast workers absorb the tail of slow ones.
+	chunk := n
+	if workers > 1 {
+		chunk = max(n/(workers*8), 1)
+	}
+	var next atomic.Int64
+	var mu sync.Mutex
+	lowest, lowestErr := n, error(nil)
+	claim := func(worker int) {
+		for {
+			start := int(next.Add(int64(chunk))) - chunk
+			if start >= n {
+				return
+			}
+			var run obs.Stopwatch
+			var sp obs.Span
+			if observing {
+				var waited int64
+				if workers > 1 {
+					waited = forStart.ElapsedNs()
+				}
+				waitHist.Observe(waited)
+				run = obs.StartStopwatch()
+				sp = tr.StartSpan("par.chunk", worker)
+			}
+			for i := start; i < min(start+chunk, n); i++ {
+				if err := fn(worker, i); err != nil {
+					mu.Lock()
+					if i < lowest {
+						lowest, lowestErr = i, err
+					}
+					mu.Unlock()
+				}
+			}
+			if observing {
+				sp.End()
+				runHist.Observe(run.ElapsedNs())
+			}
+		}
+	}
+	if workers == 1 {
+		claim(0)
+		return lowestErr
+	}
+	var wg sync.WaitGroup
+	wg.Add(workers)
+	for w := 0; w < workers; w++ {
+		go func() {
+			defer wg.Done()
+			claim(w)
+		}()
+	}
+	wg.Wait()
+	return lowestErr
 }
 
 // Makespan simulates critical-path-first list scheduling of the task graph

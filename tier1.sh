@@ -12,32 +12,35 @@
 #                corpus — `go test -run Fuzz ./internal/maze` runs the queue
 #                oracle's alone; `-fuzz FuzzQueueOrder` explores beyond it)
 #   race        — the race detector over every package that executes
-#                 host-parallel: the par pool itself, core's determinism
-#                 table (its three Determinism tests and the tracing-enabled
+#                 host-parallel: taskflow, the one executor (its For and
+#                 its task graphs), and par, whose For forwards to it;
+#                 core's determinism table (its three Determinism tests
+#                 and the tracing-enabled
 #                 TestExecWorkersDeterminismWithTracing, both at 1/2/8
-#                 workers, the latter also checking every lane's span
-#                 nesting while fanned-out slots trace), its seeded chaos
-#                 suite (every variant under fault injection at 1/2/8
-#                 workers) AND TestCancelAtEveryCheckpoint's 4-worker cut
-#                 row, where every slot polls one context, the taskflow
-#                 executor, the concurrent obs recorders, sched + maze, which
-#                 run under the pool from core's parallel sections, grid,
-#                 whose cost-field values and dirty flags are written from
-#                 concurrent rip-up windows, route and guide, whose sealed
-#                 edge lists are read from every scan worker, fault, the
-#                 containment layer whose counters are hit from every
-#                 worker, pattern and patterngpu, whose per-worker solver
-#                 scratch serves the kernel's solve fan-out
-#                 (TestGPUResultsMatchCPU at 1/2/8 workers), and
-#                 shard, whose plans and splits are read from every slot
-#                 that claims a leaf (TestShardDeterminism drives the cut
-#                 plan itself at 1/2/8 workers under -race), the
-#                 prom exposition renderer, opsrv, whose live-scrape
-#                 test hammers /metrics, /healthz and /tracez from a
-#                 scraper goroutine while a full 19test9m run routes,
-#                 and serve, the fastgrd job pipeline whose overload
-#                 test saturates admission, cancels mid-run jobs and
-#                 drains while HTTP clients hammer the handlers
+#                 workers, the latter also checking that every worker
+#                 lane's spans nest, so no two goroutines draw on one
+#                 lane), its seeded chaos suite (every variant under fault
+#                 injection at 1/2/8 workers) AND
+#                 TestCancelAtEveryCheckpoint's 4-worker cut row, where
+#                 the coordinator polls the context while workers route;
+#                 the concurrent obs recorders, sched + maze, which run on
+#                 the executor from core's parallel sections, grid, whose
+#                 cost-field values and dirty flags are written from
+#                 concurrent rip-up windows of every leaf at once, route
+#                 and guide, whose sealed edge lists are read from every
+#                 scan worker, fault, the containment layer whose counters
+#                 are hit from every worker, pattern and patterngpu, whose
+#                 per-worker solver scratch serves the kernel's solve
+#                 fan-out (TestGPUResultsMatchCPU at 1/2/8 workers), and
+#                 shard, whose plan is read from every worker of a leaf
+#                 pass (TestShardDeterminism drives the cut plan itself at
+#                 1/2/8 workers under -race), the prom exposition
+#                 renderer, opsrv, whose live-scrape test hammers
+#                 /metrics, /healthz and /tracez from a scraper goroutine
+#                 while a full 19test9m run routes, and serve, the fastgrd
+#                 job pipeline whose overload test saturates admission,
+#                 cancels mid-run jobs and drains while HTTP clients
+#                 hammer the handlers
 #   fuzz-design, fuzz-guide — 10 s of coverage-guided fuzzing of each text
 #                 reader (FuzzRead in internal/design and internal/guide)
 #                 beyond its seed corpus: no panic, the design reader never
