@@ -132,8 +132,8 @@ type Options struct {
 	// Journal, when non-nil, receives the structured run journal: one
 	// "stage" event per stage boundary and one "iter" event per rip-up
 	// iteration (see journal.go for the payloads). Passive like Obs, and
-	// crash-safe: the journal republishes atomically at every event, so
-	// a run killed mid-flight leaves a complete, parseable trajectory.
+	// crash-safe: each event is one fsynced append, so a run killed
+	// mid-flight leaves every event before it, at worst plus a torn line.
 	Journal *obs.Journal
 	// Containment, when non-nil, is a pre-armed fault containment layer
 	// the run uses instead of building one from Fault. Callers that need

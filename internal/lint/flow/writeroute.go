@@ -7,10 +7,11 @@ import (
 )
 
 // CheckWriteRouteFn enforces the crash-safety contract tree-wide: every
-// durable artifact write goes through the allowed writer packages
-// (internal/atomicio's temp-file + fsync + rename protocol). A raw
+// durable write goes through the allowed writer packages — in
+// internal/atomicio, the temp-file + fsync + rename protocol for
+// artifacts, or the append-with-rollback protocol for journals. A raw
 // os.Create / os.WriteFile / os.OpenFile-for-write anywhere else can
-// leave a torn file behind a crash — exactly what the run journal and
+// leave a torn file behind a crash — exactly what the journals and
 // bench artifacts must never do.
 //
 // Temp-path writes are exempt: a path expression that visibly derives

@@ -9,12 +9,11 @@ import (
 )
 
 // Journal is the structured run journal: one JSON object per line, one
-// line per pipeline stage boundary or rip-up iteration. Every Emit
-// republishes the whole journal through internal/atomicio (temp file +
-// rename), so a crash at any instant leaves a complete, parseable
-// journal of every event emitted before it — never a torn last line.
-// The event cadence is stages and iterations, a few dozen lines per
-// run, so the quadratic rewrite cost is noise next to one maze search.
+// line per pipeline stage boundary or rip-up iteration. The first event
+// replaces any stale file (atomicio.WriteFile); later ones are appended
+// through atomicio's journal protocol, so a crash at any instant leaves
+// every event emitted before it, plus at worst a torn last line, and the
+// run writes each byte once.
 //
 // Envelope schema (one per line):
 //
@@ -26,12 +25,12 @@ import (
 // kind (see DESIGN.md "Serving observability"). The nil *Journal is the
 // disabled journal: Emit is a no-op, so call sites need no conditionals.
 type Journal struct {
-	mu   sync.Mutex
-	path string
-	now  func() time.Time
-	buf  []byte
-	seq  int64
-	err  error // first publish error; later Emits still accumulate
+	mu    sync.Mutex
+	path  string
+	now   func() time.Time
+	seq   int64
+	err   error // first write error; later Emits still write
+	fresh bool  // the first event replaced any stale file
 }
 
 type journalEnvelope struct {
@@ -41,7 +40,7 @@ type journalEnvelope struct {
 	Data  any    `json:"data"`
 }
 
-// NewJournal returns a journal publishing to path. Nothing is written
+// NewJournal returns a journal writing to path. Nothing is written
 // until the first Emit.
 func NewJournal(path string) *Journal {
 	return &Journal{path: path, now: time.Now}
@@ -50,10 +49,10 @@ func NewJournal(path string) *Journal {
 // setClock pins the clock for deterministic tests.
 func (j *Journal) setClock(now func() time.Time) { j.now = now }
 
-// Emit appends one event and republishes the journal file. Marshal or
-// publish failures are remembered (first error wins) and reported by
-// Err; emission itself never fails the caller, keeping the journal as
-// passive as the rest of the flight recorder.
+// Emit writes one event to the journal file. A failed event leaves a
+// seq gap, and the first failure is reported by Err; emission itself
+// never fails the caller, keeping the journal as passive as the rest of
+// the flight recorder.
 func (j *Journal) Emit(event string, data any) {
 	if j == nil {
 		return
@@ -67,15 +66,15 @@ func (j *Journal) Emit(event string, data any) {
 		Event: event,
 		Data:  data,
 	})
-	if err != nil {
-		if j.err == nil {
-			j.err = err
-		}
-		return
+	switch {
+	case err != nil:
+	case j.fresh:
+		err = atomicio.AppendLine(j.path, line)
+	default:
+		err = atomicio.WriteFile(j.path, append(line, '\n'))
+		j.fresh = err == nil
 	}
-	j.buf = append(j.buf, line...)
-	j.buf = append(j.buf, '\n')
-	if err := atomicio.WriteFile(j.path, j.buf); err != nil && j.err == nil {
+	if err != nil && j.err == nil {
 		j.err = err
 	}
 }
@@ -90,7 +89,7 @@ func (j *Journal) Events() int64 {
 	return j.seq
 }
 
-// Err returns the first marshal or publish error, if any.
+// Err returns the first marshal or write error, if any.
 func (j *Journal) Err() error {
 	if j == nil {
 		return nil

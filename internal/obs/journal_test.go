@@ -75,14 +75,30 @@ func TestJournalNilSafe(t *testing.T) {
 }
 
 func TestJournalPublishError(t *testing.T) {
-	// A directory that does not exist makes every publish fail; the
+	// A directory that does not exist makes every write fail; the
 	// error is remembered, not raised at the emit site.
 	j := NewJournal(filepath.Join(t.TempDir(), "missing", "deep", "run.jsonl"))
 	j.Emit("stage", map[string]any{"stage": "plan"})
 	if j.Err() == nil {
-		t.Fatalf("expected a publish error")
+		t.Fatalf("expected a write error")
 	}
 	if j.Events() != 1 {
 		t.Fatalf("events not counted past the error")
+	}
+}
+
+func TestJournalReplacesStaleFile(t *testing.T) {
+	// A journal left by an earlier run is replaced by the first event,
+	// not appended to.
+	path := filepath.Join(t.TempDir(), "run.jsonl")
+	if err := os.WriteFile(path, []byte("{\"seq\":9}\n{\"seq\":10,\"torn"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	j := NewJournal(path)
+	j.Emit("stage", map[string]any{"stage": "plan"})
+	j.Emit("stage", map[string]any{"stage": "pattern"})
+	got := readJournal(t, path)
+	if len(got) != 2 || got[0].Seq != 1 || got[1].Seq != 2 || j.Err() != nil {
+		t.Fatalf("journal over a stale file: %+v (err %v)", got, j.Err())
 	}
 }

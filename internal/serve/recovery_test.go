@@ -14,9 +14,10 @@ import (
 
 // TestCrashRecoveryAtEveryJournalPrefix is the crash-safety proof: run
 // a workload to completion, then simulate a process killed at every
-// possible journal prefix — the store's whole-file atomic republish
-// guarantees a crash leaves exactly some prefix of the record stream —
-// and assert each prefix reopens into a consistent ledger: every
+// possible journal prefix — every line prefix, and every byte prefix
+// that tears a record, since a crash mid-append leaves some prefix of
+// the record stream plus at worst a torn tail — and assert each prefix
+// reopens into a consistent ledger of its complete records: every
 // submitted job present exactly once, every job either terminal or
 // queued-for-recovery, never lost, never duplicated.
 //
@@ -71,20 +72,23 @@ func TestCrashRecoveryAtEveryJournalPrefix(t *testing.T) {
 		state   string
 		hasDone bool
 	}
-	// Phase 2: every prefix must reopen consistently.
+	// Phase 2: every byte prefix must reopen consistently, as the ledger
+	// of its k complete lines; b at a line boundary is a line prefix.
 	midPrefix := -1
-	for k := 0; k <= len(lines); k++ {
+	for b := 0; b <= len(raw); b++ {
+		k := bytes.Count(raw[:b], []byte{'\n'})
+		torn := b > 0 && raw[b-1] != '\n'
 		want := map[string]*expect{}
 		var order []string
 		for _, line := range lines[:k] {
 			var rec journalRecord
 			if err := json.Unmarshal(line, &rec); err != nil {
-				t.Fatalf("prefix %d: bad journal line: %v", k, err)
+				t.Fatalf("prefix %d: bad journal line: %v", b, err)
 			}
 			switch rec.Kind {
 			case "submit":
 				if want[rec.ID] != nil {
-					t.Fatalf("prefix %d: duplicate submit for %s in journal", k, rec.ID)
+					t.Fatalf("prefix %d: duplicate submit for %s in journal", b, rec.ID)
 				}
 				want[rec.ID] = &expect{state: StateQueued}
 				order = append(order, rec.ID)
@@ -97,55 +101,61 @@ func TestCrashRecoveryAtEveryJournalPrefix(t *testing.T) {
 		}
 
 		pdir := t.TempDir()
-		if k > 0 {
-			prefix := append(bytes.Join(lines[:k], []byte("\n")), '\n')
-			if err := os.WriteFile(filepath.Join(pdir, journalName), prefix, 0o644); err != nil {
-				t.Fatalf("prefix %d: write: %v", k, err)
+		if b > 0 {
+			if err := os.WriteFile(filepath.Join(pdir, journalName), raw[:b], 0o644); err != nil {
+				t.Fatalf("prefix %d: write: %v", b, err)
 			}
 		}
 		// A real crash that journaled "done" necessarily wrote the guides
 		// first (runJob's write ordering), so the simulation copies them.
 		for id, e := range want {
 			if e.hasDone {
-				b, err := os.ReadFile(filepath.Join(dir, id+".guides"))
+				g, err := os.ReadFile(filepath.Join(dir, id+".guides"))
 				if err != nil {
-					t.Fatalf("prefix %d: source guides for %s: %v", k, id, err)
+					t.Fatalf("prefix %d: source guides for %s: %v", b, id, err)
 				}
-				if err := os.WriteFile(filepath.Join(pdir, id+".guides"), b, 0o644); err != nil {
-					t.Fatalf("prefix %d: copy guides: %v", k, err)
+				if err := os.WriteFile(filepath.Join(pdir, id+".guides"), g, 0o644); err != nil {
+					t.Fatalf("prefix %d: copy guides: %v", b, err)
 				}
 			}
 		}
 
 		st, err := OpenStore(pdir)
 		if err != nil {
-			t.Fatalf("prefix %d: OpenStore: %v", k, err)
+			t.Fatalf("prefix %d: OpenStore: %v", b, err)
+		}
+		if torn {
+			// Replay cut the torn record off, so appends start a line.
+			got, err := os.ReadFile(filepath.Join(pdir, journalName))
+			if err != nil || !bytes.Equal(got, raw[:bytes.LastIndexByte(raw[:b], '\n')+1]) {
+				t.Fatalf("prefix %d: torn tail left on disk (err %v)", b, err)
+			}
 		}
 		jobs := st.List()
 		if len(jobs) != len(order) {
-			t.Fatalf("prefix %d: %d jobs in store, %d submitted — lost or duplicated", k, len(jobs), len(order))
+			t.Fatalf("prefix %d: %d jobs in store, %d submitted — lost or duplicated", b, len(jobs), len(order))
 		}
 		seen := map[string]bool{}
 		for _, j := range jobs {
 			if seen[j.ID] {
-				t.Fatalf("prefix %d: job %s duplicated", k, j.ID)
+				t.Fatalf("prefix %d: job %s duplicated", b, j.ID)
 			}
 			seen[j.ID] = true
 			e := want[j.ID]
 			if e == nil {
-				t.Fatalf("prefix %d: job %s appeared from nowhere", k, j.ID)
+				t.Fatalf("prefix %d: job %s appeared from nowhere", b, j.ID)
 			}
 			switch {
 			case terminal(e.state):
 				if j.State != e.state {
-					t.Fatalf("prefix %d: job %s replayed to %s, journal says %s", k, j.ID, j.State, e.state)
+					t.Fatalf("prefix %d: job %s replayed to %s, journal says %s", b, j.ID, j.State, e.state)
 				}
 			default:
 				// queued or running at the crash: must come back queued
 				// and flagged for requeue.
 				if j.State != StateQueued || !j.Recovered {
 					t.Fatalf("prefix %d: in-flight job %s replayed to %s (recovered %v), want queued+recovered",
-						k, j.ID, j.State, j.Recovered)
+						b, j.ID, j.State, j.Recovered)
 				}
 			}
 		}
@@ -157,12 +167,12 @@ func TestCrashRecoveryAtEveryJournalPrefix(t *testing.T) {
 			}
 		}
 		if len(recov) != nq {
-			t.Fatalf("prefix %d: Recovered() returned %d jobs, want %d", k, len(recov), nq)
+			t.Fatalf("prefix %d: Recovered() returned %d jobs, want %d", b, len(recov), nq)
 		}
 
 		// Remember a prefix where job 1 finished but job 2 was mid-run:
 		// the interesting restart below.
-		if midPrefix < 0 && len(order) >= 2 {
+		if midPrefix < 0 && !torn && len(order) >= 2 {
 			e1, e2 := want[order[0]], want[order[1]]
 			if e1 != nil && e1.hasDone && e2 != nil && e2.state == StateRunning {
 				midPrefix = k

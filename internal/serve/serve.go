@@ -18,7 +18,7 @@
 //     finish within a budget, then checkpoints the stragglers back to
 //     queued — they re-run after the next start.
 //   - Crash safety: every job transition is journaled through the
-//     Store (internal/atomicio whole-file republish); a process killed
+//     Store (internal/atomicio's append-with-rollback); a process killed
 //     at any instant restarts with every job either terminal (guides
 //     served from disk) or requeued. Guides are written to disk before
 //     the done record, so a journaled "done" always has its artifact.

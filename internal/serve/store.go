@@ -11,33 +11,28 @@ import (
 	"fastgr/internal/atomicio"
 )
 
-// Store is the crash-safe job ledger. Every state transition is one
-// JSON-lines record, and every append republishes the whole journal
-// through internal/atomicio (temp file + rename), the obs.Journal
-// pattern: a crash at any instant leaves a complete, parseable prefix
-// of the transition history — never a torn line. OpenStore replays that
-// prefix; because the replay maps running back to queued, any journal
-// prefix reconstructs a consistent ledger where every job is either
-// terminal (its guides are on disk — see the write ordering in runJob)
-// or queued for re-execution. Jobs are never lost or duplicated: the
-// submit record is journaled before the client learns the job ID, and
-// IDs come from the journaled sequence.
+// Store is the crash-safe job ledger: each state transition is one
+// JSON-lines record appended through internal/atomicio's journal
+// protocol, so a crash leaves a prefix of the history and a refused
+// record leaves nothing. Replay maps running back to queued, so any
+// prefix is a consistent ledger where every job is terminal (guides on
+// disk — see runJob's write ordering) or queued for re-execution. No job
+// is lost or duplicated: the submit record is journaled before the client
+// learns the job ID, and IDs come from the journaled sequence.
 //
 // Journal record schema (one per line):
 //
-//	{"seq": 1, "kind": "submit", "id": "job-000001", "spec": {...}}
-//	{"seq": 2, "kind": "state", "id": "job-000001", "state": "running"}
-//	{"seq": 3, "kind": "state", "id": "job-000001", "state": "done",
+//	{"seq": 0, "kind": "submit", "id": "job-000001", "spec": {...}}
+//	{"seq": 1, "kind": "state", "id": "job-000001", "state": "running"}
+//	{"seq": 2, "kind": "state", "id": "job-000001", "state": "done",
 //	 "result": {...}}
 //
-// seq increases by one per record; terminal state records carry the
-// result and/or error. The cadence is a handful of records per job, so
-// the quadratic rewrite cost is noise next to one routing run.
+// seq starts at 0 and increases by one per record; terminal state
+// records carry the result and/or error.
 type Store struct {
 	mu      sync.Mutex
 	dir     string
 	path    string
-	buf     bytes.Buffer
 	jobs    map[string]*Job
 	order   []string // insertion order, for deterministic listings
 	nextSeq int64
@@ -71,14 +66,11 @@ func OpenStore(dir string) (*Store, error) {
 		path: filepath.Join(dir, journalName),
 		jobs: make(map[string]*Job),
 	}
-	raw, err := os.ReadFile(s.path)
+	lines, err := atomicio.ReadLines(s.path)
 	if err != nil {
-		if os.IsNotExist(err) {
-			return s, nil
-		}
 		return nil, err
 	}
-	for i, line := range bytes.Split(raw, []byte("\n")) {
+	for i, line := range lines {
 		if len(bytes.TrimSpace(line)) == 0 {
 			continue
 		}
@@ -87,10 +79,6 @@ func OpenStore(dir string) (*Store, error) {
 			return nil, fmt.Errorf("serve: journal %s line %d: %w", s.path, i+1, err)
 		}
 		s.replay(rec)
-	}
-	s.buf.Write(raw)
-	if s.buf.Len() > 0 && raw[len(raw)-1] != '\n' {
-		s.buf.WriteByte('\n')
 	}
 	for _, id := range s.order {
 		j := s.jobs[id]
@@ -150,18 +138,18 @@ func (s *Store) replay(rec journalRecord) {
 	}
 }
 
-// emit journals one record: append to the buffer, atomically republish
-// the whole file. Called with the lock held.
+// emit journals one record; on failure nothing reached the file and
+// the seq is not spent. Called with the lock held.
 func (s *Store) emit(rec journalRecord) error {
 	rec.Seq = s.nextSeq
-	s.nextSeq++
 	line, err := json.Marshal(rec)
-	if err != nil {
-		return err
+	if err == nil {
+		err = atomicio.AppendLine(s.path, line)
 	}
-	s.buf.Write(line)
-	s.buf.WriteByte('\n')
-	return atomicio.WriteFile(s.path, s.buf.Bytes())
+	if err == nil {
+		s.nextSeq++
+	}
+	return err
 }
 
 // Submit journals a new job and returns it (a snapshot). The journal
