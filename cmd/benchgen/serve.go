@@ -12,7 +12,6 @@ import (
 	"sync"
 	"time"
 
-	"fastgr/internal/atomicio"
 	"fastgr/internal/core"
 	"fastgr/internal/design"
 	"fastgr/internal/guide"
@@ -118,7 +117,7 @@ func runServe(out string) error {
 		if err != nil {
 			return 0, err
 		}
-		if err := writeDirectGuides(dir, res); err != nil {
+		if err := guide.WriteFile(dir+"/direct.guides", res); err != nil {
 			return 0, err
 		}
 		return time.Since(start).Nanoseconds(), nil
@@ -214,24 +213,6 @@ func directServeOptions(scale float64) core.Options {
 	opt := core.DefaultOptions(core.FastGRL)
 	opt.T1, opt.T2 = core.ScaledThreshold(100, scale), core.ScaledThreshold(500, scale)
 	return opt
-}
-
-// writeDirectGuides emits guides the way the CLI (and the daemon) do,
-// so the direct side pays the same artifact cost.
-func writeDirectGuides(dir string, res *core.Result) error {
-	guides := guide.FromResult(res)
-	if err := guide.Covers(res, guides); err != nil {
-		return err
-	}
-	f, err := atomicio.Create(dir + "/direct.guides")
-	if err != nil {
-		return err
-	}
-	defer f.Abort()
-	if err := guide.Write(f, guides); err != nil {
-		return err
-	}
-	return f.Commit()
 }
 
 // submitServeJob POSTs a job and returns its ID.

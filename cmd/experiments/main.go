@@ -69,12 +69,7 @@ func main() {
 	run("tablex", func() { bench.PrintTableX(os.Stdout, bench.TableX(suite)) })
 
 	// Extras beyond the paper's numbered tables (opt-in, not part of
-	// 'all'): -exp tablexfine,zerocopy,edgeshift,devsweep.
-	if want["tablexfine"] {
-		bench.PrintTableXFine(os.Stdout, bench.TableXFine(suite))
-		fmt.Println()
-		ran++
-	}
+	// 'all'): -exp zerocopy,edgeshift,devsweep,staircase,history.
 	if want["zerocopy"] {
 		bench.PrintZeroCopyAblation(os.Stdout, bench.ZeroCopyAblation(suite))
 		fmt.Println()

@@ -169,7 +169,7 @@ func main() {
 			m.Wirelength, m.Vias, m.Shorts, m.Spacing)
 	}
 	if *guides != "" {
-		if err := writeGuides(*guides, res); err != nil {
+		if err := guide.WriteFile(*guides, res); err != nil {
 			fatal(err)
 		}
 		fmt.Printf("guides written to %s\n", *guides)
@@ -260,24 +260,6 @@ func writeMetrics(path string, o *obs.Observer, res *core.Result) error {
 	enc := json.NewEncoder(f)
 	enc.SetIndent("", " ")
 	if err := enc.Encode(out); err != nil {
-		return err
-	}
-	return f.Commit()
-}
-
-// writeGuides emits CUGR-style routing guides, verifying the coverage
-// contract (every routed wire and via inside its net's boxes) first.
-func writeGuides(path string, res *core.Result) error {
-	guides := guide.FromResult(res)
-	if err := guide.Covers(res, guides); err != nil {
-		return fmt.Errorf("guide contract violated: %w", err)
-	}
-	f, err := atomicio.Create(path)
-	if err != nil {
-		return err
-	}
-	defer f.Abort()
-	if err := guide.Write(f, guides); err != nil {
 		return err
 	}
 	return f.Commit()

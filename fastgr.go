@@ -17,7 +17,6 @@ import (
 	"fastgr/internal/core"
 	"fastgr/internal/design"
 	"fastgr/internal/dr"
-	"fastgr/internal/drcu"
 )
 
 // Router variants, matching the paper's evaluation.
@@ -70,14 +69,4 @@ func BenchmarkNames() []string { return design.AllNames() }
 // evaluator over a routing result (the Table X metric set).
 func EvaluateDetailedRouting(res *Result) DRMetrics {
 	return dr.Evaluate(res.Grid, res.Routes)
-}
-
-// FineDRMetrics is the outcome of Dr.CU-style fine-grid detailed routing.
-type FineDRMetrics = drcu.Metrics
-
-// DetailedRoute actually routes the result's nets on a 3x-refined grid
-// constrained to their guides (the Dr.CU substitute behind Table X's fine
-// variant).
-func DetailedRoute(res *Result) FineDRMetrics {
-	return drcu.Evaluate(res, drcu.DefaultConfig())
 }

@@ -72,28 +72,6 @@ func TestDeviceSweep(t *testing.T) {
 	}
 }
 
-func TestTableXFine(t *testing.T) {
-	s := NewSuite(Config{Scale: 0.003, Designs: []string{"18test5m"}})
-	rows := TableXFine(s)
-	if len(rows) != 1 {
-		t.Fatalf("rows = %d", len(rows))
-	}
-	r := rows[0]
-	for _, m := range []int{r.CUGR.Wirelength, r.GRL.Wirelength, r.GRH.Wirelength} {
-		if m == 0 {
-			t.Fatalf("empty fine DR metrics: %+v", r)
-		}
-	}
-	if r.CUGR.Unrouted+r.GRL.Unrouted+r.GRH.Unrouted != 0 {
-		t.Fatalf("nets unroutable within guides: %+v", r)
-	}
-	var buf bytes.Buffer
-	PrintTableXFine(&buf, rows)
-	if !strings.Contains(buf.String(), "fine-grid") {
-		t.Fatal("printout incomplete")
-	}
-}
-
 func TestStaircaseAblation(t *testing.T) {
 	s := NewSuite(Config{Scale: 0.003, Designs: []string{"18test5m"}})
 	rows := StaircaseAblation(s)

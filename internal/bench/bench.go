@@ -35,24 +35,6 @@ func DefaultConfig() Config {
 	return Config{Scale: 0.01, Designs: design.AllNames()}
 }
 
-// T1 returns the small/medium selection threshold (paper: 100) scaled to the
-// benchmark size.
-func (c Config) T1() int {
-	return maxInt(2, int(math.Round(100*math.Sqrt(c.Scale))))
-}
-
-// T2 returns the medium/large selection threshold (paper: 500) scaled to the
-// benchmark size.
-func (c Config) T2() int {
-	return maxInt(c.T1()+2, int(math.Round(500*math.Sqrt(c.Scale))))
-}
-
-// ScaleThreshold converts any full-scale HPWL threshold to this config's
-// scale (used by the Fig. 12 sweep).
-func (c Config) ScaleThreshold(full int) int {
-	return maxInt(2, int(math.Round(float64(full)*math.Sqrt(c.Scale))))
-}
-
 // runKey identifies one memoized routing run.
 type runKey struct {
 	design    string
@@ -98,8 +80,8 @@ func (s *Suite) Design(name string) *design.Design {
 // options builds the core options for a run key.
 func (s *Suite) options(k runKey) core.Options {
 	opt := core.DefaultOptions(k.variant)
-	opt.T1 = s.Cfg.T1()
-	opt.T2 = s.Cfg.T2()
+	opt.T1 = core.ScaledThreshold(100, s.Cfg.Scale)
+	opt.T2 = core.ScaledThreshold(500, s.Cfg.Scale)
 	if k.t2 != 0 {
 		opt.T2 = k.t2
 	}
@@ -148,13 +130,6 @@ func (s *Suite) RunWithT2(name string, t2 int) *core.Result {
 // rip-up-and-reroute iterations only (Table V).
 func (s *Suite) RunWithRRRScheme(name string, scheme sched.Scheme) *core.Result {
 	return s.run(runKey{design: name, variant: core.FastGRL, rrrScheme: scheme, hasScheme: true, rrrIters: -1})
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 // geoMean returns the geometric mean of positive ratios, the aggregation the

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"fastgr/internal/core"
+	"fastgr/internal/dr"
 	"fastgr/internal/sched"
 )
 
@@ -14,20 +15,22 @@ func fastCfg() Config {
 	return Config{Scale: 0.004, Designs: []string{"18test5", "18test5m"}}
 }
 
+// TestConfigThresholds pins the thresholds a suite routes with: the
+// paper's T1 = 100 and T2 = 500 scaled through core.ScaledThreshold, which
+// also scales Fig. 12's sweep.
 func TestConfigThresholds(t *testing.T) {
-	full := Config{Scale: 1}
-	if full.T1() != 100 || full.T2() != 500 {
-		t.Fatalf("full-scale thresholds %d/%d, want 100/500", full.T1(), full.T2())
+	for _, c := range []struct {
+		full  int
+		scale float64
+		want  int
+	}{{100, 1, 100}, {500, 1, 500}, {100, 0.01, 10}, {500, 0.01, 50}, {1000, 0.01, 100}} {
+		if got := core.ScaledThreshold(c.full, c.scale); got != c.want {
+			t.Errorf("ScaledThreshold(%d, %v) = %d, want %d", c.full, c.scale, got, c.want)
+		}
 	}
-	small := Config{Scale: 0.01}
-	if small.T1() != 10 || small.T2() != 50 {
-		t.Fatalf("1%% thresholds %d/%d, want 10/50", small.T1(), small.T2())
-	}
-	if small.T2() <= small.T1() {
-		t.Fatal("T2 must exceed T1")
-	}
-	if small.ScaleThreshold(1000) != 100 {
-		t.Fatalf("ScaleThreshold(1000) = %d", small.ScaleThreshold(1000))
+	opt := NewSuite(Config{Scale: 0.01}).options(runKey{variant: core.FastGRH, rrrIters: -1})
+	if opt.T1 != 10 || opt.T2 != 50 {
+		t.Fatalf("1%% suite thresholds %d/%d, want 10/50", opt.T1, opt.T2)
 	}
 }
 
@@ -242,21 +245,24 @@ func TestTableIX(t *testing.T) {
 	}
 }
 
+// TestTableX pins the fast config's Table X to recorded metrics
+// (Wirelength, Vias, Shorts, Spacing), so neither the evaluator nor the
+// suite's thresholds can move the table silently.
 func TestTableX(t *testing.T) {
-	s := NewSuite(fastCfg())
-	rows := TableX(s)
-	if len(rows) != 2 {
+	m := func(wl, vias, shorts, spacing int) dr.Metrics {
+		return dr.Metrics{Wirelength: wl, Vias: vias, Shorts: shorts, Spacing: spacing}
+	}
+	want := []TableXRow{
+		{"18test5", m(4130, 3280, 54, 9), m(4126, 3278, 52, 9), m(4130, 3320, 54, 8)},
+		{"18test5m", m(4110, 2908, 273, 8), m(4123, 2915, 277, 6), m(4124, 2954, 286, 12)},
+	}
+	rows := TableX(NewSuite(fastCfg()))
+	if len(rows) != len(want) {
 		t.Fatalf("rows = %d", len(rows))
 	}
-	for _, r := range rows {
-		for _, m := range []struct{ wl, vias int }{
-			{r.CUGR.Wirelength, r.CUGR.Vias},
-			{r.GRL.Wirelength, r.GRL.Vias},
-			{r.GRH.Wirelength, r.GRH.Vias},
-		} {
-			if m.wl == 0 || m.vias == 0 {
-				t.Fatalf("empty DR metrics: %+v", r)
-			}
+	for i, r := range rows {
+		if r != want[i] {
+			t.Errorf("row %d = %+v, want %+v", i, r, want[i])
 		}
 	}
 	var buf bytes.Buffer

@@ -168,7 +168,7 @@ func Fig12(s *Suite) Fig12Result {
 	out.BaselinePattern = base.Report.Times.Pattern
 	out.BaselineScore = base.Report.Score
 	for full := 100; full <= 1000; full += 100 {
-		t2 := s.Cfg.ScaleThreshold(full)
+		t2 := core.ScaledThreshold(full, s.Cfg.Scale)
 		res := s.RunWithT2(name, t2)
 		out.Rows = append(out.Rows, Fig12Row{
 			T2Full:  full,

@@ -135,20 +135,16 @@ type Options struct {
 	// crash-safe: each event is one fsynced append, so a run killed
 	// mid-flight leaves every event before it, at worst plus a torn line.
 	Journal *obs.Journal
-	// Containment, when non-nil, is a pre-armed fault containment layer
-	// the run uses instead of building one from Fault. Callers that need
-	// the layer's per-site accounting after the run (fault.Snapshot —
-	// the daemon reports it per job) construct it themselves and pass it
-	// here; Fault is ignored when Containment is set.
-	Containment *fault.Containment
 	// Fault, when non-nil, arms the fault containment layer (internal/fault)
 	// around every parallel work unit: panics and injected faults are
 	// retried, exhausted units degrade (a failed reroute keeps its pattern
 	// route, a failed kernel batch falls back to the CPU path) and the
-	// Report's FaultStats records the damage. nil runs the uncontained
-	// fast paths — bit-identical to builds predating the layer. For a
-	// fixed (Fault.Seed, Fault.Probs, MazeBudget), results remain
-	// bit-identical at every ExecWorkers count.
+	// Report's FaultStats records the damage. The run builds the layer
+	// itself and returns its per-site accounting (fault.Snapshot — the
+	// daemon reports it per job) as Result.FaultSites. nil runs the
+	// uncontained fast paths — bit-identical to builds predating the
+	// layer. For a fixed (Fault.Seed, Fault.Probs, MazeBudget), results
+	// remain bit-identical at every ExecWorkers count.
 	Fault *fault.Options
 	// MazeBudget caps the expansions one rip-up maze search may spend;
 	// a net that exceeds it keeps its pattern route (recorded as a budget
@@ -370,6 +366,10 @@ type Result struct {
 	Design *design.Design
 	Trees  []*stt.Tree       // by net ID
 	Routes []*route.NetRoute // by net ID
+	// FaultSites is the containment layer's per-site accounting (see
+	// fault.Snapshot), partial runs included: nil when Options.Fault is
+	// nil, and only sites that counted an event are present.
+	FaultSites map[string]fault.SiteStats
 }
 
 // Route runs the full two-stage flow on a design.
@@ -417,8 +417,7 @@ type runner struct {
 func (r *runner) run() (*Result, error) {
 	r.g = grid.NewFromDesign(r.d)
 	r.g.SetObserver(r.opt.Obs)
-	r.fc = r.opt.Containment
-	if r.fc == nil && r.opt.Fault != nil {
+	if r.opt.Fault != nil {
 		r.fc = fault.New(*r.opt.Fault, r.opt.Obs)
 	}
 	r.rep.Design = r.d.Name
@@ -447,6 +446,8 @@ func (r *runner) run() (*Result, error) {
 		Design: r.d,
 		Trees:  r.trees,
 		Routes: r.routes,
+
+		FaultSites: r.fc.Snapshot(),
 	}, err
 }
 

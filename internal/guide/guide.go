@@ -11,6 +11,7 @@ import (
 	"io"
 	"slices"
 
+	"fastgr/internal/atomicio"
 	"fastgr/internal/core"
 	"fastgr/internal/geom"
 	"fastgr/internal/grid"
@@ -232,6 +233,26 @@ func Write(w io.Writer, guides []Guide) error {
 		tw.EndLine()
 	}
 	return tw.Flush()
+}
+
+// WriteFile emits a result's guides to path: it checks the coverage
+// contract first, then replaces the file atomically. The fastgr CLI, the
+// fastgrd daemon and the daemon's overhead bench all write through it, so
+// their guide files are byte-identical for the same design and options.
+func WriteFile(path string, res *core.Result) error {
+	guides := FromResult(res)
+	if err := Covers(res, guides); err != nil {
+		return fmt.Errorf("guide contract violated: %w", err)
+	}
+	f, err := atomicio.Create(path)
+	if err != nil {
+		return err
+	}
+	defer f.Abort()
+	if err := Write(f, guides); err != nil {
+		return err
+	}
+	return f.Commit()
 }
 
 // Read parses the format produced by Write. A name line is the whole line,

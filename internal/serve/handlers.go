@@ -8,9 +8,6 @@ import (
 	"strconv"
 	"time"
 
-	"fastgr/internal/atomicio"
-	"fastgr/internal/core"
-	"fastgr/internal/guide"
 	"fastgr/internal/obs"
 )
 
@@ -163,23 +160,4 @@ func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
 	}
 	job, _ := s.store.Get(id)
 	writeJSON(w, http.StatusAccepted, submitResponse{ID: id, State: job.State})
-}
-
-// writeGuides mirrors the fastgr CLI's guide emission — contract check,
-// then an atomic write — so a guide fetched from the daemon is byte-
-// identical to one the CLI writes for the same design and options.
-func writeGuides(path string, res *core.Result) error {
-	guides := guide.FromResult(res)
-	if err := guide.Covers(res, guides); err != nil {
-		return fmt.Errorf("guide contract violated: %w", err)
-	}
-	f, err := atomicio.Create(path)
-	if err != nil {
-		return err
-	}
-	defer f.Abort()
-	if err := guide.Write(f, guides); err != nil {
-		return err
-	}
-	return f.Commit()
 }

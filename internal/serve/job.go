@@ -128,8 +128,8 @@ func (sp *JobSpec) buildDesign() (*design.Design, error) {
 // options resolves the spec into core.Options with exactly the fastgr
 // CLI's defaulting — including the T1/T2 threshold scaling for
 // generated designs — so the routed output matches the CLI bit for bit.
-// The fault layer is NOT armed here: the runner builds a Containment
-// itself (see runJob) so it can snapshot per-site accounting afterwards.
+// The fault layer is armed under the CLI's rule too: -fault-prob > 0, or
+// -fault-seed alone arming it silently.
 func (sp *JobSpec) options() core.Options {
 	variant, _ := core.ParseVariant(sp.Router)
 	opt := core.DefaultOptions(variant)
@@ -155,19 +155,10 @@ func (sp *JobSpec) options() core.Options {
 		opt.T2 = core.ScaledThreshold(500, sp.Scale)
 	}
 	opt.MazeBudget = sp.MazeBudget
+	if sp.FaultProb > 0 || sp.FaultSeed != 0 {
+		opt.Fault = &fault.Options{Seed: sp.FaultSeed, Probs: fault.UniformProbs(sp.FaultProb)}
+	}
 	return opt
-}
-
-// faultsArmed reports whether the spec requests the containment layer,
-// under the CLI's rule (-fault-prob > 0, or -fault-seed alone arming it
-// silently).
-func (sp *JobSpec) faultsArmed() bool {
-	return sp.FaultProb > 0 || sp.FaultSeed != 0
-}
-
-// faultOptions is the containment configuration for an armed spec.
-func (sp *JobSpec) faultOptions() fault.Options {
-	return fault.Options{Seed: sp.FaultSeed, Probs: fault.UniformProbs(sp.FaultProb)}
 }
 
 // estimateBytes is the job's admission-control memory estimate: grid

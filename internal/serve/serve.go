@@ -42,7 +42,7 @@ import (
 	"time"
 
 	"fastgr/internal/core"
-	"fastgr/internal/fault"
+	"fastgr/internal/guide"
 	"fastgr/internal/obs"
 	"fastgr/internal/obs/opsrv"
 )
@@ -258,6 +258,7 @@ func (s *Server) runJob(j *Job) {
 		return
 	}
 	if _, err := s.store.SetState(j.ID, StateRunning, "", nil); err != nil {
+		s.failUnjournaled(j.ID, err)
 		return
 	}
 
@@ -292,8 +293,9 @@ func (s *Server) runJob(j *Job) {
 	var ce *core.CancelError
 	switch {
 	case runErr == nil:
-		s.store.SetState(j.ID, StateDone, "", res)
-		s.obs.M().Counter(obs.MServeDone).Add(1)
+		if s.finish(j.ID, StateDone, "", res) {
+			s.obs.M().Counter(obs.MServeDone).Add(1)
+		}
 	case errors.As(runErr, &ce):
 		s.mu.Lock()
 		requeue := s.requeue
@@ -301,20 +303,47 @@ func (s *Server) runJob(j *Job) {
 		if requeue {
 			// Drain checkpoint: the run stopped cleanly at a coordinator
 			// point; journal the job back to queued for the next start.
-			s.store.SetState(j.ID, StateQueued, "", nil)
+			s.finish(j.ID, StateQueued, "", nil)
 			return
 		}
 		if s.store.CancelRequested(j.ID) {
 			je := &JobError{ID: j.ID, State: StateCancelled, Stage: ce.Stage, Iter: ce.Iter, Cause: ce.Cause.Error()}
-			s.store.SetState(j.ID, StateCancelled, je.Error(), res)
-			s.obs.M().Counter(obs.MServeCancelled).Add(1)
+			if s.finish(j.ID, StateCancelled, je.Error(), res) {
+				s.obs.M().Counter(obs.MServeCancelled).Add(1)
+			}
 			return
 		}
 		je := &JobError{ID: j.ID, State: StateFailed, Stage: ce.Stage, Iter: ce.Iter, Cause: ce.Cause.Error()}
-		s.store.SetState(j.ID, StateFailed, je.Error(), res)
-		s.obs.M().Counter(obs.MServeFailed).Add(1)
+		if s.finish(j.ID, StateFailed, je.Error(), res) {
+			s.obs.M().Counter(obs.MServeFailed).Add(1)
+		}
 	default:
-		s.store.SetState(j.ID, StateFailed, runErr.Error(), res)
+		if s.finish(j.ID, StateFailed, runErr.Error(), res) {
+			s.obs.M().Counter(obs.MServeFailed).Add(1)
+		}
+	}
+}
+
+// finish journals the state a job leaves its run in and reports whether
+// the ledger took the record. A refused record fails the job in memory
+// instead (see failUnjournaled).
+func (s *Server) finish(id, state, errText string, res *JobResult) bool {
+	if _, err := s.store.SetState(id, state, errText, res); err != nil {
+		s.failUnjournaled(id, err)
+		return false
+	}
+	return true
+}
+
+// failUnjournaled fails a job whose record the ledger refused, in memory
+// only: status reports it failed with the journal error as its cause,
+// and it counts once as failed. Its terminal state refuses every later
+// transition, so no record of the job reaches disk after the refusal,
+// and a restart replays it from its last journaled record — queued and
+// recovered.
+func (s *Server) failUnjournaled(id string, cause error) {
+	je := &JobError{ID: id, State: StateFailed, Iter: -1, Cause: "journal: " + cause.Error()}
+	if s.store.failInMemory(id, je.Error()) {
 		s.obs.M().Counter(obs.MServeFailed).Add(1)
 	}
 }
@@ -334,16 +363,6 @@ func (s *Server) execute(ctx context.Context, j *Job) (*JobResult, error) {
 	// Jobs share the daemon's metrics registry and health tracker but
 	// not its tracer (per-job lanes would collide across runners).
 	opt.Obs = &obs.Observer{Metrics: s.obs.M(), Health: s.obs.H()}
-	var fc *fault.Containment
-	if j.Spec.faultsArmed() {
-		// Build the containment layer here rather than letting core do
-		// it, so the per-site accounting survives the run: transient
-		// failures retry inside core through this layer, and the job's
-		// status JSON reports the sites that bled.
-		fo := j.Spec.faultOptions()
-		fc = fault.New(fo, opt.Obs)
-		opt.Containment = fc
-	}
 	res, runErr := core.RouteContext(ctx, d, opt)
 	if res == nil {
 		return nil, runErr
@@ -354,14 +373,14 @@ func (s *Server) execute(ctx context.Context, j *Job) (*JobResult, error) {
 		Overflow:   res.Report.Quality.Shorts,
 		Score:      res.Report.Score,
 		Fault:      res.Report.Fault,
-		FaultSites: fc.Snapshot(),
+		FaultSites: res.FaultSites,
 		Partial:    runErr != nil,
 		RRRIters:   len(res.Report.RRR),
 	}
 	if runErr != nil {
 		return jr, runErr
 	}
-	if err := writeGuides(s.store.GuidePath(j.ID), res); err != nil {
+	if err := guide.WriteFile(s.store.GuidePath(j.ID), res); err != nil {
 		return jr, fmt.Errorf("serve: guides for %s: %w", j.ID, err)
 	}
 	return jr, nil

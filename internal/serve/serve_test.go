@@ -15,6 +15,7 @@ import (
 	"fastgr/internal/core"
 	"fastgr/internal/design"
 	"fastgr/internal/guide"
+	"fastgr/internal/obs"
 )
 
 // startTestServer boots a daemon on an ephemeral port over a fresh
@@ -259,6 +260,73 @@ func TestCancelRunningJobKeepsPartialStats(t *testing.T) {
 	}
 	if j.Result != nil && !j.Result.Partial {
 		t.Fatal("cancelled job carries a result not marked partial")
+	}
+}
+
+// TestRefusedTerminalRecordFailsJob: when the ledger refuses a running
+// job's terminal record, status reports the job failed with the journal
+// error, it counts once as failed, no refused record reaches the ledger
+// once it is writable again, and a restart replays the job as queued.
+func TestRefusedTerminalRecordFailsJob(t *testing.T) {
+	dir := t.TempDir()
+	s := startTestServer(t, Config{Dir: dir, Runners: 1})
+	id := submitJob(t, s, JobSpec{Design: "18test5m", Scale: 0.05})
+	waitJob(t, s, id, func(j Job) bool { return j.State == StateRunning }, 30*time.Second)
+
+	// A non-empty directory where the ledger should be refuses every
+	// append; the cancel then ends the run while it is refused.
+	path := filepath.Join(dir, journalName)
+	if err := os.Rename(path, path+".away"); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.MkdirAll(filepath.Join(path, "blocker"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	req, _ := http.NewRequest(http.MethodDelete, "http://"+s.Addr()+"/v1/jobs/"+id, nil)
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatalf("DELETE: %v", err)
+	}
+	resp.Body.Close()
+	j := waitTerminal(t, s, id, 120*time.Second)
+	if j.State != StateFailed || !strings.Contains(j.Error, "journal") {
+		t.Fatalf("job ended %s (error %q), want failed with the journal error", j.State, j.Error)
+	}
+	c := s.obs.M().Snapshot().Counters
+	if c[obs.MServeFailed] != 1 || c[obs.MServeCancelled] != 0 {
+		t.Fatalf("failed/cancelled counters = %d/%d, want 1/0", c[obs.MServeFailed], c[obs.MServeCancelled])
+	}
+
+	if err := os.RemoveAll(path); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Rename(path+".away", path); err != nil {
+		t.Fatal(err)
+	}
+	next := submitJob(t, s, JobSpec{Design: "18test5m", Scale: 0.005})
+	if j := waitTerminal(t, s, next, 60*time.Second); j.State != StateDone {
+		t.Fatalf("job after the outage ended %s: %s", j.State, j.Error)
+	}
+	if j := getJob(t, s, id); j.State != StateFailed {
+		t.Fatalf("refused job moved to %s", j.State)
+	}
+	s.Close()
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, line := range strings.Split(string(raw), "\n") {
+		if strings.Contains(line, id) && !strings.Contains(line, `"kind":"submit"`) &&
+			!strings.Contains(line, `"state":"running"`) {
+			t.Fatalf("a record refused or made after the outage reached the ledger: %s", line)
+		}
+	}
+	r, err := OpenStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if j, _ := r.Get(id); j.State != StateQueued || !j.Recovered {
+		t.Fatalf("replayed job is %s (recovered %v), want queued and recovered", j.State, j.Recovered)
 	}
 }
 

@@ -199,6 +199,21 @@ func (s *Store) SetState(id, state, errText string, result *JobResult) (string, 
 	return state, nil
 }
 
+// failInMemory moves a non-terminal job to failed without journaling it,
+// for a job whose record the ledger refused. It reports whether the job
+// moved.
+func (s *Store) failInMemory(id, errText string) bool {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	j := s.jobs[id]
+	if j == nil || terminal(j.State) {
+		return false
+	}
+	j.State = StateFailed
+	j.Error = errText
+	return true
+}
+
 // Get returns a snapshot of one job.
 func (s *Store) Get(id string) (Job, bool) {
 	s.mu.Lock()
