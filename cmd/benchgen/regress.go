@@ -68,6 +68,27 @@ var benchGates = map[string][]gate{
 // versus the committed baseline before -regress prints a drift warning.
 const driftWarnPct = 25.0
 
+// driftPct is how far a metric moved in the bad direction for its gate
+// from prev to cur, in percent. A row with a limit measures the move as a
+// share of the limit, so a metric near zero (an overhead of -1% becoming
+// 0.01%) does not read as a huge relative drift; a report-only row, or
+// one whose limit is 0, measures it against the baseline. ok is false
+// when neither yields a scale.
+func driftPct(g gate, cur, prev, limit float64) (drift float64, ok bool) {
+	scale := math.Abs(limit)
+	if g.limit == "" || scale == 0 {
+		scale = math.Abs(prev)
+	}
+	if scale == 0 {
+		return 0, false
+	}
+	drift = (cur - prev) / scale * 100
+	if g.dir == atLeast {
+		drift = -drift
+	}
+	return drift, true
+}
+
 // benchDoc is one parsed BENCH_*.json: the flat numeric fields plus the
 // meta stamp.
 type benchDoc struct {
@@ -183,17 +204,17 @@ func regressOne(moduleDir, baselineRef, name string) []string {
 	for _, g := range benchGates[name] {
 		cur, okC := doc.fields[g.metric]
 		prev, okP := base.fields[g.metric]
-		if !okC || !okP || prev == 0 {
+		if !okC || !okP {
 			continue
 		}
-		// Positive drift = moved in the bad direction for this gate.
-		drift := (cur - prev) / math.Abs(prev) * 100
-		if g.dir == atLeast {
-			drift = -drift
-		}
-		if drift > driftWarnPct {
-			fmt.Printf("regress: %s: WARN %s drifted %.1f%% against %s (%.4g -> %.4g); gate still holds\n",
-				name, g.metric, drift, baselineRef, prev, cur)
+		limit := doc.fields[g.limit]
+		if drift, ok := driftPct(g, cur, prev, limit); ok && drift > driftWarnPct {
+			of := "of the baseline"
+			if g.limit != "" && limit != 0 {
+				of = "of the limit"
+			}
+			fmt.Printf("regress: %s: WARN %s drifted %.1f%% %s against %s (%.4g -> %.4g); gate still holds\n",
+				name, g.metric, drift, of, baselineRef, prev, cur)
 		}
 	}
 	return failures

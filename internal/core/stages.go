@@ -48,6 +48,8 @@
 // full-grid view the boundary pass right after it holds, and they are
 // dropped before that pass builds its own. A maze scratch drops its view
 // when RouteNet returns, so scratches kept across iterations pin no view.
+// A rip-up pass's search records are either one frame shared by its lanes
+// or each lane's own, whichever layout is smaller (useFrame), never both.
 // Peak heap (Report.PeakHeapBytes) is sampled between passes.
 package core
 
@@ -136,6 +138,55 @@ func (r *runner) fullView() *grid.Graph {
 // by MazeMargin, clamped to the grid.
 func (r *runner) mazeWindow(n *design.Net) geom.Rect {
 	return n.BBox().Inflate(r.opt.MazeMargin).ClampTo(r.g.W, r.g.H)
+}
+
+// useFrame is the search-record layout rule. A rip-up pass's lanes share
+// one maze.Frame over the union of its task windows iff at least two lanes
+// run and that frame holds fewer nodes than the lanes' own records would
+// at the pass's largest window, one such array a lane (every array spans
+// all layers, so cells compare as nodes do). Otherwise each lane keeps
+// records of its own. It picks the smaller layout: a pass of small,
+// scattered windows — a cut plan's leaf-clamped ones, say — keeps its
+// lanes. union and largest are cell counts.
+func useFrame(workers, union, largest int) bool {
+	return workers >= 2 && union < workers*largest
+}
+
+// recordsProbe, when set (by tests only), sees every rip-up pass's layout
+// choice: the pass's span name and whether its lanes share a frame.
+var recordsProbe func(pass string, frame bool)
+
+// bindRecords applies the layout rule to a rip-up pass's tasks (at least
+// one) before any lane runs: either frame is bound over the union of the
+// task windows and every lane searches in it, or frame drops its records
+// and every lane keeps its own. Concurrent tasks have disjoint windows —
+// the pass's graph joins every overlapping pair — so lanes sharing the
+// frame write disjoint records. The frame's epoch budget is a search pass
+// per net terminal and containment attempt, which bounds what the pass can
+// draw; a pass beyond what one binding can promise keeps its lanes.
+func (r *runner) bindRecords(pass string, tasks []sched.Task, searches []*maze.Search, frame *maze.Frame) {
+	union, largest, draws := tasks[0].BBox, 0, int64(0)
+	for _, t := range tasks {
+		union = union.Union(t.BBox)
+		largest = max(largest, t.BBox.Area())
+		for _, nd := range r.trees[t.Payload.(*design.Net).ID].Nodes {
+			draws += int64(len(nd.PinLayers))
+		}
+	}
+	draws *= int64(r.fc.MaxAttempts())
+	shared := useFrame(len(searches), union.Area(), largest) && draws <= maze.MaxFrameDraws
+	if recordsProbe != nil {
+		recordsProbe(pass, shared)
+	}
+	if shared {
+		frame.Bind(union, r.g.L, draws)
+	} else {
+		frame.Release()
+		frame = nil
+	}
+	for _, s := range searches {
+		s.UseFrame(frame)
+	}
 }
 
 // newSearch builds a maze scratch configured from the options.
@@ -328,8 +379,9 @@ func (r *runner) patternBatch(view *grid.Graph, router *patterngpu.Router, solve
 }
 
 // ripupFunc runs one task graph of reroutes on the executor: worker w
-// keeps searches[w], and a task routes through views[leafOf(net)+1] — its
-// leaf's view, or views[0] for a boundary net.
+// keeps searches[w], bound to the pass's records (bindRecords), and a task
+// routes through views[leafOf(net)+1] — its leaf's view, or views[0] for a
+// boundary net.
 type ripupFunc func(g *sched.Graph, searches []*maze.Search, views []*grid.Graph) error
 
 // ripupGraph is the execution graph of a rip-up pass over tasks listed in
@@ -353,13 +405,16 @@ func (r *runner) ripupGraph(tasks []sched.Task) *sched.Graph {
 // own graphs. Each task routes through its leaf's view. The coordinator
 // builds and warms one view per non-empty leaf here — fresh each
 // iteration, postdating the last pass's commits — and the views drop with
-// the pass; the one-leaf plan routes through full.
-func (r *runner) leafPass(tasks []sched.Task, full *grid.Graph, searches []*maze.Search, ripup ripupFunc) error {
+// the pass; the one-leaf plan routes through full. The lanes' records —
+// frame or their own — outlive the pass, so the iteration's heap sample
+// sees them.
+func (r *runner) leafPass(tasks []sched.Task, full *grid.Graph, searches []*maze.Search, frame *maze.Frame, ripup ripupFunc) error {
 	if len(tasks) == 0 {
 		return nil
 	}
 	sp := r.opt.Obs.T().StartSpan("rrr.leaves", obs.Coordinator)
 	defer sp.End()
+	r.bindRecords("rrr.leaves", tasks, searches, frame)
 	views := make([]*grid.Graph, 1+r.shplan.NumLeaves())
 	for _, t := range tasks {
 		leaf := r.leafOf(t.Payload.(*design.Net).ID)
@@ -401,12 +456,13 @@ func (r *runner) boundaryPass(tasks []sched.Task, ripup ripupFunc) error {
 	defer sp.End()
 	view := r.fullView()
 	view.WarmCostCache()
-	// The scratches grow to the largest boundary windows, so they live for
-	// one pass only.
+	// The scratches and their records grow to the largest boundary windows,
+	// so they live for one pass only.
 	searches := make([]*maze.Search, r.workers())
 	for i := range searches {
 		searches[i] = r.newSearch()
 	}
+	r.bindRecords("rrr.boundary", tasks, searches, new(maze.Frame))
 	return ripup(sched.OrderGraph(tasks, r.g.W, r.g.H), searches, []*grid.Graph{view})
 }
 
@@ -435,12 +491,14 @@ func (r *runner) rrrStage(full *grid.Graph) error {
 	}
 
 	// One maze scratch per executor worker, reused across nets and
-	// iterations: the search hot path then allocates nothing but the
-	// routes it returns.
+	// iterations, and the leaf passes' shared frame, reused the same way
+	// whenever the layout rule picks it: the search hot path then allocates
+	// nothing but the routes it returns.
 	searches := make([]*maze.Search, r.workers())
 	for i := range searches {
 		searches[i] = r.newSearch()
 	}
+	frame := new(maze.Frame)
 	for iter := 0; iter < r.opt.RRRIters; iter++ {
 		if err := r.checkpoint("rrr", iter); err != nil {
 			return err
@@ -524,7 +582,7 @@ func (r *runner) rrrStage(full *grid.Graph) error {
 
 		// Intra-leaf nets first, then a cut plan's boundary nets in sorted
 		// order over full maze windows.
-		err := r.leafPass(intra, full, searches, ripup)
+		err := r.leafPass(intra, full, searches, frame, ripup)
 		if err == nil {
 			err = r.boundaryPass(boundary, ripup)
 		}

@@ -26,12 +26,20 @@
 // queue_oracle_test.go checks pop for pop — so it changes the cost of an
 // expansion and nothing else.
 //
-// The search state (one 12-byte record per window node, the queue's chunk
-// arena, the source and target lists) lives in a reusable Search scratch
-// object: rip-up-and-reroute calls RouteNet thousands of times, and reusing
-// one Search per executor worker keeps the hot path allocation-free (the
-// bound's plane excepted: an engaged net allocates it and drops it on
-// return, so a kept scratch never holds one). A
+// The search state (one 12-byte record per node, the queue's chunk arena,
+// the source and target lists) lives in a reusable Search scratch object:
+// rip-up-and-reroute calls RouteNet thousands of times, and reusing one
+// Search per executor worker — a lane — keeps the hot path allocation-free
+// (the bound's plane excepted: an engaged net allocates it and drops it on
+// return, so a kept scratch never holds one). The records sit in a frame,
+// an origin plus strides over all layers. A lane on its own owns one frame,
+// its window, grown to the largest window it has routed. A lane bound to a
+// shared Frame (UseFrame) keeps no records of its own: every lane of a pass
+// searches in one frame over the union of the pass's windows, which is
+// safe because tasks that run at once have disjoint windows and so touch
+// disjoint records. Both index a node row-major over (layer, y, x), so the
+// two orders agree inside every window and the search is the same
+// expansion for expansion (DESIGN.md "Search frames"). A
 // record is the node's distance plus one 32-bit word packing the pass epoch,
 // a settled bit, a target bit and the direction of the node's parent (one of
 // six neighbours, or none at a source); state_oracle_test.go holds it push
@@ -48,6 +56,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"sync/atomic"
 
 	"fastgr/internal/geom"
 	"fastgr/internal/grid"
@@ -121,12 +130,18 @@ type Search struct {
 	win    geom.Rect
 	ww, wh int
 
-	// state holds one record per window node, epoch-stamped so rebinding
+	// state holds one record per frame node, epoch-stamped so rebinding
 	// and starting a new pass both cost O(1). epoch is the current pass's
 	// value of a word's epoch bits: a word below it is left over from an
-	// earlier pass.
-	state []nodeState
-	epoch uint32
+	// earlier pass. org and fw, fh are the frame's origin and its width and
+	// height in G-cells: the window's own in lane mode, the shared frame's
+	// when frame is set. A frame-bound lane holds state only inside
+	// RouteNet.
+	state  []nodeState
+	epoch  uint32
+	org    geom.Point
+	fw, fh int
+	frame  *Frame
 
 	// f is the graph's cost field, copied per RouteNet; reads counts the
 	// field reads of the current pass, not yet added to f.Hits.
@@ -212,6 +227,55 @@ const (
 	fromAbove            // +plane
 )
 
+// Frame is a record array that the lanes of one rip-up pass share: one
+// record per node of a region over all layers. The pass's coordinator
+// binds it (Bind) before any lane searches and no lane may search while it
+// rebinds; the lanes (UseFrame) must route windows inside the region, and
+// two lanes may route at once only in disjoint windows. A zero Frame is
+// ready for Bind.
+type Frame struct {
+	region geom.Rect
+	layers int
+	fw, fh int
+	state  []nodeState
+	// next is the last epoch drawn: each search pass of every lane draws
+	// the next one, so a record left by a pass that finished before
+	// another began is stale to it.
+	next atomic.Uint32
+}
+
+// MaxFrameDraws is the most search passes one Bind can promise without the
+// epoch counter wrapping.
+const MaxFrameDraws = math.MaxUint32 / epochStep
+
+// Bind sizes f to region over layers for a pass that draws at most draws
+// epochs — its search passes, one per pin a RouteNet connects, attempts
+// included — growing the records only when they lack capacity. Records
+// from earlier passes stay, invalidated by their epochs; when the pass
+// could wrap the counter they are cleared here, before any lane runs,
+// never mid-pass. draws must not exceed MaxFrameDraws.
+func (f *Frame) Bind(region geom.Rect, layers int, draws int64) {
+	if draws < 0 || draws > MaxFrameDraws {
+		panic(fmt.Sprintf("maze: %d epoch draws outside [0, %d]", draws, MaxFrameDraws))
+	}
+	f.region, f.layers = region, layers
+	f.fw, f.fh = region.Width(), region.Height()
+	n := f.fw * f.fh * layers
+	if cap(f.state) < n {
+		f.state = make([]nodeState, n)
+		f.next.Store(0)
+		return
+	}
+	f.state = f.state[:n]
+	if uint64(f.next.Load())+uint64(draws)*epochStep > math.MaxUint32 {
+		clear(f.state[:cap(f.state)])
+		f.next.Store(0)
+	}
+}
+
+// Release drops f's records.
+func (f *Frame) Release() { f.state = nil }
+
 func (n *nodeState) dist() float64 {
 	return math.Float64frombits(uint64(n.distHi)<<32 | uint64(n.distLo))
 }
@@ -249,12 +313,28 @@ func (s *Search) SetObserver(o *obs.Observer) {
 	s.boundCells = o.M().Counter(obs.MMazeBoundCells)
 }
 
-// bind points the scratch at a grid, its cost field and a window, growing
-// the record array as needed. Records surviving from earlier windows are
-// invalidated by their stale epochs, never by clearing.
+// UseFrame binds the lane to a shared frame for its next RouteNet calls,
+// dropping the lane's own records, or with nil returns it to records of
+// its own, which grow again on first use.
+func (s *Search) UseFrame(f *Frame) {
+	if f != nil {
+		s.state = nil
+	}
+	s.frame = f
+}
+
+// bind points the scratch at a grid, its cost field and a window, and at
+// the shared frame's records or its own, grown to the window as needed.
+// Records surviving from earlier windows are invalidated by their stale
+// epochs, never by clearing.
 func (s *Search) bind(g *grid.Graph, f *grid.CostField, win geom.Rect) {
 	s.g, s.f, s.win = g, *f, win
 	s.ww, s.wh = win.Width(), win.Height()
+	if fr := s.frame; fr != nil {
+		s.org, s.fw, s.fh, s.state = fr.region.Lo, fr.fw, fr.fh, fr.state
+		return
+	}
+	s.org, s.fw, s.fh = win.Lo, s.ww, s.wh
 	n := s.ww * s.wh * g.L
 	if cap(s.state) < n {
 		s.state = make([]nodeState, n)
@@ -285,6 +365,10 @@ func (s *Search) RouteNet(g *grid.Graph, netID int, pins []geom.Point3, window g
 	f := g.CostField()
 	if f == nil || !f.Win.ContainsRect(window) {
 		return nil, Stats{}, fmt.Errorf("maze: net %d: no cost field built over window %v", netID, window)
+	}
+	if fr := s.frame; fr != nil && (!fr.region.ContainsRect(window) || fr.layers != g.L) {
+		return nil, Stats{}, fmt.Errorf("maze: net %d: window %v over %d layers outside the frame %v over %d",
+			netID, window, g.L, fr.region, fr.layers)
 	}
 
 	s.bind(g, f, window)
@@ -344,12 +428,15 @@ func (s *Search) RouteNet(g *grid.Graph, netID int, pins []geom.Point3, window g
 	return s.b.Build(), stats, nil
 }
 
-// release drops the scratch's references to the graph of the last call
-// and the bound's plane.
+// release drops the scratch's references to the graph of the last call,
+// the bound's plane and a shared frame's records.
 func (s *Search) release() {
 	s.g, s.f = nil, grid.CostField{}
 	s.b.Reset(nil, 0)
 	s.plane = nil
+	if s.frame != nil {
+		s.state = nil
+	}
 }
 
 // dropTarget removes every copy of a reached target from the ordered
@@ -364,18 +451,20 @@ func (s *Search) dropTarget(reached geom.Point3) {
 	s.targets = keep
 }
 
+// index and point map a node to its frame index and back: row-major over
+// (layer, y, x), so inside a window the frame order is the window order.
 func (s *Search) index(p geom.Point3) int32 {
-	return int32(((p.Layer-1)*s.wh+(p.Y-s.win.Lo.Y))*s.ww + (p.X - s.win.Lo.X))
+	return int32(((p.Layer-1)*s.fh+(p.Y-s.org.Y))*s.fw + (p.X - s.org.X))
 }
 
 func (s *Search) point(i int32) geom.Point3 {
 	// 32-bit division: node indices are non-negative int32s.
-	ww, wh := uint32(s.ww), uint32(s.wh)
-	rest := uint32(i) / ww
+	fw, fh := uint32(s.fw), uint32(s.fh)
+	rest := uint32(i) / fw
 	return geom.Point3{
-		X:     int(uint32(i)%ww) + s.win.Lo.X,
-		Y:     int(rest%wh) + s.win.Lo.Y,
-		Layer: int(rest/wh) + 1,
+		X:     int(uint32(i)%fw) + s.org.X,
+		Y:     int(rest%fh) + s.org.Y,
+		Layer: int(rest/fh) + 1,
 	}
 }
 
@@ -419,7 +508,10 @@ func (s *Search) heuristic(x, y, l int) float64 {
 // it. limit caps this pass's expansions (the net budget minus what earlier
 // passes spent); negative means unlimited.
 //
-// The pass opens a new epoch and flags each remaining target in its record
+// The pass opens a new epoch: the lane's next one, or on a shared frame
+// the frame's next draw, which exceeds the epoch of every pass that
+// finished before this one began (Frame.Bind has ruled out a wrap). It
+// flags each remaining target in its record
 // at distance +Inf: a target is then reached like any fresh node (every
 // finite distance beats +Inf), keeps its flag through relaxation, and is
 // recognised on pop from the record already loaded. No target is ever a
@@ -432,8 +524,9 @@ func (s *Search) heuristic(x, y, l int) float64 {
 // two pops first settles the node at the distance kept in state, not in the
 // entry. Deletion stays lazy, so Pushes counts what it always did.
 func (s *Search) search(limit int64) (int32, Stats, error) {
-	s.epoch += epochStep
-	if s.epoch == 0 { // wrapped: no stale word may alias the new epochs
+	if s.frame != nil {
+		s.epoch = s.frame.next.Add(epochStep)
+	} else if s.epoch += epochStep; s.epoch == 0 { // wrapped: no stale word may alias the new epochs
 		clear(s.state[:cap(s.state)])
 		s.epoch = epochStep
 	}
@@ -450,7 +543,7 @@ func (s *Search) search(limit int64) (int32, Stats, error) {
 		s.relax(0, s.index(src), 0, 0, src.X, src.Y, src.Layer, &st)
 	}
 
-	row, plane := int32(s.ww), int32(s.ww*s.wh)
+	row, plane := int32(s.fw), int32(s.fw*s.fh)
 	reached := int32(-1)
 	err := errUnreachable
 	for !q.empty() {
@@ -555,7 +648,7 @@ func (s *Search) relax(code uint32, j int32, d, cost float64, x, y, l int, st *S
 // as a source at distance zero with code 0, and no positive edge cost
 // improves on zero.
 func (s *Search) reconstruct(end int32) {
-	row, plane := int32(s.ww), int32(s.ww*s.wh)
+	row, plane := int32(s.fw), int32(s.fw*s.fh)
 	off := [...]int32{fromBelow: -plane, fromSouth: -row, fromWest: -1, fromEast: 1, fromNorth: row, fromAbove: plane}
 	i, prev := end, s.point(end)
 	for code := s.state[i].word & parentMask; code != 0; code = s.state[i].word & parentMask {

@@ -65,10 +65,12 @@ func TestMazeNeverWorseThanPattern(t *testing.T) {
 // bound must produce bit-identical geometry (equal sealed edge lists)
 // and exactly equal cost to the seed Dijkstra, while settling no more
 // nodes — both on a view warmed over each net's window alone ("cold", the
-// windowed field) and on the whole grid's field. The "flat" case prices congestion at 1e-11: the slack that
-// keeps f climbing along a path is then of the order of one rounding step,
-// so keys tie exactly and now and then regress, and pushes keyed at or below
-// the queue's last key — its fallback path — happen end to end. (At 1e-6 no
+// windowed field) and on the whole grid's field — and A* on a shared frame
+// must equal A* on records of its own, stats included. The "flat" case
+// prices congestion at 1e-11: the slack that keeps f climbing along a path
+// is then of the order of one rounding step, so keys tie exactly and now
+// and then regress, and pushes keyed at or below the queue's last key —
+// its fallback path — happen end to end. (At 1e-6 no
 // key ever does; from 1e-12 down rounding outweighs the slack and A* and
 // Dijkstra stop agreeing on equal-cost geometry, with any exact queue.)
 // The "hot" rows load the grid until the congestion-aware bound engages:
@@ -113,6 +115,11 @@ func TestAStarMatchesDijkstraBitIdentical(t *testing.T) {
 
 			ast, dij := NewSearch(), NewSearch()
 			dij.SetAlgorithm(Dijkstra)
+			// fra is A* on a shared frame over the grid: same routes, same
+			// stats as the lane with records of its own.
+			frame, fra := new(Frame), NewSearch()
+			frame.Bind(fullWindow(g), g.L, 1<<20)
+			fra.UseFrame(frame)
 			// Count the A* pushes that find no bucket: keyed at, and
 			// strictly below, the queue's last redistribution key.
 			at, below := 0, 0
@@ -145,6 +152,13 @@ func TestAStarMatchesDijkstraBitIdentical(t *testing.T) {
 				rd, sd, err := dij.RouteNet(sg, net.ID, pins, win)
 				if err != nil {
 					t.Fatalf("net %s dijkstra: %v", net.Name, err)
+				}
+				rf, sf, err := fra.RouteNet(sg, net.ID, pins, win)
+				if err != nil {
+					t.Fatalf("net %s astar on a frame: %v", net.Name, err)
+				}
+				if sf != sa || !slices.Equal(rf.Edges(), ra.Edges()) {
+					t.Fatalf("net %s: astar on a frame differs from its own records: stats %+v vs %+v", net.Name, sf, sa)
 				}
 				if !slices.Equal(ra.Edges(), rd.Edges()) {
 					t.Fatalf("net %s: astar geometry differs from dijkstra:\n%v\nvs\n%v",

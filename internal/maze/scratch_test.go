@@ -115,9 +115,11 @@ func TestSearchReuseSteadyStateAllocs(t *testing.T) {
 
 // TestSearchFootprint pins what a warmed scratch retains. The queue's arena
 // holds the chunks the peak frontier fills plus at most one partly filled
-// chunk per bucket, and a window node costs one 12-byte record — distance
-// plus a word packing epoch, flags and parent direction — against the 24 of
-// the 16-byte record and two per-net stamp arrays it replaced.
+// chunk per bucket, and a node of the largest window costs one 12-byte
+// record — distance plus a word packing epoch, flags and parent direction —
+// against the 24 of the 16-byte record and two per-net stamp arrays it
+// replaced. A lane bound to a shared frame retains no records; the frame
+// holds exactly one per node of its region.
 func TestSearchFootprint(t *testing.T) {
 	g, nets, pins, wins := scratchFixture(t)
 	s := NewSearch()
@@ -149,10 +151,35 @@ func TestSearchFootprint(t *testing.T) {
 		t.Fatalf("nodeState is %d bytes, want 12", sz)
 	}
 	retained := cap(s.state) * int(unsafe.Sizeof(nodeState{}))
-	if perNode := float64(retained) / float64(nodes); perNode > 12 {
-		t.Fatalf("scratch retains %.1f bytes per node of its largest window (%d nodes), want at most 12", perNode, nodes)
+	if retained != 12*nodes {
+		t.Fatalf("scratch retains %d bytes of records, want 12 for each of its largest window's %d nodes", retained, nodes)
 	}
 	t.Logf("peak frontier %d items, %d chunks; %d bytes for %d window nodes", peak, s.q.chunks, retained, nodes)
+
+	// Bound to a shared frame the lane keeps no records of its own, during
+	// a pass or after it, and the frame holds one 12-byte record for each
+	// node of its region, whatever the lanes routed.
+	region, draws := wins[0], int64(0)
+	for i, w := range wins {
+		region, draws = region.Union(w), draws+int64(len(pins[i]))
+	}
+	f := new(Frame)
+	f.Bind(region, g.L, draws)
+	s.UseFrame(f)
+	if s.state != nil {
+		t.Fatalf("a lane bound to a frame still holds %d records", cap(s.state))
+	}
+	for i, n := range nets {
+		if _, _, err := s.RouteNet(g, n.ID, pins[i], wins[i]); err != nil {
+			t.Fatal(err)
+		}
+		if s.state != nil {
+			t.Fatalf("net %s: a frame-bound lane retains %d records", n.Name, cap(s.state))
+		}
+	}
+	if got, want := cap(f.state)*int(unsafe.Sizeof(nodeState{})), 12*region.Area()*g.L; got != want {
+		t.Fatalf("frame over %v holds %d bytes, want %d", region, got, want)
+	}
 }
 
 // TestSearchEpochWrap routes across the epoch's wrap-around on a warmed

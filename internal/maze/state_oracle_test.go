@@ -283,10 +283,13 @@ func (s *refSearch) connect(i int32, p geom.Point3) {
 	}
 }
 
-// tracedEvent is one frontier push or pop as the trace hook sees it.
+// tracedEvent is one frontier push or pop as the trace hook sees it, its
+// node as a point: a Search on a shared frame numbers nodes in the frame,
+// the oracle in the window.
 type tracedEvent struct {
 	push bool
-	it   qItem
+	k    uint64
+	at   geom.Point3
 }
 
 // oraclePair drives a Search and a refSearch with the same nets and holds
@@ -306,13 +309,18 @@ type oraclePair struct {
 	bound    int // nets routed with the congestion-aware bound
 }
 
-func newOraclePair(t *testing.T, alg Algorithm) *oraclePair {
+// newOraclePair pairs a Search, bound to frame unless it is nil, with the
+// oracle.
+func newOraclePair(t *testing.T, alg Algorithm, frame *Frame) *oraclePair {
 	p := &oraclePair{t: t, got: NewSearch(), want: &refSearch{bound: refBound}}
 	p.got.SetAlgorithm(alg)
+	p.got.UseFrame(frame)
 	p.want.alg = alg
-	p.want.trace = func(push bool, it qItem) { p.refTrace = append(p.refTrace, tracedEvent{push, it}) }
+	p.want.trace = func(push bool, it qItem) {
+		p.refTrace = append(p.refTrace, tracedEvent{push, it.k, p.want.point(it.node)})
+	}
 	p.got.trace = func(push bool, it qItem) {
-		if ev := (tracedEvent{push, it}); p.seen >= len(p.refTrace) || p.refTrace[p.seen] != ev {
+		if ev := (tracedEvent{push, it.k, p.got.point(it.node)}); p.seen >= len(p.refTrace) || p.refTrace[p.seen] != ev {
 			p.t.Fatalf("%s: trace event %d is %+v, oracle has %d events", p.net, p.seen, ev, len(p.refTrace))
 		}
 		p.seen++
@@ -408,7 +416,8 @@ func randomWindow(rng *rand.Rand, g *grid.Graph, shape int) geom.Rect {
 // congested grids at 2, 5 and 9 layers, on the crosscheck's tie-heavy flat
 // costs (cold and warm), in 1-wide and 1-tall windows, with repeated pins
 // and pins that an earlier pass's chain already connects, and through
-// budget trips — in both search modes, on one reused scratch each. The
+// budget trips — in both search modes, on one reused scratch each, with
+// records of its own and on a shared frame over the whole grid. The
 // oracle's A* heuristic is refBound; the "hot" rows load the grid until
 // the engagement rule fires, so they hold the congestion-aware bound to it
 // too.
@@ -436,8 +445,13 @@ func TestSearchStateMatchesOracle(t *testing.T) {
 		{"hot-L5", 5, grid.DefaultCostParams(), true, 6000, true},
 		{"hot-L9", 9, grid.DefaultCostParams(), false, 9000, true},
 	} {
-		for _, alg := range []Algorithm{AStar, Dijkstra} {
-			t.Run(tc.name+"/"+alg.String(), func(t *testing.T) {
+		for _, mode := range []struct {
+			name  string
+			alg   Algorithm
+			frame bool
+		}{{"astar", AStar, false}, {"dijkstra", Dijkstra, false}, {"astar-frame", AStar, true}} {
+			alg := mode.alg
+			t.Run(tc.name+"/"+mode.name, func(t *testing.T) {
 				rng := rand.New(rand.NewSource(int64(31*tc.layers) + int64(alg)))
 				g := oracleGrid(t, 28, 24, tc.layers, tc.params)
 				if !tc.warm {
@@ -445,7 +459,12 @@ func TestSearchStateMatchesOracle(t *testing.T) {
 				}
 				congest(g, rng, tc.load)
 				g.WarmCostCache()
-				p := newOraclePair(t, alg)
+				var frame *Frame
+				if mode.frame {
+					frame = new(Frame)
+					frame.Bind(fullWindow(g), g.L, 1<<20)
+				}
+				p := newOraclePair(t, alg, frame)
 				for n := 0; n < 150; n++ {
 					win := randomWindow(rng, g, n%4)
 					pins := randomPins(rng, g, win, 2+rng.Intn(6), n%3 == 0)
@@ -511,15 +530,25 @@ func oracleGrid(t *testing.T, w, h, layers int, params grid.CostParams) *grid.Gr
 
 // TestSearchStateMatchesOracleOnDesign runs the oracle over a generated
 // design's real nets and windows, the inputs the rip-up stage sees.
+// The frame rows run the same nets on a lane bound to a frame over each
+// grid, rebound when the grid changes.
 func TestSearchStateMatchesOracleOnDesign(t *testing.T) {
 	g, nets, pins, wins := scratchFixture(t)
-	p := newOraclePair(t, AStar)
-	for i, n := range nets {
-		p.route(g, n.ID, pins[i], wins[i])
-	}
 	d := design.MustGenerate("18test8m", 0.003)
 	g2 := warm(grid.NewFromDesign(d))
-	for _, n := range d.Nets[:40] {
-		p.route(g2, n.ID, route.PinTerminals(stt.Build(n)), n.BBox().Inflate(3).ClampTo(g2.W, g2.H))
+	for _, frame := range []*Frame{nil, new(Frame)} {
+		p := newOraclePair(t, AStar, frame)
+		if frame != nil {
+			frame.Bind(fullWindow(g), g.L, 1<<20)
+		}
+		for i, n := range nets {
+			p.route(g, n.ID, pins[i], wins[i])
+		}
+		if frame != nil {
+			frame.Bind(fullWindow(g2), g2.L, 1<<20)
+		}
+		for _, n := range d.Nets[:40] {
+			p.route(g2, n.ID, route.PinTerminals(stt.Build(n)), n.BBox().Inflate(3).ClampTo(g2.W, g2.H))
+		}
 	}
 }

@@ -141,9 +141,15 @@ func fileModTime(f *os.File) time.Time {
 
 func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
-	prev, ok := s.store.RequestCancel(id)
+	prev, ok, err := s.store.RequestCancel(id)
 	if !ok {
 		writeJSON(w, http.StatusNotFound, errorResponse{Error: "unknown job"})
+		return
+	}
+	if err != nil {
+		// The cancelled record never reached the ledger: a 202 would
+		// promise a cancel a restart would not replay.
+		writeJSON(w, http.StatusServiceUnavailable, errorResponse{Error: "journal: " + err.Error()})
 		return
 	}
 	if terminal(prev) {

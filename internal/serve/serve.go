@@ -257,9 +257,11 @@ func (s *Server) runJob(j *Job) {
 	if cur, ok := s.store.Get(j.ID); !ok || terminal(cur.State) {
 		return
 	}
-	if _, err := s.store.SetState(j.ID, StateRunning, "", nil); err != nil {
+	if st, err := s.store.SetState(j.ID, StateRunning, "", nil); err != nil {
 		s.failUnjournaled(j.ID, err)
 		return
+	} else if st != StateRunning {
+		return // a DELETE journaled the cancel since the check above
 	}
 
 	var ctx context.Context
@@ -274,6 +276,9 @@ func (s *Server) runJob(j *Job) {
 	s.mu.Lock()
 	s.running[j.ID] = &runningJob{cancel: cancel}
 	s.mu.Unlock()
+	if s.store.CancelRequested(j.ID) {
+		cancel() // a DELETE found the job running before it was registered
+	}
 	defer func() {
 		s.mu.Lock()
 		delete(s.running, j.ID)

@@ -330,6 +330,55 @@ func TestRefusedTerminalRecordFailsJob(t *testing.T) {
 	}
 }
 
+// TestRefusedCancelRecordKeepsJobQueued: a DELETE on a queued job whose
+// cancelled record the ledger refuses answers 503 with the journal error
+// and changes nothing — the job stays queued, carries no cancel flag and
+// runs to done once the ledger takes records again.
+func TestRefusedCancelRecordKeepsJobQueued(t *testing.T) {
+	dir := t.TempDir()
+	s := startTestServer(t, Config{Dir: dir, Runners: 1})
+	first := submitJob(t, s, JobSpec{Design: "18test5m", Scale: 0.05})
+	waitJob(t, s, first, func(j Job) bool { return j.State == StateRunning }, 30*time.Second)
+	second := submitJob(t, s, JobSpec{Design: "18test5m", Scale: 0.005})
+
+	path := filepath.Join(dir, journalName)
+	if err := os.Rename(path, path+".away"); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.MkdirAll(filepath.Join(path, "blocker"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	req, _ := http.NewRequest(http.MethodDelete, "http://"+s.Addr()+"/v1/jobs/"+second, nil)
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatalf("DELETE: %v", err)
+	}
+	body, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusServiceUnavailable || !strings.Contains(string(body), "journal") {
+		t.Fatalf("refused cancel answered %d %s, want 503 with the journal error", resp.StatusCode, body)
+	}
+	if j := getJob(t, s, second); j.State != StateQueued {
+		t.Fatalf("job with a refused cancel is %s, want queued", j.State)
+	}
+	if s.store.CancelRequested(second) {
+		t.Fatal("a refused cancel left the cancel flag set")
+	}
+
+	if err := os.RemoveAll(path); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Rename(path+".away", path); err != nil {
+		t.Fatal(err)
+	}
+	if j := waitTerminal(t, s, first, 120*time.Second); j.State != StateDone {
+		t.Fatalf("first job ended %s: %s", j.State, j.Error)
+	}
+	if j := waitTerminal(t, s, second, 60*time.Second); j.State != StateDone {
+		t.Fatalf("job with a refused cancel ended %s (%s), want done", j.State, j.Error)
+	}
+}
+
 func TestDeadlineFailsWithTypedError(t *testing.T) {
 	s := startTestServer(t, Config{})
 	// 1ms expires before the first coordinator checkpoint on any design.

@@ -185,10 +185,15 @@ func (s *Store) SetState(id, state, errText string, result *JobResult) (string, 
 	if j == nil {
 		return "", fmt.Errorf("serve: unknown job %s", id)
 	}
+	return s.setStateLocked(j, state, errText, result)
+}
+
+// setStateLocked is SetState with s.mu held and the job found.
+func (s *Store) setStateLocked(j *Job, state, errText string, result *JobResult) (string, error) {
 	if terminal(j.State) {
 		return j.State, nil
 	}
-	if err := s.emit(journalRecord{Kind: "state", ID: id, State: state, Error: errText, Result: result}); err != nil {
+	if err := s.emit(journalRecord{Kind: "state", ID: j.ID, State: state, Error: errText, Result: result}); err != nil {
 		return j.State, err
 	}
 	j.State = state
@@ -256,21 +261,24 @@ func (s *Store) Recovered() []Job {
 // run's context and the runner journals the terminal state with the
 // partial result. Returns the job's state as the cancel found it, so
 // the handler can distinguish a fresh cancel from one landing on an
-// already-terminal job.
-func (s *Store) RequestCancel(id string) (string, bool) {
+// already-terminal job. When the ledger refuses a queued job's cancelled
+// record, the error comes back and nothing changes: the job stays queued
+// and unflagged, and runs.
+func (s *Store) RequestCancel(id string) (string, bool, error) {
 	s.mu.Lock()
+	defer s.mu.Unlock()
 	j := s.jobs[id]
 	if j == nil {
-		s.mu.Unlock()
-		return "", false
+		return "", false, nil
+	}
+	prev := j.State
+	if prev == StateQueued {
+		if _, err := s.setStateLocked(j, StateCancelled, "cancelled while queued", nil); err != nil {
+			return prev, true, err
+		}
 	}
 	j.cancelRequested = true
-	prev := j.State
-	s.mu.Unlock()
-	if prev == StateQueued {
-		s.SetState(id, StateCancelled, "cancelled while queued", nil)
-	}
-	return prev, true
+	return prev, true, nil
 }
 
 // CancelRequested reports whether a DELETE landed on the job.

@@ -24,7 +24,10 @@
 #                 TestCancelAtEveryCheckpoint's 4-worker cut row, where
 #                 the coordinator polls the context while workers route;
 #                 the concurrent obs recorders, sched + maze, which run on
-#                 the executor from core's parallel sections, grid, whose
+#                 the executor from core's parallel sections — a rip-up
+#                 pass's lanes search in one shared record frame, and
+#                 maze's frame tests route disjoint windows on it from
+#                 four goroutines at once — grid, whose
 #                 cost-field values and dirty flags are written from
 #                 concurrent rip-up windows of every leaf at once, route
 #                 and guide, whose sealed edge lists are read from every
