@@ -122,7 +122,7 @@ func runServe(out string) error {
 		}
 		return time.Since(start).Nanoseconds(), nil
 	}
-	h := reg.Histogram(obs.MServeJobNs, obs.Pow2Buckets(1<<20, 24))
+	h := reg.Histogram(obs.MServeJobNs)
 	daemonOnce := func() (int64, error) {
 		before := h.Sum()
 		id, err := submitServeJob(base, spec)

@@ -7,10 +7,9 @@
 // stay atomic everywhere. On top of the per-function checks, the
 // interprocedural flow layer (internal/lint/flow) verifies that
 // wall-clock taint never reaches routing data (walltaint), durable
-// writes route through internal/atomicio (writeroute), worker-reachable
-// code honors the shard coordinator discipline (shardisolation), and
-// registered metrics stay in lock-step with the Prometheus exposition
-// table (promdrift). See DESIGN.md, "Static invariants".
+// writes route through internal/atomicio (writeroute), and worker-reachable
+// code honors the shard coordinator discipline (shardisolation). See
+// DESIGN.md, "Static invariants".
 //
 // Usage:
 //

@@ -8,6 +8,8 @@ import (
 	"testing"
 
 	"fastgr/internal/design"
+	"fastgr/internal/fault"
+	"fastgr/internal/obs"
 )
 
 // pollCtx is a context whose Done channel reads closed from its n-th poll
@@ -119,4 +121,38 @@ func checkpointSequence(opt Options, rep Report) []CancelError {
 		want = append(want, CancelError{Stage: "rrr", Iter: i})
 	}
 	return want
+}
+
+// TestStoppedRunClosesItsStage: a run that stops inside a stage — a
+// plan-site failure, a cancellation at a pattern checkpoint — must close
+// that stage, or a health tracker shared with later runs (the daemon's)
+// reports it running forever and stall detection fails a healthy server.
+func TestStoppedRunClosesItsStage(t *testing.T) {
+	d := design.MustGenerate("18test5m", testScale)
+	h := obs.NewHealth()
+	opt := DefaultOptions(CUGR)
+	opt.T1, opt.T2 = 4, 40
+	opt.Obs = &obs.Observer{Health: h}
+	noneRunning := func(after string) {
+		t.Helper()
+		for _, s := range h.Stages() {
+			if s.Running {
+				t.Fatalf("after %s: stage %s still running (%+v)", after, s.Name, h.Stages())
+			}
+		}
+	}
+
+	opt.Fault = &fault.Options{Seed: 1, Probs: map[string]float64{fault.SitePlan: 1}}
+	var we *fault.WorkError
+	if _, err := Route(d, opt); !errors.As(err, &we) || we.Site != fault.SitePlan {
+		t.Fatalf("want a plan-site WorkError, got %v", err)
+	}
+	noneRunning("a plan-site failure")
+
+	opt.Fault = nil
+	var ce *CancelError
+	if _, err := RouteContext(&pollCtx{Context: context.Background(), n: 2}, d, opt); !errors.As(err, &ce) || ce.Stage != "pattern" {
+		t.Fatalf("want a cancel at the first pattern checkpoint, got %v", err)
+	}
+	noneRunning("a cancel inside the pattern stage")
 }

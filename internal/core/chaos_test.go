@@ -147,9 +147,9 @@ func TestChaosContainment(t *testing.T) {
 					for _, workers := range []int{1, 2, 8} {
 						res, snap := chaosRoute(t, v, seed, shards, workers)
 						checkDemandMatchesRoutes(t, res)
-						inj := snap.Counters[obs.MFaultInjected]
-						rec := snap.Counters[obs.MFaultRecovered]
-						deg := snap.Counters[obs.MFaultDegraded]
+						inj := snap.Counters[obs.MFaultInjected.Name()]
+						rec := snap.Counters[obs.MFaultRecovered.Name()]
+						deg := snap.Counters[obs.MFaultDegraded.Name()]
 						if inj != rec+deg {
 							t.Fatalf("workers=%d: accounting equation violated: injected=%d recovered=%d degraded=%d",
 								workers, inj, rec, deg)
@@ -173,9 +173,9 @@ func TestChaosContainment(t *testing.T) {
 							t.Fatalf("report differs between 1 and %d workers under chaos:\n%+v\nvs\n%+v",
 								workers, a, b)
 						}
-						if refSnap.Counters[obs.MFaultInjected] != inj ||
-							refSnap.Counters[obs.MFaultDegraded] != deg ||
-							refSnap.Counters[obs.MFaultRecovered] != rec {
+						if refSnap.Counters[obs.MFaultInjected.Name()] != inj ||
+							refSnap.Counters[obs.MFaultDegraded.Name()] != deg ||
+							refSnap.Counters[obs.MFaultRecovered.Name()] != rec {
 							t.Fatalf("fault counters differ between 1 and %d workers: %v vs inj=%d rec=%d deg=%d",
 								workers, refSnap.Counters, inj, rec, deg)
 						}
@@ -324,9 +324,9 @@ func TestChaosPlanSiteSurfacesWorkError(t *testing.T) {
 		}
 		s := reg.Snapshot()
 		counts := [3]int64{
-			s.Counters[obs.MFaultInjected],
-			s.Counters[obs.MFaultRecovered],
-			s.Counters[obs.MFaultDegraded],
+			s.Counters[obs.MFaultInjected.Name()],
+			s.Counters[obs.MFaultRecovered.Name()],
+			s.Counters[obs.MFaultDegraded.Name()],
 		}
 		// Probability 1 on every attempt: n nets × 3 attempts injected,
 		// 2n recovered, n degraded.

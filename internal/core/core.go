@@ -404,6 +404,9 @@ type runner struct {
 	routes []*route.NetRoute
 	rep    Report
 
+	// stage is the stage the run is inside, "" between stages.
+	stage string
+
 	// jHits/jMisses are the cost-cache counter watermarks from the last
 	// journaled iteration (see journalIter).
 	jHits, jMisses int64
@@ -422,20 +425,25 @@ func (r *runner) run() (*Result, error) {
 	}
 	r.rep.Design = r.d.Name
 	r.rep.Variant = r.opt.Variant.String()
+	// A run that stops inside a stage — cancelled, failed or panicking —
+	// never reaches its stageDone. Close the stage here on every exit, or
+	// a health tracker shared across runs (the daemon's) reports it
+	// running forever.
+	defer func() {
+		if r.stage != "" {
+			r.opt.Obs.H().StageDone(r.stage)
+		}
+	}()
 
 	err := r.stages()
 	if err != nil {
+		// Cancelled at a coordinator checkpoint: fall through so the
+		// partial report — every committed stage and iteration — rides
+		// back alongside the error.
 		var ce *CancelError
 		if !errors.As(err, &ce) {
 			return nil, err
 		}
-		// Cancelled at a coordinator checkpoint: fall through so the
-		// partial report — every committed stage and iteration — rides
-		// back alongside the error. The interrupted stage never reaches
-		// its StageDone, so clear the health tracker here — a daemon
-		// sharing one tracker across runs must not see a dead stage
-		// "running" forever.
-		r.opt.Obs.H().AbortAll()
 	}
 	r.sampleHeap()
 	r.finish()

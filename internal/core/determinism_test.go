@@ -381,10 +381,10 @@ func tracedRunMatches(t *testing.T, d *design.Design, opt core.Options, base *co
 		t.Errorf("%v workers=%d: tracer recorded no spans", v, w)
 	}
 	s := o.Metrics.Snapshot()
-	if s.Counters[obs.MMazeSearches] == 0 {
+	if s.Counters[obs.MMazeSearches.Name()] == 0 {
 		t.Errorf("%v workers=%d: no maze searches recorded", v, w)
 	}
-	if s.Histograms[obs.MBatchSize].Count == 0 {
+	if s.Histograms[obs.MBatchSize.Name()].Count == 0 {
 		t.Errorf("%v workers=%d: no batch sizes recorded", v, w)
 	}
 	if o.Tracer.Dropped() > 0 {
@@ -392,7 +392,7 @@ func tracedRunMatches(t *testing.T, d *design.Design, opt core.Options, base *co
 	}
 	batches := res.Report.PatternBatches
 	if opt.Variant != core.CUGR {
-		if got := s.Histograms[obs.MKernelNs].Count; got != int64(batches) {
+		if got := s.Histograms[obs.MKernelNs.Name()].Count; got != int64(batches) {
 			t.Errorf("%v workers=%d: %d kernel observations, want one per pattern batch (%d)", v, w, got, batches)
 		}
 	}

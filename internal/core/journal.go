@@ -52,6 +52,7 @@ type iterEvent struct {
 
 // stageStart reports a stage to the health tracker and the journal.
 func (r *runner) stageStart(name string) {
+	r.stage = name
 	r.opt.Obs.H().StageStart(name)
 	r.opt.Journal.Emit("stage", stageEvent{Stage: name, Status: "start"})
 }
@@ -64,6 +65,7 @@ func (r *runner) stageBeat(name string) {
 // stageDone closes a stage. score is the post-stage eq.-15 score, 0 for
 // stages that do not change routed state (planning).
 func (r *runner) stageDone(name string, wall time.Duration, score float64) {
+	r.stage = ""
 	r.opt.Obs.H().StageDone(name)
 	r.opt.Journal.Emit("stage", stageEvent{
 		Stage:         name,

@@ -16,8 +16,8 @@ func newCounted() (*Containment, *obs.Registry) {
 
 func counters(reg *obs.Registry) (injected, recovered, degraded, retries int64) {
 	s := reg.Snapshot()
-	return s.Counters[obs.MFaultInjected], s.Counters[obs.MFaultRecovered],
-		s.Counters[obs.MFaultDegraded], s.Counters[obs.MFaultRetries]
+	return s.Counters[obs.MFaultInjected.Name()], s.Counters[obs.MFaultRecovered.Name()],
+		s.Counters[obs.MFaultDegraded.Name()], s.Counters[obs.MFaultRetries.Name()]
 }
 
 func TestFireIsPureFunctionOfCoordinates(t *testing.T) {

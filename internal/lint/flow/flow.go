@@ -2,7 +2,7 @@
 // module-wide call graph built from the same go/types-loaded packages
 // the per-function checks in internal/lint run on, plus a forward
 // taint-propagation engine and a reverse-reachability engine rooted at
-// worker callbacks. Four checks run on top of it:
+// worker callbacks. Three checks run on top of it:
 //
 //   - walltaint — values originating at time.Now/time.Since (legal only
 //     in detwall-exempt packages) must never flow, through returns,
@@ -16,10 +16,6 @@
 //     (taskflow parallel-for and task bodies) must not warm a
 //     non-window cost cache, mutate coordinator-owned fields, or emit
 //     run-journal events.
-//   - promdrift — every metric name reaching a registry registration
-//     site must constant-propagate to an entry of the exposition
-//     mapping table, and every table entry must have a live
-//     registration site.
 //
 // The call graph is conservatively over-approximated: static calls,
 // method calls resolved through the type checker, and every reference
@@ -46,12 +42,11 @@ const (
 	CheckWallTaint      = "walltaint"
 	CheckWriteRoute     = "writeroute"
 	CheckShardIsolation = "shardisolation"
-	CheckPromDrift      = "promdrift"
 )
 
 // Checks lists every flow check name, in report order.
 func Checks() []string {
-	return []string{CheckWallTaint, CheckWriteRoute, CheckShardIsolation, CheckPromDrift}
+	return []string{CheckWallTaint, CheckWriteRoute, CheckShardIsolation}
 }
 
 // Pkg is one loaded, type-checked package under analysis — the
@@ -73,7 +68,7 @@ type Finding struct {
 	Remedy string
 }
 
-// Config names the module-specific anchors of the four checks.
+// Config names the module-specific anchors of the three checks.
 // Functions are identified by key: "pkgpath.Func" for package
 // functions, "pkgpath.Type.Method" for methods (pointer receivers
 // stripped). Field patterns are "pkgpath.Type.Field". Every pattern
@@ -104,20 +99,13 @@ type Config struct {
 	CoordFields []string
 	// JournalFuncs emit run-journal events; coordinator-only.
 	JournalFuncs []string
-	// RegistryFuncs are the metric registration/lookup entry points
-	// whose name argument promdrift verifies (promdrift).
-	RegistryFuncs []string
-	// MetricTablePkg/MetricTableVar locate the name-mapping table: a
-	// package-level map variable whose keys are the mapped dotted names.
-	MetricTablePkg string
-	MetricTableVar string
 }
 
 // Enabled reports whether any check has anchors configured; a zero
 // Config disables the flow layer entirely.
 func (c Config) Enabled() bool {
 	return len(c.SinkPkgs) > 0 || len(c.WriteAllowedPkgs) > 0 ||
-		len(c.SpawnFuncs) > 0 || len(c.RegistryFuncs) > 0
+		len(c.SpawnFuncs) > 0
 }
 
 // funcKey canonicalizes a function object for matching against Config

@@ -12,11 +12,10 @@
 //
 // The per-function checks are complemented by the interprocedural layer
 // in the flow subpackage: a module-wide call graph with a forward taint
-// engine (walltaint), a tree-wide crash-safe-write check (writeroute), a
-// worker-reachability engine (shardisolation) and a metrics/exposition
-// consistency check (promdrift). The flow checks are cross-package by
-// construction, so their suppressions match by owning file, like
-// atomic-consistency.
+// engine (walltaint), a tree-wide crash-safe-write check (writeroute)
+// and a worker-reachability engine (shardisolation). The flow checks are
+// cross-package by construction, so their suppressions match by owning
+// file, like atomic-consistency.
 //
 // Checks report Findings; a finding can be suppressed with a
 //
@@ -47,7 +46,7 @@ import (
 )
 
 // Check names. The policy table and suppression comments refer to these.
-// The last four are the interprocedural flow checks, re-exported from
+// The last three are the interprocedural flow checks, re-exported from
 // the flow subpackage so callers need only this package's vocabulary.
 const (
 	CheckDetwall     = "detwall"
@@ -62,7 +61,6 @@ const (
 	CheckWallTaint      = flow.CheckWallTaint
 	CheckWriteRoute     = flow.CheckWriteRoute
 	CheckShardIsolation = flow.CheckShardIsolation
-	CheckPromDrift      = flow.CheckPromDrift
 )
 
 // crossPackageChecks are the checks whose findings a single package's
@@ -73,7 +71,6 @@ var crossPackageChecks = map[string]bool{
 	CheckWallTaint:      true,
 	CheckWriteRoute:     true,
 	CheckShardIsolation: true,
-	CheckPromDrift:      true,
 }
 
 // Finding is one rule violation at a position.
@@ -243,9 +240,6 @@ func (r *Runner) Run(patterns ...string) ([]Finding, error) {
 		})...)
 		cross = append(cross, timed(CheckShardIsolation, func() []Finding {
 			return flowFindings(flow.CheckShardIsolationFn(fpkgs, g, r.Policy.Flow))
-		})...)
-		cross = append(cross, timed(CheckPromDrift, func() []Finding {
-			return flowFindings(flow.CheckPromDriftFn(fpkgs, r.Policy.Flow))
 		})...)
 	}
 	findings = append(findings, applySuppressionsByFile(pkgs, cross)...)

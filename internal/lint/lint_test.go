@@ -63,7 +63,7 @@ func TestFixtureChecksCovered(t *testing.T) {
 	for _, check := range []string{
 		CheckDetwall, CheckDetmap, CheckGoroutine, CheckRecover,
 		CheckObsNilsafe, CheckAtomic, CheckSuppression,
-		CheckWallTaint, CheckWriteRoute, CheckShardIsolation, CheckPromDrift,
+		CheckWallTaint, CheckWriteRoute, CheckShardIsolation,
 	} {
 		if !strings.Contains(string(data), "["+check+"]") {
 			t.Errorf("golden file has no firing case for %s", check)
@@ -140,7 +140,7 @@ func TestRunnerStats(t *testing.T) {
 	for _, phase := range []string{
 		"load", "flowgraph", CheckDetwall, CheckDetmap, CheckGoroutine,
 		CheckRecover, CheckObsNilsafe, CheckAtomic,
-		CheckWallTaint, CheckWriteRoute, CheckShardIsolation, CheckPromDrift,
+		CheckWallTaint, CheckWriteRoute, CheckShardIsolation,
 	} {
 		if _, ok := byCheck[phase]; !ok {
 			t.Errorf("no stat recorded for phase %q", phase)
@@ -149,7 +149,7 @@ func TestRunnerStats(t *testing.T) {
 	if byCheck["load"].WallMs <= 0 {
 		t.Errorf("load phase has no wall time: %+v", byCheck["load"])
 	}
-	for _, check := range []string{CheckWallTaint, CheckWriteRoute, CheckShardIsolation, CheckPromDrift} {
+	for _, check := range []string{CheckWallTaint, CheckWriteRoute, CheckShardIsolation} {
 		if byCheck[check].Findings == 0 {
 			t.Errorf("flow check %s reports no findings on the fixture module", check)
 		}

@@ -34,7 +34,7 @@ type Policy struct {
 	// degraded accounting equation and keeps retries deterministic.
 	RecoverAllowed []string
 	// Flow anchors the interprocedural checks (walltaint, writeroute,
-	// shardisolation, promdrift) to module-specific entry points and
+	// shardisolation) to module-specific entry points and
 	// sanctioned patterns. A zero config disables the flow layer.
 	Flow flow.Config
 }
@@ -128,9 +128,10 @@ func DefaultPolicy() Policy {
 //     journal emission and writes to the coordinator-owned report fields
 //     stay on the coordinator (DESIGN.md "Sharded routing and boundary
 //     nets").
-//   - promdrift: metric names registered through obs.Registry must map
-//     through the promTable in internal/obs/names.go, and every table
-//     entry must have a live registration site.
+//
+// Metric names need no flow anchor: obs.Registry takes only the
+// declarations in internal/obs/names.go, so an undeclared metric does
+// not compile.
 func DefaultFlowConfig() flow.Config {
 	return flow.Config{
 		SinkPkgs: []string{
@@ -168,13 +169,6 @@ func DefaultFlowConfig() flow.Config {
 		JournalFuncs: []string{
 			"fastgr/internal/obs.Journal.Emit",
 		},
-		RegistryFuncs: []string{
-			"fastgr/internal/obs.Registry.Counter",
-			"fastgr/internal/obs.Registry.Gauge",
-			"fastgr/internal/obs.Registry.Histogram",
-		},
-		MetricTablePkg: "fastgr/internal/obs",
-		MetricTableVar: "promTable",
 	}
 }
 

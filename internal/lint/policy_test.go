@@ -63,7 +63,6 @@ func TestDefaultPolicyAnchorsResolve(t *testing.T) {
 		{"RecoverAllowed", pol.RecoverAllowed},
 		{"Flow.SinkPkgs", cfg.SinkPkgs},
 		{"Flow.WriteAllowedPkgs", cfg.WriteAllowedPkgs},
-		{"Flow.MetricTablePkg", []string{cfg.MetricTablePkg}},
 	}
 	sawSubtree := false
 	for _, list := range pkgLists {
@@ -103,7 +102,6 @@ func TestDefaultPolicyAnchorsResolve(t *testing.T) {
 		{"Flow.WarmFuncs", cfg.WarmFuncs},
 		{"Flow.WindowFuncs", cfg.WindowFuncs},
 		{"Flow.JournalFuncs", cfg.JournalFuncs},
-		{"Flow.RegistryFuncs", cfg.RegistryFuncs},
 	}
 	for _, list := range funcLists {
 		for _, pat := range list.patterns {
@@ -154,13 +152,6 @@ func TestDefaultPolicyAnchorsResolve(t *testing.T) {
 		}
 		if !found {
 			t.Errorf("field pattern %q: struct %s.%s has no field %s", pat, pkgPath, typeName, fieldName)
-		}
-	}
-
-	// The metric table variable must exist in its package.
-	if p := byPath[cfg.MetricTablePkg]; p != nil && p.Types != nil {
-		if p.Types.Scope().Lookup(cfg.MetricTableVar) == nil {
-			t.Errorf("Flow.MetricTableVar %q not found in %s", cfg.MetricTableVar, cfg.MetricTablePkg)
 		}
 	}
 }

@@ -32,9 +32,7 @@ func FixturePolicy() Policy {
 
 // FixtureFlowConfig anchors the flow checks to the fixture module's
 // miniature pipeline: flowsink plays route/core/grid, flowatomic plays
-// internal/atomicio, flowexec.Run is the spawn entry point, and
-// flowprom carries a three-entry exposition table with one seeded
-// orphan.
+// internal/atomicio, and flowexec.Run is the spawn entry point.
 func FixtureFlowConfig() flow.Config {
 	return flow.Config{
 		SinkPkgs:         []string{"fixture/flowsink"},
@@ -45,9 +43,6 @@ func FixtureFlowConfig() flow.Config {
 		WindowFuncs:      []string{"fixture/flowsink.Cache.Window"},
 		CoordFields:      []string{"fixture/flowsink.Coord.*"},
 		JournalFuncs:     []string{"fixture/flowjournal.Emit"},
-		RegistryFuncs:    []string{"fixture/flowprom.Registry.Counter"},
-		MetricTablePkg:   "fixture/flowprom",
-		MetricTableVar:   "table",
 	}
 }
 

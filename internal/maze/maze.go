@@ -304,9 +304,9 @@ func (s *Search) SetBudget(budget int64) { s.budget = budget }
 // Observation reads only the returned Stats, so routed geometry and the
 // expansion counts themselves are unchanged.
 func (s *Search) SetObserver(o *obs.Observer) {
-	s.expHist = o.M().Histogram(obs.MMazeExpansions, obs.ExpansionBuckets)
-	s.expHistAlg[AStar] = o.M().Histogram(obs.MMazeExpansionsAStar, obs.ExpansionBuckets)
-	s.expHistAlg[Dijkstra] = o.M().Histogram(obs.MMazeExpansionsDijkstra, obs.ExpansionBuckets)
+	s.expHist = o.M().Histogram(obs.MMazeExpansions)
+	s.expHistAlg[AStar] = o.M().Histogram(obs.MMazeExpansionsAStar)
+	s.expHistAlg[Dijkstra] = o.M().Histogram(obs.MMazeExpansionsDijkstra)
 	s.pushCounter = o.M().Counter(obs.MMazePushes)
 	s.searchCount = o.M().Counter(obs.MMazeSearches)
 	s.boundPasses = o.M().Counter(obs.MMazeBoundPasses)

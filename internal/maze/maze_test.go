@@ -285,13 +285,13 @@ func TestSearchObservation(t *testing.T) {
 		t.Fatal(err)
 	}
 	snap := reg.Snapshot()
-	if got := snap.Counters[obs.MMazeSearches]; got != 1 {
+	if got := snap.Counters[obs.MMazeSearches.Name()]; got != 1 {
 		t.Errorf("search counter = %d, want 1", got)
 	}
-	if got := snap.Counters[obs.MMazePushes]; got != int64(st.Pushes) {
+	if got := snap.Counters[obs.MMazePushes.Name()]; got != int64(st.Pushes) {
 		t.Errorf("push counter = %d, want %d", got, st.Pushes)
 	}
-	h := snap.Histograms[obs.MMazeExpansions]
+	h := snap.Histograms[obs.MMazeExpansions.Name()]
 	if h.Count != 1 || h.Sum != int64(st.Expansions) {
 		t.Errorf("expansion histogram = %+v, want one observation of %d", h, st.Expansions)
 	}
@@ -332,10 +332,10 @@ func TestCostFieldReadsCountAsHits(t *testing.T) {
 			t.Fatal(err)
 		}
 		snap := reg.Snapshot()
-		if m := snap.Counters[obs.MCostMisses]; m != 0 {
+		if m := snap.Counters[obs.MCostMisses.Name()]; m != 0 {
 			t.Fatalf("view=%v: %d cost-cache misses inside the cached window", view, m)
 		}
-		return snap.Counters[obs.MCostHits], st
+		return snap.Counters[obs.MCostHits.Name()], st
 	}
 	full, fst := hits(false)
 	windowed, wst := hits(true)

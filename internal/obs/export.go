@@ -85,7 +85,7 @@ func WriteSummary(w io.Writer, s Snapshot) {
 			fmt.Fprintf(w, "%-28s %14d\n", name, s.Gauges[name])
 		}
 	}
-	for _, name := range sortedHistKeys(s.Histograms) {
+	for _, name := range sortedKeys(s.Histograms) {
 		h := s.Histograms[name]
 		fmt.Fprintf(w, "%s: count=%d mean=%.1f min=%d max=%d\n",
 			name, h.Count, h.Mean(), h.Min, h.Max)
@@ -109,16 +109,7 @@ func WriteSummary(w io.Writer, s Snapshot) {
 	}
 }
 
-func sortedKeys(m map[string]int64) []string {
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys
-}
-
-func sortedHistKeys(m map[string]HistSnapshot) []string {
+func sortedKeys[V any](m map[string]V) []string {
 	keys := make([]string, 0, len(m))
 	for k := range m {
 		keys = append(keys, k)

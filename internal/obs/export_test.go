@@ -95,9 +95,9 @@ func TestWriteTraceNilTracer(t *testing.T) {
 
 func TestWriteSummary(t *testing.T) {
 	r := NewRegistry()
-	r.Counter("rrr.nets_ripped").Add(42)
-	r.Gauge("rrr.iterations").Set(3)
-	h := r.Histogram("maze.expansions", []int64{10, 100})
+	r.Counter(MRRRNets).Add(42)
+	r.Gauge(MRRRIterations).Set(3)
+	h := r.Histogram(&HistogramDecl{Decl{name: "maze.expansions", bounds: []int64{10, 100}}})
 	h.Observe(5)
 	h.Observe(50)
 	h.Observe(5000)

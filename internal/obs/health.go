@@ -14,9 +14,10 @@ import (
 // here ever feeds routed geometry or a reported metric.
 //
 // Beats arrive from every run sharing the tracker (a daemon's
-// concurrent jobs), so the tracker is mutex-guarded; the lock is taken once per beat — stage
-// and iteration cadence, never per net — which keeps it far off the hot
-// path.
+// concurrent jobs), so the tracker is mutex-guarded, and a stage counts
+// the runs inside it: it reads running while any is. The lock is taken
+// once per beat — stage and iteration cadence, never per net — which
+// keeps it far off the hot path.
 type Health struct {
 	mu     sync.Mutex
 	now    func() time.Time // injectable clock for deterministic tests
@@ -25,7 +26,7 @@ type Health struct {
 }
 
 type stageState struct {
-	running bool
+	running int64 // runs inside the stage
 	starts  int64
 	beats   int64
 	last    time.Time // last progress instant (start, beat or done)
@@ -66,7 +67,7 @@ func (h *Health) touch(name string) *stageState {
 	return s
 }
 
-// StageStart marks the stage as running and beats it.
+// StageStart enters one run into the stage and beats it.
 func (h *Health) StageStart(name string) {
 	if h == nil {
 		return
@@ -74,13 +75,13 @@ func (h *Health) StageStart(name string) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	s := h.touch(name)
-	s.running = true
+	s.running++
 	s.starts++
 }
 
-// StageBeat reports forward progress on a stage. Beating a stage that
-// never started records it (running) anyway, so a missed StageStart
-// degrades to a slightly lossy report rather than a lost stage.
+// StageBeat reports forward progress on a stage. Beating a stage no run
+// is inside records it running anyway, so a missed StageStart degrades
+// to a slightly lossy report rather than a lost stage.
 func (h *Health) StageBeat(name string) {
 	if h == nil {
 		return
@@ -88,35 +89,21 @@ func (h *Health) StageBeat(name string) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	s := h.touch(name)
-	s.running = true
+	s.running = max(s.running, 1)
 	s.beats++
 }
 
-// StageDone marks the stage as no longer running.
+// StageDone takes one run out of the stage. Every run that starts a
+// stage must close it, on every exit: the router does so with one
+// deferred close.
 func (h *Health) StageDone(name string) {
 	if h == nil {
 		return
 	}
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	h.touch(name).running = false
-}
-
-// AbortAll marks every known stage as no longer running. A run that
-// stops between stages — a cancellation or deadline checkpoint — never
-// reaches its stages' StageDone calls; without this, a long-lived
-// process sharing one tracker across runs (the fastgrd daemon) would
-// report the aborted stage running forever and trip stall detection on
-// a healthy server.
-func (h *Health) AbortAll() {
-	if h == nil {
-		return
-	}
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	for _, s := range h.stages {
-		s.running = false
-	}
+	s := h.touch(name)
+	s.running = max(s.running-1, 0)
 }
 
 // Stages returns every known stage in first-seen order with its
@@ -133,7 +120,7 @@ func (h *Health) Stages() []StageHealth {
 		s := h.stages[name]
 		out = append(out, StageHealth{
 			Name:          name,
-			Running:       s.running,
+			Running:       s.running > 0,
 			Starts:        s.starts,
 			Beats:         s.beats,
 			SinceProgress: now.Sub(s.last),

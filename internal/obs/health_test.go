@@ -73,31 +73,21 @@ func TestHealthBeatWithoutStart(t *testing.T) {
 	}
 }
 
-// TestHealthAbortAll pins the daemon-restart hygiene: an aborted run
-// clears every running flag (no phantom "running forever" stage to trip
-// stall detection), without inventing stages or losing counts.
-func TestHealthAbortAll(t *testing.T) {
-	var nilh *Health
-	nilh.AbortAll() // must not panic
-
+// TestHealthSharedStage: runs sharing a tracker (a daemon's concurrent
+// jobs) each hold a stage open; one leaving it must not close it for the
+// other.
+func TestHealthSharedStage(t *testing.T) {
 	h := NewHealth()
-	h.StageStart("plan")
-	h.StageDone("plan")
-	h.StageStart("pattern")
-	h.AbortAll()
-	st := h.Stages()
-	if len(st) != 2 {
-		t.Fatalf("AbortAll changed the stage set: %+v", st)
+	h.StageStart("rrr") // run A
+	h.StageStart("rrr") // run B
+	h.StageDone("rrr")  // B leaves; A is still inside
+	if st := h.Stages(); len(st) != 1 || !st[0].Running || st[0].Starts != 2 {
+		t.Fatalf("rrr after one of two runs left it: %+v", st)
 	}
-	for _, s := range st {
-		if s.Running {
-			t.Fatalf("stage %s still running after AbortAll", s.Name)
-		}
-	}
-	if st[1].Starts != 1 {
-		t.Fatalf("AbortAll clobbered counters: %+v", st[1])
-	}
-	if h.Stalled(time.Nanosecond) != nil {
-		t.Fatalf("aborted stages still count as stalled")
+	h.StageDone("rrr")
+	h.StageDone("rrr") // an unmatched close must not go below zero
+	h.StageStart("rrr")
+	if st := h.Stages(); !st[0].Running {
+		t.Fatalf("rrr not running after a fresh start: %+v", st)
 	}
 }

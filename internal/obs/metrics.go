@@ -1,85 +1,77 @@
 package obs
 
 import (
-	"fmt"
 	"math"
 	"sync"
 	"sync/atomic"
 )
 
-// Registry hands out named counters, gauges and histograms. The nil
-// *Registry is the disabled registry: every lookup returns a nil handle
-// whose methods are no-ops, so instrumented code needs no conditionals.
-// Lookups take a mutex; hot paths should resolve their handles once and
-// hold them (the handles themselves are lock-free atomics).
+// Registry hands out the declared counters, gauges and histograms (see
+// names.go). The nil *Registry is the disabled registry: every lookup
+// returns a nil handle whose methods are no-ops, so instrumented code
+// needs no conditionals. Lookups take a mutex; hot paths should resolve
+// their handles once and hold them (the handles themselves are
+// lock-free atomics).
 type Registry struct {
 	mu       sync.Mutex
-	counters map[string]*Counter
-	gauges   map[string]*Gauge
-	hists    map[string]*Histogram
+	counters map[*CounterDecl]*Counter
+	gauges   map[*GaugeDecl]*Gauge
+	hists    map[*HistogramDecl]*Histogram
 }
 
 // NewRegistry returns an empty registry.
 func NewRegistry() *Registry {
 	return &Registry{
-		counters: map[string]*Counter{},
-		gauges:   map[string]*Gauge{},
-		hists:    map[string]*Histogram{},
+		counters: map[*CounterDecl]*Counter{},
+		gauges:   map[*GaugeDecl]*Gauge{},
+		hists:    map[*HistogramDecl]*Histogram{},
 	}
 }
 
-// Counter returns the named counter, creating it on first use.
-func (r *Registry) Counter(name string) *Counter {
+// Counter returns the declared counter, creating it on first use.
+func (r *Registry) Counter(d *CounterDecl) *Counter {
 	if r == nil {
 		return nil
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	c := r.counters[name]
+	c := r.counters[d]
 	if c == nil {
 		c = &Counter{}
-		r.counters[name] = c
+		r.counters[d] = c
 	}
 	return c
 }
 
-// Gauge returns the named gauge, creating it on first use.
-func (r *Registry) Gauge(name string) *Gauge {
+// Gauge returns the declared gauge, creating it on first use.
+func (r *Registry) Gauge(d *GaugeDecl) *Gauge {
 	if r == nil {
 		return nil
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	g := r.gauges[name]
+	g := r.gauges[d]
 	if g == nil {
 		g = &Gauge{}
-		r.gauges[name] = g
+		r.gauges[d] = g
 	}
 	return g
 }
 
-// Histogram returns the named histogram, creating it with the given
-// bucket upper bounds (which must be sorted ascending) on first use.
-// Re-registering a name with different bounds is a bug and panics.
-func (r *Registry) Histogram(name string, bounds []int64) *Histogram {
+// Histogram returns the declared histogram, creating it over the
+// declaration's bounds on first use.
+func (r *Registry) Histogram(d *HistogramDecl) *Histogram {
 	if r == nil {
 		return nil
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	h := r.hists[name]
+	h := r.hists[d]
 	if h == nil {
-		h = newHistogram(bounds)
-		r.hists[name] = h
-		return h
-	}
-	if len(h.bounds) != len(bounds) {
-		panic(fmt.Sprintf("obs: histogram %q re-registered with different bounds", name))
-	}
-	for i, b := range bounds {
-		if h.bounds[i] != b {
-			panic(fmt.Sprintf("obs: histogram %q re-registered with different bounds", name))
-		}
+		h = &Histogram{bounds: d.bounds, counts: make([]atomic.Int64, len(d.bounds)+1)}
+		h.min.Store(math.MaxInt64)
+		h.max.Store(math.MinInt64)
+		r.hists[d] = h
 	}
 	return h
 }
@@ -126,26 +118,11 @@ func (g *Gauge) Value() int64 {
 // overflow bucket when v exceeds every bound. Count, sum, min and max
 // are tracked exactly; nil is a no-op.
 type Histogram struct {
-	bounds   []int64
+	bounds   []int64        // the declaration's, never written
 	counts   []atomic.Int64 // len(bounds)+1, last = overflow
 	count    atomic.Int64
 	sum      atomic.Int64
 	min, max atomic.Int64
-}
-
-func newHistogram(bounds []int64) *Histogram {
-	for i := 1; i < len(bounds); i++ {
-		if bounds[i] <= bounds[i-1] {
-			panic("obs: histogram bounds must be sorted ascending")
-		}
-	}
-	h := &Histogram{
-		bounds: append([]int64(nil), bounds...),
-		counts: make([]atomic.Int64, len(bounds)+1),
-	}
-	h.min.Store(math.MaxInt64)
-	h.max.Store(math.MinInt64)
-	return h
 }
 
 // Observe records one observation.
@@ -214,37 +191,43 @@ func (s HistSnapshot) Mean() float64 {
 	return float64(s.Sum) / float64(s.Count)
 }
 
-// Snapshot is a point-in-time copy of a registry, ready for export.
+// Snapshot is a point-in-time copy of a registry, ready for export,
+// keyed by dotted name.
 type Snapshot struct {
 	Counters   map[string]int64        `json:"counters"`
 	Gauges     map[string]int64        `json:"gauges"`
 	Histograms map[string]HistSnapshot `json:"histograms"`
+
+	decls map[string]*Decl
 }
+
+// Decl returns the declaration of the named metric in the snapshot, nil
+// for a name the snapshot does not hold.
+func (s Snapshot) Decl(name string) *Decl { return s.decls[name] }
 
 // Snapshot copies the registry's current state. A nil registry yields a
 // zero snapshot with non-nil (empty) maps.
 func (r *Registry) Snapshot() Snapshot {
 	if r == nil {
-		return Snapshot{
-			Counters:   map[string]int64{},
-			Gauges:     map[string]int64{},
-			Histograms: map[string]HistSnapshot{},
-		}
+		r = NewRegistry()
 	}
 	s := Snapshot{
 		Counters:   map[string]int64{},
 		Gauges:     map[string]int64{},
 		Histograms: map[string]HistSnapshot{},
+		decls:      map[string]*Decl{},
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	for name, c := range r.counters {
-		s.Counters[name] = c.Value()
+	for d, c := range r.counters {
+		s.Counters[d.name] = c.Value()
+		s.decls[d.name] = &d.Decl
 	}
-	for name, g := range r.gauges {
-		s.Gauges[name] = g.Value()
+	for d, g := range r.gauges {
+		s.Gauges[d.name] = g.Value()
+		s.decls[d.name] = &d.Decl
 	}
-	for name, h := range r.hists {
+	for d, h := range r.hists {
 		hs := HistSnapshot{
 			Bounds: append([]int64(nil), h.bounds...),
 			Counts: make([]int64, len(h.counts)),
@@ -258,7 +241,8 @@ func (r *Registry) Snapshot() Snapshot {
 			hs.Min = h.min.Load()
 			hs.Max = h.max.Load()
 		}
-		s.Histograms[name] = hs
+		s.Histograms[d.name] = hs
+		s.decls[d.name] = &d.Decl
 	}
 	return s
 }

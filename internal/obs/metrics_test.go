@@ -5,18 +5,28 @@ import (
 	"testing"
 )
 
+// Test declarations, outside the table (see names.go).
+var (
+	testCounter = &CounterDecl{Decl{name: "c", kind: "counter"}}
+	testGauge   = &GaugeDecl{Decl{name: "g", kind: "gauge"}}
+)
+
+func testHistogram(bounds ...int64) *HistogramDecl {
+	return &HistogramDecl{Decl{name: "h", kind: "histogram", bounds: bounds}}
+}
+
 func TestCounterGaugeBasics(t *testing.T) {
 	r := NewRegistry()
-	c := r.Counter("c")
+	c := r.Counter(testCounter)
 	c.Add(2)
 	c.Add(3)
 	if got := c.Value(); got != 5 {
 		t.Fatalf("counter = %d, want 5", got)
 	}
-	if r.Counter("c") != c {
-		t.Fatal("same name must return the same counter")
+	if r.Counter(testCounter) != c {
+		t.Fatal("same declaration must return the same counter")
 	}
-	g := r.Gauge("g")
+	g := r.Gauge(testGauge)
 	g.Set(7)
 	g.Set(4)
 	if got := g.Value(); got != 4 {
@@ -26,9 +36,9 @@ func TestCounterGaugeBasics(t *testing.T) {
 
 func TestNilRegistryHandlesAreNoOps(t *testing.T) {
 	var r *Registry
-	c := r.Counter("c")
-	g := r.Gauge("g")
-	h := r.Histogram("h", Pow2Buckets(1, 4))
+	c := r.Counter(testCounter)
+	g := r.Gauge(testGauge)
+	h := r.Histogram(testHistogram(pow2Buckets(1, 4)...))
 	if c != nil || g != nil || h != nil {
 		t.Fatal("nil registry must hand out nil handles")
 	}
@@ -48,7 +58,7 @@ func TestNilRegistryHandlesAreNoOps(t *testing.T) {
 // semantics at every edge, including the implicit overflow bucket.
 func TestHistogramBucketBoundaries(t *testing.T) {
 	r := NewRegistry()
-	h := r.Histogram("h", []int64{10, 100, 1000})
+	h := r.Histogram(testHistogram(10, 100, 1000))
 	cases := []struct {
 		v      int64
 		bucket int
@@ -89,31 +99,15 @@ func TestHistogramBucketBoundaries(t *testing.T) {
 
 func TestHistogramReregisterSameBoundsOK(t *testing.T) {
 	r := NewRegistry()
-	h1 := r.Histogram("h", []int64{1, 2, 3})
-	h2 := r.Histogram("h", []int64{1, 2, 3})
-	if h1 != h2 {
-		t.Fatal("same name and bounds must return the same histogram")
+	d := testHistogram(1, 2, 3)
+	if r.Histogram(d) != r.Histogram(d) {
+		t.Fatal("same declaration must return the same histogram")
 	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("re-registering with different bounds must panic")
-		}
-	}()
-	r.Histogram("h", []int64{1, 2, 4})
-}
-
-func TestHistogramUnsortedBoundsPanic(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("unsorted bounds must panic")
-		}
-	}()
-	NewRegistry().Histogram("bad", []int64{3, 1, 2})
 }
 
 func TestEmptyHistogramSnapshot(t *testing.T) {
 	r := NewRegistry()
-	r.Histogram("h", []int64{1})
+	r.Histogram(testHistogram(1))
 	s := r.Snapshot().Histograms["h"]
 	if s.Count != 0 || s.Min != 0 || s.Max != 0 || s.Mean() != 0 {
 		t.Fatalf("empty histogram snapshot = %+v, want zeros", s)
@@ -125,8 +119,8 @@ func TestEmptyHistogramSnapshot(t *testing.T) {
 func TestConcurrentIncrements(t *testing.T) {
 	const workers, per = 8, 1000
 	r := NewRegistry()
-	c := r.Counter("c")
-	h := r.Histogram("h", Pow2Buckets(1, 12))
+	c := r.Counter(testCounter)
+	h := r.Histogram(testHistogram(pow2Buckets(1, 12)...))
 	var wg sync.WaitGroup
 	wg.Add(workers)
 	for w := 0; w < workers; w++ {
@@ -152,29 +146,25 @@ func TestConcurrentIncrements(t *testing.T) {
 }
 
 func TestPow2Buckets(t *testing.T) {
-	got := Pow2Buckets(16, 4)
+	got := pow2Buckets(16, 4)
 	want := []int64{16, 32, 64, 128}
 	for i := range want {
 		if got[i] != want[i] {
-			t.Fatalf("Pow2Buckets = %v, want %v", got, want)
+			t.Fatalf("pow2Buckets = %v, want %v", got, want)
 		}
 	}
-	if b := Pow2Buckets(0, 2); b[0] != 1 || b[1] != 2 {
-		t.Fatalf("Pow2Buckets with lo<1 should clamp to 1, got %v", b)
+	if b := pow2Buckets(0, 2); b[0] != 1 || b[1] != 2 {
+		t.Fatalf("pow2Buckets with lo<1 should clamp to 1, got %v", b)
 	}
 }
 
 func TestObserverNilSafety(t *testing.T) {
 	var o *Observer
-	if o.T() != nil || o.M() != nil || o.Enabled() {
+	if o.T() != nil || o.M() != nil || o.H() != nil {
 		t.Fatal("nil observer must be fully inert")
 	}
-	o = &Observer{}
-	if o.Enabled() {
-		t.Fatal("empty observer is not enabled")
-	}
 	o = &Observer{Metrics: NewRegistry()}
-	if !o.Enabled() || o.T() != nil {
-		t.Fatal("metrics-only observer: Enabled true, tracer nil")
+	if o.M() == nil || o.T() != nil {
+		t.Fatal("metrics-only observer: registry set, tracer nil")
 	}
 }

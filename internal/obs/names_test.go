@@ -8,103 +8,56 @@ import (
 	"testing"
 )
 
-// sharedMetricNames lists every shared metric constant; keep in sync
-// with the const block in obs.go. TestPromNameTable fails when a
-// constant is added without a mapping, which is how the "every metric
-// appears exactly once in snapshot and exposition" invariant is kept.
-var sharedMetricNames = []string{
-	MMazeExpansions, MMazePushes, MMazeSearches,
-	MMazeBoundPasses, MMazeBoundCells,
-	MBatchSize, MSchedBatches,
-	MPatternLShape, MPatternHybrid,
-	MKernelNs,
-	MParWaitNs, MParRunNs,
-	MTaskWaitNs, MTaskRunNs,
-	MRRRNets, MRRRExpansions, MRRRIterations, MRRROverflow,
-	MCostHits, MCostMisses, MCostInvalidations, MCostWarms,
-	MMazeExpansionsAStar, MMazeExpansionsDijkstra,
-	MFaultInjected, MFaultRecovered, MFaultDegraded, MFaultRetries,
-	MServeQueueDepth, MServeAdmitted, MServeRejected, MServeRecovered,
-	MServeDone, MServeFailed, MServeCancelled, MServeJobNs,
-}
-
 var promFamilyRe = regexp.MustCompile(`^fastgr_[a-z0-9_]+$`)
 
-// TestPromNameTable checks the mapping table is exhaustive over the
-// shared constants, produces valid family names, and never maps two
-// dotted names onto the same (family, labels) series.
+// TestPromNameTable holds the declaration table to what the exposition
+// relies on: every family in the fastgr_* namespace with non-empty help,
+// no two declarations on one name or one (family, labels) series, one
+// kind and one help text per family, and ascending histogram bounds.
 func TestPromNameTable(t *testing.T) {
-	tabled := map[string]bool{}
-	for _, name := range PromTableNames() {
-		tabled[name] = true
+	if len(declared) == 0 {
+		t.Fatal("no metric declarations")
 	}
-	for _, name := range sharedMetricNames {
-		if !tabled[name] {
-			t.Errorf("shared metric %q has no prom mapping (fallback would fire)", name)
-		}
-	}
-	if len(tabled) != len(sharedMetricNames) {
-		extra := []string{}
-		shared := map[string]bool{}
-		for _, n := range sharedMetricNames {
-			shared[n] = true
-		}
-		for n := range tabled {
-			if !shared[n] {
-				extra = append(extra, n)
-			}
-		}
-		sort.Strings(extra)
-		t.Errorf("prom table maps names that are not shared constants: %v", extra)
-	}
-
+	names := map[string]bool{}
 	series := map[string]string{}
-	for _, dotted := range sharedMetricNames {
-		m := PromMappingFor(dotted)
-		if !promFamilyRe.MatchString(m.Family) {
-			t.Errorf("%s: family %q outside the fastgr_* namespace", dotted, m.Family)
+	famKind := map[string]string{}
+	famHelp := map[string]string{}
+	for _, d := range declared {
+		if names[d.name] {
+			t.Errorf("%s declared twice", d.name)
 		}
-		if m.Help == "" {
-			t.Errorf("%s: empty help", dotted)
+		names[d.name] = true
+		if !promFamilyRe.MatchString(d.family) {
+			t.Errorf("%s: family %q outside the fastgr_* namespace", d.name, d.family)
 		}
-		parts := make([]string, 0, len(m.Labels))
-		for _, l := range m.Labels {
+		if d.help == "" {
+			t.Errorf("%s: empty help", d.name)
+		}
+		parts := make([]string, 0, len(d.labels))
+		for _, l := range d.labels {
 			parts = append(parts, fmt.Sprintf("%s=%s", l.Key, l.Value))
 		}
 		sort.Strings(parts)
-		key := m.Family + "{" + strings.Join(parts, ",") + "}"
+		key := d.family + "{" + strings.Join(parts, ",") + "}"
 		if prev, dup := series[key]; dup {
-			t.Errorf("series %s mapped from both %s and %s", key, prev, dotted)
+			t.Errorf("series %s declared by both %s and %s", key, prev, d.name)
 		}
-		series[key] = dotted
-	}
-
-	// Dotted names sharing a family must agree on help text, or the
-	// exposition's single HELP line would be arbitrary.
-	famHelp := map[string]string{}
-	for _, dotted := range sharedMetricNames {
-		m := PromMappingFor(dotted)
-		if prev, ok := famHelp[m.Family]; ok && prev != m.Help {
-			t.Errorf("family %s has conflicting help texts", m.Family)
+		series[key] = d.name
+		if k, ok := famKind[d.family]; ok && k != d.kind {
+			t.Errorf("family %s declared as both %s and %s", d.family, k, d.kind)
 		}
-		famHelp[m.Family] = m.Help
-	}
-}
-
-func TestPromMappingFallback(t *testing.T) {
-	cases := map[string]string{
-		"some.new.metric":      "fastgr_some_new_metric",
-		"Weird NAME--here!!":   "fastgr_Weird_NAME_here",
-		"...":                  "fastgr_unnamed",
-		"a\nb":                 "fastgr_a_b",
-		"trailing.junk...___.": "fastgr_trailing_junk",
-	}
-	for in, want := range cases {
-		if got := PromMappingFor(in).Family; got != want {
-			t.Errorf("PromMappingFor(%q).Family = %q, want %q", in, got, want)
+		famKind[d.family] = d.kind
+		if h, ok := famHelp[d.family]; ok && h != d.help {
+			t.Errorf("family %s has conflicting help texts", d.family)
 		}
-	}
-	if PromMappingFor("some.new.metric").Help == "" {
-		t.Errorf("fallback mapping has empty help")
+		famHelp[d.family] = d.help
+		if (d.kind == "histogram") != (len(d.bounds) > 0) {
+			t.Errorf("%s: a %s with %d bounds", d.name, d.kind, len(d.bounds))
+		}
+		for i := 1; i < len(d.bounds); i++ {
+			if d.bounds[i] <= d.bounds[i-1] {
+				t.Errorf("%s: bounds not ascending at %d: %v", d.name, i, d.bounds)
+			}
+		}
 	}
 }

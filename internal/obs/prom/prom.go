@@ -3,10 +3,10 @@
 // scraper (Prometheus itself, VictoriaMetrics, Grafana agent) consumes
 // from a /metrics endpoint.
 //
-// The mapping from the registry's dotted names to the canonical
-// fastgr_* namespace lives in internal/obs (PromMappingFor): dotted
-// siblings that are one logical metric split by a dimension share a
-// family and differ in a constant label. Counters render with the
+// Every metric's family, help text and constant labels come from its
+// declaration in internal/obs (names.go), which the snapshot carries:
+// dotted siblings that are one logical metric split by a dimension share
+// a family and differ in a constant label. Counters render with the
 // conventional _total suffix, gauges bare, and the registry's
 // pow2-bucket histograms become cumulative _bucket series with a +Inf
 // bound plus _sum and _count.
@@ -32,25 +32,6 @@ import (
 // should serve alongside this exposition.
 const ContentType = "text/plain; version=0.0.4; charset=utf-8"
 
-type kind int
-
-const (
-	kindCounter kind = iota
-	kindGauge
-	kindHistogram
-)
-
-func (k kind) String() string {
-	switch k {
-	case kindCounter:
-		return "counter"
-	case kindGauge:
-		return "gauge"
-	default:
-		return "histogram"
-	}
-}
-
 // series is one labeled member of a family.
 type series struct {
 	labels string // rendered {k="v",...} signature, "" when unlabeled
@@ -61,70 +42,59 @@ type series struct {
 type family struct {
 	name   string // exposed name: family (+ _total for counters)
 	help   string
-	kind   kind
+	kind   string
 	series []series
 }
 
-// Write renders the snapshot. The error is the writer's, if any.
+// Write renders the snapshot. The error is the writer's, or names a
+// metric the snapshot holds no declaration for (a hand-built snapshot).
 func Write(w io.Writer, s obs.Snapshot) error {
 	byName := map[string]*family{}
-	add := func(dotted string, k kind, sr series) error {
-		m := obs.PromMappingFor(dotted)
-		name := m.Family
-		if k == kindCounter {
+	add := func(dotted string, sr series) error {
+		d := s.Decl(dotted)
+		if d == nil {
+			return fmt.Errorf("prom: metric %q has no declaration", dotted)
+		}
+		name := d.Family()
+		if d.Kind() == "counter" {
 			name += "_total"
 		}
 		f := byName[name]
 		if f == nil {
-			f = &family{name: name, help: m.Help, kind: k}
+			f = &family{name: name, help: d.Help(), kind: d.Kind()}
 			byName[name] = f
 		}
-		if f.kind != k {
-			return fmt.Errorf("prom: family %s mapped from both %v and %v metrics", name, f.kind, k)
-		}
-		sr.labels = renderLabels(m.Labels)
+		sr.labels = renderLabels(d.Labels())
 		f.series = append(f.series, sr)
 		return nil
 	}
 	for _, dotted := range sortedKeys(s.Counters) {
-		if err := add(dotted, kindCounter, series{value: s.Counters[dotted]}); err != nil {
+		if err := add(dotted, series{value: s.Counters[dotted]}); err != nil {
 			return err
 		}
 	}
 	for _, dotted := range sortedKeys(s.Gauges) {
-		if err := add(dotted, kindGauge, series{value: s.Gauges[dotted]}); err != nil {
+		if err := add(dotted, series{value: s.Gauges[dotted]}); err != nil {
 			return err
 		}
 	}
-	histNames := make([]string, 0, len(s.Histograms))
-	for dotted := range s.Histograms {
-		histNames = append(histNames, dotted)
-	}
-	sort.Strings(histNames)
-	for _, dotted := range histNames {
-		if err := add(dotted, kindHistogram, series{hist: s.Histograms[dotted]}); err != nil {
+	for _, dotted := range sortedKeys(s.Histograms) {
+		if err := add(dotted, series{hist: s.Histograms[dotted]}); err != nil {
 			return err
 		}
 	}
-
-	names := make([]string, 0, len(byName))
-	for name := range byName {
-		names = append(names, name)
-	}
-	sort.Strings(names)
 
 	var b strings.Builder
-	for _, name := range names {
+	for _, name := range sortedKeys(byName) {
 		f := byName[name]
 		sort.Slice(f.series, func(i, j int) bool { return f.series[i].labels < f.series[j].labels })
 		fmt.Fprintf(&b, "# HELP %s %s\n", f.name, escapeHelp(f.help))
 		fmt.Fprintf(&b, "# TYPE %s %s\n", f.name, f.kind)
 		for _, sr := range f.series {
-			switch f.kind {
-			case kindCounter, kindGauge:
-				fmt.Fprintf(&b, "%s%s %d\n", f.name, sr.labels, sr.value)
-			case kindHistogram:
+			if f.kind == "histogram" {
 				writeHistogram(&b, f.name, sr)
+			} else {
+				fmt.Fprintf(&b, "%s%s %d\n", f.name, sr.labels, sr.value)
 			}
 		}
 	}
@@ -182,7 +152,7 @@ func escapeHelp(h string) string {
 	return r.Replace(h)
 }
 
-func sortedKeys(m map[string]int64) []string {
+func sortedKeys[V any](m map[string]V) []string {
 	keys := make([]string, 0, len(m))
 	for k := range m {
 		keys = append(keys, k)

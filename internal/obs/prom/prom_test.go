@@ -3,6 +3,7 @@ package prom
 import (
 	"bytes"
 	"fmt"
+	"io"
 	"regexp"
 	"sort"
 	"strconv"
@@ -296,17 +297,14 @@ func testRegistry() *obs.Registry {
 	r.Counter(obs.MFaultRecovered).Add(2)
 	r.Gauge(obs.MRRRIterations).Set(2)
 	r.Gauge(obs.MRRROverflow).Set(1601)
-	h := r.Histogram(obs.MMazeExpansions, obs.Pow2Buckets(16, 5))
+	h := r.Histogram(obs.MMazeExpansions)
 	for _, v := range []int64{1, 17, 40, 700, 1 << 20} {
 		h.Observe(v)
 	}
-	ha := r.Histogram(obs.MMazeExpansionsAStar, obs.Pow2Buckets(16, 5))
+	ha := r.Histogram(obs.MMazeExpansionsAStar)
 	ha.Observe(33)
 	// Registered but never observed: must still expose validly.
-	r.Histogram(obs.MMazeExpansionsDijkstra, obs.Pow2Buckets(16, 5))
-	// A name missing from the mapping table exercises the sanitized
-	// fallback path.
-	r.Counter("ad hoc metric!\nwith junk").Add(9)
+	r.Histogram(obs.MMazeExpansionsDijkstra)
 	return r
 }
 
@@ -353,13 +351,6 @@ func TestExpositionConformance(t *testing.T) {
 			t.Fatalf("per-algorithm family lacks a label: %v", algs)
 		}
 	}
-	if _, ok := byName["fastgr_ad_hoc_metric_with_junk_total"]; !ok {
-		names := make([]string, 0, len(byName))
-		for n := range byName {
-			names = append(names, n)
-		}
-		t.Fatalf("sanitized fallback family missing from %v", names)
-	}
 	if byName["fastgr_rrr_iterations"].typ != "gauge" {
 		t.Fatalf("rrr.iterations exposed as %s, want gauge", byName["fastgr_rrr_iterations"].typ)
 	}
@@ -383,7 +374,7 @@ func TestExpositionDeterministic(t *testing.T) {
 	}
 
 	r.Counter(obs.MCostHits).Add(1)
-	r.Histogram(obs.MMazeExpansions, obs.Pow2Buckets(16, 5)).Observe(5)
+	r.Histogram(obs.MMazeExpansions).Observe(5)
 	var c bytes.Buffer
 	if err := Write(&c, r.Snapshot()); err != nil {
 		t.Fatal(err)
@@ -429,5 +420,14 @@ func TestEmptySnapshot(t *testing.T) {
 	}
 	if buf.Len() != 0 {
 		t.Fatalf("empty snapshot rendered %q", buf.String())
+	}
+}
+
+// TestUndeclaredMetricRefused: a hand-built snapshot carries no
+// declarations, so its metrics have no family to render under.
+func TestUndeclaredMetricRefused(t *testing.T) {
+	s := obs.Snapshot{Counters: map[string]int64{"maze.searches": 1}}
+	if err := Write(io.Discard, s); err == nil || !strings.Contains(err.Error(), "maze.searches") {
+		t.Fatalf("Write of an undeclared metric: err = %v", err)
 	}
 }

@@ -42,7 +42,7 @@ func TestKernelFallbackBitIdenticalResults(t *testing.T) {
 		t.Fatalf("fallback KernelTime = %v, want modeled sequential %v", br.KernelTime, want)
 	}
 	s := reg.Snapshot()
-	if inj, deg := s.Counters[obs.MFaultInjected], s.Counters[obs.MFaultDegraded]; inj != 1 || deg != 1 {
+	if inj, deg := s.Counters[obs.MFaultInjected.Name()], s.Counters[obs.MFaultDegraded.Name()]; inj != 1 || deg != 1 {
 		t.Fatalf("kernel fault counters injected=%d degraded=%d, want 1/1", inj, deg)
 	}
 }
@@ -67,9 +67,9 @@ func TestSolveExhaustionDegradesWholeBatch(t *testing.T) {
 		t.Fatal("degraded batch results differ from the healthy kernel's")
 	}
 	s := reg.Snapshot()
-	inj := s.Counters[obs.MFaultInjected]
-	rec := s.Counters[obs.MFaultRecovered]
-	deg := s.Counters[obs.MFaultDegraded]
+	inj := s.Counters[obs.MFaultInjected.Name()]
+	rec := s.Counters[obs.MFaultRecovered.Name()]
+	deg := s.Counters[obs.MFaultDegraded.Name()]
 	if inj != rec+deg {
 		t.Fatalf("accounting equation violated: injected=%d recovered=%d degraded=%d", inj, rec, deg)
 	}

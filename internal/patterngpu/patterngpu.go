@@ -132,7 +132,7 @@ func (r *Router) RouteBatch(g *grid.Graph, trees []*stt.Tree) BatchResult {
 	}
 	sp.End()
 	if m := r.Obs.M(); m != nil {
-		m.Histogram(obs.MKernelNs, obs.DurationBuckets).Observe(br.KernelTime.Nanoseconds())
+		m.Histogram(obs.MKernelNs).Observe(br.KernelTime.Nanoseconds())
 		var hybrid, total int64
 		for _, res := range br.Results {
 			hybrid += int64(res.HybridEdges)

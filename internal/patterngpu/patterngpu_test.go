@@ -238,13 +238,13 @@ func TestRouteBatchObservation(t *testing.T) {
 		total += int64(res.Edges)
 	}
 	s := r.Obs.Metrics.Snapshot()
-	if got := s.Counters[obs.MPatternHybrid]; got != hybrid {
+	if got := s.Counters[obs.MPatternHybrid.Name()]; got != hybrid {
 		t.Errorf("hybrid counter = %d, want %d", got, hybrid)
 	}
-	if got := s.Counters[obs.MPatternLShape]; got != total-hybrid {
+	if got := s.Counters[obs.MPatternLShape.Name()]; got != total-hybrid {
 		t.Errorf("lshape counter = %d, want %d", got, total-hybrid)
 	}
-	if h := s.Histograms[obs.MKernelNs]; h.Count != 1 {
+	if h := s.Histograms[obs.MKernelNs.Name()]; h.Count != 1 {
 		t.Errorf("kernel histogram count = %d, want 1", h.Count)
 	}
 }

@@ -157,7 +157,7 @@ func ObserveBatches(m *obs.Registry, batches [][]Task) {
 	if m == nil {
 		return
 	}
-	h := m.Histogram(obs.MBatchSize, obs.BatchSizeBuckets)
+	h := m.Histogram(obs.MBatchSize)
 	m.Counter(obs.MSchedBatches).Add(int64(len(batches)))
 	for _, b := range batches {
 		h.Observe(int64(len(b)))

@@ -305,10 +305,10 @@ func TestObserveBatches(t *testing.T) {
 	r := obs.NewRegistry()
 	ObserveBatches(r, batches)
 	s := r.Snapshot()
-	if got := s.Counters[obs.MSchedBatches]; got != 3 {
+	if got := s.Counters[obs.MSchedBatches.Name()]; got != 3 {
 		t.Errorf("batch counter = %d, want 3", got)
 	}
-	h := s.Histograms[obs.MBatchSize]
+	h := s.Histograms[obs.MBatchSize.Name()]
 	if h.Count != 3 || h.Sum != 11 || h.Min != 1 || h.Max != 7 {
 		t.Errorf("batch-size histogram = %+v, want count=3 sum=11 min=1 max=7", h)
 	}

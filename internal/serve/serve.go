@@ -88,6 +88,12 @@ type Server struct {
 	running  map[string]*runningJob
 	draining bool
 	requeue  bool // drain timed out: checkpoint in-flight jobs back to queued
+
+	// pause, when set (tests only), runs in the two windows of runJob
+	// where a DELETE races the runner's claim on a job: "claim", before
+	// the running record, and "register", between that record and the
+	// job's entry in running.
+	pause func(window, id string)
 }
 
 // runningJob is the server's handle on an in-flight run.
@@ -257,6 +263,7 @@ func (s *Server) runJob(j *Job) {
 	if cur, ok := s.store.Get(j.ID); !ok || terminal(cur.State) {
 		return
 	}
+	s.window("claim", j.ID)
 	if st, err := s.store.SetState(j.ID, StateRunning, "", nil); err != nil {
 		s.failUnjournaled(j.ID, err)
 		return
@@ -273,6 +280,7 @@ func (s *Server) runJob(j *Job) {
 	} else {
 		ctx, cancel = context.WithCancel(context.Background())
 	}
+	s.window("register", j.ID)
 	s.mu.Lock()
 	s.running[j.ID] = &runningJob{cancel: cancel}
 	s.mu.Unlock()
@@ -289,7 +297,7 @@ func (s *Server) runJob(j *Job) {
 	sw := obs.StartStopwatch()
 	res, runErr := s.execute(ctx, j)
 	serviceMs := sw.Elapsed().Milliseconds()
-	s.obs.M().Histogram(obs.MServeJobNs, obs.Pow2Buckets(1<<20, 24)).
+	s.obs.M().Histogram(obs.MServeJobNs).
 		Observe(sw.Elapsed().Nanoseconds())
 	if res != nil {
 		res.ServiceMs = serviceMs
@@ -326,6 +334,13 @@ func (s *Server) runJob(j *Job) {
 		if s.finish(j.ID, StateFailed, runErr.Error(), res) {
 			s.obs.M().Counter(obs.MServeFailed).Add(1)
 		}
+	}
+}
+
+// window runs the test pause, if any, in a race window of runJob.
+func (s *Server) window(name, id string) {
+	if s.pause != nil {
+		s.pause(name, id)
 	}
 }
 
@@ -397,7 +412,7 @@ func (s *Server) execute(ctx context.Context, j *Job) (*JobResult, error) {
 // clamped to [1s, 1h]. Wall-derived and advisory by construction — it
 // shapes client politeness, never a routed result.
 func (s *Server) retryAfterSeconds() int {
-	h := s.obs.M().Histogram(obs.MServeJobNs, obs.Pow2Buckets(1<<20, 24))
+	h := s.obs.M().Histogram(obs.MServeJobNs)
 	meanNs := float64(s.cfg.DefaultServiceEstimate.Nanoseconds())
 	if n := h.Count(); n > 0 {
 		meanNs = float64(h.Sum()) / float64(n)

@@ -9,6 +9,7 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -292,9 +293,9 @@ func TestRefusedTerminalRecordFailsJob(t *testing.T) {
 	if j.State != StateFailed || !strings.Contains(j.Error, "journal") {
 		t.Fatalf("job ended %s (error %q), want failed with the journal error", j.State, j.Error)
 	}
-	c := s.obs.M().Snapshot().Counters
-	if c[obs.MServeFailed] != 1 || c[obs.MServeCancelled] != 0 {
-		t.Fatalf("failed/cancelled counters = %d/%d, want 1/0", c[obs.MServeFailed], c[obs.MServeCancelled])
+	failed, cancelled := s.obs.M().Counter(obs.MServeFailed).Value(), s.obs.M().Counter(obs.MServeCancelled).Value()
+	if failed != 1 || cancelled != 0 {
+		t.Fatalf("failed/cancelled counters = %d/%d, want 1/0", failed, cancelled)
 	}
 
 	if err := os.RemoveAll(path); err != nil {
@@ -528,3 +529,75 @@ func ids(jobs []Job) []string {
 }
 
 func intp(v int) *int { return &v }
+
+// TestCancelRacesRunnerClaim lands a DELETE in each window where it
+// races a runner's claim on a job: before the running record, and
+// between that record and the job's registration as running. Either way
+// the job must end cancelled and its run must never finish: no done
+// count and no guides artifact. A job cancelled while still queued must
+// not be run at all.
+func TestCancelRacesRunnerClaim(t *testing.T) {
+	for _, window := range []string{"claim", "register"} {
+		t.Run(window, func(t *testing.T) {
+			reg := obs.NewRegistry()
+			s, err := New(Config{Dir: t.TempDir(), Runners: 1, Obs: &obs.Observer{Metrics: reg, Health: obs.NewHealth()}})
+			if err != nil {
+				t.Fatalf("New: %v", err)
+			}
+			var once sync.Once
+			var mu sync.Mutex
+			reached := map[string]bool{} // "id/window"
+			s.pause = func(w, id string) {
+				mu.Lock()
+				reached[id+"/"+w] = true
+				mu.Unlock()
+				if w != window {
+					return
+				}
+				once.Do(func() {
+					req, _ := http.NewRequest(http.MethodDelete, "http://"+s.Addr()+"/v1/jobs/"+id, nil)
+					resp, err := http.DefaultClient.Do(req)
+					if err != nil {
+						t.Errorf("DELETE: %v", err)
+						return
+					}
+					resp.Body.Close()
+					if resp.StatusCode != http.StatusAccepted {
+						t.Errorf("DELETE in the %s window: status %d", window, resp.StatusCode)
+					}
+				})
+			}
+			if err := s.Start("127.0.0.1:0"); err != nil {
+				t.Fatalf("Start: %v", err)
+			}
+			t.Cleanup(func() { s.Close() })
+
+			spec := JobSpec{Design: "18test5m", Scale: 0.005}
+			id := submitJob(t, s, spec)
+			if j := waitTerminal(t, s, id, 60*time.Second); j.State != StateCancelled {
+				t.Fatalf("job ended %s (error %q), want cancelled", j.State, j.Error)
+			}
+			// One runner: the next job starts only after the first's run
+			// returned, so its done record closes the first's run too.
+			next := submitJob(t, s, spec)
+			if j := waitTerminal(t, s, next, 60*time.Second); j.State != StateDone {
+				t.Fatalf("second job ended %s: %s", j.State, j.Error)
+			}
+			if _, err := os.Stat(s.store.GuidePath(id)); !os.IsNotExist(err) {
+				t.Errorf("cancelled job has a guides artifact (stat: %v)", err)
+			}
+			deadline := time.Now().Add(10 * time.Second)
+			for reg.Counter(obs.MServeDone).Value() != 1 && time.Now().Before(deadline) {
+				time.Sleep(time.Millisecond)
+			}
+			if got := reg.Counter(obs.MServeDone).Value(); got != 1 {
+				t.Errorf("done count %d, want 1 (the second job only)", got)
+			}
+			mu.Lock()
+			defer mu.Unlock()
+			if window == "claim" && reached[id+"/register"] {
+				t.Errorf("the runner went on to run a job cancelled while queued")
+			}
+		})
+	}
+}

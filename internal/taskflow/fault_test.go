@@ -78,7 +78,7 @@ func TestFaultRunWithContainmentRetriesPanics(t *testing.T) {
 		t.Fatalf("task 3 attempts = %d, want 1: a contained failure holds back nothing", attempts[3])
 	}
 	s := reg.Snapshot()
-	rec, deg := s.Counters[obs.MFaultRecovered], s.Counters[obs.MFaultDegraded]
+	rec, deg := s.Counters[obs.MFaultRecovered.Name()], s.Counters[obs.MFaultDegraded.Name()]
 	if rec != 1+int64(fault.DefaultMaxAttempts-1) || deg != 1 {
 		t.Fatalf("recovered=%d degraded=%d, want %d/1", rec, deg, 1+fault.DefaultMaxAttempts-1)
 	}

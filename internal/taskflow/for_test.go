@@ -131,7 +131,7 @@ func TestForObservation(t *testing.T) {
 		}
 	}
 	s := o.Metrics.Snapshot()
-	wait, run := s.Histograms[obs.MParWaitNs], s.Histograms[obs.MParRunNs]
+	wait, run := s.Histograms[obs.MParWaitNs.Name()], s.Histograms[obs.MParRunNs.Name()]
 	if wait.Count == 0 || run.Count == 0 {
 		t.Fatalf("wait/run histograms empty: %d/%d", wait.Count, run.Count)
 	}
@@ -157,7 +157,7 @@ func TestForObservationSequentialPath(t *testing.T) {
 		t.Fatalf("sequential span %q on lane %d, want par.chunk on lane 1", e.Name, e.Lane)
 	}
 	s := o.Metrics.Snapshot()
-	if w := s.Histograms[obs.MParWaitNs]; w.Count != 1 || w.Max != 0 {
+	if w := s.Histograms[obs.MParWaitNs.Name()]; w.Count != 1 || w.Max != 0 {
 		t.Fatalf("sequential wait histogram = %+v, want one zero observation", w)
 	}
 }
@@ -223,7 +223,7 @@ func TestForUnderContainment(t *testing.T) {
 			t.Fatalf("unit 77 cause should be a panic or injection, got %v", we.Cause)
 		}
 	}
-	if reg.Snapshot().Counters[obs.MFaultInjected] == 0 {
+	if reg.Snapshot().Counters[obs.MFaultInjected.Name()] == 0 {
 		t.Fatal("probability-0.2 injection never fired over 200 units")
 	}
 }

@@ -69,8 +69,8 @@ func RunWorkersFault(g *sched.Graph, workers int, o *obs.Observer, fn func(worke
 		workers = 1
 	}
 
-	waitHist := o.M().Histogram(obs.MTaskWaitNs, obs.DurationBuckets)
-	runHist := o.M().Histogram(obs.MTaskRunNs, obs.DurationBuckets)
+	waitHist := o.M().Histogram(obs.MTaskWaitNs)
+	runHist := o.M().Histogram(obs.MTaskRunNs)
 	observing := waitHist != nil
 	// Wall-clock reads route through the obs stopwatch (detwall): the
 	// readings feed histograms only, never the schedule or the results.
@@ -162,8 +162,8 @@ func For(workers, n int, o *obs.Observer, fn func(worker, i int) error) error {
 	}
 	workers = min(max(workers, 1), n)
 	tr := o.T()
-	waitHist := o.M().Histogram(obs.MParWaitNs, obs.DurationBuckets)
-	runHist := o.M().Histogram(obs.MParRunNs, obs.DurationBuckets)
+	waitHist := o.M().Histogram(obs.MParWaitNs)
+	runHist := o.M().Histogram(obs.MParRunNs)
 	observing := tr.On() || waitHist != nil
 	var forStart obs.Stopwatch
 	if observing {

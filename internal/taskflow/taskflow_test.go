@@ -260,7 +260,7 @@ func TestRunWorkersObserved(t *testing.T) {
 		}
 	}
 	s := o.Metrics.Snapshot()
-	wait, run := s.Histograms[obs.MTaskWaitNs], s.Histograms[obs.MTaskRunNs]
+	wait, run := s.Histograms[obs.MTaskWaitNs.Name()], s.Histograms[obs.MTaskRunNs.Name()]
 	if wait.Count != n || run.Count != n {
 		t.Fatalf("wait/run counts = %d/%d, want %d each", wait.Count, run.Count, n)
 	}

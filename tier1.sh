@@ -53,8 +53,8 @@
 #                 rather than on shrinking each new corpus entry
 #   lint        — fastgrlint, the static invariant net (determinism +
 #                 passive observability + recover-hygiene contracts, plus
-#                 the interprocedural flow checks: walltaint, writeroute,
-#                 shardisolation, promdrift), gofmt verification on
+#                 the three interprocedural flow checks: walltaint,
+#                 writeroute, shardisolation), gofmt verification on
 #   lint-self   — fastgrlint -self: the analyzer's own packages must be
 #                 clean under the default policy and the fixture module
 #                 must reproduce its golden file
