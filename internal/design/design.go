@@ -63,12 +63,13 @@ type Design struct {
 	NumLayers int // number of metal layers (>= 2)
 
 	// LayerCapacity[l-1] is the wire-edge capacity (tracks per G-cell edge)
-	// of metal layer l. Layer 1 carries pins and is typically nearly
-	// unroutable, as in the contest benchmarks.
+	// of metal layer l, in [0, MaxCapacity]. Layer 1 carries pins and is
+	// typically nearly unroutable, as in the contest benchmarks.
 	LayerCapacity []int
 
 	// ViaCapacity is the via-edge capacity between adjacent layers at one
-	// G-cell. CUGR models finite via capacity in its 3-D grid graph.
+	// G-cell, in [0, MaxCapacity]. CUGR models finite via capacity in its
+	// 3-D grid graph.
 	ViaCapacity int
 
 	Nets []*Net
@@ -96,6 +97,25 @@ func (d *Design) NumPins() int {
 	return n
 }
 
+// MaxCapacity is the largest wire or via capacity a design may declare:
+// the routing grid stores capacities in 16 bits.
+const MaxCapacity = 1<<16 - 1
+
+// CheckCapacities reports the first layer or via capacity outside
+// [0, MaxCapacity]. A negative capacity would count every edge of its
+// layer as overflowed; a larger one would not fit the grid's 16 bits.
+func (d *Design) CheckCapacities() error {
+	for l, c := range d.LayerCapacity {
+		if c < 0 || c > MaxCapacity {
+			return fmt.Errorf("design %s: layer %d capacity %d outside [0,%d]", d.Name, l+1, c, MaxCapacity)
+		}
+	}
+	if c := d.ViaCapacity; c < 0 || c > MaxCapacity {
+		return fmt.Errorf("design %s: via capacity %d outside [0,%d]", d.Name, c, MaxCapacity)
+	}
+	return nil
+}
+
 // Validate checks structural invariants of the design and returns the first
 // violation found, if any.
 func (d *Design) Validate() error {
@@ -108,6 +128,9 @@ func (d *Design) Validate() error {
 	if len(d.LayerCapacity) != d.NumLayers {
 		return fmt.Errorf("design %s: %d layer capacities for %d layers",
 			d.Name, len(d.LayerCapacity), d.NumLayers)
+	}
+	if err := d.CheckCapacities(); err != nil {
+		return err
 	}
 	// Routes are indexed by ID (core sizes them by the largest) and guides
 	// keyed by name, so both must be unique.

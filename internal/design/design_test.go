@@ -403,3 +403,29 @@ func TestWriteAllocsConstant(t *testing.T) {
 			a, len(small.Nets), b, len(large.Nets), writeAllocsCeiling)
 	}
 }
+
+// TestCapacityRange: a layer or via capacity outside [0, MaxCapacity] is
+// refused by Validate and so by Read, with an error naming the layer, not
+// wrapped into 16 bits or left negative to overflow every edge of its
+// layer. The bounds themselves are accepted.
+func TestCapacityRange(t *testing.T) {
+	const net = "net n0 2\npin 1 1 1\npin 5 5 1\nend\n"
+	for _, tc := range []struct{ caps, viacap, want string }{
+		{"1 4294967303 8", "4", "layer 2 capacity 4294967303 outside [0,65535]"},
+		{"1 8 -3", "4", "layer 3 capacity -3 outside [0,65535]"},
+		{"1 8 8", "65536", "via capacity 65536 outside [0,65535]"},
+		{"1 8 8", "-1", "via capacity -1 outside [0,65535]"},
+		{"0 65535 8", "65535", ""},
+	} {
+		text := "design x 10 10 3\ncaps " + tc.caps + "\nviacap " + tc.viacap + "\n" + net
+		d, err := Read(strings.NewReader(text))
+		switch {
+		case tc.want == "" && err != nil:
+			t.Errorf("caps %s viacap %s: %v", tc.caps, tc.viacap, err)
+		case tc.want != "" && (err == nil || !strings.Contains(err.Error(), tc.want)):
+			t.Errorf("caps %s viacap %s: error %v, want %q", tc.caps, tc.viacap, err, tc.want)
+		case tc.want == "" && d.LayerCapacity[1] != 65535:
+			t.Errorf("caps %s read as %v", tc.caps, d.LayerCapacity)
+		}
+	}
+}

@@ -8,36 +8,50 @@ package grid
 // maze relaxation) and SegCost/ViaStackCost (an O(length) walk per pattern
 // candidate).
 //
+// Base-cost table. A wire edge's cost before history, and a via edge's
+// whole cost, is a pure function of its (capacity, demand) pair, and a
+// design has few distinct capacities: one per layer plus what blockages
+// carve out of them, and one via capacity per boundary. So each Graph
+// builds one immutable table at construction — a row per distinct wire
+// capacity and a row per via boundary, a column per demand 0..N-1 — with
+// every entry computed by the direct formula, and window views share it as
+// they share the demand arrays. A read of demand N or more evaluates the
+// formula. Only the table and the formula's overflow path ever call exp.
+//
 // Layout. Every cache covers one window of G-cells — the whole grid for a
 // graph and for the one-leaf plan's view, a leaf or net region for any
 // other WindowView — and lays the same arrays out over it. Per layer l it
 // holds one float64 per wire edge starting in the window (the value
-// WireCost would compute) and, per window line (a row of a horizontal
-// layer, a column of a vertical one), an exclusive prefix-sum run of those
-// values starting at the window's origin, so SegCost over a run inside the
-// window collapses to two reads. Vias mirror this per G-cell: one value per
-// boundary plus a per-cell prefix run over the L-1 boundaries, collapsing
-// ViaStackCost. One mapping, CostField.WireSlot/ViaSlot with strides fixed
-// at build time, places every edge; a line's prefix run starts at the slot
-// of its first edge plus the line number.
+// WireCost would compute, filled from the table) and, per window line (a
+// row of a horizontal layer, a column of a vertical one), an exclusive
+// prefix-sum run of those values starting at the window's origin, so
+// SegCost over a run inside the window collapses to two reads. Via edges
+// keep no values: a via read is one table load at the edge's demand. Each
+// window cell keeps only its prefix run over the L-1 boundaries, which
+// collapses ViaStackCost. CostField.WireSlot, with strides fixed at build
+// time, places every wire edge; a line's prefix run starts at the slot of
+// its first edge plus the line number.
 //
-// Write-through protocol. A demand or history mutation recomputes the
-// mutated edge's cached value on the spot (plain write — edge mutation is
-// already owner-exclusive under the disjoint-window discipline, and the
-// value is written by whoever writes the demand beside it) and sets the
-// edge's line/cell dirty flag (atomic — lines cross rip-up windows, so
-// concurrent rip-up workers in disjoint windows may share one). Edge values
-// are therefore never stale. Readers never write the cache: a dirty line
-// only means its prefix sums lag, and a segment query over it walks the
-// per-edge values instead. Prefix sums are re-summed in WarmCostCache, which
-// callers invoke only at single-threaded points of the cache's owner
-// (between pattern batches, at the top of a rip-up iteration); the first
-// warm builds the whole field. A mutation outside the window leaves the
-// cache alone, and a query leaving it walks the direct formula.
+// Write-through protocol. A wire demand or history mutation recomputes the
+// mutated edge's cached value on the spot from the table (plain write —
+// edge mutation is already owner-exclusive under the disjoint-window
+// discipline, and the value is written by whoever writes the demand beside
+// it) and sets the edge's line dirty flag (atomic — lines cross rip-up
+// windows, so concurrent rip-up workers in disjoint windows may share one).
+// A via mutation only sets its cell's and row's flags. Edge values are
+// therefore never stale. Readers never write the cache: a dirty line or
+// cell only means its prefix sums lag, and a segment or stack query over
+// it walks the per-edge costs instead. Prefix sums are re-summed in
+// WarmCostCache, which callers invoke only at single-threaded points of
+// the cache's owner (between pattern batches, at the top of a rip-up
+// iteration); the first warm builds the whole field. A mutation outside
+// the window leaves the cache alone, and a query leaving it reads the
+// table edge by edge.
 //
-// Determinism. A cached edge value is bit-identical to the direct formula
-// (it is produced by the same code from the same demand, capacity and
-// history). The prefix-sum segment read may differ from the left-fold walk
+// Determinism. A table entry, and so a cached wire value, is bit-identical
+// to the direct formula (it is produced by the same code from the same
+// demand and capacity, with history added after it in the formula's
+// order). The prefix-sum segment read may differ from the left-fold walk
 // by float rounding, and it depends on the window's origin; every consumer
 // of SegCost compares with tolerances, and the maze router uses only
 // per-edge costs, so its geometry is bit-identical for any cache state. Two
@@ -46,6 +60,7 @@ package grid
 
 import (
 	"math"
+	"slices"
 	"sync/atomic"
 
 	"fastgr/internal/geom"
@@ -58,7 +73,7 @@ import (
 type costCache struct {
 	built bool
 
-	// field holds the edge values and the window→slot mapping.
+	// field holds the wire values and the window→slot mapping.
 	field CostField
 
 	// wirePfx[l-1] holds one run of n+1 exclusive prefix sums per window
@@ -94,13 +109,15 @@ func (g *Graph) SetObserver(o *obs.Observer) {
 	g.cc.warms = o.M().Counter(obs.MCostWarms)
 }
 
-// CostField is the edge-value table of a built cost cache for a hot loop
+// CostField is the edge-cost view of a built cost cache for a hot loop
 // that cannot afford a call per edge: Wire[l-1][f.WireSlot(l, x, y)] is
-// WireCost(l, x, y) for every wire edge starting in Win, and
-// Via[l-1][f.ViaSlot(x, y)] is ViaEdgeCost(x, y, l) for every G-cell of
-// Win. The values are always fresh (write-through) and readable wherever
-// the accessors are: an edge's value is only ever written by the edge's
-// owner. The tables are read-only and valid until the next
+// WireCost(l, x, y) for every wire edge starting in Win, and f.ViaCost(x,
+// y, l) is ViaEdgeCost(x, y, l) for every G-cell of Win. Via holds the via
+// rows of the graph's base-cost table: Via[l-1][d] is the cost of a via
+// edge above layer l at demand d < len(Via[l-1]). The wire values are
+// always fresh (write-through) and readable wherever the accessors are: an
+// edge's value is only ever written by the edge's owner, as is the demand
+// a via read looks up. The arrays are read-only and valid until the next
 // InvalidateCostCache. A reader adds what it read to Hits, once, so the
 // counter keeps counting edge reads.
 type CostField struct {
@@ -111,6 +128,8 @@ type CostField struct {
 	// on layer l: one along the layer's lines, a line's edge count across
 	// them.
 	dx, dy []int
+	// g is the graph whose demand arrays a via read looks up.
+	g *Graph
 }
 
 // WireSlot is the slot of wire edge (x, y) of layer l in Wire[l-1].
@@ -118,8 +137,26 @@ func (f *CostField) WireSlot(l, x, y int) int {
 	return (x-f.Win.Lo.X)*f.dx[l-1] + (y-f.Win.Lo.Y)*f.dy[l-1]
 }
 
-// ViaSlot is the slot of G-cell (x, y) in every Via[b].
-func (f *CostField) ViaSlot(x, y int) int {
+// ViaCost is the cost of the via edge at (x, y) above layer l: the table
+// entry at the edge's demand, or the formula past the table.
+func (f *CostField) ViaCost(x, y, l int) float64 {
+	return f.g.viaValue(l, y*f.g.W+x)
+}
+
+// ViaEntry is ViaCost's table read, small enough to inline into a hot
+// loop: ok is false for a demand past the table, where the caller reads
+// ViaCost instead.
+func (f *CostField) ViaEntry(x, y, l int) (c float64, ok bool) {
+	row, dem := f.Via[l-1], f.g.viaDem[l-1][y*f.g.W+x]
+	if uint32(dem) < uint32(len(row)) {
+		return row[dem], true
+	}
+	return 0, false
+}
+
+// cellSlot is the window slot of G-cell (x, y): its index in the per-cell
+// via arrays.
+func (f *CostField) cellSlot(x, y int) int {
 	return (y-f.Win.Lo.Y)*(f.Win.Hi.X-f.Win.Lo.X+1) + x - f.Win.Lo.X
 }
 
@@ -155,7 +192,7 @@ func (g *Graph) wireRun(l, x, y, n int) (slot, line int, ok bool) {
 // and outside the window.
 func (g *Graph) viaCell(x, y int) (slot int, ok bool) {
 	f := &g.cc.field
-	return f.ViaSlot(x, y), g.cc.built && f.Win.Contains(geom.Point{X: x, Y: y})
+	return f.cellSlot(x, y), g.cc.built && f.Win.Contains(geom.Point{X: x, Y: y})
 }
 
 // ViaPrefix returns the via prefix run of G-cell (x, y) — p[k] sums the
@@ -194,15 +231,75 @@ func (g *Graph) fullRect() geom.Rect {
 	return geom.Rect{Hi: geom.Point{X: g.W - 1, Y: g.H - 1}}
 }
 
-// wireCostAt is the direct cost formula for wire edge i of layer l — the
-// single source of truth the uncached path, the first build and every
-// write-through evaluate.
-func (g *Graph) wireCostAt(l, i int) float64 {
-	cap, dem := g.wireCap[l-1][i], g.wireDem[l-1][i]
-	c := g.Params.UnitWire + g.logistic(dem, cap)
-	if cap <= 0 {
+// tableDemands is N, the demand columns of the base-cost table. Capacities
+// run to a few tens of tracks, so demand past N is deep in the logistic's
+// saturation and rare; a read there evaluates the formula.
+const tableDemands = 64
+
+// costTable is a graph's base-cost table: wire[r][d] is the history-free
+// cost of a wire edge of capacity caps[r] at demand d, via[b][d] the cost
+// of a via edge across boundary b+1 at demand d. Every row is one slice of
+// a single backing array. It is immutable after newCostTable.
+type costTable struct {
+	caps      []uint16 // the distinct wire capacities, ascending
+	wire, via [][]float64
+}
+
+// newCostTable builds g's table from its final (post-blockage) capacities.
+func (g *Graph) newCostTable() *costTable {
+	var caps []uint16
+	for _, lc := range g.wireCap {
+		for i, c := range lc {
+			if i > 0 && c == lc[i-1] {
+				continue // capacities come in long runs
+			}
+			if k, found := slices.BinarySearch(caps, c); !found {
+				caps = slices.Insert(caps, k, c)
+			}
+		}
+	}
+	t := &costTable{caps: slices.Clip(caps), wire: make([][]float64, len(caps)), via: make([][]float64, g.L-1)}
+	rows := make([]float64, (len(caps)+g.L-1)*tableDemands)
+	next := func() []float64 {
+		row := rows[:tableDemands:tableDemands]
+		rows = rows[tableDemands:]
+		return row
+	}
+	for r, c := range caps {
+		t.wire[r] = next()
+		for d := range t.wire[r] {
+			t.wire[r][d] = g.wireBase(int32(d), c)
+		}
+	}
+	for b := range t.via {
+		t.via[b] = next()
+		for d := range t.via[b] {
+			t.via[b][d] = g.viaBase(b+1, int32(d))
+		}
+	}
+	return t
+}
+
+// wireBase is the history-free wire-edge formula at demand dem and
+// capacity cap.
+func (g *Graph) wireBase(dem int32, cap uint16) float64 {
+	c := g.Params.UnitWire + g.logistic(dem, int32(cap))
+	if cap == 0 {
 		c += g.Params.BlockedPenalty
 	}
+	return c
+}
+
+// viaBase is the via-edge formula at demand dem across the boundary above
+// layer l.
+func (g *Graph) viaBase(l int, dem int32) float64 {
+	return g.Params.UnitVia + g.logistic(dem, g.viaCap[l-1])
+}
+
+// wireCostAt is the direct cost formula for wire edge i of layer l: the
+// base formula, then history.
+func (g *Graph) wireCostAt(l, i int) float64 {
+	c := g.wireBase(g.wireDem[l-1][i], g.wireCap[l-1][i])
 	if g.history != nil {
 		c += HistoryWeight * float64(g.history[l-1][i])
 	}
@@ -212,8 +309,33 @@ func (g *Graph) wireCostAt(l, i int) float64 {
 // viaCostAt is the direct via-edge formula for cell i across the boundary
 // above layer l.
 func (g *Graph) viaCostAt(l, i int) float64 {
-	cap, dem := g.viaCap[l-1], g.viaDem[l-1][i]
-	return g.Params.UnitVia + g.logistic(dem, cap)
+	return g.viaBase(l, g.viaDem[l-1][i])
+}
+
+// wireValue is wireCostAt read through the table: the entry for the edge's
+// capacity and demand, then history in the formula's order, so the same
+// bits without an exp. Demand past the table evaluates the formula.
+func (g *Graph) wireValue(l, i int) float64 {
+	cap, dem := g.wireCap[l-1][i], g.wireDem[l-1][i]
+	r, _ := slices.BinarySearch(g.tab.caps, cap)
+	row := g.tab.wire[r]
+	if uint32(dem) >= uint32(len(row)) {
+		return g.wireCostAt(l, i)
+	}
+	c := row[dem]
+	if g.history != nil {
+		c += HistoryWeight * float64(g.history[l-1][i])
+	}
+	return c
+}
+
+// viaValue is viaCostAt read through the table.
+func (g *Graph) viaValue(l, cell int) float64 {
+	row, dem := g.tab.via[l-1], g.viaDem[l-1][cell]
+	if uint32(dem) >= uint32(len(row)) {
+		return g.viaCostAt(l, cell)
+	}
+	return row[dem]
 }
 
 // noteWireMutation writes the mutated wire edge's new cost through to the
@@ -232,13 +354,14 @@ func (g *Graph) noteWireMutation(l, i int) {
 		return
 	}
 	cc.wireDirty[l-1][line].Store(1)
-	cc.field.Wire[l-1][s] = g.wireCostAt(l, i)
+	cc.field.Wire[l-1][s] = g.wireValue(l, i)
 	cc.invals.Add(1)
 }
 
-// noteViaMutation writes one via edge's new cost through and flags its
-// cell's prefix run and the cell's row. cell is the global y*W+x index.
-func (g *Graph) noteViaMutation(l, cell int) {
+// noteViaMutation flags the prefix run of a mutated via edge's cell and
+// the cell's row: the edge's cost is read from the table at its demand, so
+// there is no value to write. cell is the global y*W+x index.
+func (g *Graph) noteViaMutation(cell int) {
 	cc := &g.cc
 	if !cc.built {
 		return
@@ -250,18 +373,18 @@ func (g *Graph) noteViaMutation(l, cell int) {
 	}
 	cc.viaDirty[s].Store(1)
 	cc.viaRowDirty[y-cc.field.Win.Lo.Y].Store(1)
-	cc.field.Via[l-1][s] = g.viaCostAt(l, cell)
 	cc.invals.Add(1)
 }
 
-// WarmCostCache brings the cost field up to date. The first call evaluates
-// every edge of the window; from then on edge values are kept fresh by
-// write-through, so a warm only re-sums the prefix runs of dirty lines and
-// cells. Cells are looked at only in rows whose summary flag is set, so a
-// warm costs what the mutations since the last one touched, not the
-// window. It must only be called at a single-threaded point of the cache's
-// owner: it is the one place prefix sums are written, which is what lets
-// concurrent readers skip all synchronization on them.
+// WarmCostCache brings the cost field up to date. The first call fills
+// every wire edge of the window from the table and sums every prefix run;
+// from then on wire values are kept fresh by write-through, so a warm only
+// re-sums the prefix runs of dirty lines and cells. Cells are looked at
+// only in rows whose summary flag is set, so a warm costs what the
+// mutations since the last one touched, not the window. It must only be
+// called at a single-threaded point of the cache's owner: it is the one
+// place prefix sums are written, which is what lets concurrent readers
+// skip all synchronization on them.
 func (g *Graph) WarmCostCache() {
 	cc := &g.cc
 	if !cc.built {
@@ -285,7 +408,8 @@ func (g *Graph) WarmCostCache() {
 			warmed++
 		}
 	}
-	cw := cc.field.Win.Width()
+	win := cc.field.Win
+	cw := win.Width()
 	for r := range cc.viaRowDirty {
 		if cc.viaRowDirty[r].Load() == 0 {
 			continue
@@ -294,9 +418,9 @@ func (g *Graph) WarmCostCache() {
 			if cc.viaDirty[s].Load() == 0 {
 				continue
 			}
-			sum := 0.0
+			sum, cell := 0.0, (win.Lo.Y+r)*g.W+win.Lo.X+s-r*cw
 			for b := 0; b < g.L-1; b++ {
-				sum += cc.field.Via[b][s]
+				sum += g.viaValue(b+1, cell)
 				cc.viaPfx[s*g.L+b+1] = sum
 			}
 			cc.viaDirty[s].Store(0)
@@ -307,11 +431,11 @@ func (g *Graph) WarmCostCache() {
 	cc.warms.Add(int64(warmed))
 }
 
-// buildCostCache allocates the field and evaluates every edge of the
-// window, with every line, cell and row flagged dirty for WarmCostCache to
-// sum and count. An edge is cached when its starting cell lies in the
-// window, so a window flush against the grid's far side has one fewer edge
-// per line.
+// buildCostCache allocates the field and fills every wire edge of the
+// window from the table, with every line, cell and row flagged dirty for
+// WarmCostCache to sum and count. An edge is cached when its starting cell
+// lies in the window, so a window flush against the grid's far side has
+// one fewer edge per line.
 func (g *Graph) buildCostCache() {
 	cc := &g.cc
 	f := &cc.field
@@ -337,21 +461,15 @@ func (g *Graph) buildCostCache() {
 				if g.Dir(l) == Vertical {
 					x, y = win.Lo.X+li, win.Lo.Y+k
 				}
-				val[li*n+k] = g.wireCostAt(l, g.WireIndex(l, x, y))
+				val[li*n+k] = g.wireValue(l, g.WireIndex(l, x, y))
 			}
 		}
 		f.Wire[l-1] = val
 		cc.wirePfx[l-1] = make([]float64, lines*(n+1))
 		cc.wireDirty[l-1] = dirtyFlags(lines)
 	}
-	cells, cw := win.Area(), win.Width()
-	f.Via = make([][]float64, g.L-1)
-	for b := range f.Via {
-		f.Via[b] = make([]float64, cells)
-		for s := range f.Via[b] {
-			f.Via[b][s] = g.viaCostAt(b+1, (win.Lo.Y+s/cw)*g.W+win.Lo.X+s%cw)
-		}
-	}
+	cells := win.Area()
+	f.Via, f.g = g.tab.via, g
 	cc.viaPfx = make([]float64, cells*g.L)
 	cc.viaDirty = dirtyFlags(cells)
 	cc.viaRowDirty = dirtyFlags(win.Height())

@@ -49,7 +49,7 @@ func assertCacheMatchesDirect(t *testing.T, g *Graph) {
 	}
 	for b := 0; b < g.L-1; b++ {
 		for cell := 0; cell < g.W*g.H; cell++ {
-			if got, want := f.Via[b][f.ViaSlot(cell%g.W, cell/g.W)], g.viaCostAt(b+1, cell); got != want {
+			if got, want := f.ViaCost(cell%g.W, cell/g.W, b+1), g.viaCostAt(b+1, cell); got != want {
 				t.Fatalf("via boundary %d cell %d cached %v != direct %v", b, cell, got, want)
 			}
 		}

@@ -31,7 +31,8 @@ func (d Dir) String() string {
 	return "V"
 }
 
-// CostParams configures the edge cost scheme.
+// CostParams configures the edge cost scheme. A graph's parameters are
+// fixed at construction: its base-cost table is built from them.
 type CostParams struct {
 	// UnitWire is the base cost of one wire edge (one G-cell step).
 	UnitWire float64
@@ -71,8 +72,8 @@ type Graph struct {
 	// wireCap/wireDem[l-1] index wire edges of layer l. A horizontal layer
 	// has (W-1)*H edges, edge (x,y) spanning (x,y)-(x+1,y), index y*(W-1)+x.
 	// A vertical layer has W*(H-1) edges, edge (x,y) spanning (x,y)-(x,y+1),
-	// index x*(H-1)+y.
-	wireCap [][]int32
+	// index x*(H-1)+y. A validated design's capacities fit in 16 bits.
+	wireCap [][]uint16
 	wireDem [][]int32
 
 	// viaCap/viaDem[b] index via edges crossing the boundary between layers
@@ -89,6 +90,10 @@ type Graph struct {
 	// edge count.
 	edgeOff []int
 
+	// tab is the base-cost table (see costcache.go), built once from the
+	// capacities and shared by every window view.
+	tab *costTable
+
 	// cc is the write-through cost-field cache (see costcache.go); inert
 	// until the first WarmCostCache.
 	cc costCache
@@ -101,6 +106,8 @@ func NewFromDesign(d *design.Design) *Graph {
 }
 
 // NewFromDesignParams builds the grid graph with explicit cost parameters.
+// A capacity outside [0, design.MaxCapacity], which design.Validate
+// rejects, panics.
 func NewFromDesignParams(d *design.Design, p CostParams) *Graph {
 	g := &Graph{W: d.GridW, H: d.GridH, L: d.NumLayers, Params: p}
 	g.dirs = make([]Dir, g.L)
@@ -111,7 +118,10 @@ func NewFromDesignParams(d *design.Design, p CostParams) *Graph {
 			g.dirs[l-1] = Vertical
 		}
 	}
-	g.wireCap = make([][]int32, g.L)
+	if err := d.CheckCapacities(); err != nil {
+		panic("grid: " + err.Error())
+	}
+	g.wireCap = make([][]uint16, g.L)
 	g.wireDem = make([][]int32, g.L)
 	g.edgeOff = make([]int, 2*g.L)
 	for k := 1; k < 2*g.L; k++ {
@@ -126,9 +136,9 @@ func NewFromDesignParams(d *design.Design, p CostParams) *Graph {
 	}
 	for l := 1; l <= g.L; l++ {
 		n := g.numWireEdges(l)
-		g.wireCap[l-1] = make([]int32, n)
+		g.wireCap[l-1] = make([]uint16, n)
 		g.wireDem[l-1] = make([]int32, n)
-		cap := int32(d.LayerCapacity[l-1])
+		cap := uint16(d.LayerCapacity[l-1])
 		for i := range g.wireCap[l-1] {
 			g.wireCap[l-1][i] = cap
 		}
@@ -142,28 +152,29 @@ func NewFromDesignParams(d *design.Design, p CostParams) *Graph {
 	for _, blk := range d.Blockages {
 		g.applyBlockage(blk)
 	}
+	g.tab = g.newCostTable()
 	g.cc.field.Win = g.fullRect()
 	return g
 }
 
 // WindowView returns a Graph sharing every capacity, demand, and history
-// array with g — mutations through either are visible to both — but holding
-// its own cost cache bounded to win: the same values, prefix runs and dirty
-// flags a whole-grid cache keeps, laid out over the window. A shard routes
-// through its view: the view's cache stays leaf-sized (the sharded
-// pipeline's peak-memory win) and mutations through the view write through
-// to the view's cache, never the parent's. The parent's cache must
-// therefore be cold (or invalidated) while views are live; the core
-// pipeline never warms it between view phases. Views are
-// coordinator-created and must not outlive the phase whose mutations they
-// observed.
+// array and the base-cost table with g — mutations through either are
+// visible to both — but holding its own cost cache bounded to win: the
+// same values, prefix runs and dirty flags a whole-grid cache keeps, laid
+// out over the window. A shard routes through its view: the view's cache
+// stays leaf-sized (the sharded pipeline's peak-memory win) and mutations
+// through the view write through to the view's cache, never the parent's.
+// The parent's cache must therefore be cold (or invalidated) while views
+// are live; the core pipeline never warms it between view phases. Views
+// are coordinator-created and must not outlive the phase whose mutations
+// they observed.
 func (g *Graph) WindowView(win geom.Rect) *Graph {
 	v := &Graph{
 		W: g.W, H: g.H, L: g.L, Params: g.Params,
 		dirs: g.dirs, edgeOff: g.edgeOff,
 		wireCap: g.wireCap, wireDem: g.wireDem,
 		viaCap: g.viaCap, viaDem: g.viaDem,
-		history: g.history,
+		history: g.history, tab: g.tab,
 	}
 	v.cc.field.Win = win.ClampTo(g.W, g.H)
 	v.cc.hits = g.cc.hits
@@ -181,14 +192,14 @@ func (g *Graph) applyBlockage(b design.Blockage) {
 		for y := r.Lo.Y; y <= r.Hi.Y; y++ {
 			for x := r.Lo.X; x <= r.Hi.X && x < g.W-1; x++ {
 				i := g.WireIndex(l, x, y)
-				g.wireCap[l-1][i] = int32(math.Floor(float64(g.wireCap[l-1][i]) * keep))
+				g.wireCap[l-1][i] = uint16(math.Floor(float64(g.wireCap[l-1][i]) * keep))
 			}
 		}
 	} else {
 		for x := r.Lo.X; x <= r.Hi.X; x++ {
 			for y := r.Lo.Y; y <= r.Hi.Y && y < g.H-1; y++ {
 				i := g.WireIndex(l, x, y)
-				g.wireCap[l-1][i] = int32(math.Floor(float64(g.wireCap[l-1][i]) * keep))
+				g.wireCap[l-1][i] = uint16(math.Floor(float64(g.wireCap[l-1][i]) * keep))
 			}
 		}
 	}
@@ -249,14 +260,15 @@ func (g *Graph) logistic(dem, cap int32) float64 {
 // evaluated at the edge's current demand (i.e., the cost of adding one more
 // track through it). With a built cost cache this is an array load — the
 // field is written through at mutation time, so it is never stale; an
-// unbuilt cache or an edge outside the cache window evaluates the formula.
+// unbuilt cache or an edge outside the cache window, a miss, reads the
+// base-cost table.
 func (g *Graph) WireCost(l, x, y int) float64 {
 	if s, _, ok := g.wireRun(l, x, y, 1); ok {
 		g.cc.hits.Add(1)
 		return g.cc.field.Wire[l-1][s]
 	}
 	g.cc.misses.Add(1)
-	return g.wireCostAt(l, g.WireIndex(l, x, y))
+	return g.wireValue(l, g.WireIndex(l, x, y))
 }
 
 // SegCost is the cost of a straight wire from a to b on layer l. The segment
@@ -297,14 +309,16 @@ func (g *Graph) runCost(l int, lo geom.Point, n, s, line int, inWin bool) float6
 }
 
 // ViaEdgeCost is the cost of one via edge at (x,y) crossing the boundary
-// above layer l. Cached like WireCost.
+// above layer l: the base-cost table's entry for the edge's demand. It
+// counts a hit for a cell of a built window and a miss elsewhere, like
+// WireCost, though both read the same table.
 func (g *Graph) ViaEdgeCost(x, y, l int) float64 {
-	if s, ok := g.viaCell(x, y); ok {
+	if _, ok := g.viaCell(x, y); ok {
 		g.cc.hits.Add(1)
-		return g.cc.field.Via[l-1][s]
+	} else {
+		g.cc.misses.Add(1)
 	}
-	g.cc.misses.Add(1)
-	return g.viaCostAt(l, y*g.W+x)
+	return g.viaValue(l, y*g.W+x)
 }
 
 // ViaStackCost is c_v(u, l1, l2): the cost of the via stack at (x,y)
@@ -382,7 +396,7 @@ func (g *Graph) addViaDemand(l, i int, delta int32) {
 	if g.viaDem[l-1][i] < 0 {
 		panic(fmt.Sprintf("grid: via demand underflow at (%d,%d) layer %d", i%g.W, i/g.W, l))
 	}
-	g.noteViaMutation(l, i)
+	g.noteViaMutation(i)
 }
 
 // EdgeID names one wire or via edge of the grid in four bytes: the wire
@@ -443,7 +457,7 @@ func (g *Graph) AnyEdgeOverflow(edges []EdgeID) bool {
 	k, i := 0, 0
 	for _, e := range edges {
 		if k, i = g.edgeSlot(e, k); k < g.L {
-			if g.wireDem[k][i] > g.wireCap[k][i] {
+			if g.wireDem[k][i] > int32(g.wireCap[k][i]) {
 				return true
 			}
 		} else if g.viaDem[k-g.L][i] > g.viaCap[k-g.L] {
@@ -542,7 +556,7 @@ func (g *Graph) AppendRuns(dst []Run, edges []EdgeID) []Run {
 func (g *Graph) Overflow() (wire, via int) {
 	for l := 0; l < g.L; l++ {
 		for i, c := range g.wireCap[l] {
-			if ov := g.wireDem[l][i] - c; ov > 0 {
+			if ov := g.wireDem[l][i] - int32(c); ov > 0 {
 				wire += int(ov)
 			}
 		}

@@ -36,7 +36,7 @@ func (g *Graph) BumpOverflowHistory(delta float64) {
 	}
 	for l := 0; l < g.L; l++ {
 		for i, c := range g.wireCap[l] {
-			if ov := g.wireDem[l][i] - c; ov > 0 {
+			if ov := g.wireDem[l][i] - int32(c); ov > 0 {
 				g.history[l][i] += float32(delta * float64(ov))
 				g.noteWireMutation(l+1, i)
 			}

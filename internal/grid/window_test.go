@@ -179,7 +179,7 @@ func TestCostFieldSlots(t *testing.T) {
 							}
 						}
 						if l < g.L {
-							if got, want := f.Via[l-1][f.ViaSlot(x, y)], g.viaCostAt(l, y*g.W+x); got != want {
+							if got, want := f.ViaCost(x, y, l), g.viaCostAt(l, y*g.W+x); got != want {
 								t.Fatalf("%s window %v via %d (%d,%d): field %v != direct %v", stage, win, l, x, y, got, want)
 							}
 						}

@@ -587,12 +587,23 @@ func (s *Search) search(limit int64) (int32, Stats, error) {
 		if hasBack {
 			s.relax(back, i-step, d, s.wireCost(l, x-dx, y-dy), x-dx, y-dy, l, &st)
 		}
-		// Via moves between adjacent layers.
+		// Via moves between adjacent layers: an inlined table read at the
+		// edge's demand, the formula past the table out of line.
 		if l < g.L {
-			s.relax(fromBelow, i+plane, d, s.viaCost(x, y, l), x, y, l+1, &st)
+			s.reads++
+			c, ok := s.f.ViaEntry(x, y, l)
+			if !ok {
+				c = s.f.ViaCost(x, y, l)
+			}
+			s.relax(fromBelow, i+plane, d, c, x, y, l+1, &st)
 		}
 		if l > 1 {
-			s.relax(fromAbove, i-plane, d, s.viaCost(x, y, l-1), x, y, l-1, &st)
+			s.reads++
+			c, ok := s.f.ViaEntry(x, y, l-1)
+			if !ok {
+				c = s.f.ViaCost(x, y, l-1)
+			}
+			s.relax(fromAbove, i-plane, d, c, x, y, l-1, &st)
 		}
 	}
 	s.f.Hits.Add(s.reads)
@@ -600,16 +611,11 @@ func (s *Search) search(limit int64) (int32, Stats, error) {
 	return reached, st, err
 }
 
-// wireCost and viaCost price one edge with a load from the cost field,
-// counted in reads.
+// wireCost prices one wire edge with a load from the cost field, counted
+// in reads.
 func (s *Search) wireCost(l, x, y int) float64 {
 	s.reads++
 	return s.f.Wire[l-1][s.f.WireSlot(l, x, y)]
-}
-
-func (s *Search) viaCost(x, y, l int) float64 {
-	s.reads++
-	return s.f.Via[l-1][s.f.ViaSlot(x, y)]
 }
 
 // relax offers node j, at (x, y, l), the path through the neighbour in

@@ -157,6 +157,11 @@ func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
 			Error: fmt.Sprintf("job %s already %s", id, prev)})
 		return
 	}
+	if prev == StateQueued {
+		// The cancel journaled the job's terminal state itself, so the
+		// runner skips it and never counts it: this is its one count.
+		s.obs.M().Counter(obs.MServeCancelled).Add(1)
+	}
 	if prev == StateRunning {
 		s.mu.Lock()
 		if rj := s.running[id]; rj != nil {

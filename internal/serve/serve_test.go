@@ -593,6 +593,10 @@ func TestCancelRacesRunnerClaim(t *testing.T) {
 			if got := reg.Counter(obs.MServeDone).Value(); got != 1 {
 				t.Errorf("done count %d, want 1 (the second job only)", got)
 			}
+			// Whichever side journaled the cancel, it counts once.
+			if got := reg.Counter(obs.MServeCancelled).Value(); got != 1 {
+				t.Errorf("cancelled count %d, want 1", got)
+			}
 			mu.Lock()
 			defer mu.Unlock()
 			if window == "claim" && reached[id+"/register"] {

@@ -28,8 +28,10 @@
 #                 pass's lanes search in one shared record frame, and
 #                 maze's frame tests route disjoint windows on it from
 #                 four goroutines at once — grid, whose
-#                 cost-field values and dirty flags are written from
-#                 concurrent rip-up windows of every leaf at once, route
+#                 wire cost values and line/cell dirty flags are written
+#                 from concurrent rip-up windows of every leaf at once
+#                 while via costs are read from the shared base-cost
+#                 table at the demand those windows write, route
 #                 and guide, whose sealed edge lists are read from every
 #                 scan worker, fault, the containment layer whose counters
 #                 are hit from every worker, pattern and patterngpu, whose
