@@ -8,7 +8,6 @@ import (
 	"fastgr/internal/design"
 	"fastgr/internal/fault"
 	"fastgr/internal/geom"
-	"fastgr/internal/route"
 	"fastgr/internal/sched"
 )
 
@@ -29,6 +28,16 @@ func routeVariant(t *testing.T, name string, v Variant, mutate func(*Options)) *
 	return res
 }
 
+// netTerminals lists a net's pins as 3-D terminals, taken from the design
+// rather than from the router's own Steiner tree.
+func netTerminals(n *design.Net) []geom.Point3 {
+	pins := make([]geom.Point3, len(n.Pins))
+	for i, p := range n.Pins {
+		pins[i] = geom.Point3{X: p.Pos.X, Y: p.Pos.Y, Layer: p.Layer}
+	}
+	return pins
+}
+
 func TestAllVariantsRouteAndConnect(t *testing.T) {
 	for _, v := range []Variant{CUGR, FastGRL, FastGRH} {
 		res := routeVariant(t, "18test5m", v, nil)
@@ -38,7 +47,7 @@ func TestAllVariantsRouteAndConnect(t *testing.T) {
 			if r == nil {
 				t.Fatalf("%v: net %s unrouted", v, n.Name)
 			}
-			if err := r.Validate(res.Grid, route.PinTerminals(res.Trees[n.ID])); err != nil {
+			if err := r.Validate(res.Grid, netTerminals(n)); err != nil {
 				t.Fatalf("%v: net %s: %v", v, n.Name, err)
 			}
 		}
@@ -307,7 +316,7 @@ func TestNineLayerDesign(t *testing.T) {
 		t.Fatalf("layers = %d", res.Grid.L)
 	}
 	for _, n := range res.Design.Nets[:50] {
-		if err := res.Routes[n.ID].Validate(res.Grid, route.PinTerminals(res.Trees[n.ID])); err != nil {
+		if err := res.Routes[n.ID].Validate(res.Grid, netTerminals(n)); err != nil {
 			t.Fatalf("net %s: %v", n.Name, err)
 		}
 	}

@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"fastgr/internal/design"
-	"fastgr/internal/route"
 )
 
 // TestSoakAcrossDesigns runs the full quality-oriented pipeline over several
@@ -32,7 +31,7 @@ func TestSoakAcrossDesigns(t *testing.T) {
 				if r == nil {
 					t.Fatalf("net %s unrouted", n.Name)
 				}
-				if err := r.Validate(res.Grid, route.PinTerminals(res.Trees[n.ID])); err != nil {
+				if err := r.Validate(res.Grid, netTerminals(n)); err != nil {
 					t.Fatalf("net %s: %v", n.Name, err)
 				}
 			}

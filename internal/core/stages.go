@@ -169,9 +169,7 @@ func (r *runner) bindRecords(pass string, tasks []sched.Task, searches []*maze.S
 	for _, t := range tasks {
 		union = union.Union(t.BBox)
 		largest = max(largest, t.BBox.Area())
-		for _, nd := range r.trees[t.Payload.(*design.Net).ID].Nodes {
-			draws += int64(len(nd.PinLayers))
-		}
+		draws += int64(len(t.Payload.(*design.Net).Pins))
 	}
 	draws *= int64(r.fc.MaxAttempts())
 	shared := useFrame(len(searches), union.Area(), largest) && draws <= maze.MaxFrameDraws

@@ -21,23 +21,23 @@ import "math"
 // interval is met once per la inside it, and each meeting scans hi-lo+1
 // layers of every child up to the first one with no finite layer.
 func (s *Solver) computeDown(u int) {
-	node := &s.tree.Nodes[u]
 	L := s.L
 
 	loMax, hiMin := L, 1
-	if node.IsPin() {
-		loMax, hiMin = node.PinLayers[0], node.PinLayers[0]
-		for _, pl := range node.PinLayers[1:] {
-			loMax = min(loMax, pl)
-			hiMin = max(hiMin, pl)
+	if pins := s.tree.PinLayers(u); len(pins) > 0 {
+		loMax, hiMin = int(pins[0]), int(pins[0])
+		for _, pl := range pins[1:] {
+			loMax = min(loMax, int(pl))
+			hiMin = max(hiMin, int(pl))
 		}
 	}
 
 	via := s.via
+	pos := s.tree.Pos(u)
 	for b := 1; b < L; b++ {
-		via[b] = s.g.ViaEdgeCost(node.Pos.X, node.Pos.Y, b)
+		via[b] = s.g.ViaEdgeCost(pos.X, pos.Y, b)
 	}
-	children := node.Children
+	children := s.tree.Children(u)
 	s.mins = grow(s.mins, len(children))
 	mins := s.mins
 	for lo := 1; lo <= loMax; lo++ {
@@ -50,7 +50,7 @@ func (s *Solver) computeDown(u int) {
 				stack += via[hi-1]
 			}
 			for ci, c := range children {
-				if v := s.edgeVal[c*L+hi-1]; v < mins[ci] {
+				if v := s.edgeVal[int(c)*L+hi-1]; v < mins[ci] {
 					mins[ci] = v
 				}
 			}

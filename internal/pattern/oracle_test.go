@@ -53,7 +53,7 @@ type refDownChoice struct {
 
 // run routes the net, reconstructing like Solve and counting like SolveCPU.
 func (s *refSolver) run() Result {
-	n := len(s.tree.Nodes)
+	n := s.tree.Len()
 	s.edgeVal = make([][]float64, n)
 	s.edgeChoice = make([][]Choice, n)
 	s.edgeProg = make([]*EdgeProgram, n)
@@ -289,20 +289,20 @@ func (s *refSolver) buildZFlow(tp route.TwoPin, bs, bt geom.Point) ZFlow {
 // yields a feasible solution, so minimizing over intervals (with each child
 // independently picking its best layer inside) is the true minimum.
 func (s *refSolver) computeDown(u int) {
-	node := &s.tree.Nodes[u]
+	pos := s.tree.Pos(u)
 	L := s.L
 	down := make([]float64, L)
 	picks := make([]refDownChoice, L)
 
 	pinLo, pinHi := 0, 0
-	if node.IsPin() {
-		pinLo, pinHi = node.PinLayers[0], node.PinLayers[0]
-		for _, pl := range node.PinLayers[1:] {
-			if pl < pinLo {
-				pinLo = pl
+	if pins := s.tree.PinLayers(u); len(pins) > 0 {
+		pinLo, pinHi = int(pins[0]), int(pins[0])
+		for _, pl := range pins[1:] {
+			if int(pl) < pinLo {
+				pinLo = int(pl)
 			}
-			if pl > pinHi {
-				pinHi = pl
+			if int(pl) > pinHi {
+				pinHi = int(pl)
 			}
 		}
 	}
@@ -312,11 +312,11 @@ func (s *refSolver) computeDown(u int) {
 	for lo := 1; lo <= L; lo++ {
 		stack[lo] = make([]float64, L+1)
 		for hi := lo + 1; hi <= L; hi++ {
-			stack[lo][hi] = stack[lo][hi-1] + s.g.ViaEdgeCost(node.Pos.X, node.Pos.Y, hi-1)
+			stack[lo][hi] = stack[lo][hi-1] + s.g.ViaEdgeCost(pos.X, pos.Y, hi-1)
 		}
 	}
 
-	children := node.Children
+	children := s.tree.Children(u)
 	for la := 1; la <= L; la++ {
 		best := Inf
 		var bestPick refDownChoice
@@ -459,12 +459,12 @@ func (s *refSolver) reconstruct(u int, la int) {
 		panic(fmt.Sprintf("pattern: net %d node %d has no feasible down choice at layer %d",
 			s.tree.NetID, u, la))
 	}
-	pos := s.tree.Nodes[u].Pos
+	pos := s.tree.Pos(u)
 	s.addVia(pos, pick.lo, pick.hi)
-	for idx, c := range s.tree.Nodes[u].Children {
+	for idx, c := range s.tree.Children(u) {
 		lc := pick.childLayers[idx]
-		ls := s.emitEdge(c, lc)
-		s.reconstruct(c, ls)
+		ls := s.emitEdge(int(c), lc)
+		s.reconstruct(int(c), ls)
 	}
 }
 

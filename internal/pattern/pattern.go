@@ -221,7 +221,7 @@ func (s *Solver) Solve(g *grid.Graph, tree *stt.Tree, cfg Config, eval Evaluator
 
 // reset points the scratch at a new net and sizes its arenas.
 func (s *Solver) reset(g *grid.Graph, tree *stt.Tree, cfg Config) {
-	n, L := len(tree.Nodes), g.L
+	n, L := tree.Len(), g.L
 	s.g, s.tree, s.cfg, s.L = g, tree, cfg, L
 	s.ops, s.viaReads = Ops{}, 0
 	s.edgeVal = grow(s.edgeVal, n*L)

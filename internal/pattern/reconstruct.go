@@ -16,11 +16,11 @@ func (s *Solver) reconstruct(u int, la int) {
 		panic(fmt.Sprintf("pattern: net %d node %d has no feasible down choice at layer %d",
 			s.tree.NetID, u, la))
 	}
-	pos := s.tree.Nodes[u].Pos
+	pos := s.tree.Pos(u)
 	s.b.Via(pos.X, pos.Y, pick.lo, pick.hi)
-	for _, c := range s.tree.Nodes[u].Children {
-		ls := s.emitEdge(c, s.childLayer(c, pick.lo, pick.hi))
-		s.reconstruct(c, ls)
+	for _, c := range s.tree.Children(u) {
+		ls := s.emitEdge(int(c), s.childLayer(int(c), pick.lo, pick.hi))
+		s.reconstruct(int(c), ls)
 	}
 }
 

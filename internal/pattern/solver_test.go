@@ -124,7 +124,7 @@ func checkAgainstReference(t *testing.T, s *Solver, g *grid.Graph, tree *stt.Tre
 			got.Ops, got.Edges, got.HybridEdges, want.Ops, want.Edges, want.HybridEdges)
 	}
 	L := g.L
-	for u := range tree.Nodes {
+	for u := 0; u < tree.Len(); u++ {
 		if u != tree.Root {
 			if v := s.edgeVal[u*L : u*L+L]; !reflect.DeepEqual(v, ref.edgeVal[u]) {
 				t.Fatalf("node %d edge values %v, reference %v", u, v, ref.edgeVal[u])
@@ -155,8 +155,8 @@ func checkDown(t *testing.T, s *Solver, ref *refSolver, u int) {
 		if want.lo == 0 {
 			continue
 		}
-		for i, c := range s.tree.Nodes[u].Children {
-			if cl := s.childLayer(c, got.lo, got.hi); cl != want.childLayers[i] {
+		for i, c := range s.tree.Children(u) {
+			if cl := s.childLayer(int(c), got.lo, got.hi); cl != want.childLayers[i] {
 				t.Fatalf("node %d layer %d child %d joins at %d, reference %d", u, la, c, cl, want.childLayers[i])
 			}
 		}
@@ -194,20 +194,19 @@ func TestComputeDownMatchesReference(t *testing.T) {
 		L := []int{2, 5, 9}[trial%3]
 		g := oracleGrid(t, rng, L, []string{"flat", "warm", "cold"}[trial%3])
 		at := geom.Point{X: rng.Intn(g.W), Y: rng.Intn(g.H)}
-		tree := &stt.Tree{NetID: trial, Nodes: []stt.Node{{Pos: at, Parent: -1}}}
+		var layers []int32
 		for l := 1; l <= L; l++ {
 			if rng.Intn(4) == 0 {
-				tree.Nodes[0].PinLayers = append(tree.Nodes[0].PinLayers, l)
+				layers = append(layers, int32(l))
 			}
 		}
-		ref := &refSolver{g: g, tree: tree, L: L}
 		kids := rng.Intn(4)
+		tree := starTree(trial, at, layers, kids)
+		ref := &refSolver{g: g, tree: tree, L: L}
 		ref.edgeVal = make([][]float64, kids+1)
 		ref.down = make([][]float64, kids+1)
 		ref.downPick = make([][]refDownChoice, kids+1)
 		for c := 1; c <= kids; c++ {
-			tree.Nodes = append(tree.Nodes, stt.Node{ID: c, Pos: at, Parent: 0})
-			tree.Nodes[0].Children = append(tree.Nodes[0].Children, c)
 			ref.edgeVal[c] = make([]float64, L)
 			for l := range ref.edgeVal[c] {
 				ref.edgeVal[c][l] = values[rng.Intn(len(values))]
@@ -230,6 +229,19 @@ func TestComputeDownMatchesReference(t *testing.T) {
 			t.Fatalf("trial %d: ops %+v, reference %+v", trial, s.ops, ref.ops)
 		}
 	}
+}
+
+// starTree is a root at `at` carrying the given pin layers, with kids
+// children at the same position.
+func starTree(netID int, at geom.Point, layers []int32, kids int) *stt.Tree {
+	pos := make([]geom.Point, kids+1)
+	parent := make([]int32, kids+1)
+	order := make([]int32, kids+1)
+	for c := range pos {
+		pos[c], order[c] = at, int32(c)
+	}
+	parent[0] = -1
+	return stt.New(netID, pos, parent, order, make([]int32, len(layers)), layers)
 }
 
 // sinkRoute keeps copyRoute's result alive for the allocation count.

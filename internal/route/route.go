@@ -22,10 +22,10 @@ type TwoPin struct {
 }
 
 // Source returns the child endpoint position.
-func (tp TwoPin) Source() geom.Point { return tp.Tree.Nodes[tp.Child].Pos }
+func (tp TwoPin) Source() geom.Point { return tp.Tree.Pos(tp.Child) }
 
 // Target returns the parent endpoint position.
-func (tp TwoPin) Target() geom.Point { return tp.Tree.Nodes[tp.Parent].Pos }
+func (tp TwoPin) Target() geom.Point { return tp.Tree.Pos(tp.Parent) }
 
 // BBox returns the two-pin net's bounding box.
 func (tp TwoPin) BBox() geom.Rect { return geom.NewRect(tp.Source(), tp.Target()) }
@@ -46,11 +46,11 @@ func Decompose(dst []TwoPin, t *stt.Tree) []TwoPin {
 // reverse of preorder(u) = u, preorder(c1), ..., preorder(ck) visits ck's
 // subtree first.
 func appendReversePreorder(dst []TwoPin, t *stt.Tree, u int) []TwoPin {
-	cs := t.Nodes[u].Children
+	cs := t.Children(u)
 	for i := len(cs) - 1; i >= 0; i-- {
-		dst = appendReversePreorder(dst, t, cs[i])
+		dst = appendReversePreorder(dst, t, int(cs[i]))
 	}
-	if p := t.Nodes[u].Parent; p >= 0 {
+	if p := t.Parent(u); p >= 0 {
 		dst = append(dst, TwoPin{Tree: t, Child: u, Parent: p})
 	}
 	return dst
@@ -277,9 +277,10 @@ func (r *NetRoute) Validate(g *grid.Graph, pins []geom.Point3) error {
 // PinTerminals maps a Steiner tree's pin nodes to their 3-D terminals.
 func PinTerminals(t *stt.Tree) []geom.Point3 {
 	var pins []geom.Point3
-	for i := range t.Nodes {
-		for _, l := range t.Nodes[i].PinLayers {
-			pins = append(pins, geom.Point3{X: t.Nodes[i].Pos.X, Y: t.Nodes[i].Pos.Y, Layer: l})
+	for u := 0; u < t.Len(); u++ {
+		p := t.Pos(u)
+		for _, l := range t.PinLayers(u) {
+			pins = append(pins, geom.Point3{X: p.X, Y: p.Y, Layer: int(l)})
 		}
 	}
 	return pins

@@ -42,8 +42,8 @@ func TestDecomposeOrderIsBottomUp(t *testing.T) {
 	// already have appeared.
 	seenChild := map[int]bool{}
 	childrenDone := func(node int) bool {
-		for _, ch := range tr.Nodes[node].Children {
-			if !seenChild[ch] {
+		for _, ch := range tr.Children(node) {
+			if !seenChild[int(ch)] {
 				return false
 			}
 		}

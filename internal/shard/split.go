@@ -71,11 +71,10 @@ func (b *leafBuilder) edge(a, c int) {
 func SplitTree(p *Plan, t *stt.Tree) *Split {
 	s := &Split{NetID: t.NetID}
 
-	pinLayers := make(map[geom.Point][]int)
-	for i := range t.Nodes {
-		n := &t.Nodes[i]
-		if n.IsPin() {
-			pinLayers[n.Pos] = append(pinLayers[n.Pos], n.PinLayers...)
+	pinLayers := make(map[geom.Point][]int32)
+	for u := 0; u < t.Len(); u++ {
+		if t.IsPin(u) {
+			pinLayers[t.Pos(u)] = append(pinLayers[t.Pos(u)], t.PinLayers(u)...)
 		}
 	}
 
@@ -116,16 +115,16 @@ func SplitTree(p *Plan, t *stt.Tree) *Split {
 		b := builderFor(leafPrev)
 		b.edge(b.node(cells[chainStart]), b.node(cells[len(cells)-1]))
 	}
-	for i := range t.Nodes {
-		if par := t.Nodes[i].Parent; par >= 0 {
-			walk(t.Nodes[i].Pos, t.Nodes[par].Pos)
+	for u := 0; u < t.Len(); u++ {
+		if par := t.Parent(u); par >= 0 {
+			walk(t.Pos(u), t.Pos(par))
 		}
 	}
-	if len(t.Nodes) == 1 {
+	if t.Len() == 1 {
 		// A degenerate single-node tree registers its lone position so the
 		// fragment set is never empty.
-		b := builderFor(p.LeafContaining(t.Nodes[0].Pos))
-		b.node(t.Nodes[0].Pos)
+		b := builderFor(p.LeafContaining(t.Pos(0)))
+		b.node(t.Pos(0))
 	}
 
 	// Emit fragments in ascending leaf order; within a leaf, connected
@@ -170,24 +169,27 @@ func SplitTree(p *Plan, t *stt.Tree) *Split {
 // tree. The root is the component's first pin-carrying node in insertion
 // order, else its first node; parent/child links come from a BFS over the
 // chain edges, visiting neighbors in edge-insertion order.
-func buildFragTree(netID int, b *leafBuilder, adj [][]int, comp []int, pinLayers map[geom.Point][]int) *stt.Tree {
-	local := make(map[int]int, len(comp))
-	ft := &stt.Tree{NetID: netID, Nodes: make([]stt.Node, len(comp))}
+func buildFragTree(netID int, b *leafBuilder, adj [][]int, comp []int, pinLayers map[geom.Point][]int32) *stt.Tree {
+	local := make(map[int]int32, len(comp))
+	pos := make([]geom.Point, len(comp))
+	parent := make([]int32, len(comp))
+	var pinNode, pinLayer []int32
+	root := int32(-1)
 	for j, ni := range comp {
-		local[ni] = j
-		pos := b.nodes[ni]
-		ft.Nodes[j] = stt.Node{ID: j, Pos: pos, PinLayers: pinLayers[pos], Parent: -1}
-	}
-	root := 0
-	for j := range ft.Nodes {
-		if ft.Nodes[j].IsPin() {
-			root = j
-			break
+		local[ni] = int32(j)
+		pos[j] = b.nodes[ni]
+		parent[j] = -1
+		for _, l := range pinLayers[pos[j]] {
+			pinNode = append(pinNode, int32(j))
+			pinLayer = append(pinLayer, l)
+		}
+		if root < 0 && len(pinLayers[pos[j]]) > 0 {
+			root = int32(j)
 		}
 	}
-	ft.Root = root
+	root = max(root, 0)
 	visited := make([]bool, len(comp))
-	queue := []int{root}
+	queue := []int32{root}
 	visited[root] = true
 	for qi := 0; qi < len(queue); qi++ {
 		u := queue[qi]
@@ -195,13 +197,12 @@ func buildFragTree(netID int, b *leafBuilder, adj [][]int, comp []int, pinLayers
 			v := local[nb]
 			if !visited[v] {
 				visited[v] = true
-				ft.Nodes[v].Parent = u
-				ft.Nodes[u].Children = append(ft.Nodes[u].Children, v)
+				parent[v] = u
 				queue = append(queue, v)
 			}
 		}
 	}
-	return ft
+	return stt.New(netID, pos, parent, queue, pinNode, pinLayer)
 }
 
 // lPathCells lists the cells of the horizontal-first L-path from a to b in

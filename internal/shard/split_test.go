@@ -63,9 +63,8 @@ func TestSplitTreeInvariants(t *testing.T) {
 				if !leafRect.ContainsRect(ft.BBox()) {
 					t.Errorf("net %s: fragment tree bbox %v escapes leaf %v", n.Name, ft.BBox(), leafRect)
 				}
-				for i := range ft.Nodes {
-					node := &ft.Nodes[i]
-					if node.Parent < 0 && i != ft.Root {
+				for i := 0; i < ft.Len(); i++ {
+					if ft.Parent(i) < 0 && i != ft.Root {
 						t.Errorf("net %s: fragment node %d disconnected from root", n.Name, i)
 					}
 				}
@@ -81,26 +80,26 @@ func TestSplitTreeInvariants(t *testing.T) {
 		}
 		// Every pin position of the original tree must survive, with its
 		// layers, in exactly the fragment of its own leaf.
-		for i := range tree.Nodes {
-			node := &tree.Nodes[i]
-			if !node.IsPin() {
+		for i := 0; i < tree.Len(); i++ {
+			if !tree.IsPin(i) {
 				continue
 			}
+			pos := tree.Pos(i)
 			found := false
 			for _, f := range s.Fragments {
-				if f.Leaf != p.LeafContaining(node.Pos) {
+				if f.Leaf != p.LeafContaining(pos) {
 					continue
 				}
 				for _, ft := range f.Trees {
-					for j := range ft.Nodes {
-						if ft.Nodes[j].Pos == node.Pos && ft.Nodes[j].IsPin() {
+					for j := 0; j < ft.Len(); j++ {
+						if ft.Pos(j) == pos && ft.IsPin(j) {
 							found = true
 						}
 					}
 				}
 			}
 			if !found {
-				t.Errorf("net %s: pin at %v lost in the split", n.Name, node.Pos)
+				t.Errorf("net %s: pin at %v lost in the split", n.Name, pos)
 			}
 		}
 	}
@@ -120,7 +119,7 @@ func TestSplitTreeIntraDegenerate(t *testing.T) {
 		t.Fatalf("single-cell net: got %d fragments, %d crossings", len(s.Fragments), len(s.Crossings))
 	}
 	ft := s.Fragments[0].Trees[0]
-	if len(ft.Nodes) != 1 || ft.Nodes[0].Pos != (geom.Point{X: 5, Y: 5}) || !ft.Nodes[0].IsPin() {
-		t.Fatalf("single-cell fragment malformed: %+v", ft.Nodes)
+	if ft.Len() != 1 || ft.Pos(0) != (geom.Point{X: 5, Y: 5}) || !ft.IsPin(0) {
+		t.Fatalf("single-cell fragment malformed: %d nodes, root at %v", ft.Len(), ft.Pos(0))
 	}
 }

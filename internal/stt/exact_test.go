@@ -72,31 +72,32 @@ func TestExactNeverWorseThanHeuristic(t *testing.T) {
 		if len(pins) < 2 {
 			return true
 		}
-		pts, adj := exactRSMT(pins)
-		exact := 0
-		for u := range adj {
-			for _, v := range adj[u] {
-				if u < v {
-					exact += geom.ManhattanDist(pts[u], pts[v])
-				}
-			}
-		}
+		ex := &builder{pos: append([]geom.Point(nil), pins...)}
+		ex.exactRSMT()
+		exact := adjLength(ex.pos, ex.adj)
 		// Heuristic on the same pins.
-		hAdj := primMST(pins)
-		hPts, hAdj := steinerize(append([]geom.Point(nil), pins...), hAdj)
-		heur := 0
-		for u := range hAdj {
-			for _, v := range hAdj[u] {
-				if u < v {
-					heur += geom.ManhattanDist(hPts[u], hPts[v])
-				}
-			}
-		}
+		h := &builder{pos: append([]geom.Point(nil), pins...)}
+		h.primMST()
+		h.steinerize()
+		heur := adjLength(h.pos, h.adj)
 		return exact <= heur && exact >= geom.BoundingBox(pins).HPWL()
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// adjLength sums the lengths of an adjacency's undirected edges.
+func adjLength(pts []geom.Point, adj [][]int32) int {
+	total := 0
+	for u := range adj {
+		for _, v := range adj[u] {
+			if int32(u) < v {
+				total += geom.ManhattanDist(pts[u], pts[v])
+			}
+		}
+	}
+	return total
 }
 
 func TestExactTreesValidOnGeneratedNets(t *testing.T) {
@@ -112,15 +113,15 @@ func TestExactTreesValidOnGeneratedNets(t *testing.T) {
 			t.Fatalf("net %s: %v", net.Name, err)
 		}
 		// No useless Steiner points survive.
-		deg := make([]int, len(tr.Nodes))
-		for i := range tr.Nodes {
-			if p := tr.Nodes[i].Parent; p >= 0 {
+		deg := make([]int, tr.Len())
+		for i := 0; i < tr.Len(); i++ {
+			if p := tr.Parent(i); p >= 0 {
 				deg[i]++
 				deg[p]++
 			}
 		}
-		for i := range tr.Nodes {
-			if !tr.Nodes[i].IsPin() && deg[i] <= 2 {
+		for i := 0; i < tr.Len(); i++ {
+			if !tr.IsPin(i) && deg[i] <= 2 {
 				t.Fatalf("net %s: useless Steiner node of degree %d", net.Name, deg[i])
 			}
 		}
@@ -144,11 +145,11 @@ func TestExactDeterministic(t *testing.T) {
 		}
 		a := Build(netOf(pins...))
 		b := Build(netOf(pins...))
-		if a.WL() != b.WL() || len(a.Nodes) != len(b.Nodes) {
+		if a.WL() != b.WL() || a.Len() != b.Len() {
 			t.Fatalf("exact builder nondeterministic on %v", pins)
 		}
-		for j := range a.Nodes {
-			if a.Nodes[j].Pos != b.Nodes[j].Pos {
+		for j := 0; j < a.Len(); j++ {
+			if a.Pos(j) != b.Pos(j) {
 				t.Fatalf("node order differs on %v", pins)
 			}
 		}

@@ -24,8 +24,8 @@ func TestTwoPinTree(t *testing.T) {
 	if err := tr.Validate(net); err != nil {
 		t.Fatal(err)
 	}
-	if len(tr.Nodes) != 2 || tr.NumEdges() != 1 {
-		t.Fatalf("two-pin net built %d nodes", len(tr.Nodes))
+	if tr.Len() != 2 || tr.NumEdges() != 1 {
+		t.Fatalf("two-pin net built %d nodes", tr.Len())
 	}
 	if tr.WL() != 8 {
 		t.Fatalf("WL = %d, want 8", tr.WL())
@@ -42,17 +42,17 @@ func TestDuplicatePinPositionsMerged(t *testing.T) {
 	if err := tr.Validate(net); err != nil {
 		t.Fatal(err)
 	}
-	if len(tr.Nodes) != 2 {
-		t.Fatalf("duplicate positions not merged: %d nodes", len(tr.Nodes))
+	if tr.Len() != 2 {
+		t.Fatalf("duplicate positions not merged: %d nodes", tr.Len())
 	}
-	var merged *Node
-	for i := range tr.Nodes {
-		if tr.Nodes[i].Pos == (geom.Point{X: 1, Y: 1}) {
-			merged = &tr.Nodes[i]
+	merged := -1
+	for u := 0; u < tr.Len(); u++ {
+		if tr.Pos(u) == (geom.Point{X: 1, Y: 1}) {
+			merged = u
 		}
 	}
-	if merged == nil || len(merged.PinLayers) != 2 {
-		t.Fatalf("merged node should carry 2 pin layers: %+v", merged)
+	if merged < 0 || len(tr.PinLayers(merged)) != 2 {
+		t.Fatalf("merged node should carry 2 pin layers: node %d", merged)
 	}
 }
 
@@ -70,8 +70,8 @@ func TestSteinerPointInsertion(t *testing.T) {
 		t.Fatalf("WL = %d, want 18 (Steiner point at (5,0))", tr.WL())
 	}
 	steiner := 0
-	for i := range tr.Nodes {
-		if !tr.Nodes[i].IsPin() {
+	for u := 0; u < tr.Len(); u++ {
+		if !tr.IsPin(u) {
 			steiner++
 		}
 	}
@@ -148,8 +148,8 @@ func mstLength(pts []geom.Point) int {
 func TestRootIsFirstPin(t *testing.T) {
 	net := netOf(geom.Point{X: 7, Y: 7}, geom.Point{X: 0, Y: 0}, geom.Point{X: 3, Y: 9})
 	tr := Build(net)
-	if tr.Nodes[tr.Root].Pos != (geom.Point{X: 7, Y: 7}) {
-		t.Fatalf("root at %v, want first pin (7,7)", tr.Nodes[tr.Root].Pos)
+	if tr.Pos(tr.Root) != (geom.Point{X: 7, Y: 7}) {
+		t.Fatalf("root at %v, want first pin (7,7)", tr.Pos(tr.Root))
 	}
 }
 
@@ -169,7 +169,7 @@ func TestLargeNetTreeValid(t *testing.T) {
 	if err := tr.Validate(net); err != nil {
 		t.Fatal(err)
 	}
-	if tr.NumEdges() != len(tr.Nodes)-1 {
+	if tr.NumEdges() != tr.Len()-1 {
 		t.Fatal("edge count broken")
 	}
 }
@@ -178,9 +178,9 @@ func TestBBoxCoversAllNodes(t *testing.T) {
 	net := netOf(geom.Point{X: 2, Y: 8}, geom.Point{X: 9, Y: 1}, geom.Point{X: 5, Y: 5})
 	tr := Build(net)
 	bb := tr.BBox()
-	for _, n := range tr.Nodes {
-		if !bb.Contains(n.Pos) {
-			t.Fatalf("node %v outside bbox %+v", n.Pos, bb)
+	for u := 0; u < tr.Len(); u++ {
+		if !bb.Contains(tr.Pos(u)) {
+			t.Fatalf("node %v outside bbox %+v", tr.Pos(u), bb)
 		}
 	}
 }
@@ -188,15 +188,17 @@ func TestBBoxCoversAllNodes(t *testing.T) {
 func TestValidateDetectsCorruption(t *testing.T) {
 	net := netOf(geom.Point{X: 0, Y: 0}, geom.Point{X: 5, Y: 5}, geom.Point{X: 9, Y: 2})
 	tr := Build(net)
-	tr.Nodes[tr.Root].Parent = 0
+	tr.nodes[tr.Root].parent = 0
 	if tr.Validate(net) == nil {
 		t.Fatal("root-with-parent accepted")
 	}
 	tr = Build(net)
 	// Detach a child: reachability check must fail.
-	for i := range tr.Nodes {
-		if len(tr.Nodes[i].Children) > 0 {
-			tr.Nodes[i].Children = nil
+	for u := 0; u < tr.Len(); u++ {
+		if n := &tr.nodes[u]; n.kidsEnd > tr.start(u) {
+			// Empty the node's child run; its ids fall into the pin-layer
+			// run, and the children become unreachable.
+			n.kidsEnd = tr.start(u)
 			break
 		}
 	}
@@ -247,9 +249,9 @@ func TestShiftMovesSteinerAwayFromCongestion(t *testing.T) {
 
 func treeCost(est Estimator, tr *Tree) float64 {
 	total := 0.0
-	for i := range tr.Nodes {
-		if p := tr.Nodes[i].Parent; p >= 0 {
-			total += est.LPathCost(tr.Nodes[i].Pos, tr.Nodes[p].Pos)
+	for u := 0; u < tr.Len(); u++ {
+		if p := tr.Parent(u); p >= 0 {
+			total += est.LPathCost(tr.Pos(u), tr.Pos(p))
 		}
 	}
 	return total
@@ -261,15 +263,15 @@ func TestShiftNeverMovesPins(t *testing.T) {
 		geom.Point{X: 12, Y: 12})
 	tr := Build(net)
 	pinPos := map[int]geom.Point{}
-	for i := range tr.Nodes {
-		if tr.Nodes[i].IsPin() {
-			pinPos[i] = tr.Nodes[i].Pos
+	for u := 0; u < tr.Len(); u++ {
+		if tr.IsPin(u) {
+			pinPos[u] = tr.Pos(u)
 		}
 	}
 	tr.Shift(g.Estimator2D())
 	for i, want := range pinPos {
-		if tr.Nodes[i].Pos != want {
-			t.Fatalf("pin node %d moved from %v to %v", i, want, tr.Nodes[i].Pos)
+		if tr.Pos(i) != want {
+			t.Fatalf("pin node %d moved from %v to %v", i, want, tr.Pos(i))
 		}
 	}
 	if err := tr.Validate(net); err != nil {

@@ -138,17 +138,17 @@ func WriteRouteSVG(w io.Writer, g *grid.Graph, routes []*route.NetRoute, pins []
 func WriteTreeSVG(w io.Writer, gridW, gridH int, t *stt.Tree) error {
 	s := &svg{w: w}
 	s.open(gridW, gridH)
-	for i := range t.Nodes {
-		if p := t.Nodes[i].Parent; p >= 0 {
-			x1, y1 := center(t.Nodes[i].Pos)
-			x2, y2 := center(t.Nodes[p].Pos)
+	for u := 0; u < t.Len(); u++ {
+		if p := t.Parent(u); p >= 0 {
+			x1, y1 := center(t.Pos(u))
+			x2, y2 := center(t.Pos(p))
 			s.printf(`<line x1="%.1f" y1="%.1f" x2="%.1f" y2="%.1f" stroke="#888888" stroke-width="1.6"/>`+"\n",
 				x1, y1, x2, y2)
 		}
 	}
-	for i := range t.Nodes {
-		x, y := center(t.Nodes[i].Pos)
-		if t.Nodes[i].IsPin() {
+	for u := 0; u < t.Len(); u++ {
+		x, y := center(t.Pos(u))
+		if t.IsPin(u) {
 			s.printf(`<rect x="%.1f" y="%.1f" width="6" height="6" fill="#1f77b4"/>`+"\n", x-3, y-3)
 		} else {
 			s.printf(`<circle cx="%.1f" cy="%.1f" r="3" fill="none" stroke="#d62728" stroke-width="1.5"/>`+"\n", x, y)

@@ -53,6 +53,10 @@
 #                 reader accepts round-trips byte-stably through its writer.
 #                 -fuzzminimizetime 1s keeps the budget on exploration
 #                 rather than on shrinking each new corpus entry
+#   fuzz-stt    — 10 s of FuzzBuild in internal/stt, same flags: for any
+#                 pin set the flat Steiner tree equals the reference
+#                 builder's (ref_test.go) node for node, before and after
+#                 edge shifting, and passes Validate
 #   lint        — fastgrlint, the static invariant net (determinism +
 #                 passive observability + recover-hygiene contracts, plus
 #                 the three interprocedural flow checks: walltaint,
@@ -117,6 +121,7 @@ step test       go test ./...
 step race       go test -race ./internal/par ./internal/core ./internal/taskflow ./internal/obs ./internal/obs/prom ./internal/obs/opsrv ./internal/sched ./internal/maze ./internal/grid ./internal/route ./internal/guide ./internal/fault ./internal/pattern ./internal/patterngpu ./internal/shard ./internal/serve
 step fuzz-design go test -run '^$' -fuzz '^FuzzRead$' -fuzztime 10s -fuzzminimizetime 1s ./internal/design
 step fuzz-guide go test -run '^$' -fuzz '^FuzzRead$' -fuzztime 10s -fuzzminimizetime 1s ./internal/guide
+step fuzz-stt   go test -run '^$' -fuzz '^FuzzBuild$' -fuzztime 10s -fuzzminimizetime 1s ./internal/stt
 step lint       go run ./cmd/fastgrlint -fmt ./...
 step lint-self  go run ./cmd/fastgrlint -self
 step bench-obs  go run ./cmd/benchgen -obs -o BENCH_obs.json
